@@ -27,6 +27,7 @@ pinned at one row.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -35,10 +36,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation
+from .dataset import GroupKey, Relation, stratum_ids
 from .errors import (
     AllStrataConstant,
     EmptyProblem,
+    InvalidArgument,
     InvalidSampleSize,
     NonPositiveCost,
     NotASubset,
@@ -115,7 +117,7 @@ class AllocationProblem:
         if len(self.keys) == 0:
             raise EmptyProblem("no strata to allocate over")
         if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+            raise InvalidArgument(f"budget must be >= 1, got {self.budget}")
         if np.any(self.costs <= 0):
             raise NonPositiveCost("all cost coefficients must be positive")
 
@@ -132,7 +134,7 @@ def solve_fractional(costs: np.ndarray, budget: float) -> np.ndarray:
     if np.any(costs <= 0):
         raise NonPositiveCost("all cost coefficients must be positive")
     if not budget > 0:
-        raise ValueError("budget must be positive")
+        raise InvalidArgument(f"budget must be positive, got {budget}")
     root = np.sqrt(costs)
     return budget * root / root.sum()
 
@@ -170,21 +172,25 @@ def round_with_caps(
     least one row; below that budget the largest fractional shares get one
     row each and a warning is attached.
 
-    The row granted to an empty stratum comes from the donor whose
-    objective term grows least, c_j * (1/(s_j - 1) - 1/s_j), when ``costs``
-    are given; without costs the largest allocation donates.
+    Each stratum rounded to zero, in index order, takes one row from the
+    donor whose objective term grows least, c_j * (1/(s_j - 1) - 1/s_j),
+    when ``costs`` are given; without costs the largest allocation donates.
+    Ties go to the lowest index, and only strata with more than one row
+    donate.  Only the donor's term changes after a move and a recipient
+    stops at one row, so the donors are kept in a heap: the repair costs
+    O((r + z) log r) for r strata of which z rounded to zero.
     """
     shares = np.asarray(fractional, dtype=np.float64)
     caps = np.asarray(caps, dtype=np.int64)
     r = shares.size
     warnings: list[str] = []
     target = int(min(budget, int(caps.sum())))
+    index = np.arange(r)
 
     if ensure_min_one and target < r:
-        order = sorted(range(r), key=lambda i: (-shares[i], i))
+        order = np.lexsort((index, -shares))
         sizes = np.zeros(r, dtype=np.int64)
-        for i in order[:target]:
-            sizes[i] = 1
+        sizes[order[:target]] = 1
         warnings.append(
             f"MissingGroups: budget {budget} is below the stratum count {r}; "
             f"{r - target} strata received no rows"
@@ -211,35 +217,44 @@ def round_with_caps(
     sizes = np.floor(scaled).astype(np.int64)
     sizes[frozen] = caps[frozen]
     leftover = target - int(sizes.sum())
-    remainders = scaled - np.floor(scaled)
-    order = sorted(range(r), key=lambda i: (-remainders[i], i))
-    for i in order:
-        if leftover <= 0:
-            break
-        if not frozen[i] and sizes[i] + 1 <= caps[i]:
-            sizes[i] += 1
-            leftover -= 1
+    if leftover > 0:
+        # each open stratum takes at most one row, by largest remainder
+        remainders = scaled - np.floor(scaled)
+        order = np.lexsort((index, -remainders))
+        open_ = ~frozen & (sizes < caps)
+        sizes[order[open_[order]][:leftover]] += 1
 
     if ensure_min_one:
-        for i in range(r):
-            while sizes[i] == 0:
-                candidates = [j for j in range(r) if sizes[j] > 1]
-                if costs is not None:
-                    donor = min(
-                        candidates,
-                        key=lambda j: (
-                            costs[j] * (1.0 / (sizes[j] - 1) - 1.0 / sizes[j]),
-                            j,
-                        ),
-                    )
-                else:
-                    donor = max(candidates, key=lambda j: (sizes[j], -j))
-                sizes[donor] -= 1
-                sizes[i] += 1
+        _repair_min_one(sizes, costs)
     elif (sizes == 0).any():
         missing = int((sizes == 0).sum())
         warnings.append(f"MissingGroups: {missing} strata rounded to zero rows")
     return sizes, warnings
+
+
+def _repair_min_one(sizes: np.ndarray, costs: np.ndarray | None) -> None:
+    """Give every zero stratum one row, in place, from the cheapest donor
+    (see :func:`round_with_caps`)."""
+    zeros = np.flatnonzero(sizes == 0)
+    if zeros.size == 0:
+        return
+    s = sizes.tolist()
+    c = None if costs is None else np.asarray(costs, dtype=np.float64).tolist()
+
+    def key(j: int) -> float:
+        if c is None:
+            return -s[j]
+        return c[j] * (1.0 / (s[j] - 1) - 1.0 / s[j])
+
+    heap = [(key(j), j) for j in range(len(s)) if s[j] > 1]
+    heapq.heapify(heap)
+    for _ in range(zeros.size):
+        _, donor = heapq.heappop(heap)
+        s[donor] -= 1
+        if s[donor] > 1:
+            heapq.heappush(heap, (key(donor), donor))
+    sizes[:] = s
+    sizes[zeros] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +406,16 @@ def _assemble_plan(
         )
     if not keys and not excluded:
         raise EmptyProblem("catalog has no strata")
+    if budget < 1:
+        raise InvalidArgument(f"budget must be >= 1, got {budget}")
     caps = np.array([catalog.entries[k].n for k in keys], dtype=np.int64)
     sub_budget = budget - n_excluded
     if keys:
         if sub_budget < 1:
-            raise ValueError("budget too small after zero-mean exclusions")
+            raise InvalidArgument(
+                f"budget {budget} leaves no rows after pinning {n_excluded} "
+                f"zero-mean strata at one row each"
+            )
         problem = AllocationProblem(tuple(keys), costs, caps, sub_budget)
         fractional, frozen = resolve_caps(problem.costs, problem.caps, problem.budget)
         sizes, round_warnings = round_with_caps(
@@ -627,8 +647,9 @@ def plan_linf(
     pops_arr = np.array(pops, dtype=np.int64)
     sub_budget = budget - len(pinned)
     if sub_budget < len(keys):
-        raise ValueError(
-            "minimax allocation needs at least one row per positive-variance stratum"
+        raise InvalidArgument(
+            f"minimax allocation needs at least one row per positive-variance "
+            f"stratum: budget {budget} leaves {sub_budget} rows for {len(keys)} strata"
         )
 
     if sub_budget >= int(pops_arr.sum()):
@@ -840,18 +861,34 @@ def unified_inclusion(rates_per_query: Sequence[np.ndarray]) -> np.ndarray:
 def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
     """Per-row unified Poisson inclusion probabilities for an individual-
     stratification allocation; each per-query rate is s_ig / n_ig clamped
-    to 1 when the allocation exceeds the group size."""
-    from .dataset import partition  # local import to avoid cycle at module load
+    to 1 when the allocation exceeds the group size.
+
+    The rows are partitioned once, by the union of the queries' grouping
+    attributes; a query's rate per fine stratum is that of the group its
+    key projects to, and each row takes the rate of its fine stratum.  A
+    group missing from ``alloc.populations`` counts its rows instead.
+    """
+    union: list[str] = []
+    for q in alloc.queries:
+        for a in q.attrs:
+            if a not in union:
+                union.append(a)
+    fine_ids, fine_values = stratum_ids(rel, union)
+    counts = np.bincount(fine_ids, minlength=len(fine_values)).tolist()
 
     per_query = []
     for i, q in enumerate(alloc.queries):
-        rates = np.zeros(rel.n_rows)
-        for key, rows in partition(rel, q.attrs).items():
+        positions = [union.index(a) for a in q.attrs]
+        members: dict[tuple[str, ...], list[int]] = {}
+        for f, values in enumerate(fine_values):
+            members.setdefault(tuple(values[p] for p in positions), []).append(f)
+        rate_of = np.zeros(len(fine_values))
+        for values, fines in members.items():
+            key = GroupKey(q.attrs, values)
             share = alloc.sizes.get((i, key), 0.0)
-            n = alloc.populations.get((i, key), len(rows))
-            rate = min(1.0, share / n) if n else 0.0
-            rates[np.asarray(rows, dtype=np.intp)] = rate
-        per_query.append(rates)
+            n = alloc.populations.get((i, key), sum(counts[f] for f in fines))
+            rate_of[fines] = min(1.0, share / n) if n else 0.0
+        per_query.append(rate_of[fine_ids])
     return unified_inclusion(per_query)
 
 

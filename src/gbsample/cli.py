@@ -31,6 +31,7 @@ Config fields::
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import traceback
@@ -394,13 +395,13 @@ def cmd_compare(cfg: RunConfig) -> int:
     jpath = _out(cfg, "compare.json")
     jpath.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     cpath = _out(cfg, "compare.csv")
-    header = "method,budget,seeds,mean_rel_error,max_rel_error,missing_groups"
-    lines = [header] + [
-        f'{r["method"]},{r["budget"]},{r["seeds"]},{r["mean_rel_error"]!r},'
-        f'{r["max_rel_error"]!r},{r["missing_groups"]}'
-        for r in rows
+    columns = [
+        "method", "budget", "seeds", "mean_rel_error", "max_rel_error", "missing_groups"
     ]
-    cpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(cpath, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([r[c] for c in columns] for r in rows)
     print(f"wrote {jpath} and {cpath}")
     return 0
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     EmptyFile,
+    InvalidArgument,
     MissingColumn,
     NotASubset,
     TypeParseError,
@@ -42,7 +43,7 @@ class ColumnSchema:
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, NUMERIC):
-            raise ValueError(f"unknown column kind {self.kind!r}")
+            raise InvalidArgument(f"unknown column kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Relation:
     def __init__(self, schema: Sequence[ColumnSchema], columns: Mapping[str, object]):
         names = [c.name for c in schema]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate column names in schema")
+            raise InvalidArgument("duplicate column names in schema")
         self.schema = tuple(schema)
         self._columns: dict[str, object] = {}
         sizes = set()
@@ -212,3 +213,24 @@ def partition(rel: Relation, attrs: Sequence[str]) -> dict[GroupKey, list[int]]:
         values = tuple(col[i] for col in columns)
         buckets.setdefault(values, []).append(i)
     return {GroupKey(attrs, values): rows for values, rows in buckets.items()}
+
+
+def stratum_ids(
+    rel: Relation, attrs: Sequence[str]
+) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+    """The stratum id of every row under ``attrs`` and the values of every
+    stratum, without per-stratum row lists.
+
+    Strata are numbered in the order :func:`partition` keys them (first
+    occurrence); an empty attribute list yields one stratum of every row.
+    """
+    columns = [rel.categorical(a) for a in attrs]
+    if not columns:
+        return np.zeros(rel.n_rows, dtype=np.intp), [()]
+    ids: dict[tuple[str, ...], int] = {}
+    row_ids = np.fromiter(
+        (ids.setdefault(values, len(ids)) for values in zip(*columns)),
+        dtype=np.intp,
+        count=rel.n_rows,
+    )
+    return row_ids, list(ids)

@@ -11,6 +11,12 @@ class GbsampleError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(GbsampleError, ValueError):
+    """An argument outside its valid range, such as a budget below one row,
+    a negative seed or an empty interval.  Also a :class:`ValueError`, which
+    such mistakes raised before this class existed."""
+
+
 # ---------------------------------------------------------------------------
 # dataset
 

@@ -30,6 +30,8 @@ plan quality, not a per-predicate guarantee).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, partition
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
+    InvalidArgument,
     UnknownColumn,
 )
 from .sampler import PoissonSample, StratifiedSample
@@ -65,10 +68,12 @@ class Atom:
 
     def __post_init__(self):
         if self.op not in _ALL_OPS:
-            raise ValueError(f"unknown predicate operator {self.op!r}")
+            raise InvalidArgument(f"unknown predicate operator {self.op!r}")
         if self.op == "between":
             if self.lo is None or self.hi is None or self.lo > self.hi:
-                raise ValueError("between requires lo <= hi")
+                raise InvalidArgument(
+                    f"between requires lo <= hi, got lo={self.lo} hi={self.hi}"
+                )
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class Predicate:
                 raise UnknownColumn(atom.column)
             if kind == CATEGORICAL:
                 if atom.op not in ("=", "!="):
-                    raise ValueError(
+                    raise InvalidArgument(
                         f"operator {atom.op!r} not valid for categorical column"
                     )
                 col = rel.categorical(atom.column)
@@ -189,9 +194,9 @@ class QueryRequest:
 
     def __post_init__(self):
         if self.fn not in (AVG, SUM, COUNT):
-            raise ValueError(f"unsupported aggregate {self.fn!r}")
+            raise InvalidArgument(f"unsupported aggregate {self.fn!r}")
         if self.fn != COUNT and self.column is None:
-            raise ValueError(f"{self.fn} requires an aggregation column")
+            raise InvalidArgument(f"{self.fn} requires an aggregation column")
 
     def to_json(self) -> dict:
         return {
@@ -390,11 +395,11 @@ def exact_answer(
     them bit for bit.
     """
     if fn not in (AVG, SUM, COUNT):
-        raise ValueError(f"unsupported aggregate {fn!r}")
+        raise InvalidArgument(f"unsupported aggregate {fn!r}")
     values = None
     if fn != COUNT:
         if column is None:
-            raise ValueError(f"{fn} requires a column")
+            raise InvalidArgument(f"{fn} requires a column")
         values = rel.numeric(column)
     mask = predicate.mask(rel) if predicate else None
     out: dict[GroupKey, float] = {}
@@ -452,7 +457,7 @@ def evaluate(
     counts as relative error 1.0) or "exclude".
     """
     if missing_policy not in ("score_one", "exclude"):
-        raise ValueError(f"unknown missing policy {missing_policy!r}")
+        raise InvalidArgument(f"unknown missing policy {missing_policy!r}")
     exact = exact_answer(rel, request.group_attrs, request.column, request.fn, request.predicate)
     estimates = {e.group: e for e in estimate(sample, request)}
     predicted = _predicted_cvs(rel, sample, request)
@@ -555,18 +560,27 @@ def report_to_json(report: EvaluationReport) -> str:
 
 
 def report_to_csv(report: EvaluationReport) -> str:
-    attrs = report.request.group_attrs
-    lines = [",".join(list(attrs) + ["exact", "estimate", "rel_error", "predicted_cv", "missing"])]
+    """One row per group: key values, then exact, estimate, rel_error,
+    predicted_cv (empty when absent or infinite) and missing (0/1)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        list(report.request.group_attrs)
+        + ["exact", "estimate", "rel_error", "predicted_cv", "missing"]
+    )
     for s in report.scores:
-        cells = list(s.group.values) + [
-            repr(s.exact),
-            "" if s.estimate is None else repr(s.estimate),
-            "" if s.rel_error is None else repr(s.rel_error),
-            "" if s.predicted_cv is None or not math.isfinite(s.predicted_cv) else repr(s.predicted_cv),
-            "1" if s.missing else "0",
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        cv = s.predicted_cv
+        writer.writerow(
+            list(s.group.values)
+            + [
+                float(s.exact),
+                "" if s.estimate is None else float(s.estimate),
+                "" if s.rel_error is None else float(s.rel_error),
+                "" if cv is None or not math.isfinite(cv) else float(cv),
+                1 if s.missing else 0,
+            ]
+        )
+    return out.getvalue()
 
 
 def _jf(x):

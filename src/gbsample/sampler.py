@@ -29,7 +29,13 @@ import numpy as np
 
 from .alloc import AllocationPlan
 from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, partition
-from .errors import CorruptSampleFile, PlanMismatch, RateOutOfRange, SchemaMismatch
+from .errors import (
+    CorruptSampleFile,
+    InvalidArgument,
+    PlanMismatch,
+    RateOutOfRange,
+    SchemaMismatch,
+)
 
 _FLOAT = ".17g"
 
@@ -94,7 +100,7 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
     the plan's strata do not exactly cover the relation's partition.
     """
     if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
     buckets = partition(rel, plan.group_attrs)
     if set(buckets) != set(plan.keys):
         raise PlanMismatch(
@@ -133,7 +139,7 @@ def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
     if np.any(p < 0) or np.any(p > 1):
         raise RateOutOfRange("inclusion probabilities must lie in [0, 1]")
     if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
     rng = _substream(seed, 0)
     u = rng.random(rel.n_rows)
     taken = np.flatnonzero(u < p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dataset import GroupKey, Relation, partition
-from .errors import EmptyProblem, UnknownColumn
+from .errors import EmptyProblem, InvalidArgument, UnknownColumn
 from .alloc import GroupQuery, WeightSpec
 from .query import Predicate
 
@@ -33,7 +33,7 @@ class QuerySpec:
 
     def __post_init__(self):
         if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+            raise InvalidArgument(f"repeats must be >= 1, got {self.repeats}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def _transform(freq: int, transform: str) -> float:
         return float(freq)
     if transform == "sqrt":
         return float(freq) ** 0.5
-    raise ValueError(f"unknown weight transform {transform!r}")
+    raise InvalidArgument(f"unknown weight transform {transform!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 
 from gbsample.alloc import (
     GroupQuery,
+    PerQueryAllocation,
     WeightSpec,
     build_finest,
     cube_queries,
     cv_costs,
     finest_from_catalog,
+    floor_zero_costs,
     individual_from_json,
     individual_to_json,
     inclusion_rates,
@@ -31,7 +33,14 @@ from gbsample.alloc import (
     solve_fractional,
     unified_inclusion,
 )
-from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
+from gbsample.dataset import (
+    CATEGORICAL,
+    NUMERIC,
+    ColumnSchema,
+    GroupKey,
+    Relation,
+    partition,
+)
 from gbsample.errors import (
     AllStrataConstant,
     EmptyProblem,
@@ -40,7 +49,7 @@ from gbsample.errors import (
     RateOutOfRange,
     ZeroMeanStratum,
 )
-from gbsample.stats import compute_catalog
+from gbsample.stats import compute_catalog, pool_catalog
 
 from conftest import STUDENT_ROWS, STUDENT_SCHEMA
 
@@ -758,3 +767,266 @@ def test_individual_json_round_trip(student_rel):
     assert back.budget == result.budget
     for pair, share in result.sizes.items():
         assert back.sizes[pair] == pytest.approx(share)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the direct forms of the rounding repair and the rates
+
+
+def reference_round_with_caps(fractional, caps, budget, ensure_min_one=True, costs=None):
+    """Rounding with the min-one repair as a full donor scan per row moved."""
+    shares = np.asarray(fractional, dtype=np.float64)
+    caps = np.asarray(caps, dtype=np.int64)
+    r = shares.size
+    warnings = []
+    target = int(min(budget, int(caps.sum())))
+
+    if ensure_min_one and target < r:
+        order = sorted(range(r), key=lambda i: (-shares[i], i))
+        sizes = np.zeros(r, dtype=np.int64)
+        for i in order[:target]:
+            sizes[i] = 1
+        warnings.append(
+            f"MissingGroups: budget {budget} is below the stratum count {r}; "
+            f"{r - target} strata received no rows"
+        )
+        return sizes, warnings
+
+    frozen = np.zeros(r, dtype=bool)
+    scaled = shares.astype(np.float64).copy()
+    while True:
+        remaining = target - int(caps[frozen].sum())
+        active = ~frozen
+        mass = scaled[active].sum()
+        if mass <= 0:
+            scaled[active] = remaining / max(active.sum(), 1)
+        else:
+            scaled[active] = scaled[active] * (remaining / mass)
+        over = active & (scaled > caps)
+        if not over.any():
+            break
+        frozen |= over
+    scaled[frozen] = caps[frozen]
+
+    sizes = np.floor(scaled).astype(np.int64)
+    sizes[frozen] = caps[frozen]
+    leftover = target - int(sizes.sum())
+    remainders = scaled - np.floor(scaled)
+    order = sorted(range(r), key=lambda i: (-remainders[i], i))
+    for i in order:
+        if leftover <= 0:
+            break
+        if not frozen[i] and sizes[i] + 1 <= caps[i]:
+            sizes[i] += 1
+            leftover -= 1
+
+    if ensure_min_one:
+        for i in range(r):
+            while sizes[i] == 0:
+                candidates = [j for j in range(r) if sizes[j] > 1]
+                if costs is not None:
+                    donor = min(
+                        candidates,
+                        key=lambda j: (
+                            costs[j] * (1.0 / (sizes[j] - 1) - 1.0 / sizes[j]),
+                            j,
+                        ),
+                    )
+                else:
+                    donor = max(candidates, key=lambda j: (sizes[j], -j))
+                sizes[donor] -= 1
+                sizes[i] += 1
+    elif (sizes == 0).any():
+        missing = int((sizes == 0).sum())
+        warnings.append(f"MissingGroups: {missing} strata rounded to zero rows")
+    return sizes, warnings
+
+
+def reference_inclusion_rates(rel, alloc):
+    """Per-row rates with one partition of the rows per query."""
+    per_query = []
+    for i, q in enumerate(alloc.queries):
+        rates = np.zeros(rel.n_rows)
+        for key, rows in partition(rel, q.attrs).items():
+            share = alloc.sizes.get((i, key), 0.0)
+            n = alloc.populations.get((i, key), len(rows))
+            rate = min(1.0, share / n) if n else 0.0
+            rates[np.asarray(rows, dtype=np.intp)] = rate
+        per_query.append(rates)
+    return unified_inclusion(per_query)
+
+
+def assert_same_rounding(fractional, caps, budget, ensure_min_one=True, costs=None):
+    got, got_w = round_with_caps(fractional, caps, budget, ensure_min_one, costs)
+    want, want_w = reference_round_with_caps(
+        fractional, caps, budget, ensure_min_one, costs
+    )
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_w == want_w
+    return got
+
+
+def _zero_count(fractional, caps, budget):
+    unrepaired, _ = reference_round_with_caps(fractional, caps, budget, False)
+    return int((unrepaired == 0).sum())
+
+
+def _random_costs(rng, r, kind):
+    if kind == "none":
+        return None
+    if kind == "tied":
+        return rng.choice([1e-9, 2.0], size=r)
+    costs = rng.lognormal(0.0, 2.0, size=r)
+    if kind == "floored":
+        costs[rng.random(r) < 0.3] = 0.0
+        costs = floor_zero_costs(costs)
+    return costs
+
+
+@pytest.mark.parametrize("kind", ["none", "random", "tied", "floored"])
+def test_round_repair_matches_reference_on_planned_instances(kind):
+    # the planners' path: closed form with caps resolved, then rounding
+    rng = np.random.default_rng(20240 + len(kind))
+    repaired = 0
+    for _ in range(150):
+        r = int(rng.integers(1, 60))
+        caps = np.minimum(rng.zipf(1.6, size=r), 500).astype(np.int64)
+        budget = int(rng.integers(1, int(caps.sum()) + 2))
+        costs = _random_costs(rng, r, kind)
+        planning = costs if costs is not None else rng.lognormal(0.0, 2.0, size=r)
+        if budget < int(caps.sum()):
+            fractional, _ = resolve_caps(planning, caps, budget)
+        else:
+            fractional = caps.astype(np.float64)
+        assert_same_rounding(fractional, caps, budget, costs=costs)
+        if budget >= r and _zero_count(fractional, caps, budget):
+            repaired += 1
+    assert repaired >= 10
+
+
+@pytest.mark.parametrize("kind", ["none", "random", "tied", "floored"])
+def test_round_repair_matches_reference_on_raw_shares(kind):
+    # arbitrary shares, including budgets below the stratum count
+    rng = np.random.default_rng(777 + len(kind))
+    below = 0
+    for _ in range(150):
+        r = int(rng.integers(1, 40))
+        shares = rng.choice([1e-9, 0.01, 0.4, 3.0, 50.0], size=r)
+        caps = rng.integers(1, 30, size=r)
+        budget = int(rng.integers(1, 2 * r + 20))
+        costs = _random_costs(rng, r, kind)
+        for ensure_min_one in (True, False):
+            assert_same_rounding(shares, caps, budget, ensure_min_one, costs)
+        below += min(budget, int(caps.sum())) < r
+    assert below >= 10
+
+
+def test_round_repair_one_donor_gives_several_rows():
+    shares = np.array([1e-6, 20.0, 1e-6, 1e-6, 5.0, 1e-6])
+    caps = np.array([10, 40, 10, 10, 40, 10])
+    for costs in (None, np.array([1.0, 1.0, 1.0, 1.0, 1000.0, 1.0])):
+        sizes = assert_same_rounding(shares, caps, 25, costs=costs)
+        assert sizes.tolist()[1] <= 20 - 3
+    # tied donors: the lowest index donates first
+    sizes = assert_same_rounding(
+        np.array([5.0, 5.0, 0.0, 0.0]), np.array([9, 9, 9, 9]), 10,
+        costs=np.array([1.0, 1.0, 1.0, 1.0]),
+    )
+    assert sizes.tolist() == [4, 4, 1, 1]
+
+
+def test_round_repair_matches_reference_at_benchmark_scale():
+    # ~2500 Zipf-sized strata with spread costs at a 10 % budget
+    rng = np.random.default_rng(11)
+    r = 2500
+    caps = np.minimum(rng.zipf(1.3, size=r), 2000).astype(np.int64)
+    costs = floor_zero_costs(
+        np.where(rng.random(r) < 0.05, 0.0, rng.lognormal(0.0, 3.0, size=r))
+    )
+    budget = int(caps.sum()) // 10
+    fractional, _ = resolve_caps(costs, caps, budget)
+    assert _zero_count(fractional, caps, budget) > 100
+    for c in (costs, None):
+        sizes = assert_same_rounding(fractional, caps, budget, costs=c)
+        assert (sizes >= 1).all()
+
+
+@given(
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12),
+    st.integers(1, 120),
+    st.lists(st.integers(1, 30), min_size=12, max_size=12),
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([1e-12, 0.5, 1.0, 3.0]), min_size=12, max_size=12),
+    ),
+    st.booleans(),
+)
+def test_round_repair_matches_reference_hypothesis(shares, budget, caps, costs, ensure):
+    r = len(shares)
+    costs = None if costs is None else np.array(costs[:r])
+    assert_same_rounding(np.array(shares), np.array(caps[:r]), budget, ensure, costs)
+
+
+def _random_relation(rng, n, cards):
+    schema = tuple(ColumnSchema(a, CATEGORICAL) for a in cards) + (
+        ColumnSchema("x", NUMERIC),
+    )
+    columns = {
+        a: [f"{a}{v}" for v in np.minimum(rng.zipf(1.5, size=n), k) - 1]
+        for a, k in cards.items()
+    }
+    columns["x"] = rng.lognormal(2.0, 0.5, size=n)
+    return Relation(schema, columns)
+
+
+def test_inclusion_rates_match_reference_on_cube():
+    # every subset of (a, b, c), the empty grouping () included
+    rng = np.random.default_rng(5)
+    rel = _random_relation(rng, 3000, {"a": 12, "b": 6, "c": 4})
+    fine = compute_catalog(rel, ["a", "b", "c"], ["x"])
+    queries = cube_queries(("a", "b", "c"), ("x",))
+    assert GroupQuery((), ("x",)) in queries
+    catalogs = [pool_catalog(fine, q.attrs) for q in queries]
+    for budget in (40, 600, 5000):
+        alloc = plan_individual(catalogs, queries, budget)
+        got = inclusion_rates(rel, alloc)
+        assert got.tobytes() == reference_inclusion_rates(rel, alloc).tobytes()
+
+
+def test_inclusion_rates_match_reference_on_permuted_attrs():
+    rng = np.random.default_rng(6)
+    rel = _random_relation(rng, 2000, {"a": 9, "b": 7, "c": 3})
+    queries = [
+        GroupQuery(("b", "a"), ("x",)),
+        GroupQuery(("a", "b"), ("x",)),
+        GroupQuery(("c", "a", "b"), ("x",)),
+        GroupQuery(("b",), ("x",)),
+    ]
+    catalogs = [compute_catalog(rel, q.attrs, ["x"]) for q in queries]
+    alloc = plan_individual(catalogs, queries, 300)
+    got = inclusion_rates(rel, alloc)
+    assert got.tobytes() == reference_inclusion_rates(rel, alloc).tobytes()
+
+
+def test_inclusion_rates_match_reference_with_missing_entries():
+    # groups absent from the allocation take share 0 or their row count
+    rng = np.random.default_rng(8)
+    rel = _random_relation(rng, 500, {"a": 5, "b": 4})
+    queries = (GroupQuery(("a",), ("x",)), GroupQuery(("b", "a"), ("x",)))
+    catalogs = [compute_catalog(rel, q.attrs, ["x"]) for q in queries]
+    full = plan_individual(catalogs, queries, 90)
+    pairs = list(full.sizes)
+    sizes = {p: 3.0 * s for k, (p, s) in enumerate(full.sizes.items()) if k % 3}
+    populations = {p: n for k, (p, n) in enumerate(full.populations.items()) if k % 4}
+    alloc = PerQueryAllocation(queries, sizes, populations, 90)
+    assert len(sizes) < len(pairs) and len(populations) < len(pairs)
+    got = inclusion_rates(rel, alloc)
+    assert got.tobytes() == reference_inclusion_rates(rel, alloc).tobytes()
+    assert (got == 1.0).any()
+
+    empty = Relation((ColumnSchema("a", CATEGORICAL),), {"a": []})
+    alloc = PerQueryAllocation((GroupQuery((), ()), GroupQuery(("a",), ())), {}, {}, 1)
+    assert inclusion_rates(empty, alloc).tobytes() == (
+        reference_inclusion_rates(empty, alloc).tobytes()
+    )

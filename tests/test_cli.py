@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -215,6 +216,13 @@ def test_compare_table(tmp_path, fix_a_csv):
     csv_lines = (tmp_path / "out" / "compare.csv").read_text().strip().splitlines()
     assert csv_lines[0].startswith("method,budget,seeds,")
     assert len(csv_lines) == 4
+    with open(tmp_path / "out" / "compare.csv", newline="", encoding="utf-8") as fh:
+        header, *body = list(csv.reader(fh))
+    for row, result in zip(body, doc["results"]):
+        assert dict(zip(header, row))["method"] == result["method"]
+        assert [float(cell) for cell in row[1:]] == [
+            result[name] for name in header[1:]
+        ]
 
 
 def test_stream_sim_emits_jsonl(tmp_path, fix_a_csv):
@@ -250,6 +258,10 @@ def test_exit_codes(tmp_path, fix_a_csv):
     assert _run("stats", "--config", str(cfg_seedless)) == 0
     assert _run("plan", "--config", str(cfg_seedless)) == 0
     assert _run("sample", "--config", str(cfg_seedless)) == 1
+    # out-of-range arguments are user errors, not internal ones
+    assert _run("plan", "--config", str(cfg), "--budget", "0") == 1
+    assert _run("plan", "--config", str(cfg)) == 0
+    assert _run("sample", "--config", str(cfg), "--seed", "-1") == 1
 
 
 def test_flag_overrides(tmp_path, fix_a_csv):

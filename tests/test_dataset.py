@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from gbsample.dataset import (
     load_csv,
     partition,
     project_key,
+    stratum_ids,
 )
 from gbsample.errors import (
     EmptyFile,
@@ -116,6 +118,8 @@ def test_partition_unknown_attribute(student_rel):
         partition(student_rel, ["age"])  # numeric column
     with pytest.raises(UnknownAttribute):
         partition(student_rel, ["nope"])
+    with pytest.raises(UnknownAttribute):
+        stratum_ids(student_rel, ["major", "age"])
 
 
 def test_project_key_basic():
@@ -185,11 +189,17 @@ def _rel_from(rows):
 @given(_rows)
 def test_partition_is_disjoint_cover(rows):
     rel = _rel_from(rows)
-    for attrs in (["g1"], ["g2"], ["g1", "g2"]):
+    for attrs in ([], ["g1"], ["g2"], ["g1", "g2"], ["g2", "g1"]):
         buckets = partition(rel, attrs)
         seen = [r for rows_ in buckets.values() for r in rows_]
         assert sorted(seen) == list(range(rel.n_rows))
         assert all(rows_ for rows_ in buckets.values())
+        # stratum ids number the same strata in the same order
+        ids, values = stratum_ids(rel, attrs)
+        assert values == [key.values for key in buckets]
+        assert [list(np.flatnonzero(ids == k)) for k in range(len(values))] == list(
+            buckets.values()
+        )
 
 
 @given(_rows)

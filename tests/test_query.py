@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from gbsample.alloc import plan_l2
 from gbsample.baselines import alloc_senate, alloc_uniform
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
-from gbsample.errors import IncompatibleGrouping, UnknownColumn
+from gbsample.errors import GbsampleError, IncompatibleGrouping, InvalidArgument, UnknownColumn
 from gbsample.query import (
     AVG,
     COUNT,
@@ -301,6 +303,33 @@ def test_report_serialization(student_rel):
     assert len(lines) == 5
 
 
+def test_report_csv_quotes_keys_and_writes_plain_numbers():
+    schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
+    names = ["a,b", "Zürich \"Nord\"", "plain"]
+    rng = np.random.default_rng(3)
+    rows = [(g, float(v)) for g in names for v in rng.normal(10.0, 2.0, size=30)]
+    rel = Relation.from_records(schema, rows)
+    plan = plan_l2(compute_catalog(rel, ["g"], ["v"]), ["v"], 12)
+    sample = draw_stratified(rel, plan, seed=2)
+    report = evaluate(rel, sample, QueryRequest(("g",), AVG, "v"))
+
+    text = report_to_csv(report)
+    assert "np." not in text
+    header, *body = list(csv.reader(io.StringIO(text)))
+    assert header == ["g", "exact", "estimate", "rel_error", "predicted_cv", "missing"]
+    assert sorted(row[0] for row in body) == sorted(names)
+    for row, score in zip(body, report.scores):
+        assert len(row) == len(header)
+        assert row[0] == score.group.values[0]
+        assert [float(cell) for cell in row[1:5]] == [
+            score.exact,
+            score.estimate,
+            score.rel_error,
+            score.predicted_cv,
+        ]
+        assert row[5] == "0"
+
+
 def test_estimate_dispatch(student_rel):
     sample = _full_sample(student_rel, ("major",))
     req = QueryRequest(("major",), COUNT)
@@ -315,3 +344,19 @@ def test_grand_total_grouping(student_rel):
     exact = exact_answer(student_rel, [], "age", AVG)
     assert est.group.attrs == ()
     assert est.value == pytest.approx(list(exact.values())[0], rel=1e-12)
+
+
+def test_out_of_range_arguments_raise_invalid_argument(student_rel):
+    catalog = compute_catalog(student_rel, ["major"], ["age"])
+    with pytest.raises(InvalidArgument, match="budget must be >= 1, got 0"):
+        plan_l2(catalog, ["age"], 0)
+    plan = plan_l2(catalog, ["age"], 4)
+    with pytest.raises(InvalidArgument, match="seed"):
+        draw_stratified(student_rel, plan, seed=-1)
+    with pytest.raises(InvalidArgument, match="seed"):
+        draw_poisson(student_rel, np.full(student_rel.n_rows, 0.5), seed=-1)
+    with pytest.raises(InvalidArgument, match="lo <= hi"):
+        Atom("age", "between", lo=30.0, hi=20.0)
+    # still a ValueError for callers that catch the builtin
+    assert issubclass(InvalidArgument, GbsampleError)
+    assert issubclass(InvalidArgument, ValueError)
