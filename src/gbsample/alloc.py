@@ -3,9 +3,12 @@
 All allocators here minimize a norm of the per-group coefficients of
 variation of the estimates a stratified sample will produce.  The common
 core is the closed-form minimizer of ``sum(c_i / s_i)`` subject to
-``sum(s_i) = M`` (:func:`solve_fractional`), combined with deterministic
-largest-remainder rounding and recursive handling of strata whose
-population is smaller than their ideal allocation.
+``sum(s_i) = M`` (:func:`solve_fractional`), with recursive handling of
+strata whose population is smaller than their ideal allocation
+(:func:`resolve_caps`).  Integer sizes come from one routine,
+:func:`shed`: from a warm start that lies above an integer optimum it
+removes the surplus one unit at a time, each from the stratum whose
+removal costs least, which is exact for separable convex objectives.
 
 Cost coefficients ``c_i`` are built from per-stratum statistics:
 
@@ -16,10 +19,12 @@ Cost coefficients ``c_i`` are built from per-stratum statistics:
   where f is a fine stratum and gi its containing group under query i.
 
 The minimax allocator (:func:`plan_linf`) instead equalizes the predicted
-CVs and minimizes their maximum via a one-dimensional integer search.
+CVs and minimizes their maximum: a bisection on the common CV gives the
+continuous optimum and a warm start for :func:`shed`.
 
-Strata with zero variance receive a vanishing cost floor so that rounding
-gives them exactly one row (one row determines a constant group exactly).
+Strata with zero variance receive a vanishing cost floor so that the
+integer allocation gives them exactly one row (one row determines a
+constant group exactly).
 Strata with zero mean have no defined CV: by default they raise, or with
 ``zero_mean="exclude"`` they are taken out of the optimization and also
 pinned at one row.
@@ -32,7 +37,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .errors import (
     ZeroMeanGroup,
     ZeroMeanStratum,
 )
-from .stats import StatsCatalog, compute_catalog, pool_catalog
+from .stats import StatsCatalog, _pool, compute_catalog
 
 #: zero-variance strata get this fraction of the smallest positive cost
 ZERO_COST_RATIO = 1e-12
@@ -142,9 +147,8 @@ def solve_fractional(costs: np.ndarray, budget: float) -> np.ndarray:
 def floor_zero_costs(costs: np.ndarray) -> np.ndarray:
     """Replace zero costs with a vanishing positive floor.
 
-    The floor is small enough that the floored strata's fractional share
-    rounds to zero, after which the one-row guarantee of
-    :func:`round_with_caps` pins them at exactly one row.
+    The floor is small enough that an integer l2 allocation gives the
+    floored strata exactly one row each (see :func:`l2_sizes`).
     """
     costs = np.asarray(costs, dtype=np.float64).copy()
     zero = costs == 0.0
@@ -156,105 +160,103 @@ def floor_zero_costs(costs: np.ndarray) -> np.ndarray:
     return costs
 
 
-def round_with_caps(
-    fractional: np.ndarray,
-    caps: np.ndarray,
-    budget: int,
-    ensure_min_one: bool = True,
-    costs: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[str]]:
-    """Largest-remainder rounding under per-stratum caps.
+# ---------------------------------------------------------------------------
+# the integer core
 
-    The result sums to min(budget, sum(caps)) and never exceeds a cap;
-    fractional mass above a cap is redistributed proportionally among the
-    uncapped strata.  Ties break by stratum order.  With ``ensure_min_one``
-    and a budget of at least one row per stratum, every stratum receives at
-    least one row; below that budget the largest fractional shares get one
-    row each and a warning is attached.
 
-    Each stratum rounded to zero, in index order, takes one row from the
-    donor whose objective term grows least, c_j * (1/(s_j - 1) - 1/s_j),
-    when ``costs`` are given; without costs the largest allocation donates.
-    Ties go to the lowest index, and only strata with more than one row
-    donate.  Only the donor's term changes after a move and a recipient
-    stops at one row, so the donors are kept in a heap: the repair costs
-    O((r + z) log r) for r strata of which z rounded to zero.
+def shed(
+    sizes: np.ndarray,
+    lower: np.ndarray,
+    excess: int,
+    loss: Callable[[int, int], float],
+) -> np.ndarray:
+    """Remove ``excess`` units, one at a time, each from the stratum whose
+    next removal costs least; ties go to the lowest index and no stratum
+    drops below ``lower``.
+
+    ``loss(i, s)`` is the cost of taking stratum i from s units to s - 1
+    and must not fall as s falls (a separable convex objective, or a
+    minimax of per-stratum terms that rise as units go).  Greedy removal is
+    then exact: started from any vector that lies componentwise above an
+    optimum, it ends at an optimum (the priority-value method; Wright 2012,
+    Friedrich, Muennich, de Vries & Wagner 2015).  O((r + excess) log r).
     """
-    shares = np.asarray(fractional, dtype=np.float64)
-    caps = np.asarray(caps, dtype=np.int64)
-    r = shares.size
-    warnings: list[str] = []
-    target = int(min(budget, int(caps.sum())))
-    index = np.arange(r)
+    s = [int(v) for v in sizes]
+    if excess <= 0:
+        return np.array(s, dtype=np.int64)
+    low = [int(v) for v in lower]
+    heap = [(loss(i, s[i]), i) for i in range(len(s)) if s[i] > low[i]]
+    heapq.heapify(heap)
+    for _ in range(excess):
+        _, i = heapq.heappop(heap)
+        s[i] -= 1
+        if s[i] > low[i]:
+            heapq.heappush(heap, (loss(i, s[i]), i))
+    return np.array(s, dtype=np.int64)
 
-    if ensure_min_one and target < r:
-        order = np.lexsort((index, -shares))
+
+def l2_loss(costs: np.ndarray) -> Callable[[int, int], float]:
+    """Increase of sum(c_i / s_i) when stratum i goes from s to s - 1 rows;
+    infinite at one row, so a stratum empties only when forced to."""
+    c = np.asarray(costs, dtype=np.float64).tolist()
+
+    def loss(i: int, s: int) -> float:
+        return c[i] * (1.0 / (s - 1) - 1.0 / s) if s > 1 else math.inf
+
+    return loss
+
+
+def _largest_above(total: Callable[[float], float], target: float, hi: float) -> float:
+    """Largest theta, to float resolution, with total(theta) >= target, for
+    a total that does not rise with theta; brackets by halving from hi."""
+    lo = hi
+    while total(lo) < target:
+        lo /= 2.0
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return lo
+        if total(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def l2_sizes(
+    fractional: np.ndarray, costs: np.ndarray, caps: np.ndarray, budget: int
+) -> tuple[np.ndarray, list[str]]:
+    """Exact integer minimizer of sum(c_i / s_i) over 1 <= s_i <= n_i with
+    sum(s_i) = min(budget, sum(n_i)).
+
+    The warm start keeps every row whose removal would cost at least mu,
+    s_i(mu) = clip(floor(1/2 + sqrt(1/4 + c_i / mu)), 1, n_i), at the
+    largest mu whose rows still cover the budget; every optimum lies
+    componentwise below it, so :func:`shed` finishes exactly.  (Ceilings
+    of the fractional optimum are not always above an optimum: with shares
+    2.99, twenty at 1.05 and 1.01 at budget 25 the optimum gives the first
+    stratum 4 rows.)  Below one row per stratum the largest ``fractional``
+    shares get one row each and a MissingGroups warning is attached.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    costs = np.asarray(costs, dtype=np.float64)
+    r = caps.size
+    target = int(min(budget, int(caps.sum())))
+    if target < r:
+        order = np.lexsort((np.arange(r), -np.asarray(fractional, dtype=np.float64)))
         sizes = np.zeros(r, dtype=np.int64)
         sizes[order[:target]] = 1
-        warnings.append(
+        warning = (
             f"MissingGroups: budget {budget} is below the stratum count {r}; "
             f"{r - target} strata received no rows"
         )
-        return sizes, warnings
+        return sizes, [warning]
 
-    # resolve caps at the fractional level, redistributing proportionally
-    frozen = np.zeros(r, dtype=bool)
-    scaled = shares.astype(np.float64).copy()
-    while True:
-        remaining = target - int(caps[frozen].sum())
-        active = ~frozen
-        mass = scaled[active].sum()
-        if mass <= 0:
-            scaled[active] = remaining / max(active.sum(), 1)
-        else:
-            scaled[active] = scaled[active] * (remaining / mass)
-        over = active & (scaled > caps)
-        if not over.any():
-            break
-        frozen |= over
-    scaled[frozen] = caps[frozen]
+    def kept(mu: float) -> np.ndarray:
+        rows = np.floor(0.5 + np.sqrt(0.25 + costs / mu))
+        return np.clip(rows, 1, caps).astype(np.int64)
 
-    sizes = np.floor(scaled).astype(np.int64)
-    sizes[frozen] = caps[frozen]
-    leftover = target - int(sizes.sum())
-    if leftover > 0:
-        # each open stratum takes at most one row, by largest remainder
-        remainders = scaled - np.floor(scaled)
-        order = np.lexsort((index, -remainders))
-        open_ = ~frozen & (sizes < caps)
-        sizes[order[open_[order]][:leftover]] += 1
-
-    if ensure_min_one:
-        _repair_min_one(sizes, costs)
-    elif (sizes == 0).any():
-        missing = int((sizes == 0).sum())
-        warnings.append(f"MissingGroups: {missing} strata rounded to zero rows")
-    return sizes, warnings
-
-
-def _repair_min_one(sizes: np.ndarray, costs: np.ndarray | None) -> None:
-    """Give every zero stratum one row, in place, from the cheapest donor
-    (see :func:`round_with_caps`)."""
-    zeros = np.flatnonzero(sizes == 0)
-    if zeros.size == 0:
-        return
-    s = sizes.tolist()
-    c = None if costs is None else np.asarray(costs, dtype=np.float64).tolist()
-
-    def key(j: int) -> float:
-        if c is None:
-            return -s[j]
-        return c[j] * (1.0 / (s[j] - 1) - 1.0 / s[j])
-
-    heap = [(key(j), j) for j in range(len(s)) if s[j] > 1]
-    heapq.heapify(heap)
-    for _ in range(zeros.size):
-        _, donor = heapq.heappop(heap)
-        s[donor] -= 1
-        if s[donor] > 1:
-            heapq.heappush(heap, (key(donor), donor))
-    sizes[:] = s
-    sizes[zeros] = 1
+    start = kept(_largest_above(lambda mu: int(kept(mu).sum()), target, float(costs.max())))
+    return shed(start, np.ones(r), int(start.sum()) - target, l2_loss(costs)), []
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +420,7 @@ def _assemble_plan(
             )
         problem = AllocationProblem(tuple(keys), costs, caps, sub_budget)
         fractional, frozen = resolve_caps(problem.costs, problem.caps, problem.budget)
-        sizes, round_warnings = round_with_caps(
-            fractional, caps, sub_budget, costs=problem.costs
-        )
+        sizes, round_warnings = l2_sizes(fractional, problem.costs, caps, sub_budget)
         warnings.extend(round_warnings)
     else:
         fractional = np.zeros(0)
@@ -509,9 +509,12 @@ def finest_from_catalog(
             raise NotASubset(
                 f"query attrs {q.attrs} not covered by catalog attrs {fine.group_attrs}"
             )
-    coarse = tuple(pool_catalog(fine, q.attrs) for q in queries)
     projections = tuple(
         {key: key.project(q.attrs) for key in fine.entries} for q in queries
+    )
+    coarse = tuple(
+        _pool(fine, tuple(q.attrs), proj.values())
+        for q, proj in zip(queries, projections)
     )
     return FinestStratification(
         fine.group_attrs, tuple(queries), fine, coarse, projections
@@ -585,11 +588,6 @@ def cube_queries(attrs: Sequence[str], columns: Sequence[str]) -> list[GroupQuer
 # minimax (l-infinity) allocation
 
 
-def _minimax_loads(d_over_D: np.ndarray, populations: np.ndarray, q: float) -> np.ndarray:
-    ratio = q * d_over_D
-    return ratio / (1.0 + ratio) * populations
-
-
 def plan_linf(
     catalog: StatsCatalog,
     column: str,
@@ -598,14 +596,14 @@ def plan_linf(
 ) -> AllocationPlan:
     """Allocation minimizing the maximum predicted CV across strata.
 
-    At the continuous optimum all positive-variance strata share the same
-    predicted CV.  The load of stratum i is
-    x_i = (q d_i / D) / (1 + q d_i / D) * n_i with d_i = cv_i^2 / n_i and
-    D = sum(d_i); a binary search finds the largest integer q in [0, N]
-    (N the population size) whose total load fits the budget, with q = 1
-    substituted when the search returns 0.  Integer sizes are the budget-
-    rescaled ceilings of the loads; the ceiling overshoot above the budget
-    is trimmed from the smallest fractional remainders.
+    A stratum reaches predicted CV t with x_i(t) = n_i cv_i^2 /
+    (t^2 n_i + cv_i^2) rows.  Bisection on t finds the continuous optimum,
+    where every positive-variance stratum has the same CV and sum(x) equals
+    the budget; ``fractional`` holds x there.  Integer sizes start from
+    clip(ceil(x), 1, n_i) at the last t whose loads exceed the budget, which
+    lies above an integer optimum, and :func:`shed` removes the surplus by
+    the predicted CV each removal leaves; the result is the exact integer
+    minimax, reported as ``extra["max_cv"]``.
 
     Zero-variance strata are excluded from the search and pinned at one
     row each; their predicted CV is zero regardless.
@@ -655,56 +653,24 @@ def plan_linf(
     if sub_budget >= int(pops_arr.sum()):
         sizes = pops_arr.copy()
         fractional = pops_arr.astype(float)
-        q = None
     else:
-        d = cv2 / pops_arr
-        d_over_D = d / d.sum()
-        n_upper = catalog.total_n
 
-        def total_load(qv: float) -> float:
-            return float(_minimax_loads(d_over_D, pops_arr, qv).sum())
+        def loads(t: float) -> np.ndarray:
+            return pops_arr * cv2 / (t * t * pops_arr + cv2)
 
-        lo, hi = 0, n_upper
-        while lo < hi:  # largest q with total_load(q) <= budget
-            mid = (lo + hi + 1) // 2
-            if total_load(mid) <= sub_budget:
-                lo = mid
-            else:
-                hi = mid - 1
-        q = max(lo, 1)
-        loads = _minimax_loads(d_over_D, pops_arr, q)
-        fractional = loads / loads.sum() * sub_budget
-        sizes = np.ceil(fractional).astype(np.int64)
-        # trim ceiling overshoot from the smallest remainders, keep >= 1
-        remainders = fractional - np.floor(fractional)
-        order = sorted(range(len(keys)), key=lambda i: (remainders[i], i))
-        for i in order:
-            if int(sizes.sum()) <= sub_budget:
-                break
-            if sizes[i] > 1:
-                sizes[i] -= 1
-        while int(sizes.sum()) > sub_budget:
-            j = int(np.argmax(sizes))
-            if sizes[j] <= 1:
-                break
-            sizes[j] -= 1
-        # clamp to populations, redistribute by largest remainder
-        over = sizes - pops_arr
-        if (over > 0).any():
-            surplus = int(over[over > 0].sum())
-            sizes = np.minimum(sizes, pops_arr)
-            order = sorted(range(len(keys)), key=lambda i: (-remainders[i], i))
-            while surplus > 0:
-                moved = False
-                for i in order:
-                    if surplus == 0:
-                        break
-                    if sizes[i] < pops_arr[i]:
-                        sizes[i] += 1
-                        surplus -= 1
-                        moved = True
-                if not moved:
-                    break
+        t = _largest_above(
+            lambda t: float(loads(t).sum()), sub_budget, math.sqrt(cv2.sum() / sub_budget)
+        )
+        fractional = loads(t)
+        start = np.clip(np.ceil(fractional), 1, pops_arr).astype(np.int64)
+        cv = np.sqrt(cv2).tolist()
+        n = pops_arr.tolist()
+
+        def cv_after_removal(i: int, s: int) -> float:
+            return cv[i] * math.sqrt((n[i] - s + 1) / (n[i] * (s - 1)))
+
+        sizes = shed(start, np.ones(len(keys)), int(start.sum()) - sub_budget, cv_after_removal)
+    max_cv = float(np.sqrt(cv2 * (pops_arr - sizes) / (pops_arr * sizes)).max())
 
     all_keys = list(keys) + list(pinned)
     pin_pops = np.array([catalog.entries[k].n for k in pinned], dtype=np.int64)
@@ -725,55 +691,8 @@ def plan_linf(
         ),
         costs=costs,
         warnings=warnings,
-        extra={"q": q},
+        extra={"max_cv": max_cv},
     )
-
-
-def linf_fractional(
-    catalog: StatsCatalog, column: str, budget: int, tol: float = 1e-9
-) -> tuple[float, dict[GroupKey, float]]:
-    """Continuous-q relaxation of the minimax allocation.
-
-    Bisects for the real q whose total load equals the budget (to ``tol``)
-    and returns the per-stratum loads; at that point every positive-
-    variance stratum has the same predicted CV.
-    """
-    keys = []
-    cv2 = []
-    pops = []
-    for key, st in catalog.entries.items():
-        s = st.per_column[column]
-        if not s.cv_defined:
-            raise ZeroMeanStratum(key, column)
-        if s.std == 0.0:
-            continue
-        keys.append(key)
-        cv2.append(s.cv**2)
-        pops.append(st.n)
-    if not keys:
-        raise AllStrataConstant("no positive-variance strata")
-    cv2 = np.array(cv2)
-    pops_arr = np.array(pops, dtype=np.int64)
-    if budget >= int(pops_arr.sum()):
-        return math.inf, dict(zip(keys, pops_arr.astype(float)))
-    d = cv2 / pops_arr
-    d_over_D = d / d.sum()
-
-    def total_load(qv: float) -> float:
-        return float(_minimax_loads(d_over_D, pops_arr, qv).sum())
-
-    lo, hi = 0.0, 1.0
-    while total_load(hi) < budget:
-        hi *= 2.0
-    while hi - lo > tol * max(hi, 1.0):
-        mid = (lo + hi) / 2.0
-        if total_load(mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    q = (lo + hi) / 2.0
-    loads = _minimax_loads(d_over_D, pops_arr, q)
-    return q, dict(zip(keys, loads))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alloc import AllocationPlan, round_with_caps
+from .alloc import AllocationPlan
 from .stats import StatsCatalog
 
 UNIFORM = "uniform"
@@ -20,10 +20,50 @@ SENATE = "senate"
 CONGRESS = "congress"
 
 
+def _round(fractional, caps, budget):
+    """Largest-remainder rounding under per-stratum caps.
+
+    The result sums to min(budget, sum(caps)) and never exceeds a cap;
+    fractional mass above a cap is redistributed proportionally among the
+    uncapped strata, and each open stratum then takes at most one leftover
+    row, by largest remainder with ties in stratum order.  Strata may round
+    to zero rows, which a warning reports.
+    """
+    shares = np.asarray(fractional, dtype=np.float64)
+    caps = np.asarray(caps, dtype=np.int64)
+    r = shares.size
+    target = int(min(budget, int(caps.sum())))
+    frozen = np.zeros(r, dtype=bool)
+    scaled = shares.copy()
+    while True:
+        remaining = target - int(caps[frozen].sum())
+        active = ~frozen
+        mass = scaled[active].sum()
+        if mass <= 0:
+            scaled[active] = remaining / max(active.sum(), 1)
+        else:
+            scaled[active] = scaled[active] * (remaining / mass)
+        over = active & (scaled > caps)
+        if not over.any():
+            break
+        frozen |= over
+    scaled[frozen] = caps[frozen]
+
+    sizes = np.floor(scaled).astype(np.int64)
+    sizes[frozen] = caps[frozen]
+    leftover = target - int(sizes.sum())
+    if leftover > 0:
+        remainders = scaled - np.floor(scaled)
+        order = np.lexsort((np.arange(r), -remainders))
+        open_ = ~frozen & (sizes < caps)
+        sizes[order[open_[order]][:leftover]] += 1
+    missing = int((sizes == 0).sum())
+    warnings = [f"MissingGroups: {missing} strata rounded to zero rows"] if missing else []
+    return sizes, warnings
+
+
 def _plan(method, catalog, keys, caps, fractional, budget, warnings):
-    sizes, round_warnings = round_with_caps(
-        fractional, caps, budget, ensure_min_one=False
-    )
+    sizes, round_warnings = _round(fractional, caps, budget)
     return AllocationPlan(
         method=method,
         group_attrs=catalog.group_attrs,

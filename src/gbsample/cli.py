@@ -428,9 +428,10 @@ def cmd_stream(cfg: RunConfig) -> int:
         for b, start in enumerate(range(0, len(records), batch_size)):
             batch = records[start : start + batch_size]
             stream.ingest_batch(state, batch, batch_seed(seed, b))
-            sizes = {
-                "|".join(k.values): st.size for k, st in state.strata.items()
-            }
+            sizes = [
+                {"key": list(k.values), "size": st.size}
+                for k, st in state.strata.items()
+            ]
             objective_value = state.objective_value()
             fh.write(
                 json.dumps(

@@ -34,13 +34,14 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .alloc import predicted_group_cv
-from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, partition
+from .dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation, partition
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
@@ -100,17 +101,20 @@ class Predicate:
                 )
                 out &= hit if atom.op == "=" else ~hit
             else:
-                col = rel.numeric(atom.column)
-                out &= _numeric_test(atom, col)
+                _check_number(atom)
+                out &= _numeric_test(atom, rel.numeric(atom.column))
         return out
 
     def row_matcher(self, schema: Sequence[ColumnSchema]) -> Callable[[tuple], bool]:
         """Compile a per-record matcher for rows stored as schema-order tuples."""
         pos = {c.name: i for i, c in enumerate(schema)}
+        kinds = {c.name: c.kind for c in schema}
         compiled = []
         for atom in self.atoms:
             if atom.column not in pos:
                 raise UnknownColumn(atom.column)
+            if kinds[atom.column] == NUMERIC:
+                _check_number(atom)
             compiled.append((pos[atom.column], atom))
 
         def matches(record: tuple) -> bool:
@@ -142,6 +146,17 @@ class Predicate:
             else:
                 atoms.append(Atom(item["column"], op, value=item["value"]))
         return cls(tuple(atoms))
+
+
+def _check_number(atom: Atom) -> None:
+    """A numeric column compares only with real numbers (bool excluded)."""
+    operands = (atom.lo, atom.hi) if atom.op == "between" else (atom.value,)
+    for v in operands:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise InvalidArgument(
+                f"column {atom.column!r} is numeric; operator {atom.op!r} "
+                f"needs a number, got {v!r}"
+            )
 
 
 def _numeric_test(atom: Atom, col: np.ndarray) -> np.ndarray:

@@ -182,9 +182,17 @@ def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCat
     to floating point error in m2).
     """
     target_attrs = tuple(target_attrs)
+    coarse_keys = [project_key(key, target_attrs) for key in catalog.entries]
+    return _pool(catalog, target_attrs, coarse_keys)
+
+
+def _pool(
+    catalog: StatsCatalog, target_attrs: tuple[str, ...], coarse_keys: Iterable[GroupKey]
+) -> StatsCatalog:
+    """:func:`pool_catalog` with each fine stratum's coarse key given, in
+    catalog order."""
     pooled: dict[GroupKey, dict[str, RunningMoments]] = {}
-    for key, st in catalog.entries.items():
-        coarse = project_key(key, target_attrs)
+    for coarse, st in zip(coarse_keys, catalog.entries.values()):
         acc = pooled.setdefault(coarse, {c: EMPTY_MOMENTS for c in catalog.agg_columns})
         for col in catalog.agg_columns:
             acc[col] = merge(acc[col], st.moments(col))

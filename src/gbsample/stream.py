@@ -11,16 +11,20 @@ After each batch the total may exceed the budget M.  The settle step
 computes fractional per-stratum targets M_i = M * f(i) / sum(f) from the
 current online statistics (f is the square root of the configured
 weighted squared-CV score, as in the offline allocators) and evicts the
-excess so that the objective
+excess.  The policy is that only strata above their target ever lose
+rows; among such evictions the counts minimize the increase of the
+objective
 
     F = sum_i f(i)^2 / s_i
 
-increases as little as possible.  Only strata above their target are ever
-touched; within them, evictions are distributed by repeatedly removing a
-row from the stratum with the smallest marginal increase
-f(i)^2 / (s_i (s_i - 1)), which is the exact integer optimum for this
-separable convex objective.  Evicted rows are always the largest keys of
-their stratum.
+exactly, by repeatedly removing a row from the stratum with the smallest
+marginal increase f(i)^2 (1 / (s_i - 1) - 1 / s_i) (:func:`alloc.shed`,
+exact for this separable convex objective).  The policy can cost F: with
+f^2 = (0.10346266, 4.89471939, 0.13759474, 3.88691962), sizes
+(2, 3, 2, 2) and four rows to evict, stratum 3 sits below its target, so
+settle keeps (1, 1, 1, 2) with an F increase of 3.384, where (1, 2, 1, 1)
+would add only 2.880.  Evicted rows are always the largest keys of their
+stratum.
 
 With batch size one this is a pure streaming sampler; with the entire
 stream as one batch it reduces to the offline pipeline (same statistics,
@@ -41,9 +45,10 @@ from .alloc import (
     L2,
     UNIT_WEIGHTS,
     WeightSpec,
+    _assemble_plan,
     floor_zero_costs,
-    resolve_caps,
-    round_with_caps,
+    l2_loss,
+    shed,
 )
 from .dataset import ColumnSchema, GroupKey, Relation
 from .errors import SchemaMismatch
@@ -236,12 +241,11 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
 
 
 def settle_budget(state: StreamState) -> StreamState:
-    """Evict the rows above budget with the smallest possible F increase.
+    """Evict the rows above budget, only from strata above their target.
 
-    Only strata whose current size exceeds their fractional target M_i
-    lose rows; the eviction counts are the exact integer minimizer of the
-    F increase over those strata (greedy by marginal cost, which is optimal
-    for a separable convex objective).
+    Strata at or below their fractional target M_i keep every row; among
+    evictions from the others, the counts are the exact integer minimizer
+    of the F increase (:func:`gbsample.alloc.shed` with the l2 loss).
     """
     beta = state.total_retained - state.budget
     if beta <= 0:
@@ -250,39 +254,24 @@ def settle_budget(state: StreamState) -> StreamState:
     keys, f2 = state.scores()
     f = np.sqrt(f2)
     shares = state.budget * f / f.sum()
-    targets = dict(zip(keys, shares))
-    f2_by_key = dict(zip(keys, f2))
+    before = np.array([state.strata[k].size for k in keys], dtype=np.int64)
+    lower = np.where(before > shares, 0, before)
+    after = shed(before, lower, beta, l2_loss(f2))
 
-    oversized = [k for k in keys if state.strata[k].size > targets[k]]
-    sizes = {k: state.strata[k].size for k in oversized}
-
-    def marginal(k: GroupKey) -> float:
-        s = sizes[k]
-        if s <= 1:
-            return math.inf
-        return f2_by_key[k] / (s * (s - 1))
-
-    heap = [(marginal(k), i, k) for i, k in enumerate(oversized)]
-    heapq.heapify(heap)
     evicted: dict[GroupKey, int] = {}
-    before = {k: state.strata[k].size for k in oversized}
-    for _ in range(beta):
-        cost, i, k = heapq.heappop(heap)
-        sizes[k] -= 1
-        evicted[k] = evicted.get(k, 0) + 1
-        if sizes[k] > 0:  # an emptied stratum cannot lose more rows
-            heapq.heappush(heap, (marginal(k), i, k))
-
     delta = 0.0
-    for k, count in evicted.items():
-        state.strata[k].evict(count)
-        s_new = state.strata[k].size
-        s_old = before[k]
+    for k, f2_k, s_old, s_new in zip(keys, f2, before.tolist(), after.tolist()):
+        if s_new == s_old:
+            continue
+        evicted[k] = s_old - s_new
+        state.strata[k].evict(s_old - s_new)
         if s_new == 0:
             delta = math.inf
         elif not math.isinf(delta):
-            delta += f2_by_key[k] * (1.0 / s_new - 1.0 / s_old)
-    state.last_settle = SettleReport(beta, evicted, targets, f2_by_key, delta)
+            delta += f2_k * (1.0 / s_new - 1.0 / s_old)
+    state.last_settle = SettleReport(
+        beta, evicted, dict(zip(keys, shares)), dict(zip(keys, f2)), delta
+    )
     return state
 
 
@@ -319,19 +308,4 @@ def offline_plan(
             if s.cv_defined:
                 total += objective.weights.weight(0, key, col) * s.cv**2
         raw[i] = total
-    costs = floor_zero_costs(raw)
-    caps = np.array([catalog.entries[k].n for k in keys], dtype=np.int64)
-    fractional, frozen = resolve_caps(costs, caps, budget)
-    sizes, warnings = round_with_caps(fractional, caps, budget, costs=costs)
-    return AllocationPlan(
-        method=L2,
-        group_attrs=tuple(group_attrs),
-        keys=tuple(keys),
-        populations=caps,
-        fractional=fractional,
-        sizes=sizes,
-        budget=budget,
-        capped=frozenset(k for k, fz in zip(keys, frozen) if fz),
-        costs=costs,
-        warnings=warnings,
-    )
+    return _assemble_plan(L2, catalog, keys, floor_zero_costs(raw), [], budget)

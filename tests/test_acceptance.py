@@ -20,14 +20,13 @@ from gbsample.alloc import (
     cv_costs,
     inclusion_rates,
     l2_objective,
-    linf_fractional,
+    l2_sizes,
     multi_grouping_costs,
     plan_individual,
     plan_l2,
     plan_linf,
     predicted_cv,
     resolve_caps,
-    round_with_caps,
     solve_fractional,
 )
 from gbsample.baselines import alloc_congress, alloc_senate, alloc_uniform
@@ -126,7 +125,7 @@ def test_criterion_1_closed_form_optimality():
 
 
 # ---------------------------------------------------------------------------
-# 2. integer near-optimality
+# 2. integer optimality
 
 
 def _compositions(total, caps):
@@ -161,7 +160,7 @@ def test_criterion_2_integer_near_optimality():
         trials += 1
 
         fractional, _ = resolve_caps(costs, caps, budget)
-        sizes, _ = round_with_caps(fractional, caps, budget, costs=costs)
+        sizes, _ = l2_sizes(fractional, costs, caps, budget)
         ours = l2_objective(costs, sizes)
 
         target = min(budget, int(caps.sum()))
@@ -171,11 +170,11 @@ def test_criterion_2_integer_near_optimality():
         )
         frac_bound = l2_objective(costs, fractional)
         assert ours >= frac_bound - 1e-9 * abs(frac_bound)
-        assert ours <= best * 1.05 + 1e-12
+        assert ours == pytest.approx(best, rel=1e-12)
     elapsed = time.time() - start
     assert elapsed < 60.0
-    _announce(2, f"rounded plans within 1.05x of {trials} exhaustive integer "
-                 f"optima ({elapsed:.1f}s)")
+    _announce(2, f"integer plans equal {trials} exhaustive integer optima "
+                 f"({elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +241,7 @@ def _fixture_catalogs():
 
 
 def test_criterion_4_minimax_behavior():
+    exhaustive = 0
     for name, catalog, budget in _fixture_catalogs():
         plan_inf = plan_linf(catalog, "v", budget)
         plan_sq = plan_l2(catalog, ["v"], budget)
@@ -257,15 +257,35 @@ def test_criterion_4_minimax_behavior():
 
         assert max_cv(plan_inf) <= max_cv(plan_sq) + 1e-12, name
 
-        q, loads = linf_fractional(catalog, "v", budget, tol=1e-9)
+        # the exact integer minimax, over every composition of the budget
+        keys = list(catalog.entries)
+        if len(keys) <= 3:
+            pops = [catalog.entries[k].n for k in keys]
+            cv_of = [
+                [None] + [
+                    predicted_cv(n, s, catalog.entries[k].per_column["v"].mean,
+                                 catalog.entries[k].per_column["v"].std)
+                    for s in range(1, n + 1)
+                ]
+                for k, n in zip(keys, pops)
+            ]
+            best = min(
+                max(cv_of[i][s] for i, s in enumerate(comp))
+                for comp in _compositions(budget, pops)
+            )
+            assert max_cv(plan_inf) == pytest.approx(best, rel=1e-12), name
+            exhaustive += 1
+
         cvs = []
-        for key, x in loads.items():
+        for key, x in zip(plan_inf.keys, plan_inf.fractional):
             stats_v = catalog.entries[key].per_column["v"]
             n = catalog.entries[key].n
             cvs.append(stats_v.cv * math.sqrt((n - x) / (n * x)))
         assert max(cvs) - min(cvs) <= 1e-6 * max(cvs), name
-    _announce(4, "minimax plans never raise the worst predicted CV and the "
-                 "continuous optimum equalizes all CVs")
+    assert exhaustive == 3
+    _announce(4, "minimax plans never raise the worst predicted CV, equal the "
+                 "exhaustive integer minimax and the continuous optimum "
+                 "equalizes all CVs")
 
 
 # ---------------------------------------------------------------------------

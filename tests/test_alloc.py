@@ -1,4 +1,4 @@
-import itertools
+import heapq
 import math
 
 import numpy as np
@@ -18,7 +18,7 @@ from gbsample.alloc import (
     individual_to_json,
     inclusion_rates,
     l2_objective,
-    linf_fractional,
+    l2_sizes,
     multi_grouping_costs,
     plan_from_json,
     plan_individual,
@@ -29,10 +29,11 @@ from gbsample.alloc import (
     predicted_cv,
     predicted_group_cv,
     resolve_caps,
-    round_with_caps,
+    shed,
     solve_fractional,
     unified_inclusion,
 )
+from gbsample.baselines import _round as baseline_round
 from gbsample.dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -101,22 +102,51 @@ def lambda_bisection(costs, budget, iters=200):
     return np.sqrt(costs / lam)
 
 
+def compositions(total, caps):
+    """Every integer vector with 1 <= s_i <= caps_i summing to total."""
+    caps = [int(c) for c in caps]
+
+    def rec(i, remaining):
+        if i == len(caps) - 1:
+            if 1 <= remaining <= caps[i]:
+                yield (remaining,)
+            return
+        lo = max(1, remaining - sum(caps[i + 1 :]))
+        hi = min(caps[i], remaining - (len(caps) - i - 1))
+        for s in range(lo, hi + 1):
+            for rest in rec(i + 1, remaining - s):
+                yield (s,) + rest
+
+    yield from rec(0, total)
+
+
 def exhaustive_integer_optimum(costs, caps, budget):
     """Brute-force best integer allocation with every stratum >= 1."""
-    costs = list(costs)
-    caps = list(caps)
-    r = len(costs)
     best = math.inf
     best_sizes = None
-    ranges = [range(1, min(cap, budget) + 1) for cap in caps]
-    for sizes in itertools.product(*ranges):
-        if sum(sizes) != budget:
-            continue
+    for sizes in compositions(budget, caps):
         obj = sum(c / s for c, s in zip(costs, sizes))
         if obj < best:
             best = obj
             best_sizes = sizes
     return best, best_sizes
+
+
+def greedy_add_optimum(costs, caps, target):
+    """Independent exact l2 integer optimum for larger instances: from one
+    row each, add rows one at a time where sum(c_i / s_i) falls most (the
+    priority values c_i / (s_i (s_i + 1)))."""
+    costs = [float(c) for c in costs]
+    caps = [int(c) for c in caps]
+    s = [1] * len(costs)
+    heap = [(-c / 2.0, i) for i, c in enumerate(costs) if caps[i] > 1]
+    heapq.heapify(heap)
+    for _ in range(target - len(costs)):
+        _, i = heapq.heappop(heap)
+        s[i] += 1
+        if s[i] < caps[i]:
+            heapq.heappush(heap, (-costs[i] / (s[i] * (s[i] + 1)), i))
+    return np.array(s)
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +195,59 @@ def test_solve_fractional_stationarity(costs, budget):
 
 
 # ---------------------------------------------------------------------------
-# rounding
+# integer allocation
+
+
+def _l2_sizes(shares, caps, budget, costs=None):
+    """l2_sizes on raw shares; without costs, the shares are taken as the
+    closed-form optimum of the costs shares**2."""
+    shares = np.asarray(shares, dtype=float)
+    if costs is None:
+        costs = floor_zero_costs(shares**2)
+    return l2_sizes(shares, costs, np.asarray(caps), budget)
+
+
+def test_shed_removes_the_cheapest_unit_above_the_lower_bound():
+    def loss(i, s):
+        return (1.0, 1.0, 4.0)[i] / s
+
+    sizes = np.array([3, 3, 3])
+    assert shed(sizes, np.array([1, 3, 0]), 4, loss).tolist() == [1, 3, 1]
+    assert sizes.tolist() == [3, 3, 3]
+    # ties go to the lowest index; nothing to remove leaves the sizes alone
+    assert shed(np.array([2, 2]), np.zeros(2), 1, lambda i, s: 1.0).tolist() == [1, 2]
+    assert shed(np.array([2, 2]), np.zeros(2), 0, lambda i, s: 1.0).tolist() == [2, 2]
 
 
 def test_round_already_integral():
-    sizes, w = round_with_caps(np.array([6.0, 2.0]), np.array([1000, 1000]), 8)
+    sizes, w = _l2_sizes([6.0, 2.0], [1000, 1000], 8)
+    assert sizes.tolist() == [6, 2]
+    assert not w
+    sizes, w = baseline_round(np.array([6.0, 2.0]), np.array([1000, 1000]), 8)
     assert sizes.tolist() == [6, 2]
     assert not w
 
 
 def test_round_tie_broken_by_order():
-    sizes, _ = round_with_caps(np.array([3.5, 3.5]), np.array([10, 10]), 7)
+    # largest remainder gives the leftover row to the lower index ...
+    sizes, _ = baseline_round(np.array([3.5, 3.5]), np.array([10, 10]), 7)
     assert sizes.tolist() == [4, 3]
+    # ... and a tied removal takes the row from the lower index
+    sizes, _ = _l2_sizes([3.5, 3.5], [10, 10], 7)
+    assert sizes.tolist() == [3, 4]
 
 
 def test_round_cap_then_redistribute():
-    sizes, _ = round_with_caps(np.array([7.8, 0.2]), np.array([5, 100]), 8)
+    sizes, _ = baseline_round(np.array([7.8, 0.2]), np.array([5, 100]), 8)
+    assert sizes.tolist() == [5, 3]
+    costs = np.array([7.8, 0.2]) ** 2
+    fractional, _ = resolve_caps(costs, np.array([5, 100]), 8)
+    sizes, _ = l2_sizes(fractional, costs, np.array([5, 100]), 8)
     assert sizes.tolist() == [5, 3]
 
 
 def test_round_budget_below_strata_count():
-    sizes, warnings = round_with_caps(
-        np.array([0.5, 2.0, 0.5]), np.array([9, 9, 9]), 2
-    )
-    assert sizes.tolist() == [0, 1, 1] or sizes.tolist() == [1, 1, 0]
+    sizes, warnings = _l2_sizes([0.5, 2.0, 0.5], [9, 9, 9], 2)
     # largest shares get the rows: stratum 1 certainly, then tie by order
     assert sizes.tolist() == [1, 1, 0]
     assert any("MissingGroups" in w for w in warnings)
@@ -196,7 +255,7 @@ def test_round_budget_below_strata_count():
 
 def test_round_min_one_bump():
     # a vanishing share still receives one row when the budget allows
-    sizes, _ = round_with_caps(np.array([9.999999, 1e-6]), np.array([50, 50]), 10)
+    sizes, _ = _l2_sizes([9.999999, 1e-6], [50, 50], 10)
     assert sizes.tolist() == [9, 1]
 
 
@@ -208,11 +267,25 @@ def test_round_min_one_bump():
 def test_round_sums_and_caps(shares, budget, caps):
     caps = np.array(caps[: shares.size])
     shares = shares * budget / shares.sum()
-    sizes, _ = round_with_caps(shares, caps, budget)
-    assert int(sizes.sum()) == min(budget, int(caps.sum()))
-    assert (sizes <= caps).all()
+    for sizes, _ in (_l2_sizes(shares, caps, budget), baseline_round(shares, caps, budget)):
+        assert int(sizes.sum()) == min(budget, int(caps.sum()))
+        assert (sizes <= caps).all()
+    sizes, _ = _l2_sizes(shares, caps, budget)
     if budget >= shares.size:
         assert (sizes >= 1).all()
+
+
+def test_l2_sizes_exact_where_ceilings_are_not_above_the_optimum():
+    # shares 2.99, twenty at 1.05 and 1.01 at budget 25: the optimum gives
+    # the first stratum 4 rows, one above the ceiling of its share
+    shares = np.array([2.99] + [1.05] * 20 + [1.01])
+    costs = shares**2
+    caps = np.full(shares.size, 1000)
+    sizes, _ = l2_sizes(shares, costs, caps, 25)
+    best, best_sizes = exhaustive_integer_optimum(costs, caps, 25)
+    assert sizes.tolist() == list(best_sizes)
+    assert sizes[0] == 4
+    assert l2_objective(costs, sizes) == pytest.approx(best, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +416,7 @@ def test_resolve_caps_paper_style_chain():
     assert frozen.tolist() == [True, False, True, False, False, False]
 
 
-def test_capped_objective_matches_exhaustive_within_rounding():
+def test_capped_objective_matches_exhaustive_optimum():
     rng = np.random.default_rng(11)
     for _ in range(25):
         r = rng.integers(2, 5)
@@ -351,12 +424,12 @@ def test_capped_objective_matches_exhaustive_within_rounding():
         caps = rng.integers(2, 12, size=r)
         budget = int(rng.integers(r, min(26, int(caps.sum()) + 1)))
         frac, _ = resolve_caps(costs, caps, budget)
-        sizes, _ = round_with_caps(frac, caps, budget, costs=costs)
+        sizes, _ = l2_sizes(frac, costs, caps, budget)
         ours = l2_objective(costs, sizes)
         best, _ = exhaustive_integer_optimum(costs, caps, min(budget, int(caps.sum())))
         frac_bound = l2_objective(costs, frac)
         assert ours >= frac_bound - 1e-12
-        assert ours <= best * 1.05 + 1e-12
+        assert ours == pytest.approx(best, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +526,12 @@ def test_finest_from_catalog_matches_build(student_rel):
     _, costs_a = multi_grouping_costs(from_catalog)
     _, costs_b = multi_grouping_costs(direct)
     assert costs_a == pytest.approx(costs_b, rel=1e-12)
+    # the coarse catalogs are the pooled ones, entry for entry and in order
+    for q, coarse, proj in zip(queries, from_catalog.coarse, from_catalog.projections):
+        pooled = pool_catalog(fine, q.attrs)
+        assert coarse.group_attrs == pooled.group_attrs == q.attrs
+        assert list(coarse.entries.items()) == list(pooled.entries.items())
+        assert proj == {key: key.project(q.attrs) for key in fine.entries}
     with pytest.raises(Exception):
         finest_from_catalog(fine, [GroupQuery(("id",), ("gpa",))])
 
@@ -501,79 +580,79 @@ def test_linf_identical_strata_equal_split():
     assert plan.sizes.tolist() == [10, 10, 10]
 
 
-def _linf_scan_oracle(cv2, pops, budget, n_upper):
-    """Independent reimplementation: linear scan over every integer q,
-    forced minimum q of 1, ceiling sizes, smallest-remainder trim."""
-    cv2 = np.asarray(cv2, dtype=float)
-    pops = np.asarray(pops, dtype=float)
-    d = cv2 / pops
-    d_over_D = d / d.sum()
-
-    def loads(q):
-        ratio = q * d_over_D
-        return ratio / (1 + ratio) * pops
-
-    feasible = [q for q in range(0, n_upper + 1) if loads(q).sum() <= budget]
-    q = max(max(feasible), 1)
-    x = loads(q)
-    scaled = x / x.sum() * budget
-    sizes = np.ceil(scaled).astype(int)
-    remainders = scaled - np.floor(scaled)
-    for i in sorted(range(len(sizes)), key=lambda i: (remainders[i], i)):
-        if sizes.sum() <= budget:
-            break
-        if sizes[i] > 1:
-            sizes[i] -= 1
-    return q, sizes
+def _max_cv(catalog, plan):
+    out = 0.0
+    for key, n, size in zip(plan.keys, plan.populations, plan.sizes):
+        st = catalog.entries[key].per_column["v"]
+        out = max(out, predicted_cv(int(n), int(size), st.mean, st.std))
+    return out
 
 
-def test_linf_matches_exhaustive_q_scan_forced_q():
-    # steep cv spread: every positive q overshoots, so q is forced to 1
+def exhaustive_minimax(catalog, budget):
+    """Smallest max predicted CV over every composition of the budget into
+    1 <= s_i <= n_i (positive-variance strata only)."""
+    keys = list(catalog.entries)
+    pops = [catalog.entries[k].n for k in keys]
+    table = []
+    for key, n in zip(keys, pops):
+        st = catalog.entries[key].per_column["v"]
+        table.append([None] + [predicted_cv(n, s, st.mean, st.std) for s in range(1, n + 1)])
+    return min(
+        max(table[i][s] for i, s in enumerate(comp))
+        for comp in compositions(min(budget, sum(pops)), pops)
+    )
+
+
+def test_linf_matches_exhaustive_minimax_steep():
+    # steep cv spread: the worst stratum takes most of the budget
     catalog, _ = _catalog_from_groups(
         [("a", 100, 10.0, 2.0), ("b", 100, 10.0, 1.0), ("c", 100, 10.0, 0.5)]
     )
-    budget = 30
-    plan = plan_linf(catalog, "v", budget)
-    cv2 = [catalog.entries[k].per_column["v"].cv ** 2 for k in plan.keys]
-    q, sizes = _linf_scan_oracle(cv2, [100, 100, 100], budget, 300)
-    assert plan.extra["q"] == q == 1
-    assert plan.sizes.tolist() == sizes.tolist()
-    assert plan.total_size == budget
+    plan = plan_linf(catalog, "v", 30)
+    assert plan.total_size == 30
+    assert _max_cv(catalog, plan) == pytest.approx(exhaustive_minimax(catalog, 30), rel=1e-12)
+    assert plan.extra["max_cv"] == pytest.approx(_max_cv(catalog, plan), rel=1e-12)
 
 
-def test_linf_matches_exhaustive_q_scan_interior_q():
-    # twelve flat-ish strata give an interior integer optimum q > 1
-    groups = [(f"g{i:02d}", 100, 10.0, 0.2 + 0.01 * i) for i in range(12)]
-    catalog, _ = _catalog_from_groups(groups)
-    budget = 200
-    plan = plan_linf(catalog, "v", budget)
-    cv2 = [catalog.entries[k].per_column["v"].cv ** 2 for k in plan.keys]
-    q, sizes = _linf_scan_oracle(cv2, [100] * 12, budget, 1200)
-    assert q > 1
-    assert plan.extra["q"] == q
-    assert plan.sizes.tolist() == sizes.tolist()
-    assert plan.total_size == budget
+def test_linf_matches_exhaustive_minimax_random():
+    rng = np.random.default_rng(44)
+    capped = 0
+    for _ in range(120):
+        r = int(rng.integers(1, 6))
+        groups = [
+            (f"g{i}", int(rng.integers(2, 12)), float(rng.uniform(1.0, 50.0)),
+             float(rng.choice([0.5, rng.uniform(0.05, 3.0)])))
+            for i in range(r)
+        ]
+        catalog, _ = _catalog_from_groups(groups)
+        total = sum(g[1] for g in groups)
+        budget = int(rng.integers(r, min(total, 20) + 1))
+        plan = plan_linf(catalog, "v", budget)
+        ours = _max_cv(catalog, plan)
+        assert plan.total_size == min(budget, total)
+        assert ours == pytest.approx(exhaustive_minimax(catalog, budget), rel=1e-12, abs=1e-15)
+        assert plan.extra["max_cv"] == pytest.approx(ours, rel=1e-12, abs=1e-15)
+        capped += bool(plan.capped)
+    assert capped >= 10
 
 
 def test_linf_monotone_total_load():
+    # x_i(t) = n_i cv_i^2 / (t^2 n_i + cv_i^2) falls with the target CV t
     cv2 = np.array([0.9, 0.1, 0.02])
     pops = np.array([40, 160, 400])
-    d = cv2 / pops
-    dd = d / d.sum()
-    totals = []
-    for q in range(0, 600):
-        ratio = q * dd
-        totals.append(float((ratio / (1 + ratio) * pops).sum()))
-    assert all(a <= b + 1e-12 for a, b in zip(totals, totals[1:]))
+    totals = [float((pops * cv2 / (t * t * pops + cv2)).sum()) for t in np.linspace(0, 2, 600)]
+    assert totals[0] == pytest.approx(pops.sum())
+    assert all(a >= b for a, b in zip(totals, totals[1:]))
 
 
 def test_linf_fractional_equalizes_cvs():
     catalog, _ = _catalog_from_groups(
         [("a", 400, 5.0, 1.5), ("b", 300, 20.0, 0.4), ("c", 500, 2.0, 0.1)]
     )
-    q, loads = linf_fractional(catalog, "v", 90, tol=1e-9)
+    plan = plan_linf(catalog, "v", 90)
+    assert plan.fractional.sum() == pytest.approx(90, rel=1e-12)
     cvs = []
-    for key, x in loads.items():
+    for key, x in zip(plan.keys, plan.fractional):
         s = catalog.entries[key].per_column["v"]
         cvs.append(s.cv * math.sqrt((catalog.entries[key].n - x) / (catalog.entries[key].n * x)))
     assert max(cvs) == pytest.approx(min(cvs), rel=1e-6)
@@ -770,27 +849,17 @@ def test_individual_json_round_trip(student_rel):
 
 
 # ---------------------------------------------------------------------------
-# equivalence with the direct forms of the rounding repair and the rates
+# the integer allocators against oracles, and the rates against their
+# direct form
 
 
-def reference_round_with_caps(fractional, caps, budget, ensure_min_one=True, costs=None):
-    """Rounding with the min-one repair as a full donor scan per row moved."""
+def reference_largest_remainder(fractional, caps, budget):
+    """Direct form of the baselines' capped largest-remainder rounding."""
     shares = np.asarray(fractional, dtype=np.float64)
     caps = np.asarray(caps, dtype=np.int64)
     r = shares.size
     warnings = []
     target = int(min(budget, int(caps.sum())))
-
-    if ensure_min_one and target < r:
-        order = sorted(range(r), key=lambda i: (-shares[i], i))
-        sizes = np.zeros(r, dtype=np.int64)
-        for i in order[:target]:
-            sizes[i] = 1
-        warnings.append(
-            f"MissingGroups: budget {budget} is below the stratum count {r}; "
-            f"{r - target} strata received no rows"
-        )
-        return sizes, warnings
 
     frozen = np.zeros(r, dtype=bool)
     scaled = shares.astype(np.float64).copy()
@@ -820,23 +889,7 @@ def reference_round_with_caps(fractional, caps, budget, ensure_min_one=True, cos
             sizes[i] += 1
             leftover -= 1
 
-    if ensure_min_one:
-        for i in range(r):
-            while sizes[i] == 0:
-                candidates = [j for j in range(r) if sizes[j] > 1]
-                if costs is not None:
-                    donor = min(
-                        candidates,
-                        key=lambda j: (
-                            costs[j] * (1.0 / (sizes[j] - 1) - 1.0 / sizes[j]),
-                            j,
-                        ),
-                    )
-                else:
-                    donor = max(candidates, key=lambda j: (sizes[j], -j))
-                sizes[donor] -= 1
-                sizes[i] += 1
-    elif (sizes == 0).any():
+    if (sizes == 0).any():
         missing = int((sizes == 0).sum())
         warnings.append(f"MissingGroups: {missing} strata rounded to zero rows")
     return sizes, warnings
@@ -856,19 +909,41 @@ def reference_inclusion_rates(rel, alloc):
     return unified_inclusion(per_query)
 
 
-def assert_same_rounding(fractional, caps, budget, ensure_min_one=True, costs=None):
-    got, got_w = round_with_caps(fractional, caps, budget, ensure_min_one, costs)
-    want, want_w = reference_round_with_caps(
-        fractional, caps, budget, ensure_min_one, costs
-    )
+def assert_same_rounding(fractional, caps, budget):
+    """The baselines' rounding equals its direct form byte for byte."""
+    got, got_w = baseline_round(fractional, caps, budget)
+    want, want_w = reference_largest_remainder(fractional, caps, budget)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert got_w == want_w
     return got
 
 
+def assert_l2_optimal(fractional, costs, caps, budget):
+    """l2_sizes reaches the objective of the greedy-addition optimum; below
+    one row per stratum the largest shares get one row each."""
+    sizes, warnings = l2_sizes(fractional, costs, caps, budget)
+    caps = np.asarray(caps)
+    r = caps.size
+    target = min(budget, int(caps.sum()))
+    assert sizes.dtype == np.int64
+    assert int(sizes.sum()) == target
+    assert (sizes <= caps).all()
+    if target < r:
+        order = sorted(range(r), key=lambda i: (-fractional[i], i))
+        assert sorted(np.flatnonzero(sizes).tolist()) == sorted(order[:target])
+        assert len(warnings) == 1 and warnings[0].startswith("MissingGroups")
+        return sizes
+    assert (sizes >= 1).all() and not warnings
+    best = greedy_add_optimum(costs, caps, target)
+    assert l2_objective(costs, sizes) == pytest.approx(
+        l2_objective(costs, best), rel=1e-12
+    )
+    return sizes
+
+
 def _zero_count(fractional, caps, budget):
-    unrepaired, _ = reference_round_with_caps(fractional, caps, budget, False)
+    unrepaired, _ = reference_largest_remainder(fractional, caps, budget)
     return int((unrepaired == 0).sum())
 
 
@@ -886,7 +961,8 @@ def _random_costs(rng, r, kind):
 
 @pytest.mark.parametrize("kind", ["none", "random", "tied", "floored"])
 def test_round_repair_matches_reference_on_planned_instances(kind):
-    # the planners' path: closed form with caps resolved, then rounding
+    # the planners' path: closed form with caps resolved, then rounding;
+    # "repaired" counts instances where plain rounding leaves a stratum empty
     rng = np.random.default_rng(20240 + len(kind))
     repaired = 0
     for _ in range(150):
@@ -899,7 +975,8 @@ def test_round_repair_matches_reference_on_planned_instances(kind):
             fractional, _ = resolve_caps(planning, caps, budget)
         else:
             fractional = caps.astype(np.float64)
-        assert_same_rounding(fractional, caps, budget, costs=costs)
+        assert_same_rounding(fractional, caps, budget)
+        assert_l2_optimal(fractional, planning, caps, budget)
         if budget >= r and _zero_count(fractional, caps, budget):
             repaired += 1
     assert repaired >= 10
@@ -916,24 +993,29 @@ def test_round_repair_matches_reference_on_raw_shares(kind):
         caps = rng.integers(1, 30, size=r)
         budget = int(rng.integers(1, 2 * r + 20))
         costs = _random_costs(rng, r, kind)
-        for ensure_min_one in (True, False):
-            assert_same_rounding(shares, caps, budget, ensure_min_one, costs)
+        if costs is None:
+            costs = floor_zero_costs(shares**2)
+        assert_same_rounding(shares, caps, budget)
+        assert_l2_optimal(shares, costs, caps, budget)
         below += min(budget, int(caps.sum())) < r
     assert below >= 10
 
 
 def test_round_repair_one_donor_gives_several_rows():
+    # one large stratum funds the one-row minimum of four tiny ones
     shares = np.array([1e-6, 20.0, 1e-6, 1e-6, 5.0, 1e-6])
     caps = np.array([10, 40, 10, 10, 40, 10])
-    for costs in (None, np.array([1.0, 1.0, 1.0, 1.0, 1000.0, 1.0])):
-        sizes = assert_same_rounding(shares, caps, 25, costs=costs)
+    for costs in (shares**2, np.array([1.0, 1.0, 1.0, 1.0, 1000.0, 1.0])):
+        sizes = assert_l2_optimal(shares, costs, caps, 25)
+        best, best_sizes = exhaustive_integer_optimum(costs, caps, 25)
+        assert sizes.tolist() == list(best_sizes)
         assert sizes.tolist()[1] <= 20 - 3
-    # tied donors: the lowest index donates first
-    sizes = assert_same_rounding(
-        np.array([5.0, 5.0, 0.0, 0.0]), np.array([9, 9, 9, 9]), 10,
-        costs=np.array([1.0, 1.0, 1.0, 1.0]),
+    # tied costs: balanced sizes, the lowest indices give up the tied rows
+    sizes = assert_l2_optimal(
+        np.array([5.0, 5.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0]),
+        np.array([9, 9, 9, 9]), 10,
     )
-    assert sizes.tolist() == [4, 4, 1, 1]
+    assert sizes.tolist() == [2, 2, 3, 3]
 
 
 def test_round_repair_matches_reference_at_benchmark_scale():
@@ -947,9 +1029,9 @@ def test_round_repair_matches_reference_at_benchmark_scale():
     budget = int(caps.sum()) // 10
     fractional, _ = resolve_caps(costs, caps, budget)
     assert _zero_count(fractional, caps, budget) > 100
-    for c in (costs, None):
-        sizes = assert_same_rounding(fractional, caps, budget, costs=c)
-        assert (sizes >= 1).all()
+    assert_same_rounding(fractional, caps, budget)
+    sizes = assert_l2_optimal(fractional, costs, caps, budget)
+    assert (sizes >= 1).all()
 
 
 @given(
@@ -960,12 +1042,13 @@ def test_round_repair_matches_reference_at_benchmark_scale():
         st.none(),
         st.lists(st.sampled_from([1e-12, 0.5, 1.0, 3.0]), min_size=12, max_size=12),
     ),
-    st.booleans(),
 )
-def test_round_repair_matches_reference_hypothesis(shares, budget, caps, costs, ensure):
+def test_round_repair_matches_reference_hypothesis(shares, budget, caps, costs):
     r = len(shares)
-    costs = None if costs is None else np.array(costs[:r])
-    assert_same_rounding(np.array(shares), np.array(caps[:r]), budget, ensure, costs)
+    shares, caps = np.array(shares), np.array(caps[:r])
+    costs = floor_zero_costs(shares**2) if costs is None else np.array(costs[:r])
+    assert_same_rounding(shares, caps, budget)
+    assert_l2_optimal(shares, costs, caps, budget)
 
 
 def _random_relation(rng, n, cards):

@@ -262,6 +262,23 @@ def test_exit_codes(tmp_path, fix_a_csv):
     assert _run("plan", "--config", str(cfg), "--budget", "0") == 1
     assert _run("plan", "--config", str(cfg)) == 0
     assert _run("sample", "--config", str(cfg), "--seed", "-1") == 1
+    # a numeric column compared with a string
+    assert _run("sample", "--config", str(cfg), "--seed", "5") == 0
+    query_path = tmp_path / "bad_query.json"
+    for op in ("=", "<"):
+        query_path.write_text(
+            json.dumps(
+                {
+                    "group_by": ["grp"],
+                    "aggregate": {"fn": "avg", "column": "v"},
+                    "predicate": [{"column": "v", "op": op, "value": "x"}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        for command in ("query", "evaluate"):
+            argv = ("--config", str(cfg), "--seed", "5", "--query", str(query_path))
+            assert _run(command, *argv) == 1
 
 
 def test_flag_overrides(tmp_path, fix_a_csv):
@@ -330,8 +347,32 @@ def test_stream_sim_composite_group_keys(tmp_path, student_csv):
     assert _run("stream-sim", "--config", str(cfg_path)) == 0
     lines = (tmp_path / "out" / "stream_metrics.jsonl").read_text().strip().splitlines()
     last = json.loads(lines[-1])
-    assert "CS|Science" in last["sizes"]
+    assert ["CS", "Science"] in [entry["key"] for entry in last["sizes"]]
+    assert sum(entry["size"] for entry in last["sizes"]) == last["retained"]
     assert last["retained"] <= 4
+
+
+def test_stream_sim_keys_containing_the_separator_stay_apart(tmp_path):
+    data = tmp_path / "pipes.csv"
+    data.write_text("a,b,v\na|b,c,1\na,b|c,2\na|b,c,3\na,b|c,5\n", encoding="utf-8")
+    cfg = _write_config(
+        tmp_path,
+        data,
+        schema=[
+            {"name": "a", "kind": "categorical"},
+            {"name": "b", "kind": "categorical"},
+            {"name": "v", "kind": "numeric"},
+        ],
+        group_by=["a", "b"],
+        budget=10,
+        batch_size=4,
+    )
+    assert _run("stream-sim", "--config", str(cfg)) == 0
+    (line,) = (tmp_path / "out" / "stream_metrics.jsonl").read_text().splitlines()
+    assert json.loads(line)["sizes"] == [
+        {"key": ["a|b", "c"], "size": 2},
+        {"key": ["a", "b|c"], "size": 2},
+    ]
 
 
 def test_rate_on_large_table_end_to_end(tmp_path):

@@ -357,6 +357,22 @@ def test_out_of_range_arguments_raise_invalid_argument(student_rel):
         draw_poisson(student_rel, np.full(student_rel.n_rows, 0.5), seed=-1)
     with pytest.raises(InvalidArgument, match="lo <= hi"):
         Atom("age", "between", lo=30.0, hi=20.0)
+    # a numeric column compares only with real numbers, in both evaluators
+    for atom in (
+        Atom("age", "=", value="x"),
+        Atom("age", "!=", value="25"),
+        Atom("age", "<", value="x"),
+        Atom("age", ">=", value=True),
+        Atom("age", "<=", value=None),
+        Atom("age", "between", lo="20", hi="30"),
+    ):
+        predicate = Predicate((atom,))
+        with pytest.raises(InvalidArgument, match="numeric"):
+            predicate.mask(student_rel)
+        with pytest.raises(InvalidArgument, match="numeric"):
+            predicate.row_matcher(student_rel.schema)
+    for value in (25, 25.0, np.float64(25.0), np.int64(25)):
+        assert Predicate((Atom("age", "=", value=value),)).mask(student_rel).sum() == 1
     # still a ValueError for callers that catch the builtin
     assert issubclass(InvalidArgument, GbsampleError)
     assert issubclass(InvalidArgument, ValueError)

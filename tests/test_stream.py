@@ -110,6 +110,25 @@ def test_eviction_only_touches_oversized():
             assert size_before_settle > report.targets[key]
     assert evictions_seen > 0
 
+    # the policy can cost F: stratum 3 sits below its target, so settle keeps
+    # (1, 1, 1, 2) with an increase of 3.384, though (1, 2, 1, 1) adds 2.880
+    f2 = np.array([0.10346266, 4.89471939, 0.13759474, 3.88691962])
+    state = make_state(SCHEMA, ("g",), OBJ, 5)
+    keys = [GroupKey(("g",), (f"s{i}",)) for i in range(4)]
+    for i, (key, size) in enumerate(zip(keys, (2, 3, 2, 2))):
+        stratum = KeyedStratumSample(key)
+        for j in range(size):
+            stratum.offer(0.1 * (j + 1), j, (f"s{i}", 0.0))
+        state.strata[key] = stratum
+    state.scores = lambda: (keys, f2)  # type: ignore
+    settle_budget(state)
+    assert [state.strata[k].size for k in keys] == [1, 1, 1, 2]
+    report = state.last_settle
+    assert report.targets[keys[3]] > 2
+    assert report.delta_objective == pytest.approx(3.384, abs=5e-4)
+    unrestricted = sum(f2 * (1.0 / np.array([1, 2, 1, 1]) - 1.0 / np.array([2, 3, 2, 2])))
+    assert unrestricted == pytest.approx(2.880, abs=5e-4)
+
 
 def test_eviction_matches_brute_force_small():
     rng = np.random.default_rng(13)
