@@ -37,7 +37,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ INDIVIDUAL = "individual"
 # weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightSpec:
     """Positive weights keyed by (query index, group values, column).
 
@@ -77,15 +78,22 @@ class WeightSpec:
     wildcard; the most specific matching entry wins.  Unmatched lookups
     return ``default`` (1 normally; workload-derived specs use 0 so that
     never-queried combinations carry no accuracy demand).
+
+    Immutable: ``entries`` is a read-only copy of the mapping given, and
+    specs compare and hash by value.
     """
 
-    entries: dict[tuple, float] = field(default_factory=dict)
+    entries: Mapping[tuple, float] = field(default_factory=dict)
     default: float = 1.0
 
     def __post_init__(self):
         for k, w in self.entries.items():
             if not w > 0:
                 raise NonPositiveCost(f"weight for {k} must be positive, got {w}")
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+
+    def __hash__(self):
+        return hash((frozenset(self.entries.items()), self.default))
 
     def weight(self, query: int | None, key: GroupKey | None, column: str | None) -> float:
         values = key.values if key is not None else None

@@ -227,10 +227,14 @@ def stratum_ids(
     columns = [rel.categorical(a) for a in attrs]
     if not columns:
         return np.zeros(rel.n_rows, dtype=np.intp), [()]
-    ids: dict[tuple[str, ...], int] = {}
-    row_ids = np.fromiter(
-        (ids.setdefault(values, len(ids)) for values in zip(*columns)),
-        dtype=np.intp,
-        count=rel.n_rows,
+    return number_keys(zip(*columns), rel.n_rows)
+
+
+def number_keys(keys: Iterable[tuple], count: int) -> tuple[np.ndarray, list[tuple]]:
+    """Number ``count`` keys by first occurrence: the id of every key and
+    the distinct keys in id order."""
+    ids: dict[tuple, int] = {}
+    numbered = np.fromiter(
+        (ids.setdefault(key, len(ids)) for key in keys), dtype=np.intp, count=count
     )
-    return row_ids, list(ids)
+    return numbered, list(ids)

@@ -1,7 +1,8 @@
 """Answer group-by queries from samples and score them against exact answers.
 
-Estimation from a stratified sample expands each stratum's matching rows by
-the factor n_c / s_c (population over sample size):
+Every answer here is one weighted group-by sum.  Estimation from a
+stratified sample expands each stratum's matching rows by the factor
+n_c / s_c (population over sample size):
 
 * COUNT  = sum_c (n_c / s_c) * m_c          (m_c matching sampled rows in c)
 * SUM    = sum_c (n_c / s_c) * sum(values)
@@ -18,7 +19,14 @@ of zero matches), and are missing only when none of the group's strata
 holds any sampled row at all.
 
 Estimation from a Poisson sample weights each matching row by 1 / p_r
-(inverse inclusion probability).
+(inverse inclusion probability, Horvitz-Thompson); the exact answer
+weights every row of the relation by 1.
+
+Predicates are conjunctions of atoms.  An atom on a categorical column
+takes only ``=`` or ``!=``; an atom on a numeric column needs real-number
+operands.  :meth:`Predicate.mask` is the one evaluator: samples apply it to
+a view of the columns a request touches, so a relation and either kind of
+sample reject the same atoms with :class:`InvalidArgument`.
 
 Evaluation scores per-group relative error |estimate - exact| / |exact|
 against the exact answers computed from the full relation; groups present
@@ -36,12 +44,19 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .alloc import predicted_group_cv
-from .dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation, partition
+from .dataset import (
+    CATEGORICAL,
+    ColumnSchema,
+    GroupKey,
+    Relation,
+    number_keys,
+    stratum_ids,
+)
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
@@ -91,7 +106,7 @@ class Predicate:
             if kind is None:
                 raise UnknownColumn(atom.column)
             if kind == CATEGORICAL:
-                if atom.op not in ("=", "!="):
+                if atom.op in _NUMERIC_OPS:
                     raise InvalidArgument(
                         f"operator {atom.op!r} not valid for categorical column"
                     )
@@ -104,26 +119,6 @@ class Predicate:
                 _check_number(atom)
                 out &= _numeric_test(atom, rel.numeric(atom.column))
         return out
-
-    def row_matcher(self, schema: Sequence[ColumnSchema]) -> Callable[[tuple], bool]:
-        """Compile a per-record matcher for rows stored as schema-order tuples."""
-        pos = {c.name: i for i, c in enumerate(schema)}
-        kinds = {c.name: c.kind for c in schema}
-        compiled = []
-        for atom in self.atoms:
-            if atom.column not in pos:
-                raise UnknownColumn(atom.column)
-            if kinds[atom.column] == NUMERIC:
-                _check_number(atom)
-            compiled.append((pos[atom.column], atom))
-
-        def matches(record: tuple) -> bool:
-            for i, atom in compiled:
-                if not _scalar_test(atom, record[i]):
-                    return False
-            return True
-
-        return matches
 
     def to_json(self) -> list[dict]:
         out = []
@@ -175,29 +170,12 @@ def _numeric_test(atom: Atom, col: np.ndarray) -> np.ndarray:
     return (col >= atom.lo) & (col <= atom.hi)
 
 
-def _scalar_test(atom: Atom, v) -> bool:
-    if atom.op == "=":
-        return v == atom.value
-    if atom.op == "!=":
-        return v != atom.value
-    if atom.op == "<":
-        return v < atom.value
-    if atom.op == "<=":
-        return v <= atom.value
-    if atom.op == ">":
-        return v > atom.value
-    if atom.op == ">=":
-        return v >= atom.value
-    return atom.lo <= v <= atom.hi
-
-
 @dataclass
 class Estimate:
     group: GroupKey
     value: float | None
     support: int
     missing: bool
-    predicted_cv: float | None = None
 
 
 @dataclass(frozen=True)
@@ -232,164 +210,131 @@ class QueryRequest:
 
 
 # ---------------------------------------------------------------------------
-# estimation from a stratified sample
+# the aggregation kernel
 
 
-def _column_position(schema: Sequence[ColumnSchema], column: str | None) -> int | None:
-    if column is None:
-        return None
-    for i, c in enumerate(schema):
-        if c.name == column:
-            if c.kind == CATEGORICAL:
-                raise UnknownColumn(column)
-            return i
-    raise UnknownColumn(column)
+def _group_by(fn, cells, values, keep, factor, group_of_cell, n_groups):
+    """AVG, SUM or COUNT per group, with the expanded row count and the
+    support, over the rows ``keep`` selects.
+
+    Row r lies in cell ``cells[r]`` and cell c in group ``group_of_cell[c]``;
+    cell c expands each of its rows by ``factor[c]``.  With m_c the kept rows
+    of cell c, SUM_g = sum_c f_c * (sum of x over them), COUNT_g =
+    sum_c f_c * m_c and AVG_g = SUM_g / COUNT_g (NaN where COUNT_g is 0).
+    ``np.bincount`` adds in index order, rows in row order within a cell and
+    then cells in cell order within a group, so a full sample of one
+    stratum per group reproduces the exact answer bit for bit.
+    """
+    cells = cells[keep]
+    rows = np.bincount(cells, minlength=len(factor))
+    count = np.bincount(group_of_cell, factor * rows, n_groups)
+    support = np.bincount(group_of_cell[cells], minlength=n_groups)
+    if fn == COUNT:
+        return count, count, support
+    cell_sums = np.bincount(cells, values[keep], len(factor))
+    total = np.bincount(group_of_cell, factor * cell_sums, n_groups)
+    if fn == SUM:
+        return total, count, support
+    avg = np.divide(total, count, out=np.full(n_groups, np.nan), where=count > 0)
+    return avg, count, support
 
 
-def _expansions(
-    sample: StratifiedSample,
-    group_attrs: Sequence[str],
-    column: str | None,
-    predicate: Predicate | None,
-):
-    """Per coarse group: expanded sum, expanded count, support and whether
-    any member stratum holds sampled rows."""
-    group_attrs = tuple(group_attrs)
-    if not set(group_attrs) <= set(sample.group_attrs):
-        raise IncompatibleGrouping(
-            f"grouping {group_attrs} is not a subset of the sample's "
-            f"stratification {sample.group_attrs}"
-        )
-    col_pos = _column_position(sample.schema, column)
-    matcher = predicate.row_matcher(sample.schema) if predicate else None
-
-    groups: dict[GroupKey, dict] = {}
-    for stratum in sample.strata:
-        coarse = stratum.key.project(group_attrs)
-        g = groups.setdefault(
-            coarse, {"sum": 0.0, "count": 0.0, "support": 0, "sampled": False}
-        )
-        if stratum.size == 0:
-            continue
-        g["sampled"] = True
-        rows = stratum.rows
-        if matcher is not None:
-            rows = [r for r in rows if matcher(r)]
-        m = len(rows)
-        if m == 0:
-            continue
-        factor = stratum.n / stratum.size
-        if col_pos is not None:
-            g["sum"] += factor * sum(r[col_pos] for r in rows)
-        g["count"] += factor * m
-        g["support"] += m
-    return groups
+def _inputs(rel: Relation, request: QueryRequest):
+    """The aggregated column (None for COUNT) and the predicate's row mask
+    (a full slice when there is none)."""
+    values = rel.numeric(request.column) if request.fn != COUNT else None
+    predicate = request.predicate
+    if predicate is None or not predicate.atoms:
+        return values, slice(None)
+    return values, predicate.mask(rel)
 
 
-def estimate_avg(
-    sample: StratifiedSample,
-    group_attrs: Sequence[str],
-    column: str,
-    predicate: Predicate | None = None,
-) -> list[Estimate]:
-    out = []
-    for key, g in _expansions(sample, group_attrs, column, predicate).items():
-        if g["count"] > 0:
-            out.append(Estimate(key, g["sum"] / g["count"], g["support"], False))
-        else:
-            out.append(Estimate(key, None, 0, True))
-    return out
+def _view(
+    schema: Sequence[ColumnSchema], records: list[tuple], request: QueryRequest
+) -> Relation:
+    """The columns of ``records`` that ``request`` aggregates or filters on."""
+    names = {a.column for a in request.predicate.atoms} if request.predicate else set()
+    if request.fn != COUNT:
+        names.add(request.column)
+    touched = [(i, c) for i, c in enumerate(schema) if c.name in names]
+    return Relation(
+        [c for _, c in touched], {c.name: [r[i] for r in records] for i, c in touched}
+    )
 
 
-def estimate_sum(
-    sample: StratifiedSample,
-    group_attrs: Sequence[str],
-    column: str,
-    predicate: Predicate | None = None,
-) -> list[Estimate]:
-    out = []
-    for key, g in _expansions(sample, group_attrs, column, predicate).items():
-        if g["sampled"]:
-            out.append(Estimate(key, g["sum"], g["support"], False))
-        else:
-            out.append(Estimate(key, None, 0, True))
-    return out
-
-
-def estimate_count(
-    sample: StratifiedSample,
-    group_attrs: Sequence[str],
-    predicate: Predicate | None = None,
-) -> list[Estimate]:
-    out = []
-    for key, g in _expansions(sample, group_attrs, None, predicate).items():
-        if g["sampled"]:
-            out.append(Estimate(key, g["count"], g["support"], False))
-        else:
-            out.append(Estimate(key, None, 0, True))
-    return out
-
-
-def estimate(sample, request: QueryRequest) -> list[Estimate]:
-    """Dispatch a query request against a stratified or Poisson sample."""
-    if isinstance(sample, PoissonSample):
-        return estimate_poisson(
-            sample, request.group_attrs, request.fn, request.column, request.predicate
-        )
-    if request.fn == AVG:
-        return estimate_avg(
-            sample, request.group_attrs, request.column, request.predicate
-        )
-    if request.fn == SUM:
-        return estimate_sum(
-            sample, request.group_attrs, request.column, request.predicate
-        )
-    return estimate_count(sample, request.group_attrs, request.predicate)
+def _key_ids(records: Sequence[tuple], positions: Sequence[int]):
+    """First-occurrence ids of the value tuples ``records`` hold at
+    ``positions``, and those tuples in id order."""
+    columns = [[r[i] for r in records] for i in positions]
+    keys = zip(*columns) if columns else (() for _ in records)
+    return number_keys(keys, len(records))
 
 
 # ---------------------------------------------------------------------------
-# estimation from a Poisson sample
+# estimation
 
 
-def estimate_poisson(
-    sample: PoissonSample,
-    group_attrs: Sequence[str],
-    fn: str,
-    column: str | None = None,
-    predicate: Predicate | None = None,
-) -> list[Estimate]:
+def estimate(sample, request: QueryRequest) -> list[Estimate]:
+    """Answer a query request from a stratified or Poisson sample.
+
+    Groups come in first-occurrence order: of the strata for a stratified
+    sample (every group, missing ones flagged), of the matching rows for a
+    Poisson sample (only groups with a matching row).
+    """
+    if isinstance(sample, PoissonSample):
+        return _estimate_poisson(sample, request)
+    attrs = tuple(request.group_attrs)
+    if not set(attrs) <= set(sample.group_attrs):
+        raise IncompatibleGrouping(
+            f"grouping {attrs} is not a subset of the sample's "
+            f"stratification {sample.group_attrs}"
+        )
+    strata = sample.strata
+    group_of_cell, keys = _key_ids(
+        [s.key.values for s in strata], [sample.group_attrs.index(a) for a in attrs]
+    )
+    n = np.array([s.n for s in strata], dtype=np.float64)
+    size = np.array([s.size for s in strata], dtype=np.float64)
+    factor = np.divide(n, size, out=np.zeros(len(strata)), where=size > 0)
+    held = np.fromiter((len(s.rows) for s in strata), dtype=np.intp, count=len(strata))
+    cells = np.repeat(np.arange(len(strata)), held)
+    view = _view(sample.schema, [r for s in strata for r in s.rows], request)
+    value, count, support = _group_by(
+        request.fn, cells, *_inputs(view, request), factor, group_of_cell, len(keys)
+    )
+    if request.fn == AVG:
+        present = count > 0
+    else:  # SUM and COUNT are missing only where no member stratum holds a row
+        present = np.bincount(group_of_cell, size > 0, len(keys)) > 0
+    out = []
+    for key, v, m, ok in zip(keys, value.tolist(), support.tolist(), present.tolist()):
+        key = GroupKey(attrs, key)
+        out.append(Estimate(key, v, m, False) if ok else Estimate(key, None, 0, True))
+    return out
+
+
+def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> list[Estimate]:
     """Inverse-inclusion-weighted estimates: each sampled row contributes
     1 / p_r to COUNT and value / p_r to SUM; AVG is their ratio."""
-    pos = {c.name: i for i, c in enumerate(sample.schema)}
-    kinds = {c.name: c.kind for c in sample.schema}
-    for a in group_attrs:
-        if a not in pos or kinds[a] != CATEGORICAL:
-            raise IncompatibleGrouping(f"{a!r} is not a categorical column of the sample")
-    col_pos = _column_position(sample.schema, column) if fn != COUNT else None
-    matcher = predicate.row_matcher(sample.schema) if predicate else None
-    group_attrs = tuple(group_attrs)
-
-    groups: dict[GroupKey, dict] = {}
-    for record, pr in zip(sample.rows, sample.p):
-        if matcher is not None and not matcher(record):
-            continue
-        key = GroupKey(group_attrs, tuple(record[pos[a]] for a in group_attrs))
-        g = groups.setdefault(key, {"sum": 0.0, "count": 0.0, "support": 0})
-        w = 1.0 / pr
-        g["count"] += w
-        if col_pos is not None:
-            g["sum"] += w * record[col_pos]
-        g["support"] += 1
-    out = []
-    for key, g in groups.items():
-        if fn == COUNT:
-            value = g["count"]
-        elif fn == SUM:
-            value = g["sum"]
-        else:
-            value = g["sum"] / g["count"]
-        out.append(Estimate(key, value, g["support"], False))
-    return out
+    attrs = tuple(request.group_attrs)
+    pos = {c.name: i for i, c in enumerate(sample.schema) if c.kind == CATEGORICAL}
+    for a in attrs:
+        if a not in pos:
+            raise IncompatibleGrouping(
+                f"{a!r} is not a categorical column of the sample"
+            )
+    values, keep = _inputs(_view(sample.schema, sample.rows, request), request)
+    ids, keys = _key_ids(sample.rows, [pos[a] for a in attrs])
+    weight = 1.0 / np.asarray(sample.p, dtype=np.float64)
+    value, _, support = _group_by(
+        request.fn, np.arange(len(ids)), values, keep, weight, ids, len(keys)
+    )
+    seen, first = np.unique(ids[keep], return_index=True)
+    value, support = value.tolist(), support.tolist()
+    return [
+        Estimate(GroupKey(attrs, keys[g]), value[g], support[g], False)
+        for g in seen[np.argsort(first)].tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -405,30 +350,21 @@ def exact_answer(
 ) -> dict[GroupKey, float]:
     """Exact per-group aggregates from the full relation.
 
-    Groups with no matching rows are absent from the result.  Sums run in
-    ascending row order so that a same-grouping full sample reproduces
-    them bit for bit.
+    Groups with no matching rows are absent from the result; the others
+    come in first-occurrence order.  Sums run in ascending row order so
+    that a same-grouping full sample reproduces them bit for bit.
     """
-    if fn not in (AVG, SUM, COUNT):
-        raise InvalidArgument(f"unsupported aggregate {fn!r}")
-    values = None
-    if fn != COUNT:
-        if column is None:
-            raise InvalidArgument(f"{fn} requires a column")
-        values = rel.numeric(column)
-    mask = predicate.mask(rel) if predicate else None
-    out: dict[GroupKey, float] = {}
-    for key, rows in partition(rel, group_attrs).items():
-        if mask is not None:
-            rows = [r for r in rows if mask[r]]
-        if not rows:
-            continue
-        if fn == COUNT:
-            out[key] = float(len(rows))
-        else:
-            total = sum(float(values[r]) for r in rows)
-            out[key] = total / len(rows) if fn == AVG else total
-    return out
+    request = QueryRequest(tuple(group_attrs), fn, column, predicate)
+    values, keep = _inputs(rel, request)
+    ids, keys = stratum_ids(rel, request.group_attrs)
+    value, _, support = _group_by(
+        fn, np.arange(rel.n_rows), values, keep, np.ones(rel.n_rows), ids, len(keys)
+    )
+    return {
+        GroupKey(request.group_attrs, key): v
+        for key, v, m in zip(keys, value.tolist(), support.tolist())
+        if m
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,14 @@ def _load_poisson(header, schema, reader, path) -> PoissonSample:
         p=[],
     )
     for cells in reader:
+        pr = float(cells[1])
+        if not 0.0 < pr <= 1.0:  # NaN fails too
+            raise CorruptSampleFile(
+                f"{path}: row {cells[0]} has inclusion probability {cells[1]}, "
+                "outside (0, 1]"
+            )
         sample.row_ids.append(int(cells[0]))
-        sample.p.append(float(cells[1]))
+        sample.p.append(pr)
         sample.rows.append(_parse_record(schema, cells[2:]))
     declared = int(header.get("rows", len(sample.row_ids)))
     if len(sample.row_ids) != declared:

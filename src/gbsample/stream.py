@@ -61,10 +61,7 @@ class ObjectiveSpec:
     """Which columns and weights drive the per-stratum score f(i)^2."""
 
     columns: tuple[str, ...]
-    # WeightSpec compares by value, so it is unhashable and (since Python
-    # 3.11) cannot be a plain dataclass default; the factory still hands
-    # every default spec the shared UNIT_WEIGHTS.
-    weights: WeightSpec = field(default_factory=lambda: UNIT_WEIGHTS)
+    weights: WeightSpec = UNIT_WEIGHTS
 
 
 @dataclass

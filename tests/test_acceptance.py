@@ -31,7 +31,7 @@ from gbsample.alloc import (
 )
 from gbsample.baselines import alloc_congress, alloc_senate, alloc_uniform
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
-from gbsample.query import AVG, COUNT, QueryRequest, estimate_avg, estimate_poisson, evaluate
+from gbsample.query import AVG, COUNT, QueryRequest, estimate, evaluate
 from gbsample.sampler import draw_poisson, draw_stratified
 from gbsample.stats import compute_catalog
 from gbsample.stream import (
@@ -198,7 +198,7 @@ def test_criterion_3_cv_calibration():
     values: dict[GroupKey, list[float]] = {}
     for seed in range(reps):
         sample = draw_stratified(rel, plan, seed=seed)
-        for est in estimate_avg(sample, ["g"], "v"):
+        for est in estimate(sample, QueryRequest(("g",), AVG, "v")):
             values.setdefault(est.group, []).append(est.value)
 
     for key, n, s in zip(plan.keys, plan.populations, plan.sizes):
@@ -637,7 +637,7 @@ def test_criterion_10_poisson_unified_sample():
     for seed in range(seeds):
         sample = draw_poisson(rel, p, seed=seed)
         sizes.append(sample.total_rows)
-        for est in estimate_poisson(sample, ["g"], COUNT):
+        for est in estimate(sample, QueryRequest(("g",), COUNT)):
             count_sums[est.group] = count_sums.get(est.group, 0.0) + est.value
 
     binomial_sd = math.sqrt(float((p * (1 - p)).sum()))

@@ -329,6 +329,19 @@ def test_plan_l2_weight_scaling():
     assert plan.fractional == pytest.approx([6.0, 3.0], rel=1e-9)
 
 
+def test_weight_spec_is_immutable_and_hashable_by_value():
+    given_entries = {(None, ("a",), "v"): 4.0}
+    w = WeightSpec(given_entries)
+    given_entries[(None, ("b",), "v")] = 9.0  # the spec keeps its own copy
+    assert w.weight(None, GroupKey(("g",), ("b",)), "v") == 1.0
+    with pytest.raises(TypeError):
+        w.entries[(None, ("b",), "v")] = 9.0
+    same = WeightSpec({(None, ("a",), "v"): 4.0})
+    assert w == same and hash(w) == hash(same)
+    assert w != WeightSpec({(None, ("a",), "v"): 4.0}, default=0.0)
+    assert w != WeightSpec({(None, ("a",), "v"): 2.0})
+
+
 def test_cv_costs_zero_mean_error_and_exclude():
     schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
     rel = Relation.from_records(

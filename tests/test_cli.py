@@ -279,6 +279,35 @@ def test_exit_codes(tmp_path, fix_a_csv):
         for command in ("query", "evaluate"):
             argv = ("--config", str(cfg), "--seed", "5", "--query", str(query_path))
             assert _run(command, *argv) == 1
+    # a categorical column compared by order, on either kind of sample
+    query_path.write_text(
+        json.dumps(
+            {
+                "group_by": ["grp"],
+                "aggregate": {"fn": "count", "column": None},
+                "predicate": [{"column": "grp", "op": "<", "value": "b"}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    for method in ("cvopt-l2", "cvopt-individual"):
+        cfg_m = str(_write_config(tmp_path, fix_a_csv, method=method))
+        for command in ("stats", "plan", "sample"):
+            assert _run(command, "--config", cfg_m) == 0
+        for command in ("query", "evaluate"):
+            assert _run(command, "--config", cfg_m, "--query", str(query_path)) == 1
+    # a Poisson sample file whose inclusion probability is 0
+    sample_path = tmp_path / "out" / "sample.txt"
+    header, columns, first, *rest = sample_path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(header)["kind"] == "poisson"
+    row_id, _, record = first.split(",", 2)
+    broken = "\n".join([header, columns, f"{row_id},0,{record}", *rest]) + "\n"
+    sample_path.write_text(broken, encoding="utf-8")
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "count", "column": None}}),
+        encoding="utf-8",
+    )
+    assert _run("query", "--config", cfg_m, "--query", str(query_path)) == 1
 
 
 def test_flag_overrides(tmp_path, fix_a_csv):

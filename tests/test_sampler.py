@@ -155,6 +155,27 @@ def test_poisson_round_trip(tmp_path):
     assert back.expected_size == sample.expected_size
 
 
+def test_load_rejects_poisson_rates_outside_unit_interval(tmp_path):
+    rel = _simple_rel([("a", [1.5, 2.5, 3.5]), ("b", [4.5, 5.5])])
+    path = tmp_path / "poisson.txt"
+    save_sample(draw_poisson(rel, np.ones(5), seed=2), path)
+    header, columns, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    row_id, _, record = first.split(",", 2)
+
+    def write_rate(rate):
+        line = ",".join([row_id, rate, record])
+        text = "\n".join([header, columns, line, *rest]) + "\n"
+        path.write_text(text, encoding="utf-8")
+
+    for bad in ("0", "0.0", "-0.25", "1.0000001", "2", "nan", "inf"):
+        write_rate(bad)
+        with pytest.raises(CorruptSampleFile, match="outside"):
+            load_sample(path)
+    for good in ("1", "1e-300", "0.5"):
+        write_rate(good)
+        assert load_sample(path).p[0] == float(good)
+
+
 def test_load_schema_mismatch(tmp_path, fix_a_rel):
     catalog = compute_catalog(fix_a_rel, ["grp"], ["v"])
     plan = plan_l2(catalog, ["v"], 4)

@@ -42,6 +42,7 @@ def test_objective_spec_default_weights_are_shared_unit_weights():
     # An unhashable dataclass default fails at import on Python >= 3.11.
     assert ObjectiveSpec(("v",)).weights is UNIT_WEIGHTS
     assert ObjectiveSpec(("v",)) == ObjectiveSpec(("v",))
+    assert hash(ObjectiveSpec(("v",))) == hash(ObjectiveSpec(("v",)))
 
 
 def test_schema_mismatch():
