@@ -56,7 +56,7 @@ from .errors import (
     ZeroMeanGroup,
     ZeroMeanStratum,
 )
-from .stats import StatsCatalog, _pool, compute_catalog
+from .stats import StatsCatalog, _pool
 
 #: zero-variance strata get this fraction of the smallest positive cost
 ZERO_COST_RATIO = 1e-12
@@ -491,20 +491,6 @@ class FinestStratification:
     @property
     def strata(self) -> list[GroupKey]:
         return list(self.fine.entries)
-
-
-def build_finest(rel: Relation, queries: Sequence[GroupQuery]) -> FinestStratification:
-    union_attrs: list[str] = []
-    all_columns: list[str] = []
-    for q in queries:
-        for a in q.attrs:
-            if a not in union_attrs:
-                union_attrs.append(a)
-        for c in q.columns:
-            if c not in all_columns:
-                all_columns.append(c)
-    fine = compute_catalog(rel, union_attrs, all_columns)
-    return finest_from_catalog(fine, queries)
 
 
 def finest_from_catalog(

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import alloc, baselines, query as qmod, sampler, stats, stream, workload as wmod
 from .dataset import ColumnSchema, Relation, load_csv
-from .errors import GbsampleError
+from .errors import GbsampleError, string_list
 
 METHODS_CV = ("cvopt-l2", "cvopt-linf", "cvopt-individual")
 METHODS_BASE = (baselines.UNIFORM, baselines.SENATE, baselines.CONGRESS)
@@ -113,6 +113,8 @@ def load_config(args) -> RunConfig:
         for k, v in doc.items():
             if not hasattr(cfg, k):
                 raise UsageError(f"unknown config field {k!r}")
+            if k in ("group_by", "aggregates", "methods"):
+                v = list(string_list(v, args.config, k))
             setattr(cfg, k, v)
     for name in (
         "data",
@@ -154,7 +156,7 @@ def _load_relation(cfg: RunConfig) -> Relation:
 
 def _load_workload(cfg: RunConfig) -> list[wmod.QuerySpec]:
     with open(cfg.need("workload"), encoding="utf-8") as fh:
-        return wmod.workload_from_json(fh.read())
+        return wmod.workload_from_json(fh.read(), cfg.workload)
 
 
 def _queries(cfg: RunConfig, queries_from_workload) -> list[alloc.GroupQuery]:
@@ -189,15 +191,11 @@ def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
     with open(cfg.weights, encoding="utf-8") as fh:
         doc = json.load(fh)
     entries = {}
-    for item in doc:
+    for i, item in enumerate(doc):
         group = item.get("group")
-        entries[
-            (
-                item.get("query"),
-                tuple(group) if group is not None else None,
-                item.get("column"),
-            )
-        ] = float(item["weight"])
+        if group is not None:
+            group = string_list(group, cfg.weights, f"[{i}].group")
+        entries[(item.get("query"), group, item.get("column"))] = float(item["weight"])
     return alloc.WeightSpec(entries)
 
 
@@ -317,7 +315,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def _load_query(cfg: RunConfig) -> qmod.QueryRequest:
     with open(cfg.need("query"), encoding="utf-8") as fh:
-        return qmod.QueryRequest.from_json(json.load(fh))
+        return qmod.QueryRequest.from_json(json.load(fh), cfg.query)
 
 
 def cmd_query(cfg: RunConfig) -> int:
@@ -378,16 +376,23 @@ def cmd_compare(cfg: RunConfig) -> int:
         for i in range(int(cfg.n_seeds)):
             sample = sampler.draw_stratified(rel, plan, seed + i)
             report = qmod.evaluate(rel, sample, request, cfg.missing_policy)
-            mean_errors.append(report.summary["mean"])
-            max_errors.append(report.summary["max"])
             missing += report.missing_groups
+            if report.summary["mean"] is not None:  # seeds that scored a group
+                mean_errors.append(report.summary["mean"])
+                max_errors.append(report.summary["max"])
+        unscored = int(cfg.n_seeds) - len(mean_errors)
+        if unscored:
+            warnings.append(
+                f"NoScoredGroups: {method}: {unscored} of {int(cfg.n_seeds)} "
+                "seeds scored no group and are left out of the means"
+            )
         rows.append(
             {
                 "method": method,
                 "budget": budget,
                 "seeds": int(cfg.n_seeds),
-                "mean_rel_error": float(np.mean(mean_errors)),
-                "max_rel_error": float(np.mean(max_errors)),
+                "mean_rel_error": float(np.mean(mean_errors)) if mean_errors else None,
+                "max_rel_error": float(np.mean(max_errors)) if max_errors else None,
                 "missing_groups": missing,
             }
         )
@@ -424,7 +429,7 @@ def cmd_stream(cfg: RunConfig) -> int:
     batch_size = max(int(cfg.batch_size), 1)
     path = _out(cfg, "stream_metrics.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
-        records = [rel.record(i) for i in range(rel.n_rows)]
+        records = rel.records(np.arange(rel.n_rows))
         for b, start in enumerate(range(0, len(records), batch_size)):
             batch = records[start : start + batch_size]
             stream.ingest_batch(state, batch, batch_seed(seed, b))

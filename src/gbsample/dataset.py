@@ -1,9 +1,24 @@
 """In-memory typed relations and stratification by categorical attributes.
 
-A :class:`Relation` is an immutable table with categorical columns (strings)
-and numeric columns (float64).  Rows are identified by a stable ordinal
+A :class:`Relation` is an immutable table with categorical columns and
+numeric columns (float64).  Rows are identified by a stable ordinal
 ``row_id`` in file order; every pass over the data iterates in row_id order
 so that downstream artifacts are reproducible.
+
+Categorical columns are dictionary-encoded: each is an array of int codes,
+one per row, plus its distinct values ("levels") in order of first
+occurrence, so code k stands for ``levels[k]``.  :func:`load_csv` encodes
+while it parses and never keeps one string per cell.
+:meth:`Relation.codes` returns the codes; :meth:`Relation.categorical`,
+:meth:`Relation.record` and :meth:`Relation.records` decode them to values
+at the API edge, so every file the package writes is unchanged by the
+encoding.
+
+Strata are integer ids: :func:`stratum_ids` numbers the rows' value tuples
+under a list of attributes by first occurrence, and :func:`segments` sorts
+rows by id once so that each stratum is a contiguous slice.  Every layer
+that works stratum by stratum (catalog, draw, evaluation, workload
+entities) runs over those slices.
 
 Missing categorical cells are mapped to the sentinel :data:`NULL_TOKEN`,
 which forms its own stratum.  Missing numeric cells are a parse error.
@@ -14,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,14 +91,35 @@ class GroupKey:
         return "(" + ", ".join(f"{a}={v}" for a, v in zip(self.attrs, self.values)) + ")"
 
 
-def project_key(key: GroupKey, target_attrs: Sequence[str]) -> GroupKey:
-    """Functional form of :meth:`GroupKey.project`."""
-    return key.project(target_attrs)
+class Encoded(NamedTuple):
+    """A dictionary-encoded categorical column: ``levels[codes[r]]`` is the
+    value of row r.  Every level occurs, and levels are numbered by first
+    occurrence: the first row of code k comes before that of code k + 1."""
+
+    codes: np.ndarray
+    levels: tuple
+
+
+def encode(values: Iterable) -> Encoded:
+    """Dictionary-encode a sequence of categorical values."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return Encoded(_frozen(np.array(codes, dtype=np.intp)), tuple(index))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 class Relation:
-    """An immutable table: categorical columns as string lists, numeric
-    columns as float64 arrays.  ``row_id`` is the 0-based position."""
+    """An immutable table.  ``row_id`` is the 0-based position.
+
+    Numeric columns are read-only float64 arrays.  Categorical columns are
+    stored dictionary-encoded (:class:`Encoded`); a column may be given
+    either as a sequence of values, which is encoded here, or already as an
+    :class:`Encoded` pair.
+    """
 
     def __init__(self, schema: Sequence[ColumnSchema], columns: Mapping[str, object]):
         names = [c.name for c in schema]
@@ -95,23 +131,18 @@ class Relation:
         for col in schema:
             data = columns[col.name]
             if col.kind == NUMERIC:
-                arr = np.asarray(data, dtype=np.float64)
-                arr.setflags(write=False)
+                arr = _frozen(np.asarray(data, dtype=np.float64))
                 self._columns[col.name] = arr
                 sizes.add(arr.shape[0])
             else:
-                vals = list(data)
-                self._columns[col.name] = vals
-                sizes.add(len(vals))
+                enc = data if isinstance(data, Encoded) else encode(data)
+                self._columns[col.name] = enc
+                sizes.add(enc.codes.shape[0])
         if len(sizes) > 1:
             raise ValueError("columns have unequal lengths")
         self.n_rows = sizes.pop() if sizes else 0
 
     # -- schema helpers ---------------------------------------------------
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.schema)
 
     def kind_of(self, name: str) -> str | None:
         for c in self.schema:
@@ -119,19 +150,43 @@ class Relation:
                 return c.kind
         return None
 
-    def categorical(self, name: str) -> list[str]:
+    def encoded(self, name: str) -> Encoded:
+        """The codes and levels of a categorical column."""
         if self.kind_of(name) != CATEGORICAL:
             raise UnknownAttribute(name)
         return self._columns[name]
+
+    def codes(self, name: str) -> np.ndarray:
+        """The read-only int code of every row of a categorical column."""
+        return self.encoded(name).codes
+
+    def categorical(self, name: str) -> list[str]:
+        """The decoded values of a categorical column, one per row."""
+        codes, levels = self.encoded(name)
+        return [levels[k] for k in codes.tolist()]
 
     def numeric(self, name: str) -> np.ndarray:
         if self.kind_of(name) != NUMERIC:
             raise UnknownColumn(name)
         return self._columns[name]
 
+    def records(self, row_ids) -> list[tuple]:
+        """The given rows as tuples of values in schema order, categorical
+        cells decoded and numeric cells as Python floats."""
+        idx = np.asarray(row_ids, dtype=np.intp)
+        columns = []
+        for c in self.schema:
+            data = self._columns[c.name]
+            if c.kind == NUMERIC:
+                columns.append(data[idx].tolist())
+            else:
+                levels = data.levels
+                columns.append([levels[k] for k in data.codes[idx].tolist()])
+        return list(zip(*columns))
+
     def record(self, row_id: int) -> tuple:
         """Full row as a tuple of values in schema order."""
-        return tuple(self._columns[c.name][row_id] for c in self.schema)
+        return self.records([row_id])[0]
 
     def __len__(self):
         return self.n_rows
@@ -147,26 +202,14 @@ class Relation:
         return cls(schema, cols)
 
 
-def _parse_cell(raw: str, col: ColumnSchema, row_id: int):
-    if col.kind == CATEGORICAL:
-        v = raw.strip()
-        return v if v else NULL_TOKEN
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise TypeParseError(row_id, col.name, raw) from None
-    if not math.isfinite(value):
-        raise TypeParseError(row_id, col.name, raw)
-    return value
-
-
 def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     """Load a comma-separated UTF-8 file with a header row into a Relation.
 
     The header must contain every schema column (extra columns are ignored).
-    Numeric cells that fail to parse, including empty ones, raise
-    :class:`TypeParseError`; a file with a valid header but no data rows
-    raises :class:`EmptyFile`.
+    Categorical cells are trimmed and encoded as they are read; an empty
+    one becomes :data:`NULL_TOKEN`.  Numeric cells that fail to parse,
+    including empty and non-finite ones, raise :class:`TypeParseError`; a
+    file with a valid header but no data rows raises :class:`EmptyFile`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -175,66 +218,78 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
         except StopIteration:
             raise EmptyFile(f"{path}: no header row") from None
         header = [h.strip() for h in header]
-        positions = {}
         for col in schema:
             if col.name not in header:
                 raise MissingColumn(col.name)
-            positions[col.name] = header.index(col.name)
+        # per column: name, position in the header, then its accumulators
+        cats = [
+            (c.name, header.index(c.name), {}, [])
+            for c in schema
+            if c.kind == CATEGORICAL
+        ]
+        nums = [
+            (c.name, header.index(c.name), []) for c in schema if c.kind == NUMERIC
+        ]
 
-        cols: dict[str, list] = {c.name: [] for c in schema}
         row_id = 0
         for raw_row in reader:
-            for col in schema:
-                idx = positions[col.name]
-                raw = raw_row[idx] if idx < len(raw_row) else ""
-                cols[col.name].append(_parse_cell(raw, col, row_id))
+            width = len(raw_row)
+            for _, idx, index, codes in cats:
+                value = raw_row[idx].strip() if idx < width else ""
+                codes.append(index.setdefault(value or NULL_TOKEN, len(index)))
+            for name, idx, values in nums:
+                raw = raw_row[idx] if idx < width else ""
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise TypeParseError(row_id, name, raw) from None
+                if not math.isfinite(value):
+                    raise TypeParseError(row_id, name, raw)
+                values.append(value)
             row_id += 1
     if row_id == 0:
         raise EmptyFile(f"{path}: header only, no data rows")
-    return Relation(schema, cols)
-
-
-def partition(rel: Relation, attrs: Sequence[str]) -> dict[GroupKey, list[int]]:
-    """Partition row ids into strata keyed by the values of ``attrs``.
-
-    Every row falls in exactly one bucket; buckets are nonempty and keyed in
-    first-occurrence order.  An empty attribute list yields a single stratum
-    holding every row.
-    """
-    attrs = tuple(attrs)
-    for a in attrs:
-        if rel.kind_of(a) != CATEGORICAL:
-            raise UnknownAttribute(a)
-    if not attrs:
-        return {GroupKey((), ()): list(range(rel.n_rows))}
-    columns = [rel.categorical(a) for a in attrs]
-    buckets: dict[tuple[str, ...], list[int]] = {}
-    for i in range(rel.n_rows):
-        values = tuple(col[i] for col in columns)
-        buckets.setdefault(values, []).append(i)
-    return {GroupKey(attrs, values): rows for values, rows in buckets.items()}
+    columns: dict[str, object] = {name: values for name, _, values in nums}
+    for name, _, index, codes in cats:
+        columns[name] = Encoded(_frozen(np.array(codes, dtype=np.intp)), tuple(index))
+    return Relation(schema, columns)
 
 
 def stratum_ids(
     rel: Relation, attrs: Sequence[str]
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
+) -> tuple[np.ndarray, list[tuple]]:
     """The stratum id of every row under ``attrs`` and the values of every
-    stratum, without per-stratum row lists.
+    stratum, in id order.
 
-    Strata are numbered in the order :func:`partition` keys them (first
-    occurrence); an empty attribute list yields one stratum of every row.
+    Strata are numbered by first occurrence in row order; an empty
+    attribute list yields one stratum of every row.  The ids are
+    mixed-radix numbers over the columns' codes, compacted after each
+    attribute, so they stay below ``n_rows`` times a column's cardinality
+    and never overflow.
     """
-    columns = [rel.categorical(a) for a in attrs]
+    columns = [rel.encoded(a) for a in attrs]
     if not columns:
         return np.zeros(rel.n_rows, dtype=np.intp), [()]
-    return number_keys(zip(*columns), rel.n_rows)
+    if len(columns) == 1:  # the codes are already numbered by first occurrence
+        return columns[0].codes, [(v,) for v in columns[0].levels]
+    ids = columns[0].codes
+    for col in columns[1:]:
+        _, first, ids = np.unique(
+            ids * len(col.levels) + col.codes, return_index=True, return_inverse=True
+        )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    rows = first[order]
+    values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
+    return rank[ids], list(zip(*values))
 
 
-def number_keys(keys: Iterable[tuple], count: int) -> tuple[np.ndarray, list[tuple]]:
-    """Number ``count`` keys by first occurrence: the id of every key and
-    the distinct keys in id order."""
-    ids: dict[tuple, int] = {}
-    numbered = np.fromiter(
-        (ids.setdefault(key, len(ids)) for key in keys), dtype=np.intp, count=count
-    )
-    return numbered, list(ids)
+def segments(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows grouped by stratum: a stable argsort of ``ids`` and bounds such
+    that ``order[bounds[k]:bounds[k + 1]]`` are the rows of stratum k in
+    ascending order."""
+    order = np.argsort(ids, kind="stable")
+    bounds = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=count), out=bounds[1:])
+    return order, bounds

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input check that
+raises :class:`InvalidDocument`.
 
 Every error raised by gbsample derives from :class:`GbsampleError`, so
 callers (notably the CLI) can distinguish user-facing problems from bugs.
@@ -15,6 +16,23 @@ class InvalidArgument(GbsampleError, ValueError):
     """An argument outside its valid range, such as a budget below one row,
     a negative seed or an empty interval.  Also a :class:`ValueError`, which
     such mistakes raised before this class existed."""
+
+
+class InvalidDocument(GbsampleError):
+    """A JSON input document of the wrong shape, such as a string where a
+    list is expected."""
+
+
+def string_list(value, source: str, path: str) -> tuple[str, ...]:
+    """``value`` as a tuple of strings; anything but a JSON list of strings
+    raises :class:`InvalidDocument` naming the ``source`` document and the
+    field ``path`` in it.  A bare string is rejected rather than split into
+    its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidDocument(
+            f"{source}: {path}: expected a list of strings, got {value!r}"
+        )
+    return tuple(value)
 
 
 # ---------------------------------------------------------------------------

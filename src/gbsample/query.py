@@ -49,19 +49,13 @@ from typing import Sequence
 import numpy as np
 
 from .alloc import predicted_group_cv
-from .dataset import (
-    CATEGORICAL,
-    ColumnSchema,
-    GroupKey,
-    Relation,
-    number_keys,
-    stratum_ids,
-)
+from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, stratum_ids
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
     InvalidArgument,
     UnknownColumn,
+    string_list,
 )
 from .sampler import PoissonSample, StratifiedSample
 from .stats import compute_catalog
@@ -110,10 +104,10 @@ class Predicate:
                     raise InvalidArgument(
                         f"operator {atom.op!r} not valid for categorical column"
                     )
-                col = rel.categorical(atom.column)
-                hit = np.fromiter(
-                    (v == atom.value for v in col), dtype=bool, count=rel.n_rows
-                )
+                # compare each distinct value once, then look rows up by code
+                codes, levels = rel.encoded(atom.column)
+                equal = [v == atom.value for v in levels]
+                hit = np.array(equal, dtype=bool)[codes]
                 out &= hit if atom.op == "=" else ~hit
             else:
                 _check_number(atom)
@@ -199,10 +193,11 @@ class QueryRequest:
         }
 
     @classmethod
-    def from_json(cls, doc) -> "QueryRequest":
+    def from_json(cls, doc, source: str = "query") -> "QueryRequest":
+        """Parse a query document; ``source`` names it in errors."""
         pred = doc.get("predicate")
         return cls(
-            group_attrs=tuple(doc["group_by"]),
+            group_attrs=string_list(doc["group_by"], source, "group_by"),
             fn=doc["aggregate"]["fn"],
             column=doc["aggregate"].get("column"),
             predicate=Predicate.from_json(pred) if pred else None,
@@ -267,7 +262,9 @@ def _key_ids(records: Sequence[tuple], positions: Sequence[int]):
     ``positions``, and those tuples in id order."""
     columns = [[r[i] for r in records] for i in positions]
     keys = zip(*columns) if columns else (() for _ in records)
-    return number_keys(keys, len(records))
+    ids: dict[tuple, int] = {}
+    numbered = (ids.setdefault(key, len(ids)) for key in keys)
+    return np.fromiter(numbered, dtype=np.intp, count=len(records)), list(ids)
 
 
 # ---------------------------------------------------------------------------

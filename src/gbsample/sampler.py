@@ -28,7 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .alloc import AllocationPlan
-from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, partition
+from .dataset import (
+    CATEGORICAL,
+    ColumnSchema,
+    GroupKey,
+    Relation,
+    segments,
+    stratum_ids,
+)
 from .errors import (
     CorruptSampleFile,
     InvalidArgument,
@@ -101,15 +108,19 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
     """
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
-    buckets = partition(rel, plan.group_attrs)
-    if set(buckets) != set(plan.keys):
+    ids, values = stratum_ids(rel, plan.group_attrs)
+    position = {GroupKey(plan.group_attrs, v): k for k, v in enumerate(values)}
+    if set(position) != set(plan.keys):
         raise PlanMismatch(
             "plan strata do not match the relation's partition "
-            f"({len(plan.keys)} plan strata, {len(buckets)} in relation)"
+            f"({len(plan.keys)} plan strata, {len(position)} in relation)"
         )
-    sample = StratifiedSample(rel.schema, plan.group_attrs, plan.method, seed)
+    order, bounds = segments(ids, len(values))
+    order = order.astype(np.int64, copy=False)
+    drawn = []  # (key, stratum size, chosen rows) in plan order
     for idx, key in enumerate(plan.keys):
-        rows = buckets[key]
+        k = position[key]
+        rows = order[bounds[k] : bounds[k + 1]]
         s_i = int(plan.sizes[idx])
         if s_i > len(rows):
             raise PlanMismatch(
@@ -118,16 +129,20 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
         if s_i == 0:
             chosen: list[int] = []
         elif s_i == len(rows):
-            chosen = list(rows)
+            chosen = rows.tolist()
         else:
             rng = _substream(seed, idx)
-            chosen = sorted(
-                rng.choice(np.asarray(rows, dtype=np.int64), size=s_i, replace=False)
-                .tolist()
-            )
+            chosen = sorted(rng.choice(rows, size=s_i, replace=False).tolist())
+        drawn.append((key, len(rows), chosen))
+    records = rel.records([r for _, _, chosen in drawn for r in chosen])
+    sample = StratifiedSample(rel.schema, plan.group_attrs, plan.method, seed)
+    start = 0
+    for key, n, chosen in drawn:
+        end = start + len(chosen)
         sample.strata.append(
-            StratumSample(key, len(rows), s_i, chosen, [rel.record(r) for r in chosen])
+            StratumSample(key, n, len(chosen), chosen, records[start:end])
         )
+        start = end
     return sample
 
 
@@ -148,8 +163,8 @@ def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
         seed=seed,
         expected_size=float(p.sum()),
         row_ids=taken.tolist(),
-        rows=[rel.record(int(r)) for r in taken],
-        p=[float(p[r]) for r in taken],
+        rows=rel.records(taken),
+        p=p[taken].tolist(),
     )
 
 

@@ -2,9 +2,13 @@
 
 The first pipeline pass computes, for every stratum and every aggregation
 column, the count, mean, standard deviation and coefficient of variation
-(CV = sigma / |mu|).  Moments use the numerically stable incremental
-recurrence and combine exactly under :func:`merge`, so a catalog can be
-built by parallel workers over disjoint row ranges and merged.
+(CV = sigma / |mu|).  :func:`compute_catalog` sorts the rows by stratum id
+once (:func:`gbsample.dataset.segments`) and takes each stratum's moments
+over its contiguous slice with the two-pass formula of :func:`from_array`:
+the mean, then the sum of squared deviations from it.  Moments combine
+under :func:`merge` (Chan, Golub and LeVeque's pairwise update), which
+pools strata into coarser groups; :func:`accumulate` is the one-value
+Welford step the streaming sampler uses.
 
 The standard deviation uses the (n - 1) divisor, which makes the finite
 population correction formula in :func:`gbsample.alloc.predicted_cv` exact
@@ -20,8 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, partition, project_key
-from .errors import UnknownAttribute, UnknownColumn
+from .dataset import GroupKey, Relation, segments, stratum_ids
 
 #: significant digits used when serializing floating point values
 FLOAT_DIGITS = 17
@@ -80,21 +83,18 @@ def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
     return RunningMoments(count, mean, m2)
 
 
-def from_values(values: Iterable[float]) -> RunningMoments:
-    m = EMPTY_MOMENTS
-    for x in values:
-        m = accumulate(m, x)
-    return m
-
-
 def from_array(values: np.ndarray) -> RunningMoments:
-    """Vectorized equivalent of folding every array element in order."""
+    """Moments of an array: its mean, then the sum of squared deviations
+    from that mean (equal to folding the elements in order with
+    :func:`accumulate` up to floating point error)."""
     n = int(values.shape[0])
     if n == 0:
         return EMPTY_MOMENTS
-    mean = float(np.mean(values))
-    m2 = float(np.sum((values - mean) ** 2))
-    return RunningMoments(n, mean, m2)
+    # the method forms of np.mean and np.sum: the same pairwise sums, bit
+    # for bit, without the dispatch overhead that dominates small strata
+    mean = float(values.sum()) / n
+    deviations = values - mean
+    return RunningMoments(n, mean, float((deviations * deviations).sum()))
 
 
 @dataclass(frozen=True)
@@ -151,26 +151,21 @@ class StatsCatalog:
 def compute_catalog(
     rel: Relation, group_attrs: Sequence[str], agg_columns: Sequence[str]
 ) -> StatsCatalog:
-    """Scan the relation once and summarize every occurring stratum."""
+    """Summarize every occurring stratum, in first-occurrence order."""
     group_attrs = tuple(group_attrs)
     agg_columns = tuple(agg_columns)
-    for a in group_attrs:
-        if rel.kind_of(a) != "categorical":
-            raise UnknownAttribute(a)
-    values = {}
-    for col in agg_columns:
-        if rel.kind_of(col) != "numeric":
-            raise UnknownColumn(col)
-        values[col] = rel.numeric(col)
-
+    ids, keys = stratum_ids(rel, group_attrs)
+    order, bounds = segments(ids, len(keys))
+    # each stratum's rows, ascending, as one contiguous slice per column
+    ordered = {col: rel.numeric(col)[order] for col in agg_columns}
     entries: dict[GroupKey, StratumStats] = {}
-    for key, row_ids in partition(rel, group_attrs).items():
-        idx = np.asarray(row_ids, dtype=np.intp)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        key = GroupKey(group_attrs, keys[k])
         per_column = {}
         for col in agg_columns:
-            m = from_array(values[col][idx])
+            m = from_array(ordered[col][lo:hi])
             per_column[col] = ColumnSummary(m.mean, m.std)
-        entries[key] = StratumStats(key, len(row_ids), per_column)
+        entries[key] = StratumStats(key, hi - lo, per_column)
     return StatsCatalog(group_attrs, agg_columns, entries, rel.n_rows)
 
 
@@ -182,7 +177,7 @@ def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCat
     to floating point error in m2).
     """
     target_attrs = tuple(target_attrs)
-    coarse_keys = [project_key(key, target_attrs) for key in catalog.entries]
+    coarse_keys = [key.project(target_attrs) for key in catalog.entries]
     return _pool(catalog, target_attrs, coarse_keys)
 
 

@@ -15,8 +15,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .dataset import GroupKey, Relation, partition
-from .errors import EmptyProblem, InvalidArgument, UnknownColumn
+import numpy as np
+
+from .dataset import GroupKey, Relation, segments, stratum_ids
+from .errors import EmptyProblem, InvalidArgument, UnknownColumn, string_list
 from .alloc import GroupQuery, WeightSpec
 from .query import Predicate
 
@@ -79,17 +81,20 @@ def derive_aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> F
         for col in query.agg_columns:
             if rel.kind_of(col) != "numeric":
                 raise UnknownColumn(col)
-        mask = None
-        if query.predicate is not None:
-            mask = query.predicate.mask(rel)
-        for key, rows in partition(rel, query.group_attrs).items():
-            members = (
-                frozenset(rows)
-                if mask is None
-                else frozenset(r for r in rows if mask[r])
-            )
-            if not members:
+        mask = None if query.predicate is None else query.predicate.mask(rel)
+        ids, values = stratum_ids(rel, query.group_attrs)
+        order, bounds = segments(ids, len(values))
+        if mask is not None:
+            # keep the matching rows; each bound moves to the count kept before it
+            keep = mask[order]
+            order = order[keep]
+            bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+        rows = order.tolist()
+        for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            if lo == hi:
                 continue
+            key = GroupKey(query.group_attrs, values[k])
+            members = frozenset(rows[lo:hi])
             for col in query.agg_columns:
                 ident = (col, members)
                 entity = by_identity.get(ident)
@@ -166,17 +171,20 @@ def _transform(freq: int, transform: str) -> float:
 # workload files
 
 
-def workload_from_json(text: str) -> list[QuerySpec]:
+def workload_from_json(text: str, source: str = "workload") -> list[QuerySpec]:
     """Parse a workload file: a JSON array of
-    {group_by, aggregates, predicate?, repeats}."""
+    {group_by, aggregates, predicate?, repeats}.  ``source`` names the
+    document in errors."""
     doc = json.loads(text)
     out = []
-    for item in doc:
+    for i, item in enumerate(doc):
         pred = item.get("predicate")
         out.append(
             QuerySpec(
-                group_attrs=tuple(item["group_by"]),
-                agg_columns=tuple(item["aggregates"]),
+                group_attrs=string_list(item["group_by"], source, f"[{i}].group_by"),
+                agg_columns=string_list(
+                    item["aggregates"], source, f"[{i}].aggregates"
+                ),
                 predicate=Predicate.from_json(pred) if pred else None,
                 repeats=int(item.get("repeats", 1)),
             )

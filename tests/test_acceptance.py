@@ -15,7 +15,6 @@ import pytest
 
 from gbsample.alloc import (
     GroupQuery,
-    build_finest,
     cube_queries,
     cv_costs,
     inclusion_rates,
@@ -47,6 +46,7 @@ from gbsample.workload import QuerySpec, derive_aggregation_groups
 from gbsample.query import Atom, Predicate
 
 from conftest import STUDENT_ROWS
+from reference import build_finest
 
 
 def _announce(number, text):

@@ -9,7 +9,6 @@ from gbsample.alloc import (
     GroupQuery,
     PerQueryAllocation,
     WeightSpec,
-    build_finest,
     cube_queries,
     cv_costs,
     finest_from_catalog,
@@ -40,7 +39,6 @@ from gbsample.dataset import (
     ColumnSchema,
     GroupKey,
     Relation,
-    partition,
 )
 from gbsample.errors import (
     AllStrataConstant,
@@ -53,6 +51,7 @@ from gbsample.errors import (
 from gbsample.stats import compute_catalog, pool_catalog
 
 from conftest import STUDENT_ROWS, STUDENT_SCHEMA
+from reference import build_finest, partition
 
 
 # ---------------------------------------------------------------------------

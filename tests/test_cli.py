@@ -426,3 +426,96 @@ def test_rate_on_large_table_end_to_end(tmp_path):
     assert plan["budget"] == 1000
     assert sum(s["integral"] for s in plan["strata"]) == 1000
     assert _run("sample", "--config", str(cfg)) == 0
+
+
+STUDENT_CONFIG_SCHEMA = [
+    {"name": "id", "kind": "categorical"},
+    {"name": "age", "kind": "numeric"},
+    {"name": "gpa", "kind": "numeric"},
+    {"name": "sat", "kind": "numeric"},
+    {"name": "major", "kind": "categorical"},
+    {"name": "college", "kind": "categorical"},
+]
+
+
+def test_compare_without_a_scored_group_writes_null(tmp_path, student_csv, capsys):
+    # no row has age -1, so no seed scores any group
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps(
+            {
+                "group_by": ["major", "college"],
+                "aggregate": {"fn": "avg", "column": "age"},
+                "predicate": [{"column": "age", "op": "=", "value": -1}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    cfg = _write_config(
+        tmp_path,
+        student_csv,
+        schema=STUDENT_CONFIG_SCHEMA,
+        group_by=["major", "college"],
+        aggregates=["age"],
+        budget=4,
+        methods=["cvopt-l2"],
+        n_seeds=2,
+        query=str(query_path),
+    )
+    assert _run("compare", "--config", str(cfg)) == 0
+    doc = json.loads((tmp_path / "out" / "compare.json").read_text())
+    (row,) = doc["results"]
+    assert row["mean_rel_error"] is None and row["max_rel_error"] is None
+    assert [w.split(":")[0] for w in doc["warnings"]] == ["NoScoredGroups"]
+    with open(tmp_path / "out" / "compare.csv", newline="", encoding="utf-8") as fh:
+        header, body = list(csv.reader(fh))
+    cells = dict(zip(header, body))
+    assert cells["mean_rel_error"] == cells["max_rel_error"] == ""
+
+
+def test_a_string_where_a_list_is_expected_is_a_user_error(
+    tmp_path, student_csv, capsys
+):
+    workload_path = tmp_path / "workload.json"
+    workload_path.write_text(
+        json.dumps([{"group_by": ["major"], "aggregates": "age"}]), encoding="utf-8"
+    )
+    cfg = _write_config(
+        tmp_path,
+        student_csv,
+        schema=STUDENT_CONFIG_SCHEMA,
+        workload=str(workload_path),
+        budget=4,
+    )
+    assert _run("stats", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert str(workload_path) in err and "[0].aggregates" in err
+
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": "major", "aggregate": {"fn": "avg", "column": "age"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(
+        tmp_path,
+        student_csv,
+        schema=STUDENT_CONFIG_SCHEMA,
+        group_by=["major"],
+        aggregates=["age"],
+        budget=4,
+        query=str(query_path),
+    )
+    for command in ("stats", "plan", "sample"):
+        assert _run(command, "--config", str(cfg)) == 0
+    capsys.readouterr()
+    for command in ("query", "evaluate"):
+        assert _run(command, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert str(query_path) in err and "group_by" in err
+
+    # the config's own list fields
+    cfg = _write_config(
+        tmp_path, student_csv, schema=STUDENT_CONFIG_SCHEMA, group_by="major"
+    )
+    assert _run("stats", "--config", str(cfg)) == 1
+    assert "group_by" in capsys.readouterr().err

@@ -10,8 +10,6 @@ from gbsample.dataset import (
     GroupKey,
     Relation,
     load_csv,
-    partition,
-    project_key,
     stratum_ids,
 )
 from gbsample.errors import (
@@ -23,6 +21,7 @@ from gbsample.errors import (
 )
 
 from conftest import STUDENT_SCHEMA
+from reference import partition, project_key
 
 
 def test_load_csv_student(student_csv):

@@ -15,9 +15,14 @@ from gbsample.dataset import (
     ColumnSchema,
     GroupKey,
     Relation,
-    partition,
 )
-from gbsample.errors import GbsampleError, IncompatibleGrouping, InvalidArgument, UnknownColumn
+from gbsample.errors import (
+    GbsampleError,
+    IncompatibleGrouping,
+    InvalidArgument,
+    InvalidDocument,
+    UnknownColumn,
+)
 from gbsample.query import (
     AVG,
     COUNT,
@@ -41,6 +46,8 @@ from gbsample.sampler import (
     save_sample,
 )
 from gbsample.stats import compute_catalog
+
+from reference import partition
 
 
 
@@ -716,3 +723,11 @@ def test_mask_agrees_with_reference_row_matcher():
     for predicate in _random_predicates(rng)[1:]:
         matches = _ref_row_matcher(predicate, rel.schema)
         assert predicate.mask(rel).tolist() == [matches(r) for r in records]
+
+
+def test_query_document_rejects_a_string_for_group_by():
+    doc = {"group_by": "major", "aggregate": {"fn": "avg", "column": "age"}}
+    with pytest.raises(InvalidDocument, match=r"q\.json: group_by: .*'major'"):
+        QueryRequest.from_json(doc, "q.json")
+    doc["group_by"] = ["major"]
+    assert QueryRequest.from_json(doc).group_attrs == ("major",)

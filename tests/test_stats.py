@@ -13,10 +13,11 @@ from gbsample.stats import (
     catalog_from_json,
     catalog_to_json,
     compute_catalog,
-    from_values,
     merge,
     pool_catalog,
 )
+
+from reference import from_values
 
 
 def test_accumulate_two_points():

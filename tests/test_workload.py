@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from gbsample.alloc import plan_l2
-from gbsample.errors import EmptyProblem
+from gbsample.errors import EmptyProblem, InvalidDocument
 from gbsample.query import Atom, Predicate
 from gbsample.stats import compute_catalog
 from gbsample.workload import (
@@ -11,6 +13,8 @@ from gbsample.workload import (
     workload_from_json,
     workload_to_json,
 )
+
+from reference import build_finest
 
 
 def demo_workload():
@@ -149,7 +153,6 @@ def test_allocation_inputs_count_shared_entities_once(student_rel):
     from gbsample.alloc import (
         GroupQuery,
         WeightSpec,
-        build_finest,
         plan_multi_groupby,
     )
     from gbsample.workload import allocation_inputs
@@ -191,3 +194,14 @@ def test_allocation_inputs_sqrt_transform(student_rel):
     qpos = queries.index(GroupQuery(("major",), ("gpa",)))
     assert weights.weight(qpos, _key("major", "CS"), "gpa") == pytest.approx(35.0**0.5)
     assert weights.weight(qpos, _key("major", "EE"), "gpa") == pytest.approx(20.0**0.5)
+
+
+def test_workload_file_rejects_a_string_for_a_list():
+    first = {"group_by": [], "aggregates": ["gpa"]}
+    for field in ("group_by", "aggregates"):
+        item = {"group_by": ["major"], "aggregates": ["age"], field: "age"}
+        text = json.dumps([first, item])
+        with pytest.raises(InvalidDocument, match=rf"w\.json: \[1\]\.{field}: "):
+            workload_from_json(text, "w.json")
+    with pytest.raises(InvalidDocument):
+        workload_from_json(json.dumps([{"group_by": [1], "aggregates": ["age"]}]))
