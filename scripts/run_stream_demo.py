@@ -31,9 +31,10 @@ def objective_of_sizes(rel, group_attrs, column, sizes) -> float:
     """F = sum cv_i^2 / s_i from the exact statistics of the data so far."""
     catalog = compute_catalog(rel, group_attrs, [column])
     total = 0.0
-    for key, st in catalog.entries.items():
-        s = sizes.get(key.values[0], 0)
-        cv = st.per_column[column].cv or 0.0
+    strata = zip(catalog.keys, catalog.mean[column].tolist(), catalog.std[column].tolist())
+    for values, mean, std in strata:
+        s = sizes.get(values[0], 0)
+        cv = std / abs(mean) if mean else 0.0
         if cv == 0.0:
             continue
         if s == 0:

@@ -42,21 +42,20 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, stratum_ids
+from .dataset import GroupKey, Relation, key_ids, stratum_ids
 from .errors import (
     AllStrataConstant,
     EmptyProblem,
     InvalidArgument,
     InvalidSampleSize,
     NonPositiveCost,
-    NotASubset,
     RateOutOfRange,
     ZeroMeanCoarseGroup,
     ZeroMeanError,
     ZeroMeanGroup,
     ZeroMeanStratum,
 )
-from .stats import StatsCatalog, _pool
+from .stats import StatsCatalog, pool_with_ids
 
 #: zero-variance strata get this fraction of the smallest positive cost
 ZERO_COST_RATIO = 1e-12
@@ -106,6 +105,12 @@ class WeightSpec:
             if probe in self.entries:
                 return self.entries[probe]
         return self.default
+
+    def weights_of(self, query: int, keys: Sequence[GroupKey], column: str) -> np.ndarray:
+        """:meth:`weight` of ``column`` for every key in ``keys``."""
+        if not self.entries:
+            return np.full(len(keys), self.default, dtype=np.float64)
+        return np.array([self.weight(query, k, column) for k in keys], dtype=np.float64)
 
 
 UNIT_WEIGHTS = WeightSpec()
@@ -355,8 +360,53 @@ def plan_l2(
 ) -> AllocationPlan:
     """Allocation minimizing the weighted l2 norm of predicted CVs for one
     grouping and one or more aggregation columns."""
-    keys, costs, excluded = cv_costs(catalog, columns, weights, zero_mean, query)
-    return _assemble_plan(L2, catalog, keys, costs, excluded, budget)
+    kept, costs, excluded = cv_costs(catalog, columns, weights, zero_mean, query)
+    return _assemble_plan(L2, catalog, kept, costs, excluded, budget)
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x**2 elementwise by Python's float power, which calls the C library's
+    pow; numpy's square is the correctly rounded product x * x and differs
+    from pow in the last bit for a small share of values, which would move
+    the last digits of plans."""
+    return np.array([v**2 for v in np.asarray(x, dtype=np.float64).tolist()])
+
+
+def cv2_costs(
+    catalog: StatsCatalog,
+    columns: Sequence[str],
+    weights: WeightSpec = UNIT_WEIGHTS,
+    query: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stratum cost sum_j w_j * (sigma_j / |mu_j|)^2 over ``columns``,
+    added in column order, and per stratum the position in ``columns`` of
+    its first zero-mean column of nonzero weight (-1 if none).
+
+    Zero-weight columns add nothing; zero-mean columns have no CV and add
+    nothing either, so each caller applies its own zero-mean policy to the
+    strata the second array flags.
+    """
+    costs = np.zeros(len(catalog))
+    first_zero = np.full(len(catalog), -1)
+    for j, col in enumerate(columns):
+        w = weights.weights_of(query, catalog.group_keys(), col)
+        mu = catalog.mean[col]
+        zero = (w != 0.0) & (mu == 0.0)
+        first_zero[zero & (first_zero < 0)] = j
+        on = (w != 0.0) & ~zero
+        cv = catalog.std[col][on] / np.abs(mu[on])
+        costs[on] = costs[on] + w[on] * _squares(cv)
+    return costs, first_zero
+
+
+def _excludes_zero_mean(zero_mean: str) -> bool:
+    """Whether the ``zero_mean`` policy is "exclude" (the alternative is
+    "error"); any other value raises :class:`InvalidArgument`."""
+    if zero_mean not in ("error", "exclude"):
+        raise InvalidArgument(
+            f"unknown zero_mean policy {zero_mean!r}; expected 'error' or 'exclude'"
+        )
+    return zero_mean == "exclude"
 
 
 def cv_costs(
@@ -365,48 +415,38 @@ def cv_costs(
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
     query: int = 0,
-) -> tuple[list[GroupKey], np.ndarray, list[GroupKey]]:
-    """Per-stratum cost coefficients sum_j w_j * cv_j^2 over the columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-stratum cost coefficients sum_j w_j * cv_j^2 over the columns
+    (:func:`cv2_costs`) under the ``zero_mean`` policy.
 
-    Returns (keys, costs, excluded) where ``excluded`` holds zero-mean
-    strata removed under ``zero_mean="exclude"``.
+    Returns (kept, costs, excluded): the catalog indices of the kept strata,
+    their costs with the zero-cost floor, and the indices of the zero-mean
+    strata removed under ``zero_mean="exclude"``.  Under "error" the first
+    zero-mean stratum raises :class:`ZeroMeanStratum` naming its first
+    zero-mean column.
     """
     columns = tuple(columns)
-    keys: list[GroupKey] = []
-    costs: list[float] = []
-    excluded: list[GroupKey] = []
-    for key, st in catalog.entries.items():
-        total = 0.0
-        bad = None
-        for col in columns:
-            w = weights.weight(query, key, col)
-            if w == 0.0:
-                continue
-            summary = st.per_column[col]
-            if not summary.cv_defined:
-                bad = col
-                break
-            total += w * summary.cv**2
-        if bad is not None:
-            if zero_mean == "exclude":
-                excluded.append(key)
-                continue
-            raise ZeroMeanStratum(key, bad)
-        keys.append(key)
-        costs.append(total)
-    return keys, floor_zero_costs(np.array(costs)), excluded
+    exclude = _excludes_zero_mean(zero_mean)
+    costs, first_zero = cv2_costs(catalog, columns, weights, query)
+    zero = np.flatnonzero(first_zero >= 0)
+    if zero.size and not exclude:
+        k = int(zero[0])
+        raise ZeroMeanStratum(catalog.group_keys([k])[0], columns[first_zero[k]])
+    kept = np.flatnonzero(first_zero < 0)
+    return kept, floor_zero_costs(costs[kept]), zero
 
 
 def _assemble_plan(
     method: str,
     catalog: StatsCatalog,
-    keys: list[GroupKey],
+    kept: np.ndarray,
     costs: np.ndarray,
-    excluded: list[GroupKey],
+    excluded: Sequence[int],
     budget: int,
-    extra: dict | None = None,
 ) -> AllocationPlan:
-    """Shared l2-style assembly: cap repair, rounding, excluded strata at 1."""
+    """Shared l2-style assembly over the catalog strata at the indices
+    ``kept`` (with their costs) and ``excluded``: cap repair, rounding,
+    excluded strata at 1."""
     warnings: list[str] = []
     n_excluded = len(excluded)
     if n_excluded:
@@ -414,48 +454,50 @@ def _assemble_plan(
             f"ZeroMeanExcluded: {n_excluded} strata with zero mean were removed "
             f"from optimization and pinned at one row"
         )
-    if not keys and not excluded:
+    if not len(kept) and not n_excluded:
         raise EmptyProblem("catalog has no strata")
     if budget < 1:
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
-    caps = np.array([catalog.entries[k].n for k in keys], dtype=np.int64)
+    caps = catalog.n[kept]
     sub_budget = budget - n_excluded
-    if keys:
+    fractional, sizes, frozen = np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, bool)
+    if len(kept):
         if sub_budget < 1:
             raise InvalidArgument(
                 f"budget {budget} leaves no rows after pinning {n_excluded} "
                 f"zero-mean strata at one row each"
             )
-        problem = AllocationProblem(tuple(keys), costs, caps, sub_budget)
+        keys = tuple(catalog.group_keys(kept))
+        problem = AllocationProblem(keys, costs, caps, sub_budget)
         fractional, frozen = resolve_caps(problem.costs, problem.caps, problem.budget)
         sizes, round_warnings = l2_sizes(fractional, problem.costs, caps, sub_budget)
         warnings.extend(round_warnings)
-    else:
-        fractional = np.zeros(0)
-        sizes = np.zeros(0, dtype=np.int64)
-        frozen = np.zeros(0, dtype=bool)
+    return _pinned_plan(
+        method, catalog, kept, fractional, sizes, costs, excluded, budget, frozen, warnings
+    )
 
-    all_keys = list(keys) + list(excluded)
-    exc_caps = np.array(
-        [catalog.entries[k].n for k in excluded], dtype=np.int64
-    )
-    populations = np.concatenate([caps, exc_caps])
-    fractional = np.concatenate([fractional, np.ones(n_excluded)])
-    sizes = np.concatenate([sizes, np.ones(n_excluded, dtype=np.int64)])
-    costs_full = np.concatenate(
-        [np.asarray(costs, dtype=np.float64), np.zeros(n_excluded)]
-    )
-    capped = frozenset(k for k, f in zip(keys, frozen) if f)
+
+def _pinned_plan(
+    method, catalog, active, fractional, sizes, costs, pinned, budget, capped, warnings,
+    extra=None,
+) -> AllocationPlan:
+    """The plan over the catalog strata at the indices ``active``, with
+    their fractional and integer sizes and costs, followed by the strata at
+    ``pinned`` with one row each and cost 0; ``capped`` flags strata in
+    that order."""
+    order = np.concatenate([active, pinned]).astype(np.intp)
+    keys = catalog.group_keys(order.tolist())
+    ones = np.ones(len(pinned))
     return AllocationPlan(
         method=method,
         group_attrs=catalog.group_attrs,
-        keys=tuple(all_keys),
-        populations=populations,
-        fractional=fractional,
-        sizes=sizes,
+        keys=tuple(keys),
+        populations=catalog.n[order],
+        fractional=np.concatenate([fractional, ones]),
+        sizes=np.concatenate([sizes, ones.astype(np.int64)]),
         budget=budget,
-        capped=capped,
-        costs=costs_full,
+        capped=frozenset(k for k, c in zip(keys, capped) if c),
+        costs=np.concatenate([costs, np.zeros(len(pinned))]),
         warnings=warnings,
         extra=extra or {},
     )
@@ -478,19 +520,15 @@ class FinestStratification:
     """Stratification by the union of all queries' grouping attributes.
 
     Holds the fine catalog over the union attributes, the pooled coarse
-    catalog per query, and for every fine stratum its containing coarse
-    group under each query.
+    catalog per query, and per query an array giving every fine stratum's
+    index in that query's coarse catalog.
     """
 
     union_attrs: tuple[str, ...]
     queries: tuple[GroupQuery, ...]
     fine: StatsCatalog
     coarse: tuple[StatsCatalog, ...]
-    projections: tuple[dict[GroupKey, GroupKey], ...]
-
-    @property
-    def strata(self) -> list[GroupKey]:
-        return list(self.fine.entries)
+    coarse_ids: tuple[np.ndarray, ...]
 
 
 def finest_from_catalog(
@@ -498,20 +536,13 @@ def finest_from_catalog(
 ) -> FinestStratification:
     """Build the union stratification from an existing fine catalog; the
     coarse per-query statistics are pooled, not recomputed."""
-    for q in queries:
-        if not set(q.attrs) <= set(fine.group_attrs):
-            raise NotASubset(
-                f"query attrs {q.attrs} not covered by catalog attrs {fine.group_attrs}"
-            )
-    projections = tuple(
-        {key: key.project(q.attrs) for key in fine.entries} for q in queries
-    )
-    coarse = tuple(
-        _pool(fine, tuple(q.attrs), proj.values())
-        for q, proj in zip(queries, projections)
-    )
+    pooled = [pool_with_ids(fine, q.attrs) for q in queries]
     return FinestStratification(
-        fine.group_attrs, tuple(queries), fine, coarse, projections
+        fine.group_attrs,
+        tuple(queries),
+        fine,
+        tuple(coarse for coarse, _ in pooled),
+        tuple(ids for _, ids in pooled),
     )
 
 
@@ -532,29 +563,29 @@ def multi_grouping_costs(
     ``zero_mean="exclude"`` the terms of zero-mean coarse groups are
     dropped instead of raising.
     """
-    keys = list(fs.fine.entries)
-    costs = np.zeros(len(keys))
-    for idx, key in enumerate(keys):
-        fine_st = fs.fine.entries[key]
-        total = 0.0
-        for i, q in enumerate(fs.queries):
-            coarse_key = fs.projections[i][key]
-            coarse_st = fs.coarse[i].entries[coarse_key]
-            inner = 0.0
-            for col in q.columns:
-                w = weights.weight(i, coarse_key, col)
-                if w == 0.0:
-                    continue
-                mu = coarse_st.per_column[col].mean
-                if mu == 0.0:
-                    if zero_mean == "exclude":
-                        continue
-                    raise ZeroMeanCoarseGroup(coarse_key, col)
-                sigma = fine_st.per_column[col].std
-                inner += w * sigma**2 / mu**2
-            total += inner / coarse_st.n**2
-        costs[idx] = fine_st.n**2 * total
-    return keys, floor_zero_costs(costs)
+    exclude = _excludes_zero_mean(zero_mean)
+    fine = fs.fine
+    sigma2 = {col: _squares(fine.std[col]) for col in fine.agg_columns}
+    total = np.zeros(len(fine))
+    zeros = []  # (fine stratum, query, column) of a query column's first zero-mean term
+    for i, (q, coarse, ids) in enumerate(zip(fs.queries, fs.coarse, fs.coarse_ids)):
+        inner = np.zeros(len(fine))
+        for j, col in enumerate(q.columns):
+            w = weights.weights_of(i, coarse.group_keys(), col)[ids]
+            mu = coarse.mean[col][ids]
+            zero = np.flatnonzero((w != 0.0) & (mu == 0.0))
+            if zero.size and not exclude:
+                zeros.append((int(zero[0]), i, j))
+            on = (w != 0.0) & (mu != 0.0)
+            term = w[on] * sigma2[col][on] / _squares(coarse.mean[col])[ids[on]]
+            inner[on] = inner[on] + term
+        total = total + inner / (coarse.n.astype(np.float64) ** 2)[ids]
+    if zeros:  # raise for the first in the order fine stratum, query, column
+        f, i, j = min(zeros)
+        key = GroupKey(fs.queries[i].attrs, fs.coarse[i].keys[fs.coarse_ids[i][f]])
+        raise ZeroMeanCoarseGroup(key, fs.queries[i].columns[j])
+    costs = fine.n.astype(np.float64) ** 2 * total
+    return fine.group_keys(), floor_zero_costs(costs)
 
 
 def plan_multi_groupby(
@@ -563,8 +594,8 @@ def plan_multi_groupby(
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
 ) -> AllocationPlan:
-    keys, costs = multi_grouping_costs(fs, weights, zero_mean)
-    return _assemble_plan(L2, fs.fine, keys, costs, [], budget)
+    _, costs = multi_grouping_costs(fs, weights, zero_mean)
+    return _assemble_plan(L2, fs.fine, np.arange(len(fs.fine)), costs, [], budget)
 
 
 def cube_queries(attrs: Sequence[str], columns: Sequence[str]) -> list[GroupQuery]:
@@ -602,46 +633,37 @@ def plan_linf(
     Zero-variance strata are excluded from the search and pinned at one
     row each; their predicted CV is zero regardless.
     """
-    keys: list[GroupKey] = []
-    cv2 = []
-    pops = []
-    constant: list[GroupKey] = []
-    excluded: list[GroupKey] = []
-    for key, st in catalog.entries.items():
-        s = st.per_column[column]
-        if not s.cv_defined:
-            if zero_mean == "exclude":
-                excluded.append(key)
-                continue
-            raise ZeroMeanStratum(key, column)
-        if s.std == 0.0:
-            constant.append(key)
-            continue
-        keys.append(key)
-        cv2.append(s.cv**2)
-        pops.append(st.n)
-    if not keys:
+    exclude = _excludes_zero_mean(zero_mean)
+    cv2_all, first_zero = cv2_costs(catalog, [column])
+    zero = first_zero >= 0
+    if zero.any() and not exclude:
+        raise ZeroMeanStratum(catalog.group_keys([int(np.argmax(zero))])[0], column)
+    flat = ~zero & (catalog.std[column] == 0.0)
+    active = np.flatnonzero(~zero & ~flat)
+    constant = np.flatnonzero(flat)
+    excluded = np.flatnonzero(zero)
+    if not active.size:
         raise AllStrataConstant(
             "every stratum has zero variance; the minimax objective is degenerate"
         )
-    pinned = constant + excluded
+    pinned = np.concatenate([constant, excluded])
     warnings: list[str] = []
-    if constant:
+    if constant.size:
         warnings.append(
-            f"ConstantStrata: {len(constant)} zero-variance strata pinned at one row"
+            f"ConstantStrata: {constant.size} zero-variance strata pinned at one row"
         )
-    if excluded:
+    if excluded.size:
         warnings.append(
-            f"ZeroMeanExcluded: {len(excluded)} strata with zero mean pinned at one row"
+            f"ZeroMeanExcluded: {excluded.size} strata with zero mean pinned at one row"
         )
 
-    cv2 = np.array(cv2)
-    pops_arr = np.array(pops, dtype=np.int64)
+    cv2 = cv2_all[active]
+    pops_arr = catalog.n[active]
     sub_budget = budget - len(pinned)
-    if sub_budget < len(keys):
+    if sub_budget < active.size:
         raise InvalidArgument(
             f"minimax allocation needs at least one row per positive-variance "
-            f"stratum: budget {budget} leaves {sub_budget} rows for {len(keys)} strata"
+            f"stratum: budget {budget} leaves {sub_budget} rows for {active.size} strata"
         )
 
     if sub_budget >= int(pops_arr.sum()):
@@ -663,29 +685,14 @@ def plan_linf(
         def cv_after_removal(i: int, s: int) -> float:
             return cv[i] * math.sqrt((n[i] - s + 1) / (n[i] * (s - 1)))
 
-        sizes = shed(start, np.ones(len(keys)), int(start.sum()) - sub_budget, cv_after_removal)
+        excess = int(start.sum()) - sub_budget
+        sizes = shed(start, np.ones(active.size), excess, cv_after_removal)
     max_cv = float(np.sqrt(cv2 * (pops_arr - sizes) / (pops_arr * sizes)).max())
 
-    all_keys = list(keys) + list(pinned)
-    pin_pops = np.array([catalog.entries[k].n for k in pinned], dtype=np.int64)
-    populations = np.concatenate([pops_arr, pin_pops]) if pinned else pops_arr
-    fractional_full = np.concatenate([fractional, np.ones(len(pinned))])
-    sizes_full = np.concatenate([sizes, np.ones(len(pinned), dtype=np.int64)])
-    costs = np.concatenate([cv2, np.zeros(len(pinned))])
-    return AllocationPlan(
-        method=LINF,
-        group_attrs=catalog.group_attrs,
-        keys=tuple(all_keys),
-        populations=populations,
-        fractional=fractional_full,
-        sizes=sizes_full,
-        budget=budget,
-        capped=frozenset(
-            k for k, s, n in zip(all_keys, sizes_full, populations) if s >= n
-        ),
-        costs=costs,
-        warnings=warnings,
-        extra={"max_cv": max_cv},
+    capped = np.concatenate([sizes >= pops_arr, catalog.n[pinned] <= 1])
+    return _pinned_plan(
+        LINF, catalog, active, fractional, sizes, cv2, pinned, budget, capped, warnings,
+        {"max_cv": max_cv},
     )
 
 
@@ -718,32 +725,26 @@ def plan_individual(
     """Split the budget across all groups of all queries, each stratified by
     its own grouping; group (i, g) receives share proportional to
     sqrt(sum_l w(i,g,l) * cv_igl^2)."""
+    exclude = _excludes_zero_mean(zero_mean)
     pairs: list[tuple[int, GroupKey]] = []
     scores: list[float] = []
     populations: dict[tuple[int, GroupKey], int] = {}
     warnings: list[str] = []
     excluded: list[tuple[int, GroupKey]] = []
     for i, (catalog, q) in enumerate(zip(catalogs, queries)):
-        for key, st in catalog.entries.items():
-            populations[(i, key)] = st.n
-            total = 0.0
-            bad = None
-            for col in q.columns:
-                w = weights.weight(i, key, col)
-                if w == 0.0:
-                    continue
-                s = st.per_column[col]
-                if not s.cv_defined:
-                    bad = col
-                    break
-                total += w * s.cv**2
-            if bad is not None:
-                if zero_mean == "exclude":
-                    excluded.append((i, key))
-                    continue
-                raise ZeroMeanGroup(key, bad)
-            pairs.append((i, key))
-            scores.append(total)
+        costs, first_zero = cv2_costs(catalog, q.columns, weights, i)
+        if not exclude and (first_zero >= 0).any():
+            k = int(np.argmax(first_zero >= 0))
+            raise ZeroMeanGroup(catalog.group_keys([k])[0], q.columns[first_zero[k]])
+        for key, n, cost, zero in zip(
+            catalog.group_keys(), catalog.n.tolist(), costs.tolist(), first_zero.tolist()
+        ):
+            populations[(i, key)] = n
+            if zero >= 0:
+                excluded.append((i, key))
+            else:
+                pairs.append((i, key))
+                scores.append(cost)
     if not pairs:
         raise EmptyProblem("no (query, group) pairs to allocate over")
     if excluded:
@@ -781,27 +782,19 @@ def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
     key projects to, and each row takes the rate of its fine stratum.  A
     group missing from ``alloc.populations`` counts its rows instead.
     """
-    union: list[str] = []
-    for q in alloc.queries:
-        for a in q.attrs:
-            if a not in union:
-                union.append(a)
+    union = list(dict.fromkeys(a for q in alloc.queries for a in q.attrs))
     fine_ids, fine_values = stratum_ids(rel, union)
-    counts = np.bincount(fine_ids, minlength=len(fine_values)).tolist()
-
+    counts = np.bincount(fine_ids, minlength=len(fine_values))
     per_query = []
     for i, q in enumerate(alloc.queries):
-        positions = [union.index(a) for a in q.attrs]
-        members: dict[tuple[str, ...], list[int]] = {}
-        for f, values in enumerate(fine_values):
-            members.setdefault(tuple(values[p] for p in positions), []).append(f)
-        rate_of = np.zeros(len(fine_values))
-        for values, fines in members.items():
+        group, keys = key_ids(fine_values, [union.index(a) for a in q.attrs])
+        rows = np.bincount(group, counts, len(keys)).astype(np.int64).tolist()
+        rates = []
+        for values, n_rows in zip(keys, rows):
             key = GroupKey(q.attrs, values)
-            share = alloc.sizes.get((i, key), 0.0)
-            n = alloc.populations.get((i, key), sum(counts[f] for f in fines))
-            rate_of[fines] = min(1.0, share / n) if n else 0.0
-        per_query.append(rate_of[fine_ids])
+            n = alloc.populations.get((i, key), n_rows)
+            rates.append(min(1.0, alloc.sizes.get((i, key), 0.0) / n) if n else 0.0)
+        per_query.append(np.array(rates)[group][fine_ids])
     return unified_inclusion(per_query)
 
 

@@ -62,8 +62,10 @@ def _round(fractional, caps, budget):
     return sizes, warnings
 
 
-def _plan(method, catalog, keys, caps, fractional, budget, warnings):
-    sizes, round_warnings = _round(fractional, caps, budget)
+def _plan(method, catalog, fractional, budget):
+    keys = catalog.group_keys()
+    caps = np.array(catalog.n)
+    sizes, warnings = _round(fractional, caps, budget)
     return AllocationPlan(
         method=method,
         group_attrs=catalog.group_attrs,
@@ -72,23 +74,18 @@ def _plan(method, catalog, keys, caps, fractional, budget, warnings):
         fractional=fractional,
         sizes=sizes,
         budget=budget,
-        capped=frozenset(
-            k for k, f, c in zip(keys, fractional, caps) if f >= c
-        ),
+        capped=frozenset(k for k, f, c in zip(keys, fractional, caps) if f >= c),
         costs=None,
-        warnings=warnings + round_warnings,
+        warnings=warnings,
     )
 
 
 def alloc_uniform(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     """Proportional-to-size allocation (what a plain uniform row sample
     yields in expectation).  Small groups may round to zero rows."""
-    keys = list(catalog.entries)
-    caps = np.array([catalog.entries[k].n for k in keys], dtype=np.int64)
-    total = caps.sum()
-    fractional = budget * caps / total
-    fractional = np.minimum(fractional, caps)
-    return _plan(UNIFORM, catalog, keys, caps, fractional, budget, [])
+    caps = catalog.n
+    fractional = np.minimum(budget * caps / caps.sum(), caps)
+    return _plan(UNIFORM, catalog, fractional, budget)
 
 
 def senate_shares(caps: np.ndarray, budget: int) -> np.ndarray:
@@ -115,10 +112,7 @@ def senate_shares(caps: np.ndarray, budget: int) -> np.ndarray:
 
 def alloc_senate(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     """Equal budget per stratum regardless of size or spread."""
-    keys = list(catalog.entries)
-    caps = np.array([catalog.entries[k].n for k in keys], dtype=np.int64)
-    fractional = senate_shares(caps, budget)
-    return _plan(SENATE, catalog, keys, caps, fractional, budget, [])
+    return _plan(SENATE, catalog, senate_shares(catalog.n, budget), budget)
 
 
 def alloc_congress(catalog: StatsCatalog, budget: int) -> AllocationPlan:
@@ -129,11 +123,10 @@ def alloc_congress(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     budget and clipped at the populations with proportional
     redistribution.
     """
-    keys = list(catalog.entries)
-    caps = np.array([catalog.entries[k].n for k in keys], dtype=np.int64)
+    caps = catalog.n
     total = caps.sum()
     house = budget * caps / total
     senate = senate_shares(caps, budget)
     raw = np.maximum(house, senate)
     fractional = raw * (min(budget, int(total)) / raw.sum())
-    return _plan(CONGRESS, catalog, keys, caps, fractional, budget, [])
+    return _plan(CONGRESS, catalog, fractional, budget)

@@ -213,7 +213,7 @@ def _read_catalog(cfg: RunConfig) -> stats.StatsCatalog:
     path = _catalog_path(cfg)
     if not path.exists():
         raise UsageError(f"{path} not found; run the stats command first")
-    return stats.catalog_from_json(path.read_text(encoding="utf-8"))
+    return stats.catalog_from_json(path.read_text(encoding="utf-8"), str(path))
 
 
 # ---------------------------------------------------------------------------

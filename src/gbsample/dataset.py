@@ -37,7 +37,6 @@ from .errors import (
     EmptyFile,
     InvalidArgument,
     MissingColumn,
-    NotASubset,
     TypeParseError,
     UnknownAttribute,
     UnknownColumn,
@@ -75,15 +74,6 @@ class GroupKey:
     def __post_init__(self):
         if len(self.attrs) != len(self.values):
             raise ValueError("attrs and values must have equal length")
-
-    def project(self, target_attrs: Sequence[str]) -> "GroupKey":
-        """Restrict this key to ``target_attrs`` (must be a subset of attrs),
-        preserving the declared order of ``target_attrs``."""
-        lookup = dict(zip(self.attrs, self.values))
-        missing = [a for a in target_attrs if a not in lookup]
-        if missing:
-            raise NotASubset(f"attributes {missing} not part of key {self}")
-        return GroupKey(tuple(target_attrs), tuple(lookup[a] for a in target_attrs))
 
     def __str__(self):
         if not self.attrs:
@@ -283,6 +273,16 @@ def stratum_ids(
     rows = first[order]
     values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
     return rank[ids], list(zip(*values))
+
+
+def key_ids(records: Sequence[tuple], positions: Sequence[int]):
+    """First-occurrence ids of the value tuples ``records`` hold at
+    ``positions``, and those tuples in id order."""
+    columns = [[r[i] for r in records] for i in positions]
+    keys = zip(*columns) if columns else (() for _ in records)
+    ids: dict[tuple, int] = {}
+    numbered = (ids.setdefault(key, len(ids)) for key in keys)
+    return np.fromiter(numbered, dtype=np.intp, count=len(records)), list(ids)
 
 
 def segments(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .alloc import predicted_group_cv
-from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, stratum_ids
+from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, key_ids, stratum_ids
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
@@ -257,16 +257,6 @@ def _view(
     )
 
 
-def _key_ids(records: Sequence[tuple], positions: Sequence[int]):
-    """First-occurrence ids of the value tuples ``records`` hold at
-    ``positions``, and those tuples in id order."""
-    columns = [[r[i] for r in records] for i in positions]
-    keys = zip(*columns) if columns else (() for _ in records)
-    ids: dict[tuple, int] = {}
-    numbered = (ids.setdefault(key, len(ids)) for key in keys)
-    return np.fromiter(numbered, dtype=np.intp, count=len(records)), list(ids)
-
-
 # ---------------------------------------------------------------------------
 # estimation
 
@@ -287,7 +277,7 @@ def estimate(sample, request: QueryRequest) -> list[Estimate]:
             f"stratification {sample.group_attrs}"
         )
     strata = sample.strata
-    group_of_cell, keys = _key_ids(
+    group_of_cell, keys = key_ids(
         [s.key.values for s in strata], [sample.group_attrs.index(a) for a in attrs]
     )
     n = np.array([s.n for s in strata], dtype=np.float64)
@@ -321,7 +311,7 @@ def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> list[Esti
                 f"{a!r} is not a categorical column of the sample"
             )
     values, keep = _inputs(_view(sample.schema, sample.rows, request), request)
-    ids, keys = _key_ids(sample.rows, [pos[a] for a in attrs])
+    ids, keys = key_ids(sample.rows, [pos[a] for a in attrs])
     weight = 1.0 / np.asarray(sample.p, dtype=np.float64)
     value, _, support = _group_by(
         request.fn, np.arange(len(ids)), values, keep, weight, ids, len(keys)
@@ -453,31 +443,28 @@ def _predicted_cvs(rel, sample, request) -> dict[GroupKey, float | None]:
     """Predicted CVs of the AVG estimator per query group (predicate ignored)."""
     if request.column is None or not isinstance(sample, StratifiedSample):
         return {}
-    catalog = compute_catalog(rel, sample.group_attrs, (request.column,))
-    by_coarse: dict[GroupKey, list] = {}
-    means: dict[GroupKey, object] = {}
+    col = request.column
+    catalog = compute_catalog(rel, sample.group_attrs, (col,))
+    stratum_of = {values: k for k, values in enumerate(catalog.keys)}
+    n, std = catalog.n.tolist(), catalog.std[col].tolist()
+    positions = [sample.group_attrs.index(a) for a in request.group_attrs]
+    by_coarse: dict[tuple, list] = {}
     for stratum in sample.strata:
-        st = catalog.entries.get(stratum.key)
-        if st is None:
+        k = stratum_of.get(stratum.key.values)
+        if k is None:
             continue
-        coarse = stratum.key.project(request.group_attrs)
-        s = st.per_column[request.column]
-        by_coarse.setdefault(coarse, []).append((st.n, stratum.size, s.std))
-    pooled = compute_catalog(rel, request.group_attrs, (request.column,))
+        coarse = tuple(stratum.key.values[p] for p in positions)
+        by_coarse.setdefault(coarse, []).append((n[k], stratum.size, std[k]))
+    groups = compute_catalog(rel, request.group_attrs, (col,))
+    group_mean = dict(zip(groups.keys, groups.mean[col].tolist()))
     out: dict[GroupKey, float | None] = {}
     for coarse, parts in by_coarse.items():
-        group_stats = pooled.entries.get(coarse)
-        if group_stats is None:
-            out[coarse] = None
-            continue
-        mu = group_stats.per_column[request.column].mean
-        if mu == 0.0:
-            out[coarse] = None
-            continue
+        mu = group_mean.get(coarse, 0.0)
         try:
-            out[coarse] = predicted_group_cv(parts, mu)
+            cv = None if mu == 0.0 else predicted_group_cv(parts, mu)
         except GbsampleError:
-            out[coarse] = None
+            cv = None
+        out[GroupKey(tuple(request.group_attrs), coarse)] = cv
     return out
 
 

@@ -1,14 +1,25 @@
-"""One-pass, mergeable per-stratum statistics.
+"""One-pass, mergeable per-stratum statistics held as arrays.
 
-The first pipeline pass computes, for every stratum and every aggregation
-column, the count, mean, standard deviation and coefficient of variation
-(CV = sigma / |mu|).  :func:`compute_catalog` sorts the rows by stratum id
-once (:func:`gbsample.dataset.segments`) and takes each stratum's moments
-over its contiguous slice with the two-pass formula of :func:`from_array`:
-the mean, then the sum of squared deviations from it.  Moments combine
-under :func:`merge` (Chan, Golub and LeVeque's pairwise update), which
-pools strata into coarser groups; :func:`accumulate` is the one-value
-Welford step the streaming sampler uses.
+:func:`compute_catalog` sorts the rows by stratum id once
+(:func:`gbsample.dataset.segments`) and takes each stratum's count, mean
+and standard deviation over its contiguous slice with the two-pass formula
+of :func:`from_array`: the mean, then the sum of squared deviations from
+it.  The coefficient of variation is sigma / |mu|.
+
+A :class:`StatsCatalog` is arrays indexed by stratum: the strata's value
+tuples in first-occurrence order, an int64 count array ``n`` and, per
+aggregation column, float64 ``mean`` and ``std`` arrays.  It keeps std
+rather than the sum of squared deviations because ``catalog.json`` holds
+std, so a catalog read back from its file is bit-identical to the one
+computed.  ``StatsCatalog.entries`` is a read-only ``GroupKey ->
+StratumStats`` view built from the arrays on first access.
+
+:func:`pool_catalog` aggregates to a coarser stratification: each fine
+stratum's group is numbered by projecting its value tuple, and the fine
+moments fold into their group in catalog order with Chan, Golub and
+LeVeque's pairwise update, the sum of squared deviations rebuilt as
+std**2 * (n - 1).  :func:`accumulate` is the one-value Welford step the
+streaming sampler uses.
 
 The standard deviation uses the (n - 1) divisor, which makes the finite
 population correction formula in :func:`gbsample.alloc.predicted_cv` exact
@@ -20,11 +31,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, segments, stratum_ids
+from .dataset import GroupKey, Relation, key_ids, segments, stratum_ids
+from .errors import InvalidDocument, NotASubset, string_list
 
 #: significant digits used when serializing floating point values
 FLOAT_DIGITS = 17
@@ -63,23 +77,6 @@ def accumulate(m: RunningMoments, x: float) -> RunningMoments:
     delta = x - m.mean
     mean = m.mean + delta / count
     m2 = m.m2 + delta * (x - mean)
-    return RunningMoments(count, mean, m2)
-
-
-def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
-    """Combine two moment accumulators as if their streams were concatenated.
-
-    Exact for count and mean; m2 agrees with the single-stream value up to
-    floating point error.
-    """
-    if a.count == 0:
-        return b
-    if b.count == 0:
-        return a
-    count = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / count)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / count)
     return RunningMoments(count, mean, m2)
 
 
@@ -125,27 +122,61 @@ class StratumStats:
     n: int
     per_column: Mapping[str, ColumnSummary]
 
-    def moments(self, column: str) -> RunningMoments:
-        """Reconstruct the moment accumulator for one column (for pooling)."""
-        s = self.per_column[column]
-        return RunningMoments(self.n, s.mean, s.std**2 * (self.n - 1))
 
-
-@dataclass
+@dataclass(eq=False)
 class StatsCatalog:
-    """All per-stratum statistics for one stratification of a relation."""
+    """All per-stratum statistics for one stratification of a relation.
+
+    Stratum k has the values ``keys[k]`` on ``group_attrs``, ``n[k]`` rows
+    and, for every aggregation column c, mean ``mean[c][k]`` and standard
+    deviation ``std[c][k]``.  The arrays are read-only; ``keys`` must not
+    change either, since the :class:`GroupKey` objects and ``entries`` are
+    built from it once.
+    """
 
     group_attrs: tuple[str, ...]
     agg_columns: tuple[str, ...]
-    entries: dict[GroupKey, StratumStats]
+    keys: list[tuple]
+    n: np.ndarray
+    mean: dict[str, np.ndarray]
+    std: dict[str, np.ndarray]
     total_n: int
 
-    @property
-    def keys(self) -> list[GroupKey]:
-        return list(self.entries)
+    def __post_init__(self):
+        self.n = np.asarray(self.n, dtype=np.int64)
+        self.n.flags.writeable = False
+        for arrays in (self.mean, self.std):
+            for col in self.agg_columns:
+                arrays[col] = np.asarray(arrays[col], dtype=np.float64)
+                arrays[col].flags.writeable = False
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.keys)
+
+    def group_keys(self, index: Sequence[int] | None = None) -> list[GroupKey]:
+        """The strata (or those at ``index``) as :class:`GroupKey` objects."""
+        keys = self._group_keys
+        return list(keys) if index is None else [keys[k] for k in index]
+
+    @cached_property
+    def _group_keys(self) -> tuple[GroupKey, ...]:
+        return tuple(GroupKey(self.group_attrs, values) for values in self.keys)
+
+    @cached_property
+    def entries(self) -> Mapping[GroupKey, StratumStats]:
+        """A read-only ``GroupKey -> StratumStats`` view of the arrays, in
+        catalog order, built on first access."""
+        n = self.n.tolist()
+        means = [self.mean[c].tolist() for c in self.agg_columns]
+        stds = [self.std[c].tolist() for c in self.agg_columns]
+        entries = {}
+        for k, key in enumerate(self.group_keys()):
+            per_column = {
+                c: ColumnSummary(mu[k], sigma[k])
+                for c, mu, sigma in zip(self.agg_columns, means, stds)
+            }
+            entries[key] = StratumStats(key, n[k], per_column)
+        return MappingProxyType(entries)
 
 
 def compute_catalog(
@@ -156,17 +187,61 @@ def compute_catalog(
     agg_columns = tuple(agg_columns)
     ids, keys = stratum_ids(rel, group_attrs)
     order, bounds = segments(ids, len(keys))
-    # each stratum's rows, ascending, as one contiguous slice per column
-    ordered = {col: rel.numeric(col)[order] for col in agg_columns}
-    entries: dict[GroupKey, StratumStats] = {}
-    for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        key = GroupKey(group_attrs, keys[k])
-        per_column = {}
-        for col in agg_columns:
-            m = from_array(ordered[col][lo:hi])
-            per_column[col] = ColumnSummary(m.mean, m.std)
-        entries[key] = StratumStats(key, hi - lo, per_column)
-    return StatsCatalog(group_attrs, agg_columns, entries, rel.n_rows)
+    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    mean, std = {}, {}
+    for col in agg_columns:
+        # each stratum's rows, ascending, as one contiguous slice
+        ordered = rel.numeric(col)[order]
+        moments = [from_array(ordered[lo:hi]) for lo, hi in spans]
+        mean[col] = [m.mean for m in moments]
+        std[col] = [m.std for m in moments]
+    return StatsCatalog(
+        group_attrs, agg_columns, keys, np.diff(bounds), mean, std, rel.n_rows
+    )
+
+
+def pool_with_ids(
+    catalog: StatsCatalog, target_attrs: Sequence[str]
+) -> tuple[StatsCatalog, np.ndarray]:
+    """:func:`pool_catalog`, plus for every fine stratum the index of its
+    group in the pooled catalog."""
+    missing = [a for a in target_attrs if a not in catalog.group_attrs]
+    if missing:
+        raise NotASubset(
+            f"attributes {missing} not part of the catalog's {catalog.group_attrs}"
+        )
+    # number each stratum's projected value tuple by first occurrence
+    positions = [catalog.group_attrs.index(a) for a in target_attrs]
+    ids, keys = key_ids(catalog.keys, positions)
+    groups = ids.tolist()
+    fine_n = catalog.n.tolist()
+    mean, std = {}, {}
+    for col in catalog.agg_columns:
+        count, mu, m2 = [0] * len(keys), [0.0] * len(keys), [0.0] * len(keys)
+        fine = zip(groups, fine_n, catalog.mean[col].tolist(), catalog.std[col].tolist())
+        for g, n, mean_f, std_f in fine:
+            # Chan, Golub and LeVeque's update of (count, mu, m2)[g] by the
+            # fine stratum's moments, in catalog order
+            m2_f = std_f**2 * (n - 1)
+            a = count[g]
+            if a == 0:
+                count[g], mu[g], m2[g] = n, mean_f, m2_f
+            elif n:
+                total = a + n
+                delta = mean_f - mu[g]
+                mu[g] = mu[g] + delta * (n / total)
+                m2[g] = m2[g] + m2_f + delta * delta * (a * n / total)
+                count[g] = total
+        mean[col] = mu
+        std[col] = [
+            math.sqrt(max(s / (c - 1), 0.0)) if c > 1 else 0.0 for c, s in zip(count, m2)
+        ]
+    n = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(n, ids, catalog.n)
+    pooled = StatsCatalog(
+        tuple(target_attrs), catalog.agg_columns, keys, n, mean, std, catalog.total_n
+    )
+    return pooled, ids
 
 
 def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCatalog:
@@ -174,29 +249,9 @@ def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCat
 
     ``target_attrs`` must be a subset of the catalog's group attributes; the
     pooled moments of each coarse group combine its fine strata exactly (up
-    to floating point error in m2).
+    to floating point error in the sum of squared deviations).
     """
-    target_attrs = tuple(target_attrs)
-    coarse_keys = [key.project(target_attrs) for key in catalog.entries]
-    return _pool(catalog, target_attrs, coarse_keys)
-
-
-def _pool(
-    catalog: StatsCatalog, target_attrs: tuple[str, ...], coarse_keys: Iterable[GroupKey]
-) -> StatsCatalog:
-    """:func:`pool_catalog` with each fine stratum's coarse key given, in
-    catalog order."""
-    pooled: dict[GroupKey, dict[str, RunningMoments]] = {}
-    for coarse, st in zip(coarse_keys, catalog.entries.values()):
-        acc = pooled.setdefault(coarse, {c: EMPTY_MOMENTS for c in catalog.agg_columns})
-        for col in catalog.agg_columns:
-            acc[col] = merge(acc[col], st.moments(col))
-    entries = {}
-    for coarse, acc in pooled.items():
-        n = next(iter(acc.values())).count
-        per_column = {c: ColumnSummary(m.mean, m.std) for c, m in acc.items()}
-        entries[coarse] = StratumStats(coarse, n, per_column)
-    return StatsCatalog(target_attrs, catalog.agg_columns, entries, catalog.total_n)
+    return pool_with_ids(catalog, target_attrs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +259,71 @@ def _pool(
 
 
 def catalog_to_json(catalog: StatsCatalog) -> str:
+    means = [catalog.mean[c].tolist() for c in catalog.agg_columns]
+    stds = [catalog.std[c].tolist() for c in catalog.agg_columns]
     doc = {
         "group_attrs": list(catalog.group_attrs),
         "agg_columns": list(catalog.agg_columns),
         "total_n": catalog.total_n,
         "strata": [
             {
-                "key": list(st.key.values),
-                "n": st.n,
+                "key": list(values),
+                "n": n,
                 "columns": {
-                    col: {"mean": _fmt(s.mean), "std": _fmt(s.std)}
-                    for col, s in st.per_column.items()
+                    col: {"mean": _fmt(mu[k]), "std": _fmt(sigma[k])}
+                    for col, mu, sigma in zip(catalog.agg_columns, means, stds)
                 },
             }
-            for st in catalog.entries.values()
+            for k, (values, n) in enumerate(zip(catalog.keys, catalog.n.tolist()))
         ],
     }
     return json.dumps(doc, indent=2)
 
 
-def catalog_from_json(text: str) -> StatsCatalog:
+def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
+    """Parse a catalog file.  A document of the wrong shape, a key of the
+    wrong length or a repeated key, a negative count, or a mean or std that
+    is not a finite number (or a negative std) raises
+    :class:`InvalidDocument` naming ``source`` and the field."""
+
+    def get(obj, path: str, name: str, ok=None, expected: str = ""):
+        """``obj[name]`` from the JSON object at ``path``; ``ok`` checks it."""
+        where = f"{path}.{name}" if path else name
+        if not isinstance(obj, dict):
+            what = path or "(document)"
+            raise InvalidDocument(f"{source}: {what}: expected an object, got {obj!r}")
+        if name not in obj:
+            raise InvalidDocument(f"{source}: {where}: missing")
+        if ok is not None and not ok(obj[name]):
+            raise InvalidDocument(
+                f"{source}: {where}: expected {expected}, got {obj[name]!r}"
+            )
+        return obj[name]
+
+    count = (lambda v: type(v) is int and v >= 0), "a non-negative integer"
+    real = (lambda v: type(v) in (int, float) and math.isfinite(v)), "a finite number"
+    spread = (lambda v: real[0](v) and v >= 0), "a finite number >= 0"
     doc = json.loads(text)
-    group_attrs = tuple(doc["group_attrs"])
-    agg_columns = tuple(doc["agg_columns"])
-    entries = {}
-    for item in doc["strata"]:
-        key = GroupKey(group_attrs, tuple(item["key"]))
-        per_column = {
-            col: ColumnSummary(float(v["mean"]), float(v["std"]))
-            for col, v in item["columns"].items()
-        }
-        entries[key] = StratumStats(key, int(item["n"]), per_column)
-    return StatsCatalog(group_attrs, agg_columns, entries, int(doc["total_n"]))
+    group_attrs = string_list(get(doc, "", "group_attrs"), source, "group_attrs")
+    agg_columns = string_list(get(doc, "", "agg_columns"), source, "agg_columns")
+    total_n = get(doc, "", "total_n", *count)
+    strata = get(doc, "", "strata", lambda v: isinstance(v, list), "a list")
+    index: dict[tuple, int] = {}
+    n: list[int] = []
+    mean: dict[str, list[float]] = {c: [] for c in agg_columns}
+    std: dict[str, list[float]] = {c: [] for c in agg_columns}
+    for i, item in enumerate(strata):
+        at = f"strata[{i}]"
+        key = string_list(get(item, at, "key"), source, f"{at}.key")
+        if len(key) != len(group_attrs):
+            raise InvalidDocument(
+                f"{source}: {at}.key: expected {len(group_attrs)} values, got {list(key)!r}"
+            )
+        if index.setdefault(key, i) != i:
+            raise InvalidDocument(f"{source}: {at}.key: repeats stratum {list(key)!r}")
+        n.append(get(item, at, "n", *count))
+        for col in agg_columns:
+            summary = get(get(item, at, "columns"), f"{at}.columns", col)
+            mean[col].append(float(get(summary, f"{at}.columns.{col}", "mean", *real)))
+            std[col].append(float(get(summary, f"{at}.columns.{col}", "std", *spread)))
+    return StatsCatalog(group_attrs, agg_columns, list(index), n, mean, std, total_n)

@@ -46,13 +46,14 @@ from .alloc import (
     UNIT_WEIGHTS,
     WeightSpec,
     _assemble_plan,
+    cv2_costs,
     floor_zero_costs,
     l2_loss,
     shed,
 )
 from .dataset import ColumnSchema, GroupKey, Relation
 from .errors import SchemaMismatch
-from .sampler import StratifiedSample, StratumSample, draw_stratified
+from .sampler import StratifiedSample, StratumSample
 from .stats import EMPTY_MOMENTS, RunningMoments, accumulate, compute_catalog
 
 
@@ -272,37 +273,15 @@ def settle_budget(state: StreamState) -> StreamState:
     return state
 
 
-def two_pass_reference(
-    records: Sequence[tuple],
-    schema: Sequence[ColumnSchema],
-    group_attrs: Sequence[str],
-    objective: ObjectiveSpec,
-    budget: int,
-    seed: int,
-) -> StratifiedSample:
-    """Offline oracle: first pass computes the catalog, second pass draws
-    the planned sample.  Scores match the streaming f(i)^2 exactly."""
-    rel = Relation.from_records(schema, records)
-    plan = offline_plan(rel, group_attrs, objective, budget)
-    return draw_stratified(rel, plan, seed)
-
-
 def offline_plan(
     rel: Relation,
     group_attrs: Sequence[str],
     objective: ObjectiveSpec,
     budget: int,
 ) -> AllocationPlan:
-    """The offline allocation the streaming sampler converges to."""
+    """The offline allocation the streaming sampler converges to; as in
+    :meth:`StreamState.scores`, a zero-mean column adds nothing."""
     catalog = compute_catalog(rel, group_attrs, objective.columns)
-    keys = list(catalog.entries)
-    raw = np.zeros(len(keys))
-    for i, key in enumerate(keys):
-        st = catalog.entries[key]
-        total = 0.0
-        for col in objective.columns:
-            s = st.per_column[col]
-            if s.cv_defined:
-                total += objective.weights.weight(0, key, col) * s.cv**2
-        raw[i] = total
-    return _assemble_plan(L2, catalog, keys, floor_zero_costs(raw), [], budget)
+    costs, _ = cv2_costs(catalog, objective.columns, objective.weights)
+    strata = np.arange(len(catalog))
+    return _assemble_plan(L2, catalog, strata, floor_zero_costs(costs), [], budget)

@@ -1,9 +1,12 @@
-"""Row-at-a-time reference forms of the package's stratum kernels.
+"""Row-at-a-time and stratum-at-a-time reference forms of the package's
+kernels.
 
-The package numbers strata with :func:`gbsample.dataset.stratum_ids` and
-walks them as slices of one sorted row order.  The functions here do the
-same work the plain way, one Python tuple per row, so the tests can check
-the kernels against them with ``==``.
+The package numbers strata with :func:`gbsample.dataset.stratum_ids`, walks
+them as slices of one sorted row order, and keeps their statistics as
+arrays indexed by stratum.  The functions here do the same work the plain
+way, one Python tuple per row and one ``GroupKey -> StratumStats`` dict
+entry per stratum, so the tests can check the kernels against them with
+``==``.
 """
 
 from __future__ import annotations
@@ -13,13 +16,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gbsample.alloc import (
+    UNIT_WEIGHTS,
     AllocationPlan,
     FinestStratification,
     GroupQuery,
+    WeightSpec,
     finest_from_catalog,
+    floor_zero_costs,
+    solve_fractional,
 )
-from gbsample.dataset import CATEGORICAL, GroupKey, Relation
-from gbsample.errors import UnknownAttribute
+from gbsample.dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation
+from gbsample.errors import (
+    NotASubset,
+    UnknownAttribute,
+    ZeroMeanCoarseGroup,
+    ZeroMeanGroup,
+    ZeroMeanStratum,
+)
+from gbsample.sampler import StratifiedSample, draw_stratified
 from gbsample.stats import (
     EMPTY_MOMENTS,
     ColumnSummary,
@@ -28,6 +42,7 @@ from gbsample.stats import (
     accumulate,
     compute_catalog,
 )
+from gbsample.stream import ObjectiveSpec, offline_plan
 from gbsample.workload import QuerySpec
 
 
@@ -53,8 +68,13 @@ def partition(rel: Relation, attrs: Sequence[str]) -> dict[GroupKey, list[int]]:
 
 
 def project_key(key: GroupKey, target_attrs: Sequence[str]) -> GroupKey:
-    """Functional form of :meth:`GroupKey.project`."""
-    return key.project(target_attrs)
+    """Restrict ``key`` to ``target_attrs`` (a subset of its attributes),
+    in the order of ``target_attrs``."""
+    lookup = dict(zip(key.attrs, key.values))
+    missing = [a for a in target_attrs if a not in lookup]
+    if missing:
+        raise NotASubset(f"attributes {missing} not part of key {key}")
+    return GroupKey(tuple(target_attrs), tuple(lookup[a] for a in target_attrs))
 
 
 def from_values(values: Iterable[float]) -> RunningMoments:
@@ -135,3 +155,162 @@ def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tup
                 entity[3] += query.repeats
                 entity[4].append((qidx, key))
     return [tuple(e) for e in entities.values()]
+
+
+# ---------------------------------------------------------------------------
+# moments, pooling and cost coefficients, one dict entry per stratum
+
+Entries = dict[GroupKey, StratumStats]
+
+
+def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
+    """Combine two moment accumulators as if their streams were concatenated
+    (Chan, Golub and LeVeque's pairwise update).
+
+    Exact for count and mean; m2 agrees with the single-stream value up to
+    floating point error.
+    """
+    if a.count == 0:
+        return b
+    if b.count == 0:
+        return a
+    count = a.count + b.count
+    delta = b.mean - a.mean
+    mean = a.mean + delta * (b.count / count)
+    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / count)
+    return RunningMoments(count, mean, m2)
+
+
+def moments(st: StratumStats, column: str) -> RunningMoments:
+    """The moment accumulator a stratum summary stands for."""
+    s = st.per_column[column]
+    return RunningMoments(st.n, s.mean, s.std**2 * (st.n - 1))
+
+
+def pool_entries(entries: Entries, target_attrs: Sequence[str]) -> Entries:
+    """:func:`gbsample.stats.pool_catalog` over dict entries: every key
+    projected with :func:`project_key`, every stratum and column
+    merged into its group in entry order."""
+    pooled: dict[GroupKey, dict[str, RunningMoments]] = {}
+    for key, st in entries.items():
+        acc = pooled.setdefault(
+            project_key(key, target_attrs), {c: EMPTY_MOMENTS for c in st.per_column}
+        )
+        for col in st.per_column:
+            acc[col] = merge(acc[col], moments(st, col))
+    out = {}
+    for coarse, acc in pooled.items():
+        n = next(iter(acc.values())).count
+        per_column = {c: ColumnSummary(m.mean, m.std) for c, m in acc.items()}
+        out[coarse] = StratumStats(coarse, n, per_column)
+    return out
+
+
+def cv_costs(
+    entries: Entries,
+    columns: Sequence[str],
+    weights: WeightSpec = UNIT_WEIGHTS,
+    zero_mean: str = "error",
+    query: int = 0,
+    error=ZeroMeanStratum,
+) -> tuple[list[GroupKey], list[float], list[GroupKey]]:
+    """:func:`gbsample.alloc.cv_costs` stratum by stratum, before the cost
+    floor: (kept keys, their sum_j w_j * cv_j**2, excluded keys)."""
+    keys, costs, excluded = [], [], []
+    for key, st in entries.items():
+        total = 0.0
+        bad = None
+        for col in columns:
+            w = weights.weight(query, key, col)
+            if w == 0.0:
+                continue
+            summary = st.per_column[col]
+            if not summary.cv_defined:
+                bad = col
+                break
+            total += w * summary.cv**2
+        if bad is not None:
+            if zero_mean == "exclude":
+                excluded.append(key)
+                continue
+            raise error(key, bad)
+        keys.append(key)
+        costs.append(total)
+    return keys, costs, excluded
+
+
+def individual_sizes(
+    per_query: Sequence[Entries],
+    queries: Sequence[GroupQuery],
+    budget: int,
+    weights: WeightSpec = UNIT_WEIGHTS,
+    zero_mean: str = "error",
+) -> dict[tuple[int, GroupKey], float]:
+    """:func:`gbsample.alloc.plan_individual`'s sizes from per-query dict
+    entries."""
+    pairs, scores, excluded = [], [], []
+    for i, (entries, q) in enumerate(zip(per_query, queries)):
+        policy = (weights, zero_mean, i, ZeroMeanGroup)
+        keys, costs, out = cv_costs(entries, q.columns, *policy)
+        pairs += [(i, k) for k in keys]
+        scores += costs
+        excluded += [(i, k) for k in out]
+    shares = solve_fractional(floor_zero_costs(np.array(scores)), budget - len(excluded))
+    sizes = dict(zip(pairs, (float(s) for s in shares)))
+    sizes.update((pair, 1.0) for pair in excluded)
+    return sizes
+
+
+def multi_grouping_costs(
+    fine: Entries,
+    queries: Sequence[GroupQuery],
+    weights: WeightSpec = UNIT_WEIGHTS,
+    zero_mean: str = "error",
+) -> tuple[list[GroupKey], np.ndarray]:
+    """:func:`gbsample.alloc.multi_grouping_costs` over dict entries, one
+    fine stratum, query and column at a time."""
+    coarse = [pool_entries(fine, q.attrs) for q in queries]
+    keys = list(fine)
+    costs = np.zeros(len(keys))
+    for idx, key in enumerate(keys):
+        fine_st = fine[key]
+        total = 0.0
+        for i, q in enumerate(queries):
+            coarse_key = project_key(key, q.attrs)
+            coarse_st = coarse[i][coarse_key]
+            inner = 0.0
+            for col in q.columns:
+                w = weights.weight(i, coarse_key, col)
+                if w == 0.0:
+                    continue
+                mu = coarse_st.per_column[col].mean
+                if mu == 0.0:
+                    if zero_mean == "exclude":
+                        continue
+                    raise ZeroMeanCoarseGroup(coarse_key, col)
+                sigma = fine_st.per_column[col].std
+                inner += w * sigma**2 / mu**2
+            total += inner / coarse_st.n**2
+        costs[idx] = fine_st.n**2 * total
+    return keys, floor_zero_costs(costs)
+
+
+# ---------------------------------------------------------------------------
+# streaming
+
+
+def two_pass_reference(
+    records: Sequence[tuple],
+    schema: Sequence[ColumnSchema],
+    group_attrs: Sequence[str],
+    objective: ObjectiveSpec,
+    budget: int,
+    seed: int,
+) -> StratifiedSample:
+    """Offline oracle for the streaming sampler: the first pass computes the
+    catalog, the second draws the planned sample.  Its scores are the
+    streaming f(i)^2 up to floating point error: the stream folds values in
+    one at a time and squares each CV as cv * cv."""
+    rel = Relation.from_records(schema, records)
+    plan = offline_plan(rel, group_attrs, objective, budget)
+    return draw_stratified(rel, plan, seed)

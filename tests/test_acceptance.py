@@ -202,16 +202,14 @@ def test_criterion_3_cv_calibration():
             values.setdefault(est.group, []).append(est.value)
 
     for key, n, s in zip(plan.keys, plan.populations, plan.sizes):
-        stats_v = catalog.entries[key].per_column["v"]
-        predicted_std = (
-            predicted_cv(int(n), int(s), stats_v.mean, stats_v.std)
-            * abs(stats_v.mean)
-        )
+        k = catalog.keys.index(key.values)
+        mean, std = float(catalog.mean["v"][k]), float(catalog.std["v"][k])
+        predicted_std = predicted_cv(int(n), int(s), mean, std) * abs(mean)
         arr = np.asarray(values[key])
         emp_std = float(arr.std(ddof=1))
         assert abs(emp_std - predicted_std) <= 0.05 * predicted_std, key
         se = emp_std / math.sqrt(reps)
-        assert abs(float(arr.mean()) - stats_v.mean) <= 3 * se, key
+        assert abs(float(arr.mean()) - mean) <= 3 * se, key
     elapsed = time.time() - start
     assert elapsed < 120.0
     _announce(3, f"empirical estimator spread within 5% of predicted CV and "
@@ -246,28 +244,24 @@ def test_criterion_4_minimax_behavior():
         plan_inf = plan_linf(catalog, "v", budget)
         plan_sq = plan_l2(catalog, ["v"], budget)
 
+        pops = catalog.n.tolist()
+        means = catalog.mean["v"].tolist()
+        stds = catalog.std["v"].tolist()
+
         def max_cv(plan):
             worst = 0.0
             for key, n, s in zip(plan.keys, plan.populations, plan.sizes):
-                stats_v = catalog.entries[key].per_column["v"]
-                worst = max(
-                    worst, predicted_cv(int(n), int(s), stats_v.mean, stats_v.std)
-                )
+                k = catalog.keys.index(key.values)
+                worst = max(worst, predicted_cv(int(n), int(s), means[k], stds[k]))
             return worst
 
         assert max_cv(plan_inf) <= max_cv(plan_sq) + 1e-12, name
 
         # the exact integer minimax, over every composition of the budget
-        keys = list(catalog.entries)
-        if len(keys) <= 3:
-            pops = [catalog.entries[k].n for k in keys]
+        if len(catalog) <= 3:
             cv_of = [
-                [None] + [
-                    predicted_cv(n, s, catalog.entries[k].per_column["v"].mean,
-                                 catalog.entries[k].per_column["v"].std)
-                    for s in range(1, n + 1)
-                ]
-                for k, n in zip(keys, pops)
+                [None] + [predicted_cv(n, s, mean, std) for s in range(1, n + 1)]
+                for n, mean, std in zip(pops, means, stds)
             ]
             best = min(
                 max(cv_of[i][s] for i, s in enumerate(comp))
@@ -278,9 +272,9 @@ def test_criterion_4_minimax_behavior():
 
         cvs = []
         for key, x in zip(plan_inf.keys, plan_inf.fractional):
-            stats_v = catalog.entries[key].per_column["v"]
-            n = catalog.entries[key].n
-            cvs.append(stats_v.cv * math.sqrt((n - x) / (n * x)))
+            k = catalog.keys.index(key.values)
+            n = pops[k]
+            cvs.append(stds[k] / abs(means[k]) * math.sqrt((n - x) / (n * x)))
         assert max(cvs) - min(cvs) <= 1e-6 * max(cvs), name
     assert exhaustive == 3
     _announce(4, "minimax plans never raise the worst predicted CV, equal the "

@@ -43,6 +43,7 @@ from gbsample.dataset import (
 from gbsample.errors import (
     AllStrataConstant,
     EmptyProblem,
+    InvalidArgument,
     InvalidSampleSize,
     NonPositiveCost,
     RateOutOfRange,
@@ -51,7 +52,7 @@ from gbsample.errors import (
 from gbsample.stats import compute_catalog, pool_catalog
 
 from conftest import STUDENT_ROWS, STUDENT_SCHEMA
-from reference import build_finest, partition
+from reference import build_finest, partition, project_key
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +350,9 @@ def test_cv_costs_zero_mean_error_and_exclude():
     catalog = compute_catalog(rel, ["g"], ["v"])
     with pytest.raises(ZeroMeanStratum):
         cv_costs(catalog, ["v"])
-    keys, costs, excluded = cv_costs(catalog, ["v"], zero_mean="exclude")
-    assert [k.values for k in excluded] == [("a",)]
+    kept, costs, excluded = cv_costs(catalog, ["v"], zero_mean="exclude")
+    assert [catalog.keys[k] for k in excluded] == [("a",)]
+    assert [catalog.keys[k] for k in kept] == [("b",)]
     plan = plan_l2(catalog, ["v"], 3, zero_mean="exclude")
     assert plan.size_of(GroupKey(("g",), ("a",))) == 1
 
@@ -381,7 +383,7 @@ def test_multi_column_reductions(student_rel):
 
 def test_multi_column_costs_match_hand_expansion(student_rel):
     catalog = compute_catalog(student_rel, ["major"], ["age", "gpa"])
-    keys, costs, _ = cv_costs(catalog, ["age", "gpa"])
+    kept, costs, _ = cv_costs(catalog, ["age", "gpa"])
     by_major = {}
     for major in ("CS", "Math", "EE", "ME"):
         rows = [r for r in STUDENT_ROWS if r[4] == major]
@@ -392,8 +394,8 @@ def test_multi_column_costs_match_hand_expansion(student_rel):
             var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
             total += var / mean**2
         by_major[major] = total
-    for key, cost in zip(keys, costs):
-        assert cost == pytest.approx(by_major[key.values[0]], rel=1e-12)
+    for k, cost in zip(kept, costs):
+        assert cost == pytest.approx(by_major[catalog.keys[k][0]], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +453,9 @@ def test_capped_objective_matches_exhaustive_optimum():
 def test_multi_grouping_single_query_reduces_to_plain_costs(student_rel):
     fs = build_finest(student_rel, [GroupQuery(("major",), ("gpa",))])
     keys_b, costs_b = multi_grouping_costs(fs)
-    keys_a, costs_a, _ = cv_costs(compute_catalog(student_rel, ["major"], ["gpa"]), ["gpa"])
-    assert [k.values for k in keys_b] == [k.values for k in keys_a]
+    catalog = compute_catalog(student_rel, ["major"], ["gpa"])
+    kept, costs_a, _ = cv_costs(catalog, ["gpa"])
+    assert [k.values for k in keys_b] == [catalog.keys[k] for k in kept]
     assert costs_b == pytest.approx(costs_a, rel=1e-12)
 
 
@@ -526,7 +529,7 @@ def test_plan_multi_groupby_runs(student_rel):
     fs = build_finest(student_rel, queries)
     plan = plan_multi_groupby(fs, 6)
     assert plan.total_size == 6
-    assert set(plan.keys) == set(fs.fine.entries)
+    assert set(plan.keys) == set(fs.fine.group_keys())
 
 
 def test_finest_from_catalog_matches_build(student_rel):
@@ -538,12 +541,18 @@ def test_finest_from_catalog_matches_build(student_rel):
     _, costs_a = multi_grouping_costs(from_catalog)
     _, costs_b = multi_grouping_costs(direct)
     assert costs_a == pytest.approx(costs_b, rel=1e-12)
-    # the coarse catalogs are the pooled ones, entry for entry and in order
-    for q, coarse, proj in zip(queries, from_catalog.coarse, from_catalog.projections):
+    # the coarse catalogs are the pooled ones, stratum for stratum and in
+    # order, and each fine stratum's coarse id points at its projection
+    for q, coarse, ids in zip(queries, from_catalog.coarse, from_catalog.coarse_ids):
         pooled = pool_catalog(fine, q.attrs)
         assert coarse.group_attrs == pooled.group_attrs == q.attrs
-        assert list(coarse.entries.items()) == list(pooled.entries.items())
-        assert proj == {key: key.project(q.attrs) for key in fine.entries}
+        assert coarse.keys == pooled.keys
+        assert coarse.n.tolist() == pooled.n.tolist()
+        assert coarse.mean["gpa"].tolist() == pooled.mean["gpa"].tolist()
+        assert coarse.std["gpa"].tolist() == pooled.std["gpa"].tolist()
+        assert [coarse.keys[g] for g in ids] == [
+            project_key(key, q.attrs).values for key in fine.group_keys()
+        ]
     with pytest.raises(Exception):
         finest_from_catalog(fine, [GroupQuery(("id",), ("gpa",))])
 
@@ -592,23 +601,27 @@ def test_linf_identical_strata_equal_split():
     assert plan.sizes.tolist() == [10, 10, 10]
 
 
+def _stratum(catalog, key, col="v"):
+    """(n, mean, std) of the stratum ``key`` in the arrays of ``catalog``."""
+    k = catalog.keys.index(key.values)
+    return int(catalog.n[k]), float(catalog.mean[col][k]), float(catalog.std[col][k])
+
+
 def _max_cv(catalog, plan):
     out = 0.0
     for key, n, size in zip(plan.keys, plan.populations, plan.sizes):
-        st = catalog.entries[key].per_column["v"]
-        out = max(out, predicted_cv(int(n), int(size), st.mean, st.std))
+        _, mean, std = _stratum(catalog, key)
+        out = max(out, predicted_cv(int(n), int(size), mean, std))
     return out
 
 
 def exhaustive_minimax(catalog, budget):
     """Smallest max predicted CV over every composition of the budget into
     1 <= s_i <= n_i (positive-variance strata only)."""
-    keys = list(catalog.entries)
-    pops = [catalog.entries[k].n for k in keys]
+    pops = catalog.n.tolist()
     table = []
-    for key, n in zip(keys, pops):
-        st = catalog.entries[key].per_column["v"]
-        table.append([None] + [predicted_cv(n, s, st.mean, st.std) for s in range(1, n + 1)])
+    for n, mean, std in zip(pops, catalog.mean["v"].tolist(), catalog.std["v"].tolist()):
+        table.append([None] + [predicted_cv(n, s, mean, std) for s in range(1, n + 1)])
     return min(
         max(table[i][s] for i, s in enumerate(comp))
         for comp in compositions(min(budget, sum(pops)), pops)
@@ -665,8 +678,8 @@ def test_linf_fractional_equalizes_cvs():
     assert plan.fractional.sum() == pytest.approx(90, rel=1e-12)
     cvs = []
     for key, x in zip(plan.keys, plan.fractional):
-        s = catalog.entries[key].per_column["v"]
-        cvs.append(s.cv * math.sqrt((catalog.entries[key].n - x) / (catalog.entries[key].n * x)))
+        n, mean, std = _stratum(catalog, key)
+        cvs.append(std / abs(mean) * math.sqrt((n - x) / (n * x)))
     assert max(cvs) == pytest.approx(min(cvs), rel=1e-6)
 
 
@@ -681,8 +694,8 @@ def test_linf_max_cv_not_worse_than_l2():
     def max_cv(plan):
         out = 0.0
         for key, n, s in zip(plan.keys, plan.populations, plan.sizes):
-            st = catalog.entries[key].per_column["v"]
-            out = max(out, predicted_cv(int(n), int(s), st.mean, st.std))
+            _, mean, std = _stratum(catalog, key)
+            out = max(out, predicted_cv(int(n), int(s), mean, std))
         return out
 
     assert max_cv(plan_inf) <= max_cv(plan_sq) + 1e-12
@@ -706,9 +719,9 @@ def test_individual_single_query_matches_plain(student_rel):
     catalog = compute_catalog(student_rel, ["major"], ["age", "gpa"])
     q = GroupQuery(("major",), ("age", "gpa"))
     alloc_one = plan_individual([catalog], [q], 8)
-    keys, costs, _ = cv_costs(catalog, ["age", "gpa"])
+    kept, costs, _ = cv_costs(catalog, ["age", "gpa"])
     closed = solve_fractional(costs, 8)
-    for key, frac in zip(keys, closed):
+    for key, frac in zip(catalog.group_keys(kept), closed):
         assert alloc_one.sizes[(0, key)] == pytest.approx(frac, rel=1e-12)
     assert alloc_one.total == pytest.approx(8.0, rel=1e-12)
 
@@ -718,7 +731,7 @@ def test_individual_duplicate_query_halves_then_matches(student_rel):
     q = GroupQuery(("major",), ("age",))
     one = plan_individual([catalog], [q], 8)
     two = plan_individual([catalog, catalog], [q, q], 8)
-    for key in catalog.entries:
+    for key in catalog.group_keys():
         # identical queries split the budget evenly; each query's group gets
         # half of the single-query share
         assert two.sizes[(0, key)] == pytest.approx(one.sizes[(0, key)] / 2, rel=1e-12)
@@ -734,9 +747,8 @@ def test_individual_disjoint_groupings_match_grid_oracle(student_rel):
     pairs = list(result.sizes)
     scores = []
     for (i, key) in pairs:
-        cat = (cat_major, cat_college)[i]
-        st = cat.entries[key].per_column[("age", "gpa")[i]]
-        scores.append(st.cv**2)
+        _, mean, std = _stratum((cat_major, cat_college)[i], key, ("age", "gpa")[i])
+        scores.append((std / abs(mean)) ** 2)
     ours = sum(sc / result.sizes[p] for sc, p in zip(scores, pairs))
     oracle = lambda_bisection(np.array(scores), 12)
     oracle_obj = float((np.array(scores) / oracle).sum())
@@ -1125,3 +1137,25 @@ def test_inclusion_rates_match_reference_with_missing_entries():
     assert inclusion_rates(empty, alloc).tobytes() == (
         reference_inclusion_rates(empty, alloc).tobytes()
     )
+
+
+def test_unknown_zero_mean_policy_raises_invalid_argument(student_rel):
+    # no stratum has a zero mean, so only the policy check can raise
+    catalog = compute_catalog(student_rel, ["major", "college"], ["age", "gpa"])
+    queries = [GroupQuery(("major",), ("gpa",)), GroupQuery((), ("age",))]
+    fs = finest_from_catalog(catalog, queries)
+    pooled = [pool_catalog(catalog, q.attrs) for q in queries]
+    calls = [
+        lambda zm: cv_costs(catalog, ["age"], zero_mean=zm),
+        lambda zm: plan_l2(catalog, ["age"], 6, zero_mean=zm),
+        lambda zm: plan_linf(catalog, "age", 6, zm),
+        lambda zm: multi_grouping_costs(fs, zero_mean=zm),
+        lambda zm: plan_multi_groupby(fs, 6, zero_mean=zm),
+        lambda zm: plan_individual(pooled, queries, 6, zero_mean=zm),
+    ]
+    for call in calls:
+        for zero_mean in ("error", "exclude"):
+            call(zero_mean)
+        for zero_mean in ("excldue", "Error", ""):
+            with pytest.raises(InvalidArgument, match="zero_mean"):
+                call(zero_mean)

@@ -519,3 +519,109 @@ def test_a_string_where_a_list_is_expected_is_a_user_error(
     )
     assert _run("stats", "--config", str(cfg)) == 1
     assert "group_by" in capsys.readouterr().err
+
+
+def _drop(doc, path):
+    *parents, last = path
+    for p in parents:
+        doc = doc[p]
+    del doc[last]
+
+
+def _put(doc, path, value):
+    *parents, last = path
+    for p in parents:
+        doc = doc[p]
+    doc[last] = value
+
+
+# each mutation of a valid catalog.json, as (name, path, value); a value of
+# None drops the field
+CATALOG_MUTATIONS = [
+    ("missing agg_columns", ("agg_columns",), None),
+    ("stratum without n", ("strata", 0, "n"), None),
+    ("columns without an aggregation column", ("strata", 0, "columns", "v"), None),
+    ("key longer than group_attrs", ("strata", 0, "key"), ["a", "extra"]),
+    ("group_attrs as a string", ("group_attrs",), "grp"),
+    ("non-numeric std", ("strata", 1, "columns", "v", "std"), "wide"),
+    ("negative n", ("strata", 0, "n"), -3),
+    ("duplicate key", ("strata", 1, "key"), ["a"]),
+    ("negative std", ("strata", 0, "columns", "v", "std"), -1.0),
+    ("infinite std", ("strata", 0, "columns", "v", "std"), float("inf")),
+    ("NaN mean", ("strata", 0, "columns", "v", "mean"), float("nan")),
+    ("missing total_n", ("total_n",), None),
+    ("strata as an object", ("strata",), {}),
+    ("stratum not an object", ("strata", 0), ["a"]),
+    ("document not an object", (), None),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path, value", CATALOG_MUTATIONS, ids=[m[0] for m in CATALOG_MUTATIONS]
+)
+def test_malformed_catalog_is_a_user_error(tmp_path, fix_a_csv, capsys, name, path, value):
+    cfg = _write_config(tmp_path, fix_a_csv, budget=4)
+    assert _run("stats", "--config", str(cfg)) == 0
+    catalog = tmp_path / "out" / "catalog.json"
+    doc = json.loads(catalog.read_text(encoding="utf-8"))
+    if not path:
+        doc = [doc]
+    elif value is None:
+        _drop(doc, path)
+    else:
+        _put(doc, path, value)
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1, name
+    assert not (tmp_path / "out" / "plan.json").exists()
+    # the message names the file
+    assert str(catalog) in capsys.readouterr().err
+
+
+def test_catalog_errors_name_the_field(tmp_path):
+    from gbsample.errors import InvalidDocument
+    from gbsample.stats import catalog_from_json
+
+    doc = {
+        "group_attrs": ["g"],
+        "agg_columns": ["v"],
+        "total_n": 3,
+        "strata": [{"key": ["a"], "n": -3, "columns": {"v": {"mean": 1.0, "std": 0.0}}}],
+    }
+    with pytest.raises(InvalidDocument, match=r"^cat\.json: strata\[0\]\.n: expected"):
+        catalog_from_json(json.dumps(doc), "cat.json")
+    doc["strata"][0]["n"] = 3
+    doc["strata"].append(dict(doc["strata"][0]))
+    with pytest.raises(InvalidDocument, match=r"strata\[1\]\.key: repeats stratum \['a'\]"):
+        catalog_from_json(json.dumps(doc), "cat.json")
+    del doc["strata"][0]["columns"]["v"]["std"]
+    with pytest.raises(InvalidDocument, match=r"strata\[0\]\.columns\.v\.std: missing"):
+        catalog_from_json(json.dumps(doc), "cat.json")
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [
+        ("cvopt-l2", {}),
+        ("cvopt-linf", {}),
+        ("cvopt-l2", {"group_by": [], "workload": "w"}),
+        ("cvopt-individual", {"workload": "w"}),
+    ],
+)
+def test_unknown_zero_mean_policy_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, method, extra
+):
+    if "workload" in extra:
+        workload = tmp_path / "workload.json"
+        workload.write_text(
+            json.dumps([{"group_by": ["grp"], "aggregates": ["v"]},
+                        {"group_by": [], "aggregates": ["v"]}]),
+            encoding="utf-8",
+        )
+        extra = {**extra, "workload": str(workload)}
+    cfg = _write_config(tmp_path, fix_a_csv, method=method, zero_mean="excldue", **extra)
+    assert _run("stats", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    assert "excldue" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plan.json").exists()

@@ -1,5 +1,7 @@
-"""The encoded relation and the sort-and-segment stratum kernel against the
-row-at-a-time reference forms in ``reference.py``, compared with ``==``."""
+"""The encoded relation, the sort-and-segment stratum kernel and the array
+catalog's pooling and cost kernels against the row-at-a-time and
+dict-per-stratum reference forms in ``reference.py``, compared with
+``==``."""
 
 import csv
 import math
@@ -10,6 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gbsample.alloc import (
+    UNIT_WEIGHTS,
+    GroupQuery,
+    WeightSpec,
+    cv_costs,
+    finest_from_catalog,
+    floor_zero_costs,
+    multi_grouping_costs,
+    plan_individual,
+    plan_l2,
+    plan_linf,
+)
 from gbsample.baselines import alloc_senate
 from gbsample.dataset import (
     CATEGORICAL,
@@ -24,10 +38,28 @@ from gbsample.dataset import (
     segments,
     stratum_ids,
 )
+from gbsample.errors import (
+    GbsampleError,
+    ZeroMeanCoarseGroup,
+    ZeroMeanError,
+    ZeroMeanGroup,
+    ZeroMeanStratum,
+)
 from gbsample.query import Atom, Predicate
 from gbsample.sampler import draw_stratified
-from gbsample.stats import compute_catalog
-from gbsample.workload import QuerySpec, derive_aggregation_groups
+from gbsample.stats import (
+    ColumnSummary,
+    StatsCatalog,
+    StratumStats,
+    compute_catalog,
+    pool_catalog,
+)
+from gbsample.workload import (
+    QuerySpec,
+    allocation_inputs,
+    derive_aggregation_groups,
+    weights_from_frequencies,
+)
 
 import reference
 
@@ -89,7 +121,7 @@ def _check_kernels(rel):
         ] == list(buckets.values())
 
         catalog = compute_catalog(rel, attrs, ["v"])
-        assert list(catalog.entries.items()) == list(
+        assert _as_entries(catalog) == list(
             reference.catalog_entries(rel, attrs, ["v"]).items()
         )
 
@@ -153,7 +185,9 @@ def test_kernels_on_a_zero_row_relation():
     ids, values = stratum_ids(rel, ("g", "h"))
     assert ids.shape == (0,) and values == []
     catalog = compute_catalog(rel, (), ["v"])
-    assert [(st.key, st.n) for st in catalog.entries.values()] == [(GroupKey((), ()), 0)]
+    assert catalog.keys == [()] and catalog.n.tolist() == [0]
+    assert catalog.mean["v"].tolist() == catalog.std["v"].tolist() == [0.0]
+    assert list(catalog.entries) == [GroupKey((), ())]
 
 
 def test_stratum_ids_compact_past_the_int64_range():
@@ -234,3 +268,226 @@ def test_categorical_mask_compares_codes_like_values(atom):
         want = np.array(hit if atom.op == "=" else [not h for h in hit], dtype=bool)
         got = Predicate((atom,)).mask(rel)
         assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the array catalog, pooling and cost kernels against the dict-per-stratum
+# reference forms
+
+COST_SCHEMA = (
+    ColumnSchema("g", CATEGORICAL),
+    ColumnSchema("h", CATEGORICAL),
+    ColumnSchema("k", CATEGORICAL),
+    ColumnSchema("v", NUMERIC),
+    ColumnSchema("u", NUMERIC),
+)
+
+#: small integers, so strata whose mean is exactly zero are common
+LEVELS = [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+
+FINE = ("g", "h", "k")
+
+#: permuted attributes, a single attribute, the fine grouping itself and
+#: the empty grouping, each with its aggregation columns
+QUERIES = [
+    GroupQuery(("k", "g"), ("v",)),
+    GroupQuery(("h",), ("u", "v")),
+    GroupQuery(("g", "h", "k"), ("v", "u")),
+    GroupQuery((), ("u",)),
+]
+
+WORKLOAD = [
+    QuerySpec(("k", "g"), ("v",), None, 2),
+    QuerySpec(("h",), ("u", "v"), Predicate((Atom("u", ">", 0.0),)), 3),
+    QuerySpec((), ("u",)),
+]
+
+_cost_rows = st.lists(
+    st.tuples(
+        st.sampled_from(TEXT),
+        st.sampled_from(TEXT[:4]),
+        st.sampled_from(TEXT[3:]),
+        st.sampled_from(LEVELS),
+        st.sampled_from(LEVELS) | st.floats(0.5, 50.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _as_entries(catalog):
+    """The arrays of ``catalog`` as a ``GroupKey -> StratumStats`` dict,
+    built here rather than by ``StatsCatalog.entries``."""
+    out = {}
+    for k, values in enumerate(catalog.keys):
+        key = GroupKey(catalog.group_attrs, values)
+        per_column = {
+            c: ColumnSummary(float(catalog.mean[c][k]), float(catalog.std[c][k]))
+            for c in catalog.agg_columns
+        }
+        out[key] = StratumStats(key, int(catalog.n[k]), per_column)
+    return list(out.items())
+
+
+def _outcome(fn):
+    """``fn()``, or for an error its type and, for a zero mean, the key and
+    column it names."""
+    try:
+        return fn()
+    except ZeroMeanError as exc:
+        return type(exc), exc.key, exc.column
+    except GbsampleError as exc:
+        return type(exc)
+
+
+def _check_cost_kernels(rel):
+    columns = ("v", "u")
+    fine = compute_catalog(rel, FINE, columns)
+    ref_fine = reference.catalog_entries(rel, FINE, columns)
+    assert _as_entries(fine) == list(ref_fine.items())
+    assert list(fine.entries.items()) == list(ref_fine.items())
+
+    table = derive_aggregation_groups(rel, WORKLOAD)
+    derived_queries, derived_weights = allocation_inputs(table)
+    weighted = [
+        (QUERIES, UNIT_WEIGHTS),
+        (QUERIES, WeightSpec({(1, None, "v"): 4.0, (None, None, "u"): 0.5})),
+        (derived_queries, derived_weights),
+        ([GroupQuery(q.group_attrs, q.agg_columns) for q in WORKLOAD],
+         weights_from_frequencies(table)),
+    ]
+    for queries, weights in weighted:
+        fs = finest_from_catalog(fine, queries)
+        ref_coarse = [reference.pool_entries(ref_fine, q.attrs) for q in queries]
+        for q, coarse, ids, ref in zip(queries, fs.coarse, fs.coarse_ids, ref_coarse):
+            assert _as_entries(coarse) == list(ref.items())
+            assert _as_entries(pool_catalog(fine, q.attrs)) == list(ref.items())
+            assert [coarse.keys[g] for g in ids.tolist()] == [
+                reference.project_key(key, q.attrs).values for key in ref_fine
+            ]
+        for zero_mean in ("error", "exclude"):
+            policy = (weights, zero_mean)
+            got = _outcome(lambda: _listed(multi_grouping_costs(fs, *policy)))
+            want = _outcome(
+                lambda: _listed(reference.multi_grouping_costs(ref_fine, queries, *policy))
+            )
+            assert got == want
+            for i, (q, coarse, ref) in enumerate(zip(queries, fs.coarse, ref_coarse)):
+                got = _outcome(lambda: _keyed(coarse, cv_costs(coarse, q.columns, *policy, i)))
+                want = _outcome(
+                    lambda: _floored(reference.cv_costs(ref, q.columns, *policy, i))
+                )
+                assert got == want
+            budget = 3 * sum(len(c) for c in fs.coarse)
+            got = _outcome(lambda: plan_individual(fs.coarse, queries, budget, *policy).sizes)
+            want = _outcome(
+                lambda: reference.individual_sizes(ref_coarse, queries, budget, *policy)
+            )
+            assert got == want
+
+
+def _listed(result):
+    return tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in result)
+
+
+def _floored(result):
+    keys, costs, excluded = result
+    return keys, floor_zero_costs(np.array(costs)).tolist(), excluded
+
+
+def _keyed(catalog, result):
+    kept, costs, excluded = result
+    return catalog.group_keys(kept), costs.tolist(), catalog.group_keys(excluded)
+
+
+@given(_cost_rows)
+def test_cost_kernels_match_the_reference(rows):
+    _check_cost_kernels(Relation.from_records(COST_SCHEMA, rows))
+
+
+def test_cost_kernels_match_the_reference_on_larger_strata():
+    rng = np.random.default_rng(8)
+    n = 2000
+    rows = list(
+        zip(
+            rng.choice(TEXT[:3], size=n).tolist(),
+            rng.choice(TEXT[3:5], size=n).tolist(),
+            rng.choice(TEXT, size=n).tolist(),
+            rng.choice(LEVELS, size=n).tolist(),
+            rng.lognormal(2.0, 1.0, size=n).tolist(),
+        )
+    )
+    _check_cost_kernels(Relation.from_records(COST_SCHEMA, rows))
+
+
+def test_zero_mean_errors_name_the_first_key_and_column_in_catalog_order():
+    # stratum ("a,b", "ä") has mean 0 in v, and ("日本語", "") in u and v
+    rows = [
+        ("x", "", 1.0, 2.0),
+        ("x", "", 3.0, 5.0),
+        ("x", "", 4.0, 1.0),
+        ("a,b", "ä", -1.0, 1.0),
+        ("a,b", "ä", 1.0, 2.0),
+        ("日本語", "", 2.0, -3.0),
+        ("日本語", "", -2.0, 3.0),
+    ]
+    schema = (
+        ColumnSchema("g", CATEGORICAL),
+        ColumnSchema("h", CATEGORICAL),
+        ColumnSchema("v", NUMERIC),
+        ColumnSchema("u", NUMERIC),
+    )
+    rel = Relation.from_records(schema, rows)
+    fine = compute_catalog(rel, ("g", "h"), ("u", "v"))
+    first = GroupKey(("g", "h"), ("a,b", "ä"))
+    with pytest.raises(ZeroMeanStratum) as err:
+        cv_costs(fine, ("u", "v"))
+    assert (err.value.key, err.value.column) == (first, "v")
+    with pytest.raises(ZeroMeanStratum) as err:
+        cv_costs(fine, ("v", "u"))
+    assert (err.value.key, err.value.column) == (first, "v")
+    with pytest.raises(ZeroMeanStratum) as err:
+        plan_linf(fine, "u", 5)
+    last = GroupKey(("g", "h"), ("日本語", ""))
+    assert (err.value.key, err.value.column) == (last, "u")
+    with pytest.raises(ZeroMeanGroup) as err:
+        plan_individual([fine], [GroupQuery(("g", "h"), ("u", "v"))], 5)
+    assert (err.value.key, err.value.column) == (first, "v")
+    queries = [GroupQuery(("h", "g"), ("u",)), GroupQuery(("g",), ("v",))]
+    with pytest.raises(ZeroMeanCoarseGroup) as err:
+        multi_grouping_costs(finest_from_catalog(fine, queries))
+    assert (err.value.key, err.value.column) == (GroupKey(("g",), ("a,b",)), "v")
+    # excluded, the two strata are pinned at one row each
+    plan = plan_l2(fine, ("u", "v"), 5, zero_mean="exclude")
+    assert plan.keys[1:] == (first, last)
+    assert plan.sizes.tolist() == [3, 1, 1]
+
+
+def test_costs_square_like_python_floats():
+    # the C library's pow, behind Python's x**2, is not always the
+    # correctly rounded x * x that numpy's square gives; the cost kernels
+    # must square like the per-stratum loops they replace
+    rng = np.random.default_rng(5)
+    x = rng.lognormal(0.0, 1.0, size=20_000)
+    odd = [v for v in x.tolist() if v**2 != v * v][:20]
+    if not odd:
+        pytest.skip("this platform's pow squares every sample like x * x")
+    # mean 1 and std v give cv = v
+    n = len(odd)
+    catalog = StatsCatalog(
+        ("g",), ("v",), [(f"s{i}",) for i in range(n)], [4] * n,
+        {"v": [1.0] * n}, {"v": odd}, 4 * n,
+    )
+    ref = dict(_as_entries(catalog))
+    for zero_mean in ("error", "exclude"):
+        got = _keyed(catalog, cv_costs(catalog, ("v",), zero_mean=zero_mean))
+        assert got == _floored(reference.cv_costs(ref, ("v",), zero_mean=zero_mean))
+    fs = finest_from_catalog(catalog, [GroupQuery(("g",), ("v",)), GroupQuery((), ("v",))])
+    assert _listed(multi_grouping_costs(fs)) == _listed(
+        reference.multi_grouping_costs(ref, fs.queries)
+    )
+    # pooling rebuilds each sum of squared deviations as std**2 * (n - 1)
+    for attrs in (("g",), ()):
+        assert _as_entries(pool_catalog(catalog, attrs)) == list(
+            reference.pool_entries(ref, attrs).items()
+        )

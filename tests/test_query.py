@@ -47,7 +47,7 @@ from gbsample.sampler import (
 )
 from gbsample.stats import compute_catalog
 
-from reference import partition
+from reference import partition, project_key
 
 
 
@@ -471,7 +471,7 @@ def _ref_expansions(sample, group_attrs, column, predicate):
     matcher = _ref_row_matcher(predicate, sample.schema) if predicate else None
     groups = {}
     for stratum in sample.strata:
-        coarse = stratum.key.project(group_attrs)
+        coarse = project_key(stratum.key, group_attrs)
         g = groups.setdefault(
             coarse, {"sum": 0.0, "count": 0.0, "support": 0, "sampled": False}
         )

@@ -13,11 +13,10 @@ from gbsample.stats import (
     catalog_from_json,
     catalog_to_json,
     compute_catalog,
-    merge,
     pool_catalog,
 )
 
-from reference import from_values
+from reference import from_values, merge
 
 
 def test_accumulate_two_points():
@@ -80,30 +79,36 @@ def test_merge_equals_concatenation(xs, ys):
 
 def test_catalog_student_major_age(student_rel):
     catalog = compute_catalog(student_rel, ["major"], ["age"])
-    cs = catalog.entries[GroupKey(("major",), ("CS",))]
-    assert cs.n == 2
-    s = cs.per_column["age"]
-    assert s.mean == pytest.approx(23.5)
-    assert s.std == pytest.approx(math.sqrt(4.5))
-    assert s.cv == pytest.approx(math.sqrt(4.5) / 23.5)
-    assert s.cv == pytest.approx(0.09027, abs=5e-6)
+    k = catalog.keys.index(("CS",))
+    assert catalog.n[k] == 2
+    mean, std = catalog.mean["age"][k], catalog.std["age"][k]
+    assert mean == pytest.approx(23.5)
+    assert std == pytest.approx(math.sqrt(4.5))
+    assert std / abs(mean) == pytest.approx(math.sqrt(4.5) / 23.5)
+    assert std / abs(mean) == pytest.approx(0.09027, abs=5e-6)
     assert catalog.total_n == 8
-    assert sum(st.n for st in catalog.entries.values()) == 8
+    assert catalog.n.sum() == 8
+    # the derived per-stratum view agrees with the arrays
+    s = catalog.entries[GroupKey(("major",), ("CS",))].per_column["age"]
+    assert (s.mean, s.std) == (mean, std)
+    assert s.cv == std / abs(mean)
 
 
 def test_catalog_single_row_stratum():
     schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
     rel = Relation.from_records(schema, [("a", 5.0)])
-    st_a = compute_catalog(rel, ["g"], ["v"]).entries[GroupKey(("g",), ("a",))]
-    assert st_a.per_column["v"].std == 0.0
-    assert st_a.per_column["v"].cv == 0.0
+    catalog = compute_catalog(rel, ["g"], ["v"])
+    assert catalog.keys == [("a",)] and catalog.n.tolist() == [1]
+    assert catalog.std["v"].tolist() == [0.0]
+    assert catalog.entries[GroupKey(("g",), ("a",))].per_column["v"].cv == 0.0
 
 
 def test_catalog_zero_mean_flag():
     schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
     rel = Relation.from_records(schema, [("a", 5.0), ("a", -5.0)])
-    s = compute_catalog(rel, ["g"], ["v"]).entries[GroupKey(("g",), ("a",))].per_column["v"]
-    assert s.mean == 0.0
+    catalog = compute_catalog(rel, ["g"], ["v"])
+    assert catalog.mean["v"].tolist() == [0.0]
+    s = catalog.entries[GroupKey(("g",), ("a",))].per_column["v"]
     assert not s.cv_defined
     assert s.cv is None
 
@@ -129,11 +134,12 @@ def test_rescaling_column_leaves_cv_unchanged(student_rel):
     ]
     rel2 = Relation.from_records(student_rel.schema, scaled_rows)
     scaled = compute_catalog(rel2, ["major"], ["age"])
-    for key, st_base in base.entries.items():
-        a, b = st_base.per_column["age"], scaled.entries[key].per_column["age"]
-        assert b.mean == pytest.approx(c * a.mean, rel=1e-12)
-        assert b.std == pytest.approx(c * a.std, rel=1e-12)
-        assert b.cv == pytest.approx(a.cv, rel=1e-12)
+    assert scaled.keys == base.keys
+    a_mean, a_std = base.mean["age"], base.std["age"]
+    b_mean, b_std = scaled.mean["age"], scaled.std["age"]
+    assert b_mean == pytest.approx(c * a_mean, rel=1e-12)
+    assert b_std == pytest.approx(c * a_std, rel=1e-12)
+    assert b_std / np.abs(b_mean) == pytest.approx(a_std / np.abs(a_mean), rel=1e-12)
 
 
 @given(
@@ -159,13 +165,11 @@ def test_pooled_catalog_reproduces_coarse(rows):
     fine = compute_catalog(rel, ["g1", "g2"], ["v"])
     pooled = pool_catalog(fine, ["g1"])
     direct = compute_catalog(rel, ["g1"], ["v"])
-    assert set(pooled.entries) == set(direct.entries)
-    for key, st_direct in direct.entries.items():
-        st_pooled = pooled.entries[key]
-        assert st_pooled.n == st_direct.n
-        a, b = st_pooled.per_column["v"], st_direct.per_column["v"]
-        assert a.mean == pytest.approx(b.mean, rel=1e-9, abs=1e-9)
-        assert a.std == pytest.approx(b.std, rel=1e-7, abs=1e-7)
+    assert pooled.group_attrs == direct.group_attrs == ("g1",)
+    assert pooled.keys == direct.keys
+    assert pooled.n.tolist() == direct.n.tolist()
+    assert pooled.mean["v"] == pytest.approx(direct.mean["v"], rel=1e-9, abs=1e-9)
+    assert pooled.std["v"] == pytest.approx(direct.std["v"], rel=1e-7, abs=1e-7)
 
 
 def test_catalog_json_round_trip(student_rel):
@@ -175,13 +179,12 @@ def test_catalog_json_round_trip(student_rel):
     assert back.group_attrs == catalog.group_attrs
     assert back.agg_columns == catalog.agg_columns
     assert back.total_n == catalog.total_n
-    for key, st_orig in catalog.entries.items():
-        st_back = back.entries[key]
-        assert st_back.n == st_orig.n
-        for col in catalog.agg_columns:
-            # 17 significant digits keep float64 exact
-            assert st_back.per_column[col].mean == st_orig.per_column[col].mean
-            assert st_back.per_column[col].std == st_orig.per_column[col].std
+    assert back.keys == catalog.keys
+    assert back.n.tolist() == catalog.n.tolist()
+    for col in catalog.agg_columns:
+        # 17 significant digits keep float64 exact
+        assert back.mean[col].tolist() == catalog.mean[col].tolist()
+        assert back.std[col].tolist() == catalog.std[col].tolist()
 
 
 def test_column_summary_cv_sign():

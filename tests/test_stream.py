@@ -16,8 +16,9 @@ from gbsample.stream import (
     make_state,
     offline_plan,
     settle_budget,
-    two_pass_reference,
 )
+
+from reference import two_pass_reference
 
 SCHEMA = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
 OBJ = ObjectiveSpec(("v",))
@@ -275,12 +276,12 @@ def test_online_moments_match_offline_catalog():
         ingest_batch(state, rows[start : start + 70], seed=start)
     rel = Relation.from_records(SCHEMA, rows)
     catalog = compute_catalog(rel, ["g"], ["v"])
-    for key, stratum in state.strata.items():
-        st = catalog.entries[key]
+    assert [key.values for key in state.strata] == catalog.keys
+    for k, stratum in enumerate(state.strata.values()):
         m = stratum.moments["v"]
-        assert stratum.n_seen == st.n
-        assert m.mean == pytest.approx(st.per_column["v"].mean, rel=1e-12)
-        assert m.std == pytest.approx(st.per_column["v"].std, rel=1e-9)
+        assert stratum.n_seen == catalog.n[k]
+        assert m.mean == pytest.approx(catalog.mean["v"][k], rel=1e-12)
+        assert m.std == pytest.approx(catalog.std["v"][k], rel=1e-9)
 
 
 @given(
