@@ -19,7 +19,6 @@ against two source trees shows whether they write the same bytes::
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -72,6 +71,9 @@ TABLES = {
 }
 
 OUTPUTS = ("catalog.json", "plan.json", "sample.txt")
+
+#: seed of the generated tiny tables
+SEED = 7
 
 
 def _write(path: Path, doc) -> str:
@@ -172,10 +174,7 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
     return lines, failed
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7, help="seed of the tiny tables")
-    args = parser.parse_args(argv)
+def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, spec in TABLES.items():
@@ -187,7 +186,7 @@ def main(argv=None) -> int:
             else:
                 subprocess.run(
                     [sys.executable, str(ROOT / "benchmark" / "datagen.py"),
-                     "--workload", name, "--seed", str(args.seed), "--size", "tiny",
+                     "--workload", name, "--seed", str(SEED), "--size", "tiny",
                      "--out", str(work)],
                     check=True,
                 )

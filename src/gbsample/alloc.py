@@ -467,8 +467,7 @@ def _assemble_plan(
                 f"budget {budget} leaves no rows after pinning {n_excluded} "
                 f"zero-mean strata at one row each"
             )
-        keys = tuple(catalog.group_keys(kept))
-        problem = AllocationProblem(keys, costs, caps, sub_budget)
+        problem = AllocationProblem(tuple(catalog.group_keys(kept)), costs, caps, sub_budget)
         fractional, frozen = resolve_caps(problem.costs, problem.caps, problem.budget)
         sizes, round_warnings = l2_sizes(fractional, problem.costs, caps, sub_budget)
         warnings.extend(round_warnings)
@@ -601,12 +600,11 @@ def plan_multi_groupby(
 def cube_queries(attrs: Sequence[str], columns: Sequence[str]) -> list[GroupQuery]:
     """One query per subset of ``attrs`` (full set first, empty set last),
     as produced by a cube-by over those attributes."""
-    attrs = tuple(attrs)
-    out = []
-    for size in range(len(attrs), -1, -1):
-        for subset in itertools.combinations(attrs, size):
-            out.append(GroupQuery(subset, tuple(columns)))
-    return out
+    return [
+        GroupQuery(subset, tuple(columns))
+        for size in range(len(attrs), -1, -1)
+        for subset in itertools.combinations(tuple(attrs), size)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +727,6 @@ def plan_individual(
     pairs: list[tuple[int, GroupKey]] = []
     scores: list[float] = []
     populations: dict[tuple[int, GroupKey], int] = {}
-    warnings: list[str] = []
     excluded: list[tuple[int, GroupKey]] = []
     for i, (catalog, q) in enumerate(zip(catalogs, queries)):
         costs, first_zero = cv2_costs(catalog, q.columns, weights, i)
@@ -747,10 +744,8 @@ def plan_individual(
                 scores.append(cost)
     if not pairs:
         raise EmptyProblem("no (query, group) pairs to allocate over")
-    if excluded:
-        warnings.append(
-            f"ZeroMeanExcluded: {len(excluded)} (query, group) pairs pinned at one row"
-        )
+    note = f"ZeroMeanExcluded: {len(excluded)} (query, group) pairs pinned at one row"
+    warnings = [note] if excluded else []
     sub_budget = budget - len(excluded)
     shares = solve_fractional(floor_zero_costs(np.array(scores)), sub_budget)
     sizes = dict(zip(pairs, (float(s) for s in shares)))
@@ -849,8 +844,8 @@ def plan_to_json(plan: AllocationPlan) -> str:
         "method": plan.method,
         "budget": plan.budget,
         "group_attrs": list(plan.group_attrs),
-        "objective_fractional": _json_float(plan.objective_fractional()),
-        "objective_integral": _json_float(plan.objective_integral()),
+        "objective_fractional": json_float(plan.objective_fractional()),
+        "objective_integral": json_float(plan.objective_integral()),
         "strata": [
             {
                 "key": list(k.values),
@@ -934,9 +929,8 @@ def individual_from_json(text: str) -> PerQueryAllocation:
     )
 
 
-def _json_float(x: float):
-    if math.isnan(x):
+def json_float(x: float | None):
+    """``x`` for a JSON document: None for None or NaN, "inf" for an infinity."""
+    if x is None or math.isnan(x):
         return None
-    if math.isinf(x):
-        return "inf"
-    return x
+    return "inf" if math.isinf(x) else x

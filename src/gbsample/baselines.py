@@ -130,3 +130,7 @@ def alloc_congress(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     raw = np.maximum(house, senate)
     fractional = raw * (min(budget, int(total)) / raw.sum())
     return _plan(CONGRESS, catalog, fractional, budget)
+
+
+#: the comparison allocators by method name
+ALLOCATORS = {UNIFORM: alloc_uniform, SENATE: alloc_senate, CONGRESS: alloc_congress}

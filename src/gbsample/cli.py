@@ -45,7 +45,7 @@ from .dataset import ColumnSchema, Relation, load_csv
 from .errors import GbsampleError, string_list
 
 METHODS_CV = ("cvopt-l2", "cvopt-linf", "cvopt-individual")
-METHODS_BASE = (baselines.UNIFORM, baselines.SENATE, baselines.CONGRESS)
+METHODS_BASE = tuple(baselines.ALLOCATORS)
 ALL_METHODS = METHODS_CV + METHODS_BASE
 
 
@@ -167,22 +167,16 @@ def _queries(cfg: RunConfig, queries_from_workload) -> list[alloc.GroupQuery]:
     return [alloc.GroupQuery(tuple(cfg.group_by), tuple(cfg.aggregates))]
 
 
-def _stats_attrs_columns(cfg: RunConfig):
-    if cfg.workload:
-        queries = _load_workload(cfg)
-        attrs: list[str] = []
-        cols: list[str] = []
-        for q in queries:
-            for a in q.group_attrs:
-                if a not in attrs:
-                    attrs.append(a)
-            for c in q.agg_columns:
-                if c not in cols:
-                    cols.append(c)
-        return attrs, cols, queries
-    if not cfg.group_by or not cfg.aggregates:
-        raise UsageError("group_by and aggregates are required without a workload")
-    return list(cfg.group_by), list(cfg.aggregates), None
+def _stats_attrs_columns(cfg: RunConfig) -> tuple[list[str], list[str]]:
+    """The catalog's stratification and aggregation columns: the union over
+    the workload's queries, or the configured group_by and aggregates."""
+    if not cfg.workload:
+        query = _queries(cfg, None)[0]
+        return list(query.attrs), list(query.columns)
+    queries = _load_workload(cfg)
+    attrs = list(dict.fromkeys(a for q in queries for a in q.group_attrs))
+    cols = list(dict.fromkeys(c for q in queries for c in q.agg_columns))
+    return attrs, cols
 
 
 def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
@@ -205,12 +199,8 @@ def _out(cfg: RunConfig, name: str) -> Path:
     return out / name
 
 
-def _catalog_path(cfg: RunConfig) -> Path:
-    return Path(cfg.out_dir) / "catalog.json"
-
-
 def _read_catalog(cfg: RunConfig) -> stats.StatsCatalog:
-    path = _catalog_path(cfg)
+    path = Path(cfg.out_dir) / "catalog.json"
     if not path.exists():
         raise UsageError(f"{path} not found; run the stats command first")
     return stats.catalog_from_json(path.read_text(encoding="utf-8"), str(path))
@@ -222,7 +212,7 @@ def _read_catalog(cfg: RunConfig) -> stats.StatsCatalog:
 
 def cmd_stats(cfg: RunConfig) -> int:
     rel = _load_relation(cfg)
-    attrs, cols, _ = _stats_attrs_columns(cfg)
+    attrs, cols = _stats_attrs_columns(cfg)
     catalog = stats.compute_catalog(rel, attrs, cols)
     path = _out(cfg, "catalog.json")
     path.write_text(stats.catalog_to_json(catalog), encoding="utf-8")
@@ -273,12 +263,8 @@ def _build_plan(cfg: RunConfig):
         else:
             fs = alloc.finest_from_catalog(catalog, queries)
             plan = alloc.plan_multi_groupby(fs, budget, weights, cfg.zero_mean)
-    elif method == baselines.UNIFORM:
-        plan = baselines.alloc_uniform(catalog, budget)
-    elif method == baselines.SENATE:
-        plan = baselines.alloc_senate(catalog, budget)
-    elif method == baselines.CONGRESS:
-        plan = baselines.alloc_congress(catalog, budget)
+    elif method in baselines.ALLOCATORS:
+        plan = baselines.ALLOCATORS[method](catalog, budget)
     else:
         raise UsageError(f"unknown method {method!r}")
     plan.warnings.extend(warnings)
@@ -299,14 +285,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     plan_path = Path(cfg.out_dir) / "plan.json"
     if not plan_path.exists():
         raise UsageError(f"{plan_path} not found; run the plan command first")
-    doc = json.loads(plan_path.read_text(encoding="utf-8"))
-    if doc["method"] == alloc.INDIVIDUAL:
-        ind = alloc.individual_from_json(plan_path.read_text(encoding="utf-8"))
-        rates = alloc.inclusion_rates(rel, ind)
+    text = plan_path.read_text(encoding="utf-8")
+    if json.loads(text)["method"] == alloc.INDIVIDUAL:
+        rates = alloc.inclusion_rates(rel, alloc.individual_from_json(text))
         sample = sampler.draw_poisson(rel, rates, seed)
     else:
-        plan = alloc.plan_from_json(plan_path.read_text(encoding="utf-8"))
-        sample = sampler.draw_stratified(rel, plan, seed)
+        sample = sampler.draw_stratified(rel, alloc.plan_from_json(text), seed)
     path = _out(cfg, "sample.txt")
     sampler.save_sample(sample, path)
     print(f"wrote {path} ({sample.total_rows} rows)")
@@ -348,7 +332,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     side-by-side table of mean and max relative errors."""
     seed = int(cfg.need("seed"))
     rel = _load_relation(cfg)
-    attrs, cols, _ = _stats_attrs_columns(cfg)
+    attrs, cols = _stats_attrs_columns(cfg)
     catalog = stats.compute_catalog(rel, attrs, cols)
     budget, warnings = cfg.resolve_budget(catalog.total_n, len(catalog))
     if cfg.query:
@@ -362,12 +346,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             plan = alloc.plan_l2(catalog, cols, budget, zero_mean=cfg.zero_mean)
         elif method == "cvopt-linf":
             plan = alloc.plan_linf(catalog, cols[0], budget, cfg.zero_mean)
-        elif method == baselines.UNIFORM:
-            plan = baselines.alloc_uniform(catalog, budget)
-        elif method == baselines.SENATE:
-            plan = baselines.alloc_senate(catalog, budget)
-        elif method == baselines.CONGRESS:
-            plan = baselines.alloc_congress(catalog, budget)
+        elif method in baselines.ALLOCATORS:
+            plan = baselines.ALLOCATORS[method](catalog, budget)
         else:
             raise UsageError(f"method {method!r} not supported in compare")
         mean_errors = []
@@ -438,20 +418,14 @@ def cmd_stream(cfg: RunConfig) -> int:
                 for k, st in state.strata.items()
             ]
             objective_value = state.objective_value()
-            fh.write(
-                json.dumps(
-                    {
-                        "batch": b,
-                        "arrivals": state.arrivals,
-                        "retained": state.total_retained,
-                        "objective": objective_value
-                        if objective_value != float("inf")
-                        else "inf",
-                        "sizes": sizes,
-                    }
-                )
-                + "\n"
-            )
+            line = {
+                "batch": b,
+                "arrivals": state.arrivals,
+                "retained": state.total_retained,
+                "objective": "inf" if objective_value == float("inf") else objective_value,
+                "sizes": sizes,
+            }
+            fh.write(json.dumps(line) + "\n")
     print(f"wrote {path} ({state.arrivals} rows, {state.total_retained} retained)")
     return 0
 

@@ -43,12 +43,13 @@ import io
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .alloc import predicted_group_cv
+from .alloc import json_float, predicted_group_cv
 from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, key_ids, stratum_ids
 from .errors import (
     GbsampleError,
@@ -64,8 +65,12 @@ AVG = "avg"
 SUM = "sum"
 COUNT = "count"
 
+_COMPARISONS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 _NUMERIC_OPS = {"<", "<=", ">", ">=", "between"}
-_ALL_OPS = {"=", "!=", "<", "<=", ">", ">=", "between"}
+_ALL_OPS = set(_COMPARISONS) | {"between"}
 
 
 @dataclass(frozen=True)
@@ -149,19 +154,9 @@ def _check_number(atom: Atom) -> None:
 
 
 def _numeric_test(atom: Atom, col: np.ndarray) -> np.ndarray:
-    if atom.op == "=":
-        return col == atom.value
-    if atom.op == "!=":
-        return col != atom.value
-    if atom.op == "<":
-        return col < atom.value
-    if atom.op == "<=":
-        return col <= atom.value
-    if atom.op == ">":
-        return col > atom.value
-    if atom.op == ">=":
-        return col >= atom.value
-    return (col >= atom.lo) & (col <= atom.hi)
+    if atom.op == "between":
+        return (col >= atom.lo) & (col <= atom.hi)
+    return _COMPARISONS[atom.op](col, atom.value)
 
 
 @dataclass
@@ -476,7 +471,7 @@ def report_to_json(report: EvaluationReport) -> str:
     doc = {
         "query": report.request.to_json(),
         "summary": report.summary,
-        "cv_norms": {"l2": _jf(report.cv_l2), "linf": _jf(report.cv_linf)},
+        "cv_norms": {"l2": json_float(report.cv_l2), "linf": json_float(report.cv_linf)},
         "missing_groups": report.missing_groups,
         "groups": [
             {
@@ -484,7 +479,7 @@ def report_to_json(report: EvaluationReport) -> str:
                 "exact": s.exact,
                 "estimate": s.estimate,
                 "rel_error": s.rel_error,
-                "predicted_cv": _jf(s.predicted_cv),
+                "predicted_cv": json_float(s.predicted_cv),
                 "missing": s.missing,
             }
             for s in report.scores
@@ -516,16 +511,6 @@ def report_to_csv(report: EvaluationReport) -> str:
             ]
         )
     return out.getvalue()
-
-
-def _jf(x):
-    if x is None:
-        return None
-    if math.isnan(x):
-        return None
-    if math.isinf(x):
-        return "inf"
-    return x
 
 
 def estimates_to_json(estimates: list[Estimate], request: QueryRequest) -> str:

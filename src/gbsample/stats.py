@@ -167,16 +167,17 @@ class StatsCatalog:
         """A read-only ``GroupKey -> StratumStats`` view of the arrays, in
         catalog order, built on first access."""
         n = self.n.tolist()
-        means = [self.mean[c].tolist() for c in self.agg_columns]
-        stds = [self.std[c].tolist() for c in self.agg_columns]
+        columns = _column_lists(self)
         entries = {}
         for k, key in enumerate(self.group_keys()):
-            per_column = {
-                c: ColumnSummary(mu[k], sigma[k])
-                for c, mu, sigma in zip(self.agg_columns, means, stds)
-            }
+            per_column = {c: ColumnSummary(mu[k], sigma[k]) for c, mu, sigma in columns}
             entries[key] = StratumStats(key, n[k], per_column)
         return MappingProxyType(entries)
+
+
+def _column_lists(catalog: StatsCatalog) -> list[tuple[str, list[float], list[float]]]:
+    """(column, means, stds) per aggregation column, as Python lists."""
+    return [(c, catalog.mean[c].tolist(), catalog.std[c].tolist()) for c in catalog.agg_columns]
 
 
 def compute_catalog(
@@ -203,8 +204,10 @@ def compute_catalog(
 def pool_with_ids(
     catalog: StatsCatalog, target_attrs: Sequence[str]
 ) -> tuple[StatsCatalog, np.ndarray]:
-    """:func:`pool_catalog`, plus for every fine stratum the index of its
-    group in the pooled catalog."""
+    """The catalog aggregated up to ``target_attrs``, a subset of its group
+    attributes, and for every fine stratum the index of its coarse group.
+    The pooled moments combine the fine strata exactly, up to floating
+    point error in the sum of squared deviations."""
     missing = [a for a in target_attrs if a not in catalog.group_attrs]
     if missing:
         raise NotASubset(
@@ -233,9 +236,7 @@ def pool_with_ids(
                 m2[g] = m2[g] + m2_f + delta * delta * (a * n / total)
                 count[g] = total
         mean[col] = mu
-        std[col] = [
-            math.sqrt(max(s / (c - 1), 0.0)) if c > 1 else 0.0 for c, s in zip(count, m2)
-        ]
+        std[col] = [RunningMoments(c, 0.0, s).std for c, s in zip(count, m2)]
     n = np.zeros(len(keys), dtype=np.int64)
     np.add.at(n, ids, catalog.n)
     pooled = StatsCatalog(
@@ -245,12 +246,7 @@ def pool_with_ids(
 
 
 def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCatalog:
-    """Aggregate a catalog up to a coarser stratification.
-
-    ``target_attrs`` must be a subset of the catalog's group attributes; the
-    pooled moments of each coarse group combine its fine strata exactly (up
-    to floating point error in the sum of squared deviations).
-    """
+    """The pooled catalog of :func:`pool_with_ids`, without the ids."""
     return pool_with_ids(catalog, target_attrs)[0]
 
 
@@ -259,8 +255,7 @@ def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCat
 
 
 def catalog_to_json(catalog: StatsCatalog) -> str:
-    means = [catalog.mean[c].tolist() for c in catalog.agg_columns]
-    stds = [catalog.std[c].tolist() for c in catalog.agg_columns]
+    columns = _column_lists(catalog)
     doc = {
         "group_attrs": list(catalog.group_attrs),
         "agg_columns": list(catalog.agg_columns),
@@ -270,8 +265,7 @@ def catalog_to_json(catalog: StatsCatalog) -> str:
                 "key": list(values),
                 "n": n,
                 "columns": {
-                    col: {"mean": _fmt(mu[k]), "std": _fmt(sigma[k])}
-                    for col, mu, sigma in zip(catalog.agg_columns, means, stds)
+                    col: {"mean": _fmt(mu[k]), "std": _fmt(sigma[k])} for col, mu, sigma in columns
                 },
             }
             for k, (values, n) in enumerate(zip(catalog.keys, catalog.n.tolist()))

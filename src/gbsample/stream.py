@@ -170,15 +170,8 @@ class StreamState:
         sample = StratifiedSample(self.schema, self.group_attrs, "stream", 0)
         for key, st in self.strata.items():
             entries = sorted(st.heap, key=lambda e: e[1])
-            sample.strata.append(
-                StratumSample(
-                    key,
-                    st.n_seen,
-                    st.size,
-                    [e[1] for e in entries],
-                    [e[2] for e in entries],
-                )
-            )
+            row_ids, records = [e[1] for e in entries], [e[2] for e in entries]
+            sample.strata.append(StratumSample(key, st.n_seen, st.size, row_ids, records))
         return sample
 
 
