@@ -108,10 +108,17 @@ class Relation:
     Numeric columns are read-only float64 arrays.  Categorical columns are
     stored dictionary-encoded (:class:`Encoded`); a column may be given
     either as a sequence of values, which is encoded here, or already as an
-    :class:`Encoded` pair.
+    :class:`Encoded` pair.  ``n_rows``, when given, must match the columns;
+    it is how a relation without columns (the strata of an empty grouping)
+    keeps its row count.
     """
 
-    def __init__(self, schema: Sequence[ColumnSchema], columns: Mapping[str, object]):
+    def __init__(
+        self,
+        schema: Sequence[ColumnSchema],
+        columns: Mapping[str, object],
+        n_rows: int | None = None,
+    ):
         names = [c.name for c in schema]
         if len(set(names)) != len(names):
             raise InvalidArgument("duplicate column names in schema")
@@ -128,6 +135,8 @@ class Relation:
                 enc = data if isinstance(data, Encoded) else encode(data)
                 self._columns[col.name] = enc
                 sizes.add(enc.codes.shape[0])
+        if n_rows is not None:
+            sizes.add(n_rows)
         if len(sizes) > 1:
             raise ValueError("columns have unequal lengths")
         self.n_rows = sizes.pop() if sizes else 0
@@ -172,11 +181,31 @@ class Relation:
             else:
                 levels = data.levels
                 columns.append([levels[k] for k in data.codes[idx].tolist()])
-        return list(zip(*columns))
+        return list(zip(*columns)) if columns else [()] * idx.shape[0]
 
     def record(self, row_id: int) -> tuple:
         """Full row as a tuple of values in schema order."""
         return self.records([row_id])[0]
+
+    def take(self, rows) -> "Relation":
+        """The given rows, in the given order, as a new relation.
+
+        Numeric columns are gathered; categorical columns stay encoded,
+        their codes renumbered by first occurrence among the taken rows and
+        their levels cut to the values those rows hold.
+        """
+        idx = np.asarray(rows, dtype=np.intp)
+        columns: dict[str, object] = {}
+        for c in self.schema:
+            data = self._columns[c.name]
+            if c.kind == NUMERIC:
+                columns[c.name] = data[idx]
+            else:
+                taken = data.codes[idx]
+                codes, first = _first_occurrence_ids(taken)
+                levels = tuple(data.levels[k] for k in taken[first].tolist())
+                columns[c.name] = Encoded(_frozen(codes), levels)
+        return Relation(self.schema, columns, idx.shape[0])
 
     def __len__(self):
         return self.n_rows
@@ -186,10 +215,11 @@ class Relation:
         cls, schema: Sequence[ColumnSchema], records: Iterable[Sequence]
     ) -> "Relation":
         cols: dict[str, list] = {c.name: [] for c in schema}
-        for rec in records:
+        count = 0
+        for count, rec in enumerate(records, 1):
             for c, v in zip(schema, rec):
                 cols[c.name].append(v)
-        return cls(schema, cols)
+        return cls(schema, cols, count)
 
 
 def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
@@ -264,15 +294,19 @@ def stratum_ids(
         return columns[0].codes, [(v,) for v in columns[0].levels]
     ids = columns[0].codes
     for col in columns[1:]:
-        _, first, ids = np.unique(
-            ids * len(col.levels) + col.codes, return_index=True, return_inverse=True
-        )
+        ids, rows = _first_occurrence_ids(ids * len(col.levels) + col.codes)
+    values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
+    return ids, list(zip(*values))
+
+
+def _first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the distinct ``values``, numbered by first occurrence, one per
+    element, and the position of each id's first occurrence in id order."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
-    rows = first[order]
-    values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
-    return rank[ids], list(zip(*values))
+    return rank[inverse], first[order]
 
 
 def key_ids(records: Sequence[tuple], positions: Sequence[int]):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the input check that
-raises :class:`InvalidDocument`.
+"""Exception types shared across the package, and the input checks that
+raise :class:`InvalidDocument`.
 
 Every error raised by gbsample derives from :class:`GbsampleError`, so
 callers (notably the CLI) can distinguish user-facing problems from bugs.
@@ -33,6 +33,24 @@ def string_list(value, source: str, path: str) -> tuple[str, ...]:
             f"{source}: {path}: expected a list of strings, got {value!r}"
         )
     return tuple(value)
+
+
+def member(source: str, obj, path: str, name: str, ok=None, expected: str = ""):
+    """``obj[name]`` from the JSON object at ``path`` in the ``source``
+    document.  A non-object ``obj``, a missing ``name`` or a value that
+    ``ok`` rejects (described by ``expected``) raises
+    :class:`InvalidDocument` naming the document and the field."""
+    where = f"{path}.{name}" if path else name
+    if not isinstance(obj, dict):
+        what = path or "(document)"
+        raise InvalidDocument(f"{source}: {what}: expected an object, got {obj!r}")
+    if name not in obj:
+        raise InvalidDocument(f"{source}: {where}: missing")
+    if ok is not None and not ok(obj[name]):
+        raise InvalidDocument(
+            f"{source}: {where}: expected {expected}, got {obj[name]!r}"
+        )
+    return obj[name]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ weights every row of the relation by 1.
 
 Predicates are conjunctions of atoms.  An atom on a categorical column
 takes only ``=`` or ``!=``; an atom on a numeric column needs real-number
-operands.  :meth:`Predicate.mask` is the one evaluator: samples apply it to
-a view of the columns a request touches, so a relation and either kind of
-sample reject the same atoms with :class:`InvalidArgument`.
+operands.  :meth:`Predicate.mask` is the one evaluator, and
+:func:`dataset.stratum_ids` the one group numbering: both run on a
+relation, whether the full one or a sample's encoded columns, so a
+relation and either kind of sample reject the same atoms with
+:class:`InvalidArgument` and number their groups the same way.
 
 Evaluation scores per-group relative error |estimate - exact| / |exact|
 against the exact answers computed from the full relation; groups present
@@ -45,17 +47,20 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .alloc import json_float, predicted_group_cv
-from .dataset import CATEGORICAL, ColumnSchema, GroupKey, Relation, key_ids, stratum_ids
+from .dataset import CATEGORICAL, GroupKey, Relation, stratum_ids
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
     InvalidArgument,
+    InvalidDocument,
     UnknownColumn,
+    member,
     string_list,
 )
 from .sampler import PoissonSample, StratifiedSample
@@ -129,16 +134,21 @@ class Predicate:
         return out
 
     @classmethod
-    def from_json(cls, doc) -> "Predicate":
+    def from_json(
+        cls, doc, source: str = "predicate", path: str = "predicate"
+    ) -> "Predicate":
+        """Parse a list of atoms; ``source`` and ``path`` name the document
+        and the field in errors."""
+        if not isinstance(doc, list):
+            raise InvalidDocument(f"{source}: {path}: expected a list of atoms, got {doc!r}")
         atoms = []
-        for item in doc:
-            op = item["op"]
+        for i, item in enumerate(doc):
+            get = partial(member, source, item, f"{path}[{i}]")
+            op, column = get("op"), get("column")
             if op == "between":
-                atoms.append(
-                    Atom(item["column"], op, lo=float(item["lo"]), hi=float(item["hi"]))
-                )
+                atoms.append(Atom(column, op, lo=float(get("lo")), hi=float(get("hi"))))
             else:
-                atoms.append(Atom(item["column"], op, value=item["value"]))
+                atoms.append(Atom(column, op, value=get("value")))
         return cls(tuple(atoms))
 
 
@@ -190,12 +200,14 @@ class QueryRequest:
     @classmethod
     def from_json(cls, doc, source: str = "query") -> "QueryRequest":
         """Parse a query document; ``source`` names it in errors."""
+        group_attrs = string_list(member(source, doc, "", "group_by"), source, "group_by")
+        aggregate = member(source, doc, "", "aggregate")
         pred = doc.get("predicate")
         return cls(
-            group_attrs=string_list(doc["group_by"], source, "group_by"),
-            fn=doc["aggregate"]["fn"],
-            column=doc["aggregate"].get("column"),
-            predicate=Predicate.from_json(pred) if pred else None,
+            group_attrs=group_attrs,
+            fn=member(source, aggregate, "aggregate", "fn"),
+            column=aggregate.get("column"),
+            predicate=Predicate.from_json(pred, source) if pred else None,
         )
 
 
@@ -239,19 +251,6 @@ def _inputs(rel: Relation, request: QueryRequest):
     return values, predicate.mask(rel)
 
 
-def _view(
-    schema: Sequence[ColumnSchema], records: list[tuple], request: QueryRequest
-) -> Relation:
-    """The columns of ``records`` that ``request`` aggregates or filters on."""
-    names = {a.column for a in request.predicate.atoms} if request.predicate else set()
-    if request.fn != COUNT:
-        names.add(request.column)
-    touched = [(i, c) for i, c in enumerate(schema) if c.name in names]
-    return Relation(
-        [c for _, c in touched], {c.name: [r[i] for r in records] for i, c in touched}
-    )
-
-
 # ---------------------------------------------------------------------------
 # estimation
 
@@ -271,18 +270,18 @@ def estimate(sample, request: QueryRequest) -> list[Estimate]:
             f"grouping {attrs} is not a subset of the sample's "
             f"stratification {sample.group_attrs}"
         )
-    strata = sample.strata
-    group_of_cell, keys = key_ids(
-        [s.key.values for s in strata], [sample.group_attrs.index(a) for a in attrs]
-    )
-    n = np.array([s.n for s in strata], dtype=np.float64)
-    size = np.array([s.size for s in strata], dtype=np.float64)
-    factor = np.divide(n, size, out=np.zeros(len(strata)), where=size > 0)
-    held = np.fromiter((len(s.rows) for s in strata), dtype=np.intp, count=len(strata))
-    cells = np.repeat(np.arange(len(strata)), held)
-    view = _view(sample.schema, [r for s in strata for r in s.rows], request)
+    if not len(sample.n):  # no strata: no groups, not one group of nothing
+        return []
+    group_of_cell, keys = stratum_ids(sample.key_columns, attrs)
+    size = sample.size.astype(np.float64)
+    factor = np.divide(sample.n, size, out=np.zeros(len(size)), where=size > 0)
     value, count, support = _group_by(
-        request.fn, cells, *_inputs(view, request), factor, group_of_cell, len(keys)
+        request.fn,
+        sample.row_strata,
+        *_inputs(sample.columns, request),
+        factor,
+        group_of_cell,
+        len(keys),
     )
     if request.fn == AVG:
         present = count > 0
@@ -299,17 +298,15 @@ def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> list[Esti
     """Inverse-inclusion-weighted estimates: each sampled row contributes
     1 / p_r to COUNT and value / p_r to SUM; AVG is their ratio."""
     attrs = tuple(request.group_attrs)
-    pos = {c.name: i for i, c in enumerate(sample.schema) if c.kind == CATEGORICAL}
     for a in attrs:
-        if a not in pos:
+        if sample.columns.kind_of(a) != CATEGORICAL:
             raise IncompatibleGrouping(
                 f"{a!r} is not a categorical column of the sample"
             )
-    values, keep = _inputs(_view(sample.schema, sample.rows, request), request)
-    ids, keys = key_ids(sample.rows, [pos[a] for a in attrs])
-    weight = 1.0 / np.asarray(sample.p, dtype=np.float64)
+    values, keep = _inputs(sample.columns, request)
+    ids, keys = stratum_ids(sample.columns, attrs)
     value, _, support = _group_by(
-        request.fn, np.arange(len(ids)), values, keep, weight, ids, len(keys)
+        request.fn, np.arange(len(ids)), values, keep, 1.0 / sample.rates, ids, len(keys)
     )
     seen, first = np.unique(ids[keep], return_index=True)
     value, support = value.tolist(), support.tolist()
@@ -444,12 +441,12 @@ def _predicted_cvs(rel, sample, request) -> dict[GroupKey, float | None]:
     n, std = catalog.n.tolist(), catalog.std[col].tolist()
     positions = [sample.group_attrs.index(a) for a in request.group_attrs]
     by_coarse: dict[tuple, list] = {}
-    for stratum in sample.strata:
-        k = stratum_of.get(stratum.key.values)
+    for values, size in zip(sample.keys, sample.size.tolist()):
+        k = stratum_of.get(values)
         if k is None:
             continue
-        coarse = tuple(stratum.key.values[p] for p in positions)
-        by_coarse.setdefault(coarse, []).append((n[k], stratum.size, std[k]))
+        coarse = tuple(values[p] for p in positions)
+        by_coarse.setdefault(coarse, []).append((n[k], size, std[k]))
     groups = compute_catalog(rel, request.group_attrs, (col,))
     group_mean = dict(zip(groups.keys, groups.mean[col].tolist()))
     out: dict[GroupKey, float | None] = {}

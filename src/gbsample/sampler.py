@@ -5,8 +5,17 @@ of the stratum's rows, using an independent RNG substream derived from
 (seed, stratum index) so draws are order-independent across strata.
 Poisson samples include each row independently with a row-specific
 probability and carry the inverse-inclusion weight needed for unbiased
-estimation.  Sampled rows keep the full record so the sample can serve new
-groupings and query-time predicates.
+estimation.  A sampled row keeps every column of the relation, so the
+sample can serve new groupings and query-time predicates.
+
+Samples are columnar.  The sampled rows form one :class:`Relation`
+(categorical columns stay encoded) next to an int64 array of their row
+ids in the sampled relation; a Poisson sample adds a float64 array of
+inclusion probabilities, and a stratified sample keeps its rows stratum
+after stratum, with int64 arrays of each stratum's population ``n`` and
+sample ``size`` and a relation of the strata's key values.  The tuple
+forms (:attr:`StratifiedSample.strata`, :attr:`PoissonSample.rows` and
+friends) are read-only views derived from the columns on first access.
 
 Sample file format (documented here; see also README): the first line is a
 JSON header with the schema, method tag, seed and per-stratum metadata;
@@ -22,7 +31,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +43,7 @@ from .dataset import (
     ColumnSchema,
     GroupKey,
     Relation,
+    encode,
     segments,
     stratum_ids,
 )
@@ -52,8 +63,17 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
+def _array(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass
 class StratumSample:
+    """One stratum of a stratified sample as tuples: a derived view."""
+
     key: GroupKey
     n: int
     size: int
@@ -65,39 +85,121 @@ class StratumSample:
         return self.size == 0
 
 
-@dataclass
 class StratifiedSample:
-    schema: tuple[ColumnSchema, ...]
-    group_attrs: tuple[str, ...]
-    method: str
-    seed: int
-    strata: list[StratumSample] = field(default_factory=list)
+    """A stratified sample, held as columns.
+
+    Stratum k has the value tuple ``keys[k]`` under ``group_attrs`` (also
+    encoded as row k of the relation ``key_columns``), population ``n[k]``
+    and ``size[k]`` sampled rows.  ``columns`` holds the sampled rows
+    stratum after stratum in stratum order, and ``source_ids`` (int64)
+    their row ids in the sampled relation.  Built from its first four
+    arguments alone, a sample holds no strata.
+    """
+
+    def __init__(
+        self,
+        schema: Sequence[ColumnSchema],
+        group_attrs: Sequence[str],
+        method: str,
+        seed: int,
+        keys: Sequence[tuple] = (),
+        n: Sequence[int] = (),
+        size: Sequence[int] = (),
+        columns: Relation | None = None,
+        source_ids: Sequence[int] = (),
+    ):
+        self.schema = tuple(schema)
+        self.group_attrs = tuple(group_attrs)
+        self.method = method
+        self.seed = seed
+        self.keys = [tuple(key) for key in keys]
+        key_schema = [ColumnSchema(a, CATEGORICAL) for a in self.group_attrs]
+        self.key_columns = Relation.from_records(key_schema, self.keys)
+        self.n = _array(n, np.int64)
+        self.size = _array(size, np.int64)
+        self.columns = Relation.from_records(schema, []) if columns is None else columns
+        self.source_ids = _array(source_ids, np.int64)
+        if self.columns.schema != self.schema or not (
+            len(self.key_columns) == len(self.n) == len(self.size)
+            and self.total_rows == len(self.columns) == len(self.source_ids)
+        ):
+            raise ValueError("strata and sampled rows do not match")
 
     @property
     def total_rows(self) -> int:
-        return sum(s.size for s in self.strata)
+        return int(self.size.sum())
 
     @property
     def population(self) -> int:
-        return sum(s.n for s in self.strata)
+        return int(self.n.sum())
+
+    @property
+    def row_strata(self) -> np.ndarray:
+        """The stratum of every sampled row."""
+        return np.repeat(np.arange(len(self.size)), self.size)
+
+    @cached_property
+    def strata(self) -> list[StratumSample]:
+        """Every stratum with its row ids and decoded rows as lists."""
+        rows = self.columns.records(np.arange(len(self.columns)))
+        ids = self.source_ids.tolist()
+        out, start = [], 0
+        for key, n, size in zip(self.keys, self.n.tolist(), self.size.tolist()):
+            end = start + size
+            out.append(
+                StratumSample(
+                    GroupKey(self.group_attrs, key), n, size, ids[start:end], rows[start:end]
+                )
+            )
+            start = end
+        return out
 
 
-@dataclass
 class PoissonSample:
-    schema: tuple[ColumnSchema, ...]
-    seed: int
-    expected_size: float
-    row_ids: list[int]
-    rows: list[tuple]
-    p: list[float]
+    """A Poisson sample, held as columns: the sampled rows ``columns``,
+    their row ids in the sampled relation ``source_ids`` (int64) and their
+    inclusion probabilities ``rates`` (float64).  ``row_ids``, ``rows`` and
+    ``p`` are the same as lists, derived on first access."""
+
+    def __init__(
+        self,
+        seed: int,
+        expected_size: float,
+        columns: Relation,
+        source_ids: Sequence[int],
+        rates: Sequence[float],
+    ):
+        self.seed = seed
+        self.expected_size = expected_size
+        self.columns = columns
+        self.source_ids = _array(source_ids, np.int64)
+        self.rates = _array(rates, np.float64)
+        if not len(columns) == len(self.source_ids) == len(self.rates):
+            raise ValueError("one row id and rate per sampled row is required")
+
+    @property
+    def schema(self) -> tuple[ColumnSchema, ...]:
+        return self.columns.schema
 
     @property
     def total_rows(self) -> int:
-        return len(self.row_ids)
+        return len(self.columns)
+
+    @cached_property
+    def row_ids(self) -> list[int]:
+        return self.source_ids.tolist()
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        return self.columns.records(np.arange(len(self.columns)))
+
+    @cached_property
+    def p(self) -> list[float]:
+        return self.rates.tolist()
 
     def weights(self) -> list[float]:
         """Inverse-inclusion row weights, 1 / p_r."""
-        return [1.0 / pr for pr in self.p]
+        return (1.0 / self.rates).tolist()
 
 
 def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> StratifiedSample:
@@ -116,8 +218,8 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
             f"({len(plan.keys)} plan strata, {len(position)} in relation)"
         )
     order, bounds = segments(ids, len(values))
-    order = order.astype(np.int64, copy=False)
-    drawn = []  # (key, stratum size, chosen rows) in plan order
+    taken: list[int] = []  # the sampled rows, stratum after stratum in plan order
+    n = []
     for idx, key in enumerate(plan.keys):
         k = position[key]
         rows = order[bounds[k] : bounds[k + 1]]
@@ -126,24 +228,23 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
             raise PlanMismatch(
                 f"stratum {key} allocates {s_i} rows but holds only {len(rows)}"
             )
-        if s_i == 0:
-            chosen: list[int] = []
-        elif s_i == len(rows):
-            chosen = rows.tolist()
-        else:
+        n.append(len(rows))
+        if s_i == len(rows):
+            taken.extend(rows.tolist())
+        elif s_i > 0:
             rng = _substream(seed, idx)
-            chosen = sorted(rng.choice(rows, size=s_i, replace=False).tolist())
-        drawn.append((key, len(rows), chosen))
-    records = rel.records([r for _, _, chosen in drawn for r in chosen])
-    sample = StratifiedSample(rel.schema, plan.group_attrs, plan.method, seed)
-    start = 0
-    for key, n, chosen in drawn:
-        end = start + len(chosen)
-        sample.strata.append(
-            StratumSample(key, n, len(chosen), chosen, records[start:end])
-        )
-        start = end
-    return sample
+            taken.extend(sorted(rng.choice(rows, size=s_i, replace=False).tolist()))
+    return StratifiedSample(
+        rel.schema,
+        plan.group_attrs,
+        plan.method,
+        seed,
+        [key.values for key in plan.keys],
+        n,
+        plan.sizes,
+        rel.take(taken),
+        taken,
+    )
 
 
 def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
@@ -158,14 +259,7 @@ def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
     rng = _substream(seed, 0)
     u = rng.random(rel.n_rows)
     taken = np.flatnonzero(u < p)
-    return PoissonSample(
-        schema=rel.schema,
-        seed=seed,
-        expected_size=float(p.sum()),
-        row_ids=taken.tolist(),
-        rows=rel.records(taken),
-        p=p[taken].tolist(),
-    )
+    return PoissonSample(seed, float(p.sum()), rel.take(taken), taken, p[taken])
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +274,18 @@ def _schema_from_doc(doc) -> tuple[ColumnSchema, ...]:
     return tuple(ColumnSchema(item["name"], item["kind"]) for item in doc)
 
 
-def _format_record(schema: Sequence[ColumnSchema], record: tuple) -> list[str]:
-    out = []
-    for col, v in zip(schema, record):
-        out.append(v if col.kind == CATEGORICAL else format(v, _FLOAT))
-    return out
-
-
-def _parse_record(schema: Sequence[ColumnSchema], cells: list[str]) -> tuple:
-    return tuple(
-        c if col.kind == CATEGORICAL else float(c) for col, c in zip(schema, cells)
-    )
+def _cells(rel: Relation) -> list[list[str]]:
+    """The CSV cells of every column: categorical values as they are,
+    numbers with 17 significant digits."""
+    return [
+        rel.categorical(c.name)
+        if c.kind == CATEGORICAL
+        else [format(v, _FLOAT) for v in rel.numeric(c.name).tolist()]
+        for c in rel.schema
+    ]
 
 
 def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if isinstance(sample, StratifiedSample):
         header = {
             "kind": "stratified",
@@ -204,16 +294,14 @@ def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
             "schema": _schema_doc(sample.schema),
             "group_attrs": list(sample.group_attrs),
             "strata": [
-                {"key": list(s.key.values), "n": s.n, "s": s.size}
-                for s in sample.strata
+                {"key": list(key), "n": n, "s": s}
+                for key, n, s in zip(
+                    sample.keys, sample.n.tolist(), sample.size.tolist()
+                )
             ],
         }
-        writer.writerow(["stratum", "row_id"] + [c.name for c in sample.schema])
-        for ordinal, stratum in enumerate(sample.strata):
-            for row_id, record in zip(stratum.row_ids, stratum.rows):
-                writer.writerow(
-                    [ordinal, row_id] + _format_record(sample.schema, record)
-                )
+        names = ["stratum", "row_id"]
+        lead = [sample.row_strata.tolist(), sample.source_ids.tolist()]
     else:
         header = {
             "kind": "poisson",
@@ -221,13 +309,15 @@ def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
             "seed": sample.seed,
             "schema": _schema_doc(sample.schema),
             "expected_size": format(sample.expected_size, _FLOAT),
-            "rows": len(sample.row_ids),
+            "rows": sample.total_rows,
         }
-        writer.writerow(["row_id", "p"] + [c.name for c in sample.schema])
-        for row_id, pr, record in zip(sample.row_ids, sample.p, sample.rows):
-            writer.writerow(
-                [row_id, format(pr, _FLOAT)] + _format_record(sample.schema, record)
-            )
+        names = ["row_id", "p"]
+        rates = [format(pr, _FLOAT) for pr in sample.rates.tolist()]
+        lead = [sample.source_ids.tolist(), rates]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names + [c.name for c in sample.schema])
+    writer.writerows(zip(*lead, *_cells(sample.columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(buf.getvalue())
@@ -257,60 +347,100 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
             raise CorruptSampleFile(f"{path}: missing CSV body") from None
         try:
             if kind == "stratified":
-                return _load_stratified(header, schema, reader, path)
+                return _load_stratified(header, schema, list(reader), path)
             if kind == "poisson":
-                return _load_poisson(header, schema, reader, path)
-        except (ValueError, IndexError, KeyError) as exc:
+                return _load_poisson(header, schema, list(reader), path)
+        except (ValueError, IndexError, KeyError, TypeError) as exc:
             raise CorruptSampleFile(f"{path}: malformed row ({exc})") from None
     raise CorruptSampleFile(f"{path}: unknown sample kind {kind!r}")
 
 
-def _load_stratified(header, schema, reader, path) -> StratifiedSample:
+def _split_rows(schema, rows: list[list[str]], path) -> tuple[tuple, tuple, Relation]:
+    """The two leading CSV columns of ``rows`` as tuples of cells, and the
+    schema columns after them as a relation.  Every row must have one cell
+    per column and every numeric cell must parse as a finite number."""
+    width = 2 + len(schema)
+    for i, cells in enumerate(rows):
+        if len(cells) != width:
+            raise CorruptSampleFile(
+                f"{path}: data row {i} has {len(cells)} cells, expected {width}"
+            )
+    first, second, *cells = list(zip(*rows)) or [()] * width
+    columns: dict[str, object] = {}
+    for col, col_cells in zip(schema, cells):
+        if col.kind == CATEGORICAL:
+            columns[col.name] = encode(col_cells)
+            continue
+        values = np.array([float(c) for c in col_cells], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise CorruptSampleFile(
+                f"{path}: data row {bad[0]}: {col.name} is {col_cells[bad[0]]!r}, "
+                "not a finite number"
+            )
+        columns[col.name] = values
+    return first, second, Relation(schema, columns, len(rows))
+
+
+def _load_stratified(header, schema, rows, path) -> StratifiedSample:
     group_attrs = tuple(header["group_attrs"])
-    sample = StratifiedSample(
-        schema, group_attrs, header["method"], int(header["seed"])
-    )
-    for meta in header["strata"]:
-        key = GroupKey(group_attrs, tuple(meta["key"]))
-        sample.strata.append(
-            StratumSample(key, int(meta["n"]), int(meta["s"]), [], [])
-        )
-    for cells in reader:
-        ordinal = int(cells[0])
-        stratum = sample.strata[ordinal]
-        stratum.row_ids.append(int(cells[1]))
-        stratum.rows.append(_parse_record(schema, cells[2:]))
-    for stratum in sample.strata:
-        if len(stratum.row_ids) != stratum.size:
-            raise CorruptSampleFile(
-                f"{path}: stratum {stratum.key} has {len(stratum.row_ids)} rows, "
-                f"header declares {stratum.size}"
-            )
-    return sample
-
-
-def _load_poisson(header, schema, reader, path) -> PoissonSample:
-    sample = PoissonSample(
-        schema=schema,
-        seed=int(header["seed"]),
-        expected_size=float(header["expected_size"]),
-        row_ids=[],
-        rows=[],
-        p=[],
-    )
-    for cells in reader:
-        pr = float(cells[1])
-        if not 0.0 < pr <= 1.0:  # NaN fails too
-            raise CorruptSampleFile(
-                f"{path}: row {cells[0]} has inclusion probability {cells[1]}, "
-                "outside (0, 1]"
-            )
-        sample.row_ids.append(int(cells[0]))
-        sample.p.append(pr)
-        sample.rows.append(_parse_record(schema, cells[2:]))
-    declared = int(header.get("rows", len(sample.row_ids)))
-    if len(sample.row_ids) != declared:
+    keys = [GroupKey(group_attrs, tuple(meta["key"])) for meta in header["strata"]]
+    n = [int(meta["n"]) for meta in header["strata"]]
+    size = [int(meta["s"]) for meta in header["strata"]]
+    ordinals, row_ids, columns = _split_rows(schema, rows, path)
+    stratum = np.array([int(c) for c in ordinals], dtype=np.int64)
+    outside = np.flatnonzero((stratum < 0) | (stratum >= len(keys)))
+    if len(outside):
+        i = outside[0]
         raise CorruptSampleFile(
-            f"{path}: {len(sample.row_ids)} rows read, header declares {declared}"
+            f"{path}: data row {i} names stratum {ordinals[i]}, "
+            f"outside [0, {len(keys)})"
         )
-    return sample
+    held = np.bincount(stratum, minlength=len(keys)).tolist()
+    for key, h, pop, s in zip(keys, held, n, size):
+        if h != s:
+            raise CorruptSampleFile(
+                f"{path}: stratum {key} has {h} rows, header declares {s}"
+            )
+        if pop < s:
+            raise CorruptSampleFile(
+                f"{path}: stratum {key} samples {s} rows of a population of {pop}"
+            )
+    # stratum after stratum, file order within each
+    order = np.argsort(stratum, kind="stable")
+    ids = np.array([int(c) for c in row_ids], dtype=np.int64)
+    return StratifiedSample(
+        schema,
+        group_attrs,
+        header["method"],
+        int(header["seed"]),
+        [key.values for key in keys],
+        n,
+        size,
+        columns.take(order),
+        ids[order],
+    )
+
+
+def _load_poisson(header, schema, rows, path) -> PoissonSample:
+    row_ids, rates, columns = _split_rows(schema, rows, path)
+    p = np.array([float(c) for c in rates], dtype=np.float64)
+    outside = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))  # NaN is outside too
+    if len(outside):
+        i = outside[0]
+        raise CorruptSampleFile(
+            f"{path}: row {row_ids[i]} has inclusion probability {rates[i]}, "
+            "outside (0, 1]"
+        )
+    declared = int(header.get("rows", len(rows)))
+    if len(rows) != declared:
+        raise CorruptSampleFile(
+            f"{path}: {len(rows)} rows read, header declares {declared}"
+        )
+    return PoissonSample(
+        int(header["seed"]),
+        float(header["expected_size"]),
+        columns,
+        [int(c) for c in row_ids],
+        p,
+    )

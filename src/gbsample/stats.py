@@ -31,14 +31,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import GroupKey, Relation, key_ids, segments, stratum_ids
-from .errors import InvalidDocument, NotASubset, string_list
+from .errors import InvalidDocument, NotASubset, member, string_list
 
 #: significant digits used when serializing floating point values
 FLOAT_DIGITS = 17
@@ -280,20 +280,7 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
     is not a finite number (or a negative std) raises
     :class:`InvalidDocument` naming ``source`` and the field."""
 
-    def get(obj, path: str, name: str, ok=None, expected: str = ""):
-        """``obj[name]`` from the JSON object at ``path``; ``ok`` checks it."""
-        where = f"{path}.{name}" if path else name
-        if not isinstance(obj, dict):
-            what = path or "(document)"
-            raise InvalidDocument(f"{source}: {what}: expected an object, got {obj!r}")
-        if name not in obj:
-            raise InvalidDocument(f"{source}: {where}: missing")
-        if ok is not None and not ok(obj[name]):
-            raise InvalidDocument(
-                f"{source}: {where}: expected {expected}, got {obj[name]!r}"
-            )
-        return obj[name]
-
+    get = partial(member, source)
     count = (lambda v: type(v) is int and v >= 0), "a non-negative integer"
     real = (lambda v: type(v) in (int, float) and math.isfinite(v)), "a finite number"
     spread = (lambda v: real[0](v) and v >= 0), "a finite number >= 0"

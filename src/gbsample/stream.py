@@ -53,7 +53,7 @@ from .alloc import (
 )
 from .dataset import ColumnSchema, GroupKey, Relation
 from .errors import SchemaMismatch
-from .sampler import StratifiedSample, StratumSample
+from .sampler import StratifiedSample
 from .stats import EMPTY_MOMENTS, RunningMoments, accumulate, compute_catalog
 
 
@@ -167,12 +167,19 @@ class StreamState:
 
     def snapshot(self) -> StratifiedSample:
         """Read-only view of the current sample for querying."""
-        sample = StratifiedSample(self.schema, self.group_attrs, "stream", 0)
-        for key, st in self.strata.items():
-            entries = sorted(st.heap, key=lambda e: e[1])
-            row_ids, records = [e[1] for e in entries], [e[2] for e in entries]
-            sample.strata.append(StratumSample(key, st.n_seen, st.size, row_ids, records))
-        return sample
+        strata = list(self.strata.values())
+        entries = [e for st in strata for e in sorted(st.heap, key=lambda e: e[1])]
+        return StratifiedSample(
+            self.schema,
+            self.group_attrs,
+            "stream",
+            0,
+            [key.values for key in self.strata],
+            [st.n_seen for st in strata],
+            [st.size for st in strata],
+            Relation.from_records(self.schema, [e[2] for e in entries]),
+            [e[1] for e in entries],
+        )
 
 
 def make_state(

@@ -185,7 +185,9 @@ def workload_from_json(text: str, source: str = "workload") -> list[QuerySpec]:
                 agg_columns=string_list(
                     item["aggregates"], source, f"[{i}].aggregates"
                 ),
-                predicate=Predicate.from_json(pred) if pred else None,
+                predicate=Predicate.from_json(pred, source, f"[{i}].predicate")
+                if pred
+                else None,
                 repeats=int(item.get("repeats", 1)),
             )
         )

@@ -139,6 +139,15 @@ def draw(rel: Relation, plan: AllocationPlan, seed: int) -> list[tuple]:
     return out
 
 
+def draw_poisson(rel: Relation, p, seed: int) -> tuple[list, list, list]:
+    """:func:`gbsample.sampler.draw_poisson` one row at a time: the row ids,
+    rows and inclusion probabilities of the rows whose uniform draw falls
+    below their probability."""
+    u = np.random.default_rng(np.random.SeedSequence([seed, 0])).random(rel.n_rows)
+    taken = [r for r in range(rel.n_rows) if u[r] < p[r]]
+    return taken, [rel.record(r) for r in taken], [float(p[r]) for r in taken]
+
+
 def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tuple]:
     """:func:`gbsample.workload.derive_aggregation_groups` over
     :func:`partition`'s row lists: (column, group key, member rows,

@@ -625,3 +625,65 @@ def test_unknown_zero_mean_policy_is_a_user_error(
     assert _run("plan", "--config", str(cfg)) == 1
     assert "excldue" in capsys.readouterr().err
     assert not (tmp_path / "out" / "plan.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"group_by": ["grp"]}, "aggregate: missing"),
+        ({"group_by": ["grp"], "aggregate": "avg"}, "aggregate: expected an object"),
+        (
+            {
+                "group_by": ["grp"],
+                "aggregate": {"fn": "count"},
+                "predicate": {"column": "v", "op": ">", "value": 1},
+            },
+            "predicate: expected a list of atoms",
+        ),
+        (
+            {"group_by": ["grp"], "aggregate": {"fn": "count"}, "predicate": [{"op": "="}]},
+            "predicate[0].column: missing",
+        ),
+        ({"aggregate": {"fn": "count"}}, "group_by: missing"),
+    ],
+)
+def test_malformed_query_document_is_a_user_error(tmp_path, fix_a_csv, capsys, doc, field):
+    query_path = tmp_path / "query.json"
+    query_path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    for command in ("stats", "plan", "sample"):
+        assert _run(command, "--config", str(cfg)) == 0
+    capsys.readouterr()
+    for command in ("query", "evaluate"):
+        assert _run(command, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{query_path}: {field}" in err, err
+
+
+def test_corrupt_sample_file_is_a_user_error(tmp_path, fix_a_csv, capsys):
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    for command in ("stats", "plan", "sample"):
+        assert _run(command, "--config", str(cfg)) == 0
+    out = tmp_path / "out"
+    header, names, *rows = (out / "sample.txt").read_text(encoding="utf-8").splitlines()
+    ordinals = [row.split(",", 1)[0] for row in rows]
+    a, b = ordinals.index("0"), ordinals.index("1")
+    swapped = list(rows)  # one row of each stratum moved to the other
+    swapped[a] = "-1," + rows[a].split(",", 1)[1]
+    swapped[b] = "0," + rows[b].split(",", 1)[1]
+    ordinal, row_id, grp, _ = rows[0].split(",")
+    not_a_number = [f"{ordinal},{row_id},{grp},nan"] + rows[1:]
+    for body, message in ((swapped, "outside [0, 2)"), (not_a_number, "not a finite")):
+        text = "\n".join([header, names, *body]) + "\n"
+        (out / "sample.txt").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        for command, written in (("query", "estimates.json"), ("evaluate", "report.json")):
+            (out / written).unlink(missing_ok=True)
+            assert _run(command, "--config", str(cfg)) == 1
+            assert message in capsys.readouterr().err
+            assert not (out / written).exists()

@@ -211,3 +211,31 @@ def test_partition_refinement(rows):
     for key, members in fine.items():
         target = project_key(key, ["g1"])
         assert set(members) <= set(coarse[target])
+
+
+@given(_rows, st.data())
+def test_take_gathers_rows_and_renumbers_codes(rows, data):
+    """``take`` holds the chosen rows in the chosen order, with codes
+    renumbered by first occurrence among them, so ``stratum_ids`` on the
+    taken relation numbers its strata as on the same rows built afresh."""
+    rel = _rel_from(rows)
+    chosen = data.draw(st.lists(st.integers(0, rel.n_rows - 1), max_size=30))
+    taken = rel.take(chosen)
+    afresh = Relation.from_records(rel.schema, [rel.record(r) for r in chosen])
+    assert len(taken) == len(chosen)
+    assert taken.records(range(len(chosen))) == afresh.records(range(len(chosen)))
+    for name in ("g1", "g2"):
+        assert taken.codes(name).tolist() == afresh.codes(name).tolist()
+        assert taken.encoded(name).levels == afresh.encoded(name).levels
+    for attrs in ([], ["g1"], ["g2", "g1"]):
+        got, want = stratum_ids(taken, attrs), stratum_ids(afresh, attrs)
+        assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+
+
+def test_a_relation_without_columns_keeps_its_row_count():
+    rel = Relation((), {}, 3)
+    assert len(rel) == 3 and rel.records(range(3)) == [(), (), ()]
+    assert len(Relation.from_records((), [(), ()])) == 2
+    assert len(_rel_from([("a", "x", 1.0)] * 4).take([0, 2])) == 2
+    with pytest.raises(ValueError):
+        Relation((ColumnSchema("v", NUMERIC),), {"v": [1.0]}, 2)

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from gbsample.alloc import plan_l2
 from gbsample.baselines import alloc_senate
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
@@ -215,3 +218,137 @@ def test_per_stratum_substreams_are_independent(fix_a_rel):
     s_a = draw_stratified(fix_a_rel, plan_a, seed=77)
     s_b = draw_stratified(fix_a_rel, plan_b, seed=77)
     assert s_a.strata[0].row_ids == s_b.strata[0].row_ids
+
+
+# ---------------------------------------------------------------------------
+# columnar samples
+
+KEYED_SCHEMA = (
+    ColumnSchema("g", CATEGORICAL),
+    ColumnSchema("h", CATEGORICAL),
+    ColumnSchema("v", NUMERIC),
+)
+
+
+def _keyed_rel(rng, n_rows):
+    g = rng.choice(["a,b", "x|y", "Zürich", "", "plain"], size=n_rows).tolist()
+    h = rng.choice(["h0", "h|1"], size=n_rows).tolist()
+    return Relation(KEYED_SCHEMA, {"g": g, "h": h, "v": rng.normal(size=n_rows)})
+
+
+def _assert_encoded(rel):
+    """Every categorical column holds each of its levels, once, numbered by
+    first occurrence."""
+    for col in rel.schema:
+        if col.kind == CATEGORICAL:
+            codes, levels = rel.encoded(col.name)
+            seen, first = np.unique(codes, return_index=True)
+            assert seen.tolist() == list(range(len(levels)))
+            assert np.all(np.diff(first) > 0)
+            assert len(set(levels)) == len(levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_rows=st.integers(1, 60),
+    budget=st.integers(1, 60),
+    zero=st.booleans(),
+)
+def test_draws_match_the_reference(seed, n_rows, budget, zero):
+    rng = np.random.default_rng(seed)
+    rel = _keyed_rel(rng, n_rows)
+    plan = alloc_senate(compute_catalog(rel, ["g", "h"], ["v"]), budget)
+    if zero:
+        plan.sizes[rng.random(len(plan.sizes)) < 0.3] = 0
+    sample = draw_stratified(rel, plan, seed)
+    got = [(s.key, s.n, s.size, s.row_ids, s.rows) for s in sample.strata]
+    assert got == reference.draw(rel, plan, seed)
+    p = rng.choice([0.0, 0.3, 1.0], size=n_rows)
+    poisson = draw_poisson(rel, p, seed)
+    assert (poisson.row_ids, poisson.rows, poisson.p) == reference.draw_poisson(rel, p, seed)
+    assert all(type(r) is int for r in poisson.row_ids)
+    assert all(type(pr) is float for pr in poisson.p)
+    for drawn in (sample, poisson):
+        _assert_encoded(drawn.columns)
+        assert drawn.total_rows == len(drawn.columns) == len(drawn.source_ids)
+    _assert_encoded(sample.key_columns)
+    assert sample.keys == [key.values for key in plan.keys]
+
+
+def _body(path):
+    header, names, *rows = path.read_text(encoding="utf-8").splitlines()
+    return header, names, [row.split(",", 1) for row in rows]
+
+
+def _write_body(path, header, names, rows):
+    lines = [header, names] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _two_strata_file(tmp_path):
+    rel = _simple_rel([("a", [1, 2, 3, 4]), ("b", [5, 6, 7, 8])])
+    plan = alloc_senate(compute_catalog(rel, ["g"], ["v"]), 4)
+    sample = draw_stratified(rel, plan, seed=3)
+    path = tmp_path / "sample.txt"
+    save_sample(sample, path)
+    return sample, path
+
+
+def test_load_groups_rows_by_stratum_in_file_order(tmp_path):
+    sample, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    _write_body(path, header, names, rows[::-1])
+    back = load_sample(path)
+    want = [(s.key, s.n, s.size, s.row_ids[::-1], s.rows[::-1]) for s in sample.strata]
+    assert [(s.key, s.n, s.size, s.row_ids, s.rows) for s in back.strata] == want
+    _assert_encoded(back.columns)
+
+
+def test_load_rejects_stratum_ordinals_outside_the_header(tmp_path):
+    sample, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    assert [ordinal for ordinal, _ in rows] == ["0", "0", "1", "1"]
+    # -1 and 0 swap a row between the strata and keep both counts
+    for first, third in (("-1", "0"), ("1", "2"), ("0", "-2")):
+        changed = [[first, rows[0][1]], rows[1], [third, rows[2][1]], rows[3]]
+        _write_body(path, header, names, changed)
+        with pytest.raises(CorruptSampleFile, match=r"outside \[0, 2\)"):
+            load_sample(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+def test_load_rejects_non_finite_numbers(tmp_path, cell):
+    stratified, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    _write_body(path, header, names, [[rows[0][0], f"0,a,{cell}"]] + rows[1:])
+    with pytest.raises(CorruptSampleFile, match="not a finite number"):
+        load_sample(path)
+    rel = _simple_rel([("a", [1.5, 2.5]), ("b", [4.5])])
+    save_sample(draw_poisson(rel, np.ones(3), seed=2), path)
+    header, names, rows = _body(path)
+    _write_body(path, header, names, rows[:2] + [["2", f"1,b,{cell}"]])
+    with pytest.raises(CorruptSampleFile, match="not a finite number"):
+        load_sample(path)
+
+
+def test_load_rejects_rows_of_the_wrong_width(tmp_path):
+    _, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    for bad in ("0,a", "0,a,1.0,extra"):
+        _write_body(path, header, names, [[rows[0][0], bad]] + rows[1:])
+        with pytest.raises(CorruptSampleFile, match="cells, expected 4"):
+            load_sample(path)
+
+
+def test_load_rejects_a_population_below_the_sample_size(tmp_path):
+    _, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    assert '"n": 4, "s": 2}' in header
+    for n in (-40, 0, 1):
+        changed = header.replace('"n": 4, "s": 2}', f'"n": {n}, "s": 2}}', 1)
+        _write_body(path, changed, names, rows)
+        with pytest.raises(CorruptSampleFile, match="population"):
+            load_sample(path)
+    _write_body(path, header.replace('"n": 4, "s": 2}', '"n": 2, "s": 2}', 1), names, rows)
+    assert load_sample(path).strata[0].n == 2

@@ -329,3 +329,17 @@ def test_snapshot_usable_for_estimation():
     exact = exact_answer(rel, ["g"], "v", AVG)
     for est in ests:
         assert abs(est.value - exact[est.group]) / abs(exact[est.group]) < 0.25
+
+
+def test_snapshot_holds_each_stratum_in_arrival_order():
+    rows = synthetic_stream(5, 300)
+    state = _fresh(budget=30)
+    for b, start in enumerate(range(0, 300, 50)):
+        ingest_batch(state, rows[start : start + 50], seed=b)
+    snap = state.snapshot()
+    assert [s.key for s in snap.strata] == list(state.strata)
+    for got, (key, stratum) in zip(snap.strata, state.strata.items()):
+        arrivals = sorted(ordinal for _, ordinal, _ in stratum.heap)
+        assert (got.n, got.size) == (stratum.n_seen, stratum.size)
+        assert got.row_ids == arrivals
+        assert got.rows == [rows[r] for r in arrivals]
