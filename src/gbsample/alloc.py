@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, key_ids, stratum_ids
+from .dataset import GroupKey, Relation, key_ids
 from .errors import (
     AllStrataConstant,
     EmptyProblem,
@@ -778,8 +778,8 @@ def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
     group missing from ``alloc.populations`` counts its rows instead.
     """
     union = list(dict.fromkeys(a for q in alloc.queries for a in q.attrs))
-    fine_ids, fine_values = stratum_ids(rel, union)
-    counts = np.bincount(fine_ids, minlength=len(fine_values))
+    fine_ids, fine_values, _, bounds = rel.strata(union)
+    counts = np.diff(bounds)
     per_query = []
     for i, q in enumerate(alloc.queries):
         group, keys = key_ids(fine_values, [union.index(a) for a in q.attrs])

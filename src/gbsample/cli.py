@@ -35,14 +35,16 @@ import csv
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import alloc, baselines, query as qmod, sampler, stats, stream, workload as wmod
 from .dataset import ColumnSchema, Relation, load_csv
-from .errors import GbsampleError, string_list
+from .errors import GbsampleError, InvalidDocument, member, string_list
 
 METHODS_CV = ("cvopt-l2", "cvopt-linf", "cvopt-individual")
 METHODS_BASE = tuple(baselines.ALLOCATORS)
@@ -76,11 +78,26 @@ class RunConfig:
     )
     n_seeds: int = 5
     missing_policy: str = "score_one"
+    #: the config file the fields were read from, named in errors
+    source: ClassVar[str] = "config"
 
     def schema_objects(self) -> tuple[ColumnSchema, ...]:
+        """The configured schema.  A ``schema`` that is not a list of
+        objects, or an entry without a string ``name`` or without a
+        ``kind``, raises :class:`InvalidDocument` naming the config file
+        and the field."""
         if not self.schema:
             raise UsageError("config must define a schema")
-        return tuple(ColumnSchema(c["name"], c["kind"]) for c in self.schema)
+        if not isinstance(self.schema, list):
+            raise InvalidDocument(
+                f"{self.source}: schema: expected a list of objects, got {self.schema!r}"
+            )
+        out = []
+        for i, entry in enumerate(self.schema):
+            get = partial(member, self.source, entry, f"schema[{i}]")
+            name = get("name", lambda v: isinstance(v, str), "a string")
+            out.append(ColumnSchema(name, get("kind")))
+        return tuple(out)
 
     def resolve_budget(self, n_rows: int, r: int | None = None) -> tuple[int, list[str]]:
         warnings = []
@@ -108,10 +125,12 @@ class RunConfig:
 def load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
+        cfg.source = args.config
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
+        names = {f.name for f in fields(RunConfig)}
         for k, v in doc.items():
-            if not hasattr(cfg, k):
+            if k not in names:
                 raise UsageError(f"unknown config field {k!r}")
             if k in ("group_by", "aggregates", "methods"):
                 v = list(string_list(v, args.config, k))

@@ -16,9 +16,13 @@ encoding.
 
 Strata are integer ids: :func:`stratum_ids` numbers the rows' value tuples
 under a list of attributes by first occurrence, and :func:`segments` sorts
-rows by id once so that each stratum is a contiguous slice.  Every layer
-that works stratum by stratum (catalog, draw, evaluation, workload
-entities) runs over those slices.
+rows by id so that each stratum is a contiguous slice.  A relation computes
+each grouping's stratification (:class:`Strata`: the ids, the strata's
+value tuples and the sorted slices) once, on first use of
+:meth:`Relation.strata`, and keeps it: the relation never changes.  Every
+layer that works stratum by stratum (catalog, allocation, draw, estimation,
+evaluation, workload entities) reads it from there, so one grouping of one
+relation is stratified once however many layers use it.
 
 Missing categorical cells are mapped to the sentinel :data:`NULL_TOKEN`,
 which forms its own stratum.  Missing numeric cells are a parse error.
@@ -102,6 +106,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class Strata(NamedTuple):
+    """One stratification of a relation's rows.
+
+    Row r lies in stratum ``ids[r]``; stratum k has the value tuple
+    ``keys[k]`` and the rows ``order[bounds[k]:bounds[k + 1]]``, ascending.
+    Strata are numbered by first occurrence (see :func:`stratum_ids` and
+    :func:`segments`).  The arrays are read-only.
+    """
+
+    ids: np.ndarray
+    keys: tuple
+    order: np.ndarray
+    bounds: np.ndarray
+
+
 class Relation:
     """An immutable table.  ``row_id`` is the 0-based position.
 
@@ -140,6 +159,7 @@ class Relation:
         if len(sizes) > 1:
             raise ValueError("columns have unequal lengths")
         self.n_rows = sizes.pop() if sizes else 0
+        self._strata: dict[tuple[str, ...], Strata] = {}
 
     # -- schema helpers ---------------------------------------------------
 
@@ -168,6 +188,20 @@ class Relation:
         if self.kind_of(name) != NUMERIC:
             raise UnknownColumn(name)
         return self._columns[name]
+
+    def strata(self, attrs: Sequence[str]) -> Strata:
+        """The stratification of the rows under ``attrs``, computed the
+        first time these attributes (in this order) are asked for and kept
+        for every later call.  An attribute that is not a categorical
+        column raises :class:`UnknownAttribute`."""
+        attrs = tuple(attrs)
+        found = self._strata.get(attrs)
+        if found is None:
+            ids, keys = stratum_ids(self, attrs)
+            order, bounds = segments(ids, len(keys))
+            found = Strata(_frozen(ids), tuple(keys), _frozen(order), _frozen(bounds))
+            self._strata[attrs] = found
+        return found
 
     def records(self, row_ids) -> list[tuple]:
         """The given rows as tuples of values in schema order, categorical

@@ -25,17 +25,23 @@ weights every row of the relation by 1.
 Predicates are conjunctions of atoms.  An atom on a categorical column
 takes only ``=`` or ``!=``; an atom on a numeric column needs real-number
 operands.  :meth:`Predicate.mask` is the one evaluator, and
-:func:`dataset.stratum_ids` the one group numbering: both run on a
-relation, whether the full one or a sample's encoded columns, so a
-relation and either kind of sample reject the same atoms with
-:class:`InvalidArgument` and number their groups the same way.
+:meth:`Relation.strata` the one group numbering: both run on a relation,
+whether the full one or a sample's encoded columns, so a relation and
+either kind of sample reject the same atoms with :class:`InvalidArgument`
+and number their groups the same way.  A relation keeps each grouping's
+strata, so answering many requests from one sample, or evaluating a
+sample against the relation it was drawn from, stratifies each grouping
+once.
 
 Evaluation scores per-group relative error |estimate - exact| / |exact|
 against the exact answers computed from the full relation; groups present
 in the truth but missing from the sample score 1.0 by default.  Reported
 predicted-CV norms always describe the AVG estimator of the queried
 column, whatever the aggregate, and ignore the predicate (they measure
-plan quality, not a per-predicate guarantee).
+plan quality, not a per-predicate guarantee).  They take each sample
+stratum's population and std, and each query group's mean, from the
+relation's strata with :func:`stats.strata_moments`, the arithmetic of
+:func:`stats.compute_catalog`, so they match the catalogs bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .alloc import json_float, predicted_group_cv
-from .dataset import CATEGORICAL, GroupKey, Relation, stratum_ids
+from .dataset import CATEGORICAL, GroupKey, Relation
 from .errors import (
     GbsampleError,
     IncompatibleGrouping,
@@ -64,7 +70,7 @@ from .errors import (
     string_list,
 )
 from .sampler import PoissonSample, StratifiedSample
-from .stats import compute_catalog
+from .stats import strata_moments
 
 AVG = "avg"
 SUM = "sum"
@@ -272,7 +278,7 @@ def estimate(sample, request: QueryRequest) -> list[Estimate]:
         )
     if not len(sample.n):  # no strata: no groups, not one group of nothing
         return []
-    group_of_cell, keys = stratum_ids(sample.key_columns, attrs)
+    group_of_cell, keys, _, _ = sample.key_columns.strata(attrs)
     size = sample.size.astype(np.float64)
     factor = np.divide(sample.n, size, out=np.zeros(len(size)), where=size > 0)
     value, count, support = _group_by(
@@ -304,7 +310,7 @@ def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> list[Esti
                 f"{a!r} is not a categorical column of the sample"
             )
     values, keep = _inputs(sample.columns, request)
-    ids, keys = stratum_ids(sample.columns, attrs)
+    ids, keys, _, _ = sample.columns.strata(attrs)
     value, _, support = _group_by(
         request.fn, np.arange(len(ids)), values, keep, 1.0 / sample.rates, ids, len(keys)
     )
@@ -335,7 +341,7 @@ def exact_answer(
     """
     request = QueryRequest(tuple(group_attrs), fn, column, predicate)
     values, keep = _inputs(rel, request)
-    ids, keys = stratum_ids(rel, request.group_attrs)
+    ids, keys, _, _ = rel.strata(request.group_attrs)
     value, _, support = _group_by(
         fn, np.arange(rel.n_rows), values, keep, np.ones(rel.n_rows), ids, len(keys)
     )
@@ -435,20 +441,23 @@ def _predicted_cvs(rel, sample, request) -> dict[GroupKey, float | None]:
     """Predicted CVs of the AVG estimator per query group (predicate ignored)."""
     if request.column is None or not isinstance(sample, StratifiedSample):
         return {}
-    col = request.column
-    catalog = compute_catalog(rel, sample.group_attrs, (col,))
-    stratum_of = {values: k for k, values in enumerate(catalog.keys)}
-    n, std = catalog.n.tolist(), catalog.std[col].tolist()
+    fine = rel.strata(sample.group_attrs)
+    values = rel.numeric(request.column)
+    groups = rel.strata(request.group_attrs)
+    fine_moments = strata_moments(values, fine)
+    # a same-grouping sample's strata are the query groups: one pass serves both
+    moments = fine_moments if groups is fine else strata_moments(values, groups)
+    stratum_of = {key: k for k, key in enumerate(fine.keys)}
     positions = [sample.group_attrs.index(a) for a in request.group_attrs]
     by_coarse: dict[tuple, list] = {}
-    for values, size in zip(sample.keys, sample.size.tolist()):
-        k = stratum_of.get(values)
+    for key, size in zip(sample.keys, sample.size.tolist()):
+        k = stratum_of.get(key)
         if k is None:
             continue
-        coarse = tuple(values[p] for p in positions)
-        by_coarse.setdefault(coarse, []).append((n[k], size, std[k]))
-    groups = compute_catalog(rel, request.group_attrs, (col,))
-    group_mean = dict(zip(groups.keys, groups.mean[col].tolist()))
+        m = fine_moments[k]
+        coarse = tuple(key[p] for p in positions)
+        by_coarse.setdefault(coarse, []).append((m.count, size, m.std))
+    group_mean = {key: m.mean for key, m in zip(groups.keys, moments)}
     out: dict[GroupKey, float | None] = {}
     for coarse, parts in by_coarse.items():
         mu = group_mean.get(coarse, 0.0)

@@ -44,8 +44,6 @@ from .dataset import (
     GroupKey,
     Relation,
     encode,
-    segments,
-    stratum_ids,
 )
 from .errors import (
     CorruptSampleFile,
@@ -210,14 +208,14 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
     """
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
-    ids, values = stratum_ids(rel, plan.group_attrs)
-    position = {GroupKey(plan.group_attrs, v): k for k, v in enumerate(values)}
+    strata = rel.strata(plan.group_attrs)
+    position = {GroupKey(plan.group_attrs, v): k for k, v in enumerate(strata.keys)}
     if set(position) != set(plan.keys):
         raise PlanMismatch(
             "plan strata do not match the relation's partition "
             f"({len(plan.keys)} plan strata, {len(position)} in relation)"
         )
-    order, bounds = segments(ids, len(values))
+    order, bounds = strata.order, strata.bounds.tolist()
     taken: list[int] = []  # the sampled rows, stratum after stratum in plan order
     n = []
     for idx, key in enumerate(plan.keys):

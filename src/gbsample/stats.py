@@ -1,10 +1,11 @@
 """One-pass, mergeable per-stratum statistics held as arrays.
 
-:func:`compute_catalog` sorts the rows by stratum id once
-(:func:`gbsample.dataset.segments`) and takes each stratum's count, mean
-and standard deviation over its contiguous slice with the two-pass formula
-of :func:`from_array`: the mean, then the sum of squared deviations from
-it.  The coefficient of variation is sigma / |mu|.
+:func:`compute_catalog` reads the relation's stratification
+(:meth:`gbsample.dataset.Relation.strata`: the rows sorted by stratum id)
+and takes each stratum's count, mean and standard deviation over its
+contiguous slice with :func:`strata_moments`, the two-pass formula of
+:func:`from_array` per slice: the mean, then the sum of squared deviations
+from it.  The coefficient of variation is sigma / |mu|.
 
 A :class:`StatsCatalog` is arrays indexed by stratum: the strata's value
 tuples in first-occurrence order, an int64 count array ``n`` and, per
@@ -37,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, key_ids, segments, stratum_ids
+from .dataset import GroupKey, Relation, Strata, key_ids
 from .errors import InvalidDocument, NotASubset, member, string_list
 
 #: significant digits used when serializing floating point values
@@ -92,6 +93,14 @@ def from_array(values: np.ndarray) -> RunningMoments:
     mean = float(values.sum()) / n
     deviations = values - mean
     return RunningMoments(n, mean, float((deviations * deviations).sum()))
+
+
+def strata_moments(values: np.ndarray, strata: Strata) -> list[RunningMoments]:
+    """The :func:`from_array` moments of ``values`` (one per row) over each
+    stratum's rows, ascending, in stratum order."""
+    ordered = values[strata.order]
+    bounds = strata.bounds.tolist()
+    return [from_array(ordered[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -186,19 +195,14 @@ def compute_catalog(
     """Summarize every occurring stratum, in first-occurrence order."""
     group_attrs = tuple(group_attrs)
     agg_columns = tuple(agg_columns)
-    ids, keys = stratum_ids(rel, group_attrs)
-    order, bounds = segments(ids, len(keys))
-    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    strata = rel.strata(group_attrs)
     mean, std = {}, {}
     for col in agg_columns:
-        # each stratum's rows, ascending, as one contiguous slice
-        ordered = rel.numeric(col)[order]
-        moments = [from_array(ordered[lo:hi]) for lo, hi in spans]
+        moments = strata_moments(rel.numeric(col), strata)
         mean[col] = [m.mean for m in moments]
         std[col] = [m.std for m in moments]
-    return StatsCatalog(
-        group_attrs, agg_columns, keys, np.diff(bounds), mean, std, rel.n_rows
-    )
+    n = np.diff(strata.bounds)
+    return StatsCatalog(group_attrs, agg_columns, list(strata.keys), n, mean, std, rel.n_rows)
 
 
 def pool_with_ids(

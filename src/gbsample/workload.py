@@ -13,12 +13,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, segments, stratum_ids
-from .errors import EmptyProblem, InvalidArgument, UnknownColumn, string_list
+from .dataset import GroupKey, Relation
+from .errors import (
+    EmptyProblem,
+    InvalidArgument,
+    InvalidDocument,
+    UnknownColumn,
+    member,
+    string_list,
+)
 from .alloc import GroupQuery, WeightSpec
 from .query import Predicate
 
@@ -82,8 +90,7 @@ def derive_aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> F
             if rel.kind_of(col) != "numeric":
                 raise UnknownColumn(col)
         mask = None if query.predicate is None else query.predicate.mask(rel)
-        ids, values = stratum_ids(rel, query.group_attrs)
-        order, bounds = segments(ids, len(values))
+        _, values, order, bounds = rel.strata(query.group_attrs)
         if mask is not None:
             # keep the matching rows; each bound moves to the count kept before it
             keep = mask[order]
@@ -173,22 +180,32 @@ def _transform(freq: int, transform: str) -> float:
 
 def workload_from_json(text: str, source: str = "workload") -> list[QuerySpec]:
     """Parse a workload file: a JSON array of
-    {group_by, aggregates, predicate?, repeats}.  ``source`` names the
-    document in errors."""
+    {group_by, aggregates, predicate?, repeats?}.  A document that is not
+    an array, an item that is not an object or lacks ``group_by`` or
+    ``aggregates``, and a ``repeats`` that is not a JSON integer raise
+    :class:`InvalidDocument` naming ``source`` and the field."""
     doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise InvalidDocument(f"{source}: (document): expected a list of queries, got {doc!r}")
     out = []
     for i, item in enumerate(doc):
+        get = partial(member, source, item, f"[{i}]")
+        group_attrs = string_list(get("group_by"), source, f"[{i}].group_by")
+        agg_columns = string_list(get("aggregates"), source, f"[{i}].aggregates")
         pred = item.get("predicate")
+        repeats = item.get("repeats", 1)
+        if type(repeats) is not int:  # a float is not truncated, nor a bool read as 1
+            raise InvalidDocument(
+                f"{source}: [{i}].repeats: expected an integer, got {repeats!r}"
+            )
         out.append(
             QuerySpec(
-                group_attrs=string_list(item["group_by"], source, f"[{i}].group_by"),
-                agg_columns=string_list(
-                    item["aggregates"], source, f"[{i}].aggregates"
-                ),
+                group_attrs=group_attrs,
+                agg_columns=agg_columns,
                 predicate=Predicate.from_json(pred, source, f"[{i}].predicate")
                 if pred
                 else None,
-                repeats=int(item.get("repeats", 1)),
+                repeats=repeats,
             )
         )
     return out

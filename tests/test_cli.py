@@ -687,3 +687,48 @@ def test_corrupt_sample_file_is_a_user_error(tmp_path, fix_a_csv, capsys):
             assert _run(command, "--config", str(cfg)) == 1
             assert message in capsys.readouterr().err
             assert not (out / written).exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"queries": [{"group_by": ["grp"], "aggregates": ["v"]}]}, "(document): expected a list"),
+        (["grp"], "[0]: expected an object"),
+        ([{"aggregates": ["v"]}], "[0].group_by: missing"),
+        ([{"group_by": ["grp"]}], "[0].aggregates: missing"),
+        ([{"group_by": ["grp"], "aggregates": ["v"], "repeats": "x"}], "[0].repeats: expected"),
+        ([{"group_by": ["grp"], "aggregates": ["v"], "repeats": 1.7}], "[0].repeats: expected"),
+        ([{"group_by": ["grp"], "aggregates": ["v"], "repeats": True}], "[0].repeats: expected"),
+    ],
+)
+def test_malformed_workload_document_is_a_user_error(tmp_path, fix_a_csv, capsys, doc, field):
+    workload_path = tmp_path / "workload.json"
+    workload_path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _write_config(tmp_path, fix_a_csv, workload=str(workload_path))
+    assert _run("stats", "--config", str(cfg)) == 1
+    assert f"{workload_path}: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "catalog.json").exists()
+
+
+@pytest.mark.parametrize(
+    "schema, field",
+    [
+        ([{"name": "grp"}, {"name": "v", "kind": "numeric"}], "schema[0].kind: missing"),
+        ([{"name": "grp", "kind": "categorical"}, {"kind": "numeric"}], "schema[1].name: missing"),
+        ([{"name": 3, "kind": "categorical"}], "schema[0].name: expected a string"),
+        ({"grp": "categorical", "v": "numeric"}, "schema: expected a list of objects"),
+        (["grp", "v"], "schema[0]: expected an object"),
+    ],
+)
+def test_malformed_config_schema_is_a_user_error(tmp_path, fix_a_csv, capsys, schema, field):
+    cfg = _write_config(tmp_path, fix_a_csv, schema=schema)
+    assert _run("stats", "--config", str(cfg)) == 1
+    assert f"{cfg}: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "catalog.json").exists()
+
+
+@pytest.mark.parametrize("key", ["need", "schema_objects", "source"])
+def test_config_keys_that_are_not_fields_are_unknown(tmp_path, fix_a_csv, capsys, key):
+    cfg = _write_config(tmp_path, fix_a_csv, **{key: 1})
+    assert _run("stats", "--config", str(cfg)) == 1
+    assert f"unknown config field {key!r}" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from gbsample.dataset import (
     GroupKey,
     Relation,
     load_csv,
+    segments,
     stratum_ids,
 )
 from gbsample.errors import (
@@ -230,6 +231,60 @@ def test_take_gathers_rows_and_renumbers_codes(rows, data):
     for attrs in ([], ["g1"], ["g2", "g1"]):
         got, want = stratum_ids(taken, attrs), stratum_ids(afresh, attrs)
         assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+
+
+_KEY_TEXT = st.sampled_from(["a", "", ",", "a,b", "|", "x|y", "Zürich", "東京", NULL_TOKEN])
+_GROUPED = (
+    ColumnSchema("g1", CATEGORICAL),
+    ColumnSchema("g2", CATEGORICAL),
+    ColumnSchema("g3", CATEGORICAL),
+    ColumnSchema("v", NUMERIC),
+)
+
+
+@given(
+    st.lists(st.tuples(_KEY_TEXT, _KEY_TEXT, _KEY_TEXT, st.just(1.0)), min_size=1, max_size=40),
+    st.data(),
+)
+def test_strata_equal_the_uncached_kernels(rows, data):
+    """``Relation.strata`` holds exactly what ``stratum_ids`` and
+    ``segments`` compute, for every grouping in every attribute order, on
+    relations built from records and made by ``take``."""
+    rel = Relation.from_records(_GROUPED, rows)
+    taken = rel.take(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30)))
+    groupings = [(), ("g1",), ("g2", "g1"), ("g1", "g2", "g3"), ("g3", "g1", "g2")]
+    groupings.append(data.draw(st.permutations(["g1", "g2", "g3"])))
+    groupings.append(data.draw(st.lists(st.sampled_from(["g1", "g2", "g3"]), unique=True)))
+    for r in (rel, taken):
+        for attrs in groupings:
+            ids, keys = stratum_ids(r, attrs)
+            order, bounds = segments(ids, len(keys))
+            got = r.strata(attrs)
+            assert got.keys == tuple(keys)
+            for have, want in ((got.ids, ids), (got.order, order), (got.bounds, bounds)):
+                assert have.dtype == want.dtype and have.tolist() == want.tolist()
+            assert r.strata(list(attrs)) is got
+
+
+def test_strata_are_read_only_and_computed_once(student_rel):
+    for attrs in ((), ("major",), ("major", "college")):
+        strata = student_rel.strata(attrs)
+        assert student_rel.strata(list(attrs)) is strata
+        assert isinstance(strata.keys, tuple)
+        for arr in (strata.ids, strata.order, strata.bounds):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    assert student_rel.strata(("college", "major")) is not student_rel.strata(
+        ("major", "college")
+    )
+
+
+def test_strata_of_an_unknown_attribute_raise_on_every_call(student_rel):
+    for attrs in (("nope",), ("major", "nope"), ("age",), ("college", "gpa")):
+        for _ in range(2):
+            with pytest.raises(UnknownAttribute):
+                student_rel.strata(attrs)
+    assert student_rel._strata == {}
 
 
 def test_a_relation_without_columns_keeps_its_row_count():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbsample.alloc import plan_l2
+from gbsample.alloc import plan_l2, predicted_group_cv
 from gbsample.baselines import alloc_senate, alloc_uniform
 from gbsample.dataset import (
     CATEGORICAL,
@@ -39,6 +39,7 @@ from gbsample.query import (
     exact_answer,
     _group_by,
     _inputs,
+    _predicted_cvs,
     report_to_csv,
     report_to_json,
 )
@@ -639,6 +640,37 @@ def _ref_tuple_estimate(sample, request):
     return out
 
 
+def _ref_predicted_cvs(rel, sample, request):
+    """Predicted CVs from two full catalogs: one by the sample's strata for
+    each stratum's population and std, one by the query groups for each
+    group's mean."""
+    if request.column is None or not isinstance(sample, StratifiedSample):
+        return {}
+    col = request.column
+    catalog = compute_catalog(rel, sample.group_attrs, (col,))
+    stratum_of = {values: k for k, values in enumerate(catalog.keys)}
+    n, std = catalog.n.tolist(), catalog.std[col].tolist()
+    positions = [sample.group_attrs.index(a) for a in request.group_attrs]
+    by_coarse = {}
+    for values, size in zip(sample.keys, sample.size.tolist()):
+        k = stratum_of.get(values)
+        if k is None:
+            continue
+        coarse = tuple(values[p] for p in positions)
+        by_coarse.setdefault(coarse, []).append((n[k], size, std[k]))
+    groups = compute_catalog(rel, request.group_attrs, (col,))
+    group_mean = dict(zip(groups.keys, groups.mean[col].tolist()))
+    out = {}
+    for coarse, parts in by_coarse.items():
+        mu = group_mean.get(coarse, 0.0)
+        try:
+            cv = None if mu == 0.0 else predicted_group_cv(parts, mu)
+        except GbsampleError:
+            cv = None
+        out[GroupKey(tuple(request.group_attrs), coarse)] = cv
+    return out
+
+
 def _as_tuples(estimates):
     """Group, value, support and missing flag in order; values compare
     with ==."""
@@ -833,3 +865,37 @@ def test_query_document_rejects_a_string_for_group_by():
         QueryRequest.from_json(doc, "q.json")
     doc["group_by"] = ["major"]
     assert QueryRequest.from_json(doc).group_attrs == ("major",)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 10_000),
+    n_rows=st.integers(1, 60),
+    g_card=st.integers(1, len(KEY_NAMES)),
+    h_card=st.integers(1, 3),
+    budget=st.integers(1, 60),
+    zero=st.booleans(),
+)
+def test_predicted_cvs_match_the_two_catalog_oracle(seed, n_rows, g_card, h_card, budget, zero):
+    """``evaluate``'s predicted CVs equal, by ==, those of two full catalogs
+    on the sample's own grouping (one moments pass) and on coarser and
+    permuted ones, for drawn and loaded samples, and against a relation
+    that lacks some of the sample's strata."""
+    rng = np.random.default_rng(seed)
+    rel = _random_rel(rng, n_rows, g_card, h_card)
+    sample = _stratified(rel, seed, budget, rng, zero)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.txt"
+        save_sample(sample, path)
+        loaded = load_sample(path)
+    part = rel.take(range((n_rows + 1) // 2))
+    for target in (rel, part):
+        for drawn in (sample, loaded):
+            for attrs in STRAT_GROUPINGS:
+                for column in ("v", "w"):
+                    request = QueryRequest(attrs, AVG, column)
+                    want = _ref_predicted_cvs(target, drawn, request)
+                    got = _predicted_cvs(target, drawn, request)
+                    assert list(got.items()) == list(want.items()), request
+                    report = evaluate(target, drawn, request)
+                    assert all(s.predicted_cv == want.get(s.group) for s in report.scores)
