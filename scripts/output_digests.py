@@ -5,7 +5,9 @@ Runs ``stats -> plan -> sample -> query -> evaluate`` through
 ``gbsample.cli`` on the 8-row student table and on the three ``--size
 tiny`` benchmark tables (generated by ``benchmark/datagen.py``), for the
 methods cvopt-l2, cvopt-linf, a cube multi-groupby, a workload-weighted
-plan, cvopt-individual, uniform, senate and congress, and prints one line
+plan, cvopt-individual, uniform, senate and congress; then ``compare``
+(cvopt-l2, cvopt-linf, uniform, senate and congress over two seeds) and
+``stream-sim`` (batch size 100) on the same grouping.  Prints one line
 ``<sha256>  <table>/<method>/<file>`` per output file, plus the exit code
 of every command.  Exits 1 if any command failed.
 
@@ -71,6 +73,17 @@ TABLES = {
 }
 
 OUTPUTS = ("catalog.json", "plan.json", "sample.txt")
+
+#: the commands run alone on the plain grouping: their config fields and
+#: the files they write
+SIDE_RUNS = {
+    "compare": (
+        {"methods": ["cvopt-l2", "cvopt-linf", "uniform", "senate", "congress"],
+         "n_seeds": 2},
+        ("compare.json", "compare.csv"),
+    ),
+    "stream-sim": ({"batch_size": 100}, ("stream_metrics.jsonl",)),
+}
 
 #: seed of the generated tiny tables
 SEED = 7
@@ -152,25 +165,36 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
         {"name": c, "kind": "numeric"} for c in spec["numeric"]
     ]
     queries = _queries(spec, work)
-    for method, fields in _runs(spec, work).items():
-        out = work / method
-        config = _write(
-            work / f"{method}.config.json",
+
+    def config(label: str, fields: dict) -> tuple[Path, str]:
+        out = work / label
+        return out, _write(
+            work / f"{label}.config.json",
             {"data": str(data), "schema": schema, "seed": 1, "out_dir": str(out),
              **spec["size"], **fields},
         )
-        codes = [_cli([cmd, "--config", config]) for cmd in ("stats", "plan", "sample")]
+
+    for method, fields in _runs(spec, work).items():
+        out, config_path = config(method, fields)
+        codes = [_cli([cmd, "--config", config_path]) for cmd in ("stats", "plan", "sample")]
         failed += sum(c != 0 for c in codes)
         lines.append(f"exit {codes}  {name}/{method}")
         lines += [f"{_digest(out / f)}  {name}/{method}/{f}" for f in OUTPUTS]
         for label, query in queries.items():
-            codes = [_cli([cmd, "--config", config, "--query", query])
+            codes = [_cli([cmd, "--config", config_path, "--query", query])
                      for cmd in ("query", "evaluate")]
             failed += sum(c != 0 for c in codes)
             lines.append(f"exit {codes}  {name}/{method}/{label}")
             for f in ("estimates.json", "report.json", "report.csv"):
                 lines.append(f"{_digest(out / f)}  {name}/{method}/{label}/{f}")
                 (out / f).unlink(missing_ok=True)
+    plain = {"group_by": spec["attrs"], "aggregates": spec["numeric"][:1]}
+    for command, (fields, outputs) in SIDE_RUNS.items():
+        out, config_path = config(command, {**plain, **fields})
+        code = _cli([command, "--config", config_path])
+        failed += code != 0
+        lines.append(f"exit [{code}]  {name}/{command}")
+        lines += [f"{_digest(out / f)}  {name}/{command}/{f}" for f in outputs]
     return lines, failed
 
 

@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -44,6 +45,13 @@ import numpy as np
 
 from .dataset import GroupKey, Relation, key_ids
 from .errors import (
+    COUNT,
+    INTEGER,
+    LIST,
+    NUMBER,
+    OBJECT,
+    STRING,
+    STRINGS,
     AllStrataConstant,
     EmptyProblem,
     InvalidArgument,
@@ -54,6 +62,7 @@ from .errors import (
     ZeroMeanError,
     ZeroMeanGroup,
     ZeroMeanStratum,
+    member,
 )
 from .stats import StatsCatalog, pool_with_ids
 
@@ -118,26 +127,6 @@ UNIT_WEIGHTS = WeightSpec()
 
 # ---------------------------------------------------------------------------
 # the fractional core
-
-
-@dataclass
-class AllocationProblem:
-    """Strata with positive cost coefficients, population caps and a budget."""
-
-    keys: tuple[GroupKey, ...]
-    costs: np.ndarray
-    caps: np.ndarray
-    budget: int
-
-    def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=np.float64)
-        self.caps = np.asarray(self.caps, dtype=np.int64)
-        if len(self.keys) == 0:
-            raise EmptyProblem("no strata to allocate over")
-        if self.budget < 1:
-            raise InvalidArgument(f"budget must be >= 1, got {self.budget}")
-        if np.any(self.costs <= 0):
-            raise NonPositiveCost("all cost coefficients must be positive")
 
 
 def solve_fractional(costs: np.ndarray, budget: float) -> np.ndarray:
@@ -467,9 +456,8 @@ def _assemble_plan(
                 f"budget {budget} leaves no rows after pinning {n_excluded} "
                 f"zero-mean strata at one row each"
             )
-        problem = AllocationProblem(tuple(catalog.group_keys(kept)), costs, caps, sub_budget)
-        fractional, frozen = resolve_caps(problem.costs, problem.caps, problem.budget)
-        sizes, round_warnings = l2_sizes(fractional, problem.costs, caps, sub_budget)
+        fractional, frozen = resolve_caps(costs, caps, sub_budget)
+        sizes, round_warnings = l2_sizes(fractional, costs, caps, sub_budget)
         warnings.extend(round_warnings)
     return _pinned_plan(
         method, catalog, kept, fractional, sizes, costs, excluded, budget, frozen, warnings
@@ -864,28 +852,61 @@ def plan_to_json(plan: AllocationPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
-def plan_from_json(text: str) -> AllocationPlan:
+def _stratum_key(source: str, strata: list, i: int, attrs: tuple[str, ...]) -> GroupKey:
+    """The key of ``strata[i]`` in a plan file: one string per attribute of
+    ``attrs``."""
+    ok = lambda v: STRINGS[0](v) and len(v) == len(attrs)  # noqa: E731
+    expected = f"a list of {len(attrs)} strings"
+    return GroupKey(attrs, tuple(member(source, strata[i], f"strata[{i}]", "key", ok, expected)))
+
+
+def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | PerQueryAllocation:
+    """Parse a plan file: a :class:`PerQueryAllocation` when its method is
+    individual, else an :class:`AllocationPlan`.  A missing field, a field
+    of the wrong JSON type, a key whose length differs from its grouping
+    and a query index outside the plan's queries raise
+    :class:`InvalidDocument` naming ``source`` and the field."""
+    get = partial(member, source)
     doc = json.loads(text)
-    attrs = tuple(doc["group_attrs"])
-    keys = tuple(GroupKey(attrs, tuple(item["key"])) for item in doc["strata"])
-    populations = np.array([item["n"] for item in doc["strata"]], dtype=np.int64)
-    fractional = np.array([item["fractional"] for item in doc["strata"]])
-    sizes = np.array([item["integral"] for item in doc["strata"]], dtype=np.int64)
-    capped = frozenset(
-        k for k, item in zip(keys, doc["strata"]) if item.get("capped")
-    )
+    method = get(doc, "", "method", *STRING)
+    budget = get(doc, "", "budget", *INTEGER)
+    warnings = list(get(doc, "", "warnings", *STRINGS, default=[]))
+    strata = get(doc, "", "strata", *LIST)
+    if method == INDIVIDUAL:
+        queries = tuple(
+            GroupQuery(tuple(get(q, f"queries[{j}]", "group_by", *STRINGS)),
+                       tuple(get(q, f"queries[{j}]", "columns", *STRINGS)))
+            for j, q in enumerate(get(doc, "", "queries", *LIST))
+        )
+        index = lambda v: INTEGER[0](v) and 0 <= v < len(queries)  # noqa: E731
+        sizes, populations = {}, {}
+        for i, item in enumerate(strata):
+            at = f"strata[{i}]"
+            q = get(item, at, "query", index, f"a query index below {len(queries)}")
+            pair = (q, _stratum_key(source, strata, i, queries[q].attrs))
+            sizes[pair] = float(get(item, at, "fractional", *NUMBER))
+            populations[pair] = get(item, at, "n", *COUNT)
+        return PerQueryAllocation(queries, sizes, populations, budget, warnings)
+
+    attrs = tuple(get(doc, "", "group_attrs", *STRINGS))
+    keys = tuple(_stratum_key(source, strata, i, attrs) for i in range(len(strata)))
+
+    def column(name: str, check: tuple, dtype) -> np.ndarray:
+        values = [get(item, f"strata[{i}]", name, *check) for i, item in enumerate(strata)]
+        return np.array(values, dtype=dtype)
+
     return AllocationPlan(
-        method=doc["method"],
+        method=method,
         group_attrs=attrs,
         keys=keys,
-        populations=populations,
-        fractional=fractional,
-        sizes=sizes,
-        budget=int(doc["budget"]),
-        capped=capped,
+        populations=column("n", COUNT, np.int64),
+        fractional=column("fractional", NUMBER, np.float64),
+        sizes=column("integral", COUNT, np.int64),
+        budget=budget,
+        capped=frozenset(k for k, item in zip(keys, strata) if item.get("capped")),
         costs=None,
-        warnings=list(doc.get("warnings", [])),
-        extra=dict(doc.get("extra", {})),
+        warnings=warnings,
+        extra=dict(get(doc, "", "extra", *OBJECT, default={})),
     )
 
 
@@ -910,23 +931,6 @@ def individual_to_json(alloc: PerQueryAllocation) -> str:
         "warnings": alloc.warnings,
     }
     return json.dumps(doc, indent=2)
-
-
-def individual_from_json(text: str) -> PerQueryAllocation:
-    doc = json.loads(text)
-    queries = tuple(
-        GroupQuery(tuple(q["group_by"]), tuple(q["columns"])) for q in doc["queries"]
-    )
-    sizes = {}
-    populations = {}
-    for item in doc["strata"]:
-        i = int(item["query"])
-        key = GroupKey(queries[i].attrs, tuple(item["key"]))
-        sizes[(i, key)] = float(item["fractional"])
-        populations[(i, key)] = int(item["n"])
-    return PerQueryAllocation(
-        queries, sizes, populations, int(doc["budget"]), list(doc.get("warnings", []))
-    )
 
 
 def json_float(x: float | None):

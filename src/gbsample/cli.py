@@ -1,31 +1,36 @@
 """Command-line pipeline: stats -> plan -> sample -> query -> evaluate,
 plus method comparison and a stream simulator.
 
-Every command takes a JSON config file (--config) whose fields can be
-overridden by flags.  Randomized commands require an explicit seed; there
-is no wall-clock seeding, so identical config and seed produce byte-
+Every command takes a JSON config file (--config).  Each field of
+:class:`RunConfig` but ``schema`` is also a flag that overrides it
+(``out_dir`` is ``--out-dir``; a list flag is comma-separated).  A config
+value has the JSON type listed below, else it is a string (a float, a
+bool or a numeric string is not an int); it is null only where the
+default is null.  Randomized commands require an explicit seed; there is
+no wall-clock seeding, so identical config and seed produce byte-
 identical outputs.  Exit codes: 0 ok, 1 user error, 2 internal error.
 
 Config fields::
 
     data        path to the CSV table
     schema      [{"name": ..., "kind": "categorical" | "numeric"}, ...]
-    group_by    grouping attributes (when no workload is given)
-    aggregates  aggregation columns
+    group_by    grouping attributes, a list (when no workload is given)
+    aggregates  aggregation columns, a list
     method      cvopt-l2 | cvopt-linf | cvopt-individual |
                 uniform | senate | congress
-    budget      sample budget M (rows), or
-    rate        sampling rate in (0, 1]; M = floor(rate * N)
+    budget      sample budget M (rows, int), or
+    rate        sampling rate in (0, 1], a number; M = floor(rate * N)
     workload    optional workload file (JSON array of queries)
     weights     optional explicit weight file
     weight_transform  identity | sqrt   (for workload-derived weights)
     zero_mean   error | exclude
+    missing_policy  score_one | exclude   (for `evaluate` and `compare`)
     query       query file for `query` / `evaluate`
     seed        RNG seed (int)
     out_dir     output directory
-    batch_size  stream-sim batch size
+    batch_size  stream-sim batch size (int)
     methods     list of methods for `compare`
-    n_seeds     number of seeds for `compare` (seed, seed+1, ...)
+    n_seeds     number of seeds for `compare` (int; seed, seed+1, ...)
 """
 
 from __future__ import annotations
@@ -44,11 +49,20 @@ import numpy as np
 
 from . import alloc, baselines, query as qmod, sampler, stats, stream, workload as wmod
 from .dataset import ColumnSchema, Relation, load_csv
-from .errors import GbsampleError, InvalidDocument, member, string_list
+from .errors import (
+    INTEGER,
+    LIST,
+    NUMBER,
+    OBJECT,
+    STRING,
+    STRINGS,
+    GbsampleError,
+    expect,
+    member,
+    nullable,
+)
 
-METHODS_CV = ("cvopt-l2", "cvopt-linf", "cvopt-individual")
-METHODS_BASE = tuple(baselines.ALLOCATORS)
-ALL_METHODS = METHODS_CV + METHODS_BASE
+ALL_METHODS = ("cvopt-l2", "cvopt-linf", "cvopt-individual", *baselines.ALLOCATORS)
 
 
 class UsageError(GbsampleError):
@@ -66,8 +80,8 @@ class RunConfig:
     rate: float | None = None
     workload: str | None = None
     weights: str | None = None
-    weight_transform: str = "identity"
-    zero_mean: str = "error"
+    weight_transform: str = field(default="identity", metadata={"choices": ["identity", "sqrt"]})
+    zero_mean: str = field(default="error", metadata={"choices": ["error", "exclude"]})
     query: str | None = None
     seed: int | None = None
     out_dir: str = "out"
@@ -77,26 +91,22 @@ class RunConfig:
         default_factory=lambda: ["cvopt-l2", "cvopt-linf", "uniform", "senate", "congress"]
     )
     n_seeds: int = 5
-    missing_policy: str = "score_one"
+    missing_policy: str = field(
+        default="score_one", metadata={"choices": ["score_one", "exclude"]}
+    )
     #: the config file the fields were read from, named in errors
     source: ClassVar[str] = "config"
 
     def schema_objects(self) -> tuple[ColumnSchema, ...]:
-        """The configured schema.  A ``schema`` that is not a list of
-        objects, or an entry without a string ``name`` or without a
-        ``kind``, raises :class:`InvalidDocument` naming the config file
-        and the field."""
+        """The configured schema.  An entry that is not an object, or
+        without a string ``name`` or without a ``kind``, raises
+        :class:`InvalidDocument` naming the config file and the field."""
         if not self.schema:
             raise UsageError("config must define a schema")
-        if not isinstance(self.schema, list):
-            raise InvalidDocument(
-                f"{self.source}: schema: expected a list of objects, got {self.schema!r}"
-            )
         out = []
         for i, entry in enumerate(self.schema):
             get = partial(member, self.source, entry, f"schema[{i}]")
-            name = get("name", lambda v: isinstance(v, str), "a string")
-            out.append(ColumnSchema(name, get("kind")))
+            out.append(ColumnSchema(get("name", *STRING), get("kind")))
         return tuple(out)
 
     def resolve_budget(self, n_rows: int, r: int | None = None) -> tuple[int, list[str]]:
@@ -104,7 +114,7 @@ class RunConfig:
         if (self.budget is None) == (self.rate is None):
             raise UsageError("exactly one of budget or rate must be set")
         if self.budget is not None:
-            return int(self.budget), warnings
+            return self.budget, warnings
         if not 0 < self.rate <= 1:
             raise UsageError("rate must lie in (0, 1]")
         m = int(self.rate * n_rows)
@@ -122,44 +132,38 @@ class RunConfig:
         return value
 
 
+#: per RunConfig annotation: the (check, description) of a config-file
+#: value and the argparse type of its flag (a list flag is split at commas)
+_KINDS = {
+    "str": (STRING, None),
+    "str | None": (nullable(STRING), None),
+    "int": (INTEGER, int),
+    "int | None": (nullable(INTEGER), int),
+    "float | None": (nullable(NUMBER), float),
+    "list[str]": (STRINGS, None),
+    "list[dict]": ((LIST[0], "a list of objects"), None),
+}
+
+
 def load_config(args) -> RunConfig:
+    """The fields of the ``--config`` file, each checked against its
+    annotation, overridden by the flags given."""
     cfg = RunConfig()
+    doc = {}
     if args.config:
         cfg.source = args.config
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        names = {f.name for f in fields(RunConfig)}
-        for k, v in doc.items():
-            if k not in names:
-                raise UsageError(f"unknown config field {k!r}")
-            if k in ("group_by", "aggregates", "methods"):
-                v = list(string_list(v, args.config, k))
-            setattr(cfg, k, v)
-    for name in (
-        "data",
-        "method",
-        "budget",
-        "rate",
-        "workload",
-        "weights",
-        "query",
-        "seed",
-        "out_dir",
-        "batch_size",
-        "zero_mean",
-        "weight_transform",
-        "missing_policy",
-        "n_seeds",
-    ):
-        value = getattr(args, name, None)
+            doc = expect(cfg.source, json.load(fh), "", *OBJECT)
+        for k in sorted(doc.keys() - {f.name for f in fields(RunConfig)}):
+            raise UsageError(f"unknown config field {k!r}")
+    for f in fields(RunConfig):
+        if f.name in doc:
+            setattr(cfg, f.name, member(cfg.source, doc, "", f.name, *_KINDS[f.type][0]))
+        value = getattr(args, f.name, None)
+        if f.type == "list[str]":
+            value = value.split(",") if value else None
         if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "group_by", None):
-        cfg.group_by = args.group_by.split(",")
-    if getattr(args, "aggregates", None):
-        cfg.aggregates = args.aggregates.split(",")
-    if getattr(args, "methods", None):
-        cfg.methods = args.methods.split(",")
+            setattr(cfg, f.name, value)
     if cfg.method not in ALL_METHODS:
         raise UsageError(f"unknown method {cfg.method!r}; choose from {ALL_METHODS}")
     return cfg
@@ -199,16 +203,21 @@ def _stats_attrs_columns(cfg: RunConfig) -> tuple[list[str], list[str]]:
 
 
 def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
+    """The weights file: a list of {query?, group?, column?, weight}, where
+    a missing or null key component matches every query, group or column."""
     if not cfg.weights:
         return None
-    with open(cfg.weights, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    source = cfg.weights
+    with open(source, encoding="utf-8") as fh:
+        doc = expect(source, json.load(fh), "", *LIST)
     entries = {}
     for i, item in enumerate(doc):
-        group = item.get("group")
-        if group is not None:
-            group = string_list(group, cfg.weights, f"[{i}].group")
-        entries[(item.get("query"), group, item.get("column"))] = float(item["weight"])
+        get = partial(member, source, item, f"[{i}]")
+        query = get("query", *nullable(INTEGER), default=None)
+        group = get("group", *nullable(STRINGS), default=None)
+        column = get("column", *nullable(STRING), default=None)
+        key = (query, None if group is None else tuple(group), column)
+        entries[key] = float(get("weight", *NUMBER))
     return alloc.WeightSpec(entries)
 
 
@@ -218,11 +227,12 @@ def _out(cfg: RunConfig, name: str) -> Path:
     return out / name
 
 
-def _read_catalog(cfg: RunConfig) -> stats.StatsCatalog:
-    path = Path(cfg.out_dir) / "catalog.json"
+def _read_output(cfg: RunConfig, name: str, command: str) -> tuple[str, str]:
+    """The text and the path of the file ``name`` that ``command`` wrote."""
+    path = Path(cfg.out_dir) / name
     if not path.exists():
-        raise UsageError(f"{path} not found; run the stats command first")
-    return stats.catalog_from_json(path.read_text(encoding="utf-8"), str(path))
+        raise UsageError(f"{path} not found; run the {command} command first")
+    return path.read_text(encoding="utf-8"), str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +249,25 @@ def cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
+def _allocate(method: str, cfg: RunConfig, catalog, queries, budget, weights):
+    """The stratified plan of ``method`` (any but cvopt-individual) for the
+    catalog's strata.  cvopt-linf bounds the CV of the first query's first
+    column."""
+    if method == "cvopt-linf":
+        return alloc.plan_linf(catalog, queries[0].columns[0], budget, cfg.zero_mean)
+    if method == "cvopt-l2":
+        if len(queries) == 1 and queries[0].attrs == catalog.group_attrs:
+            return alloc.plan_l2(catalog, queries[0].columns, budget, weights, cfg.zero_mean)
+        fs = alloc.finest_from_catalog(catalog, queries)
+        return alloc.plan_multi_groupby(fs, budget, weights, cfg.zero_mean)
+    if method in baselines.ALLOCATORS:
+        return baselines.ALLOCATORS[method](catalog, budget)
+    raise UsageError(f"no stratified plan for method {method!r}")
+
+
 def _build_plan(cfg: RunConfig):
     """Dispatch on method; returns (plan_or_alloc, json_text)."""
-    catalog = _read_catalog(cfg)
+    catalog = stats.catalog_from_json(*_read_output(cfg, "catalog.json", "stats"))
     queries_w = _load_workload(cfg) if cfg.workload else None
     queries = _queries(cfg, queries_w)
     budget, warnings = cfg.resolve_budget(catalog.total_n, len(catalog))
@@ -259,33 +285,16 @@ def _build_plan(cfg: RunConfig):
     if weights is None:
         weights = alloc.UNIT_WEIGHTS
 
-    method = cfg.method
-    if method == "cvopt-individual":
+    if cfg.method == "cvopt-individual":
         catalogs = [stats.pool_catalog(catalog, q.attrs) for q in queries]
         result = alloc.plan_individual(
             catalogs, queries, budget, weights, cfg.zero_mean
         )
         result.warnings.extend(warnings)
         return result, alloc.individual_to_json(result)
-
-    if method == "cvopt-linf":
-        if len(queries) != 1 or len(queries[0].columns) != 1:
-            raise UsageError(
-                "cvopt-linf supports a single grouping and a single aggregate"
-            )
-        plan = alloc.plan_linf(catalog, queries[0].columns[0], budget, cfg.zero_mean)
-    elif method == "cvopt-l2":
-        if len(queries) == 1 and queries[0].attrs == catalog.group_attrs:
-            plan = alloc.plan_l2(
-                catalog, queries[0].columns, budget, weights, cfg.zero_mean
-            )
-        else:
-            fs = alloc.finest_from_catalog(catalog, queries)
-            plan = alloc.plan_multi_groupby(fs, budget, weights, cfg.zero_mean)
-    elif method in baselines.ALLOCATORS:
-        plan = baselines.ALLOCATORS[method](catalog, budget)
-    else:
-        raise UsageError(f"unknown method {method!r}")
+    if cfg.method == "cvopt-linf" and (len(queries) != 1 or len(queries[0].columns) != 1):
+        raise UsageError("cvopt-linf supports a single grouping and a single aggregate")
+    plan = _allocate(cfg.method, cfg, catalog, queries, budget, weights)
     plan.warnings.extend(warnings)
     return plan, alloc.plan_to_json(plan)
 
@@ -299,17 +308,13 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    seed = int(cfg.need("seed"))
+    seed = cfg.need("seed")
     rel = _load_relation(cfg)
-    plan_path = Path(cfg.out_dir) / "plan.json"
-    if not plan_path.exists():
-        raise UsageError(f"{plan_path} not found; run the plan command first")
-    text = plan_path.read_text(encoding="utf-8")
-    if json.loads(text)["method"] == alloc.INDIVIDUAL:
-        rates = alloc.inclusion_rates(rel, alloc.individual_from_json(text))
-        sample = sampler.draw_poisson(rel, rates, seed)
+    plan = alloc.plan_from_json(*_read_output(cfg, "plan.json", "plan"))
+    if isinstance(plan, alloc.PerQueryAllocation):
+        sample = sampler.draw_poisson(rel, alloc.inclusion_rates(rel, plan), seed)
     else:
-        sample = sampler.draw_stratified(rel, alloc.plan_from_json(text), seed)
+        sample = sampler.draw_stratified(rel, plan, seed)
     path = _out(cfg, "sample.txt")
     sampler.save_sample(sample, path)
     print(f"wrote {path} ({sample.total_rows} rows)")
@@ -349,49 +354,38 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     """Run several methods under one budget and seed set; write a
     side-by-side table of mean and max relative errors."""
-    seed = int(cfg.need("seed"))
+    seed = cfg.need("seed")
     rel = _load_relation(cfg)
     attrs, cols = _stats_attrs_columns(cfg)
     catalog = stats.compute_catalog(rel, attrs, cols)
     budget, warnings = cfg.resolve_budget(catalog.total_n, len(catalog))
-    if cfg.query:
-        request = _load_query(cfg)
-    else:
-        request = qmod.QueryRequest(tuple(attrs), qmod.AVG, cols[0])
+    request = _load_query(cfg) if cfg.query else qmod.QueryRequest(tuple(attrs), qmod.AVG, cols[0])
 
+    queries = [alloc.GroupQuery(tuple(attrs), tuple(cols))]
     rows = []
     for method in cfg.methods:
-        if method == "cvopt-l2":
-            plan = alloc.plan_l2(catalog, cols, budget, zero_mean=cfg.zero_mean)
-        elif method == "cvopt-linf":
-            plan = alloc.plan_linf(catalog, cols[0], budget, cfg.zero_mean)
-        elif method in baselines.ALLOCATORS:
-            plan = baselines.ALLOCATORS[method](catalog, budget)
-        else:
-            raise UsageError(f"method {method!r} not supported in compare")
-        mean_errors = []
-        max_errors = []
+        plan = _allocate(method, cfg, catalog, queries, budget, alloc.UNIT_WEIGHTS)
+        scored = []  # the summaries of the seeds that scored a group
         missing = 0
-        for i in range(int(cfg.n_seeds)):
+        for i in range(cfg.n_seeds):
             sample = sampler.draw_stratified(rel, plan, seed + i)
             report = qmod.evaluate(rel, sample, request, cfg.missing_policy)
             missing += report.missing_groups
-            if report.summary["mean"] is not None:  # seeds that scored a group
-                mean_errors.append(report.summary["mean"])
-                max_errors.append(report.summary["max"])
-        unscored = int(cfg.n_seeds) - len(mean_errors)
+            if report.summary["mean"] is not None:
+                scored.append(report.summary)
+        unscored = cfg.n_seeds - len(scored)
         if unscored:
             warnings.append(
-                f"NoScoredGroups: {method}: {unscored} of {int(cfg.n_seeds)} "
+                f"NoScoredGroups: {method}: {unscored} of {cfg.n_seeds} "
                 "seeds scored no group and are left out of the means"
             )
         rows.append(
             {
                 "method": method,
                 "budget": budget,
-                "seeds": int(cfg.n_seeds),
-                "mean_rel_error": float(np.mean(mean_errors)) if mean_errors else None,
-                "max_rel_error": float(np.mean(max_errors)) if max_errors else None,
+                "seeds": cfg.n_seeds,
+                "mean_rel_error": float(np.mean([s["mean"] for s in scored])) if scored else None,
+                "max_rel_error": float(np.mean([s["max"] for s in scored])) if scored else None,
                 "missing_groups": missing,
             }
         )
@@ -418,14 +412,14 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
 def cmd_stream(cfg: RunConfig) -> int:
     """Replay a CSV in row order through the streaming sampler, emitting
     one JSON line of metrics per mini-batch."""
-    seed = int(cfg.need("seed"))
+    seed = cfg.need("seed")
     rel = _load_relation(cfg)
     if not cfg.group_by or not cfg.aggregates:
         raise UsageError("group_by and aggregates are required for stream-sim")
     budget, _ = cfg.resolve_budget(rel.n_rows)
     objective = stream.ObjectiveSpec(tuple(cfg.aggregates))
     state = stream.make_state(rel.schema, tuple(cfg.group_by), objective, budget)
-    batch_size = max(int(cfg.batch_size), 1)
+    batch_size = max(cfg.batch_size, 1)
     path = _out(cfg, "stream_metrics.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         records = rel.records(np.arange(rel.n_rows))
@@ -458,47 +452,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+COMMANDS = {
+    "stats": cmd_stats,
+    "plan": cmd_plan,
+    "sample": cmd_sample,
+    "query": cmd_query,
+    "evaluate": cmd_evaluate,
+    "compare": cmd_compare,
+    "stream-sim": cmd_stream,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, each with ``--config`` and one flag per
+    RunConfig field but ``schema``."""
     parser = _Parser(prog="gbsample", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "stats": cmd_stats,
-        "plan": cmd_plan,
-        "sample": cmd_sample,
-        "query": cmd_query,
-        "evaluate": cmd_evaluate,
-        "compare": cmd_compare,
-        "stream-sim": cmd_stream,
-    }
-    for name, fn in commands.items():
+    for name, fn in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data")
-        p.add_argument("--method")
-        p.add_argument("--budget", type=int)
-        p.add_argument("--rate", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--group-by", dest="group_by")
-        p.add_argument("--aggregates")
-        p.add_argument("--workload")
-        p.add_argument("--weights")
-        p.add_argument("--query")
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--zero-mean", dest="zero_mean", choices=["error", "exclude"])
-        p.add_argument("--methods")
-        p.add_argument("--n-seeds", dest="n_seeds", type=int)
-        p.add_argument(
-            "--missing-policy",
-            dest="missing_policy",
-            choices=["score_one", "exclude"],
-        )
-        p.add_argument(
-            "--weight-transform",
-            dest="weight_transform",
-            choices=["identity", "sqrt"],
-        )
+        for f in fields(RunConfig):
+            if f.name != "schema":
+                p.add_argument(
+                    "--" + f.name.replace("_", "-"),
+                    dest=f.name,
+                    type=_KINDS[f.type][1],
+                    choices=f.metadata.get("choices"),
+                )
     return parser
 
 

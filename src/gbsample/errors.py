@@ -7,6 +7,8 @@ callers (notably the CLI) can distinguish user-facing problems from bugs.
 
 from __future__ import annotations
 
+import math
+
 
 class GbsampleError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,34 +25,50 @@ class InvalidDocument(GbsampleError):
     list is expected."""
 
 
-def string_list(value, source: str, path: str) -> tuple[str, ...]:
-    """``value`` as a tuple of strings; anything but a JSON list of strings
-    raises :class:`InvalidDocument` naming the ``source`` document and the
-    field ``path`` in it.  A bare string is rejected rather than split into
-    its characters."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise InvalidDocument(
-            f"{source}: {path}: expected a list of strings, got {value!r}"
-        )
-    return tuple(value)
+#: (check, description) pairs of JSON value types for :func:`member` and
+#: :func:`expect`.  A bool is not an integer, nor is 1.0; a bare string is
+#: not a list of strings (it is never split into its characters).
+INTEGER = (lambda v: type(v) is int, "an integer")
+COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+STRING = (lambda v: isinstance(v, str), "a string")
+LIST = (lambda v: isinstance(v, list), "a list")
+OBJECT = (lambda v: isinstance(v, dict), "an object")
+STRINGS = (lambda v: LIST[0](v) and all(map(STRING[0], v)), "a list of strings")
 
 
-def member(source: str, obj, path: str, name: str, ok=None, expected: str = ""):
+def nullable(check: tuple) -> tuple:
+    """``check`` that also accepts JSON null."""
+    ok, expected = check
+    return (lambda v: v is None or ok(v)), f"{expected} or null"
+
+
+def expect(source: str, value, path: str, ok, expected: str):
+    """``value`` if ``ok`` accepts it; otherwise :class:`InvalidDocument`
+    naming the ``source`` document, the field ``path`` in it and what was
+    ``expected``."""
+    if not ok(value):
+        where = path or "(document)"
+        raise InvalidDocument(f"{source}: {where}: expected {expected}, got {value!r}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def member(source: str, obj, path: str, name: str, ok=None, expected="", default=_REQUIRED):
     """``obj[name]`` from the JSON object at ``path`` in the ``source``
-    document.  A non-object ``obj``, a missing ``name`` or a value that
-    ``ok`` rejects (described by ``expected``) raises
-    :class:`InvalidDocument` naming the document and the field."""
+    document, or ``default`` when given and ``name`` is absent.  A
+    non-object ``obj``, a missing required ``name`` or a value that ``ok``
+    rejects (described by ``expected``) raises :class:`InvalidDocument`
+    naming the document and the field."""
     where = f"{path}.{name}" if path else name
-    if not isinstance(obj, dict):
-        what = path or "(document)"
-        raise InvalidDocument(f"{source}: {what}: expected an object, got {obj!r}")
+    expect(source, obj, path, *OBJECT)
     if name not in obj:
-        raise InvalidDocument(f"{source}: {where}: missing")
-    if ok is not None and not ok(obj[name]):
-        raise InvalidDocument(
-            f"{source}: {where}: expected {expected}, got {obj[name]!r}"
-        )
-    return obj[name]
+        if default is _REQUIRED:
+            raise InvalidDocument(f"{source}: {where}: missing")
+        return default
+    return obj[name] if ok is None else expect(source, obj[name], where, ok, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,14 @@ import numpy as np
 from .alloc import json_float, predicted_group_cv
 from .dataset import CATEGORICAL, GroupKey, Relation
 from .errors import (
+    LIST,
+    STRINGS,
     GbsampleError,
     IncompatibleGrouping,
     InvalidArgument,
-    InvalidDocument,
     UnknownColumn,
+    expect,
     member,
-    string_list,
 )
 from .sampler import PoissonSample, StratifiedSample
 from .stats import strata_moments
@@ -145,10 +146,8 @@ class Predicate:
     ) -> "Predicate":
         """Parse a list of atoms; ``source`` and ``path`` name the document
         and the field in errors."""
-        if not isinstance(doc, list):
-            raise InvalidDocument(f"{source}: {path}: expected a list of atoms, got {doc!r}")
         atoms = []
-        for i, item in enumerate(doc):
+        for i, item in enumerate(expect(source, doc, path, LIST[0], "a list of atoms")):
             get = partial(member, source, item, f"{path}[{i}]")
             op, column = get("op"), get("column")
             if op == "between":
@@ -206,7 +205,7 @@ class QueryRequest:
     @classmethod
     def from_json(cls, doc, source: str = "query") -> "QueryRequest":
         """Parse a query document; ``source`` names it in errors."""
-        group_attrs = string_list(member(source, doc, "", "group_by"), source, "group_by")
+        group_attrs = tuple(member(source, doc, "", "group_by", *STRINGS))
         aggregate = member(source, doc, "", "aggregate")
         pred = doc.get("predicate")
         return cls(

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import GroupKey, Relation, Strata, key_ids
-from .errors import InvalidDocument, NotASubset, member, string_list
+from .errors import COUNT, LIST, NUMBER, STRINGS, InvalidDocument, NotASubset, member
 
 #: significant digits used when serializing floating point values
 FLOAT_DIGITS = 17
@@ -285,30 +285,28 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
     :class:`InvalidDocument` naming ``source`` and the field."""
 
     get = partial(member, source)
-    count = (lambda v: type(v) is int and v >= 0), "a non-negative integer"
-    real = (lambda v: type(v) in (int, float) and math.isfinite(v)), "a finite number"
-    spread = (lambda v: real[0](v) and v >= 0), "a finite number >= 0"
+    spread = (lambda v: NUMBER[0](v) and v >= 0), "a finite number >= 0"
     doc = json.loads(text)
-    group_attrs = string_list(get(doc, "", "group_attrs"), source, "group_attrs")
-    agg_columns = string_list(get(doc, "", "agg_columns"), source, "agg_columns")
-    total_n = get(doc, "", "total_n", *count)
-    strata = get(doc, "", "strata", lambda v: isinstance(v, list), "a list")
+    group_attrs = tuple(get(doc, "", "group_attrs", *STRINGS))
+    agg_columns = tuple(get(doc, "", "agg_columns", *STRINGS))
+    total_n = get(doc, "", "total_n", *COUNT)
+    strata = get(doc, "", "strata", *LIST)
     index: dict[tuple, int] = {}
     n: list[int] = []
     mean: dict[str, list[float]] = {c: [] for c in agg_columns}
     std: dict[str, list[float]] = {c: [] for c in agg_columns}
     for i, item in enumerate(strata):
         at = f"strata[{i}]"
-        key = string_list(get(item, at, "key"), source, f"{at}.key")
+        key = tuple(get(item, at, "key", *STRINGS))
         if len(key) != len(group_attrs):
             raise InvalidDocument(
                 f"{source}: {at}.key: expected {len(group_attrs)} values, got {list(key)!r}"
             )
         if index.setdefault(key, i) != i:
             raise InvalidDocument(f"{source}: {at}.key: repeats stratum {list(key)!r}")
-        n.append(get(item, at, "n", *count))
+        n.append(get(item, at, "n", *COUNT))
         for col in agg_columns:
             summary = get(get(item, at, "columns"), f"{at}.columns", col)
-            mean[col].append(float(get(summary, f"{at}.columns.{col}", "mean", *real)))
+            mean[col].append(float(get(summary, f"{at}.columns.{col}", "mean", *NUMBER)))
             std[col].append(float(get(summary, f"{at}.columns.{col}", "std", *spread)))
     return StatsCatalog(group_attrs, agg_columns, list(index), n, mean, std, total_n)

@@ -20,12 +20,14 @@ import numpy as np
 
 from .dataset import GroupKey, Relation
 from .errors import (
+    INTEGER,
+    LIST,
+    STRINGS,
     EmptyProblem,
     InvalidArgument,
-    InvalidDocument,
     UnknownColumn,
+    expect,
     member,
-    string_list,
 )
 from .alloc import GroupQuery, WeightSpec
 from .query import Predicate
@@ -184,20 +186,14 @@ def workload_from_json(text: str, source: str = "workload") -> list[QuerySpec]:
     an array, an item that is not an object or lacks ``group_by`` or
     ``aggregates``, and a ``repeats`` that is not a JSON integer raise
     :class:`InvalidDocument` naming ``source`` and the field."""
-    doc = json.loads(text)
-    if not isinstance(doc, list):
-        raise InvalidDocument(f"{source}: (document): expected a list of queries, got {doc!r}")
+    doc = expect(source, json.loads(text), "", LIST[0], "a list of queries")
     out = []
     for i, item in enumerate(doc):
         get = partial(member, source, item, f"[{i}]")
-        group_attrs = string_list(get("group_by"), source, f"[{i}].group_by")
-        agg_columns = string_list(get("aggregates"), source, f"[{i}].aggregates")
+        group_attrs = tuple(get("group_by", *STRINGS))
+        agg_columns = tuple(get("aggregates", *STRINGS))
         pred = item.get("predicate")
-        repeats = item.get("repeats", 1)
-        if type(repeats) is not int:  # a float is not truncated, nor a bool read as 1
-            raise InvalidDocument(
-                f"{source}: [{i}].repeats: expected an integer, got {repeats!r}"
-            )
+        repeats = get("repeats", *INTEGER, default=1)
         out.append(
             QuerySpec(
                 group_attrs=group_attrs,

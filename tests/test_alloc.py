@@ -13,7 +13,6 @@ from gbsample.alloc import (
     cv_costs,
     finest_from_catalog,
     floor_zero_costs,
-    individual_from_json,
     individual_to_json,
     inclusion_rates,
     l2_objective,
@@ -557,16 +556,13 @@ def test_finest_from_catalog_matches_build(student_rel):
         finest_from_catalog(fine, [GroupQuery(("id",), ("gpa",))])
 
 
-def test_allocation_problem_validation(student_rel):
-    from gbsample.alloc import AllocationProblem
-
-    keys = (GroupKey(("g",), ("a",)),)
+def test_allocation_problem_validation():
     with pytest.raises(EmptyProblem):
-        AllocationProblem((), np.array([]), np.array([]), 5)
+        solve_fractional(np.array([]), 5)
     with pytest.raises(NonPositiveCost):
-        AllocationProblem(keys, np.array([0.0]), np.array([3]), 5)
-    with pytest.raises(ValueError):
-        AllocationProblem(keys, np.array([1.0]), np.array([3]), 0)
+        solve_fractional(np.array([0.0]), 5)
+    with pytest.raises(InvalidArgument):
+        solve_fractional(np.array([1.0]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +861,7 @@ def test_individual_json_round_trip(student_rel):
     catalog = compute_catalog(student_rel, ["major"], ["age"])
     q = GroupQuery(("major",), ("age",))
     result = plan_individual([catalog], [q], 8)
-    back = individual_from_json(individual_to_json(result))
+    back = plan_from_json(individual_to_json(result))
     assert back.queries == result.queries
     assert back.budget == result.budget
     for pair, share in result.sizes.items():

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
-from gbsample.cli import RunConfig, UsageError, batch_seed, main
+from gbsample.cli import RunConfig, UsageError, batch_seed, build_parser, main
 
 from conftest import FIX_A_ROWS
 
@@ -732,3 +734,222 @@ def test_config_keys_that_are_not_fields_are_unknown(tmp_path, fix_a_csv, capsys
     cfg = _write_config(tmp_path, fix_a_csv, **{key: 1})
     assert _run("stats", "--config", str(cfg)) == 1
     assert f"unknown config field {key!r}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# typed config values, the option table, weights and plan files
+
+COMMANDS = ("stats", "plan", "sample", "query", "evaluate", "compare", "stream-sim")
+
+#: values of the wrong JSON type for each annotation of a RunConfig field;
+#: null is wrong too where the annotation does not admit None
+WRONG_TYPES = {
+    "int": ["5", 1.5, True],
+    "float": ["0.5", True, float("nan")],
+    "str": [["a"], {"a": 1}, 5],
+    "list": ["grp", [1]],
+}
+
+
+def _wrong_typed_values():
+    for f in fields(RunConfig):
+        kind, _, nullable = f.type.partition(" | ")
+        wrong = WRONG_TYPES[kind.split("[")[0]] + ([] if nullable else [None])
+        for value in wrong:
+            if f.name == "schema" and isinstance(value, list):
+                continue  # a list whose entries are wrong is schema_objects' case
+            yield pytest.param(f.name, value, id=f"{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("name, value", _wrong_typed_values())
+def test_a_wrong_typed_config_value_is_a_user_error(tmp_path, fix_a_csv, capsys, name, value):
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    for command in ("stats", "plan", "sample"):  # the upstream files exist
+        assert _run(command, "--config", str(cfg)) == 0
+    cfg = _write_config(tmp_path, fix_a_csv, **{"query": str(query_path), name: value})
+    capsys.readouterr()
+    for command in COMMANDS:
+        assert _run(command, "--config", str(cfg)) == 1, command
+        assert f"{cfg}: {name}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, value",
+    [
+        ("plan", "budget", "abc"),
+        ("plan", "budget", 3.7),
+        ("plan", "budget", True),
+        ("plan", "budget", "10"),
+        ("sample", "seed", "x"),
+        ("sample", "seed", 1.5),
+        ("plan", "rate", "x"),
+        ("stream-sim", "batch_size", "x"),
+        ("compare", "n_seeds", "x"),
+        ("stats", "out_dir", 5),
+    ],
+)
+def test_config_values_are_typed_at_load(tmp_path, fix_a_csv, capsys, command, name, value):
+    overrides = {name: value, **({"budget": None} if name == "rate" else {})}
+    cfg = _write_config(tmp_path, fix_a_csv, **overrides)
+    assert _run(command, "--config", str(cfg)) == 1
+    assert f"{cfg}: {name}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_document_that_is_not_an_object_is_a_user_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("[1]", encoding="utf-8")
+    for command in COMMANDS:
+        assert _run(command, "--config", str(cfg)) == 1
+        assert f"{cfg}: (document): expected an object" in capsys.readouterr().err
+
+
+def test_null_is_read_where_the_default_is_null(tmp_path, fix_a_csv):
+    nulls = {f.name: None for f in fields(RunConfig) if f.default is None}
+    assert set(nulls) == {"data", "budget", "rate", "workload", "weights", "query", "seed"}
+    cfg = _write_config(tmp_path, fix_a_csv, **{**nulls, "data": str(fix_a_csv), "budget": 4})
+    for command in ("stats", "plan"):
+        assert _run(command, "--config", str(cfg)) == 0
+
+
+def test_flags_override_typed_config_values(tmp_path, fix_a_csv):
+    cfg = _write_config(tmp_path, fix_a_csv, group_by=["v"], budget=None, rate=None)
+    argv = ("--config", str(cfg), "--group-by", "grp", "--budget", "4")
+    assert _run("stats", *argv) == 0
+    assert _run("plan", *argv) == 0
+    doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+    assert doc["group_attrs"] == ["grp"] and doc["budget"] == 4
+    # flags keep their argparse types
+    assert _run("plan", "--config", str(cfg), "--budget", "3.7") == 1
+
+
+#: every subcommand's options before the flags were built from RunConfig:
+#: (option string, dest, argparse type, choices)
+PARSER_OPTIONS = [
+    ("--aggregates", "aggregates", None, None),
+    ("--batch-size", "batch_size", int, None),
+    ("--budget", "budget", int, None),
+    ("--config", "config", None, None),
+    ("--data", "data", None, None),
+    ("--group-by", "group_by", None, None),
+    ("--method", "method", None, None),
+    ("--methods", "methods", None, None),
+    ("--missing-policy", "missing_policy", None, ["score_one", "exclude"]),
+    ("--n-seeds", "n_seeds", int, None),
+    ("--out-dir", "out_dir", None, None),
+    ("--query", "query", None, None),
+    ("--rate", "rate", float, None),
+    ("--seed", "seed", int, None),
+    ("--weight-transform", "weight_transform", None, ["identity", "sqrt"]),
+    ("--weights", "weights", None, None),
+    ("--workload", "workload", None, None),
+    ("--zero-mean", "zero_mean", None, ["error", "exclude"]),
+]
+
+
+def test_every_subcommand_keeps_its_options():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == list(COMMANDS)
+    for command, parser in subparsers.choices.items():
+        options = sorted(
+            (s, a.dest, a.type, a.choices)
+            for a in parser._actions
+            if a.dest != "help"
+            for s in a.option_strings
+        )
+        assert options == PARSER_OPTIONS, command
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({}, "(document): expected a list"),
+        ([1], "[0]: expected an object"),
+        ([{"column": "v"}], "[0].weight: missing"),
+        ([{"weight": "2"}], "[0].weight: expected a finite number"),
+        ([{"weight": 2, "query": "0"}], "[0].query: expected an integer or null"),
+        ([{"weight": 2, "query": 0.5}], "[0].query: expected an integer or null"),
+        ([{"weight": 2, "column": 5}], "[0].column: expected a string or null"),
+        ([{"weight": 2, "column": ["v"]}], "[0].column: expected a string or null"),
+        ([{"weight": 2, "group": "a"}], "[0].group: expected a list of strings or null"),
+    ],
+)
+def test_malformed_weights_file_is_a_user_error(tmp_path, fix_a_csv, capsys, doc, field):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = _write_config(tmp_path, fix_a_csv, weights=str(weights))
+    assert _run("stats", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    assert f"{weights}: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
+def test_weights_file_entries_weight_their_stratum(tmp_path, fix_a_csv):
+    sizes = []
+    for doc in ([], [{"query": None, "group": ["b"], "column": "v", "weight": 100.0}]):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = _write_config(tmp_path, fix_a_csv, weights=str(weights))
+        for command in ("stats", "plan"):
+            assert _run(command, "--config", str(cfg)) == 0
+        plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+        sizes.append({s["key"][0]: s["integral"] for s in plan["strata"]})
+    assert sizes[0] == {"a": 6, "b": 2}
+    assert sizes[1]["b"] > sizes[0]["b"]
+
+
+#: mutations of a written plan.json, as (method, path, value, field named);
+#: a value of None drops the field, and an empty path replaces the document
+PLAN_MUTATIONS = [
+    ("cvopt-l2", (), [1], "(document): expected an object"),
+    ("cvopt-l2", (), {"method": "cvopt-l2"}, "budget: missing"),
+    ("cvopt-l2", ("group_attrs",), None, "group_attrs: missing"),
+    ("cvopt-l2", ("budget",), "8", "budget: expected an integer"),
+    ("cvopt-l2", ("strata",), {}, "strata: expected a list"),
+    ("cvopt-l2", ("strata", 0), "a", "strata[0]: expected an object"),
+    ("cvopt-l2", ("strata", 0, "key"), ["a", "b"], "strata[0].key: expected a list of 1"),
+    ("cvopt-l2", ("strata", 0, "integral"), -1, "strata[0].integral: expected a non-negative"),
+    ("cvopt-l2", ("strata", 1, "integral"), 1.5, "strata[1].integral: expected a non-negative"),
+    ("cvopt-l2", ("strata", 0, "n"), "6", "strata[0].n: expected a non-negative"),
+    ("cvopt-l2", ("strata", 0, "fractional"), None, "strata[0].fractional: missing"),
+    ("cvopt-l2", ("extra",), "x", "extra: expected an object"),
+    ("cvopt-individual", ("queries",), None, "queries: missing"),
+    ("cvopt-individual", ("queries", 0, "group_by"), "grp", "queries[0].group_by: expected"),
+    ("cvopt-individual", ("strata", 0, "query"), 1, "strata[0].query: expected a query index"),
+    ("cvopt-individual", ("strata", 0, "query"), None, "strata[0].query: missing"),
+    ("cvopt-individual", ("strata", 1, "key"), [], "strata[1].key: expected a list of 1"),
+    ("cvopt-individual", ("strata", 0, "fractional"), "x", "strata[0].fractional: expected"),
+    ("cvopt-individual", ("strata", 0, "n"), -2, "strata[0].n: expected a non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "method, path, value, field", PLAN_MUTATIONS, ids=[f"{m[0]}: {m[3]}" for m in PLAN_MUTATIONS]
+)
+def test_malformed_plan_file_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, method, path, value, field
+):
+    cfg = _write_config(tmp_path, fix_a_csv, method=method)
+    for command in ("stats", "plan"):
+        assert _run(command, "--config", str(cfg)) == 0
+    plan = tmp_path / "out" / "plan.json"
+    doc = json.loads(plan.read_text(encoding="utf-8"))
+    if not path:
+        doc = value
+    elif value is None:
+        _drop(doc, path)
+    else:
+        _put(doc, path, value)
+    plan.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _run("sample", "--config", str(cfg)) == 1
+    assert f"{plan}: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sample.txt").exists()
