@@ -6,8 +6,9 @@ Runs ``stats -> plan -> sample -> query -> evaluate`` through
 tiny`` benchmark tables (generated by ``benchmark/datagen.py``), for the
 methods cvopt-l2, cvopt-linf, a cube multi-groupby, a workload-weighted
 plan, cvopt-individual, uniform, senate and congress; then ``compare``
-(cvopt-l2, cvopt-linf, uniform, senate and congress over two seeds) and
-``stream-sim`` (batch size 100) on the same grouping.  Prints one line
+(cvopt-l2, cvopt-linf, uniform, senate and congress over two seeds) on the
+same grouping, and ``stream-sim`` on it with two aggregates at batch sizes
+1, 7 and 100.  Prints one line
 ``<sha256>  <table>/<method>/<file>`` per output file, plus the exit code
 of every command.  Exits 1 if any command failed.
 
@@ -74,16 +75,31 @@ TABLES = {
 
 OUTPUTS = ("catalog.json", "plan.json", "sample.txt")
 
-#: the commands run alone on the plain grouping: their config fields and
-#: the files they write
-SIDE_RUNS = {
-    "compare": (
-        {"methods": ["cvopt-l2", "cvopt-linf", "uniform", "senate", "congress"],
-         "n_seeds": 2},
-        ("compare.json", "compare.csv"),
-    ),
-    "stream-sim": ({"batch_size": 100}, ("stream_metrics.jsonl",)),
-}
+#: batch sizes of the stream-sim runs: one row at a time, batches that
+#: split strata unevenly, and batches larger than a tiny table's strata
+STREAM_BATCH_SIZES = (1, 7, 100)
+
+
+def _side_runs(spec: dict) -> dict[str, tuple[str, dict, tuple[str, ...]]]:
+    """The commands run alone on the plain grouping: per label, the command,
+    its config fields and the files it writes."""
+    plain = {"group_by": spec["attrs"], "aggregates": spec["numeric"][:1]}
+    runs = {
+        "compare": (
+            "compare",
+            {**plain, "methods": ["cvopt-l2", "cvopt-linf", "uniform", "senate", "congress"],
+             "n_seeds": 2},
+            ("compare.json", "compare.csv"),
+        )
+    }
+    for size in STREAM_BATCH_SIZES:
+        runs[f"stream-sim-{size}"] = (
+            "stream-sim",
+            {**plain, "aggregates": spec["numeric"][:2], "batch_size": size},
+            ("stream_metrics.jsonl",),
+        )
+    return runs
+
 
 #: seed of the generated tiny tables
 SEED = 7
@@ -188,13 +204,12 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
             for f in ("estimates.json", "report.json", "report.csv"):
                 lines.append(f"{_digest(out / f)}  {name}/{method}/{label}/{f}")
                 (out / f).unlink(missing_ok=True)
-    plain = {"group_by": spec["attrs"], "aggregates": spec["numeric"][:1]}
-    for command, (fields, outputs) in SIDE_RUNS.items():
-        out, config_path = config(command, {**plain, **fields})
+    for label, (command, fields, outputs) in _side_runs(spec).items():
+        out, config_path = config(label, fields)
         code = _cli([command, "--config", config_path])
         failed += code != 0
-        lines.append(f"exit [{code}]  {name}/{command}")
-        lines += [f"{_digest(out / f)}  {name}/{command}/{f}" for f in outputs]
+        lines.append(f"exit [{code}]  {name}/{label}")
+        lines += [f"{_digest(out / f)}  {name}/{label}/{f}" for f in outputs]
     return lines, failed
 
 

@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     ingest_batch(state, rows, seed=args.seed)
 
     def streaming_sizes():
-        return {k.values[0]: st.size for k, st in state.strata.items()}
+        return {k[0]: size for k, size in zip(state.ids, state.sizes().tolist())}
 
     def offline_sizes(all_rows):
         rel = Relation.from_records(SCHEMA, all_rows)

@@ -104,7 +104,9 @@ class WeightSpec:
         return hash((frozenset(self.entries.items()), self.default))
 
     def weight(self, query: int | None, key: GroupKey | None, column: str | None) -> float:
-        values = key.values if key is not None else None
+        return self._lookup(query, key.values if key is not None else None, column)
+
+    def _lookup(self, query: int | None, values: tuple | None, column: str | None) -> float:
         for probe in (
             (query, values, column),
             (None, values, column),
@@ -115,11 +117,11 @@ class WeightSpec:
                 return self.entries[probe]
         return self.default
 
-    def weights_of(self, query: int, keys: Sequence[GroupKey], column: str) -> np.ndarray:
-        """:meth:`weight` of ``column`` for every key in ``keys``."""
+    def weights_of(self, query: int, keys: Sequence[tuple], column: str) -> np.ndarray:
+        """:meth:`weight` of ``column`` for every group value tuple in ``keys``."""
         if not self.entries:
             return np.full(len(keys), self.default, dtype=np.float64)
-        return np.array([self.weight(query, k, column) for k in keys], dtype=np.float64)
+        return np.array([self._lookup(query, k, column) for k in keys], dtype=np.float64)
 
 
 UNIT_WEIGHTS = WeightSpec()
@@ -183,10 +185,10 @@ def shed(
     optimum, it ends at an optimum (the priority-value method; Wright 2012,
     Friedrich, Muennich, de Vries & Wagner 2015).  O((r + excess) log r).
     """
-    s = [int(v) for v in sizes]
+    s = np.asarray(sizes, dtype=np.int64).tolist()
     if excess <= 0:
         return np.array(s, dtype=np.int64)
-    low = [int(v) for v in lower]
+    low = np.asarray(lower, dtype=np.int64).tolist()
     heap = [(loss(i, s[i]), i) for i in range(len(s)) if s[i] > low[i]]
     heapq.heapify(heap)
     for _ in range(excess):
@@ -378,7 +380,7 @@ def cv2_costs(
     costs = np.zeros(len(catalog))
     first_zero = np.full(len(catalog), -1)
     for j, col in enumerate(columns):
-        w = weights.weights_of(query, catalog.group_keys(), col)
+        w = weights.weights_of(query, catalog.keys, col)
         mu = catalog.mean[col]
         zero = (w != 0.0) & (mu == 0.0)
         first_zero[zero & (first_zero < 0)] = j
@@ -558,7 +560,7 @@ def multi_grouping_costs(
     for i, (q, coarse, ids) in enumerate(zip(fs.queries, fs.coarse, fs.coarse_ids)):
         inner = np.zeros(len(fine))
         for j, col in enumerate(q.columns):
-            w = weights.weights_of(i, coarse.group_keys(), col)[ids]
+            w = weights.weights_of(i, coarse.keys, col)[ids]
             mu = coarse.mean[col][ids]
             zero = np.flatnonzero((w != 0.0) & (mu == 0.0))
             if zero.size and not exclude:

@@ -426,10 +426,8 @@ def cmd_stream(cfg: RunConfig) -> int:
         for b, start in enumerate(range(0, len(records), batch_size)):
             batch = records[start : start + batch_size]
             stream.ingest_batch(state, batch, batch_seed(seed, b))
-            sizes = [
-                {"key": list(k.values), "size": st.size}
-                for k, st in state.strata.items()
-            ]
+            strata = zip(state.ids, state.sizes().tolist())
+            sizes = [{"key": list(k), "size": size} for k, size in strata]
             objective_value = state.objective_value()
             line = {
                 "batch": b,

@@ -23,8 +23,9 @@ Estimation from a Poisson sample weights each matching row by 1 / p_r
 weights every row of the relation by 1.
 
 Predicates are conjunctions of atoms.  An atom on a categorical column
-takes only ``=`` or ``!=``; an atom on a numeric column needs real-number
-operands.  :meth:`Predicate.mask` is the one evaluator, and
+takes only ``=`` or ``!=``; an atom on a numeric column needs finite
+real-number operands, and in a document every operand is a string or a
+finite number.  :meth:`Predicate.mask` is the one evaluator, and
 :meth:`Relation.strata` the one group numbering: both run on a relation,
 whether the full one or a sample's encoded columns, so a relation and
 either kind of sample reject the same atoms with :class:`InvalidArgument`
@@ -62,6 +63,8 @@ from .alloc import json_float, predicted_group_cv
 from .dataset import CATEGORICAL, GroupKey, Relation
 from .errors import (
     LIST,
+    NUMBER,
+    STRING,
     STRINGS,
     GbsampleError,
     IncompatibleGrouping,
@@ -83,6 +86,7 @@ _COMPARISONS = {
 }
 _NUMERIC_OPS = {"<", "<=", ">", ">=", "between"}
 _ALL_OPS = set(_COMPARISONS) | {"between"}
+_OPERAND = (lambda v: STRING[0](v) or NUMBER[0](v)), "a string or a finite number"
 
 
 @dataclass(frozen=True)
@@ -149,22 +153,24 @@ class Predicate:
         atoms = []
         for i, item in enumerate(expect(source, doc, path, LIST[0], "a list of atoms")):
             get = partial(member, source, item, f"{path}[{i}]")
-            op, column = get("op"), get("column")
+            op, column = get("op", *STRING), get("column", *STRING)
             if op == "between":
-                atoms.append(Atom(column, op, lo=float(get("lo")), hi=float(get("hi"))))
+                lo, hi = get("lo", *NUMBER), get("hi", *NUMBER)
+                atoms.append(Atom(column, op, lo=float(lo), hi=float(hi)))
             else:
-                atoms.append(Atom(column, op, value=get("value")))
+                atoms.append(Atom(column, op, value=get("value", *_OPERAND)))
         return cls(tuple(atoms))
 
 
 def _check_number(atom: Atom) -> None:
-    """A numeric column compares only with real numbers (bool excluded)."""
+    """A numeric column compares only with finite real numbers (bool
+    excluded)."""
     operands = (atom.lo, atom.hi) if atom.op == "between" else (atom.value,)
     for v in operands:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
             raise InvalidArgument(
                 f"column {atom.column!r} is numeric; operator {atom.op!r} "
-                f"needs a number, got {v!r}"
+                f"needs a finite number, got {v!r}"
             )
 
 

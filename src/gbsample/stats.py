@@ -19,8 +19,8 @@ StratumStats`` view built from the arrays on first access.
 stratum's group is numbered by projecting its value tuple, and the fine
 moments fold into their group in catalog order with Chan, Golub and
 LeVeque's pairwise update, the sum of squared deviations rebuilt as
-std**2 * (n - 1).  :func:`accumulate` is the one-value Welford step the
-streaming sampler uses.
+std**2 * (n - 1).  The streaming sampler keeps its own moments as arrays
+(:mod:`gbsample.stream`).
 
 The standard deviation uses the (n - 1) divisor, which makes the finite
 population correction formula in :func:`gbsample.alloc.predicted_cv` exact
@@ -72,19 +72,10 @@ class RunningMoments:
 EMPTY_MOMENTS = RunningMoments()
 
 
-def accumulate(m: RunningMoments, x: float) -> RunningMoments:
-    """Fold one value into the moments (Welford update)."""
-    count = m.count + 1
-    delta = x - m.mean
-    mean = m.mean + delta / count
-    m2 = m.m2 + delta * (x - mean)
-    return RunningMoments(count, mean, m2)
-
-
 def from_array(values: np.ndarray) -> RunningMoments:
     """Moments of an array: its mean, then the sum of squared deviations
-    from that mean (equal to folding the elements in order with
-    :func:`accumulate` up to floating point error)."""
+    from that mean (equal to folding the elements in order with Welford's
+    update up to floating point error)."""
     n = int(values.shape[0])
     if n == 0:
         return EMPTY_MOMENTS

@@ -26,6 +26,11 @@ settle keeps (1, 1, 1, 2) with an F increase of 3.384, where (1, 2, 1, 1)
 would add only 2.880.  Evicted rows are always the largest keys of their
 stratum.
 
+The state is arrays by stratum id (ids in first-arrival order) and one
+table of retained rows.  A batch updates the moments in lockstep over each
+stratum's k-th arrival, one vectorized Welford step per rank k, so each
+stratum folds its values in arrival order, as a row-at-a-time fold would.
+
 With batch size one this is a pure streaming sampler; with the entire
 stream as one batch it reduces to the offline pipeline (same statistics,
 same targets), up to one row of rounding.
@@ -33,8 +38,6 @@ same targets), up to one row of rounding.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,12 +52,16 @@ from .alloc import (
     cv2_costs,
     floor_zero_costs,
     l2_loss,
+    l2_objective,
     shed,
 )
-from .dataset import ColumnSchema, GroupKey, Relation
+from .dataset import ColumnSchema, Relation
 from .errors import SchemaMismatch
 from .sampler import StratifiedSample
-from .stats import EMPTY_MOMENTS, RunningMoments, accumulate, compute_catalog
+from .stats import compute_catalog
+
+#: one retained row: its stratum id, key, arrival ordinal and record
+RETAINED = np.dtype([("stratum", "i8"), ("key", "f8"), ("ordinal", "i8"), ("record", "O")])
 
 
 @dataclass(frozen=True)
@@ -66,119 +73,74 @@ class ObjectiveSpec:
 
 
 @dataclass
-class KeyedStratumSample:
-    """Bottom-k-by-key reservoir for one stratum plus its online moments."""
-
-    key: GroupKey
-    d: float = 1.0
-    n_seen: int = 0
-    moments: dict[str, RunningMoments] = field(default_factory=dict)
-    # max-heap on key via negation: entries are (-key, arrival ordinal, record)
-    heap: list = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.heap)
-
-    def observe(self, record_values: dict[str, float]) -> None:
-        self.n_seen += 1
-        for col, x in record_values.items():
-            self.moments[col] = accumulate(self.moments.get(col, EMPTY_MOMENTS), x)
-
-    def offer(self, key_value: float, ordinal: int, record: tuple) -> bool:
-        if key_value <= self.d:
-            heapq.heappush(self.heap, (-key_value, ordinal, record))
-            return True
-        return False
-
-    def evict(self, count: int) -> None:
-        """Drop the ``count`` largest keys; d becomes the smallest dropped."""
-        smallest = None
-        for _ in range(count):
-            neg_key, _, _ = heapq.heappop(self.heap)
-            smallest = -neg_key
-        if smallest is not None:
-            self.d = smallest
-
-    def retained_keys(self) -> list[float]:
-        return sorted(-neg for neg, _, _ in self.heap)
-
-
-@dataclass
 class SettleReport:
+    """One settle, in arrays by stratum id: the rows ``evicted``, the targets
+    M_i and the scores f(i)^2 (both empty when nothing was over budget)."""
+
     beta: int
-    evicted: dict[GroupKey, int]
-    targets: dict[GroupKey, float]
-    f_squared: dict[GroupKey, float]
+    evicted: np.ndarray
+    targets: np.ndarray
+    f_squared: np.ndarray
     delta_objective: float
 
 
 @dataclass
 class StreamState:
+    """Stratum k has the group values that ``ids`` maps to k, ``n_seen[k]``
+    arrivals, threshold ``d[k]`` and, per objective column c, moments
+    ``mean[c][k]`` and ``m2[c][k]``; ``retained`` holds the kept rows."""
+
     schema: tuple[ColumnSchema, ...]
     group_attrs: tuple[str, ...]
     objective: ObjectiveSpec
     budget: int
-    strata: dict[GroupKey, KeyedStratumSample] = field(default_factory=dict)
+    mean: dict[str, np.ndarray]
+    m2: dict[str, np.ndarray]
+    ids: dict[tuple, int] = field(default_factory=dict)
+    n_seen: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    d: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    retained: np.ndarray = field(default_factory=lambda: np.zeros(0, RETAINED))
     arrivals: int = 0
     last_settle: SettleReport | None = None
 
     @property
     def total_retained(self) -> int:
-        return sum(s.size for s in self.strata.values())
+        return len(self.retained)
 
-    def scores(self) -> tuple[list[GroupKey], np.ndarray]:
+    def sizes(self) -> np.ndarray:
+        """Retained rows per stratum."""
+        return np.bincount(self.retained["stratum"], minlength=len(self.ids))
+
+    def scores(self) -> np.ndarray:
         """Per-stratum f(i)^2 from the current online moments.
 
         Zero-variance or zero-mean strata score 0 and are floored to a
         vanishing positive value, mirroring the offline cost floor.
         """
-        keys = list(self.strata)
-        raw = np.zeros(len(keys))
-        for i, key in enumerate(keys):
-            st = self.strata[key]
-            total = 0.0
-            for col in self.objective.columns:
-                m = st.moments.get(col, EMPTY_MOMENTS)
-                if m.mean == 0.0:
-                    continue
-                cv = m.std / abs(m.mean)
-                total += self.objective.weights.weight(0, key, col) * cv * cv
-            raw[i] = total
-        return keys, floor_zero_costs(raw)
-
-    def targets(self) -> dict[GroupKey, float]:
-        """Fractional optimal sizes M_i = M * f(i) / sum f(j)."""
-        keys, f2 = self.scores()
-        f = np.sqrt(f2)
-        shares = self.budget * f / f.sum()
-        return dict(zip(keys, shares))
+        total = np.zeros(len(self.ids))
+        spread = np.maximum(self.n_seen - 1, 1)
+        for col in self.objective.columns:
+            mean = self.mean[col]
+            std = np.sqrt(np.maximum(self.m2[col] / spread, 0.0))  # m2 = -inf on overflow
+            cv = np.divide(std, np.abs(mean), out=np.zeros(len(mean)), where=mean != 0.0)
+            w = self.objective.weights.weights_of(0, self.ids.keys(), col)
+            # the product (w * cv) * cv, not cv2_costs's w * cv**2: the two
+            # differ in the last bit for some values, which would move F and
+            # the sizes that stream_metrics.jsonl records
+            total = total + (w * cv) * cv
+        return floor_zero_costs(total)
 
     def objective_value(self) -> float:
         """F = sum f(i)^2 / s_i over retained strata (inf on an empty one)."""
-        keys, f2 = self.scores()
-        total = 0.0
-        for key, f2_i in zip(keys, f2):
-            s = self.strata[key].size
-            if s == 0:
-                return math.inf
-            total += f2_i / s
-        return total
+        return l2_objective(self.scores(), self.sizes())
 
     def snapshot(self) -> StratifiedSample:
         """Read-only view of the current sample for querying."""
-        strata = list(self.strata.values())
-        entries = [e for st in strata for e in sorted(st.heap, key=lambda e: e[1])]
+        rows = self.retained[np.lexsort((self.retained["ordinal"], self.retained["stratum"]))]
+        columns = Relation.from_records(self.schema, rows["record"].tolist())
         return StratifiedSample(
-            self.schema,
-            self.group_attrs,
-            "stream",
-            0,
-            [key.values for key in self.strata],
-            [st.n_seen for st in strata],
-            [st.size for st in strata],
-            Relation.from_records(self.schema, [e[2] for e in entries]),
-            [e[1] for e in entries],
+            self.schema, self.group_attrs, "stream", 0, list(self.ids), self.n_seen,
+            self.sizes(), columns, rows["ordinal"],
         )
 
 
@@ -192,7 +154,9 @@ def make_state(
     for a in tuple(group_attrs) + tuple(objective.columns):
         if a not in names:
             raise SchemaMismatch(f"column {a!r} not in schema")
-    return StreamState(tuple(schema), tuple(group_attrs), objective, int(budget))
+    cols = objective.columns
+    return StreamState(tuple(schema), tuple(group_attrs), objective, int(budget),
+                       {c: np.zeros(0) for c in cols}, {c: np.zeros(0) for c in cols})
 
 
 def batch_keys(seed: int, count: int) -> np.ndarray:
@@ -204,36 +168,71 @@ def batch_keys(seed: int, count: int) -> np.ndarray:
     return rng.random(count)
 
 
+def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray]) -> None:
+    """Fold the batch into the counts and moments: Welford's update, one
+    vectorized step per rank k over every stratum's k-th arrival."""
+    counts = np.bincount(sid, minlength=len(state.ids))
+    by_stratum = np.argsort(sid, kind="stable")
+    rank = np.arange(len(sid)) - (np.cumsum(counts) - counts)[sid[by_stratum]]
+    by_rank = by_stratum[np.argsort(rank, kind="stable")]
+    bounds = np.cumsum(np.bincount(rank)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is silent, as in Python
+        for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+            rows = by_rank[lo:hi]
+            s = sid[rows]
+            count = state.n_seen[s] + (k + 1)
+            for col, x in zip(state.objective.columns, values):
+                mean, m2, x = state.mean[col], state.m2[col], x[rows]
+                before = mean[s]
+                delta = x - before
+                mean[s] = before + delta / count
+                m2[s] = m2[s] + delta * (x - mean[s])
+    state.n_seen += counts
+
+
 def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> StreamState:
     """Feed one mini-batch, then settle back to the budget.
 
     Every arriving row updates its stratum's online moments and count; it
     is retained only if its key passes the stratum's discard threshold.
-    New strata start with d = 1.0 (accept everything).
+    New strata start with d = 1.0 (accept everything).  A batch with a
+    malformed record raises :class:`SchemaMismatch` and leaves the state
+    as it was.
     """
-    by_name = {c.name: i for i, c in enumerate(state.schema)}
-    group_pos = [by_name[a] for a in state.group_attrs]
-    col_pos = {col: by_name[col] for col in state.objective.columns}
     n_cols = len(state.schema)
-
-    keys = batch_keys(seed, len(batch))
-    for key_value, record in zip(keys, batch):
+    for record in batch:
         if len(record) != n_cols:
-            raise SchemaMismatch(
-                f"record has {len(record)} fields, schema has {n_cols}"
-            )
-        try:
-            col_values = {col: float(record[i]) for col, i in col_pos.items()}
-        except (TypeError, ValueError):
-            raise SchemaMismatch("non-numeric value in an aggregation column") from None
-        gkey = GroupKey(state.group_attrs, tuple(record[i] for i in group_pos))
-        stratum = state.strata.get(gkey)
-        if stratum is None:
-            stratum = KeyedStratumSample(gkey)
-            state.strata[gkey] = stratum
-        stratum.observe(col_values)
-        stratum.offer(float(key_value), state.arrivals, tuple(record))
-        state.arrivals += 1
+            raise SchemaMismatch(f"record has {len(record)} fields, schema has {n_cols}")
+    columns = list(zip(*batch)) or [()] * n_cols
+    at = {c.name: i for i, c in enumerate(state.schema)}
+    try:
+        values = [np.array(list(map(float, columns[at[c]]))) for c in state.objective.columns]
+    except (TypeError, ValueError):
+        raise SchemaMismatch("non-numeric value in an aggregation column") from None
+    if not all(np.isfinite(x).all() for x in values):
+        raise SchemaMismatch("non-finite value in an aggregation column")
+    n = len(batch)
+    group_pos = [at[a] for a in state.group_attrs]
+    group_values = zip(*(columns[i] for i in group_pos)) if group_pos else [()] * n
+    ids = state.ids  # value tuple -> stratum id, numbered in first-arrival order
+    sid = np.fromiter((ids.setdefault(v, len(ids)) for v in group_values), np.int64, n)
+    new = len(ids) - len(state.n_seen)
+    if new:  # new strata: no arrivals, zero moments, d = 1
+        state.n_seen = np.append(state.n_seen, np.zeros(new, np.int64))
+        state.d = np.append(state.d, np.ones(new))
+        for moments in (state.mean, state.m2):
+            moments.update({col: np.append(x, [0.0] * new) for col, x in moments.items()})
+    _observe(state, sid, values)
+
+    keys = batch_keys(seed, n)
+    offered = np.flatnonzero(keys <= state.d[sid])
+    if offered.size:
+        rows = np.empty(offered.size, RETAINED)
+        rows["stratum"], rows["key"] = sid[offered], keys[offered]
+        rows["ordinal"] = state.arrivals + offered
+        rows["record"] = np.fromiter(map(tuple, batch), object, n)[offered]
+        state.retained = np.concatenate([state.retained, rows])
+    state.arrivals += n
     settle_budget(state)
     return state
 
@@ -243,33 +242,36 @@ def settle_budget(state: StreamState) -> StreamState:
 
     Strata at or below their fractional target M_i keep every row; among
     evictions from the others, the counts are the exact integer minimizer
-    of the F increase (:func:`gbsample.alloc.shed` with the l2 loss).
+    of the F increase (:func:`gbsample.alloc.shed` with the l2 loss).  The
+    table sorted by (stratum, key) loses each stratum's tail, and d becomes
+    the first key cut.
     """
-    beta = state.total_retained - state.budget
+    retained = state.retained
+    beta = len(retained) - state.budget
+    evicted = np.zeros(len(state.ids), dtype=np.int64)
     if beta <= 0:
-        state.last_settle = SettleReport(max(beta, 0), {}, {}, {}, 0.0)
+        state.last_settle = SettleReport(0, evicted, np.zeros(0), np.zeros(0), 0.0)
         return state
-    keys, f2 = state.scores()
+    f2 = state.scores()
     f = np.sqrt(f2)
     shares = state.budget * f / f.sum()
-    before = np.array([state.strata[k].size for k in keys], dtype=np.int64)
-    lower = np.where(before > shares, 0, before)
-    after = shed(before, lower, beta, l2_loss(f2))
+    before = state.sizes()
+    over = np.flatnonzero(before > shares)
+    evicted[over] = before[over] - shed(before[over], np.zeros(over.size), beta, l2_loss(f2[over]))
 
-    evicted: dict[GroupKey, int] = {}
-    delta = 0.0
-    for k, f2_k, s_old, s_new in zip(keys, f2, before.tolist(), after.tolist()):
-        if s_new == s_old:
-            continue
-        evicted[k] = s_old - s_new
-        state.strata[k].evict(s_old - s_new)
-        if s_new == 0:
-            delta = math.inf
-        elif not math.isinf(delta):
-            delta += f2_k * (1.0 / s_new - 1.0 / s_old)
-    state.last_settle = SettleReport(
-        beta, evicted, dict(zip(keys, shares)), dict(zip(keys, f2)), delta
-    )
+    # the rows of the strata that lose rows, sorted by (stratum, key)
+    changed = np.flatnonzero(evicted)
+    rows = np.flatnonzero(evicted[retained["stratum"]])
+    rows = rows[np.lexsort((retained["key"][rows], retained["stratum"][rows]))]
+    at = np.searchsorted(changed, retained["stratum"][rows])
+    rank = np.arange(len(rows)) - (np.cumsum(before[changed]) - before[changed])[at]
+    kept = before[changed] - evicted[changed]
+    state.d[changed] = retained["key"][rows[rank == kept[at]]]
+    state.retained = np.delete(retained, rows[rank >= kept[at]])
+
+    with np.errstate(divide="ignore"):  # a stratum emptied adds inf
+        delta = (f2[changed] * (1.0 / kept - 1.0 / before[changed])).sum()
+    state.last_settle = SettleReport(beta, evicted, shares, f2, float(delta))
     return state
 
 

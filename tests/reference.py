@@ -39,10 +39,9 @@ from gbsample.stats import (
     ColumnSummary,
     RunningMoments,
     StratumStats,
-    accumulate,
     compute_catalog,
 )
-from gbsample.stream import ObjectiveSpec, offline_plan
+from gbsample.stream import ObjectiveSpec, StreamState, offline_plan
 from gbsample.workload import QuerySpec
 
 
@@ -75,6 +74,15 @@ def project_key(key: GroupKey, target_attrs: Sequence[str]) -> GroupKey:
     if missing:
         raise NotASubset(f"attributes {missing} not part of key {key}")
     return GroupKey(tuple(target_attrs), tuple(lookup[a] for a in target_attrs))
+
+
+def accumulate(m: RunningMoments, x: float) -> RunningMoments:
+    """Fold one value into the moments (Welford update)."""
+    count = m.count + 1
+    delta = x - m.mean
+    mean = m.mean + delta / count
+    m2 = m.m2 + delta * (x - mean)
+    return RunningMoments(count, mean, m2)
 
 
 def from_values(values: Iterable[float]) -> RunningMoments:
@@ -323,3 +331,9 @@ def two_pass_reference(
     rel = Relation.from_records(schema, records)
     plan = offline_plan(rel, group_attrs, objective, budget)
     return draw_stratified(rel, plan, seed)
+
+
+def retained_keys(state: StreamState, k: int) -> list[float]:
+    """The keys stratum ``k`` of a stream state retains, ascending."""
+    table = state.retained
+    return sorted(table["key"][table["stratum"] == k].tolist())

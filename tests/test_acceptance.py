@@ -34,7 +34,6 @@ from gbsample.query import AVG, COUNT, QueryRequest, estimate, evaluate
 from gbsample.sampler import draw_poisson, draw_stratified
 from gbsample.stats import compute_catalog
 from gbsample.stream import (
-    KeyedStratumSample,
     ObjectiveSpec,
     batch_keys,
     ingest_batch,
@@ -46,7 +45,7 @@ from gbsample.workload import QuerySpec, derive_aggregation_groups
 from gbsample.query import Atom, Predicate
 
 from conftest import STUDENT_ROWS
-from reference import build_finest
+from reference import build_finest, retained_keys
 
 
 def _announce(number, text):
@@ -431,25 +430,23 @@ def test_criterion_7_eviction_optimality():
         beta = int(rng.integers(1, min(5, int(sizes.sum()) - k) + 1))
         budget = int(sizes.sum()) - beta
 
-        state = make_state(schema, ("g",), ObjectiveSpec(("v",)), budget)
-        keys = []
-        for i in range(k):
-            key = GroupKey(("g",), (f"s{i}",))
-            keys.append(key)
-            stratum = KeyedStratumSample(key)
-            for j in range(int(sizes[i])):
-                stratum.offer(float(rng.random()), j, (f"s{i}", 0.0))
-            stratum.n_seen = int(sizes[i])
-            state.strata[key] = stratum
-        state.scores = lambda keys=keys, f2=f2: (keys, f2)  # type: ignore
+        # strata s0 .. s{k-1} with sizes[i] rows each: one batch ingested
+        # under a budget that keeps every row, then the trial's budget and f^2
+        rows = [(f"s{i}", 0.0) for i in range(k) for _ in range(int(sizes[i]))]
+        state = make_state(schema, ("g",), ObjectiveSpec(("v",)), len(rows))
+        ingest_batch(state, rows, seed=trial)
+        state.budget = budget
+        state.scores = lambda f2=f2: f2  # type: ignore
+        keys = range(k)
 
-        before = {key: state.strata[key].size for key in keys}
-        keys_before = {key: state.strata[key].retained_keys() for key in keys}
+        before = state.sizes().tolist()
+        keys_before = [retained_keys(state, key) for key in keys]
         settle_budget(state)
         report = state.last_settle
+        after = state.sizes()
 
         ours = sum(
-            f2[i] * (1.0 / state.strata[key].size - 1.0 / before[key])
+            f2[i] * (1.0 / after[key] - 1.0 / before[key])
             for i, key in enumerate(keys)
         )
         best = math.inf
@@ -471,8 +468,8 @@ def test_criterion_7_eviction_optimality():
         for key in keys:
             if before[key] <= report.targets[key]:
                 untouched_checks += 1
-                assert key not in report.evicted
-                assert state.strata[key].retained_keys() == keys_before[key]
+                assert report.evicted[key] == 0
+                assert retained_keys(state, key) == keys_before[key]
     elapsed = time.time() - start
     assert elapsed < 30.0
     assert untouched_checks > 0
@@ -509,8 +506,9 @@ def test_criterion_8_streaming_offline_agreement():
         rel = Relation.from_records(SCHEMA_STREAM, rows)
         plan = offline_plan(rel, ("g",), objective, budget)
         assert state.total_retained == budget
+        sizes = state.sizes()
         for key, size in zip(plan.keys, plan.sizes):
-            assert abs(state.strata[key].size - int(size)) <= 1, (seed, key)
+            assert abs(sizes[state.ids[key.values]] - int(size)) <= 1, (seed, key)
 
     # batch-size-1 replay of the same-size stream: budget holds after every
     # settle and each stratum retains exactly its smallest keys
@@ -518,18 +516,18 @@ def test_criterion_8_streaming_offline_agreement():
     for seed in range(5):
         rows = _stream_rows(900 + seed, replay_n)
         state = make_state(SCHEMA_STREAM, ("g",), objective, 120)
-        seen: dict[GroupKey, list[float]] = {}
+        seen: dict[tuple, list[float]] = {}
         for i, record in enumerate(rows):
             key_seed = 100_000 * seed + i
             (key_value,) = batch_keys(key_seed, 1)
-            gkey = GroupKey(("g",), (record[0],))
-            seen.setdefault(gkey, []).append(float(key_value))
+            seen.setdefault((record[0],), []).append(float(key_value))
             ingest_batch(state, [record], seed=key_seed)
             assert state.total_retained <= 120
         assert state.total_retained == 120
-        for gkey, stratum in state.strata.items():
-            expect = sorted(seen[gkey])[: stratum.size]
-            assert stratum.retained_keys() == expect
+        sizes = state.sizes()
+        for k, values in enumerate(state.ids):
+            expect = sorted(seen[values])[: sizes[k]]
+            assert retained_keys(state, k) == expect
     elapsed = time.time() - start
     _announce(8, f"single-batch streaming equals the offline plan within 1 row "
                  f"and batch-1 replay keeps the bottom-k structure ({elapsed:.1f}s)")

