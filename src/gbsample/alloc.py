@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, key_ids
+from .dataset import GroupKey, Relation, key_relation
 from .errors import (
     COUNT,
     INTEGER,
@@ -64,7 +64,7 @@ from .errors import (
     ZeroMeanStratum,
     member,
 )
-from .stats import StatsCatalog, pool_with_ids
+from .stats import StatsCatalog
 
 #: zero-variance strata get this fraction of the smallest positive cost
 ZERO_COST_RATIO = 1e-12
@@ -524,8 +524,8 @@ def finest_from_catalog(
     fine: StatsCatalog, queries: Sequence[GroupQuery]
 ) -> FinestStratification:
     """Build the union stratification from an existing fine catalog; the
-    coarse per-query statistics are pooled, not recomputed."""
-    pooled = [pool_with_ids(fine, q.attrs) for q in queries]
+    coarse per-query statistics are pooled (:meth:`StatsCatalog.pooled`)."""
+    pooled = [fine.pooled(q.attrs) for q in queries]
     return FinestStratification(
         fine.group_attrs,
         tuple(queries),
@@ -764,15 +764,16 @@ def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
 
     The rows are partitioned once, by the union of the queries' grouping
     attributes; a query's rate per fine stratum is that of the group its
-    key projects to, and each row takes the rate of its fine stratum.  A
+    key falls in, and each row takes the rate of its fine stratum.  A
     group missing from ``alloc.populations`` counts its rows instead.
     """
     union = list(dict.fromkeys(a for q in alloc.queries for a in q.attrs))
     fine_ids, fine_values, _, bounds = rel.strata(union)
     counts = np.diff(bounds)
+    fine_keys = key_relation(union, fine_values)
     per_query = []
     for i, q in enumerate(alloc.queries):
-        group, keys = key_ids(fine_values, [union.index(a) for a in q.attrs])
+        group, keys, _, _ = fine_keys.strata(q.attrs)
         rows = np.bincount(group, counts, len(keys)).astype(np.int64).tolist()
         rates = []
         for values, n_rows in zip(keys, rows):

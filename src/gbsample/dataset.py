@@ -343,14 +343,11 @@ def _first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first[order]
 
 
-def key_ids(records: Sequence[tuple], positions: Sequence[int]):
-    """First-occurrence ids of the value tuples ``records`` hold at
-    ``positions``, and those tuples in id order."""
-    columns = [[r[i] for r in records] for i in positions]
-    keys = zip(*columns) if columns else (() for _ in records)
-    ids: dict[tuple, int] = {}
-    numbered = (ids.setdefault(key, len(ids)) for key in keys)
-    return np.fromiter(numbered, dtype=np.intp, count=len(records)), list(ids)
+def key_relation(attrs: Sequence[str], keys: Sequence[tuple]) -> Relation:
+    """The value tuples ``keys`` over ``attrs`` as categorical columns, row k for ``keys[k]``."""
+    columns = list(zip(*keys, strict=True)) or [()] * len(attrs)
+    schema = [ColumnSchema(a, CATEGORICAL) for a in attrs]
+    return Relation(schema, dict(zip(attrs, columns)), len(keys))
 
 
 def segments(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,7 @@ from .dataset import (
     GroupKey,
     Relation,
     encode,
+    key_relation,
 )
 from .errors import (
     CorruptSampleFile,
@@ -111,8 +112,7 @@ class StratifiedSample:
         self.method = method
         self.seed = seed
         self.keys = [tuple(key) for key in keys]
-        key_schema = [ColumnSchema(a, CATEGORICAL) for a in self.group_attrs]
-        self.key_columns = Relation.from_records(key_schema, self.keys)
+        self.key_columns = key_relation(self.group_attrs, self.keys)
         self.n = _array(n, np.int64)
         self.size = _array(size, np.int64)
         self.columns = Relation.from_records(schema, []) if columns is None else columns

@@ -15,12 +15,12 @@ std, so a catalog read back from its file is bit-identical to the one
 computed.  ``StatsCatalog.entries`` is a read-only ``GroupKey ->
 StratumStats`` view built from the arrays on first access.
 
-:func:`pool_catalog` aggregates to a coarser stratification: each fine
-stratum's group is numbered by projecting its value tuple, and the fine
-moments fold into their group in catalog order with Chan, Golub and
-LeVeque's pairwise update, the sum of squared deviations rebuilt as
-std**2 * (n - 1).  The streaming sampler keeps its own moments as arrays
-(:mod:`gbsample.stream`).
+:meth:`StatsCatalog.pooled` aggregates to a coarser grouping once per
+attribute tuple and keeps the result.  A fine stratum's group is its
+stratum id under those attributes in the catalog's key relation (one row
+per stratum), and the fine moments fold into their group in catalog order
+with Chan, Golub and LeVeque's pairwise update, the sum of squared
+deviations rebuilt as std**2 * (n - 1).
 
 The standard deviation uses the (n - 1) divisor, which makes the finite
 population correction formula in :func:`gbsample.alloc.predicted_cv` exact
@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, Strata, key_ids
+from .dataset import GroupKey, Relation, Strata, key_relation
 from .errors import COUNT, LIST, NUMBER, STRINGS, InvalidDocument, NotASubset, member
 
 #: significant digits used when serializing floating point values
@@ -58,15 +58,9 @@ class RunningMoments:
     m2: float = 0.0
 
     @property
-    def variance(self) -> float:
-        """Sample variance with the (n - 1) divisor; 0 when count <= 1."""
-        if self.count <= 1:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-    @property
     def std(self) -> float:
-        return math.sqrt(max(self.variance, 0.0))
+        """The (n - 1)-divisor standard deviation; 0 when count <= 1."""
+        return math.sqrt(max(self.m2 / (self.count - 1), 0.0)) if self.count > 1 else 0.0
 
 
 EMPTY_MOMENTS = RunningMoments()
@@ -130,8 +124,8 @@ class StatsCatalog:
     Stratum k has the values ``keys[k]`` on ``group_attrs``, ``n[k]`` rows
     and, for every aggregation column c, mean ``mean[c][k]`` and standard
     deviation ``std[c][k]``.  The arrays are read-only; ``keys`` must not
-    change either, since the :class:`GroupKey` objects and ``entries`` are
-    built from it once.
+    change either, since the :class:`GroupKey` objects, ``entries``, the key
+    relation and the pooled catalogs are built from it once.
     """
 
     group_attrs: tuple[str, ...]
@@ -149,6 +143,7 @@ class StatsCatalog:
             for col in self.agg_columns:
                 arrays[col] = np.asarray(arrays[col], dtype=np.float64)
                 arrays[col].flags.writeable = False
+        self._pooled: dict[tuple[str, ...], tuple[StatsCatalog, np.ndarray]] = {}
 
     def __len__(self):
         return len(self.keys)
@@ -161,6 +156,51 @@ class StatsCatalog:
     @cached_property
     def _group_keys(self) -> tuple[GroupKey, ...]:
         return tuple(GroupKey(self.group_attrs, values) for values in self.keys)
+
+    @cached_property
+    def key_relation(self) -> Relation:
+        """The strata's value tuples as an encoded relation, row k for stratum k."""
+        return key_relation(self.group_attrs, self.keys)
+
+    def pooled(self, attrs: Sequence[str]) -> tuple[StatsCatalog, np.ndarray]:
+        """The catalog aggregated up to ``attrs``, a subset of its group
+        attributes, and the read-only index of every fine stratum's group in
+        it; computed on the first call for these attributes (in this order)
+        and kept.  Counts and means combine exactly, the sums of squared
+        deviations up to floating point error."""
+        attrs = tuple(attrs)
+        if attrs in self._pooled:
+            return self._pooled[attrs]
+        missing = [a for a in attrs if a not in self.group_attrs]
+        if missing:
+            raise NotASubset(f"attributes {missing} not part of the catalog's {self.group_attrs}")
+        ids, keys, _, _ = self.key_relation.strata(attrs)
+        size = len(keys) if len(self) else 0  # no strata: no groups, not even ()'s one
+        n = np.bincount(ids, self.n, size).astype(np.int64)
+        groups, fine_n = ids.tolist(), self.n.tolist()
+        mean, std = {}, {}
+        for col, fine_mean, fine_std in _column_lists(self):
+            count, mu, m2 = [0] * size, [0.0] * size, [0.0] * size
+            for g, n_f, mean_f, std_f in zip(groups, fine_n, fine_mean, fine_std):
+                # Chan, Golub and LeVeque's update of (count, mu, m2)[g] by
+                # the fine stratum's moments, in catalog order
+                m2_f = std_f**2 * (n_f - 1)
+                a = count[g]
+                if a == 0:
+                    count[g], mu[g], m2[g] = n_f, mean_f, m2_f
+                elif n_f:
+                    total = a + n_f
+                    delta = mean_f - mu[g]
+                    mu[g] = mu[g] + delta * (n_f / total)
+                    m2[g] = m2[g] + m2_f + delta * delta * (a * n_f / total)
+                    count[g] = total
+            mean[col] = mu
+            # RunningMoments.std: m2 / (count - 1), 0 for count <= 1, clamped at 0
+            variance = np.divide(m2, n - 1, out=np.zeros(size), where=n > 1)
+            std[col] = np.sqrt(np.maximum(variance, 0.0))
+        out = StatsCatalog(attrs, self.agg_columns, list(keys)[:size], n, mean, std, self.total_n)
+        found = self._pooled[attrs] = out, ids
+        return found
 
     @cached_property
     def entries(self) -> Mapping[GroupKey, StratumStats]:
@@ -196,53 +236,9 @@ def compute_catalog(
     return StatsCatalog(group_attrs, agg_columns, list(strata.keys), n, mean, std, rel.n_rows)
 
 
-def pool_with_ids(
-    catalog: StatsCatalog, target_attrs: Sequence[str]
-) -> tuple[StatsCatalog, np.ndarray]:
-    """The catalog aggregated up to ``target_attrs``, a subset of its group
-    attributes, and for every fine stratum the index of its coarse group.
-    The pooled moments combine the fine strata exactly, up to floating
-    point error in the sum of squared deviations."""
-    missing = [a for a in target_attrs if a not in catalog.group_attrs]
-    if missing:
-        raise NotASubset(
-            f"attributes {missing} not part of the catalog's {catalog.group_attrs}"
-        )
-    # number each stratum's projected value tuple by first occurrence
-    positions = [catalog.group_attrs.index(a) for a in target_attrs]
-    ids, keys = key_ids(catalog.keys, positions)
-    groups = ids.tolist()
-    fine_n = catalog.n.tolist()
-    mean, std = {}, {}
-    for col in catalog.agg_columns:
-        count, mu, m2 = [0] * len(keys), [0.0] * len(keys), [0.0] * len(keys)
-        fine = zip(groups, fine_n, catalog.mean[col].tolist(), catalog.std[col].tolist())
-        for g, n, mean_f, std_f in fine:
-            # Chan, Golub and LeVeque's update of (count, mu, m2)[g] by the
-            # fine stratum's moments, in catalog order
-            m2_f = std_f**2 * (n - 1)
-            a = count[g]
-            if a == 0:
-                count[g], mu[g], m2[g] = n, mean_f, m2_f
-            elif n:
-                total = a + n
-                delta = mean_f - mu[g]
-                mu[g] = mu[g] + delta * (n / total)
-                m2[g] = m2[g] + m2_f + delta * delta * (a * n / total)
-                count[g] = total
-        mean[col] = mu
-        std[col] = [RunningMoments(c, 0.0, s).std for c, s in zip(count, m2)]
-    n = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(n, ids, catalog.n)
-    pooled = StatsCatalog(
-        tuple(target_attrs), catalog.agg_columns, keys, n, mean, std, catalog.total_n
-    )
-    return pooled, ids
-
-
 def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCatalog:
-    """The pooled catalog of :func:`pool_with_ids`, without the ids."""
-    return pool_with_ids(catalog, target_attrs)[0]
+    """The pooled catalog of :meth:`StatsCatalog.pooled`, without the ids."""
+    return catalog.pooled(target_attrs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +267,10 @@ def catalog_to_json(catalog: StatsCatalog) -> str:
 
 def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
     """Parse a catalog file.  A document of the wrong shape, a key of the
-    wrong length or a repeated key, a negative count, or a mean or std that
-    is not a finite number (or a negative std) raises
-    :class:`InvalidDocument` naming ``source`` and the field."""
+    wrong length or a repeated key, a negative count, a ``total_n`` other
+    than the strata's total count, or a mean or std that is not a finite
+    number (or a negative std) raises :class:`InvalidDocument` naming
+    ``source`` and the field."""
 
     get = partial(member, source)
     spread = (lambda v: NUMBER[0](v) and v >= 0), "a finite number >= 0"
@@ -300,4 +297,6 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
             summary = get(get(item, at, "columns"), f"{at}.columns", col)
             mean[col].append(float(get(summary, f"{at}.columns.{col}", "mean", *NUMBER)))
             std[col].append(float(get(summary, f"{at}.columns.{col}", "std", *spread)))
+    if total_n != sum(n):
+        raise InvalidDocument(f"{source}: total_n: expected {sum(n)}, the sum of n, got {total_n}")
     return StatsCatalog(group_attrs, agg_columns, list(index), n, mean, std, total_n)

@@ -121,7 +121,7 @@ class StreamState:
         spread = np.maximum(self.n_seen - 1, 1)
         for col in self.objective.columns:
             mean = self.mean[col]
-            std = np.sqrt(np.maximum(self.m2[col] / spread, 0.0))  # m2 = -inf on overflow
+            std = np.sqrt(np.maximum(self.m2[col] / spread, 0.0))
             cv = np.divide(std, np.abs(mean), out=np.zeros(len(mean)), where=mean != 0.0)
             w = self.objective.weights.weights_of(0, self.ids.keys(), col)
             # the product (w * cv) * cv, not cv2_costs's w * cv**2: the two
@@ -168,26 +168,30 @@ def batch_keys(seed: int, count: int) -> np.ndarray:
     return rng.random(count)
 
 
-def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray]) -> None:
-    """Fold the batch into the counts and moments: Welford's update, one
-    vectorized step per rank k over every stratum's k-th arrival."""
-    counts = np.bincount(sid, minlength=len(state.ids))
+def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new: int):
+    """The counts and moments with the batch folded in, as new arrays (the
+    state is not changed): Welford's update, one vectorized step per rank k
+    over every stratum's k-th arrival.  ``new`` strata start at zero."""
+    n_seen = np.concatenate((state.n_seen, np.zeros(new, np.int64)))
+    mean = {c: np.concatenate((x, np.zeros(new))) for c, x in state.mean.items()}
+    m2 = {c: np.concatenate((x, np.zeros(new))) for c, x in state.m2.items()}
+    counts = np.bincount(sid, minlength=len(n_seen))
     by_stratum = np.argsort(sid, kind="stable")
     rank = np.arange(len(sid)) - (np.cumsum(counts) - counts)[sid[by_stratum]]
     by_rank = by_stratum[np.argsort(rank, kind="stable")]
     bounds = np.cumsum(np.bincount(rank)).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is silent, as in Python
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller rejects an overflow
         for k, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
             rows = by_rank[lo:hi]
             s = sid[rows]
-            count = state.n_seen[s] + (k + 1)
+            count = n_seen[s] + (k + 1)
             for col, x in zip(state.objective.columns, values):
-                mean, m2, x = state.mean[col], state.m2[col], x[rows]
-                before = mean[s]
+                x = x[rows]
+                before = mean[col][s]
                 delta = x - before
-                mean[s] = before + delta / count
-                m2[s] = m2[s] + delta * (x - mean[s])
-    state.n_seen += counts
+                mean[col][s] = before + delta / count
+                m2[col][s] = m2[col][s] + delta * (x - mean[col][s])
+    return n_seen + counts, mean, m2
 
 
 def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> StreamState:
@@ -196,8 +200,8 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     Every arriving row updates its stratum's online moments and count; it
     is retained only if its key passes the stratum's discard threshold.
     New strata start with d = 1.0 (accept everything).  A batch with a
-    malformed record raises :class:`SchemaMismatch` and leaves the state
-    as it was.
+    malformed record, or one that would overflow a stratum's moments,
+    raises :class:`SchemaMismatch` and leaves the state as it was.
     """
     n_cols = len(state.schema)
     for record in batch:
@@ -214,15 +218,14 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     n = len(batch)
     group_pos = [at[a] for a in state.group_attrs]
     group_values = zip(*(columns[i] for i in group_pos)) if group_pos else [()] * n
-    ids = state.ids  # value tuple -> stratum id, numbered in first-arrival order
+    ids, known = state.ids, len(state.n_seen)  # value tuple -> id, in first-arrival order
     sid = np.fromiter((ids.setdefault(v, len(ids)) for v in group_values), np.int64, n)
-    new = len(ids) - len(state.n_seen)
-    if new:  # new strata: no arrivals, zero moments, d = 1
-        state.n_seen = np.append(state.n_seen, np.zeros(new, np.int64))
-        state.d = np.append(state.d, np.ones(new))
-        for moments in (state.mean, state.m2):
-            moments.update({col: np.append(x, [0.0] * new) for col, x in moments.items()})
-    _observe(state, sid, values)
+    n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
+    if not np.isfinite([*mean.values(), *m2.values()]).all():
+        state.ids = dict(list(ids.items())[:known])  # forget the batch's new strata
+        raise SchemaMismatch("aggregation values overflow their stratum's moments")
+    state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
+    state.n_seen, state.mean, state.m2 = n_seen, mean, m2
 
     keys = batch_keys(seed, n)
     offered = np.flatnonzero(keys <= state.d[sid])

@@ -66,6 +66,17 @@ def partition(rel: Relation, attrs: Sequence[str]) -> dict[GroupKey, list[int]]:
     return {GroupKey(attrs, values): rows for values, rows in buckets.items()}
 
 
+def key_ids(records: Sequence[tuple], positions: Sequence[int]):
+    """First-occurrence ids of the value tuples ``records`` hold at
+    ``positions``, and those tuples in id order: the strata of
+    :func:`gbsample.dataset.key_relation` one Python tuple at a time."""
+    columns = [[r[i] for r in records] for i in positions]
+    keys = zip(*columns) if columns else (() for _ in records)
+    ids: dict[tuple, int] = {}
+    numbered = (ids.setdefault(key, len(ids)) for key in keys)
+    return np.fromiter(numbered, dtype=np.intp, count=len(records)), list(ids)
+
+
 def project_key(key: GroupKey, target_attrs: Sequence[str]) -> GroupKey:
     """Restrict ``key`` to ``target_attrs`` (a subset of its attributes),
     in the order of ``target_attrs``."""

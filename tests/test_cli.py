@@ -407,6 +407,15 @@ def test_stream_sim_keys_containing_the_separator_stay_apart(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_stream_sim_overflowing_moments_is_a_user_error(tmp_path, capsys, batch_size):
+    data = tmp_path / "huge.csv"
+    data.write_text("grp,v\na,1e308\na,-1e308\nb,1\nb,2\na,3\nb,4\n", encoding="utf-8")
+    cfg = _write_config(tmp_path, data, budget=2, batch_size=batch_size, seed=1)
+    assert _run("stream-sim", "--config", str(cfg)) == 1
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_rate_on_large_table_end_to_end(tmp_path):
     import numpy as np
 
@@ -553,6 +562,7 @@ CATALOG_MUTATIONS = [
     ("infinite std", ("strata", 0, "columns", "v", "std"), float("inf")),
     ("NaN mean", ("strata", 0, "columns", "v", "mean"), float("nan")),
     ("missing total_n", ("total_n",), None),
+    ("total_n not the strata's total n", ("total_n",), 1000),
     ("strata as an object", ("strata",), {}),
     ("stratum not an object", ("strata", 0), ["a"]),
     ("document not an object", (), None),
@@ -600,6 +610,23 @@ def test_catalog_errors_name_the_field(tmp_path):
     del doc["strata"][0]["columns"]["v"]["std"]
     with pytest.raises(InvalidDocument, match=r"strata\[0\]\.columns\.v\.std: missing"):
         catalog_from_json(json.dumps(doc), "cat.json")
+
+
+def test_catalog_total_n_must_be_the_strata_total(tmp_path, student_csv, capsys):
+    cfg = _write_config(
+        tmp_path, student_csv, schema=STUDENT_CONFIG_SCHEMA, group_by=["major"],
+        aggregates=["gpa"], budget=None, rate=0.5,
+    )
+    assert _run("stats", "--config", str(cfg)) == 0
+    catalog = tmp_path / "out" / "catalog.json"
+    doc = json.loads(catalog.read_text(encoding="utf-8"))
+    assert doc["total_n"] == 8
+    doc["total_n"] = 1000
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    assert "total_n: expected 8, the sum of n, got 1000" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plan.json").exists()
 
 
 @pytest.mark.parametrize(

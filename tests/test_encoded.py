@@ -4,13 +4,14 @@ dict-per-stratum reference forms in ``reference.py``, compared with
 ``==``."""
 
 import csv
+import itertools
 import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gbsample.alloc import (
     UNIT_WEIGHTS,
@@ -40,6 +41,7 @@ from gbsample.dataset import (
 )
 from gbsample.errors import (
     GbsampleError,
+    NotASubset,
     ZeroMeanCoarseGroup,
     ZeroMeanError,
     ZeroMeanGroup,
@@ -51,6 +53,8 @@ from gbsample.stats import (
     ColumnSummary,
     StatsCatalog,
     StratumStats,
+    catalog_from_json,
+    catalog_to_json,
     compute_catalog,
     pool_catalog,
 )
@@ -418,6 +422,59 @@ def test_cost_kernels_match_the_reference_on_larger_strata():
         )
     )
     _check_cost_kernels(Relation.from_records(COST_SCHEMA, rows))
+
+
+#: every ordered subset of the fine attributes, () and permutations included
+ORDERED_SUBSETS = [
+    attrs for size in range(len(FINE) + 1) for attrs in itertools.permutations(FINE, size)
+]
+
+
+def _with_zero_count_stratum(catalog):
+    """``catalog`` with one more stratum, of no rows, at the front; its
+    h value occurs nowhere else."""
+    return StatsCatalog(
+        catalog.group_attrs, catalog.agg_columns, [("a", "zero", "")] + catalog.keys,
+        [0] + catalog.n.tolist(),
+        {c: [2.5] + catalog.mean[c].tolist() for c in catalog.agg_columns},
+        {c: [1.5] + catalog.std[c].tolist() for c in catalog.agg_columns},
+        catalog.total_n,
+    )
+
+
+def _pooled_bits(catalog, attrs):
+    coarse, ids = catalog.pooled(attrs)
+    arrays = [coarse.n, ids] + [a[c] for a in (coarse.mean, coarse.std) for c in coarse.agg_columns]
+    return coarse.keys, [(x.dtype.str, x.tobytes()) for x in arrays]
+
+
+@given(_cost_rows)
+@example([])  # no strata: no groups under any attributes, () included
+def test_pooled_matches_the_reference_and_is_kept(rows):
+    computed = compute_catalog(Relation.from_records(COST_SCHEMA, rows), FINE, ("v", "u"))
+    for catalog in (computed, _with_zero_count_stratum(computed)):
+        loaded = catalog_from_json(catalog_to_json(catalog))
+        ref = dict(_as_entries(catalog))
+        for attrs in ORDERED_SUBSETS:
+            found = catalog.pooled(attrs)
+            coarse, ids = found
+            assert _as_entries(coarse) == list(reference.pool_entries(ref, attrs).items())
+            positions = [FINE.index(a) for a in attrs]
+            assert ids.tolist() == reference.key_ids(catalog.keys, positions)[0].tolist()
+            # kept: a second call, and pool_catalog, return the same objects
+            assert catalog.pooled(list(attrs)) is found
+            assert pool_catalog(catalog, attrs) is coarse
+            assert not ids.flags.writeable
+            with pytest.raises(ValueError):
+                ids[:1] = 0
+            # a catalog read back from its file pools to the same bits
+            assert _pooled_bits(loaded, attrs) == _pooled_bits(catalog, attrs)
+        kept = dict(catalog._pooled)
+        for attrs in (("v",), ("g", "nope"), ("k", "k", "u")):
+            for _ in range(2):
+                with pytest.raises(NotASubset):
+                    catalog.pooled(attrs)
+            assert catalog._pooled == kept
 
 
 def test_zero_mean_errors_name_the_first_key_and_column_in_catalog_order():

@@ -17,7 +17,6 @@ from gbsample.dataset import (
     ColumnSchema,
     GroupKey,
     Relation,
-    key_ids,
 )
 from gbsample.errors import (
     GbsampleError,
@@ -54,7 +53,7 @@ from gbsample.sampler import (
 from gbsample.stats import compute_catalog
 from gbsample.stream import ObjectiveSpec, ingest_batch, make_state
 
-from reference import partition, project_key
+from reference import key_ids, partition, project_key
 
 
 

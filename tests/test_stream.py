@@ -89,12 +89,34 @@ def test_non_finite_aggregation_value_is_a_schema_mismatch(bad):
     assert state.mean["v"].tolist() == [1.0, 2.0] and state.total_retained == 2
 
 
-def test_overflowing_moments_score_as_zero_spread():
-    # (1e308 - -1e308) overflows: the Welford m2 becomes -inf, and the
-    # stratum's spread, and so its score, counts as zero
+#: (1e308 - -1e308) overflows: the second row would make stratum a's
+#: Welford mean -inf and its m2 -inf
+OVERFLOW_ROWS = [("a", 1e308), ("a", -1e308), ("b", 1.0), ("b", 2.0), ("a", 3.0), ("b", 4.0)]
+
+
+def _state_of(state):
+    return (
+        list(state.ids), state.n_seen.tolist(), state.d.tolist(), state.arrivals,
+        state.mean["v"].tolist(), state.m2["v"].tolist(), state.retained.tolist(),
+        id(state.last_settle),
+    )
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_overflowing_moments_reject_the_batch(batch_size):
     state = _fresh(budget=2)
-    ingest_batch(state, [("a", 1e308), ("a", -1e308), ("b", 1.0), ("b", 2.0)], seed=0)
-    assert state.m2["v"][0] == -math.inf
+    rows = OVERFLOW_ROWS
+    batches = [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
+    bad = 1 // batch_size  # the batch holding the second row
+    for b, batch in enumerate(batches[:bad]):
+        ingest_batch(state, batch, seed=b)
+    before = _state_of(state)
+    with pytest.raises(SchemaMismatch, match="overflow"):
+        ingest_batch(state, batches[bad], seed=bad)
+    # the failed batch left the state as it was, its new strata included
+    assert _state_of(state) == before
+    ingest_batch(state, [("b", 5.0), ("b", 6.0)], seed=9)
+    assert list(state.ids) == ([("a",), ("b",)] if bad else [("b",)])
     assert state.total_retained == 2 and np.isfinite(state.objective_value())
 
 
