@@ -48,6 +48,7 @@ from .errors import (
     COUNT,
     INTEGER,
     LIST,
+    NAMES,
     NUMBER,
     OBJECT,
     STRING,
@@ -55,6 +56,7 @@ from .errors import (
     AllStrataConstant,
     EmptyProblem,
     InvalidArgument,
+    InvalidDocument,
     InvalidSampleSize,
     NonPositiveCost,
     RateOutOfRange,
@@ -282,9 +284,6 @@ class AllocationPlan:
     costs: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-
-    def size_of(self, key: GroupKey) -> int:
-        return int(self.sizes[self.keys.index(key)])
 
     @property
     def total_size(self) -> int:
@@ -802,28 +801,27 @@ def predicted_cv(n: int, s: float, mean: float, std: float) -> float:
     return (std / abs(mean)) * math.sqrt((n - s) / (n * s))
 
 
-def predicted_group_cv(
-    parts: Sequence[tuple[int, float, float]], group_mean: float
-) -> float:
-    """Predicted CV of a coarse-group estimate built from fine strata.
+def predicted_group_cvs(
+    n: np.ndarray, s: np.ndarray, sigma: np.ndarray, group: np.ndarray, mean: np.ndarray
+) -> list[float | None]:
+    """Predicted CV of every coarse group's estimate built from fine strata.
 
-    ``parts`` holds (n_c, s_c, sigma_c) per member stratum; the estimate is
-    the population-weighted combination of stratum means, with variance
-    sum(n_c^2 sigma_c^2 / s_c - n_c sigma_c^2) / n_g^2.  A positive-variance
-    stratum with no sample makes the CV infinite.
+    Member stratum c has population ``n[c]`` (at least 1), sample size
+    ``s[c]`` and std ``sigma[c]`` and lies in group ``group[c]``; group g
+    has at least one member and mean ``mean[g]``.  The estimate is the
+    population-weighted combination of stratum means, with variance
+    sum(n_c^2 sigma_c^2 / s_c - n_c sigma_c^2) / n_g^2 added in member
+    order (a stratum with sigma_c = 0 adds exactly 0).  A positive-variance
+    stratum with no sample makes its group's CV inf; a group with mean 0
+    gets None.
     """
-    if group_mean == 0.0:
-        raise ZeroMeanError("(group)", None)
-    n_g = sum(p[0] for p in parts)
-    var = 0.0
-    for n_c, s_c, sigma_c in parts:
-        if sigma_c == 0.0:
-            continue
-        if s_c <= 0:
-            return math.inf
-        var += n_c * n_c * sigma_c * sigma_c / s_c - n_c * sigma_c * sigma_c
-    var = max(var, 0.0) / (n_g * n_g)
-    return math.sqrt(var) / abs(group_mean)
+    drawn, size = s > 0, len(mean)
+    part = n * n * sigma * sigma / np.where(drawn, s, 1) - n * sigma * sigma
+    n_g = np.bincount(group, n, size)
+    cv = np.sqrt(np.maximum(np.bincount(group, part, size), 0.0) / (n_g * n_g))
+    cv = np.divide(cv, np.abs(mean), out=np.zeros(size), where=mean != 0.0)
+    cv[np.bincount(group, (sigma != 0.0) & ~drawn, size) > 0] = math.inf
+    return [None if mu == 0.0 else c for c, mu in zip(cv.tolist(), mean.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -863,12 +861,18 @@ def _stratum_key(source: str, strata: list, i: int, attrs: tuple[str, ...]) -> G
     return GroupKey(attrs, tuple(member(source, strata[i], f"strata[{i}]", "key", ok, expected)))
 
 
+def _repeated(source: str, i: int, key: GroupKey) -> InvalidDocument:
+    return InvalidDocument(f"{source}: strata[{i}].key: repeats stratum {list(key.values)!r}")
+
+
 def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | PerQueryAllocation:
     """Parse a plan file: a :class:`PerQueryAllocation` when its method is
     individual, else an :class:`AllocationPlan`.  A missing field, a field
-    of the wrong JSON type, a key whose length differs from its grouping
-    and a query index outside the plan's queries raise
-    :class:`InvalidDocument` naming ``source`` and the field."""
+    of the wrong JSON type, a repeated grouping attribute, a key whose
+    length differs from its grouping, a repeated key (a repeated query and
+    key in an individual plan) and a query index outside the plan's
+    queries raise :class:`InvalidDocument` naming ``source`` and the
+    field."""
     get = partial(member, source)
     doc = json.loads(text)
     method = get(doc, "", "method", *STRING)
@@ -877,7 +881,7 @@ def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | Per
     strata = get(doc, "", "strata", *LIST)
     if method == INDIVIDUAL:
         queries = tuple(
-            GroupQuery(tuple(get(q, f"queries[{j}]", "group_by", *STRINGS)),
+            GroupQuery(tuple(get(q, f"queries[{j}]", "group_by", *NAMES)),
                        tuple(get(q, f"queries[{j}]", "columns", *STRINGS)))
             for j, q in enumerate(get(doc, "", "queries", *LIST))
         )
@@ -887,12 +891,18 @@ def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | Per
             at = f"strata[{i}]"
             q = get(item, at, "query", index, f"a query index below {len(queries)}")
             pair = (q, _stratum_key(source, strata, i, queries[q].attrs))
+            if pair in sizes:
+                raise _repeated(source, i, pair[1])
             sizes[pair] = float(get(item, at, "fractional", *NUMBER))
             populations[pair] = get(item, at, "n", *COUNT)
         return PerQueryAllocation(queries, sizes, populations, budget, warnings)
 
-    attrs = tuple(get(doc, "", "group_attrs", *STRINGS))
+    attrs = tuple(get(doc, "", "group_attrs", *NAMES))
     keys = tuple(_stratum_key(source, strata, i, attrs) for i in range(len(strata)))
+    first: dict[GroupKey, int] = {}
+    for i, key in enumerate(keys):
+        if first.setdefault(key, i) != i:
+            raise _repeated(source, i, key)
 
     def column(name: str, check: tuple, dtype) -> np.ndarray:
         values = [get(item, f"strata[{i}]", name, *check) for i, item in enumerate(strata)]

@@ -236,7 +236,7 @@ class Relation:
                 columns[c.name] = data[idx]
             else:
                 taken = data.codes[idx]
-                codes, first = _first_occurrence_ids(taken)
+                codes, first = first_occurrence_ids(taken)
                 levels = tuple(data.levels[k] for k in taken[first].tolist())
                 columns[c.name] = Encoded(_frozen(codes), levels)
         return Relation(self.schema, columns, idx.shape[0])
@@ -328,12 +328,12 @@ def stratum_ids(
         return columns[0].codes, [(v,) for v in columns[0].levels]
     ids = columns[0].codes
     for col in columns[1:]:
-        ids, rows = _first_occurrence_ids(ids * len(col.levels) + col.codes)
+        ids, rows = first_occurrence_ids(ids * len(col.levels) + col.codes)
     values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
     return ids, list(zip(*values))
 
 
-def _first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the distinct ``values``, numbered by first occurrence, one per
     element, and the position of each id's first occurrence in id order."""
     _, first, inverse = np.unique(values, return_index=True, return_inverse=True)

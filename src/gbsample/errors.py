@@ -35,6 +35,7 @@ STRING = (lambda v: isinstance(v, str), "a string")
 LIST = (lambda v: isinstance(v, list), "a list")
 OBJECT = (lambda v: isinstance(v, dict), "an object")
 STRINGS = (lambda v: LIST[0](v) and all(map(STRING[0], v)), "a list of strings")
+NAMES = (lambda v: STRINGS[0](v) and len(set(v)) == len(v), "a list of distinct strings")
 
 
 def nullable(check: tuple) -> tuple:

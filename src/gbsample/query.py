@@ -39,10 +39,11 @@ against the exact answers computed from the full relation; groups present
 in the truth but missing from the sample score 1.0 by default.  Reported
 predicted-CV norms always describe the AVG estimator of the queried
 column, whatever the aggregate, and ignore the predicate (they measure
-plan quality, not a per-predicate guarantee).  They take each sample
-stratum's population and std, and each query group's mean, from the
-relation's strata with :func:`stats.strata_moments`, the arithmetic of
-:func:`stats.compute_catalog`, so they match the catalogs bit for bit.
+plan quality, not a per-predicate guarantee).  They read each sample
+stratum's population and std from :func:`stats.compute_catalog` of the
+relation on the sample's grouping, and each query group's mean from its
+catalog on the query's grouping (one catalog when the two are equal), and
+:func:`alloc.predicted_group_cvs` combines them for all groups at once.
 """
 
 from __future__ import annotations
@@ -59,14 +60,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloc import json_float, predicted_group_cv
-from .dataset import CATEGORICAL, GroupKey, Relation
+from .alloc import json_float, predicted_group_cvs
+from .dataset import (
+    CATEGORICAL,
+    GroupKey,
+    Relation,
+    first_occurrence_ids,
+    key_relation,
+    stratum_ids,
+)
 from .errors import (
     LIST,
     NUMBER,
     STRING,
     STRINGS,
-    GbsampleError,
     IncompatibleGrouping,
     InvalidArgument,
     UnknownColumn,
@@ -74,7 +81,7 @@ from .errors import (
     member,
 )
 from .sampler import PoissonSample, StratifiedSample
-from .stats import strata_moments
+from .stats import compute_catalog
 
 AVG = "avg"
 SUM = "sum"
@@ -407,7 +414,7 @@ def evaluate(
     warnings: list[str] = []
     missing_count = 0
     for key, truth in exact.items():
-        cv = predicted.get(key)
+        cv = predicted.get(key.values)
         if truth == 0.0:
             warnings.append(f"ZeroTruth: group {key} has exact value 0, excluded")
             continue
@@ -442,36 +449,28 @@ def evaluate(
     )
 
 
-def _predicted_cvs(rel, sample, request) -> dict[GroupKey, float | None]:
-    """Predicted CVs of the AVG estimator per query group (predicate ignored)."""
+def _predicted_cvs(rel, sample, request) -> dict[tuple, float | None]:
+    """Predicted CVs of the AVG estimator per query group (predicate
+    ignored), keyed by value tuple in the order of each group's first
+    sample stratum that the relation holds."""
     if request.column is None or not isinstance(sample, StratifiedSample):
         return {}
-    fine = rel.strata(sample.group_attrs)
-    values = rel.numeric(request.column)
-    groups = rel.strata(request.group_attrs)
-    fine_moments = strata_moments(values, fine)
-    # a same-grouping sample's strata are the query groups: one pass serves both
-    moments = fine_moments if groups is fine else strata_moments(values, groups)
-    stratum_of = {key: k for k, key in enumerate(fine.keys)}
-    positions = [sample.group_attrs.index(a) for a in request.group_attrs]
-    by_coarse: dict[tuple, list] = {}
-    for key, size in zip(sample.keys, sample.size.tolist()):
-        k = stratum_of.get(key)
-        if k is None:
-            continue
-        m = fine_moments[k]
-        coarse = tuple(key[p] for p in positions)
-        by_coarse.setdefault(coarse, []).append((m.count, size, m.std))
-    group_mean = {key: m.mean for key, m in zip(groups.keys, moments)}
-    out: dict[GroupKey, float | None] = {}
-    for coarse, parts in by_coarse.items():
-        mu = group_mean.get(coarse, 0.0)
-        try:
-            cv = None if mu == 0.0 else predicted_group_cv(parts, mu)
-        except GbsampleError:
-            cv = None
-        out[GroupKey(tuple(request.group_attrs), coarse)] = cv
-    return out
+    attrs, col = tuple(request.group_attrs), request.column
+    fine = compute_catalog(rel, sample.group_attrs, (col,))
+    groups = fine if attrs == fine.group_attrs else compute_catalog(rel, attrs, (col,))
+    # the relation's strata, then the sample's, as the rows of one key
+    # relation: numbered by first occurrence, a sample stratum the relation
+    # holds gets its number in ``fine`` and its group its number in ``groups``
+    both = key_relation(sample.group_attrs, [*fine.keys, *sample.keys])
+    stratum = stratum_ids(both, sample.group_attrs)[0][len(fine):]
+    held = stratum < len(fine)
+    k = stratum[held]
+    coarse = stratum_ids(both, attrs)[0][len(fine):][held]
+    group, first = first_occurrence_ids(coarse)
+    g = coarse[first]
+    mean = groups.mean[col][g]
+    cvs = predicted_group_cvs(fine.n[k], sample.size[held], fine.std[col][k], group, mean)
+    return dict(zip([groups.keys[i] for i in g.tolist()], cvs))
 
 
 # ---------------------------------------------------------------------------

@@ -195,22 +195,18 @@ class PoissonSample:
     def p(self) -> list[float]:
         return self.rates.tolist()
 
-    def weights(self) -> list[float]:
-        """Inverse-inclusion row weights, 1 / p_r."""
-        return (1.0 / self.rates).tolist()
-
 
 def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> StratifiedSample:
     """Draw the per-stratum uniform subsets prescribed by a plan.
 
     Deterministic given (relation, plan, seed); raises PlanMismatch when
-    the plan's strata do not exactly cover the relation's partition.
+    the plan's strata do not cover the relation's partition exactly once.
     """
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
     strata = rel.strata(plan.group_attrs)
     position = {GroupKey(plan.group_attrs, v): k for k, v in enumerate(strata.keys)}
-    if set(position) != set(plan.keys):
+    if len(plan.keys) != len(position) or set(position) != set(plan.keys):
         raise PlanMismatch(
             "plan strata do not match the relation's partition "
             f"({len(plan.keys)} plan strata, {len(position)} in relation)"

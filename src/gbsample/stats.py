@@ -1,11 +1,11 @@
 """One-pass, mergeable per-stratum statistics held as arrays.
 
-:func:`compute_catalog` reads the relation's stratification
+:func:`compute_catalog` is where the package computes per-stratum
+moments.  It reads the relation's stratification
 (:meth:`gbsample.dataset.Relation.strata`: the rows sorted by stratum id)
 and takes each stratum's count, mean and standard deviation over its
-contiguous slice with :func:`strata_moments`, the two-pass formula of
-:func:`from_array` per slice: the mean, then the sum of squared deviations
-from it.  The coefficient of variation is sigma / |mu|.
+contiguous slice with the two-pass formula: the mean, then the sum of
+squared deviations from it.  The coefficient of variation is sigma / |mu|.
 
 A :class:`StatsCatalog` is arrays indexed by stratum: the strata's value
 tuples in first-occurrence order, an int64 count array ``n`` and, per
@@ -25,12 +25,13 @@ deviations rebuilt as std**2 * (n - 1).
 The standard deviation uses the (n - 1) divisor, which makes the finite
 population correction formula in :func:`gbsample.alloc.predicted_cv` exact
 for sampling without replacement; a single-row stratum has sigma = 0.
+:func:`std_of` is that formula, for the catalog, the pooled catalogs and
+the streaming sampler's online moments alike.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -38,8 +39,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, Strata, key_relation
-from .errors import COUNT, LIST, NUMBER, STRINGS, InvalidDocument, NotASubset, member
+from .dataset import GroupKey, Relation, key_relation
+from .errors import COUNT, LIST, NAMES, NUMBER, STRINGS, InvalidDocument, NotASubset, member
 
 #: significant digits used when serializing floating point values
 FLOAT_DIGITS = 17
@@ -49,65 +50,20 @@ def _fmt(x: float) -> float:
     return float(format(float(x), f".{FLOAT_DIGITS}g"))
 
 
-@dataclass(frozen=True)
-class RunningMoments:
-    """Count, mean and sum of squared deviations (m2) of a value stream."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    @property
-    def std(self) -> float:
-        """The (n - 1)-divisor standard deviation; 0 when count <= 1."""
-        return math.sqrt(max(self.m2 / (self.count - 1), 0.0)) if self.count > 1 else 0.0
-
-
-EMPTY_MOMENTS = RunningMoments()
-
-
-def from_array(values: np.ndarray) -> RunningMoments:
-    """Moments of an array: its mean, then the sum of squared deviations
-    from that mean (equal to folding the elements in order with Welford's
-    update up to floating point error)."""
-    n = int(values.shape[0])
-    if n == 0:
-        return EMPTY_MOMENTS
-    # the method forms of np.mean and np.sum: the same pairwise sums, bit
-    # for bit, without the dispatch overhead that dominates small strata
-    mean = float(values.sum()) / n
-    deviations = values - mean
-    return RunningMoments(n, mean, float((deviations * deviations).sum()))
-
-
-def strata_moments(values: np.ndarray, strata: Strata) -> list[RunningMoments]:
-    """The :func:`from_array` moments of ``values`` (one per row) over each
-    stratum's rows, ascending, in stratum order."""
-    ordered = values[strata.order]
-    bounds = strata.bounds.tolist()
-    return [from_array(ordered[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def std_of(n: np.ndarray, m2: np.ndarray | Sequence[float]) -> np.ndarray:
+    """The (n - 1)-divisor standard deviation of strata with counts ``n``
+    and sums of squared deviations ``m2``: sqrt(max(m2 / (n - 1), 0)),
+    and 0 where n <= 1."""
+    variance = np.divide(m2, n - 1, out=np.zeros(n.shape), where=n > 1)
+    return np.sqrt(np.maximum(variance, 0.0))
 
 
 @dataclass(frozen=True)
 class ColumnSummary:
-    """Per-column stratum summary: mean, std and the derived CV.
-
-    ``cv`` is sigma / |mu| and is None when the mean is zero (undefined CV);
-    the allocation layer decides how to treat that case.
-    """
+    """One column's mean and std in one stratum."""
 
     mean: float
     std: float
-
-    @property
-    def cv(self) -> float | None:
-        if self.mean == 0.0:
-            return None
-        return self.std / abs(self.mean)
-
-    @property
-    def cv_defined(self) -> bool:
-        return self.mean != 0.0
 
 
 @dataclass(frozen=True)
@@ -194,10 +150,7 @@ class StatsCatalog:
                     mu[g] = mu[g] + delta * (n_f / total)
                     m2[g] = m2[g] + m2_f + delta * delta * (a * n_f / total)
                     count[g] = total
-            mean[col] = mu
-            # RunningMoments.std: m2 / (count - 1), 0 for count <= 1, clamped at 0
-            variance = np.divide(m2, n - 1, out=np.zeros(size), where=n > 1)
-            std[col] = np.sqrt(np.maximum(variance, 0.0))
+            mean[col], std[col] = mu, std_of(n, m2)
         out = StatsCatalog(attrs, self.agg_columns, list(keys)[:size], n, mean, std, self.total_n)
         found = self._pooled[attrs] = out, ids
         return found
@@ -227,12 +180,21 @@ def compute_catalog(
     group_attrs = tuple(group_attrs)
     agg_columns = tuple(agg_columns)
     strata = rel.strata(group_attrs)
+    n = np.diff(strata.bounds)
+    slices = list(zip(strata.bounds[:-1].tolist(), strata.bounds[1:].tolist()))
     mean, std = {}, {}
     for col in agg_columns:
-        moments = strata_moments(rel.numeric(col), strata)
-        mean[col] = [m.mean for m in moments]
-        std[col] = [m.std for m in moments]
-    n = np.diff(strata.bounds)
+        ordered = rel.numeric(col)[strata.order]
+        mu, m2 = [], []
+        for lo, hi in slices:
+            # the method forms of np.mean and np.sum: the same pairwise sums,
+            # bit for bit, without the dispatch overhead that dominates
+            # small strata
+            x = ordered[lo:hi]
+            mu.append(float(x.sum()) / (hi - lo) if hi > lo else 0.0)
+            d = x - mu[-1]
+            m2.append(float((d * d).sum()))
+        mean[col], std[col] = mu, std_of(n, m2)
     return StatsCatalog(group_attrs, agg_columns, list(strata.keys), n, mean, std, rel.n_rows)
 
 
@@ -266,17 +228,18 @@ def catalog_to_json(catalog: StatsCatalog) -> str:
 
 
 def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
-    """Parse a catalog file.  A document of the wrong shape, a key of the
-    wrong length or a repeated key, a negative count, a ``total_n`` other
-    than the strata's total count, or a mean or std that is not a finite
-    number (or a negative std) raises :class:`InvalidDocument` naming
-    ``source`` and the field."""
+    """Parse a catalog file.  A document of the wrong shape, a repeated
+    group attribute or aggregation column, a key of the wrong length or a
+    repeated key, a negative count, a ``total_n`` other than the strata's
+    total count, or a mean or std that is not a finite number (or a
+    negative std) raises :class:`InvalidDocument` naming ``source`` and the
+    field."""
 
     get = partial(member, source)
     spread = (lambda v: NUMBER[0](v) and v >= 0), "a finite number >= 0"
     doc = json.loads(text)
-    group_attrs = tuple(get(doc, "", "group_attrs", *STRINGS))
-    agg_columns = tuple(get(doc, "", "agg_columns", *STRINGS))
+    group_attrs = tuple(get(doc, "", "group_attrs", *NAMES))
+    agg_columns = tuple(get(doc, "", "agg_columns", *NAMES))
     total_n = get(doc, "", "total_n", *COUNT)
     strata = get(doc, "", "strata", *LIST)
     index: dict[tuple, int] = {}

@@ -58,7 +58,7 @@ from .alloc import (
 from .dataset import ColumnSchema, Relation
 from .errors import SchemaMismatch
 from .sampler import StratifiedSample
-from .stats import compute_catalog
+from .stats import compute_catalog, std_of
 
 #: one retained row: its stratum id, key, arrival ordinal and record
 RETAINED = np.dtype([("stratum", "i8"), ("key", "f8"), ("ordinal", "i8"), ("record", "O")])
@@ -118,10 +118,9 @@ class StreamState:
         vanishing positive value, mirroring the offline cost floor.
         """
         total = np.zeros(len(self.ids))
-        spread = np.maximum(self.n_seen - 1, 1)
         for col in self.objective.columns:
             mean = self.mean[col]
-            std = np.sqrt(np.maximum(self.m2[col] / spread, 0.0))
+            std = std_of(self.n_seen, self.m2[col])
             cv = np.divide(std, np.abs(mean), out=np.zeros(len(mean)), where=mean != 0.0)
             w = self.objective.weights.weights_of(0, self.ids.keys(), col)
             # the product (w * cv) * cv, not cv2_costs's w * cv**2: the two

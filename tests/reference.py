@@ -6,11 +6,15 @@ them as slices of one sorted row order, and keeps their statistics as
 arrays indexed by stratum.  The functions here do the same work the plain
 way, one Python tuple per row and one ``GroupKey -> StratumStats`` dict
 entry per stratum, so the tests can check the kernels against them with
-``==``.
+``==``.  :class:`RunningMoments` is the scalar moment accumulator of the
+Welford and Chan-Golub-LeVeque oracles, and :func:`predicted_group_cv` the
+one-group form of :func:`gbsample.alloc.predicted_group_cvs`.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,13 +38,7 @@ from gbsample.errors import (
     ZeroMeanStratum,
 )
 from gbsample.sampler import StratifiedSample, draw_stratified
-from gbsample.stats import (
-    EMPTY_MOMENTS,
-    ColumnSummary,
-    RunningMoments,
-    StratumStats,
-    compute_catalog,
-)
+from gbsample.stats import ColumnSummary, StratumStats, compute_catalog
 from gbsample.stream import ObjectiveSpec, StreamState, offline_plan
 from gbsample.workload import QuerySpec
 
@@ -85,6 +83,23 @@ def project_key(key: GroupKey, target_attrs: Sequence[str]) -> GroupKey:
     if missing:
         raise NotASubset(f"attributes {missing} not part of key {key}")
     return GroupKey(tuple(target_attrs), tuple(lookup[a] for a in target_attrs))
+
+
+@dataclass(frozen=True)
+class RunningMoments:
+    """Count, mean and sum of squared deviations (m2) of a value stream."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+
+    @property
+    def std(self) -> float:
+        """The (n - 1)-divisor standard deviation; 0 when count <= 1."""
+        return math.sqrt(max(self.m2 / (self.count - 1), 0.0)) if self.count > 1 else 0.0
+
+
+EMPTY_MOMENTS = RunningMoments()
 
 
 def accumulate(m: RunningMoments, x: float) -> RunningMoments:
@@ -253,10 +268,10 @@ def cv_costs(
             if w == 0.0:
                 continue
             summary = st.per_column[col]
-            if not summary.cv_defined:
+            if summary.mean == 0.0:
                 bad = col
                 break
-            total += w * summary.cv**2
+            total += w * (summary.std / abs(summary.mean)) ** 2
         if bad is not None:
             if zero_mean == "exclude":
                 excluded.append(key)
@@ -321,6 +336,30 @@ def multi_grouping_costs(
             total += inner / coarse_st.n**2
         costs[idx] = fine_st.n**2 * total
     return keys, floor_zero_costs(costs)
+
+
+def predicted_group_cv(
+    parts: Sequence[tuple[int, float, float]], group_mean: float
+) -> float | None:
+    """:func:`gbsample.alloc.predicted_group_cvs` for one coarse group.
+
+    ``parts`` holds (n_c, s_c, sigma_c) per member stratum; the estimate is
+    the population-weighted combination of stratum means, with variance
+    sum(n_c^2 sigma_c^2 / s_c - n_c sigma_c^2) / n_g^2.  A positive-variance
+    stratum with no sample makes the CV infinite; a zero mean makes it None.
+    """
+    if group_mean == 0.0:
+        return None
+    n_g = sum(p[0] for p in parts)
+    var = 0.0
+    for n_c, s_c, sigma_c in parts:
+        if sigma_c == 0.0:
+            continue
+        if s_c <= 0:
+            return math.inf
+        var += n_c * n_c * sigma_c * sigma_c / s_c - n_c * sigma_c * sigma_c
+    var = max(var, 0.0) / (n_g * n_g)
+    return math.sqrt(var) / abs(group_mean)
 
 
 # ---------------------------------------------------------------------------

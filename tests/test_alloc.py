@@ -25,7 +25,7 @@ from gbsample.alloc import (
     plan_multi_groupby,
     plan_to_json,
     predicted_cv,
-    predicted_group_cv,
+    predicted_group_cvs,
     resolve_caps,
     shed,
     solve_fractional,
@@ -51,7 +51,7 @@ from gbsample.errors import (
 from gbsample.stats import compute_catalog, pool_catalog
 
 from conftest import STUDENT_ROWS, STUDENT_SCHEMA
-from reference import build_finest, partition, project_key
+from reference import build_finest, partition, predicted_group_cv, project_key
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +304,11 @@ def _two_strata_catalog(cv_a=0.3, cv_b=0.1, n=100, mean=10.0):
     return compute_catalog(rel, ["g"], ["v"])
 
 
+def _sizes(plan):
+    """A one-attribute plan's integral sizes by stratum value."""
+    return {k.values[0]: size for k, size in zip(plan.keys, plan.sizes.tolist())}
+
+
 def test_plan_l2_cv_ratio_three_to_one():
     catalog = _two_strata_catalog()
     plan = plan_l2(catalog, ["v"], 8)
@@ -315,9 +320,8 @@ def test_plan_l2_higher_spread_gets_more_rows():
     # equal means, sigma_1 >> sigma_2 implies s_1 > s_2
     catalog = _two_strata_catalog(cv_a=0.8, cv_b=0.05)
     plan = plan_l2(catalog, ["v"], 40)
-    assert plan.size_of(GroupKey(("g",), ("a",))) > plan.size_of(
-        GroupKey(("g",), ("b",))
-    )
+    sizes = _sizes(plan)
+    assert sizes["a"] > sizes["b"]
 
 
 def test_plan_l2_weight_scaling():
@@ -353,7 +357,7 @@ def test_cv_costs_zero_mean_error_and_exclude():
     assert [catalog.keys[k] for k in excluded] == [("a",)]
     assert [catalog.keys[k] for k in kept] == [("b",)]
     plan = plan_l2(catalog, ["v"], 3, zero_mean="exclude")
-    assert plan.size_of(GroupKey(("g",), ("a",))) == 1
+    assert _sizes(plan) == {"b": 2, "a": 1}
 
 
 def test_zero_variance_stratum_gets_exactly_one_row():
@@ -361,8 +365,7 @@ def test_zero_variance_stratum_gets_exactly_one_row():
     rows = [("a", 5.0)] * 30 + [("b", float(v)) for v in (1, 9) * 15]
     rel = Relation.from_records(schema, rows)
     plan = plan_l2(compute_catalog(rel, ["g"], ["v"]), ["v"], 10)
-    assert plan.size_of(GroupKey(("g",), ("a",))) == 1
-    assert plan.size_of(GroupKey(("g",), ("b",))) == 9
+    assert _sizes(plan) == {"a": 1, "b": 9}
 
 
 def test_multi_column_reductions(student_rel):
@@ -824,6 +827,61 @@ def test_predicted_group_cv_singleton_matches_scalar():
 def test_predicted_group_cv_zero_sample_positive_sigma_is_inf():
     assert predicted_group_cv([(10, 0, 1.0), (10, 5, 1.0)], 5.0) == math.inf
     assert predicted_group_cv([(10, 0, 0.0), (10, 5, 1.0)], 5.0) < math.inf
+
+
+def _group_cvs(members, means):
+    """``predicted_group_cvs`` of members (group, n, s, sigma), in member
+    order, and the oracle's CV of each group."""
+    group, n, s, sigma = zip(*members)
+    got = predicted_group_cvs(
+        np.array(n, dtype=np.int64),
+        np.array(s, dtype=np.int64),
+        np.array(sigma, dtype=np.float64),
+        np.array(group, dtype=np.intp),
+        np.array(means, dtype=np.float64),
+    )
+    parts = [[m[1:] for m in members if m[0] == g] for g in range(len(means))]
+    return got, [predicted_group_cv(p, mu) for p, mu in zip(parts, means)]
+
+
+def test_predicted_group_cvs_edge_groups():
+    members = [
+        (0, 10, 0, 1.0),  # s = 0 with sigma > 0: inf
+        (1, 7, 0, 0.0),  # sigma == 0 members add nothing, drawn or not
+        (0, 10, 5, 1.0),
+        (1, 12, 3, 0.0),
+        (2, 40, 4, 2.5),  # a single-member group
+        (3, 9, 2, 1.5),  # a zero-mean group
+        (1, 30, 6, 0.75),
+        (3, 9, 0, 1.0),  # zero mean wins over inf
+    ]
+    got, want = _group_cvs(members, [5.0, -3.0, 11.0, 0.0])
+    assert got == want
+    assert got[0] == math.inf and got[3] is None
+    assert got[2] == predicted_group_cv([(40, 4, 2.5)], 11.0)
+    assert math.isfinite(got[1]) and got[1] > 0.0
+
+
+#: one member stratum (n, s, sigma), sigma often exactly 0
+MEMBER = st.tuples(
+    st.integers(1, 500), st.integers(0, 500), st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+)
+MEAN = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+
+
+@given(
+    st.lists(st.tuples(MEAN, st.lists(MEMBER, min_size=1, max_size=6)), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_predicted_group_cvs_match_the_scalar(groups, rnd):
+    """The vectorized kernel equals the scalar oracle group by group, by ==
+    (inf and None included), whatever the order its members come in."""
+    members = [
+        (g, n, min(s, n), sigma) for g, (_, parts) in enumerate(groups) for n, s, sigma in parts
+    ]
+    rnd.shuffle(members)
+    got, want = _group_cvs(members, [mean for mean, _ in groups])
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

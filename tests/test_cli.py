@@ -541,10 +541,14 @@ def _drop(doc, path):
 
 
 def _put(doc, path, value):
+    """Set the field at ``path``; an index one past a list's end appends."""
     *parents, last = path
     for p in parents:
         doc = doc[p]
-    doc[last] = value
+    if isinstance(doc, list) and last == len(doc):
+        doc.append(value)
+    else:
+        doc[last] = value
 
 
 # each mutation of a valid catalog.json, as (name, path, value); a value of
@@ -558,6 +562,8 @@ CATALOG_MUTATIONS = [
     ("non-numeric std", ("strata", 1, "columns", "v", "std"), "wide"),
     ("negative n", ("strata", 0, "n"), -3),
     ("duplicate key", ("strata", 1, "key"), ["a"]),
+    ("repeated aggregation column", ("agg_columns",), ["v", "v"]),
+    ("repeated group attribute", ("group_attrs",), ["grp", "grp"]),
     ("negative std", ("strata", 0, "columns", "v", "std"), -1.0),
     ("infinite std", ("strata", 0, "columns", "v", "std"), float("inf")),
     ("NaN mean", ("strata", 0, "columns", "v", "mean"), float("nan")),
@@ -609,6 +615,19 @@ def test_catalog_errors_name_the_field(tmp_path):
         catalog_from_json(json.dumps(doc), "cat.json")
     del doc["strata"][0]["columns"]["v"]["std"]
     with pytest.raises(InvalidDocument, match=r"strata\[0\]\.columns\.v\.std: missing"):
+        catalog_from_json(json.dumps(doc), "cat.json")
+    # repeated names, each with keys and columns that match them
+    doc = {
+        "group_attrs": ["g", "g"],
+        "agg_columns": ["v"],
+        "total_n": 3,
+        "strata": [{"key": ["a", "a"], "n": 3, "columns": {"v": {"mean": 1.0, "std": 0.0}}}],
+    }
+    distinct = r"expected a list of distinct strings"
+    with pytest.raises(InvalidDocument, match=rf"^cat\.json: group_attrs: {distinct}"):
+        catalog_from_json(json.dumps(doc), "cat.json")
+    doc["group_attrs"], doc["agg_columns"] = ["g", "h"], ["v", "v"]
+    with pytest.raises(InvalidDocument, match=rf"^cat\.json: agg_columns: {distinct}"):
         catalog_from_json(json.dumps(doc), "cat.json")
 
 
@@ -982,6 +1001,7 @@ PLAN_MUTATIONS = [
     ("cvopt-l2", (), [1], "(document): expected an object"),
     ("cvopt-l2", (), {"method": "cvopt-l2"}, "budget: missing"),
     ("cvopt-l2", ("group_attrs",), None, "group_attrs: missing"),
+    ("cvopt-l2", ("group_attrs",), ["grp", "grp"], "group_attrs: expected a list of distinct"),
     ("cvopt-l2", ("budget",), "8", "budget: expected an integer"),
     ("cvopt-l2", ("strata",), {}, "strata: expected a list"),
     ("cvopt-l2", ("strata", 0), "a", "strata[0]: expected an object"),
@@ -991,13 +1011,32 @@ PLAN_MUTATIONS = [
     ("cvopt-l2", ("strata", 0, "n"), "6", "strata[0].n: expected a non-negative"),
     ("cvopt-l2", ("strata", 0, "fractional"), None, "strata[0].fractional: missing"),
     ("cvopt-l2", ("extra",), "x", "extra: expected an object"),
+    # a copy of strata[0] appended: every stratum still present, one twice
+    (
+        "cvopt-l2",
+        ("strata", 2),
+        {"key": ["a"], "n": 8, "fractional": 6.0, "integral": 6, "capped": False},
+        "strata[2].key: repeats stratum ['a']",
+    ),
     ("cvopt-individual", ("queries",), None, "queries: missing"),
     ("cvopt-individual", ("queries", 0, "group_by"), "grp", "queries[0].group_by: expected"),
+    (
+        "cvopt-individual",
+        ("queries", 0, "group_by"),
+        ["grp", "grp"],
+        "queries[0].group_by: expected a list of distinct",
+    ),
     ("cvopt-individual", ("strata", 0, "query"), 1, "strata[0].query: expected a query index"),
     ("cvopt-individual", ("strata", 0, "query"), None, "strata[0].query: missing"),
     ("cvopt-individual", ("strata", 1, "key"), [], "strata[1].key: expected a list of 1"),
     ("cvopt-individual", ("strata", 0, "fractional"), "x", "strata[0].fractional: expected"),
     ("cvopt-individual", ("strata", 0, "n"), -2, "strata[0].n: expected a non-negative"),
+    (
+        "cvopt-individual",
+        ("strata", 2),
+        {"query": 0, "key": ["a"], "n": 8, "fractional": 6.0, "integral": None},
+        "strata[2].key: repeats stratum ['a']",
+    ),
 ]
 
 

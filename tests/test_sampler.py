@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_plan_mismatch():
     plan = alloc_senate(compute_catalog(rel, ["g"], ["v"]), 4)
     with pytest.raises(PlanMismatch):
         draw_stratified(other, plan, seed=0)
+    # every stratum present, one of them twice
+    plan = replace(
+        plan,
+        keys=plan.keys + plan.keys[:1],
+        populations=np.append(plan.populations, plan.populations[0]),
+        fractional=np.append(plan.fractional, plan.fractional[0]),
+        sizes=np.append(plan.sizes, plan.sizes[0]),
+    )
+    with pytest.raises(PlanMismatch):
+        draw_stratified(rel, plan, seed=0)
 
 
 def test_oversized_allocation_rejected():
@@ -102,7 +113,7 @@ def test_poisson_extremes():
     rel = _simple_rel([("a", range(10)), ("b", range(10))])
     full = draw_poisson(rel, np.ones(20), seed=5)
     assert full.total_rows == 20
-    assert full.weights() == [1.0] * 20
+    assert (1.0 / full.rates).tolist() == [1.0] * 20
     empty = draw_poisson(rel, np.zeros(20), seed=5)
     assert empty.total_rows == 0
 

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gbsample.alloc import cv2_costs
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
 from gbsample.errors import UnknownAttribute, UnknownColumn
 from gbsample.stats import (
-    EMPTY_MOMENTS,
-    ColumnSummary,
+    StatsCatalog,
     catalog_from_json,
     catalog_to_json,
     compute_catalog,
     pool_catalog,
+    std_of,
 )
 
-from reference import accumulate, from_values, merge
+from reference import EMPTY_MOMENTS, RunningMoments, accumulate, from_values, merge
 
 
 def test_accumulate_two_points():
@@ -90,7 +91,8 @@ def test_catalog_student_major_age(student_rel):
     # the derived per-stratum view agrees with the arrays
     s = catalog.entries[GroupKey(("major",), ("CS",))].per_column["age"]
     assert (s.mean, s.std) == (mean, std)
-    assert s.cv == std / abs(mean)
+    # the package's one CV formula reads the same arrays
+    assert cv2_costs(catalog, ["age"])[0][k] == (std / abs(mean)) ** 2
 
 
 def test_catalog_single_row_stratum():
@@ -99,7 +101,7 @@ def test_catalog_single_row_stratum():
     catalog = compute_catalog(rel, ["g"], ["v"])
     assert catalog.keys == [("a",)] and catalog.n.tolist() == [1]
     assert catalog.std["v"].tolist() == [0.0]
-    assert catalog.entries[GroupKey(("g",), ("a",))].per_column["v"].cv == 0.0
+    assert cv2_costs(catalog, ["v"])[0].tolist() == [0.0]
 
 
 def test_catalog_zero_mean_flag():
@@ -107,9 +109,10 @@ def test_catalog_zero_mean_flag():
     rel = Relation.from_records(schema, [("a", 5.0), ("a", -5.0)])
     catalog = compute_catalog(rel, ["g"], ["v"])
     assert catalog.mean["v"].tolist() == [0.0]
-    s = catalog.entries[GroupKey(("g",), ("a",))].per_column["v"]
-    assert not s.cv_defined
-    assert s.cv is None
+    costs, first_zero = cv2_costs(catalog, ["v"])
+    # flagged as zero-mean in column 0, and no CV added for it
+    assert first_zero.tolist() == [0]
+    assert costs.tolist() == [0.0]
 
 
 def test_catalog_unknown_names(student_rel):
@@ -187,5 +190,15 @@ def test_catalog_json_round_trip(student_rel):
 
 
 def test_column_summary_cv_sign():
-    s = ColumnSummary(-10.0, 5.0)
-    assert s.cv == pytest.approx(0.5)
+    catalog = StatsCatalog(("g",), ("v",), [("a",)], [4], {"v": [-10.0]}, {"v": [5.0]}, 4)
+    costs, first_zero = cv2_costs(catalog, ["v"])
+    assert costs.tolist() == [0.25] and first_zero.tolist() == [-1]
+
+
+def test_std_of_matches_the_scalar_moments():
+    """``std_of`` is ``RunningMoments.std`` elementwise, bit for bit,
+    including 0 for one row and for none."""
+    n = [0, 1, 2, 3, 7, 1000]
+    m2 = [0.0, 0.0, 4.5, 1e-300, 2.0 / 3.0, 123456.789]
+    want = [RunningMoments(c, 0.0, m).std for c, m in zip(n, m2)]
+    assert std_of(np.array(n), m2).tolist() == want
