@@ -8,7 +8,10 @@ methods cvopt-l2, cvopt-linf, a cube multi-groupby, a workload-weighted
 plan, cvopt-individual, uniform, senate and congress; then ``compare``
 (cvopt-l2, cvopt-linf, uniform, senate and congress over two seeds) on the
 same grouping, and ``stream-sim`` on it with two aggregates at batch sizes
-1, 7 and 100.  Prints one line
+1, 7 and 100.  A 14-row table with a zero-mean stratum runs cvopt-l2,
+cvopt-linf, a cube and a two-query cvopt-individual plan under
+``"zero_mean": "exclude"``, the paths that pin excluded strata at one row.
+Prints one line
 ``<sha256>  <table>/<method>/<file>`` per output file, plus the exit code
 of every command.  Exits 1 if any command failed.
 
@@ -47,8 +50,28 @@ STUDENT_CSV = """id,age,gpa,sat,major,college
 8,26,3.3,1230,ME,Engineering
 """
 
+#: stratum (a, x) has mean 0: its values are -1 and 1
+ZERO_MEAN_CSV = """g,h,v
+a,x,-1
+a,x,1
+a,y,2
+a,y,5
+a,y,3
+b,x,4
+b,x,9
+b,y,6
+b,y,2
+b,y,8
+c,x,7
+c,x,3
+c,y,5
+c,y,1
+"""
+
 #: per table: categorical and numeric columns, stratification attributes,
-#: the budget setting and a predicate for the workload
+#: the budget setting, a predicate for the workload and, for an inline
+#: table, its CSV text; a table with a ``zero_mean`` policy runs only the
+#: plans of :func:`_zero_mean_runs`
 TABLES = {
     "student": {
         "categorical": ["id", "major", "college"],
@@ -56,6 +79,16 @@ TABLES = {
         "attrs": ["major", "college"],
         "size": {"budget": 6},
         "predicate": [{"column": "age", "op": ">", "value": 22}],
+        "csv": STUDENT_CSV,
+    },
+    "zero_mean": {
+        "categorical": ["g", "h"],
+        "numeric": ["v"],
+        "attrs": ["g", "h"],
+        "size": {"budget": 9},
+        "predicate": [{"column": "v", "op": ">", "value": 1}],
+        "csv": ZERO_MEAN_CSV,
+        "zero_mean": "exclude",
     },
     **{
         name: {
@@ -144,6 +177,26 @@ def _runs(spec: dict, work: Path) -> dict[str, dict]:
     }
 
 
+def _zero_mean_runs(spec: dict, work: Path) -> dict[str, dict]:
+    """Config fields per method on a table with zero-mean strata: every
+    plan that pins the strata (or pairs) the policy excludes."""
+    attrs, x = spec["attrs"], spec["numeric"][0]
+    policy = {"zero_mean": spec["zero_mean"]}
+    plain = {"group_by": attrs, "aggregates": [x], **policy}
+    two = _write(
+        work / "two_queries.json",
+        [{"group_by": attrs, "aggregates": [x]}, {"group_by": attrs[:1], "aggregates": [x]}],
+    )
+    cube = _write(work / "cube.json", _cube(attrs, x))
+    unit_weights = _write(work / "unit_weights.json", [])
+    return {
+        "cvopt-l2": plain,
+        "cvopt-linf": {**plain, "method": "cvopt-linf"},
+        "cube": {"workload": cube, "weights": unit_weights, **policy},
+        "cvopt-individual": {"workload": two, "method": "cvopt-individual", **policy},
+    }
+
+
 def _queries(spec: dict, work: Path) -> dict[str, str]:
     attrs, x = spec["attrs"], spec["numeric"][0]
     return {
@@ -190,7 +243,8 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
              **spec["size"], **fields},
         )
 
-    for method, fields in _runs(spec, work).items():
+    pinned = "zero_mean" in spec
+    for method, fields in (_zero_mean_runs if pinned else _runs)(spec, work).items():
         out, config_path = config(method, fields)
         codes = [_cli([cmd, "--config", config_path]) for cmd in ("stats", "plan", "sample")]
         failed += sum(c != 0 for c in codes)
@@ -204,7 +258,7 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
             for f in ("estimates.json", "report.json", "report.csv"):
                 lines.append(f"{_digest(out / f)}  {name}/{method}/{label}/{f}")
                 (out / f).unlink(missing_ok=True)
-    for label, (command, fields, outputs) in _side_runs(spec).items():
+    for label, (command, fields, outputs) in ({} if pinned else _side_runs(spec)).items():
         out, config_path = config(label, fields)
         code = _cli([command, "--config", config_path])
         failed += code != 0
@@ -219,9 +273,9 @@ def main() -> int:
         for name, spec in TABLES.items():
             work = Path(tmp) / name
             work.mkdir()
-            if name == "student":
+            if "csv" in spec:
                 data = work / "data.csv"
-                data.write_text(STUDENT_CSV, encoding="utf-8")
+                data.write_text(spec["csv"], encoding="utf-8")
             else:
                 subprocess.run(
                     [sys.executable, str(ROOT / "benchmark" / "datagen.py"),

@@ -45,6 +45,7 @@ import numpy as np
 
 from .dataset import GroupKey, Relation, key_relation
 from .errors import (
+    BOOL,
     COUNT,
     INTEGER,
     LIST,
@@ -56,7 +57,6 @@ from .errors import (
     AllStrataConstant,
     EmptyProblem,
     InvalidArgument,
-    InvalidDocument,
     InvalidSampleSize,
     NonPositiveCost,
     RateOutOfRange,
@@ -65,6 +65,7 @@ from .errors import (
     ZeroMeanGroup,
     ZeroMeanStratum,
     member,
+    stratum_keys,
 )
 from .stats import StatsCatalog
 
@@ -271,7 +272,9 @@ def l2_sizes(
 
 @dataclass
 class AllocationPlan:
-    """Fractional and integral per-stratum sample sizes plus diagnostics."""
+    """Fractional and integral per-stratum sample sizes plus diagnostics;
+    ``capped`` flags, per stratum of ``keys``, the strata whose allocation
+    reached their population."""
 
     method: str
     group_attrs: tuple[str, ...]
@@ -280,7 +283,7 @@ class AllocationPlan:
     fractional: np.ndarray
     sizes: np.ndarray
     budget: int
-    capped: frozenset[GroupKey] = frozenset()
+    capped: np.ndarray
     costs: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
@@ -460,8 +463,9 @@ def _assemble_plan(
         fractional, frozen = resolve_caps(costs, caps, sub_budget)
         sizes, round_warnings = l2_sizes(fractional, costs, caps, sub_budget)
         warnings.extend(round_warnings)
+    capped = np.concatenate([frozen, np.zeros(n_excluded, dtype=bool)])
     return _pinned_plan(
-        method, catalog, kept, fractional, sizes, costs, excluded, budget, frozen, warnings
+        method, catalog, kept, fractional, sizes, costs, excluded, budget, capped, warnings
     )
 
 
@@ -471,8 +475,8 @@ def _pinned_plan(
 ) -> AllocationPlan:
     """The plan over the catalog strata at the indices ``active``, with
     their fractional and integer sizes and costs, followed by the strata at
-    ``pinned`` with one row each and cost 0; ``capped`` flags strata in
-    that order."""
+    ``pinned`` with one row each and cost 0; ``capped`` flags the strata
+    in that order."""
     order = np.concatenate([active, pinned]).astype(np.intp)
     keys = catalog.group_keys(order.tolist())
     ones = np.ones(len(pinned))
@@ -484,7 +488,7 @@ def _pinned_plan(
         fractional=np.concatenate([fractional, ones]),
         sizes=np.concatenate([sizes, ones.astype(np.int64)]),
         budget=budget,
-        capped=frozenset(k for k, c in zip(keys, capped) if c),
+        capped=capped,
         costs=np.concatenate([costs, np.zeros(len(pinned))]),
         warnings=warnings,
         extra=extra or {},
@@ -689,17 +693,23 @@ def plan_linf(
 
 @dataclass
 class PerQueryAllocation:
-    """Fractional sample sizes for every (query, group) pair under one budget."""
+    """Fractional sample sizes for every (query, group) pair under one
+    budget, as one table in plan-file row order: row r is the group of
+    query ``query[r]`` (int64) with the values ``keys[r]`` under that
+    query's attributes, its population ``populations[r]`` (int64) and its
+    share ``sizes[r]`` (float64)."""
 
     queries: tuple[GroupQuery, ...]
-    sizes: dict[tuple[int, GroupKey], float]
-    populations: dict[tuple[int, GroupKey], int]
+    query: np.ndarray
+    keys: tuple[tuple, ...]
+    populations: np.ndarray
+    sizes: np.ndarray
     budget: int
     warnings: list[str] = field(default_factory=list)
 
     @property
     def total(self) -> float:
-        return float(sum(self.sizes.values()))
+        return float(self.sizes.sum())
 
 
 def plan_individual(
@@ -711,36 +721,35 @@ def plan_individual(
 ) -> PerQueryAllocation:
     """Split the budget across all groups of all queries, each stratified by
     its own grouping; group (i, g) receives share proportional to
-    sqrt(sum_l w(i,g,l) * cv_igl^2)."""
+    sqrt(sum_l w(i,g,l) * cv_igl^2).  Rows come by query, then in catalog
+    order, the zero-mean pairs that ``zero_mean="exclude"`` pins at 1.0
+    last."""
     exclude = _excludes_zero_mean(zero_mean)
-    pairs: list[tuple[int, GroupKey]] = []
-    scores: list[float] = []
-    populations: dict[tuple[int, GroupKey], int] = {}
-    excluded: list[tuple[int, GroupKey]] = []
+    # per query: the query index, population, cost and zero-mean flag of its
+    # groups, after one typed empty entry so that no queries concatenate too
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool))]
+    keys: list[tuple] = []
     for i, (catalog, q) in enumerate(zip(catalogs, queries)):
         costs, first_zero = cv2_costs(catalog, q.columns, weights, i)
         if not exclude and (first_zero >= 0).any():
             k = int(np.argmax(first_zero >= 0))
             raise ZeroMeanGroup(catalog.group_keys([k])[0], q.columns[first_zero[k]])
-        for key, n, cost, zero in zip(
-            catalog.group_keys(), catalog.n.tolist(), costs.tolist(), first_zero.tolist()
-        ):
-            populations[(i, key)] = n
-            if zero >= 0:
-                excluded.append((i, key))
-            else:
-                pairs.append((i, key))
-                scores.append(cost)
-    if not pairs:
+        parts.append((np.full(len(catalog), i, np.int64), catalog.n, costs, first_zero >= 0))
+        keys.extend(catalog.keys)
+    query, n, costs, zero = map(np.concatenate, zip(*parts))
+    if zero.all():
         raise EmptyProblem("no (query, group) pairs to allocate over")
-    note = f"ZeroMeanExcluded: {len(excluded)} (query, group) pairs pinned at one row"
-    warnings = [note] if excluded else []
-    sub_budget = budget - len(excluded)
-    shares = solve_fractional(floor_zero_costs(np.array(scores)), sub_budget)
-    sizes = dict(zip(pairs, (float(s) for s in shares)))
-    for pair in excluded:
-        sizes[pair] = 1.0
-    return PerQueryAllocation(tuple(queries), sizes, populations, budget, warnings)
+    excluded = int(zero.sum())
+    note = f"ZeroMeanExcluded: {excluded} (query, group) pairs pinned at one row"
+    order = np.concatenate([np.flatnonzero(~zero), np.flatnonzero(zero)])
+    shares = np.ones(len(order))
+    shares[: len(order) - excluded] = solve_fractional(
+        floor_zero_costs(costs[~zero]), budget - excluded
+    )
+    return PerQueryAllocation(
+        tuple(queries), query[order], tuple(keys[r] for r in order.tolist()), n[order],
+        shares, budget, [note] if excluded else [],
+    )
 
 
 def unified_inclusion(rates_per_query: Sequence[np.ndarray]) -> np.ndarray:
@@ -758,29 +767,27 @@ def unified_inclusion(rates_per_query: Sequence[np.ndarray]) -> np.ndarray:
 
 def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
     """Per-row unified Poisson inclusion probabilities for an individual-
-    stratification allocation; each per-query rate is s_ig / n_ig clamped
-    to 1 when the allocation exceeds the group size.
+    stratification allocation; each row of ``alloc`` has rate s / n,
+    clamped to 1 when the share exceeds the group size (0 for n = 0).
 
     The rows are partitioned once, by the union of the queries' grouping
-    attributes; a query's rate per fine stratum is that of the group its
-    key falls in, and each row takes the rate of its fine stratum.  A
-    group missing from ``alloc.populations`` counts its rows instead.
+    attributes.  A query's rate per fine stratum is that of the table row
+    with the values of the group the stratum falls in (0 if the table has
+    none); the per-query rates combine per fine stratum, and each row takes
+    the rate of its fine stratum.
     """
     union = list(dict.fromkeys(a for q in alloc.queries for a in q.attrs))
-    fine_ids, fine_values, _, bounds = rel.strata(union)
-    counts = np.diff(bounds)
+    fine_ids, fine_values, _, _ = rel.strata(union)
     fine_keys = key_relation(union, fine_values)
+    n = alloc.populations
+    rate = np.minimum(1.0, np.divide(alloc.sizes, n, out=np.zeros(len(n)), where=n > 0))
     per_query = []
     for i, q in enumerate(alloc.queries):
         group, keys, _, _ = fine_keys.strata(q.attrs)
-        rows = np.bincount(group, counts, len(keys)).astype(np.int64).tolist()
-        rates = []
-        for values, n_rows in zip(keys, rows):
-            key = GroupKey(q.attrs, values)
-            n = alloc.populations.get((i, key), n_rows)
-            rates.append(min(1.0, alloc.sizes.get((i, key), 0.0) / n) if n else 0.0)
-        per_query.append(np.array(rates)[group][fine_ids])
-    return unified_inclusion(per_query)
+        rows = np.flatnonzero(alloc.query == i).tolist()
+        table = dict(zip([alloc.keys[r] for r in rows], rate[rows].tolist()))
+        per_query.append(np.array([table.get(k, 0.0) for k in keys])[group])
+    return unified_inclusion(per_query)[fine_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -836,15 +843,14 @@ def plan_to_json(plan: AllocationPlan) -> str:
         "objective_fractional": json_float(plan.objective_fractional()),
         "objective_integral": json_float(plan.objective_integral()),
         "strata": [
-            {
-                "key": list(k.values),
-                "n": int(n),
-                "fractional": float(f),
-                "integral": int(s),
-                "capped": k in plan.capped,
-            }
-            for k, n, f, s in zip(
-                plan.keys, plan.populations, plan.fractional, plan.sizes
+            {"key": list(k.values), "n": n, "fractional": f, "integral": s, "capped": c}
+            for k, n, f, s, c in zip(
+                plan.keys,
+                plan.populations.tolist(),
+                plan.fractional.tolist(),
+                plan.sizes.tolist(),
+                plan.capped.tolist(),
+                strict=True,
             )
         ],
         "warnings": plan.warnings,
@@ -853,32 +859,27 @@ def plan_to_json(plan: AllocationPlan) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _stratum_key(source: str, strata: list, i: int, attrs: tuple[str, ...]) -> GroupKey:
-    """The key of ``strata[i]`` in a plan file: one string per attribute of
-    ``attrs``."""
-    ok = lambda v: STRINGS[0](v) and len(v) == len(attrs)  # noqa: E731
-    expected = f"a list of {len(attrs)} strings"
-    return GroupKey(attrs, tuple(member(source, strata[i], f"strata[{i}]", "key", ok, expected)))
-
-
-def _repeated(source: str, i: int, key: GroupKey) -> InvalidDocument:
-    return InvalidDocument(f"{source}: strata[{i}].key: repeats stratum {list(key.values)!r}")
-
-
 def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | PerQueryAllocation:
     """Parse a plan file: a :class:`PerQueryAllocation` when its method is
-    individual, else an :class:`AllocationPlan`.  A missing field, a field
-    of the wrong JSON type, a repeated grouping attribute, a key whose
-    length differs from its grouping, a repeated key (a repeated query and
-    key in an individual plan) and a query index outside the plan's
-    queries raise :class:`InvalidDocument` naming ``source`` and the
-    field."""
+    individual, else an :class:`AllocationPlan` (a stratum without
+    ``capped`` is not capped).  A missing field, a field of the wrong JSON
+    type, a repeated grouping attribute, a key whose length differs from
+    its grouping, a repeated key (a repeated query and key in an individual
+    plan) and a query index outside the plan's queries raise
+    :class:`InvalidDocument` naming ``source`` and the field."""
     get = partial(member, source)
     doc = json.loads(text)
     method = get(doc, "", "method", *STRING)
     budget = get(doc, "", "budget", *INTEGER)
     warnings = list(get(doc, "", "warnings", *STRINGS, default=[]))
     strata = get(doc, "", "strata", *LIST)
+
+    def column(name: str, check: tuple, dtype, **default) -> np.ndarray:
+        values = [
+            get(item, f"strata[{i}]", name, *check, **default) for i, item in enumerate(strata)
+        ]
+        return np.array(values, dtype=dtype)
+
     if method == INDIVIDUAL:
         queries = tuple(
             GroupQuery(tuple(get(q, f"queries[{j}]", "group_by", *NAMES)),
@@ -886,37 +887,24 @@ def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | Per
             for j, q in enumerate(get(doc, "", "queries", *LIST))
         )
         index = lambda v: INTEGER[0](v) and 0 <= v < len(queries)  # noqa: E731
-        sizes, populations = {}, {}
-        for i, item in enumerate(strata):
-            at = f"strata[{i}]"
-            q = get(item, at, "query", index, f"a query index below {len(queries)}")
-            pair = (q, _stratum_key(source, strata, i, queries[q].attrs))
-            if pair in sizes:
-                raise _repeated(source, i, pair[1])
-            sizes[pair] = float(get(item, at, "fractional", *NUMBER))
-            populations[pair] = get(item, at, "n", *COUNT)
-        return PerQueryAllocation(queries, sizes, populations, budget, warnings)
+        query = column("query", (index, f"a query index below {len(queries)}"), np.int64)
+        widths = [len(queries[q].attrs) for q in query.tolist()]
+        keys = tuple(stratum_keys(source, strata, widths, query.tolist()))
+        populations = column("n", COUNT, np.int64)
+        sizes = column("fractional", NUMBER, np.float64)
+        return PerQueryAllocation(queries, query, keys, populations, sizes, budget, warnings)
 
     attrs = tuple(get(doc, "", "group_attrs", *NAMES))
-    keys = tuple(_stratum_key(source, strata, i, attrs) for i in range(len(strata)))
-    first: dict[GroupKey, int] = {}
-    for i, key in enumerate(keys):
-        if first.setdefault(key, i) != i:
-            raise _repeated(source, i, key)
-
-    def column(name: str, check: tuple, dtype) -> np.ndarray:
-        values = [get(item, f"strata[{i}]", name, *check) for i, item in enumerate(strata)]
-        return np.array(values, dtype=dtype)
-
+    keys = stratum_keys(source, strata, [len(attrs)] * len(strata))
     return AllocationPlan(
         method=method,
         group_attrs=attrs,
-        keys=keys,
+        keys=tuple(GroupKey(attrs, values) for values in keys),
         populations=column("n", COUNT, np.int64),
         fractional=column("fractional", NUMBER, np.float64),
         sizes=column("integral", COUNT, np.int64),
         budget=budget,
-        capped=frozenset(k for k, item in zip(keys, strata) if item.get("capped")),
+        capped=column("capped", BOOL, bool, default=False),
         costs=None,
         warnings=warnings,
         extra=dict(get(doc, "", "extra", *OBJECT, default={})),
@@ -932,14 +920,11 @@ def individual_to_json(alloc: PerQueryAllocation) -> str:
             for q in alloc.queries
         ],
         "strata": [
-            {
-                "query": i,
-                "key": list(key.values),
-                "n": alloc.populations[(i, key)],
-                "fractional": float(share),
-                "integral": None,
-            }
-            for (i, key), share in alloc.sizes.items()
+            {"query": i, "key": list(key), "n": n, "fractional": share, "integral": None}
+            for i, key, n, share in zip(
+                alloc.query.tolist(), alloc.keys, alloc.populations.tolist(), alloc.sizes.tolist(),
+                strict=True,
+            )
         ],
         "warnings": alloc.warnings,
     }

@@ -63,18 +63,17 @@ def _round(fractional, caps, budget):
 
 
 def _plan(method, catalog, fractional, budget):
-    keys = catalog.group_keys()
     caps = np.array(catalog.n)
     sizes, warnings = _round(fractional, caps, budget)
     return AllocationPlan(
         method=method,
         group_attrs=catalog.group_attrs,
-        keys=tuple(keys),
+        keys=tuple(catalog.group_keys()),
         populations=caps,
         fractional=fractional,
         sizes=sizes,
         budget=budget,
-        capped=frozenset(k for k, f, c in zip(keys, fractional, caps) if f >= c),
+        capped=fractional >= caps,
         costs=None,
         warnings=warnings,
     )

@@ -6,9 +6,10 @@ Every command takes a JSON config file (--config).  Each field of
 (``out_dir`` is ``--out-dir``; a list flag is comma-separated).  A config
 value has the JSON type listed below, else it is a string (a float, a
 bool or a numeric string is not an int); it is null only where the
-default is null.  Randomized commands require an explicit seed; there is
-no wall-clock seeding, so identical config and seed produce byte-
-identical outputs.  Exit codes: 0 ok, 1 user error, 2 internal error.
+default is null.  A list, in the file or as a flag, holds distinct
+names.  Randomized commands require an explicit seed; there is no
+wall-clock seeding, so identical config and seed produce byte-identical
+outputs.  Exit codes: 0 ok, 1 user error, 2 internal error.
 
 Config fields::
 
@@ -52,6 +53,7 @@ from .dataset import ColumnSchema, Relation, load_csv
 from .errors import (
     INTEGER,
     LIST,
+    NAMES,
     NUMBER,
     OBJECT,
     STRING,
@@ -140,7 +142,7 @@ _KINDS = {
     "int": (INTEGER, int),
     "int | None": (nullable(INTEGER), int),
     "float | None": (nullable(NUMBER), float),
-    "list[str]": (STRINGS, None),
+    "list[str]": (NAMES, None),
     "list[dict]": ((LIST[0], "a list of objects"), None),
 }
 
@@ -161,7 +163,8 @@ def load_config(args) -> RunConfig:
             setattr(cfg, f.name, member(cfg.source, doc, "", f.name, *_KINDS[f.type][0]))
         value = getattr(args, f.name, None)
         if f.type == "list[str]":
-            value = value.split(",") if value else None
+            flag = "--" + f.name.replace("_", "-")
+            value = expect("command line", value.split(","), flag, *NAMES) if value else None
         if value is not None:
             setattr(cfg, f.name, value)
     if cfg.method not in ALL_METHODS:

@@ -316,14 +316,14 @@ def stratum_ids(
     stratum, in id order.
 
     Strata are numbered by first occurrence in row order; an empty
-    attribute list yields one stratum of every row.  The ids are
-    mixed-radix numbers over the columns' codes, compacted after each
-    attribute, so they stay below ``n_rows`` times a column's cardinality
-    and never overflow.
+    attribute list yields one stratum of every row (none when there are no
+    rows, as under any other attributes).  The ids are mixed-radix numbers
+    over the columns' codes, compacted after each attribute, so they stay
+    below ``n_rows`` times a column's cardinality and never overflow.
     """
     columns = [rel.encoded(a) for a in attrs]
     if not columns:
-        return np.zeros(rel.n_rows, dtype=np.intp), [()]
+        return np.zeros(rel.n_rows, dtype=np.intp), [()] if rel.n_rows else []
     if len(columns) == 1:  # the codes are already numbered by first occurrence
         return columns[0].codes, [(v,) for v in columns[0].levels]
     ids = columns[0].codes

@@ -8,6 +8,7 @@ callers (notably the CLI) can distinguish user-facing problems from bugs.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 
 class GbsampleError(Exception):
@@ -36,6 +37,7 @@ LIST = (lambda v: isinstance(v, list), "a list")
 OBJECT = (lambda v: isinstance(v, dict), "an object")
 STRINGS = (lambda v: LIST[0](v) and all(map(STRING[0], v)), "a list of strings")
 NAMES = (lambda v: STRINGS[0](v) and len(set(v)) == len(v), "a list of distinct strings")
+BOOL = (lambda v: type(v) is bool, "true or false")
 
 
 def nullable(check: tuple) -> tuple:
@@ -70,6 +72,27 @@ def member(source: str, obj, path: str, name: str, ok=None, expected="", default
             raise InvalidDocument(f"{source}: {where}: missing")
         return default
     return obj[name] if ok is None else expect(source, obj[name], where, ok, expected)
+
+
+def stratum_keys(
+    source: str, strata: list, widths: Sequence[int], groups: Sequence[int] | None = None
+) -> list[tuple]:
+    """The ``key`` of every stratum object in ``strata``, as value tuples.
+    Key i must be a list of ``widths[i]`` strings and must not repeat an
+    earlier key of its group ``groups[i]`` (an individual plan's query; all
+    strata form one group when ``groups`` is None); otherwise
+    :class:`InvalidDocument` names ``source`` and the field."""
+    keys, seen = [], set()
+    for i, (item, width) in enumerate(zip(strata, widths)):
+        at = f"strata[{i}]"
+        ok = lambda v, width=width: STRINGS[0](v) and len(v) == width  # noqa: E731
+        key = tuple(member(source, item, at, "key", ok, f"a list of {width} strings"))
+        pair = (None if groups is None else groups[i], key)
+        if pair in seen:
+            raise InvalidDocument(f"{source}: {at}.key: repeats stratum {list(key)!r}")
+        seen.add(pair)
+        keys.append(key)
+    return keys
 
 
 # ---------------------------------------------------------------------------

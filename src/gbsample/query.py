@@ -288,8 +288,6 @@ def estimate(sample, request: QueryRequest) -> list[Estimate]:
             f"grouping {attrs} is not a subset of the sample's "
             f"stratification {sample.group_attrs}"
         )
-    if not len(sample.n):  # no strata: no groups, not one group of nothing
-        return []
     group_of_cell, keys, _, _ = sample.key_columns.strata(attrs)
     size = sample.size.astype(np.float64)
     factor = np.divide(sample.n, size, out=np.zeros(len(size)), where=size > 0)

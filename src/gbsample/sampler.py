@@ -31,8 +31,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ import numpy as np
 from .alloc import AllocationPlan
 from .dataset import (
     CATEGORICAL,
+    NUMERIC,
     ColumnSchema,
     GroupKey,
     Relation,
@@ -47,11 +49,18 @@ from .dataset import (
     key_relation,
 )
 from .errors import (
+    COUNT,
+    INTEGER,
+    LIST,
+    NAMES,
+    STRING,
     CorruptSampleFile,
     InvalidArgument,
     PlanMismatch,
     RateOutOfRange,
     SchemaMismatch,
+    member,
+    stratum_keys,
 )
 
 _FLOAT = ".17g"
@@ -205,8 +214,9 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
     strata = rel.strata(plan.group_attrs)
-    position = {GroupKey(plan.group_attrs, v): k for k, v in enumerate(strata.keys)}
-    if len(plan.keys) != len(position) or set(position) != set(plan.keys):
+    position = {values: k for k, values in enumerate(strata.keys)}
+    planned = [key.values for key in plan.keys]
+    if len(planned) != len(position) or set(position) != set(planned):
         raise PlanMismatch(
             "plan strata do not match the relation's partition "
             f"({len(plan.keys)} plan strata, {len(position)} in relation)"
@@ -214,13 +224,13 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
     order, bounds = strata.order, strata.bounds.tolist()
     taken: list[int] = []  # the sampled rows, stratum after stratum in plan order
     n = []
-    for idx, key in enumerate(plan.keys):
-        k = position[key]
+    for idx, values in enumerate(planned):
+        k = position[values]
         rows = order[bounds[k] : bounds[k + 1]]
         s_i = int(plan.sizes[idx])
         if s_i > len(rows):
             raise PlanMismatch(
-                f"stratum {key} allocates {s_i} rows but holds only {len(rows)}"
+                f"stratum {plan.keys[idx]} allocates {s_i} rows but holds only {len(rows)}"
             )
         n.append(len(rows))
         if s_i == len(rows):
@@ -233,7 +243,7 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
         plan.group_attrs,
         plan.method,
         seed,
-        [key.values for key in plan.keys],
+        planned,
         n,
         plan.sizes,
         rel.take(taken),
@@ -262,10 +272,6 @@ def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
 
 def _schema_doc(schema: Sequence[ColumnSchema]) -> list[dict]:
     return [{"name": c.name, "kind": c.kind} for c in schema]
-
-
-def _schema_from_doc(doc) -> tuple[ColumnSchema, ...]:
-    return tuple(ColumnSchema(item["name"], item["kind"]) for item in doc)
 
 
 def _cells(rel: Relation) -> list[list[str]]:
@@ -317,21 +323,41 @@ def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
         fh.write(buf.getvalue())
 
 
+def _is_size(value) -> bool:
+    """Whether ``value`` is an ``expected_size`` as :func:`save_sample`
+    writes it: a finite non-negative number as a string."""
+    try:
+        return isinstance(value, str) and 0.0 <= float(value) < math.inf
+    except ValueError:
+        return False
+
+
 def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
     """Load a sample file; returns a StratifiedSample or PoissonSample.
 
-    Raises CorruptSampleFile on malformed or truncated input, and
+    Raises CorruptSampleFile on a header that is not JSON and on malformed
+    or truncated rows, InvalidDocument naming the file and the field on a
+    header field of the wrong type (or a repeated stratum key), and
     SchemaMismatch when ``expect_schema`` is given and differs from the
     stored schema.
     """
+    source = str(path)
+    get = partial(member, source)
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
         try:
-            header = json.loads(first)
-            kind = header["kind"]
-            schema = _schema_from_doc(header["schema"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
             raise CorruptSampleFile(f"{path}: bad header ({exc})") from None
+        kinds = (lambda v: v in ("stratified", "poisson"), "'stratified' or 'poisson'")
+        kind = get(header, "", "kind", *kinds)
+        get(header, "", "method", *STRING)  # both kinds carry these two
+        get(header, "", "seed", *COUNT)
+        column_kind = (lambda v: v in (CATEGORICAL, NUMERIC), f"{CATEGORICAL!r} or {NUMERIC!r}")
+        schema = tuple(
+            ColumnSchema(get(c, f"schema[{i}]", "name", *STRING),
+                         get(c, f"schema[{i}]", "kind", *column_kind))
+            for i, c in enumerate(get(header, "", "schema", *LIST))
+        )
         if expect_schema is not None and tuple(expect_schema) != schema:
             raise SchemaMismatch(f"{path}: stored schema differs from expected schema")
         reader = csv.reader(fh)
@@ -339,14 +365,12 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
             next(reader)  # CSV column header
         except StopIteration:
             raise CorruptSampleFile(f"{path}: missing CSV body") from None
-        try:
-            if kind == "stratified":
-                return _load_stratified(header, schema, list(reader), path)
-            if kind == "poisson":
-                return _load_poisson(header, schema, list(reader), path)
-        except (ValueError, IndexError, KeyError, TypeError) as exc:
-            raise CorruptSampleFile(f"{path}: malformed row ({exc})") from None
-    raise CorruptSampleFile(f"{path}: unknown sample kind {kind!r}")
+        rows = list(reader)
+    load = _load_stratified if kind == "stratified" else _load_poisson
+    try:
+        return load(header, schema, rows, source)
+    except ValueError as exc:
+        raise CorruptSampleFile(f"{path}: malformed row ({exc})") from None
 
 
 def _split_rows(schema, rows: list[list[str]], path) -> tuple[tuple, tuple, Relation]:
@@ -376,11 +400,16 @@ def _split_rows(schema, rows: list[list[str]], path) -> tuple[tuple, tuple, Rela
     return first, second, Relation(schema, columns, len(rows))
 
 
-def _load_stratified(header, schema, rows, path) -> StratifiedSample:
-    group_attrs = tuple(header["group_attrs"])
-    keys = [GroupKey(group_attrs, tuple(meta["key"])) for meta in header["strata"]]
-    n = [int(meta["n"]) for meta in header["strata"]]
-    size = [int(meta["s"]) for meta in header["strata"]]
+def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
+    get = partial(member, path)
+    categorical = {c.name for c in schema if c.kind == CATEGORICAL}
+    attrs = (lambda v: NAMES[0](v) and set(v) <= categorical, "distinct categorical columns")
+    group_attrs = tuple(get(header, "", "group_attrs", *attrs))
+    strata = get(header, "", "strata", *LIST)
+    keys = stratum_keys(path, strata, [len(group_attrs)] * len(strata))
+    # a negative n is below any sample size: the population check names it
+    n = [get(meta, f"strata[{i}]", "n", *INTEGER) for i, meta in enumerate(strata)]
+    size = [get(meta, f"strata[{i}]", "s", *COUNT) for i, meta in enumerate(strata)]
     ordinals, row_ids, columns = _split_rows(schema, rows, path)
     stratum = np.array([int(c) for c in ordinals], dtype=np.int64)
     outside = np.flatnonzero((stratum < 0) | (stratum >= len(keys)))
@@ -391,14 +420,16 @@ def _load_stratified(header, schema, rows, path) -> StratifiedSample:
             f"outside [0, {len(keys)})"
         )
     held = np.bincount(stratum, minlength=len(keys)).tolist()
-    for key, h, pop, s in zip(keys, held, n, size):
+    for values, h, pop, s in zip(keys, held, n, size):
         if h != s:
             raise CorruptSampleFile(
-                f"{path}: stratum {key} has {h} rows, header declares {s}"
+                f"{path}: stratum {GroupKey(group_attrs, values)} has {h} rows, "
+                f"header declares {s}"
             )
         if pop < s:
             raise CorruptSampleFile(
-                f"{path}: stratum {key} samples {s} rows of a population of {pop}"
+                f"{path}: stratum {GroupKey(group_attrs, values)} samples {s} rows "
+                f"of a population of {pop}"
             )
     # stratum after stratum, file order within each
     order = np.argsort(stratum, kind="stable")
@@ -407,8 +438,8 @@ def _load_stratified(header, schema, rows, path) -> StratifiedSample:
         schema,
         group_attrs,
         header["method"],
-        int(header["seed"]),
-        [key.values for key in keys],
+        header["seed"],
+        keys,
         n,
         size,
         columns.take(order),
@@ -416,7 +447,10 @@ def _load_stratified(header, schema, rows, path) -> StratifiedSample:
     )
 
 
-def _load_poisson(header, schema, rows, path) -> PoissonSample:
+def _load_poisson(header, schema, rows, path: str) -> PoissonSample:
+    get = partial(member, path, header, "")
+    expected_size = float(get("expected_size", _is_size, "a non-negative number as a string"))
+    declared = get("rows", *COUNT, default=len(rows))
     row_ids, rates, columns = _split_rows(schema, rows, path)
     p = np.array([float(c) for c in rates], dtype=np.float64)
     outside = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))  # NaN is outside too
@@ -426,14 +460,13 @@ def _load_poisson(header, schema, rows, path) -> PoissonSample:
             f"{path}: row {row_ids[i]} has inclusion probability {rates[i]}, "
             "outside (0, 1]"
         )
-    declared = int(header.get("rows", len(rows)))
     if len(rows) != declared:
         raise CorruptSampleFile(
             f"{path}: {len(rows)} rows read, header declares {declared}"
         )
     return PoissonSample(
-        int(header["seed"]),
-        float(header["expected_size"]),
+        header["seed"],
+        expected_size,
         columns,
         [int(c) for c in row_ids],
         p,

@@ -131,7 +131,7 @@ class StatsCatalog:
         if missing:
             raise NotASubset(f"attributes {missing} not part of the catalog's {self.group_attrs}")
         ids, keys, _, _ = self.key_relation.strata(attrs)
-        size = len(keys) if len(self) else 0  # no strata: no groups, not even ()'s one
+        size = len(keys)
         n = np.bincount(ids, self.n, size).astype(np.int64)
         groups, fine_n = ids.tolist(), self.n.tolist()
         mean, std = {}, {}
@@ -151,7 +151,7 @@ class StatsCatalog:
                     m2[g] = m2[g] + m2_f + delta * delta * (a * n_f / total)
                     count[g] = total
             mean[col], std[col] = mu, std_of(n, m2)
-        out = StatsCatalog(attrs, self.agg_columns, list(keys)[:size], n, mean, std, self.total_n)
+        out = StatsCatalog(attrs, self.agg_columns, list(keys), n, mean, std, self.total_n)
         found = self._pooled[attrs] = out, ids
         return found
 

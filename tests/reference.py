@@ -48,14 +48,14 @@ def partition(rel: Relation, attrs: Sequence[str]) -> dict[GroupKey, list[int]]:
 
     Every row falls in exactly one bucket; buckets are nonempty and keyed in
     first-occurrence order.  An empty attribute list yields a single stratum
-    holding every row.
+    holding every row, and none when there are no rows.
     """
     attrs = tuple(attrs)
     for a in attrs:
         if rel.kind_of(a) != CATEGORICAL:
             raise UnknownAttribute(a)
     if not attrs:
-        return {GroupKey((), ()): list(range(rel.n_rows))}
+        return {GroupKey((), ()): list(range(rel.n_rows))} if rel.n_rows else {}
     columns = [rel.categorical(a) for a in attrs]
     buckets: dict[tuple, list[int]] = {}
     for i in range(rel.n_rows):

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 
 import numpy as np
@@ -656,7 +657,7 @@ def test_linf_matches_exhaustive_minimax_random():
         assert plan.total_size == min(budget, total)
         assert ours == pytest.approx(exhaustive_minimax(catalog, budget), rel=1e-12, abs=1e-15)
         assert plan.extra["max_cv"] == pytest.approx(ours, rel=1e-12, abs=1e-15)
-        capped += bool(plan.capped)
+        capped += bool(plan.capped.any())
     assert capped >= 10
 
 
@@ -720,8 +721,10 @@ def test_individual_single_query_matches_plain(student_rel):
     alloc_one = plan_individual([catalog], [q], 8)
     kept, costs, _ = cv_costs(catalog, ["age", "gpa"])
     closed = solve_fractional(costs, 8)
-    for key, frac in zip(catalog.group_keys(kept), closed):
-        assert alloc_one.sizes[(0, key)] == pytest.approx(frac, rel=1e-12)
+    assert alloc_one.query.tolist() == [0] * len(kept)
+    assert alloc_one.keys == tuple(catalog.keys[k] for k in kept)
+    assert alloc_one.populations.tolist() == catalog.n[kept].tolist()
+    assert alloc_one.sizes.tolist() == pytest.approx(closed.tolist(), rel=1e-12)
     assert alloc_one.total == pytest.approx(8.0, rel=1e-12)
 
 
@@ -730,11 +733,13 @@ def test_individual_duplicate_query_halves_then_matches(student_rel):
     q = GroupQuery(("major",), ("age",))
     one = plan_individual([catalog], [q], 8)
     two = plan_individual([catalog, catalog], [q, q], 8)
-    for key in catalog.group_keys():
-        # identical queries split the budget evenly; each query's group gets
-        # half of the single-query share
-        assert two.sizes[(0, key)] == pytest.approx(one.sizes[(0, key)] / 2, rel=1e-12)
-        assert two.sizes[(1, key)] == pytest.approx(two.sizes[(0, key)], rel=1e-12)
+    r = len(catalog)
+    assert two.query.tolist() == [0] * r + [1] * r
+    assert two.keys == one.keys * 2
+    # identical queries split the budget evenly; each query's group gets
+    # half of the single-query share
+    assert two.sizes[:r] == pytest.approx(one.sizes / 2, rel=1e-12)
+    assert two.sizes[r:] == pytest.approx(two.sizes[:r], rel=1e-12)
 
 
 def test_individual_disjoint_groupings_match_grid_oracle(student_rel):
@@ -743,12 +748,12 @@ def test_individual_disjoint_groupings_match_grid_oracle(student_rel):
     queries = [GroupQuery(("major",), ("age",)), GroupQuery(("college",), ("gpa",))]
     result = plan_individual([cat_major, cat_college], queries, 12)
     # direct objective: sum over pairs of score / s; grid over the simplex
-    pairs = list(result.sizes)
     scores = []
-    for (i, key) in pairs:
+    for i, values in zip(result.query.tolist(), result.keys):
+        key = GroupKey(queries[i].attrs, values)
         _, mean, std = _stratum((cat_major, cat_college)[i], key, ("age", "gpa")[i])
         scores.append((std / abs(mean)) ** 2)
-    ours = sum(sc / result.sizes[p] for sc, p in zip(scores, pairs))
+    ours = sum(sc / s for sc, s in zip(scores, result.sizes.tolist()))
     oracle = lambda_bisection(np.array(scores), 12)
     oracle_obj = float((np.array(scores) / oracle).sum())
     assert ours == pytest.approx(oracle_obj, rel=1e-9)
@@ -775,12 +780,16 @@ def test_inclusion_rates_bounds(student_rel):
     p = inclusion_rates(student_rel, result)
     assert p.shape == (8,)
     assert ((p > 0) & (p <= 1)).all()
-    # p_r at least the max per-query rate and at most their sum
+    # p_r at least the max per-query rate
+    rates = {
+        (i, values): min(1.0, s / n)
+        for i, values, n, s in zip(
+            result.query.tolist(), result.keys, result.populations.tolist(), result.sizes.tolist()
+        )
+    }
     for i, key_fn in ((0, lambda r: (r[4],)), (1, lambda r: (r[5],))):
         for row_id, row in enumerate(STUDENT_ROWS):
-            key = GroupKey(queries[i].attrs, key_fn(row))
-            rate = min(1.0, result.sizes[(i, key)] / result.populations[(i, key)])
-            assert p[row_id] >= rate - 1e-12
+            assert p[row_id] >= rates[(i, key_fn(row))] - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +921,12 @@ def test_plan_json_round_trip(student_rel):
     assert back.keys == plan.keys
     assert back.sizes.tolist() == plan.sizes.tolist()
     assert back.fractional == pytest.approx(plan.fractional)
-    assert back.capped == plan.capped
+    assert back.capped.dtype == bool
+    assert back.capped.tolist() == plan.capped.tolist() == [False, True, False, False]
+    # a stratum without "capped" is not capped
+    doc = json.loads(plan_to_json(plan))
+    del doc["strata"][1]["capped"]
+    assert not plan_from_json(json.dumps(doc)).capped.any()
 
 
 def test_individual_json_round_trip(student_rel):
@@ -922,8 +936,11 @@ def test_individual_json_round_trip(student_rel):
     back = plan_from_json(individual_to_json(result))
     assert back.queries == result.queries
     assert back.budget == result.budget
-    for pair, share in result.sizes.items():
-        assert back.sizes[pair] == pytest.approx(share)
+    assert back.keys == result.keys
+    for column in ("query", "populations", "sizes"):
+        got, want = getattr(back, column), getattr(result, column)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -974,14 +991,20 @@ def reference_largest_remainder(fractional, caps, budget):
 
 
 def reference_inclusion_rates(rel, alloc):
-    """Per-row rates with one partition of the rows per query."""
+    """Per-row rates with one partition of the rows per query and the
+    allocation's rows read into dicts keyed by (query, GroupKey)."""
+    sizes, populations = {}, {}
+    for i, values, n, s in zip(
+        alloc.query.tolist(), alloc.keys, alloc.populations.tolist(), alloc.sizes.tolist()
+    ):
+        pair = (i, GroupKey(alloc.queries[i].attrs, values))
+        sizes[pair], populations[pair] = s, n
     per_query = []
     for i, q in enumerate(alloc.queries):
         rates = np.zeros(rel.n_rows)
         for key, rows in partition(rel, q.attrs).items():
-            share = alloc.sizes.get((i, key), 0.0)
-            n = alloc.populations.get((i, key), len(rows))
-            rate = min(1.0, share / n) if n else 0.0
+            n = populations.get((i, key), 0)
+            rate = min(1.0, sizes[(i, key)] / n) if n else 0.0
             rates[np.asarray(rows, dtype=np.intp)] = rate
         per_query.append(rates)
     return unified_inclusion(per_query)
@@ -1171,23 +1194,30 @@ def test_inclusion_rates_match_reference_on_permuted_attrs():
 
 
 def test_inclusion_rates_match_reference_with_missing_entries():
-    # groups absent from the allocation take share 0 or their row count
+    # groups absent from the allocation take rate 0; inflated shares clamp to 1
     rng = np.random.default_rng(8)
     rel = _random_relation(rng, 500, {"a": 5, "b": 4})
     queries = (GroupQuery(("a",), ("x",)), GroupQuery(("b", "a"), ("x",)))
     catalogs = [compute_catalog(rel, q.attrs, ["x"]) for q in queries]
     full = plan_individual(catalogs, queries, 90)
-    pairs = list(full.sizes)
-    sizes = {p: 3.0 * s for k, (p, s) in enumerate(full.sizes.items()) if k % 3}
-    populations = {p: n for k, (p, n) in enumerate(full.populations.items()) if k % 4}
-    alloc = PerQueryAllocation(queries, sizes, populations, 90)
-    assert len(sizes) < len(pairs) and len(populations) < len(pairs)
+    kept = np.arange(len(full.keys)) % 3 > 0
+    alloc = PerQueryAllocation(
+        queries,
+        full.query[kept],
+        tuple(k for k, keep in zip(full.keys, kept) if keep),
+        full.populations[kept],
+        3.0 * full.sizes[kept],
+        90,
+    )
     got = inclusion_rates(rel, alloc)
     assert got.tobytes() == reference_inclusion_rates(rel, alloc).tobytes()
     assert (got == 1.0).any()
 
     empty = Relation((ColumnSchema("a", CATEGORICAL),), {"a": []})
-    alloc = PerQueryAllocation((GroupQuery((), ()), GroupQuery(("a",), ())), {}, {}, 1)
+    none = np.zeros(0, dtype=np.int64)
+    alloc = PerQueryAllocation(
+        (GroupQuery((), ()), GroupQuery(("a",), ())), none, (), none, np.zeros(0), 1
+    )
     assert inclusion_rates(empty, alloc).tobytes() == (
         reference_inclusion_rates(empty, alloc).tobytes()
     )

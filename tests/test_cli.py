@@ -836,7 +836,7 @@ WRONG_TYPES = {
     "int": ["5", 1.5, True],
     "float": ["0.5", True, float("nan")],
     "str": [["a"], {"a": 1}, 5],
-    "list": ["grp", [1]],
+    "list": ["grp", [1], ["grp", "grp"]],
 }
 
 
@@ -915,6 +915,16 @@ def test_flags_override_typed_config_values(tmp_path, fix_a_csv):
     assert doc["group_attrs"] == ["grp"] and doc["budget"] == 4
     # flags keep their argparse types
     assert _run("plan", "--config", str(cfg), "--budget", "3.7") == 1
+
+
+@pytest.mark.parametrize("flag", ["--group-by", "--aggregates", "--methods"])
+def test_a_list_flag_with_a_repeated_name_is_a_user_error(tmp_path, fix_a_csv, capsys, flag):
+    cfg = _write_config(tmp_path, fix_a_csv)
+    for command in COMMANDS:
+        assert _run(command, "--config", str(cfg), flag, "grp,v,grp") == 1, command
+        err = capsys.readouterr().err
+        assert f"{flag}: expected a list of distinct strings, got ['grp', 'v', 'grp']" in err
+    assert not (tmp_path / "out").exists()
 
 
 #: every subcommand's options before the flags were built from RunConfig:
@@ -1011,6 +1021,7 @@ PLAN_MUTATIONS = [
     ("cvopt-l2", ("strata", 0, "n"), "6", "strata[0].n: expected a non-negative"),
     ("cvopt-l2", ("strata", 0, "fractional"), None, "strata[0].fractional: missing"),
     ("cvopt-l2", ("extra",), "x", "extra: expected an object"),
+    ("cvopt-l2", ("strata", 0, "capped"), "no", "strata[0].capped: expected true or false"),
     # a copy of strata[0] appended: every stratum still present, one twice
     (
         "cvopt-l2",
@@ -1062,3 +1073,73 @@ def test_malformed_plan_file_is_a_user_error(
     assert _run("sample", "--config", str(cfg)) == 1
     assert f"{plan}: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sample.txt").exists()
+
+
+# each mutation of a valid sample file's JSON header, as (method, path,
+# value, the field the error names); a value of None drops the field
+SAMPLE_MUTATIONS = [
+    ("cvopt-l2", (), [1], "(document): expected an object"),
+    ("cvopt-l2", ("kind",), "cluster", "kind: expected 'stratified' or 'poisson'"),
+    ("cvopt-l2", ("method",), None, "method: missing"),
+    ("cvopt-l2", ("method",), 3, "method: expected a string"),
+    ("cvopt-l2", ("seed",), -1, "seed: expected a non-negative integer"),
+    ("cvopt-l2", ("seed",), "5", "seed: expected a non-negative integer"),
+    ("cvopt-l2", ("schema",), {}, "schema: expected a list"),
+    ("cvopt-l2", ("schema", 0), "grp", "schema[0]: expected an object"),
+    ("cvopt-l2", ("schema", 0, "name"), 5, "schema[0].name: expected a string"),
+    ("cvopt-l2", ("schema", 1, "kind"), "text", "schema[1].kind: expected 'categorical' or"),
+    ("cvopt-l2", ("group_attrs",), "grp", "group_attrs: expected distinct categorical"),
+    ("cvopt-l2", ("group_attrs",), ["grp", "grp"], "group_attrs: expected distinct categorical"),
+    ("cvopt-l2", ("group_attrs",), ["v"], "group_attrs: expected distinct categorical"),
+    ("cvopt-l2", ("group_attrs",), ["zzz"], "group_attrs: expected distinct categorical"),
+    ("cvopt-l2", ("strata",), {}, "strata: expected a list"),
+    ("cvopt-l2", ("strata", 0), ["a"], "strata[0]: expected an object"),
+    ("cvopt-l2", ("strata", 0, "key"), "a", "strata[0].key: expected a list of 1 strings"),
+    ("cvopt-l2", ("strata", 0, "key"), ["a", "b"], "strata[0].key: expected a list of 1"),
+    ("cvopt-l2", ("strata", 1, "key"), ["a"], "strata[1].key: repeats stratum ['a']"),
+    ("cvopt-l2", ("strata", 0, "n"), 3.9, "strata[0].n: expected an integer"),
+    ("cvopt-l2", ("strata", 0, "n"), None, "strata[0].n: missing"),
+    ("cvopt-l2", ("strata", 1, "s"), -1, "strata[1].s: expected a non-negative integer"),
+    ("cvopt-l2", ("strata", 1, "s"), "2", "strata[1].s: expected a non-negative integer"),
+    ("cvopt-individual", ("expected_size",), None, "expected_size: missing"),
+    ("cvopt-individual", ("expected_size",), 8.0, "expected_size: expected a non-negative"),
+    ("cvopt-individual", ("expected_size",), "x", "expected_size: expected a non-negative"),
+    ("cvopt-individual", ("expected_size",), "-1", "expected_size: expected a non-negative"),
+    ("cvopt-individual", ("rows",), "7", "rows: expected a non-negative integer"),
+    ("cvopt-individual", ("rows",), -1, "rows: expected a non-negative integer"),
+    ("cvopt-individual", ("seed",), 1.5, "seed: expected a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "method, path, value, field",
+    SAMPLE_MUTATIONS,
+    ids=[f"{m[0]}: {m[3]}" for m in SAMPLE_MUTATIONS],
+)
+def test_malformed_sample_header_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, method, path, value, field
+):
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "count", "column": None}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, method=method, query=str(query_path))
+    for command in ("stats", "plan", "sample"):
+        assert _run(command, "--config", str(cfg)) == 0
+    out = tmp_path / "out"
+    sample = out / "sample.txt"
+    first, body = sample.read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(first)
+    if not path:
+        header = value
+    elif value is None:
+        _drop(header, path)
+    else:
+        _put(header, path, value)
+    sample.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+    capsys.readouterr()
+    for command, written in (("query", "estimates.json"), ("evaluate", "report.json")):
+        assert _run(command, "--config", str(cfg)) == 1, command
+        assert f"{sample}: {field}" in capsys.readouterr().err
+        assert not (out / written).exists()

@@ -184,14 +184,14 @@ def test_kernels_match_the_reference_on_large_strata():
 def test_kernels_on_a_zero_row_relation():
     rel = Relation(SCHEMA, {"g": [], "v": [], "h": [], "k": []})
     _check_kernels(rel)
-    ids, values = stratum_ids(rel, ())
-    assert ids.shape == (0,) and values == [()]
-    ids, values = stratum_ids(rel, ("g", "h"))
-    assert ids.shape == (0,) and values == []
-    catalog = compute_catalog(rel, (), ["v"])
-    assert catalog.keys == [()] and catalog.n.tolist() == [0]
-    assert catalog.mean["v"].tolist() == catalog.std["v"].tolist() == [0.0]
-    assert list(catalog.entries) == [GroupKey((), ())]
+    # no rows, no strata: under () as under any other attributes
+    for attrs in ((), ("g", "h")):
+        ids, values = stratum_ids(rel, attrs)
+        assert ids.shape == (0,) and values == []
+        catalog = compute_catalog(rel, attrs, ["v"])
+        assert catalog.keys == [] and catalog.n.tolist() == []
+        assert catalog.mean["v"].tolist() == catalog.std["v"].tolist() == []
+        assert list(catalog.entries) == []
 
 
 def test_stratum_ids_compact_past_the_int64_range():
@@ -383,11 +383,17 @@ def _check_cost_kernels(rel):
                 )
                 assert got == want
             budget = 3 * sum(len(c) for c in fs.coarse)
-            got = _outcome(lambda: plan_individual(fs.coarse, queries, budget, *policy).sizes)
-            want = _outcome(
-                lambda: reference.individual_sizes(ref_coarse, queries, budget, *policy)
-            )
+            # in row order: the kept pairs by query, then the excluded pairs
+            got = _outcome(lambda: _shares(plan_individual(fs.coarse, queries, budget, *policy)))
+            args = (ref_coarse, queries, budget, *policy)
+            want = _outcome(lambda: list(reference.individual_sizes(*args).items()))
             assert got == want
+
+
+def _shares(alloc):
+    """The rows of an individual allocation as ((query, GroupKey), share)."""
+    queries, rows = alloc.queries, zip(alloc.query.tolist(), alloc.keys, alloc.sizes.tolist())
+    return [((i, GroupKey(queries[i].attrs, values)), s) for i, values, s in rows]
 
 
 def _listed(result):
