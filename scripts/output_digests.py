@@ -11,7 +11,9 @@ same grouping, and ``stream-sim`` on it with two aggregates at batch sizes
 1, 7 and 100.  A 14-row table with a zero-mean stratum runs cvopt-l2,
 cvopt-linf, a cube and a two-query cvopt-individual plan under
 ``"zero_mean": "exclude"``, the paths that pin excluded strata at one row.
-Prints one line
+Every plan answers four queries: a coarse AVG, a fine SUM under the
+table's predicate, a fine COUNT, and a fine AVG under a predicate few rows
+match, which leaves sampled groups missing.  Prints one line
 ``<sha256>  <table>/<method>/<file>`` per output file, plus the exit code
 of every command.  Exits 1 if any command failed.
 
@@ -69,9 +71,10 @@ c,y,1
 """
 
 #: per table: categorical and numeric columns, stratification attributes,
-#: the budget setting, a predicate for the workload and, for an inline
-#: table, its CSV text; a table with a ``zero_mean`` policy runs only the
-#: plans of :func:`_zero_mean_runs`
+#: the budget setting, a predicate for the workload, a ``rare`` predicate
+#: that few rows match (so AVG leaves sampled groups missing) and, for an
+#: inline table, its CSV text; a table with a ``zero_mean`` policy runs only
+#: the plans of :func:`_zero_mean_runs`
 TABLES = {
     "student": {
         "categorical": ["id", "major", "college"],
@@ -79,6 +82,7 @@ TABLES = {
         "attrs": ["major", "college"],
         "size": {"budget": 6},
         "predicate": [{"column": "age", "op": ">", "value": 22}],
+        "rare": [{"column": "age", "op": ">", "value": 26}],
         "csv": STUDENT_CSV,
     },
     "zero_mean": {
@@ -87,6 +91,7 @@ TABLES = {
         "attrs": ["g", "h"],
         "size": {"budget": 9},
         "predicate": [{"column": "v", "op": ">", "value": 1}],
+        "rare": [{"column": "v", "op": ">", "value": 7}],
         "csv": ZERO_MEAN_CSV,
         "zero_mean": "exclude",
     },
@@ -97,6 +102,7 @@ TABLES = {
             "attrs": attrs,
             "size": {"rate": 0.1},
             "predicate": [{"column": "y", "op": "<", "value": 60.0}],
+            "rare": [{"column": "x", "op": ">", "value": 60.0}],
         }
         for name, attrs in (
             ("build", ["a", "b"]),
@@ -210,6 +216,17 @@ def _queries(spec: dict, work: Path) -> dict[str, str]:
                 "group_by": attrs,
                 "aggregate": {"fn": "sum", "column": x},
                 "predicate": spec["predicate"],
+            },
+        ),
+        "count-fine": _write(
+            work / "q_count.json", {"group_by": attrs, "aggregate": {"fn": "count"}}
+        ),
+        "avg-rare": _write(
+            work / "q_avg_rare.json",
+            {
+                "group_by": attrs,
+                "aggregate": {"fn": "avg", "column": x},
+                "predicate": spec["rare"],
             },
         ),
     }

@@ -332,10 +332,10 @@ def _load_query(cfg: RunConfig) -> qmod.QueryRequest:
 def cmd_query(cfg: RunConfig) -> int:
     request = _load_query(cfg)
     sample = sampler.load_sample(Path(cfg.out_dir) / "sample.txt")
-    estimates = qmod.estimate(sample, request)
+    answer = qmod.estimate(sample, request)
     path = _out(cfg, "estimates.json")
-    path.write_text(qmod.estimates_to_json(estimates, request), encoding="utf-8")
-    print(f"wrote {path} ({len(estimates)} groups)")
+    path.write_text(qmod.estimates_to_json(answer, request), encoding="utf-8")
+    print(f"wrote {path} ({len(answer)} groups)")
     return 0
 
 

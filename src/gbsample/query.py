@@ -22,6 +22,15 @@ Estimation from a Poisson sample weights each matching row by 1 / p_r
 (inverse inclusion probability, Horvitz-Thompson); the exact answer
 weights every row of the relation by 1.
 
+Both estimation and the exact answer return an :class:`Answer`: the
+groups' value tuples ``keys`` and, aligned with them, float64 ``value``
+(NaN exactly where the group is missing), int64 ``support`` (matching
+sampled rows) and a bool ``missing`` mask.  No per-group object is built
+to answer a request.  Iterating an answer yields the per-group
+:class:`Estimate` records (``value`` None where missing), built on demand,
+and :func:`dataset.key_relation` turns ``attrs`` and ``keys`` into an
+encoded relation for a caller that wants one.
+
 Predicates are conjunctions of atoms.  An atom on a categorical column
 takes only ``=`` or ``!=``; an atom on a numeric column needs finite
 real-number operands, and in a document every operand is a string or a
@@ -189,10 +198,46 @@ def _numeric_test(atom: Atom, col: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Estimate:
+    """One group of an :class:`Answer` as an object."""
+
     group: GroupKey
     value: float | None
     support: int
     missing: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Answer:
+    """Per-group answers to one query as arrays aligned with ``keys``, the
+    groups' value tuples under ``attrs``: float64 ``value`` (NaN exactly
+    where ``missing``), int64 ``support`` and bool ``missing``, all
+    read-only."""
+
+    attrs: tuple[str, ...]
+    keys: tuple[tuple, ...]
+    value: np.ndarray
+    support: np.ndarray
+    missing: np.ndarray
+
+    def __post_init__(self):
+        # np.bincount counts in integers when it has nothing to add
+        for name, dtype in (("value", np.float64), ("support", np.int64), ("missing", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        """The groups as :class:`Estimate` records, in order."""
+        attrs = self.attrs
+        return iter([
+            Estimate(GroupKey(attrs, key), None if miss else v, m, miss)
+            for key, v, m, miss in zip(
+                self.keys, self.value.tolist(), self.support.tolist(), self.missing.tolist()
+            )
+        ])
 
 
 @dataclass(frozen=True)
@@ -273,7 +318,7 @@ def _inputs(rel: Relation, request: QueryRequest):
 # estimation
 
 
-def estimate(sample, request: QueryRequest) -> list[Estimate]:
+def estimate(sample, request: QueryRequest) -> Answer:
     """Answer a query request from a stratified or Poisson sample.
 
     Groups come in first-occurrence order: of the strata for a stratified
@@ -300,17 +345,13 @@ def estimate(sample, request: QueryRequest) -> list[Estimate]:
         len(keys),
     )
     if request.fn == AVG:
-        present = count > 0
+        missing = count == 0
     else:  # SUM and COUNT are missing only where no member stratum holds a row
-        present = np.bincount(group_of_cell, size > 0, len(keys)) > 0
-    out = []
-    for key, v, m, ok in zip(keys, value.tolist(), support.tolist(), present.tolist()):
-        key = GroupKey(attrs, key)
-        out.append(Estimate(key, v, m, False) if ok else Estimate(key, None, 0, True))
-    return out
+        missing = np.bincount(group_of_cell, size > 0, len(keys)) == 0
+    return Answer(attrs, keys, np.where(missing, np.nan, value), support, missing)
 
 
-def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> list[Estimate]:
+def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> Answer:
     """Inverse-inclusion-weighted estimates: each sampled row contributes
     1 / p_r to COUNT and value / p_r to SUM; AVG is their ratio."""
     attrs = tuple(request.group_attrs)
@@ -325,11 +366,19 @@ def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> list[Esti
         request.fn, np.arange(len(ids)), values, keep, 1.0 / sample.rates, ids, len(keys)
     )
     seen, first = np.unique(ids[keep], return_index=True)
-    value, support = value.tolist(), support.tolist()
-    return [
-        Estimate(GroupKey(attrs, keys[g]), value[g], support[g], False)
-        for g in seen[np.argsort(first)].tolist()
-    ]
+    return _matched(attrs, keys, value, support, seen[np.argsort(first)])
+
+
+def _matched(attrs, keys, value, support, groups: np.ndarray) -> Answer:
+    """The answer of the groups ``groups`` (each with a matching row), in
+    that order."""
+    return Answer(
+        attrs,
+        tuple([keys[g] for g in groups.tolist()]),
+        value[groups],
+        support[groups],
+        np.zeros(len(groups), dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +391,13 @@ def exact_answer(
     column: str | None,
     fn: str,
     predicate: Predicate | None = None,
-) -> dict[GroupKey, float]:
+) -> Answer:
     """Exact per-group aggregates from the full relation.
 
-    Groups with no matching rows are absent from the result; the others
-    come in first-occurrence order.  Sums run in ascending row order so
-    that a same-grouping full sample reproduces them bit for bit.
+    Groups with no matching rows are absent from the result, so no group
+    is missing; the others come in first-occurrence order.  Sums run in
+    ascending row order so that a same-grouping full sample reproduces
+    them bit for bit.
     """
     request = QueryRequest(tuple(group_attrs), fn, column, predicate)
     values, keep = _inputs(rel, request)
@@ -355,11 +405,7 @@ def exact_answer(
     value, _, support = _group_by(
         fn, np.arange(rel.n_rows), values, keep, np.ones(rel.n_rows), ids, len(keys)
     )
-    return {
-        GroupKey(request.group_attrs, key): v
-        for key, v, m in zip(keys, value.tolist(), support.tolist())
-        if m
-    }
+    return _matched(request.group_attrs, keys, value, support, np.flatnonzero(support))
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +451,32 @@ def evaluate(
     if missing_policy not in ("score_one", "exclude"):
         raise InvalidArgument(f"unknown missing policy {missing_policy!r}")
     exact = exact_answer(rel, request.group_attrs, request.column, request.fn, request.predicate)
-    estimates = {e.group: e for e in estimate(sample, request)}
+    answer = estimate(sample, request)
     predicted = _predicted_cvs(rel, sample, request)
 
+    # the estimated groups by value tuple; a missing one joins as absent
+    found = {
+        key: v
+        for key, v, miss in zip(answer.keys, answer.value.tolist(), answer.missing.tolist())
+        if not miss
+    }
     scores: list[GroupScore] = []
     warnings: list[str] = []
     missing_count = 0
-    for key, truth in exact.items():
-        cv = predicted.get(key.values)
+    for values, truth in zip(exact.keys, exact.value.tolist()):
+        key = GroupKey(exact.attrs, values)
+        cv = predicted.get(values)
         if truth == 0.0:
             warnings.append(f"ZeroTruth: group {key} has exact value 0, excluded")
             continue
-        est = estimates.get(key)
-        if est is None or est.missing or est.value is None:
+        est = found.get(values)
+        if est is None:
             missing_count += 1
             if missing_policy == "score_one":
                 scores.append(GroupScore(key, truth, None, 1.0, cv, True))
             continue
-        err = abs(est.value - truth) / abs(truth)
-        scores.append(GroupScore(key, truth, est.value, err, cv, False))
+        err = abs(est - truth) / abs(truth)
+        scores.append(GroupScore(key, truth, est, err, cv, False))
 
     errors = [s.rel_error for s in scores if s.rel_error is not None]
     if errors:
@@ -521,17 +574,17 @@ def report_to_csv(report: EvaluationReport) -> str:
     return out.getvalue()
 
 
-def estimates_to_json(estimates: list[Estimate], request: QueryRequest) -> str:
+def estimates_to_json(answer: Answer, request: QueryRequest) -> str:
     doc = {
         "query": request.to_json(),
         "estimates": [
-            {
-                "key": list(e.group.values),
-                "value": e.value,
-                "support": e.support,
-                "missing": e.missing,
-            }
-            for e in estimates
+            {"key": list(key), "value": None if miss else v, "support": m, "missing": miss}
+            for key, v, m, miss in zip(
+                answer.keys,
+                answer.value.tolist(),
+                answer.support.tolist(),
+                answer.missing.tolist(),
+            )
         ],
     }
     return json.dumps(doc, indent=2)

@@ -59,6 +59,7 @@ from .errors import (
     PlanMismatch,
     RateOutOfRange,
     SchemaMismatch,
+    expect,
     member,
     stratum_keys,
 )
@@ -335,11 +336,12 @@ def _is_size(value) -> bool:
 def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
     """Load a sample file; returns a StratifiedSample or PoissonSample.
 
-    Raises CorruptSampleFile on a header that is not JSON and on malformed
-    or truncated rows, InvalidDocument naming the file and the field on a
-    header field of the wrong type (or a repeated stratum key), and
-    SchemaMismatch when ``expect_schema`` is given and differs from the
-    stored schema.
+    Raises CorruptSampleFile on a header that is not JSON, on malformed
+    or truncated rows and on a row whose group values differ from its
+    stratum's key, InvalidDocument naming the file and the field on a
+    header field of the wrong type (or a repeated column name or stratum
+    key), and SchemaMismatch when ``expect_schema`` is given and differs
+    from the stored schema.
     """
     source = str(path)
     get = partial(member, source)
@@ -358,6 +360,7 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
                          get(c, f"schema[{i}]", "kind", *column_kind))
             for i, c in enumerate(get(header, "", "schema", *LIST))
         )
+        expect(source, [c.name for c in schema], "schema", NAMES[0], "columns with distinct names")
         if expect_schema is not None and tuple(expect_schema) != schema:
             raise SchemaMismatch(f"{path}: stored schema differs from expected schema")
         reader = csv.reader(fh)
@@ -431,6 +434,7 @@ def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
                 f"{path}: stratum {GroupKey(group_attrs, values)} samples {s} rows "
                 f"of a population of {pop}"
             )
+    _check_row_keys(group_attrs, keys, stratum, columns, path)
     # stratum after stratum, file order within each
     order = np.argsort(stratum, kind="stable")
     ids = np.array([int(c) for c in row_ids], dtype=np.int64)
@@ -445,6 +449,23 @@ def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
         columns.take(order),
         ids[order],
     )
+
+
+def _check_row_keys(group_attrs, keys, stratum, columns: Relation, path: str) -> None:
+    """Every row's value of each group attribute must be its stratum's:
+    row r's code must equal the code of ``keys[stratum[r]]`` in that column
+    (-1 for a key value no row holds)."""
+    for j, attr in enumerate(group_attrs):
+        codes, levels = columns.encoded(attr)
+        code_of = {value: code for code, value in enumerate(levels)}
+        key_codes = np.array([code_of.get(key[j], -1) for key in keys], dtype=np.intp)
+        wrong = np.flatnonzero(codes != key_codes[stratum])
+        if len(wrong):
+            i, k = wrong[0], stratum[wrong[0]]
+            raise CorruptSampleFile(
+                f"{path}: data row {i} has {attr} = {levels[codes[i]]!r}, but its "
+                f"stratum {k} is {GroupKey(group_attrs, keys[k])}"
+            )
 
 
 def _load_poisson(header, schema, rows, path: str) -> PoissonSample:

@@ -1088,6 +1088,7 @@ SAMPLE_MUTATIONS = [
     ("cvopt-l2", ("schema", 0), "grp", "schema[0]: expected an object"),
     ("cvopt-l2", ("schema", 0, "name"), 5, "schema[0].name: expected a string"),
     ("cvopt-l2", ("schema", 1, "kind"), "text", "schema[1].kind: expected 'categorical' or"),
+    ("cvopt-l2", ("schema", 1, "name"), "grp", "schema: expected columns with distinct names"),
     ("cvopt-l2", ("group_attrs",), "grp", "group_attrs: expected distinct categorical"),
     ("cvopt-l2", ("group_attrs",), ["grp", "grp"], "group_attrs: expected distinct categorical"),
     ("cvopt-l2", ("group_attrs",), ["v"], "group_attrs: expected distinct categorical"),
@@ -1142,4 +1143,36 @@ def test_malformed_sample_header_is_a_user_error(
     for command, written in (("query", "estimates.json"), ("evaluate", "report.json")):
         assert _run(command, "--config", str(cfg)) == 1, command
         assert f"{sample}: {field}" in capsys.readouterr().err
+        assert not (out / written).exists()
+
+
+def test_sample_rows_must_hold_their_stratum_key(tmp_path, fix_a_csv, capsys):
+    """Swapping the two strata's key and n in the header leaves every count
+    consistent, but each row then sits in the stratum of the other group:
+    loading names the first such row and its stratum instead of answering
+    with the groups' counts exchanged."""
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "count", "column": None}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    for command in ("stats", "plan", "sample", "query"):
+        assert _run(command, "--config", str(cfg)) == 0
+    out = tmp_path / "out"
+    counts = json.loads((out / "estimates.json").read_text(encoding="utf-8"))["estimates"]
+    assert [(e["key"], e["value"]) for e in counts] == [(["a"], 8.0), (["b"], 8.0)]
+    (out / "estimates.json").unlink()
+
+    sample = out / "sample.txt"
+    first, body = sample.read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(first)
+    a, b = header["strata"]
+    a["key"], b["key"], a["n"], b["n"] = b["key"], a["key"], b["n"], a["n"]
+    sample.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+    capsys.readouterr()
+    for command, written in (("query", "estimates.json"), ("evaluate", "report.json")):
+        assert _run(command, "--config", str(cfg)) == 1, command
+        err = capsys.readouterr().err
+        assert f"{sample}: data row 0 has grp = 'a', but its stratum 0 is (grp=b)" in err
         assert not (out / written).exists()

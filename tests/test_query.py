@@ -57,6 +57,12 @@ from reference import key_ids, partition, predicted_group_cv, project_key
 
 
 
+def _by_group(answer):
+    """An answer as a ``GroupKey -> value`` dict in answer order (the form
+    ``exact_answer`` returned before answers were arrays)."""
+    return {e.group: e.value for e in answer}
+
+
 def _full_sample(rel, attrs):
     catalog = compute_catalog(rel, list(attrs), [])
     plan = alloc_senate(catalog, rel.n_rows)
@@ -84,29 +90,33 @@ def _two_group_rel():
 
 def test_exact_avg_age_by_major(student_rel):
     got = exact_answer(student_rel, ["major"], "age", AVG)
-    expect = {"CS": 23.5, "Math": 26.0, "EE": 22.0, "ME": 26.5}
-    assert {k.values[0]: v for k, v in got.items()} == pytest.approx(expect)
+    assert got.attrs == ("major",)
+    assert got.keys == (("CS",), ("Math",), ("EE",), ("ME",))
+    assert got.value.tolist() == pytest.approx([23.5, 26.0, 22.0, 26.5])
+    assert got.support.tolist() == [2, 2, 2, 2]
+    assert not got.missing.any()
 
 
 def test_exact_empty_predicate(student_rel):
     nothing = Predicate((Atom("age", ">", 1000.0),))
-    assert exact_answer(student_rel, ["major"], "age", AVG, nothing) == {}
+    got = exact_answer(student_rel, ["major"], "age", AVG, nothing)
+    assert list(got) == [] and got.keys == ()
+    assert len(got.value) == len(got.support) == len(got.missing) == 0
 
 
 def test_exact_single_row_group(student_rel):
     one = Predicate((Atom("id", "=", "3"),))
     got = exact_answer(student_rel, ["major"], "gpa", AVG, one)
-    assert {k.values[0]: v for k, v in got.items()} == {"Math": 3.8}
+    assert got.keys == (("Math",),) and got.value.tolist() == [3.8]
+    assert got.support.tolist() == [1]
 
 
 def test_exact_sum_count(student_rel):
     sums = exact_answer(student_rel, ["college"], "age", SUM)
     counts = exact_answer(student_rel, ["college"], None, COUNT)
-    assert {k.values[0]: v for k, v in sums.items()} == {
-        "Science": 25.0 + 22 + 24 + 28,
-        "Engineering": 21.0 + 23 + 27 + 26,
-    }
-    assert set(counts.values()) == {4.0}
+    assert sums.keys == (("Science",), ("Engineering",))
+    assert sums.value.tolist() == [25.0 + 22 + 24 + 28, 21.0 + 23 + 27 + 26]
+    assert counts.value.tolist() == [4.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +126,13 @@ def test_exact_sum_count(student_rel):
 def test_full_sample_same_grouping_bit_for_bit():
     rel = _two_group_rel()
     sample = _full_sample(rel, ("g", "h"))
-    exact = exact_answer(rel, ["g", "h"], "v", AVG)
+    exact = _by_group(exact_answer(rel, ["g", "h"], "v", AVG))
     for est in estimate(sample, QueryRequest(("g", "h"), AVG, "v")):
         assert est.value == exact[est.group]  # identical float, same sum order
-    exact_sum = exact_answer(rel, ["g", "h"], "v", SUM)
+    exact_sum = _by_group(exact_answer(rel, ["g", "h"], "v", SUM))
     for est in estimate(sample, QueryRequest(("g", "h"), SUM, "v")):
         assert est.value == exact_sum[est.group]
-    exact_count = exact_answer(rel, ["g", "h"], None, COUNT)
+    exact_count = _by_group(exact_answer(rel, ["g", "h"], None, COUNT))
     for est in estimate(sample, QueryRequest(("g", "h"), COUNT)):
         assert est.value == exact_count[est.group]
 
@@ -130,7 +140,7 @@ def test_full_sample_same_grouping_bit_for_bit():
 def test_full_sample_coarser_grouping_exact_within_fp():
     rel = _two_group_rel()
     sample = _full_sample(rel, ("g", "h"))
-    exact = exact_answer(rel, ["g"], "v", AVG)
+    exact = _by_group(exact_answer(rel, ["g"], "v", AVG))
     for est in estimate(sample, QueryRequest(("g",), AVG, "v")):
         assert est.value == pytest.approx(exact[est.group], rel=1e-12)
 
@@ -192,7 +202,7 @@ def test_unbiasedness_monte_carlo_light():
         sample = draw_stratified(rel, plan, seed=seed)
         for est in estimate(sample, QueryRequest(("g",), AVG, "v")):
             sums.setdefault(est.group, []).append(est.value)
-    exact = exact_answer(rel, ["g"], "v", AVG)
+    exact = _by_group(exact_answer(rel, ["g"], "v", AVG))
     for key, values in sums.items():
         arr = np.asarray(values)
         se = arr.std(ddof=1) / math.sqrt(reps)
@@ -238,8 +248,8 @@ def test_missing_group_semantics():
 def test_poisson_full_inclusion_exact(student_rel):
     sample = draw_poisson(student_rel, np.ones(8), seed=1)
     request = QueryRequest(("major",), AVG, "age")
-    got = {e.group: e.value for e in estimate(sample, request)}
-    exact = exact_answer(student_rel, ["major"], "age", AVG)
+    got = _by_group(estimate(sample, request))
+    exact = _by_group(exact_answer(student_rel, ["major"], "age", AVG))
     for key, value in exact.items():
         assert got[key] == pytest.approx(value)
 
@@ -372,8 +382,8 @@ def test_grand_total_grouping(student_rel):
     sample = _full_sample(student_rel, ("major",))
     (est,) = estimate(sample, QueryRequest((), AVG, "age"))
     exact = exact_answer(student_rel, [], "age", AVG)
-    assert est.group.attrs == ()
-    assert est.value == pytest.approx(list(exact.values())[0], rel=1e-12)
+    assert est.group.attrs == () and exact.keys == ((),)
+    assert est.value == pytest.approx(float(exact.value[0]), rel=1e-12)
 
 
 def test_out_of_range_arguments_raise_invalid_argument(student_rel):
@@ -675,8 +685,22 @@ def _as_tuples(estimates):
     return [(e.group, e.value, e.support, e.missing) for e in estimates]
 
 
+def _check_arrays(answer):
+    """An answer's arrays have one entry per key, ``value`` is NaN exactly
+    where ``missing``, and its view holds the keys in order."""
+    n = len(answer.keys)
+    assert len(answer) == n
+    assert answer.value.dtype == np.float64 and answer.value.shape == (n,)
+    assert answer.support.dtype == np.int64 and answer.support.shape == (n,)
+    assert answer.missing.dtype == bool and answer.missing.shape == (n,)
+    assert np.isnan(answer.value).tolist() == answer.missing.tolist()
+    view = list(answer)
+    assert [e.group for e in view] == [GroupKey(answer.attrs, k) for k in answer.keys]
+
+
 def _same_estimates(sample, request):
     got = estimate(sample, request)
+    _check_arrays(got)
     assert _as_tuples(got) == _as_tuples(_ref_estimate(sample, request)), request
     assert _as_tuples(got) == _as_tuples(_ref_tuple_estimate(sample, request)), request
     # plain Python numbers, so the JSON written from them stays as it was
@@ -744,8 +768,19 @@ def _check_exact(rel, rng):
     for request in _requests(STRAT_GROUPINGS, _random_predicates(rng)):
         args = (rel, request.group_attrs, request.column, request.fn, request.predicate)
         got, want = exact_answer(*args), _ref_exact_answer(*args)
-        assert list(got.items()) == list(want.items()), request
-        assert all(type(v) is float for v in got.values())
+        _check_exact_arrays(got, want, request)
+
+
+def _check_exact_arrays(got, want, request):
+    """``exact_answer``'s arrays against the oracle's dict, in order."""
+    _check_arrays(got)
+    assert got.attrs == tuple(request.group_attrs)
+    assert list(zip(got.keys, got.value.tolist())) == [
+        (k.values, v) for k, v in want.items()
+    ], request
+    assert not got.missing.any() and (got.support > 0).all()
+    assert list(_by_group(got).items()) == list(want.items()), request
+    assert all(type(e.value) is float for e in got)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -841,11 +876,62 @@ def test_kernel_on_empty_samples_and_relations():
         _check_sample(sample, rng)
     # every group of the stratified sample is reported missing
     assert all(e.missing for e in estimate(nothing_drawn, QueryRequest(("g",), COUNT)))
-    assert estimate(no_strata, QueryRequest((), COUNT)) == []
+    assert list(estimate(no_strata, QueryRequest((), COUNT))) == []
     empty_rel = Relation(SCHEMA_GHV, {"g": [], "h": [], "v": [], "w": []})
     for attrs in (("g",), ()):
-        assert exact_answer(empty_rel, attrs, "v", AVG) == {}
+        got = exact_answer(empty_rel, attrs, "v", AVG)
+        assert list(got) == [] and got.keys == () and len(got.value) == 0
         assert _ref_exact_answer(empty_rel, attrs, "v", AVG) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_rows=st.integers(0, 60),
+    g_card=st.integers(1, len(KEY_NAMES)),
+    h_card=st.integers(1, 3),
+    budget=st.integers(1, 60),
+    zero=st.booleans(),
+)
+def test_answer_arrays_match_the_oracles(seed, n_rows, g_card, h_card, budget, zero):
+    """On random stratified and Poisson samples, for AVG, SUM and COUNT with
+    no predicate, one that keeps some rows and one that keeps none, an
+    answer's view equals both oracles in order, its value is NaN exactly
+    where it is missing, and the exact answer's arrays are the oracle's
+    dict in order; a sample with no strata answers no group and one where
+    nothing was drawn answers every group missing."""
+    rng = np.random.default_rng(seed)
+    rel = _random_rel(rng, n_rows, g_card, h_card)
+    predicates = (
+        None,
+        Predicate((Atom("v", "<", 10.0),)),
+        Predicate((Atom("v", ">", 1e9),)),
+    )
+    no_strata = StratifiedSample(rel.schema, ("g", "h"), "l2", seed)
+    samples = [draw_poisson(rel, rng.choice([0.0, 0.3, 1.0], size=n_rows), seed), no_strata]
+    nothing_drawn = None
+    if n_rows:
+        samples.append(_stratified(rel, seed, budget, rng, zero))
+        plan = plan_l2(compute_catalog(rel, ["g", "h"], ["v"]), ["v"], budget)
+        plan.sizes[:] = 0
+        nothing_drawn = draw_stratified(rel, plan, seed=seed)
+        samples.append(nothing_drawn)
+    for request in _requests(STRAT_GROUPINGS, predicates):
+        for sample in samples:
+            answer = estimate(sample, request)
+            _check_arrays(answer)
+            assert answer.attrs == request.group_attrs
+            assert list(answer) == _ref_estimate(sample, request), request
+            assert list(answer) == _ref_tuple_estimate(sample, request), request
+            if sample is no_strata:
+                assert len(answer) == 0
+            if sample is nothing_drawn:
+                groups = rel.strata(request.group_attrs).keys
+                assert answer.keys == groups and answer.missing.all()
+            if request.group_attrs == () and isinstance(sample, StratifiedSample):
+                assert answer.keys == (((),) if len(sample.keys) else ())
+        args = (rel, request.group_attrs, request.column, request.fn, request.predicate)
+        _check_exact_arrays(exact_answer(*args), _ref_exact_answer(*args), request)
 
 
 def test_mask_agrees_with_reference_row_matcher():

@@ -365,7 +365,7 @@ def test_snapshot_usable_for_estimation():
     rel = Relation.from_records(SCHEMA, rows)
     from gbsample.query import exact_answer
 
-    exact = exact_answer(rel, ["g"], "v", AVG)
+    exact = {e.group: e.value for e in exact_answer(rel, ["g"], "v", AVG)}
     for est in ests:
         assert abs(est.value - exact[est.group]) / abs(exact[est.group]) < 0.25
 
