@@ -72,9 +72,11 @@ c,y,1
 
 #: per table: categorical and numeric columns, stratification attributes,
 #: the budget setting, a predicate for the workload, a ``rare`` predicate
-#: that few rows match (so AVG leaves sampled groups missing) and, for an
-#: inline table, its CSV text; a table with a ``zero_mean`` policy runs only
-#: the plans of :func:`_zero_mean_runs`
+#: that few rows match (so AVG leaves sampled groups missing), a ``share``
+#: predicate that drops one group of the first attribute and keeps the
+#: others whole (so a workload query under it shares their entities) and,
+#: for an inline table, its CSV text; a table with a ``zero_mean`` policy
+#: runs only the plans of :func:`_zero_mean_runs`
 TABLES = {
     "student": {
         "categorical": ["id", "major", "college"],
@@ -83,6 +85,7 @@ TABLES = {
         "size": {"budget": 6},
         "predicate": [{"column": "age", "op": ">", "value": 22}],
         "rare": [{"column": "age", "op": ">", "value": 26}],
+        "share": [{"column": "major", "op": "!=", "value": "CS"}],
         "csv": STUDENT_CSV,
     },
     "zero_mean": {
@@ -103,6 +106,7 @@ TABLES = {
             "size": {"rate": 0.1},
             "predicate": [{"column": "y", "op": "<", "value": 60.0}],
             "rare": [{"column": "x", "op": ">", "value": 60.0}],
+            "share": [{"column": "a", "op": "!=", "value": "a0"}],
         }
         for name, attrs in (
             ("build", ["a", "b"]),
@@ -158,7 +162,9 @@ def _cube(attrs: list[str], column: str) -> list[dict]:
 
 
 def _runs(spec: dict, work: Path) -> dict[str, dict]:
-    """Config fields per method on one table."""
+    """Config fields per method on one table.  The workload's last query
+    repeats its first under the ``share`` predicate, so the groups that
+    predicate keeps whole are entities of both queries."""
     attrs, (x, y) = spec["attrs"], spec["numeric"][:2]
     workload = _write(
         work / "workload.json",
@@ -166,6 +172,7 @@ def _runs(spec: dict, work: Path) -> dict[str, dict]:
             {"group_by": attrs[:1], "aggregates": [x], "repeats": 3},
             {"group_by": attrs[1:], "aggregates": [x, y], "predicate": spec["predicate"]},
             {"group_by": [], "aggregates": [y]},
+            {"group_by": attrs[:1], "aggregates": [x], "predicate": spec["share"], "repeats": 2},
         ],
     )
     cube = _write(work / "cube.json", _cube(attrs, x))

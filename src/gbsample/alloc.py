@@ -56,6 +56,7 @@ from .errors import (
     STRINGS,
     AllStrataConstant,
     EmptyProblem,
+    FloatOverflow,
     InvalidArgument,
     InvalidSampleSize,
     NonPositiveCost,
@@ -67,7 +68,7 @@ from .errors import (
     member,
     stratum_keys,
 )
-from .stats import StatsCatalog
+from .stats import StatsCatalog, squares
 
 #: zero-variance strata get this fraction of the smallest positive cost
 ZERO_COST_RATIO = 1e-12
@@ -106,10 +107,8 @@ class WeightSpec:
     def __hash__(self):
         return hash((frozenset(self.entries.items()), self.default))
 
-    def weight(self, query: int | None, key: GroupKey | None, column: str | None) -> float:
-        return self._lookup(query, key.values if key is not None else None, column)
-
-    def _lookup(self, query: int | None, values: tuple | None, column: str | None) -> float:
+    def weight(self, query: int | None, values: tuple | None, column: str | None) -> float:
+        """The most specific entry for (query, values, column), or ``default``."""
         for probe in (
             (query, values, column),
             (None, values, column),
@@ -124,7 +123,7 @@ class WeightSpec:
         """:meth:`weight` of ``column`` for every group value tuple in ``keys``."""
         if not self.entries:
             return np.full(len(keys), self.default, dtype=np.float64)
-        return np.array([self._lookup(query, k, column) for k in keys], dtype=np.float64)
+        return np.array([self.weight(query, k, column) for k in keys], dtype=np.float64)
 
 
 UNIT_WEIGHTS = WeightSpec()
@@ -357,14 +356,6 @@ def plan_l2(
     return _assemble_plan(L2, catalog, kept, costs, excluded, budget)
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x**2 elementwise by Python's float power, which calls the C library's
-    pow; numpy's square is the correctly rounded product x * x and differs
-    from pow in the last bit for a small share of values, which would move
-    the last digits of plans."""
-    return np.array([v**2 for v in np.asarray(x, dtype=np.float64).tolist()])
-
-
 def cv2_costs(
     catalog: StatsCatalog,
     columns: Sequence[str],
@@ -377,7 +368,9 @@ def cv2_costs(
 
     Zero-weight columns add nothing; zero-mean columns have no CV and add
     nothing either, so each caller applies its own zero-mean policy to the
-    strata the second array flags.
+    strata the second array flags.  A cost beyond the float range raises
+    :class:`FloatOverflow` naming the first stratum and the column that
+    took it there.
     """
     costs = np.zeros(len(catalog))
     first_zero = np.full(len(catalog), -1)
@@ -387,8 +380,12 @@ def cv2_costs(
         zero = (w != 0.0) & (mu == 0.0)
         first_zero[zero & (first_zero < 0)] = j
         on = (w != 0.0) & ~zero
-        cv = catalog.std[col][on] / np.abs(mu[on])
-        costs[on] = costs[on] + w[on] * _squares(cv)
+        with np.errstate(over="ignore"):
+            cv = catalog.std[col][on] / np.abs(mu[on])
+            costs[on] = costs[on] + w[on] * np.array(squares(cv))
+        bad = np.flatnonzero(~np.isfinite(costs))
+        if bad.size:
+            raise FloatOverflow("the squared-CV cost is", catalog.group_keys([int(bad[0])])[0], col)
     return costs, first_zero
 
 
@@ -542,8 +539,9 @@ def multi_grouping_costs(
     fs: FinestStratification,
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
-) -> tuple[list[GroupKey], np.ndarray]:
-    """Cost coefficients for fine strata serving several group-by queries.
+) -> np.ndarray:
+    """Cost coefficients for the strata of ``fs.fine``, in its order, that
+    serve several group-by queries.
 
     For fine stratum f with population n_f and, under query i, containing
     group g with population n_g and column mean mu_gl:
@@ -553,15 +551,19 @@ def multi_grouping_costs(
     With a single query grouped exactly by the union attributes this
     reduces to the plain weighted squared-CV cost.  Under
     ``zero_mean="exclude"`` the terms of zero-mean coarse groups are
-    dropped instead of raising.
+    dropped instead of raising.  A cost beyond the float range raises
+    :class:`FloatOverflow` naming the first fine stratum and the column
+    that took it there.
     """
     exclude = _excludes_zero_mean(zero_mean)
     fine = fs.fine
-    sigma2 = {col: _squares(fine.std[col]) for col in fine.agg_columns}
+    sigma2 = {col: np.array(squares(fine.std[col])) for col in fine.agg_columns}
     total = np.zeros(len(fine))
     zeros = []  # (fine stratum, query, column) of a query column's first zero-mean term
+    terms = []  # (column, on, term, group_n2) of every query column, to name an overflow
     for i, (q, coarse, ids) in enumerate(zip(fs.queries, fs.coarse, fs.coarse_ids)):
         inner = np.zeros(len(fine))
+        group_n2 = (coarse.n.astype(np.float64) ** 2)[ids]
         for j, col in enumerate(q.columns):
             w = weights.weights_of(i, coarse.keys, col)[ids]
             mu = coarse.mean[col][ids]
@@ -569,15 +571,44 @@ def multi_grouping_costs(
             if zero.size and not exclude:
                 zeros.append((int(zero[0]), i, j))
             on = (w != 0.0) & (mu != 0.0)
-            term = w[on] * sigma2[col][on] / _squares(coarse.mean[col])[ids[on]]
-            inner[on] = inner[on] + term
-        total = total + inner / (coarse.n.astype(np.float64) ** 2)[ids]
+            mean2 = np.array(squares(coarse.mean[col]))[ids[on]]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                term = w[on] * sigma2[col][on] / mean2
+                # where a square left the float range, square the CV instead
+                odd = ~np.isfinite(term)
+                if odd.any():
+                    cv = fine.std[col][on][odd] / np.abs(mu[on][odd])
+                    term[odd] = w[on][odd] * np.array(squares(cv))
+                inner[on] = inner[on] + term
+            terms.append((col, on, term, group_n2))
+        total = total + inner / group_n2
     if zeros:  # raise for the first in the order fine stratum, query, column
         f, i, j = min(zeros)
         key = GroupKey(fs.queries[i].attrs, fs.coarse[i].keys[fs.coarse_ids[i][f]])
         raise ZeroMeanCoarseGroup(key, fs.queries[i].columns[j])
-    costs = fine.n.astype(np.float64) ** 2 * total
-    return fine.group_keys(), floor_zero_costs(costs)
+    with np.errstate(over="ignore"):
+        costs = fine.n.astype(np.float64) ** 2 * total
+    bad = np.flatnonzero(~np.isfinite(costs))
+    if bad.size:
+        f = int(bad[0])
+        column = _overflowing_column(f, float(fine.n[f]) ** 2, terms)
+        raise FloatOverflow("the squared-CV cost is", fine.group_keys([f])[0], column)
+    return floor_zero_costs(costs)
+
+
+def _overflowing_column(f: int, n2: float, terms: list) -> str:
+    """The column whose term takes fine stratum ``f``'s running cost, with
+    ``n2`` its squared population, beyond the float range, from the
+    ``terms`` of :func:`multi_grouping_costs`.  Every term is non-negative,
+    so the running cost only grows."""
+    running = np.float64(0.0)
+    with np.errstate(all="ignore"):
+        for col, on, term, group_n2 in terms:
+            if on[f]:
+                running = running + term[np.count_nonzero(on[:f])] / group_n2[f]
+                if not np.isfinite(n2 * running):
+                    return col
+    return terms[-1][0]
 
 
 def plan_multi_groupby(
@@ -586,7 +617,7 @@ def plan_multi_groupby(
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
 ) -> AllocationPlan:
-    _, costs = multi_grouping_costs(fs, weights, zero_mean)
+    costs = multi_grouping_costs(fs, weights, zero_mean)
     return _assemble_plan(L2, fs.fine, np.arange(len(fs.fine)), costs, [], budget)
 
 
@@ -820,12 +851,14 @@ def predicted_group_cvs(
     sum(n_c^2 sigma_c^2 / s_c - n_c sigma_c^2) / n_g^2 added in member
     order (a stratum with sigma_c = 0 adds exactly 0).  A positive-variance
     stratum with no sample makes its group's CV inf; a group with mean 0
-    gets None.
+    gets None.  A variance beyond the float range gives an inf or NaN CV,
+    without a warning.
     """
     drawn, size = s > 0, len(mean)
-    part = n * n * sigma * sigma / np.where(drawn, s, 1) - n * sigma * sigma
     n_g = np.bincount(group, n, size)
-    cv = np.sqrt(np.maximum(np.bincount(group, part, size), 0.0) / (n_g * n_g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = n * n * sigma * sigma / np.where(drawn, s, 1) - n * sigma * sigma
+        cv = np.sqrt(np.maximum(np.bincount(group, part, size), 0.0) / (n_g * n_g))
     cv = np.divide(cv, np.abs(mean), out=np.zeros(size), where=mean != 0.0)
     cv[np.bincount(group, (sigma != 0.0) & ~drawn, size) > 0] = math.inf
     return [None if mu == 0.0 else c for c, mu in zip(cv.tolist(), mean.tolist())]

@@ -56,8 +56,10 @@ from .errors import (
     NAMES,
     NUMBER,
     OBJECT,
+    SEED,
     STRING,
     STRINGS,
+    CatalogMismatch,
     GbsampleError,
     expect,
     member,
@@ -85,7 +87,7 @@ class RunConfig:
     weight_transform: str = field(default="identity", metadata={"choices": ["identity", "sqrt"]})
     zero_mean: str = field(default="error", metadata={"choices": ["error", "exclude"]})
     query: str | None = None
-    seed: int | None = None
+    seed: int | None = field(default=None, metadata={"check": nullable(SEED)})
     out_dir: str = "out"
     batch_size: int = 1
     # compare defaults: every method that draws a stratified sample
@@ -160,7 +162,8 @@ def load_config(args) -> RunConfig:
             raise UsageError(f"unknown config field {k!r}")
     for f in fields(RunConfig):
         if f.name in doc:
-            setattr(cfg, f.name, member(cfg.source, doc, "", f.name, *_KINDS[f.type][0]))
+            check = f.metadata.get("check", _KINDS[f.type][0])
+            setattr(cfg, f.name, member(cfg.source, doc, "", f.name, *check))
         value = getattr(args, f.name, None)
         if f.type == "list[str]":
             flag = "--" + f.name.replace("_", "-")
@@ -246,6 +249,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     rel = _load_relation(cfg)
     attrs, cols = _stats_attrs_columns(cfg)
     catalog = stats.compute_catalog(rel, attrs, cols)
+    stats.finite_catalog(catalog)
     path = _out(cfg, "catalog.json")
     path.write_text(stats.catalog_to_json(catalog), encoding="utf-8")
     print(f"wrote {path} ({len(catalog)} strata, N={catalog.total_n})")
@@ -268,11 +272,28 @@ def _allocate(method: str, cfg: RunConfig, catalog, queries, budget, weights):
     raise UsageError(f"no stratified plan for method {method!r}")
 
 
+def _check_catalog(cfg: RunConfig, catalog, path: str, queries) -> None:
+    """Raise :class:`CatalogMismatch` unless the catalog file at ``path``
+    has every grouping attribute and aggregation column of ``queries``."""
+    attrs = list(dict.fromkeys(a for q in queries for a in q.attrs))
+    columns = list(dict.fromkeys(c for q in queries for c in q.columns))
+    if set(attrs) <= set(catalog.group_attrs) and set(columns) <= set(catalog.agg_columns):
+        return
+    raise CatalogMismatch(
+        f"{path} groups by {list(catalog.group_attrs)} and aggregates "
+        f"{list(catalog.agg_columns)}, but {cfg.source} asks for the attributes "
+        f"{attrs} and the aggregates {columns}; run the stats command again"
+    )
+
+
 def _build_plan(cfg: RunConfig):
     """Dispatch on method; returns (plan_or_alloc, json_text)."""
-    catalog = stats.catalog_from_json(*_read_output(cfg, "catalog.json", "stats"))
+    text, path = _read_output(cfg, "catalog.json", "stats")
+    catalog = stats.catalog_from_json(text, path)
     queries_w = _load_workload(cfg) if cfg.workload else None
     queries = _queries(cfg, queries_w)
+    if cfg.method not in baselines.ALLOCATORS:  # the baselines read only the counts
+        _check_catalog(cfg, catalog, path, queries)
     budget, warnings = cfg.resolve_budget(catalog.total_n, len(catalog))
 
     weights = _explicit_weights(cfg)

@@ -27,10 +27,17 @@ class InvalidDocument(GbsampleError):
 
 
 #: (check, description) pairs of JSON value types for :func:`member` and
-#: :func:`expect`.  A bool is not an integer, nor is 1.0; a bare string is
-#: not a list of strings (it is never split into its characters).
-INTEGER = (lambda v: type(v) is int, "an integer")
-COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+#: :func:`expect`.  A bool is not an integer, nor is 1.0; an integer must
+#: fit in int64, the type every count and index is held in; a bare string
+#: is not a list of strings (it is never split into its characters).
+INTEGER = (
+    lambda v: type(v) is int and -(2**63) <= v < 2**63,
+    "an integer in the int64 range",
+)
+COUNT = (lambda v: INTEGER[0](v) and v >= 0, "a non-negative integer in the int64 range")
+#: a seed is any non-negative integer: numpy's SeedSequence takes every
+#: such int, and no seed is held in int64
+SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
 STRING = (lambda v: isinstance(v, str), "a string")
 LIST = (lambda v: isinstance(v, list), "a list")
@@ -143,6 +150,11 @@ class EmptyProblem(GbsampleError):
     pass
 
 
+class CatalogMismatch(GbsampleError):
+    """A catalog file lacks a grouping attribute or an aggregation column
+    that the configured queries read."""
+
+
 class NonPositiveCost(GbsampleError):
     pass
 
@@ -167,6 +179,16 @@ class ZeroMeanCoarseGroup(ZeroMeanError):
 
 class ZeroMeanGroup(ZeroMeanError):
     pass
+
+
+class FloatOverflow(GbsampleError):
+    """A stratum's moments or cost under one column lie beyond the float
+    range, so no CV can be computed from them."""
+
+    def __init__(self, what: str, key, column: str):
+        super().__init__(f"{key} column {column!r}: {what} beyond the float range")
+        self.key = key
+        self.column = column
 
 
 class AllStrataConstant(GbsampleError):

@@ -53,6 +53,7 @@ from .errors import (
     INTEGER,
     LIST,
     NAMES,
+    SEED,
     STRING,
     CorruptSampleFile,
     InvalidArgument,
@@ -136,10 +137,6 @@ class StratifiedSample:
     @property
     def total_rows(self) -> int:
         return int(self.size.sum())
-
-    @property
-    def population(self) -> int:
-        return int(self.n.sum())
 
     @property
     def row_strata(self) -> np.ndarray:
@@ -353,7 +350,7 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
         kinds = (lambda v: v in ("stratified", "poisson"), "'stratified' or 'poisson'")
         kind = get(header, "", "kind", *kinds)
         get(header, "", "method", *STRING)  # both kinds carry these two
-        get(header, "", "seed", *COUNT)
+        get(header, "", "seed", *SEED)
         column_kind = (lambda v: v in (CATEGORICAL, NUMERIC), f"{CATEGORICAL!r} or {NUMERIC!r}")
         schema = tuple(
             ColumnSchema(get(c, f"schema[{i}]", "name", *STRING),

@@ -32,6 +32,7 @@ the streaming sampler's online moments alike.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -40,7 +41,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import GroupKey, Relation, key_relation
-from .errors import COUNT, LIST, NAMES, NUMBER, STRINGS, InvalidDocument, NotASubset, member
+from .errors import (
+    COUNT,
+    LIST,
+    NAMES,
+    NUMBER,
+    FloatOverflow,
+    InvalidDocument,
+    NotASubset,
+    member,
+    stratum_keys,
+)
 
 #: significant digits used when serializing floating point values
 FLOAT_DIGITS = 17
@@ -48,6 +59,21 @@ FLOAT_DIGITS = 17
 
 def _fmt(x: float) -> float:
     return float(format(float(x), f".{FLOAT_DIGITS}g"))
+
+
+def squares(x) -> list[float]:
+    """The square of every value of ``x`` by Python's float power, which
+    calls the C library's pow; numpy's square is the correctly rounded
+    product x * x and differs from pow in the last bit for a small share of
+    values, which would move the last digits of plans.  A square beyond the
+    float range is inf."""
+    out = []
+    for v in np.asarray(x, dtype=np.float64).tolist():
+        try:
+            out.append(v**2)
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def std_of(n: np.ndarray, m2: np.ndarray | Sequence[float]) -> np.ndarray:
@@ -137,10 +163,10 @@ class StatsCatalog:
         mean, std = {}, {}
         for col, fine_mean, fine_std in _column_lists(self):
             count, mu, m2 = [0] * size, [0.0] * size, [0.0] * size
-            for g, n_f, mean_f, std_f in zip(groups, fine_n, fine_mean, fine_std):
+            for g, n_f, mean_f, var_f in zip(groups, fine_n, fine_mean, squares(fine_std)):
                 # Chan, Golub and LeVeque's update of (count, mu, m2)[g] by
                 # the fine stratum's moments, in catalog order
-                m2_f = std_f**2 * (n_f - 1)
+                m2_f = var_f * (n_f - 1)
                 a = count[g]
                 if a == 0:
                     count[g], mu[g], m2[g] = n_f, mean_f, m2_f
@@ -152,6 +178,7 @@ class StatsCatalog:
                     count[g] = total
             mean[col], std[col] = mu, std_of(n, m2)
         out = StatsCatalog(attrs, self.agg_columns, list(keys), n, mean, std, self.total_n)
+        finite_catalog(out)
         found = self._pooled[attrs] = out, ids
         return found
 
@@ -176,7 +203,9 @@ def _column_lists(catalog: StatsCatalog) -> list[tuple[str, list[float], list[fl
 def compute_catalog(
     rel: Relation, group_attrs: Sequence[str], agg_columns: Sequence[str]
 ) -> StatsCatalog:
-    """Summarize every occurring stratum, in first-occurrence order."""
+    """Summarize every occurring stratum, in first-occurrence order.  A
+    moment beyond the float range is kept as inf or NaN, without a warning;
+    :func:`finite_catalog` rejects such a catalog."""
     group_attrs = tuple(group_attrs)
     agg_columns = tuple(agg_columns)
     strata = rel.strata(group_attrs)
@@ -186,16 +215,27 @@ def compute_catalog(
     for col in agg_columns:
         ordered = rel.numeric(col)[strata.order]
         mu, m2 = [], []
-        for lo, hi in slices:
-            # the method forms of np.mean and np.sum: the same pairwise sums,
-            # bit for bit, without the dispatch overhead that dominates
-            # small strata
-            x = ordered[lo:hi]
-            mu.append(float(x.sum()) / (hi - lo) if hi > lo else 0.0)
-            d = x - mu[-1]
-            m2.append(float((d * d).sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in slices:
+                # the method forms of np.mean and np.sum: the same pairwise sums,
+                # bit for bit, without the dispatch overhead that dominates
+                # small strata
+                x = ordered[lo:hi]
+                mu.append(float(x.sum()) / (hi - lo) if hi > lo else 0.0)
+                d = x - mu[-1]
+                m2.append(float((d * d).sum()))
         mean[col], std[col] = mu, std_of(n, m2)
     return StatsCatalog(group_attrs, agg_columns, list(strata.keys), n, mean, std, rel.n_rows)
+
+
+def finite_catalog(catalog: StatsCatalog) -> None:
+    """Raise :class:`FloatOverflow` naming the first column, and its first
+    stratum, whose mean or std is not finite."""
+    for col in catalog.agg_columns:
+        bad = np.flatnonzero(~np.isfinite(catalog.mean[col]) | ~np.isfinite(catalog.std[col]))
+        if bad.size:
+            key = catalog.group_keys([int(bad[0])])[0]
+            raise FloatOverflow("the mean or std is", key, col)
 
 
 def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCatalog:
@@ -242,19 +282,12 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
     agg_columns = tuple(get(doc, "", "agg_columns", *NAMES))
     total_n = get(doc, "", "total_n", *COUNT)
     strata = get(doc, "", "strata", *LIST)
-    index: dict[tuple, int] = {}
+    keys = stratum_keys(source, strata, [len(group_attrs)] * len(strata))
     n: list[int] = []
     mean: dict[str, list[float]] = {c: [] for c in agg_columns}
     std: dict[str, list[float]] = {c: [] for c in agg_columns}
     for i, item in enumerate(strata):
         at = f"strata[{i}]"
-        key = tuple(get(item, at, "key", *STRINGS))
-        if len(key) != len(group_attrs):
-            raise InvalidDocument(
-                f"{source}: {at}.key: expected {len(group_attrs)} values, got {list(key)!r}"
-            )
-        if index.setdefault(key, i) != i:
-            raise InvalidDocument(f"{source}: {at}.key: repeats stratum {list(key)!r}")
         n.append(get(item, at, "n", *COUNT))
         for col in agg_columns:
             summary = get(get(item, at, "columns"), f"{at}.columns", col)
@@ -262,4 +295,4 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
             std[col].append(float(get(summary, f"{at}.columns.{col}", "std", *spread)))
     if total_n != sum(n):
         raise InvalidDocument(f"{source}: total_n: expected {sum(n)}, the sum of n, got {total_n}")
-    return StatsCatalog(group_attrs, agg_columns, list(index), n, mean, std, total_n)
+    return StatsCatalog(group_attrs, agg_columns, keys, n, mean, std, total_n)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation
+from .dataset import Relation
 from .errors import (
     INTEGER,
     LIST,
@@ -48,28 +48,25 @@ class QuerySpec:
             raise InvalidArgument(f"repeats must be >= 1, got {self.repeats}")
 
 
-@dataclass(frozen=True)
-class AggregationGroup:
-    """A (column, group) entity with its predicate-restricted member rows."""
-
-    column: str
-    group: GroupKey
-    member_rows: frozenset[int]
-
-
 @dataclass
 class FrequencyTable:
-    """Frequencies of the distinct aggregation groups of a workload, plus
-    which queries induced each entity (query index -> that query's view of
-    the group key)."""
+    """The distinct aggregation groups (entities) of a workload, one row per
+    entity in order of first induction: entity e aggregates ``columns[e]``
+    over the rows ``members[e]`` (ascending row ids, read-only), the group
+    with values ``values[e]`` under ``attrs[e]`` in the first query that
+    induced it; ``frequencies[e]`` is its summed repeat count, and
+    ``inducers[e]`` lists each inducing query's index with its value tuple
+    of the group."""
 
-    frequencies: dict[AggregationGroup, int] = field(default_factory=dict)
-    inducers: dict[AggregationGroup, list[tuple[int, GroupKey]]] = field(
-        default_factory=dict
-    )
+    columns: list[str] = field(default_factory=list)
+    attrs: list[tuple[str, ...]] = field(default_factory=list)
+    values: list[tuple] = field(default_factory=list)
+    members: list[np.ndarray] = field(default_factory=list)
+    frequencies: list[int] = field(default_factory=list)
+    inducers: list[list[tuple[int, tuple]]] = field(default_factory=list)
 
     def total(self) -> int:
-        return sum(self.frequencies.values())
+        return sum(self.frequencies)
 
     def __len__(self):
         return len(self.frequencies)
@@ -80,40 +77,42 @@ def derive_aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> F
 
     Every query contributes its repeat count to each (column, occurring
     group) it induces under its predicate; entities with identical column
-    and member-row set accumulate across queries.  Groups emptied by a
+    and member rows accumulate across queries.  Groups emptied by a
     predicate are not materialized.
     """
     if not workload:
         raise EmptyProblem("workload is empty")
     table = FrequencyTable()
-    by_identity: dict[tuple[str, frozenset[int]], AggregationGroup] = {}
+    # (column, member row ids as bytes) -> entity; the ids of a group are
+    # ascending intp, so equal bytes mean equal member sets
+    entity_of: dict[tuple[str, bytes], int] = {}
     for qidx, query in enumerate(workload):
         for col in query.agg_columns:
             if rel.kind_of(col) != "numeric":
                 raise UnknownColumn(col)
-        mask = None if query.predicate is None else query.predicate.mask(rel)
         _, values, order, bounds = rel.strata(query.group_attrs)
-        if mask is not None:
+        if query.predicate is not None:
             # keep the matching rows; each bound moves to the count kept before it
-            keep = mask[order]
+            keep = query.predicate.mask(rel)[order]
             order = order[keep]
+            order.flags.writeable = False
             bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
-        rows = order.tolist()
         for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
             if lo == hi:
                 continue
-            key = GroupKey(query.group_attrs, values[k])
-            members = frozenset(rows[lo:hi])
+            members = order[lo:hi]
+            ident = members.tobytes()
             for col in query.agg_columns:
-                ident = (col, members)
-                entity = by_identity.get(ident)
-                if entity is None:
-                    entity = AggregationGroup(col, key, members)
-                    by_identity[ident] = entity
-                    table.frequencies[entity] = 0
-                    table.inducers[entity] = []
-                table.frequencies[entity] += query.repeats
-                table.inducers[entity].append((qidx, key))
+                e = entity_of.setdefault((col, ident), len(table))
+                if e == len(table):
+                    table.columns.append(col)
+                    table.attrs.append(query.group_attrs)
+                    table.values.append(values[k])
+                    table.members.append(members)
+                    table.frequencies.append(0)
+                    table.inducers.append([])
+                table.frequencies[e] += query.repeats
+                table.inducers[e].append((qidx, values[k]))
     return table
 
 
@@ -123,17 +122,17 @@ def weights_from_frequencies(
     """Weights proportional to entity frequencies (or their square roots).
 
     The weight of an entity is attached, for every query that induces it,
-    to that query's (index, group key, column) triple so the allocators can
-    look it up.  Absolute scale is irrelevant: the allocation is invariant
-    to rescaling all weights.
+    to that query's (index, group values, column) triple so the allocators
+    can look it up.  Absolute scale is irrelevant: the allocation is
+    invariant to rescaling all weights.
     """
     if not table.frequencies:
         raise EmptyProblem("frequency table is empty")
     entries: dict[tuple, float] = {}
-    for entity, freq in table.frequencies.items():
+    for column, freq, inducers in zip(table.columns, table.frequencies, table.inducers):
         w = _transform(freq, transform)
-        for qidx, key in table.inducers[entity]:
-            entries[(qidx, key.values, entity.column)] = w
+        for qidx, values in inducers:
+            entries[(qidx, values, column)] = w
     return WeightSpec(entries)
 
 
@@ -157,13 +156,13 @@ def allocation_inputs(
     queries: list[GroupQuery] = []
     index: dict[tuple, int] = {}
     entries: dict[tuple, float] = {}
-    for entity, freq in table.frequencies.items():
-        _, first_key = table.inducers[entity][0]
-        slot = (first_key.attrs, entity.column)
-        if slot not in index:
-            index[slot] = len(queries)
-            queries.append(GroupQuery(first_key.attrs, (entity.column,)))
-        probe = (index[slot], first_key.values, entity.column)
+    for attrs, values, column, freq in zip(
+        table.attrs, table.values, table.columns, table.frequencies
+    ):
+        slot = index.setdefault((attrs, column), len(queries))
+        if slot == len(queries):
+            queries.append(GroupQuery(attrs, (column,)))
+        probe = (slot, values, column)
         entries[probe] = entries.get(probe, 0.0) + _transform(freq, transform)
     return queries, WeightSpec(entries, default=0.0)
 

@@ -184,8 +184,10 @@ def draw_poisson(rel: Relation, p, seed: int) -> tuple[list, list, list]:
 
 def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tuple]:
     """:func:`gbsample.workload.derive_aggregation_groups` over
-    :func:`partition`'s row lists: (column, group key, member rows,
-    frequency, inducers) per entity, in order of first induction."""
+    :func:`partition`'s row lists: (column, group attributes, group values,
+    ascending member rows, frequency, inducers as (query index, group
+    values)) per entity, in order of first induction; entities are told
+    apart by column and member-row set."""
     entities: dict[tuple, list] = {}
     for qidx, query in enumerate(workload):
         mask = None if query.predicate is None else query.predicate.mask(rel)
@@ -194,9 +196,11 @@ def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tup
             if not members:
                 continue
             for col in query.agg_columns:
-                entity = entities.setdefault((col, members), [col, key, members, 0, []])
-                entity[3] += query.repeats
-                entity[4].append((qidx, key))
+                entity = entities.setdefault(
+                    (col, members), [col, key.attrs, key.values, sorted(members), 0, []]
+                )
+                entity[4] += query.repeats
+                entity[5].append((qidx, key.values))
     return [tuple(e) for e in entities.values()]
 
 
@@ -264,7 +268,7 @@ def cv_costs(
         total = 0.0
         bad = None
         for col in columns:
-            w = weights.weight(query, key, col)
+            w = weights.weight(query, key.values, col)
             if w == 0.0:
                 continue
             summary = st.per_column[col]
@@ -309,13 +313,12 @@ def multi_grouping_costs(
     queries: Sequence[GroupQuery],
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
-) -> tuple[list[GroupKey], np.ndarray]:
+) -> np.ndarray:
     """:func:`gbsample.alloc.multi_grouping_costs` over dict entries, one
-    fine stratum, query and column at a time."""
+    fine stratum (in entry order), query and column at a time."""
     coarse = [pool_entries(fine, q.attrs) for q in queries]
-    keys = list(fine)
-    costs = np.zeros(len(keys))
-    for idx, key in enumerate(keys):
+    costs = np.zeros(len(fine))
+    for idx, key in enumerate(fine):
         fine_st = fine[key]
         total = 0.0
         for i, q in enumerate(queries):
@@ -323,7 +326,7 @@ def multi_grouping_costs(
             coarse_st = coarse[i][coarse_key]
             inner = 0.0
             for col in q.columns:
-                w = weights.weight(i, coarse_key, col)
+                w = weights.weight(i, coarse_key.values, col)
                 if w == 0.0:
                     continue
                 mu = coarse_st.per_column[col].mean
@@ -335,7 +338,7 @@ def multi_grouping_costs(
                 inner += w * sigma**2 / mu**2
             total += inner / coarse_st.n**2
         costs[idx] = fine_st.n**2 * total
-    return keys, floor_zero_costs(costs)
+    return floor_zero_costs(costs)
 
 
 def predicted_group_cv(

@@ -322,10 +322,11 @@ def test_criterion_5_multi_groupby_coefficients(student_rel):
     # pair of queries: by major and by college, both averaging gpa
     queries = [GroupQuery(("major",), ("gpa",)), GroupQuery(("college",), ("gpa",))]
     fs = build_finest(student_rel, queries)
-    keys, costs = multi_grouping_costs(fs)
+    costs = multi_grouping_costs(fs)
     oracle = _beta_oracle(None, [("major",), ("college",)])
-    for key, cost in zip(keys, costs):
-        assert cost == pytest.approx(oracle[key.values], rel=1e-12)
+    assert len(costs) == len(fs.fine.keys) == len(oracle)
+    for values, cost in zip(fs.fine.keys, costs):
+        assert cost == pytest.approx(oracle[values], rel=1e-12)
 
     # the worked closed form for one fine stratum:
     # beta = n_fine^2 sigma_fine^2 (1/(n_major^2 mu_major^2)
@@ -339,16 +340,17 @@ def test_criterion_5_multi_groupby_coefficients(student_rel):
         * sigma2
         * (1.0 / (2**2 * mu_major**2) + 1.0 / (4**2 * mu_college**2))
     )
-    idx = keys.index(GroupKey(("major", "college"), ("CS", "Science")))
+    idx = fs.fine.keys.index(("CS", "Science"))
     assert costs[idx] == pytest.approx(worked, rel=1e-12)
 
     # all four grouping sets of the cube over (major, college)
     cube = cube_queries(("major", "college"), ("gpa",))
     fs_cube = build_finest(student_rel, cube)
-    keys_c, costs_c = multi_grouping_costs(fs_cube)
+    costs_c = multi_grouping_costs(fs_cube)
     oracle_c = _beta_oracle(None, [("major", "college"), ("major",), ("college",), ()])
-    for key, cost in zip(keys_c, costs_c):
-        assert cost == pytest.approx(oracle_c[key.values], rel=1e-12)
+    assert len(costs_c) == len(fs_cube.fine.keys) == len(oracle_c)
+    for values, cost in zip(fs_cube.fine.keys, costs_c):
+        assert cost == pytest.approx(oracle_c[values], rel=1e-12)
     _announce(5, "union-stratification coefficients match the hand-expanded "
                  "oracle for the query pair and the full cube to 1e-12")
 
@@ -357,11 +359,13 @@ def test_criterion_5_multi_groupby_coefficients(student_rel):
 # 6. workload derivation
 
 
-def _brute_force_frequencies(rows, workload):
-    """Independent derivation straight over raw records."""
+def _brute_force_entities(rows, workload):
+    """Independent derivation straight over raw records: per (column,
+    member-row set), the group values of its first inducer, its frequency
+    and its inducers as (query index, group values)."""
     pos = {"id": 0, "age": 1, "gpa": 2, "sat": 3, "major": 4, "college": 5}
-    tally: dict[tuple, int] = {}
-    for q in workload:
+    tally: dict[tuple, list] = {}
+    for qidx, q in enumerate(workload):
         kept = []
         for i, r in enumerate(rows):
             if q.predicate is None:
@@ -379,8 +383,9 @@ def _brute_force_frequencies(rows, workload):
             groups.setdefault(key, []).append(i)
         for col in q.agg_columns:
             for key, members in groups.items():
-                ident = (col, frozenset(members))
-                tally[ident] = tally.get(ident, 0) + q.repeats
+                entity = tally.setdefault((col, frozenset(members)), [key, 0, []])
+                entity[1] += q.repeats
+                entity[2].append((qidx, key))
     return tally
 
 
@@ -392,17 +397,18 @@ def test_criterion_6_workload_frequencies(student_rel):
         QuerySpec(("major",), ("gpa",), science, 15),
     ]
     table = derive_aggregation_groups(student_rel, workload)
-    by_label = {
-        (e.column, e.group.values): f for e, f in table.frequencies.items()
-    }
+    by_label = dict(zip(zip(table.columns, table.values), table.frequencies))
     assert by_label[("gpa", ("CS",))] == 35
     assert by_label[("gpa", ("Math",))] == 35
 
-    oracle = _brute_force_frequencies(STUDENT_ROWS, workload)
+    oracle = _brute_force_entities(STUDENT_ROWS, workload)
     ours = {
-        (e.column, e.member_rows): f for e, f in table.frequencies.items()
+        (col, frozenset(rows.tolist())): [values, f, inducers]
+        for col, rows, values, f, inducers in zip(
+            table.columns, table.members, table.values, table.frequencies, table.inducers
+        )
     }
-    assert ours == oracle
+    assert len(ours) == len(table) and ours == oracle
 
     derived_age_major = by_label[("age", ("CS",))]
     assert derived_age_major == 20

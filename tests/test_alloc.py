@@ -43,13 +43,14 @@ from gbsample.dataset import (
 from gbsample.errors import (
     AllStrataConstant,
     EmptyProblem,
+    FloatOverflow,
     InvalidArgument,
     InvalidSampleSize,
     NonPositiveCost,
     RateOutOfRange,
     ZeroMeanStratum,
 )
-from gbsample.stats import compute_catalog, pool_catalog
+from gbsample.stats import StatsCatalog, compute_catalog, pool_catalog
 
 from conftest import STUDENT_ROWS, STUDENT_SCHEMA
 from reference import build_finest, partition, predicted_group_cv, project_key
@@ -337,7 +338,7 @@ def test_weight_spec_is_immutable_and_hashable_by_value():
     given_entries = {(None, ("a",), "v"): 4.0}
     w = WeightSpec(given_entries)
     given_entries[(None, ("b",), "v")] = 9.0  # the spec keeps its own copy
-    assert w.weight(None, GroupKey(("g",), ("b",)), "v") == 1.0
+    assert w.weight(None, ("b",), "v") == 1.0
     with pytest.raises(TypeError):
         w.entries[(None, ("b",), "v")] = 9.0
     same = WeightSpec({(None, ("a",), "v"): 4.0})
@@ -455,10 +456,10 @@ def test_capped_objective_matches_exhaustive_optimum():
 
 def test_multi_grouping_single_query_reduces_to_plain_costs(student_rel):
     fs = build_finest(student_rel, [GroupQuery(("major",), ("gpa",))])
-    keys_b, costs_b = multi_grouping_costs(fs)
+    costs_b = multi_grouping_costs(fs)
     catalog = compute_catalog(student_rel, ["major"], ["gpa"])
     kept, costs_a, _ = cv_costs(catalog, ["gpa"])
-    assert [k.values for k in keys_b] == [catalog.keys[k] for k in kept]
+    assert fs.fine.keys == [catalog.keys[k] for k in kept]
     assert costs_b == pytest.approx(costs_a, rel=1e-12)
 
 
@@ -504,10 +505,11 @@ def _student_beta_oracle(queries, columns=("gpa",)):
 def test_multi_grouping_pair_matches_hand_oracle(student_rel):
     queries = [GroupQuery(("major",), ("gpa",)), GroupQuery(("college",), ("gpa",))]
     fs = build_finest(student_rel, queries)
-    keys, costs = multi_grouping_costs(fs)
+    costs = multi_grouping_costs(fs)
     oracle = _student_beta_oracle([("major",), ("college",)])
-    for key, cost in zip(keys, costs):
-        assert cost == pytest.approx(oracle[key.values], rel=1e-12)
+    assert len(costs) == len(fs.fine.keys) == len(oracle)
+    for values, cost in zip(fs.fine.keys, costs):
+        assert cost == pytest.approx(oracle[values], rel=1e-12)
 
 
 def test_multi_grouping_cube_matches_hand_oracle(student_rel):
@@ -519,12 +521,13 @@ def test_multi_grouping_cube_matches_hand_oracle(student_rel):
         (),
     ]
     fs = build_finest(student_rel, queries)
-    keys, costs = multi_grouping_costs(fs)
+    costs = multi_grouping_costs(fs)
     oracle = _student_beta_oracle(
         [("major", "college"), ("major",), ("college",), ()]
     )
-    for key, cost in zip(keys, costs):
-        assert cost == pytest.approx(oracle[key.values], rel=1e-12)
+    assert len(costs) == len(fs.fine.keys) == len(oracle)
+    for values, cost in zip(fs.fine.keys, costs):
+        assert cost == pytest.approx(oracle[values], rel=1e-12)
 
 
 def test_plan_multi_groupby_runs(student_rel):
@@ -541,8 +544,8 @@ def test_finest_from_catalog_matches_build(student_rel):
     from_catalog = finest_from_catalog(fine, queries)
     direct = build_finest(student_rel, queries)
     assert from_catalog.union_attrs == direct.union_attrs
-    _, costs_a = multi_grouping_costs(from_catalog)
-    _, costs_b = multi_grouping_costs(direct)
+    costs_a = multi_grouping_costs(from_catalog)
+    costs_b = multi_grouping_costs(direct)
     assert costs_a == pytest.approx(costs_b, rel=1e-12)
     # the coarse catalogs are the pooled ones, stratum for stratum and in
     # order, and each fine stratum's coarse id points at its projection
@@ -558,6 +561,28 @@ def test_finest_from_catalog_matches_build(student_rel):
         ]
     with pytest.raises(Exception):
         finest_from_catalog(fine, [GroupQuery(("id",), ("gpa",))])
+
+
+def test_multi_grouping_costs_where_a_square_leaves_the_float_range():
+    """Grouped exactly by the fine attributes, the costs are the plain
+    squared CVs even where sigma^2 or mu^2 alone underflows or overflows;
+    a cost beyond the float range names the column whose term took it
+    there."""
+    def finest(mean_v, std_v):
+        keys = [("a",), ("b",), ("c",), ("d",)]
+        mean = {"v": mean_v, "u": [1.0] * 4}
+        std = {"v": std_v, "u": [0.0, 0.0, 0.0, 1e154]}
+        catalog = StatsCatalog(("g",), ("v", "u"), keys, [1] * 4, mean, std, 4)
+        return catalog, finest_from_catalog(catalog, [GroupQuery(("g",), ("v", "u"))])
+
+    catalog, fs = finest([1e-170, 1e-170, 1e100, 2.0], [0.0, 2e-170, 1e200, 1.0])
+    _, expected, _ = cv_costs(catalog, ["v", "u"])
+    assert multi_grouping_costs(fs).tolist() == pytest.approx(expected.tolist(), rel=1e-15)
+    assert expected[1:3].tolist() == pytest.approx([4.0, 1e200], rel=1e-15)
+    # v's squared CV is 1e308 at d, and u's 1e308 more takes it past the range
+    _, fs = finest([1e-170, 1e-170, 1e100, 1.0], [0.0, 2e-170, 1e200, 1e154])
+    with pytest.raises(FloatOverflow, match=r"\(g=d\) column 'u': the squared-CV cost"):
+        multi_grouping_costs(fs)
 
 
 def test_allocation_problem_validation():

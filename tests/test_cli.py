@@ -613,6 +613,7 @@ def test_catalog_errors_name_the_field(tmp_path):
     doc["strata"].append(dict(doc["strata"][0]))
     with pytest.raises(InvalidDocument, match=r"strata\[1\]\.key: repeats stratum \['a'\]"):
         catalog_from_json(json.dumps(doc), "cat.json")
+    doc["strata"].pop()  # every key is read before any stratum's other fields
     del doc["strata"][0]["columns"]["v"]["std"]
     with pytest.raises(InvalidDocument, match=r"strata\[0\]\.columns\.v\.std: missing"):
         catalog_from_json(json.dumps(doc), "cat.json")
@@ -646,6 +647,184 @@ def test_catalog_total_n_must_be_the_strata_total(tmp_path, student_csv, capsys)
     assert _run("plan", "--config", str(cfg)) == 1
     assert "total_n: expected 8, the sum of n, got 1000" in capsys.readouterr().err
     assert not (tmp_path / "out" / "plan.json").exists()
+
+
+TWO_COLUMN_SCHEMA = [
+    {"name": "grp", "kind": "categorical"},
+    {"name": "v", "kind": "numeric"},
+    {"name": "u", "kind": "numeric"},
+]
+
+
+@pytest.mark.parametrize(
+    "method, plan_fields, catalog_edit",
+    [
+        ("cvopt-l2", {"aggregates": ["v", "u"]}, None),
+        ("cvopt-individual", {"aggregates": ["v", "u"]}, None),
+        ("cvopt-l2", {"workload": [{"group_by": ["grp"], "aggregates": ["u"]}]}, None),
+        ("cvopt-linf", {}, {"agg_columns": []}),
+    ],
+)
+def test_a_catalog_without_a_configured_column_is_a_user_error(
+    tmp_path, capsys, method, plan_fields, catalog_edit
+):
+    """``stats`` under one config, then ``plan`` under another that reads a
+    column the catalog does not hold, or a catalog edited to lack one."""
+    data = tmp_path / "two.csv"
+    data.write_text("grp,v,u\na,1,2\na,3,5\nb,2,4\nb,6,1\n", encoding="utf-8")
+    common = {"schema": TWO_COLUMN_SCHEMA, "budget": 3, "method": method}
+    assert _run("stats", "--config", str(_write_config(tmp_path, data, **common))) == 0
+    catalog = tmp_path / "out" / "catalog.json"
+    if catalog_edit:
+        doc = json.loads(catalog.read_text(encoding="utf-8"))
+        catalog.write_text(json.dumps({**doc, **catalog_edit}), encoding="utf-8")
+    if "workload" in plan_fields:
+        workload = tmp_path / "workload.json"
+        workload.write_text(json.dumps(plan_fields["workload"]), encoding="utf-8")
+        plan_fields = {"workload": str(workload)}
+    cfg = _write_config(tmp_path, data, **common, **plan_fields)
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert f"{catalog} groups by" in err and f"but {cfg} asks for" in err
+    assert not (tmp_path / "out" / "plan.json").exists()
+    # a baseline reads only the catalog's counts, so the same catalog serves it
+    if not catalog_edit:
+        uniform = _write_config(tmp_path, data, **{**common, "method": "uniform"}, **plan_fields)
+        assert _run("plan", "--config", str(uniform)) == 0
+
+
+#: a stratum a whose mean is 1e-10 and whose std is about 1.4e150, so its
+#: squared CV is beyond the float range, next to an ordinary stratum b
+TINY_MEAN_CSV = "grp,v\na,1e150\na,-1e150\na,3e-10\nb,1\nb,2\nb,4\n"
+
+
+@pytest.mark.parametrize(
+    "method, workload",
+    [
+        ("cvopt-l2", None),
+        ("cvopt-linf", None),
+        ("cvopt-individual", None),
+        ("cvopt-l2", [{"group_by": ["grp"], "aggregates": ["v"]},
+                      {"group_by": [], "aggregates": ["v"]}]),
+    ],
+)
+def test_a_squared_cv_beyond_the_float_range_is_a_user_error(
+    tmp_path, capsys, method, workload
+):
+    data = tmp_path / "tiny_mean.csv"
+    data.write_text(TINY_MEAN_CSV, encoding="utf-8")
+    fields = {"method": method, "budget": 4}
+    if workload:
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps(workload), encoding="utf-8")
+        fields.update(workload=str(path), weights=str(_write_weights(tmp_path)))
+    cfg = _write_config(tmp_path, data, **fields)
+    assert _run("stats", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert "(grp=a) column 'v': the squared-CV cost is beyond the float range" in err
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
+def _write_weights(tmp_path):
+    path = tmp_path / "unit_weights.json"
+    path.write_text("[]", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("method", ["cvopt-l2", "cvopt-linf", "cvopt-individual"])
+def test_a_catalog_std_whose_square_overflows_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, method
+):
+    cfg = _write_config(tmp_path, fix_a_csv, method=method)
+    assert _run("stats", "--config", str(cfg)) == 0
+    catalog = tmp_path / "out" / "catalog.json"
+    doc = json.loads(catalog.read_text(encoding="utf-8"))
+    doc["strata"][0]["columns"]["v"]["std"] = 1e200
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    assert "(grp=a) column 'v': the " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the squared deviations overflow: the std would be inf
+        "a,1e200\na,-1e200\na,3\n",
+        # the sum overflows: the mean would be inf
+        "a,1e308\na,1e308\n",
+    ],
+)
+def test_stats_whose_moments_overflow_is_a_user_error(tmp_path, capsys, rows):
+    data = tmp_path / "huge.csv"
+    data.write_text("grp,v\nb,1\nb,2\n" + rows + "b,4\n", encoding="utf-8")
+    cfg = _write_config(tmp_path, data)
+    assert _run("stats", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert "(grp=a) column 'v': the mean or std is beyond the float range" in err
+    assert not (tmp_path / "out" / "catalog.json").exists()
+
+
+def test_evaluate_drops_a_predicted_cv_whose_moments_overflow(tmp_path, capsys):
+    """Only the stats command rejects moments beyond the float range; the
+    predicted CVs of ``evaluate`` leave out the group whose CV is not finite."""
+    data = tmp_path / "two.csv"
+    data.write_text(
+        "grp,v,u\na,1,1e200\na,2,-1e200\na,3,3\nb,1,1\nb,2,2\nb,4,4\n", encoding="utf-8"
+    )
+    query = tmp_path / "query.json"
+    query.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "u"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, data, schema=TWO_COLUMN_SCHEMA, budget=4, query=str(query))
+    for command in ("stats", "plan", "sample", "query", "evaluate"):
+        assert _run(command, "--config", str(cfg)) == 0, command
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    predicted = {g["key"][0]: g["predicted_cv"] for g in report["groups"]}
+    assert predicted["a"] is None and math.isfinite(predicted["b"])
+    assert report["cv_norms"]["l2"] == predicted["b"]
+    capsys.readouterr()
+    assert _run("stats", "--config", str(cfg), "--aggregates", "u") == 1
+    assert "(grp=a) column 'u': the mean or std is" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", [None, [{"group_by": ["grp"]}, {"group_by": []}]])
+def test_a_mean_whose_square_underflows_plans(tmp_path, workload):
+    """Stratum a is constant at 1e-170, so its mean squared is 0 and its
+    squared CV is 0 under one query or two."""
+    data = tmp_path / "tiny.csv"
+    data.write_text("grp,v\na,1e-170\na,1e-170\nb,1\nb,2\nb,4\n", encoding="utf-8")
+    fields = {"budget": 3}
+    if workload:
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps([{**q, "aggregates": ["v"]} for q in workload]))
+        fields.update(workload=str(path), weights=str(_write_weights(tmp_path)))
+    cfg = _write_config(tmp_path, data, **fields)
+    for command in ("stats", "plan", "sample"):
+        assert _run(command, "--config", str(cfg)) == 0, command
+    doc = json.loads((tmp_path / "out" / "plan.json").read_text(encoding="utf-8"))
+    assert {s["key"][0]: s["integral"] for s in doc["strata"]} == {"a": 1, "b": 2}
+
+
+@pytest.mark.parametrize("by_flag", [True, False])
+def test_a_sample_drawn_with_a_seed_beyond_int64_reads_back(tmp_path, fix_a_csv, by_flag):
+    seed = 2**64
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"group_by": ["grp"], "aggregate": {"fn": "count"}}))
+    fields = {"query": str(query), **({} if by_flag else {"seed": seed})}
+    cfg = _write_config(tmp_path, fix_a_csv, **fields)
+    flag = ("--seed", str(seed)) if by_flag else ()
+    for command in ("stats", "plan", "sample"):
+        assert _run(command, "--config", str(cfg), *flag) == 0, command
+    header = (tmp_path / "out" / "sample.txt").read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(header)["seed"] == seed
+    for command in ("query", "evaluate"):
+        assert _run(command, "--config", str(cfg), *flag) == 0, command
 
 
 @pytest.mark.parametrize(
@@ -973,8 +1152,14 @@ def test_every_subcommand_keeps_its_options():
         ([1], "[0]: expected an object"),
         ([{"column": "v"}], "[0].weight: missing"),
         ([{"weight": "2"}], "[0].weight: expected a finite number"),
-        ([{"weight": 2, "query": "0"}], "[0].query: expected an integer or null"),
-        ([{"weight": 2, "query": 0.5}], "[0].query: expected an integer or null"),
+        (
+            [{"weight": 2, "query": "0"}],
+            "[0].query: expected an integer in the int64 range or null",
+        ),
+        (
+            [{"weight": 2, "query": 0.5}],
+            "[0].query: expected an integer in the int64 range or null",
+        ),
         ([{"weight": 2, "column": 5}], "[0].column: expected a string or null"),
         ([{"weight": 2, "column": ["v"]}], "[0].column: expected a string or null"),
         ([{"weight": 2, "group": "a"}], "[0].group: expected a list of strings or null"),
@@ -1019,6 +1204,8 @@ PLAN_MUTATIONS = [
     ("cvopt-l2", ("strata", 0, "integral"), -1, "strata[0].integral: expected a non-negative"),
     ("cvopt-l2", ("strata", 1, "integral"), 1.5, "strata[1].integral: expected a non-negative"),
     ("cvopt-l2", ("strata", 0, "n"), "6", "strata[0].n: expected a non-negative"),
+    ("cvopt-l2", ("strata", 0, "n"), 2**70, "strata[0].n: expected a non-negative"),
+    ("cvopt-l2", ("strata", 1, "integral"), 2**70, "strata[1].integral: expected a non-negative"),
     ("cvopt-l2", ("strata", 0, "fractional"), None, "strata[0].fractional: missing"),
     ("cvopt-l2", ("extra",), "x", "extra: expected an object"),
     ("cvopt-l2", ("strata", 0, "capped"), "no", "strata[0].capped: expected true or false"),
@@ -1042,6 +1229,7 @@ PLAN_MUTATIONS = [
     ("cvopt-individual", ("strata", 1, "key"), [], "strata[1].key: expected a list of 1"),
     ("cvopt-individual", ("strata", 0, "fractional"), "x", "strata[0].fractional: expected"),
     ("cvopt-individual", ("strata", 0, "n"), -2, "strata[0].n: expected a non-negative"),
+    ("cvopt-individual", ("strata", 0, "n"), 2**70, "strata[0].n: expected a non-negative"),
     (
         "cvopt-individual",
         ("strata", 2),
@@ -1099,6 +1287,8 @@ SAMPLE_MUTATIONS = [
     ("cvopt-l2", ("strata", 0, "key"), ["a", "b"], "strata[0].key: expected a list of 1"),
     ("cvopt-l2", ("strata", 1, "key"), ["a"], "strata[1].key: repeats stratum ['a']"),
     ("cvopt-l2", ("strata", 0, "n"), 3.9, "strata[0].n: expected an integer"),
+    ("cvopt-l2", ("strata", 0, "n"), 2**70, "strata[0].n: expected an integer in the int64"),
+    ("cvopt-l2", ("strata", 0, "n"), -(2**70), "strata[0].n: expected an integer in the int64"),
     ("cvopt-l2", ("strata", 0, "n"), None, "strata[0].n: missing"),
     ("cvopt-l2", ("strata", 1, "s"), -1, "strata[1].s: expected a non-negative integer"),
     ("cvopt-l2", ("strata", 1, "s"), "2", "strata[1].s: expected a non-negative integer"),

@@ -142,11 +142,18 @@ def _check_kernels(rel):
         QuerySpec(("k", "h"), ("v",), Predicate((Atom("g", "=", "a|b"),))),
     ]
     table = derive_aggregation_groups(rel, workload)
-    got = [
-        (e.column, e.group, e.member_rows, f, table.inducers[e])
-        for e, f in table.frequencies.items()
-    ]
+    got = list(
+        zip(
+            table.columns,
+            table.attrs,
+            table.values,
+            [m.tolist() for m in table.members],
+            table.frequencies,
+            table.inducers,
+        )
+    )
     assert got == reference.aggregation_groups(rel, workload)
+    assert not any(m.flags.writeable for m in table.members)
 
 
 @given(_rows)
@@ -371,9 +378,9 @@ def _check_cost_kernels(rel):
             ]
         for zero_mean in ("error", "exclude"):
             policy = (weights, zero_mean)
-            got = _outcome(lambda: _listed(multi_grouping_costs(fs, *policy)))
+            got = _outcome(lambda: multi_grouping_costs(fs, *policy).tolist())
             want = _outcome(
-                lambda: _listed(reference.multi_grouping_costs(ref_fine, queries, *policy))
+                lambda: reference.multi_grouping_costs(ref_fine, queries, *policy).tolist()
             )
             assert got == want
             for i, (q, coarse, ref) in enumerate(zip(queries, fs.coarse, ref_coarse)):
@@ -394,10 +401,6 @@ def _shares(alloc):
     """The rows of an individual allocation as ((query, GroupKey), share)."""
     queries, rows = alloc.queries, zip(alloc.query.tolist(), alloc.keys, alloc.sizes.tolist())
     return [((i, GroupKey(queries[i].attrs, values)), s) for i, values, s in rows]
-
-
-def _listed(result):
-    return tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in result)
 
 
 def _floored(result):
@@ -546,8 +549,8 @@ def test_costs_square_like_python_floats():
         got = _keyed(catalog, cv_costs(catalog, ("v",), zero_mean=zero_mean))
         assert got == _floored(reference.cv_costs(ref, ("v",), zero_mean=zero_mean))
     fs = finest_from_catalog(catalog, [GroupQuery(("g",), ("v",)), GroupQuery((), ("v",))])
-    assert _listed(multi_grouping_costs(fs)) == _listed(
-        reference.multi_grouping_costs(ref, fs.queries)
+    assert multi_grouping_costs(fs).tolist() == (
+        reference.multi_grouping_costs(ref, fs.queries).tolist()
     )
     # pooling rebuilds each sum of squared deviations as std**2 * (n - 1)
     for attrs in (("g",), ()):

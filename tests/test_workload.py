@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gbsample.alloc import plan_l2
@@ -29,10 +30,7 @@ def demo_workload():
 
 
 def _freq_by_label(table):
-    out = {}
-    for entity, freq in table.frequencies.items():
-        out[(entity.column, entity.group.values)] = freq
-    return out
+    return dict(zip(zip(table.columns, table.values), table.frequencies))
 
 
 def test_shared_entities_accumulate(student_rel):
@@ -65,7 +63,7 @@ def test_single_query_uniform_frequency(student_rel):
     table = derive_aggregation_groups(
         student_rel, [QuerySpec(("major",), ("age",), None, 7)]
     )
-    assert set(table.frequencies.values()) == {7}
+    assert set(table.frequencies) == {7}
     assert len(table) == 4
 
 
@@ -79,12 +77,14 @@ def test_predicate_restricts_membership(student_rel):
     )
     # groups emptied by the predicate are not materialized
     assert len(restricted) == 1
-    (entity,) = restricted.frequencies
-    full = {
-        e.group.values: e for e in unrestricted.frequencies
-    }
-    assert entity.member_rows == full[("Engineering",)].member_rows
-    assert entity.member_rows < set(range(8)) | {0}  # strict subset of all rows
+    assert restricted.values == [("Engineering",)]
+    full = dict(zip(unrestricted.values, unrestricted.members))
+    assert restricted.members[0].tolist() == full[("Engineering",)].tolist() == [4, 5, 6, 7]
+    # with no predicate a group's members are a read-only view of the
+    # relation's stratification, not a copy
+    order = student_rel.strata(("college",)).order
+    assert all(np.shares_memory(m, order) for m in unrestricted.members)
+    assert not any(m.flags.writeable for m in unrestricted.members + restricted.members)
 
 
 def test_partial_predicate_splits_entity(student_rel):
@@ -101,9 +101,11 @@ def test_partial_predicate_splits_entity(student_rel):
     # CS rows are ages 25 and 22: the restricted entity keeps one row, so
     # the two queries do not share it
     cs_entities = [
-        (e, f) for e, f in table.frequencies.items() if e.group.values == ("CS",)
+        (rows.tolist(), f)
+        for values, rows, f in zip(table.values, table.members, table.frequencies)
+        if values == ("CS",)
     ]
-    assert sorted(f for _, f in cs_entities) == [3, 5]
+    assert sorted(cs_entities) == [([0, 1], 3), ([1], 5)]
 
 
 def test_empty_workload_raises(student_rel):
@@ -115,21 +117,15 @@ def test_weights_identity_and_sqrt(student_rel):
     table = derive_aggregation_groups(student_rel, demo_workload())
     w_id = weights_from_frequencies(table)
     # query 0 (majors) sees the merged frequency for gpa of CS
-    assert w_id.weight(0, _key("major", "CS"), "gpa") == 35.0
+    assert w_id.weight(0, ("CS",), "gpa") == 35.0
     # query 2 (the predicated one) sees the same shared weight
-    assert w_id.weight(2, _key("major", "CS"), "gpa") == 35.0
-    assert w_id.weight(0, _key("major", "EE"), "age") == 20.0
-    assert w_id.weight(1, _key("college", "Science"), "sat") == 10.0
+    assert w_id.weight(2, ("CS",), "gpa") == 35.0
+    assert w_id.weight(0, ("EE",), "age") == 20.0
+    assert w_id.weight(1, ("Science",), "sat") == 10.0
     w_sqrt = weights_from_frequencies(table, "sqrt")
-    assert w_sqrt.weight(0, _key("major", "CS"), "gpa") == pytest.approx(35.0**0.5)
+    assert w_sqrt.weight(0, ("CS",), "gpa") == pytest.approx(35.0**0.5)
     with pytest.raises(ValueError):
         weights_from_frequencies(table, "log")
-
-
-def _key(attr, value):
-    from gbsample.dataset import GroupKey
-
-    return GroupKey((attr,), (value,))
 
 
 def test_uniform_frequencies_match_unweighted_plan(student_rel):
@@ -166,10 +162,10 @@ def test_allocation_inputs_count_shared_entities_once(student_rel):
     queries, weights = allocation_inputs(table)
     # both workload queries collapse into one synthetic query
     assert queries == [GroupQuery(("major",), ("gpa",))]
-    assert weights.weight(0, _key("major", "CS"), "gpa") == 35.0
-    assert weights.weight(0, _key("major", "EE"), "gpa") == 20.0
+    assert weights.weight(0, ("CS",), "gpa") == 35.0
+    assert weights.weight(0, ("EE",), "gpa") == 20.0
     # never-queried combinations carry zero demand
-    assert weights.weight(0, _key("major", "CS"), "age") == 0.0
+    assert weights.weight(0, ("CS",), "age") == 0.0
 
     fs = build_finest(student_rel, queries)
     got = plan_multi_groupby(fs, 6, weights)
@@ -192,8 +188,8 @@ def test_allocation_inputs_sqrt_transform(student_rel):
     table = derive_aggregation_groups(student_rel, demo_workload())
     queries, weights = allocation_inputs(table, "sqrt")
     qpos = queries.index(GroupQuery(("major",), ("gpa",)))
-    assert weights.weight(qpos, _key("major", "CS"), "gpa") == pytest.approx(35.0**0.5)
-    assert weights.weight(qpos, _key("major", "EE"), "gpa") == pytest.approx(20.0**0.5)
+    assert weights.weight(qpos, ("CS",), "gpa") == pytest.approx(35.0**0.5)
+    assert weights.weight(qpos, ("EE",), "gpa") == pytest.approx(20.0**0.5)
 
 
 def test_workload_file_rejects_a_string_for_a_list():
