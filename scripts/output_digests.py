@@ -13,9 +13,14 @@ cvopt-linf, a cube and a two-query cvopt-individual plan under
 ``"zero_mean": "exclude"``, the paths that pin excluded strata at one row.
 Every plan answers four queries: a coarse AVG, a fine SUM under the
 table's predicate, a fine COUNT, and a fine AVG under a predicate few rows
-match, which leaves sampled groups missing.  Prints one line
+match, which leaves sampled groups missing.  On the generated tables the
+Poisson sample of cvopt-individual also answers a fine AVG under a
+``reorder`` predicate that drops the first sampled rows of some groups, so
+its groups, ordered by first kept row, leave the sample's first-occurrence
+order; the script checks that they do.  Prints one line
 ``<sha256>  <table>/<method>/<file>`` per output file, plus the exit code
-of every command.  Exits 1 if any command failed.
+of every command and the outcome of the order check.  Exits 1 if any
+command failed or the order check found the groups in sample order.
 
 gbsample is imported from the interpreter's path, so the same script run
 against two source trees shows whether they write the same bytes::
@@ -74,9 +79,10 @@ c,y,1
 #: the budget setting, a predicate for the workload, a ``rare`` predicate
 #: that few rows match (so AVG leaves sampled groups missing), a ``share``
 #: predicate that drops one group of the first attribute and keeps the
-#: others whole (so a workload query under it shares their entities) and,
-#: for an inline table, its CSV text; a table with a ``zero_mean`` policy
-#: runs only the plans of :func:`_zero_mean_runs`
+#: others whole (so a workload query under it shares their entities), for
+#: a generated table a ``reorder`` predicate (see :func:`_reorder_lines`)
+#: and, for an inline table, its CSV text; a table with a ``zero_mean``
+#: policy runs only the plans of :func:`_zero_mean_runs`
 TABLES = {
     "student": {
         "categorical": ["id", "major", "college"],
@@ -107,6 +113,7 @@ TABLES = {
             "predicate": [{"column": "y", "op": "<", "value": 60.0}],
             "rare": [{"column": "x", "op": ">", "value": 60.0}],
             "share": [{"column": "a", "op": "!=", "value": "a0"}],
+            "reorder": [{"column": "x", "op": ">", "value": 20.0}],
         }
         for name, attrs in (
             ("build", ["a", "b"]),
@@ -239,6 +246,41 @@ def _queries(spec: dict, work: Path) -> dict[str, str]:
     }
 
 
+def _reorder_lines(name: str, method: str, spec: dict, out: Path, config_path: str,
+                   queries: dict[str, str], work: Path) -> tuple[list[str], int]:
+    """The exit, digest and order-check lines of the fine AVG under the
+    ``reorder`` predicate on a Poisson sample, and the number of failures.
+    Its groups must differ in order from the same groups in the sample's
+    first-occurrence order, which the unfiltered fine COUNT lists."""
+    query = _write(
+        work / "q_avg_reorder.json",
+        {
+            "group_by": spec["attrs"],
+            "aggregate": {"fn": "avg", "column": spec["numeric"][0]},
+            "predicate": spec["reorder"],
+        },
+    )
+    keys = {}
+    codes = []
+    for label, path in (("count-fine", queries["count-fine"]), ("avg-reorder", query)):
+        codes.append(_cli(["query", "--config", config_path, "--query", path]))
+        estimates = out / "estimates.json"
+        if estimates.exists():
+            doc = json.loads(estimates.read_text(encoding="utf-8"))
+            keys[label] = [tuple(e["key"]) for e in doc["estimates"]]
+    where = f"{name}/{method}/avg-reorder"
+    lines = [
+        f"exit {codes[1:]}  {where}",
+        f"{_digest(out / 'estimates.json')}  {where}/estimates.json",
+    ]
+    (out / "estimates.json").unlink(missing_ok=True)
+    got = keys.get("avg-reorder", [])
+    kept = set(got)
+    reordered = got != [k for k in keys.get("count-fine", []) if k in kept]
+    lines.append(f"reordered {reordered}  {where}")
+    return lines, sum(c != 0 for c in codes) + (not reordered)
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-" * 64
 
@@ -282,6 +324,10 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
             for f in ("estimates.json", "report.json", "report.csv"):
                 lines.append(f"{_digest(out / f)}  {name}/{method}/{label}/{f}")
                 (out / f).unlink(missing_ok=True)
+        if method == "cvopt-individual" and "reorder" in spec:
+            reorder, n_failed = _reorder_lines(name, method, spec, out, config_path, queries, work)
+            lines += reorder
+            failed += n_failed
     for label, (command, fields, outputs) in ({} if pinned else _side_runs(spec)).items():
         out, config_path = config(label, fields)
         code = _cli([command, "--config", config_path])

@@ -64,6 +64,7 @@ from .errors import (
     expect,
     member,
     nullable,
+    open_text,
 )
 
 ALL_METHODS = ("cvopt-l2", "cvopt-linf", "cvopt-individual", *baselines.ALLOCATORS)
@@ -156,7 +157,7 @@ def load_config(args) -> RunConfig:
     doc = {}
     if args.config:
         cfg.source = args.config
-        with open(args.config, encoding="utf-8") as fh:
+        with open_text(args.config) as fh:
             doc = expect(cfg.source, json.load(fh), "", *OBJECT)
         for k in sorted(doc.keys() - {f.name for f in fields(RunConfig)}):
             raise UsageError(f"unknown config field {k!r}")
@@ -184,7 +185,7 @@ def _load_relation(cfg: RunConfig) -> Relation:
 
 
 def _load_workload(cfg: RunConfig) -> list[wmod.QuerySpec]:
-    with open(cfg.need("workload"), encoding="utf-8") as fh:
+    with open_text(cfg.need("workload")) as fh:
         return wmod.workload_from_json(fh.read(), cfg.workload)
 
 
@@ -214,7 +215,7 @@ def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
     if not cfg.weights:
         return None
     source = cfg.weights
-    with open(source, encoding="utf-8") as fh:
+    with open_text(source) as fh:
         doc = expect(source, json.load(fh), "", *LIST)
     entries = {}
     for i, item in enumerate(doc):
@@ -238,7 +239,8 @@ def _read_output(cfg: RunConfig, name: str, command: str) -> tuple[str, str]:
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise UsageError(f"{path} not found; run the {command} command first")
-    return path.read_text(encoding="utf-8"), str(path)
+    with open_text(path) as fh:
+        return fh.read(), str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def _load_query(cfg: RunConfig) -> qmod.QueryRequest:
-    with open(cfg.need("query"), encoding="utf-8") as fh:
+    with open_text(cfg.need("query")) as fh:
         return qmod.QueryRequest.from_json(json.load(fh), cfg.query)
 
 

@@ -44,6 +44,7 @@ from .errors import (
     TypeParseError,
     UnknownAttribute,
     UnknownColumn,
+    open_text,
 )
 
 NULL_TOKEN = "⟨null⟩"
@@ -98,10 +99,11 @@ def encode(values: Iterable) -> Encoded:
     """Dictionary-encode a sequence of categorical values."""
     index: dict = {}
     codes = [index.setdefault(v, len(index)) for v in values]
-    return Encoded(_frozen(np.array(codes, dtype=np.intp)), tuple(index))
+    return Encoded(frozen(np.array(codes, dtype=np.intp)), tuple(index))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
     arr.setflags(write=False)
     return arr
 
@@ -147,7 +149,7 @@ class Relation:
         for col in schema:
             data = columns[col.name]
             if col.kind == NUMERIC:
-                arr = _frozen(np.asarray(data, dtype=np.float64))
+                arr = frozen(np.asarray(data, dtype=np.float64))
                 self._columns[col.name] = arr
                 sizes.add(arr.shape[0])
             else:
@@ -199,7 +201,7 @@ class Relation:
         if found is None:
             ids, keys = stratum_ids(self, attrs)
             order, bounds = segments(ids, len(keys))
-            found = Strata(_frozen(ids), tuple(keys), _frozen(order), _frozen(bounds))
+            found = Strata(frozen(ids), tuple(keys), frozen(order), frozen(bounds))
             self._strata[attrs] = found
         return found
 
@@ -238,7 +240,7 @@ class Relation:
                 taken = data.codes[idx]
                 codes, first = first_occurrence_ids(taken)
                 levels = tuple(data.levels[k] for k in taken[first].tolist())
-                columns[c.name] = Encoded(_frozen(codes), levels)
+                columns[c.name] = Encoded(frozen(codes), levels)
         return Relation(self.schema, columns, idx.shape[0])
 
     def __len__(self):
@@ -263,9 +265,11 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     Categorical cells are trimmed and encoded as they are read; an empty
     one becomes :data:`NULL_TOKEN`.  Numeric cells that fail to parse,
     including empty and non-finite ones, raise :class:`TypeParseError`; a
-    file with a valid header but no data rows raises :class:`EmptyFile`.
+    file with a valid header but no data rows raises :class:`EmptyFile`,
+    and one that cannot be read as text :class:`UnreadableFile` (see
+    :func:`errors.open_text`).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -305,7 +309,7 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
         raise EmptyFile(f"{path}: header only, no data rows")
     columns: dict[str, object] = {name: values for name, _, values in nums}
     for name, _, index, codes in cats:
-        columns[name] = Encoded(_frozen(np.array(codes, dtype=np.intp)), tuple(index))
+        columns[name] = Encoded(frozen(np.array(codes, dtype=np.intp)), tuple(index))
     return Relation(schema, columns)
 
 

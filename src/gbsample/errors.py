@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the input checks that
-raise :class:`InvalidDocument`.
+"""Exception types shared across the package, the input checks that
+raise :class:`InvalidDocument`, and :func:`open_text`, through which every
+input file is read.
 
 Every error raised by gbsample derives from :class:`GbsampleError`, so
 callers (notably the CLI) can distinguish user-facing problems from bugs.
@@ -7,7 +8,9 @@ callers (notably the CLI) can distinguish user-facing problems from bugs.
 
 from __future__ import annotations
 
+import csv
 import math
+from contextlib import contextmanager
 from typing import Sequence
 
 
@@ -26,6 +29,29 @@ class InvalidDocument(GbsampleError):
     list is expected."""
 
 
+class UnreadableFile(GbsampleError):
+    """An input file that cannot be read as text: a path that is a
+    directory (or runs through a file), bytes that are not UTF-8, or a CSV
+    field beyond the csv module's size limit."""
+
+
+@contextmanager
+def open_text(path, newline: str | None = None):
+    """The file at ``path`` opened for reading as UTF-8 text.  Each way
+    the file may be unreadable, met on opening it or in the ``with`` body
+    while reading it, raises :class:`UnreadableFile` naming the file; a
+    missing file still raises :class:`FileNotFoundError`."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise UnreadableFile(f"{path}: {exc}") from None
+
+
 #: (check, description) pairs of JSON value types for :func:`member` and
 #: :func:`expect`.  A bool is not an integer, nor is 1.0; an integer must
 #: fit in int64, the type every count and index is held in; a bare string
@@ -38,7 +64,18 @@ COUNT = (lambda v: INTEGER[0](v) and v >= 0, "a non-negative integer in the int6
 #: a seed is any non-negative integer: numpy's SeedSequence takes every
 #: such int, and no seed is held in int64
 SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
-NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+
+
+def finite(v) -> bool:
+    """Whether the int or float ``v`` is a finite float: an int beyond the
+    float range is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+NUMBER = (lambda v: type(v) in (int, float) and finite(v), "a finite number")
 STRING = (lambda v: isinstance(v, str), "a string")
 LIST = (lambda v: isinstance(v, list), "a list")
 OBJECT = (lambda v: isinstance(v, dict), "an object")

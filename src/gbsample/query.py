@@ -20,7 +20,19 @@ holds any sampled row at all.
 
 Estimation from a Poisson sample weights each matching row by 1 / p_r
 (inverse inclusion probability, Horvitz-Thompson); the exact answer
-weights every row of the relation by 1.
+weights every row of the relation by 1.  The expansion factors, n_c / s_c
+per stratum (:attr:`StratifiedSample.expansion`) or 1 / p_r per row
+(:attr:`PoissonSample.expansion`), the stratum of every stratified row
+(:attr:`StratifiedSample.row_strata`) and which strata hold a row
+(:attr:`StratifiedSample.held`) are computed once per sample and kept.
+
+Each path has its own group order, found without sorting sample rows: a
+stratified estimate answers every group, in first-occurrence order of the
+strata; a Poisson estimate answers the groups with a kept row, ordered by
+their first kept row (with a predicate, the cached strata's sorted row
+order yields each group's first kept row, and only those are sorted); an
+exact answer holds the groups with a matching row, in the relation's
+first-occurrence order.
 
 Both estimation and the exact answer return an :class:`Answer`: the
 groups' value tuples ``keys`` and, aligned with them, float64 ``value``
@@ -87,6 +99,7 @@ from .errors import (
     InvalidArgument,
     UnknownColumn,
     expect,
+    finite,
     member,
 )
 from .sampler import PoissonSample, StratifiedSample
@@ -183,7 +196,7 @@ def _check_number(atom: Atom) -> None:
     excluded)."""
     operands = (atom.lo, atom.hi) if atom.op == "between" else (atom.value,)
     for v in operands:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not finite(v):
             raise InvalidArgument(
                 f"column {atom.column!r} is numeric; operator {atom.op!r} "
                 f"needs a finite number, got {v!r}"
@@ -321,9 +334,9 @@ def _inputs(rel: Relation, request: QueryRequest):
 def estimate(sample, request: QueryRequest) -> Answer:
     """Answer a query request from a stratified or Poisson sample.
 
-    Groups come in first-occurrence order: of the strata for a stratified
-    sample (every group, missing ones flagged), of the matching rows for a
-    Poisson sample (only groups with a matching row).
+    A stratified sample answers every group, in first-occurrence order of
+    the strata, missing ones flagged; a Poisson sample answers the groups
+    with a matching row, in order of their first matching row.
     """
     if isinstance(sample, PoissonSample):
         return _estimate_poisson(sample, request)
@@ -334,20 +347,18 @@ def estimate(sample, request: QueryRequest) -> Answer:
             f"stratification {sample.group_attrs}"
         )
     group_of_cell, keys, _, _ = sample.key_columns.strata(attrs)
-    size = sample.size.astype(np.float64)
-    factor = np.divide(sample.n, size, out=np.zeros(len(size)), where=size > 0)
     value, count, support = _group_by(
         request.fn,
         sample.row_strata,
         *_inputs(sample.columns, request),
-        factor,
+        sample.expansion,
         group_of_cell,
         len(keys),
     )
     if request.fn == AVG:
         missing = count == 0
     else:  # SUM and COUNT are missing only where no member stratum holds a row
-        missing = np.bincount(group_of_cell, size > 0, len(keys)) == 0
+        missing = np.bincount(group_of_cell, sample.held, len(keys)) == 0
     return Answer(attrs, keys, np.where(missing, np.nan, value), support, missing)
 
 
@@ -361,20 +372,32 @@ def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> Answer:
                 f"{a!r} is not a categorical column of the sample"
             )
     values, keep = _inputs(sample.columns, request)
-    ids, keys, _, _ = sample.columns.strata(attrs)
+    ids, keys, order, bounds = sample.columns.strata(attrs)
     value, _, support = _group_by(
-        request.fn, np.arange(len(ids)), values, keep, 1.0 / sample.rates, ids, len(keys)
+        request.fn, np.arange(len(ids)), values, keep, sample.expansion, ids, len(keys)
     )
-    seen, first = np.unique(ids[keep], return_index=True)
-    return _matched(attrs, keys, value, support, seen[np.argsort(first)])
+    groups = np.flatnonzero(support)
+    if isinstance(keep, np.ndarray):
+        # groups come in order of their first kept row.  ``order`` lists
+        # each group's rows ascending, so the first kept position at or
+        # after a group's bound is its first kept row
+        kept = np.flatnonzero(keep[order])
+        first = order[kept[np.searchsorted(kept, bounds[groups])]]
+        groups = groups[np.argsort(first)]
+    # without a predicate every group is kept, in first-occurrence order
+    return _matched(attrs, keys, value, support, groups)
 
 
 def _matched(attrs, keys, value, support, groups: np.ndarray) -> Answer:
     """The answer of the groups ``groups`` (each with a matching row), in
     that order."""
+    if np.array_equal(groups, np.arange(len(keys))):
+        gathered = keys
+    else:
+        gathered = tuple(map(keys.__getitem__, groups.tolist()))
     return Answer(
         attrs,
-        tuple([keys[g] for g in groups.tolist()]),
+        gathered,
         value[groups],
         support[groups],
         np.zeros(len(groups), dtype=bool),

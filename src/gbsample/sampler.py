@@ -46,6 +46,7 @@ from .dataset import (
     GroupKey,
     Relation,
     encode,
+    frozen,
     key_relation,
 )
 from .errors import (
@@ -62,6 +63,7 @@ from .errors import (
     SchemaMismatch,
     expect,
     member,
+    open_text,
     stratum_keys,
 )
 
@@ -75,9 +77,7 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 
 def _array(values, dtype) -> np.ndarray:
     """A read-only copy of ``values``."""
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+    return frozen(np.array(values, dtype=dtype))
 
 
 @dataclass
@@ -138,10 +138,22 @@ class StratifiedSample:
     def total_rows(self) -> int:
         return int(self.size.sum())
 
-    @property
+    @cached_property
     def row_strata(self) -> np.ndarray:
-        """The stratum of every sampled row."""
-        return np.repeat(np.arange(len(self.size)), self.size)
+        """The stratum of every sampled row, read-only."""
+        return frozen(np.repeat(np.arange(len(self.size)), self.size))
+
+    @cached_property
+    def expansion(self) -> np.ndarray:
+        """Each stratum's expansion factor ``n / size`` as float64 (0 where
+        the stratum holds no sampled row), read-only."""
+        size = self.size.astype(np.float64)
+        return frozen(np.divide(self.n, size, out=np.zeros(len(size)), where=size > 0))
+
+    @cached_property
+    def held(self) -> np.ndarray:
+        """Whether each stratum holds a sampled row, read-only."""
+        return frozen(self.size > 0)
 
     @cached_property
     def strata(self) -> list[StratumSample]:
@@ -189,6 +201,12 @@ class PoissonSample:
     @property
     def total_rows(self) -> int:
         return len(self.columns)
+
+    @cached_property
+    def expansion(self) -> np.ndarray:
+        """Each sampled row's inverse inclusion probability ``1 / p``,
+        read-only."""
+        return frozen(1.0 / self.rates)
 
     @cached_property
     def row_ids(self) -> list[int]:
@@ -337,12 +355,13 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
     or truncated rows and on a row whose group values differ from its
     stratum's key, InvalidDocument naming the file and the field on a
     header field of the wrong type (or a repeated column name or stratum
-    key), and SchemaMismatch when ``expect_schema`` is given and differs
-    from the stored schema.
+    key), SchemaMismatch when ``expect_schema`` is given and differs
+    from the stored schema, and UnreadableFile on a file that cannot be
+    read as text (see :func:`errors.open_text`).
     """
     source = str(path)
     get = partial(member, source)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, key_relation
+from .dataset import GroupKey, Relation, frozen, key_relation
 from .errors import (
     COUNT,
     LIST,
@@ -119,12 +119,10 @@ class StatsCatalog:
     total_n: int
 
     def __post_init__(self):
-        self.n = np.asarray(self.n, dtype=np.int64)
-        self.n.flags.writeable = False
-        for arrays in (self.mean, self.std):
-            for col in self.agg_columns:
-                arrays[col] = np.asarray(arrays[col], dtype=np.float64)
-                arrays[col].flags.writeable = False
+        # read-only copies: the caller's dicts, lists and arrays stay as given
+        self.n = frozen(np.array(self.n, dtype=np.int64))
+        self.mean = {c: frozen(np.array(self.mean[c], dtype=np.float64)) for c in self.agg_columns}
+        self.std = {c: frozen(np.array(self.std[c], dtype=np.float64)) for c in self.agg_columns}
         self._pooled: dict[tuple[str, ...], tuple[StatsCatalog, np.ndarray]] = {}
 
     def __len__(self):

@@ -9,6 +9,8 @@ entry per stratum, so the tests can check the kernels against them with
 ``==``.  :class:`RunningMoments` is the scalar moment accumulator of the
 Welford and Chan-Golub-LeVeque oracles, and :func:`predicted_group_cv` the
 one-group form of :func:`gbsample.alloc.predicted_group_cvs`.
+:func:`estimate` and :func:`exact_answer` order and gather the groups of
+an answer the plain way, with ``np.unique`` and one key at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from gbsample.errors import (
     ZeroMeanGroup,
     ZeroMeanStratum,
 )
-from gbsample.sampler import StratifiedSample, draw_stratified
+from gbsample.query import AVG, Answer, QueryRequest, _group_by, _inputs
+from gbsample.sampler import PoissonSample, StratifiedSample, draw_stratified
 from gbsample.stats import ColumnSummary, StratumStats, compute_catalog
 from gbsample.stream import ObjectiveSpec, StreamState, offline_plan
 from gbsample.workload import QuerySpec
@@ -390,3 +393,57 @@ def retained_keys(state: StreamState, k: int) -> list[float]:
     """The keys stratum ``k`` of a stream state retains, ascending."""
     table = state.retained
     return sorted(table["key"][table["stratum"] == k].tolist())
+
+
+# ---------------------------------------------------------------------------
+# query answers, ordered by np.unique and gathered one key at a time
+
+
+def matched(attrs, keys, value, support, groups: np.ndarray) -> Answer:
+    """The answer of ``groups`` in that order, their keys gathered one by
+    one."""
+    return Answer(
+        attrs,
+        tuple([keys[g] for g in groups.tolist()]),
+        value[groups],
+        support[groups],
+        np.zeros(len(groups), dtype=bool),
+    )
+
+
+def estimate(sample, request: QueryRequest) -> Answer:
+    """:func:`gbsample.query.estimate` with every per-sample array computed
+    in the call, and a Poisson answer's groups ordered by ``np.unique``'s
+    first index of each group among the kept rows."""
+    attrs = tuple(request.group_attrs)
+    values, keep = _inputs(sample.columns, request)
+    if isinstance(sample, PoissonSample):
+        ids, keys, _, _ = sample.columns.strata(attrs)
+        value, _, support = _group_by(
+            request.fn, np.arange(len(ids)), values, keep, 1.0 / sample.rates, ids, len(keys)
+        )
+        seen, first = np.unique(ids[keep], return_index=True)
+        return matched(attrs, keys, value, support, seen[np.argsort(first)])
+    group_of_cell, keys, _, _ = sample.key_columns.strata(attrs)
+    size = sample.size.astype(np.float64)
+    factor = np.divide(sample.n, size, out=np.zeros(len(size)), where=size > 0)
+    row_strata = np.repeat(np.arange(len(sample.size)), sample.size)
+    value, count, support = _group_by(
+        request.fn, row_strata, values, keep, factor, group_of_cell, len(keys)
+    )
+    if request.fn == AVG:
+        missing = count == 0
+    else:
+        missing = np.bincount(group_of_cell, size > 0, len(keys)) == 0
+    return Answer(attrs, keys, np.where(missing, np.nan, value), support, missing)
+
+
+def exact_answer(rel: Relation, request: QueryRequest) -> Answer:
+    """:func:`gbsample.query.exact_answer` with its keys gathered one by
+    one."""
+    values, keep = _inputs(rel, request)
+    ids, keys, _, _ = rel.strata(request.group_attrs)
+    value, _, support = _group_by(
+        request.fn, np.arange(rel.n_rows), values, keep, np.ones(rel.n_rows), ids, len(keys)
+    )
+    return matched(request.group_attrs, keys, value, support, np.flatnonzero(support))

@@ -905,6 +905,17 @@ def _count_where(*atoms):
             _count_where({"column": "grp", "op": "!=", "value": math.nan}),
             "predicate[0].value: expected a string or a finite number, got nan",
         ),
+        # an int beyond the float range is not a finite number
+        pytest.param(
+            _count_where({"column": "v", "op": "between", "lo": 10**400, "hi": 3}),
+            f"predicate[0].lo: expected a finite number, got {10**400}",
+            id="lo-beyond-the-float-range",
+        ),
+        pytest.param(
+            _count_where({"column": "v", "op": ">", "value": -(10**400)}),
+            f"predicate[0].value: expected a string or a finite number, got {-(10**400)}",
+            id="value-beyond-the-float-range",
+        ),
     ],
 )
 def test_malformed_query_document_is_a_user_error(tmp_path, fix_a_csv, capsys, doc, field):
@@ -1056,6 +1067,7 @@ def test_a_wrong_typed_config_value_is_a_user_error(tmp_path, fix_a_csv, capsys,
         ("sample", "seed", "x"),
         ("sample", "seed", 1.5),
         ("plan", "rate", "x"),
+        pytest.param("plan", "rate", 10**400, id="plan-rate-beyond-the-float-range"),
         ("stream-sim", "batch_size", "x"),
         ("compare", "n_seeds", "x"),
         ("stats", "out_dir", 5),
@@ -1152,6 +1164,7 @@ def test_every_subcommand_keeps_its_options():
         ([1], "[0]: expected an object"),
         ([{"column": "v"}], "[0].weight: missing"),
         ([{"weight": "2"}], "[0].weight: expected a finite number"),
+        ([{"weight": 10**400}], "[0].weight: expected a finite number"),
         (
             [{"weight": 2, "query": "0"}],
             "[0].query: expected an integer in the int64 range or null",
@@ -1366,3 +1379,66 @@ def test_sample_rows_must_hold_their_stratum_key(tmp_path, fix_a_csv, capsys):
         err = capsys.readouterr().err
         assert f"{sample}: data row 0 has grp = 'a', but its stratum 0 is (grp=b)" in err
         assert not (out / written).exists()
+
+
+def _not_utf8(path):
+    """Append a byte that no UTF-8 text holds to the file at ``path``."""
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+#: per case: the command, the commands run before it and the input file
+#: it then reads that gets a byte no UTF-8 text holds
+NOT_UTF8 = [
+    ("stats", (), "data"),
+    ("stats", (), "config"),
+    ("plan", ("stats",), "catalog.json"),
+    ("plan", ("stats",), "workload"),
+    ("plan", ("stats",), "weights"),
+    ("sample", ("stats", "plan"), "plan.json"),
+    ("query", ("stats", "plan", "sample"), "query"),
+    ("query", ("stats", "plan", "sample"), "sample.txt"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, upstream, spoilt", NOT_UTF8, ids=[f"{c}: {f}" for c, _, f in NOT_UTF8]
+)
+def test_an_input_file_that_is_not_utf8_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, command, upstream, spoilt
+):
+    data = tmp_path / "data.csv"
+    data.write_bytes(fix_a_csv.read_bytes())
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(_count_where()), encoding="utf-8")
+    workload = tmp_path / "workload.json"
+    workload.write_text(json.dumps([{"group_by": ["grp"], "aggregates": ["v"]}]))
+    weights = tmp_path / "weights.json"
+    weights.write_text("[]", encoding="utf-8")
+    extra = {"workload": str(workload), "weights": str(weights)} if command == "plan" else {}
+    cfg = _write_config(tmp_path, data, query=str(query), **extra)
+    for step in upstream:
+        assert _run(step, "--config", str(cfg)) == 0, step
+    out = tmp_path / "out"
+    path = {"data": data, "config": cfg, "query": query, "workload": workload,
+            "weights": weights}.get(spoilt, out / spoilt)
+    _not_utf8(path)
+    capsys.readouterr()
+    assert _run(command, "--config", str(cfg)) == 1
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_a_csv_field_beyond_the_csv_limit_is_a_user_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("grp,v\na,1\n" + "b" * 131073 + ",2\n", encoding="utf-8")
+    cfg = _write_config(tmp_path, data)
+    assert _run("stats", "--config", str(cfg)) == 1
+    assert f"error: {data}: field larger than field limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["directory", "through a file"])
+def test_a_data_path_that_is_no_file_is_a_user_error(tmp_path, fix_a_csv, capsys, where):
+    data = tmp_path if where == "directory" else fix_a_csv / "data.csv"
+    cfg = _write_config(tmp_path, data)
+    assert _run("stats", "--config", str(cfg)) == 1
+    reason = "Is a directory" if where == "directory" else "Not a directory"
+    assert f"error: {data}: {reason}" in capsys.readouterr().err

@@ -53,6 +53,7 @@ from gbsample.sampler import (
 from gbsample.stats import compute_catalog
 from gbsample.stream import ObjectiveSpec, ingest_batch, make_state
 
+import reference
 from reference import key_ids, partition, predicted_group_cv, project_key
 
 
@@ -983,3 +984,122 @@ def test_predicted_cvs_match_the_two_catalog_oracle(seed, n_rows, g_card, h_card
                     assert list(got.items()) == [(k.values, v) for k, v in want.items()], request
                     report = evaluate(target, drawn, request)
                     assert all(s.predicted_cv == want.get(s.group) for s in report.scores)
+
+
+# ---------------------------------------------------------------------------
+# answer order and cached sample arrays, against the reference forms
+
+_GH_SCHEMA = (
+    ColumnSchema("g", CATEGORICAL),
+    ColumnSchema("h", CATEGORICAL),
+    ColumnSchema("v", NUMERIC),
+)
+
+#: groupings of the (g, h) samples: none, each alone, both and both permuted
+_GROUPINGS = [(), ("g",), ("h",), ("g", "h"), ("h", "g")]
+
+
+def _same_answer(got, want):
+    assert got.attrs == want.attrs
+    assert got.keys == want.keys
+    assert got.value.tobytes() == want.value.tobytes()
+    assert got.support.tolist() == want.support.tolist()
+    assert got.missing.tolist() == want.missing.tolist()
+
+
+def _predicates(cut):
+    """No predicate, one that keeps the rows above ``cut`` (which drops the
+    first rows of some groups), one that matches nothing, one that matches
+    everything, and a categorical one."""
+    return [
+        None,
+        Predicate((Atom("v", ">", cut),)),
+        Predicate((Atom("v", ">", 1e9),)),
+        Predicate((Atom("v", "between", lo=-1e9, hi=1e9),)),
+        Predicate((Atom("h", "!=", "x"),)),
+    ]
+
+
+@settings(max_examples=40)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from("abc"), st.sampled_from("xy"), st.integers(0, 9)),
+        min_size=1,
+        max_size=30,
+    ),
+    rates=st.lists(st.sampled_from([0.3, 0.6, 1.0]), min_size=30, max_size=30),
+    budget=st.integers(1, 12),
+    cut=st.integers(0, 9),
+    seed=st.integers(0, 3),
+)
+def test_answers_match_the_reference_order_and_bytes(rows, rates, budget, cut, seed):
+    rel = Relation.from_records(_GH_SCHEMA, [(g, h, float(v)) for g, h, v in rows])
+    poisson = draw_poisson(rel, np.array(rates[: len(rows)]), seed)
+    catalog = compute_catalog(rel, ["g", "h"], [])
+    stratified = draw_stratified(rel, alloc_uniform(catalog, budget), seed)
+    for attrs in _GROUPINGS:
+        for fn, column in ((AVG, "v"), (SUM, "v"), (COUNT, None)):
+            for predicate in _predicates(float(cut)):
+                request = QueryRequest(attrs, fn, column, predicate)
+                for sample in (poisson, stratified):
+                    _same_answer(estimate(sample, request), reference.estimate(sample, request))
+                _same_answer(
+                    exact_answer(rel, attrs, column, fn, predicate),
+                    reference.exact_answer(rel, request),
+                )
+
+
+def test_a_predicate_orders_poisson_groups_by_their_first_kept_row():
+    """Group a comes first in the sample, but the predicate drops its first
+    row, so b's first kept row comes before a's, while the exact answer
+    keeps the relation's first-occurrence order.  A predicate that matches
+    nothing answers no group."""
+    rows = [("a", "x", 0.0), ("b", "x", 5.0), ("a", "y", 6.0), ("c", "y", 7.0), ("b", "y", 8.0)]
+    rel = Relation.from_records(_GH_SCHEMA, rows)
+    sample = draw_poisson(rel, np.ones(len(rows)), seed=0)
+    keep = Predicate((Atom("v", ">", 1.0),))
+    for attrs, want, support in (
+        (("g",), [("b",), ("a",), ("c",)], [2, 1, 1]),
+        (("g", "h"), [("b", "x"), ("a", "y"), ("c", "y"), ("b", "y")], [1, 1, 1, 1]),
+    ):
+        got = estimate(sample, QueryRequest(attrs, COUNT, None, keep))
+        assert list(got.keys) == want
+        assert got.support.tolist() == support
+    assert exact_answer(rel, ("g",), None, COUNT, keep).keys == (("a",), ("b",), ("c",))
+    nothing = Predicate((Atom("v", ">", 100.0),))
+    empty = estimate(sample, QueryRequest(("g",), SUM, "v", nothing))
+    assert empty.keys == () and len(empty.value) == 0
+
+
+def test_an_answer_of_every_group_holds_the_cached_keys():
+    rel = _two_group_rel()
+    sample = draw_poisson(rel, np.full(rel.n_rows, 0.5), seed=2)
+    for attrs in _GROUPINGS:
+        request = QueryRequest(attrs, SUM, "v")
+        assert estimate(sample, request).keys is sample.columns.strata(attrs).keys
+        assert exact_answer(rel, attrs, "v", SUM).keys is rel.strata(attrs).keys
+
+
+def test_sample_arrays_are_cached_read_only():
+    rel = _two_group_rel()
+    catalog = compute_catalog(rel, ["g", "h"], [])
+    stratified = draw_stratified(rel, alloc_uniform(catalog, 3), seed=1)
+    poisson = draw_poisson(rel, np.full(rel.n_rows, 0.5), seed=1)
+    arrays = {
+        (stratified, "row_strata"): np.repeat(np.arange(6), stratified.size),
+        (stratified, "expansion"): np.divide(
+            stratified.n, stratified.size, out=np.zeros(6), where=stratified.size > 0
+        ),
+        (stratified, "held"): stratified.size > 0,
+        (poisson, "expansion"): 1.0 / poisson.rates,
+    }
+    before = {where: getattr(*where) for where in arrays}
+    for sample in (stratified, poisson):
+        for fn, column in ((AVG, "v"), (SUM, "v"), (COUNT, None)):
+            estimate(sample, QueryRequest(("g",), fn, column))
+    for where, want in arrays.items():
+        got = getattr(*where)
+        assert got is before[where], where  # built once, on first use
+        assert not got.flags.writeable, where
+        assert got.tobytes() == want.tobytes(), where
+    assert not stratified.held.all()  # the budget leaves strata empty

@@ -202,3 +202,21 @@ def test_std_of_matches_the_scalar_moments():
     m2 = [0.0, 0.0, 4.5, 1e-300, 2.0 / 3.0, 123456.789]
     want = [RunningMoments(c, 0.0, m).std for c, m in zip(n, m2)]
     assert std_of(np.array(n), m2).tolist() == want
+
+
+def test_a_catalog_leaves_its_arguments_as_given():
+    """The catalog keeps read-only copies: the caller's dicts still hold
+    their own lists and arrays, unchanged and writable."""
+    n = np.array([2, 3])
+    mean = {"v": [1.0, 2.0], "w": np.array([3.0, 4.0])}
+    std = {"v": [0.5, 0.25], "w": np.array([0.0, 1.0])}
+    catalog = StatsCatalog(("g",), ("v", "w"), [("a",), ("b",)], n, mean, std, 5)
+    assert type(mean["v"]) is list and type(std["v"]) is list
+    assert mean["v"] == [1.0, 2.0] and std["v"] == [0.5, 0.25]
+    for arr in (n, mean["w"], std["w"]):
+        assert arr.flags.writeable
+    n[0] = mean["w"][0] = std["w"][0] = 9
+    assert catalog.n.tolist() == [2, 3]
+    assert catalog.mean["w"].tolist() == [3.0, 4.0] and catalog.std["w"].tolist() == [0.0, 1.0]
+    for arr in (catalog.n, *catalog.mean.values(), *catalog.std.values()):
+        assert not arr.flags.writeable
