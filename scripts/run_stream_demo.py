@@ -17,12 +17,7 @@ import sys
 
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
 from gbsample.stats import compute_catalog
-from gbsample.stream import (
-    ObjectiveSpec,
-    ingest_batch,
-    make_state,
-    offline_plan,
-)
+from gbsample.stream import ingest_batch, make_state, offline_plan
 
 SCHEMA = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
 
@@ -59,8 +54,7 @@ def main(argv=None) -> int:
         rows.append((f"g{i}", 1.0 + eps))
     spike = ("g0", 2.0 - eps)
 
-    objective = ObjectiveSpec(("v",))
-    state = make_state(SCHEMA, ("g",), objective, args.budget)
+    state = make_state(SCHEMA, ("g",), ("v",), args.budget)
     ingest_batch(state, rows, seed=args.seed)
 
     def streaming_sizes():
@@ -68,7 +62,7 @@ def main(argv=None) -> int:
 
     def offline_sizes(all_rows):
         rel = Relation.from_records(SCHEMA, all_rows)
-        plan = offline_plan(rel, ("g",), objective, args.budget)
+        plan = offline_plan(rel, ("g",), ("v",), args.budget)
         return rel, {k.values[0]: int(s) for k, s in zip(plan.keys, plan.sizes)}
 
     rel_pre, off_pre = offline_sizes(rows)

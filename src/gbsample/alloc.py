@@ -66,6 +66,7 @@ from .errors import (
     ZeroMeanGroup,
     ZeroMeanStratum,
     member,
+    parse_json,
     stratum_keys,
 )
 from .stats import StatsCatalog, squares
@@ -348,11 +349,10 @@ def plan_l2(
     budget: int,
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
-    query: int = 0,
 ) -> AllocationPlan:
     """Allocation minimizing the weighted l2 norm of predicted CVs for one
     grouping and one or more aggregation columns."""
-    kept, costs, excluded = cv_costs(catalog, columns, weights, zero_mean, query)
+    kept, costs, excluded = cv_costs(catalog, columns, weights, zero_mean)
     return _assemble_plan(L2, catalog, kept, costs, excluded, budget)
 
 
@@ -404,7 +404,6 @@ def cv_costs(
     columns: Sequence[str],
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
-    query: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-stratum cost coefficients sum_j w_j * cv_j^2 over the columns
     (:func:`cv2_costs`) under the ``zero_mean`` policy.
@@ -417,7 +416,7 @@ def cv_costs(
     """
     columns = tuple(columns)
     exclude = _excludes_zero_mean(zero_mean)
-    costs, first_zero = cv2_costs(catalog, columns, weights, query)
+    costs, first_zero = cv2_costs(catalog, columns, weights)
     zero = np.flatnonzero(first_zero >= 0)
     if zero.size and not exclude:
         k = int(zero[0])
@@ -901,7 +900,7 @@ def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | Per
     plan) and a query index outside the plan's queries raise
     :class:`InvalidDocument` naming ``source`` and the field."""
     get = partial(member, source)
-    doc = json.loads(text)
+    doc = parse_json(text, source)
     method = get(doc, "", "method", *STRING)
     budget = get(doc, "", "budget", *INTEGER)
     warnings = list(get(doc, "", "warnings", *STRINGS, default=[]))

@@ -29,9 +29,9 @@ Config fields::
     query       query file for `query` / `evaluate`
     seed        RNG seed (int)
     out_dir     output directory
-    batch_size  stream-sim batch size (int)
+    batch_size  stream-sim batch size (int >= 1)
     methods     list of methods for `compare`
-    n_seeds     number of seeds for `compare` (int; seed, seed+1, ...)
+    n_seeds     number of seeds for `compare` (int >= 1; seed, seed+1, ...)
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .errors import (
     member,
     nullable,
     open_text,
+    parse_json,
 )
 
 ALL_METHODS = ("cvopt-l2", "cvopt-linf", "cvopt-individual", *baselines.ALLOCATORS)
@@ -158,7 +159,7 @@ def load_config(args) -> RunConfig:
     if args.config:
         cfg.source = args.config
         with open_text(args.config) as fh:
-            doc = expect(cfg.source, json.load(fh), "", *OBJECT)
+            doc = expect(cfg.source, parse_json(fh.read(), cfg.source), "", *OBJECT)
         for k in sorted(doc.keys() - {f.name for f in fields(RunConfig)}):
             raise UsageError(f"unknown config field {k!r}")
     for f in fields(RunConfig):
@@ -173,6 +174,9 @@ def load_config(args) -> RunConfig:
             setattr(cfg, f.name, value)
     if cfg.method not in ALL_METHODS:
         raise UsageError(f"unknown method {cfg.method!r}; choose from {ALL_METHODS}")
+    for name in ("batch_size", "n_seeds"):
+        if getattr(cfg, name) < 1:
+            raise UsageError(f"{name} must be at least 1, got {getattr(cfg, name)}")
     return cfg
 
 
@@ -216,7 +220,7 @@ def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
         return None
     source = cfg.weights
     with open_text(source) as fh:
-        doc = expect(source, json.load(fh), "", *LIST)
+        doc = expect(source, parse_json(fh.read(), source), "", *LIST)
     entries = {}
     for i, item in enumerate(doc):
         get = partial(member, source, item, f"[{i}]")
@@ -349,7 +353,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def _load_query(cfg: RunConfig) -> qmod.QueryRequest:
     with open_text(cfg.need("query")) as fh:
-        return qmod.QueryRequest.from_json(json.load(fh), cfg.query)
+        return qmod.QueryRequest.from_json(parse_json(fh.read(), cfg.query), cfg.query)
 
 
 def cmd_query(cfg: RunConfig) -> int:
@@ -443,14 +447,12 @@ def cmd_stream(cfg: RunConfig) -> int:
     if not cfg.group_by or not cfg.aggregates:
         raise UsageError("group_by and aggregates are required for stream-sim")
     budget, _ = cfg.resolve_budget(rel.n_rows)
-    objective = stream.ObjectiveSpec(tuple(cfg.aggregates))
-    state = stream.make_state(rel.schema, tuple(cfg.group_by), objective, budget)
-    batch_size = max(cfg.batch_size, 1)
+    state = stream.make_state(rel.schema, cfg.group_by, cfg.aggregates, budget)
     path = _out(cfg, "stream_metrics.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         records = rel.records(np.arange(rel.n_rows))
-        for b, start in enumerate(range(0, len(records), batch_size)):
-            batch = records[start : start + batch_size]
+        for b, start in enumerate(range(0, len(records), cfg.batch_size)):
+            batch = records[start : start + cfg.batch_size]
             stream.ingest_batch(state, batch, batch_seed(seed, b))
             strata = zip(state.ids, state.sizes().tolist())
             sizes = [{"key": list(k), "size": size} for k, size in strata]
@@ -513,7 +515,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args)
         return args.fn(cfg)
-    except (UsageError, GbsampleError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, GbsampleError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

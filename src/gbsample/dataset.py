@@ -9,10 +9,10 @@ Categorical columns are dictionary-encoded: each is an array of int codes,
 one per row, plus its distinct values ("levels") in order of first
 occurrence, so code k stands for ``levels[k]``.  :func:`load_csv` encodes
 while it parses and never keeps one string per cell.
-:meth:`Relation.codes` returns the codes; :meth:`Relation.categorical`,
-:meth:`Relation.record` and :meth:`Relation.records` decode them to values
-at the API edge, so every file the package writes is unchanged by the
-encoding.
+:meth:`Relation.encoded` returns the codes and levels;
+:meth:`Relation.categorical` and :meth:`Relation.records` decode them to
+values at the API edge, so every file the package writes is unchanged by
+the encoding.
 
 Strata are integer ids: :func:`stratum_ids` numbers the rows' value tuples
 under a list of attributes by first occurrence, and :func:`segments` sorts
@@ -177,10 +177,6 @@ class Relation:
             raise UnknownAttribute(name)
         return self._columns[name]
 
-    def codes(self, name: str) -> np.ndarray:
-        """The read-only int code of every row of a categorical column."""
-        return self.encoded(name).codes
-
     def categorical(self, name: str) -> list[str]:
         """The decoded values of a categorical column, one per row."""
         codes, levels = self.encoded(name)
@@ -218,10 +214,6 @@ class Relation:
                 levels = data.levels
                 columns.append([levels[k] for k in data.codes[idx].tolist()])
         return list(zip(*columns)) if columns else [()] * idx.shape[0]
-
-    def record(self, row_id: int) -> tuple:
-        """Full row as a tuple of values in schema order."""
-        return self.records([row_id])[0]
 
     def take(self, rows) -> "Relation":
         """The given rows, in the given order, as a new relation.

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the input checks that
-raise :class:`InvalidDocument`, and :func:`open_text`, through which every
-input file is read.
+raise :class:`InvalidDocument`, :func:`open_text`, through which every
+input file is read, and :func:`parse_json`, through which every JSON input
+document is parsed.
 
 Every error raised by gbsample derives from :class:`GbsampleError`, so
 callers (notably the CLI) can distinguish user-facing problems from bugs.
@@ -9,6 +10,7 @@ callers (notably the CLI) can distinguish user-facing problems from bugs.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from contextlib import contextmanager
 from typing import Sequence
@@ -50,6 +52,18 @@ def open_text(path, newline: str | None = None):
         raise UnreadableFile(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise UnreadableFile(f"{path}: {exc}") from None
+
+
+def parse_json(text: str, source: str):
+    """The JSON document ``text``; a syntax error, or nesting deeper than
+    the parser's recursion limit, raises :class:`InvalidDocument` naming
+    the ``source`` document."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidDocument(f"{source}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidDocument(f"{source}: JSON nested too deeply to read") from None
 
 
 #: (check, description) pairs of JSON value types for :func:`member` and

@@ -437,7 +437,10 @@ def exact_answer(
 
 @dataclass
 class GroupScore:
-    group: GroupKey
+    """One scored group: ``key`` is its value tuple under the request's
+    grouping."""
+
+    key: tuple
     exact: float
     estimate: float | None
     rel_error: float | None
@@ -454,10 +457,6 @@ class EvaluationReport:
     cv_linf: float | None
     missing_groups: int
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def errors(self) -> list[float]:
-        return [s.rel_error for s in self.scores if s.rel_error is not None]
 
 
 def evaluate(
@@ -486,13 +485,13 @@ def evaluate(
     scores: list[GroupScore] = []
     warnings: list[str] = []
     missing_count = 0
-    for values, truth in zip(exact.keys, exact.value.tolist()):
-        key = GroupKey(exact.attrs, values)
-        cv = predicted.get(values)
+    for key, truth in zip(exact.keys, exact.value.tolist()):
+        cv = predicted.get(key)
         if truth == 0.0:
-            warnings.append(f"ZeroTruth: group {key} has exact value 0, excluded")
+            group = GroupKey(exact.attrs, key)
+            warnings.append(f"ZeroTruth: group {group} has exact value 0, excluded")
             continue
-        est = found.get(values)
+        est = found.get(key)
         if est is None:
             missing_count += 1
             if missing_policy == "score_one":
@@ -559,7 +558,7 @@ def report_to_json(report: EvaluationReport) -> str:
         "missing_groups": report.missing_groups,
         "groups": [
             {
-                "key": list(s.group.values),
+                "key": list(s.key),
                 "exact": s.exact,
                 "estimate": s.estimate,
                 "rel_error": s.rel_error,
@@ -585,7 +584,7 @@ def report_to_csv(report: EvaluationReport) -> str:
     for s in report.scores:
         cv = s.predicted_cv
         writer.writerow(
-            list(s.group.values)
+            list(s.key)
             + [
                 float(s.exact),
                 "" if s.estimate is None else float(s.estimate),

@@ -14,8 +14,9 @@ ids in the sampled relation; a Poisson sample adds a float64 array of
 inclusion probabilities, and a stratified sample keeps its rows stratum
 after stratum, with int64 arrays of each stratum's population ``n`` and
 sample ``size`` and a relation of the strata's key values.  The tuple
-forms (:attr:`StratifiedSample.strata`, :attr:`PoissonSample.rows` and
-friends) are read-only views derived from the columns on first access.
+forms (:attr:`StratifiedSample.strata`, :attr:`PoissonSample.row_ids` and
+:attr:`PoissonSample.p`) are views derived from the columns on first
+access; the benchmark is their only reader.
 
 Sample file format (documented here; see also README): the first line is a
 JSON header with the schema, method tag, seed and per-stratum metadata;
@@ -82,17 +83,14 @@ def _array(values, dtype) -> np.ndarray:
 
 @dataclass
 class StratumSample:
-    """One stratum of a stratified sample as tuples: a derived view."""
+    """One stratum of a stratified sample as tuples: a derived view, read
+    only by the benchmark."""
 
     key: GroupKey
     n: int
     size: int
     row_ids: list[int]
     rows: list[tuple]
-
-    @property
-    def missing(self) -> bool:
-        return self.size == 0
 
 
 class StratifiedSample:
@@ -157,7 +155,8 @@ class StratifiedSample:
 
     @cached_property
     def strata(self) -> list[StratumSample]:
-        """Every stratum with its row ids and decoded rows as lists."""
+        """Every stratum with its row ids and decoded rows as lists.  Its
+        only reader is the benchmark; everything else reads the arrays."""
         rows = self.columns.records(np.arange(len(self.columns)))
         ids = self.source_ids.tolist()
         out, start = [], 0
@@ -175,8 +174,9 @@ class StratifiedSample:
 class PoissonSample:
     """A Poisson sample, held as columns: the sampled rows ``columns``,
     their row ids in the sampled relation ``source_ids`` (int64) and their
-    inclusion probabilities ``rates`` (float64).  ``row_ids``, ``rows`` and
-    ``p`` are the same as lists, derived on first access."""
+    inclusion probabilities ``rates`` (float64).  ``row_ids`` and ``p`` are
+    the same as lists, derived on first access; the benchmark is their only
+    reader."""
 
     def __init__(
         self,
@@ -211,10 +211,6 @@ class PoissonSample:
     @cached_property
     def row_ids(self) -> list[int]:
         return self.source_ids.tolist()
-
-    @cached_property
-    def rows(self) -> list[tuple]:
-        return self.columns.records(np.arange(len(self.columns)))
 
     @cached_property
     def p(self) -> list[float]:

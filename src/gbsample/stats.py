@@ -13,7 +13,8 @@ aggregation column, float64 ``mean`` and ``std`` arrays.  It keeps std
 rather than the sum of squared deviations because ``catalog.json`` holds
 std, so a catalog read back from its file is bit-identical to the one
 computed.  ``StatsCatalog.entries`` is a read-only ``GroupKey ->
-StratumStats`` view built from the arrays on first access.
+StratumStats`` view built from the arrays on first access; the benchmark
+(``benchmark/workloads.py``) is its only reader.
 
 :meth:`StatsCatalog.pooled` aggregates to a coarser grouping once per
 attribute tuple and keeps the result.  A fine stratum's group is its
@@ -50,15 +51,9 @@ from .errors import (
     InvalidDocument,
     NotASubset,
     member,
+    parse_json,
     stratum_keys,
 )
-
-#: significant digits used when serializing floating point values
-FLOAT_DIGITS = 17
-
-
-def _fmt(x: float) -> float:
-    return float(format(float(x), f".{FLOAT_DIGITS}g"))
 
 
 def squares(x) -> list[float]:
@@ -86,7 +81,7 @@ def std_of(n: np.ndarray, m2: np.ndarray | Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ColumnSummary:
-    """One column's mean and std in one stratum."""
+    """One column's mean and std in one stratum of the entries view."""
 
     mean: float
     std: float
@@ -94,6 +89,8 @@ class ColumnSummary:
 
 @dataclass(frozen=True)
 class StratumStats:
+    """One stratum of :attr:`StatsCatalog.entries`, the benchmark's view."""
+
     key: GroupKey
     n: int
     per_column: Mapping[str, ColumnSummary]
@@ -183,7 +180,8 @@ class StatsCatalog:
     @cached_property
     def entries(self) -> Mapping[GroupKey, StratumStats]:
         """A read-only ``GroupKey -> StratumStats`` view of the arrays, in
-        catalog order, built on first access."""
+        catalog order, built on first access.  Its only reader is the
+        benchmark; everything else reads the arrays."""
         n = self.n.tolist()
         columns = _column_lists(self)
         entries = {}
@@ -246,6 +244,8 @@ def pool_catalog(catalog: StatsCatalog, target_attrs: Sequence[str]) -> StatsCat
 
 
 def catalog_to_json(catalog: StatsCatalog) -> str:
+    """The catalog as a JSON document; each float is written as the
+    shortest text that reads back as the same float."""
     columns = _column_lists(catalog)
     doc = {
         "group_attrs": list(catalog.group_attrs),
@@ -256,7 +256,7 @@ def catalog_to_json(catalog: StatsCatalog) -> str:
                 "key": list(values),
                 "n": n,
                 "columns": {
-                    col: {"mean": _fmt(mu[k]), "std": _fmt(sigma[k])} for col, mu, sigma in columns
+                    col: {"mean": mu[k], "std": sigma[k]} for col, mu, sigma in columns
                 },
             }
             for k, (values, n) in enumerate(zip(catalog.keys, catalog.n.tolist()))
@@ -275,7 +275,7 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
 
     get = partial(member, source)
     spread = (lambda v: NUMBER[0](v) and v >= 0), "a finite number >= 0"
-    doc = json.loads(text)
+    doc = parse_json(text, source)
     group_attrs = tuple(get(doc, "", "group_attrs", *NAMES))
     agg_columns = tuple(get(doc, "", "agg_columns", *NAMES))
     total_n = get(doc, "", "total_n", *COUNT)

@@ -9,11 +9,11 @@ uniform without-replacement subset of the stratum so far.
 
 After each batch the total may exceed the budget M.  The settle step
 computes fractional per-stratum targets M_i = M * f(i) / sum(f) from the
-current online statistics (f is the square root of the configured
-weighted squared-CV score, as in the offline allocators) and evicts the
-excess.  The policy is that only strata above their target ever lose
-rows; among such evictions the counts minimize the increase of the
-objective
+current online statistics (f is the square root of the squared CVs
+summed over the configured columns, as in the offline allocators) and
+evicts the excess.  The policy is that only strata above their target
+ever lose rows; among such evictions the counts minimize the increase of
+the objective
 
     F = sum_i f(i)^2 / s_i
 
@@ -46,8 +46,6 @@ import numpy as np
 from .alloc import (
     AllocationPlan,
     L2,
-    UNIT_WEIGHTS,
-    WeightSpec,
     _assemble_plan,
     cv2_costs,
     floor_zero_costs,
@@ -55,21 +53,13 @@ from .alloc import (
     l2_objective,
     shed,
 )
-from .dataset import ColumnSchema, Relation
-from .errors import SchemaMismatch
+from .dataset import ColumnSchema, GroupKey, Relation
+from .errors import FloatOverflow, SchemaMismatch
 from .sampler import StratifiedSample
 from .stats import compute_catalog, std_of
 
 #: one retained row: its stratum id, key, arrival ordinal and record
 RETAINED = np.dtype([("stratum", "i8"), ("key", "f8"), ("ordinal", "i8"), ("record", "O")])
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Which columns and weights drive the per-stratum score f(i)^2."""
-
-    columns: tuple[str, ...]
-    weights: WeightSpec = UNIT_WEIGHTS
 
 
 @dataclass
@@ -87,12 +77,12 @@ class SettleReport:
 @dataclass
 class StreamState:
     """Stratum k has the group values that ``ids`` maps to k, ``n_seen[k]``
-    arrivals, threshold ``d[k]`` and, per objective column c, moments
+    arrivals, threshold ``d[k]`` and, per column c of ``columns``, moments
     ``mean[c][k]`` and ``m2[c][k]``; ``retained`` holds the kept rows."""
 
     schema: tuple[ColumnSchema, ...]
     group_attrs: tuple[str, ...]
-    objective: ObjectiveSpec
+    columns: tuple[str, ...]
     budget: int
     mean: dict[str, np.ndarray]
     m2: dict[str, np.ndarray]
@@ -117,17 +107,7 @@ class StreamState:
         Zero-variance or zero-mean strata score 0 and are floored to a
         vanishing positive value, mirroring the offline cost floor.
         """
-        total = np.zeros(len(self.ids))
-        for col in self.objective.columns:
-            mean = self.mean[col]
-            std = std_of(self.n_seen, self.m2[col])
-            cv = np.divide(std, np.abs(mean), out=np.zeros(len(mean)), where=mean != 0.0)
-            w = self.objective.weights.weights_of(0, self.ids.keys(), col)
-            # the product (w * cv) * cv, not cv2_costs's w * cv**2: the two
-            # differ in the last bit for some values, which would move F and
-            # the sizes that stream_metrics.jsonl records
-            total = total + (w * cv) * cv
-        return floor_zero_costs(total)
+        return floor_zero_costs(_squared_cvs(self, self.n_seen, self.mean, self.m2))
 
     def objective_value(self) -> float:
         """F = sum f(i)^2 / s_i over retained strata (inf on an empty one)."""
@@ -143,19 +123,40 @@ class StreamState:
         )
 
 
+def _squared_cvs(state: StreamState, n_seen, mean, m2) -> np.ndarray:
+    """sum_c cv_c^2 per stratum from these counts and moments (a zero-mean
+    column adds nothing).  A sum beyond the float range raises
+    :class:`FloatOverflow` naming its stratum and the column that took it
+    there."""
+    total = np.zeros(len(n_seen))
+    for col in state.columns:
+        mu = mean[col]
+        std = std_of(n_seen, m2[col])
+        with np.errstate(over="ignore"):
+            cv = np.divide(std, np.abs(mu), out=np.zeros(len(mu)), where=mu != 0.0)
+            # cv * cv, not cv2_costs's pow: the two differ in the last bit
+            # for some values, which would move F and the recorded sizes
+            total = total + cv * cv
+        bad = np.flatnonzero(~np.isfinite(total))
+        if bad.size:
+            key = GroupKey(state.group_attrs, list(state.ids)[bad[0]])
+            raise FloatOverflow("the squared CV is", key, col)
+    return total
+
+
 def make_state(
     schema: Sequence[ColumnSchema],
     group_attrs: Sequence[str],
-    objective: ObjectiveSpec,
+    columns: Sequence[str],
     budget: int,
 ) -> StreamState:
     names = {c.name for c in schema}
-    for a in tuple(group_attrs) + tuple(objective.columns):
+    columns = tuple(columns)
+    for a in tuple(group_attrs) + columns:
         if a not in names:
             raise SchemaMismatch(f"column {a!r} not in schema")
-    cols = objective.columns
-    return StreamState(tuple(schema), tuple(group_attrs), objective, int(budget),
-                       {c: np.zeros(0) for c in cols}, {c: np.zeros(0) for c in cols})
+    return StreamState(tuple(schema), tuple(group_attrs), columns, int(budget),
+                       {c: np.zeros(0) for c in columns}, {c: np.zeros(0) for c in columns})
 
 
 def batch_keys(seed: int, count: int) -> np.ndarray:
@@ -184,7 +185,7 @@ def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new:
             rows = by_rank[lo:hi]
             s = sid[rows]
             count = n_seen[s] + (k + 1)
-            for col, x in zip(state.objective.columns, values):
+            for col, x in zip(state.columns, values):
                 x = x[rows]
                 before = mean[col][s]
                 delta = x - before
@@ -200,7 +201,9 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     is retained only if its key passes the stratum's discard threshold.
     New strata start with d = 1.0 (accept everything).  A batch with a
     malformed record, or one that would overflow a stratum's moments,
-    raises :class:`SchemaMismatch` and leaves the state as it was.
+    raises :class:`SchemaMismatch`, and one that would take a stratum's
+    squared CV beyond the float range raises :class:`FloatOverflow`; either
+    leaves the state as it was.
     """
     n_cols = len(state.schema)
     for record in batch:
@@ -209,7 +212,7 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     columns = list(zip(*batch)) or [()] * n_cols
     at = {c.name: i for i, c in enumerate(state.schema)}
     try:
-        values = [np.array(list(map(float, columns[at[c]]))) for c in state.objective.columns]
+        values = [np.array(list(map(float, columns[at[c]]))) for c in state.columns]
     except (TypeError, ValueError):
         raise SchemaMismatch("non-numeric value in an aggregation column") from None
     if not all(np.isfinite(x).all() for x in values):
@@ -220,9 +223,13 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     ids, known = state.ids, len(state.n_seen)  # value tuple -> id, in first-arrival order
     sid = np.fromiter((ids.setdefault(v, len(ids)) for v in group_values), np.int64, n)
     n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
-    if not np.isfinite([*mean.values(), *m2.values()]).all():
+    try:
+        if not np.isfinite([*mean.values(), *m2.values()]).all():
+            raise SchemaMismatch("aggregation values overflow their stratum's moments")
+        _squared_cvs(state, n_seen, mean, m2)
+    except (SchemaMismatch, FloatOverflow):
         state.ids = dict(list(ids.items())[:known])  # forget the batch's new strata
-        raise SchemaMismatch("aggregation values overflow their stratum's moments")
+        raise
     state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
     state.n_seen, state.mean, state.m2 = n_seen, mean, m2
 
@@ -280,12 +287,12 @@ def settle_budget(state: StreamState) -> StreamState:
 def offline_plan(
     rel: Relation,
     group_attrs: Sequence[str],
-    objective: ObjectiveSpec,
+    columns: Sequence[str],
     budget: int,
 ) -> AllocationPlan:
     """The offline allocation the streaming sampler converges to; as in
     :meth:`StreamState.scores`, a zero-mean column adds nothing."""
-    catalog = compute_catalog(rel, group_attrs, objective.columns)
-    costs, _ = cv2_costs(catalog, objective.columns, objective.weights)
+    catalog = compute_catalog(rel, group_attrs, columns)
+    costs, _ = cv2_costs(catalog, columns)
     strata = np.arange(len(catalog))
     return _assemble_plan(L2, catalog, strata, floor_zero_costs(costs), [], budget)

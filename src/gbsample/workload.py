@@ -11,7 +11,6 @@ split the entity).  Frequencies then become weights for the allocators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -28,6 +27,7 @@ from .errors import (
     UnknownColumn,
     expect,
     member,
+    parse_json,
 )
 from .alloc import GroupQuery, WeightSpec
 from .query import Predicate
@@ -185,7 +185,7 @@ def workload_from_json(text: str, source: str = "workload") -> list[QuerySpec]:
     an array, an item that is not an object or lacks ``group_by`` or
     ``aggregates``, and a ``repeats`` that is not a JSON integer raise
     :class:`InvalidDocument` naming ``source`` and the field."""
-    doc = expect(source, json.loads(text), "", LIST[0], "a list of queries")
+    doc = expect(source, parse_json(text, source), "", LIST[0], "a list of queries")
     out = []
     for i, item in enumerate(doc):
         get = partial(member, source, item, f"[{i}]")
@@ -205,15 +205,3 @@ def workload_from_json(text: str, source: str = "workload") -> list[QuerySpec]:
         )
     return out
 
-
-def workload_to_json(workload: Sequence[QuerySpec]) -> str:
-    doc = [
-        {
-            "group_by": list(q.group_attrs),
-            "aggregates": list(q.agg_columns),
-            "predicate": q.predicate.to_json() if q.predicate else None,
-            "repeats": q.repeats,
-        }
-        for q in workload
-    ]
-    return json.dumps(doc, indent=2)

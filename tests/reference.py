@@ -4,8 +4,8 @@ kernels.
 The package numbers strata with :func:`gbsample.dataset.stratum_ids`, walks
 them as slices of one sorted row order, and keeps their statistics as
 arrays indexed by stratum.  The functions here do the same work the plain
-way, one Python tuple per row and one ``GroupKey -> StratumStats`` dict
-entry per stratum, so the tests can check the kernels against them with
+way, one Python tuple per row and one ``GroupKey -> Stratum`` dict item
+per stratum, so the tests can check the kernels against them with
 ``==``.  :class:`RunningMoments` is the scalar moment accumulator of the
 Welford and Chan-Golub-LeVeque oracles, and :func:`predicted_group_cv` the
 one-group form of :func:`gbsample.alloc.predicted_group_cvs`.
@@ -41,8 +41,8 @@ from gbsample.errors import (
 )
 from gbsample.query import AVG, Answer, QueryRequest, _group_by, _inputs
 from gbsample.sampler import PoissonSample, StratifiedSample, draw_stratified
-from gbsample.stats import ColumnSummary, StratumStats, compute_catalog
-from gbsample.stream import ObjectiveSpec, StreamState, offline_plan
+from gbsample.stats import StatsCatalog, compute_catalog
+from gbsample.stream import StreamState, offline_plan
 from gbsample.workload import QuerySpec
 
 
@@ -137,28 +137,52 @@ def build_finest(rel: Relation, queries: Sequence[GroupQuery]) -> FinestStratifi
     return finest_from_catalog(fine, queries)
 
 
-def catalog_entries(
-    rel: Relation, attrs: Sequence[str], columns: Sequence[str]
-) -> dict[GroupKey, StratumStats]:
-    """:func:`gbsample.stats.compute_catalog`'s entries, stratum by stratum
-    over :func:`partition`'s row lists, with the moments from ``np.mean``
-    and ``np.sum``."""
-    entries = {}
+@dataclass(frozen=True)
+class Stratum:
+    """One stratum's row count and, per aggregation column, its mean and
+    (n - 1)-divisor standard deviation."""
+
+    n: int
+    mean: dict[str, float]
+    std: dict[str, float]
+
+
+#: per stratum in catalog order, its key and summary
+Summaries = dict[GroupKey, Stratum]
+
+
+def catalog_summaries(rel: Relation, attrs: Sequence[str], columns: Sequence[str]) -> Summaries:
+    """:func:`gbsample.stats.compute_catalog`, stratum by stratum over
+    :func:`partition`'s row lists, with the moments from ``np.mean`` and
+    ``np.sum``."""
+    out = {}
     for key, rows in partition(rel, attrs).items():
         idx = np.asarray(rows, dtype=np.intp)
-        per_column = {}
+        mean, std = {}, {}
         for col in columns:
             x = rel.numeric(col)[idx]
-            mean = float(np.mean(x)) if len(rows) else 0.0
-            m = RunningMoments(len(rows), mean, float(np.sum((x - mean) ** 2)))
-            per_column[col] = ColumnSummary(m.mean, m.std)
-        entries[key] = StratumStats(key, len(rows), per_column)
-    return entries
+            mean[col] = float(np.mean(x)) if len(rows) else 0.0
+            m2 = float(np.sum((x - mean[col]) ** 2))
+            std[col] = RunningMoments(len(rows), mean[col], m2).std
+        out[key] = Stratum(len(rows), mean, std)
+    return out
+
+
+def summaries_of(catalog: StatsCatalog) -> Summaries:
+    """The arrays ``keys``, ``n``, ``mean`` and ``std`` of ``catalog``,
+    stratum by stratum."""
+    out = {}
+    for k, values in enumerate(catalog.keys):
+        mean = {c: float(catalog.mean[c][k]) for c in catalog.agg_columns}
+        std = {c: float(catalog.std[c][k]) for c in catalog.agg_columns}
+        out[GroupKey(catalog.group_attrs, values)] = Stratum(int(catalog.n[k]), mean, std)
+    return out
 
 
 def draw(rel: Relation, plan: AllocationPlan, seed: int) -> list[tuple]:
     """:func:`gbsample.sampler.draw_stratified` over :func:`partition`'s
-    row lists: (key, n, size, row_ids, rows) per plan stratum."""
+    row lists: (key values, n, size, row ids, rows) per plan stratum, the
+    form of :func:`stratum_lists`."""
     buckets = partition(rel, plan.group_attrs)
     out = []
     for idx, key in enumerate(plan.keys):
@@ -172,17 +196,39 @@ def draw(rel: Relation, plan: AllocationPlan, seed: int) -> list[tuple]:
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
             pool = np.asarray(rows, dtype=np.int64)
             chosen = sorted(rng.choice(pool, size=s_i, replace=False).tolist())
-        out.append((key, len(rows), s_i, chosen, [rel.record(r) for r in chosen]))
+        out.append((key.values, len(rows), s_i, chosen, rel.records(chosen)))
     return out
 
 
 def draw_poisson(rel: Relation, p, seed: int) -> tuple[list, list, list]:
     """:func:`gbsample.sampler.draw_poisson` one row at a time: the row ids,
     rows and inclusion probabilities of the rows whose uniform draw falls
-    below their probability."""
+    below their probability, the form of :func:`poisson_lists`."""
     u = np.random.default_rng(np.random.SeedSequence([seed, 0])).random(rel.n_rows)
     taken = [r for r in range(rel.n_rows) if u[r] < p[r]]
-    return taken, [rel.record(r) for r in taken], [float(p[r]) for r in taken]
+    return taken, rel.records(taken), [float(p[r]) for r in taken]
+
+
+def stratum_lists(sample: StratifiedSample) -> list[tuple]:
+    """(key values, n, size, row ids, rows) per stratum of a stratified
+    sample, split from its arrays ``keys``, ``n``, ``size``, ``source_ids``
+    and ``columns``."""
+    rows = sample.columns.records(np.arange(sample.total_rows))
+    ids = sample.source_ids.tolist()
+    bounds = np.concatenate(([0], np.cumsum(sample.size))).tolist()
+    return [
+        (key, n, size, ids[lo:hi], rows[lo:hi])
+        for key, n, size, lo, hi in zip(
+            sample.keys, sample.n.tolist(), sample.size.tolist(), bounds, bounds[1:]
+        )
+    ]
+
+
+def poisson_lists(sample: PoissonSample) -> tuple[list, list, list]:
+    """The row ids, rows and inclusion probabilities of a Poisson sample as
+    lists, from its arrays ``source_ids``, ``columns`` and ``rates``."""
+    rows = sample.columns.records(np.arange(sample.total_rows))
+    return sample.source_ids.tolist(), rows, sample.rates.tolist()
 
 
 def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tuple]:
@@ -208,9 +254,7 @@ def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tup
 
 
 # ---------------------------------------------------------------------------
-# moments, pooling and cost coefficients, one dict entry per stratum
-
-Entries = dict[GroupKey, StratumStats]
+# moments, pooling and cost coefficients, one dict item per stratum
 
 
 def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
@@ -231,33 +275,30 @@ def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
     return RunningMoments(count, mean, m2)
 
 
-def moments(st: StratumStats, column: str) -> RunningMoments:
+def moments(st: Stratum, column: str) -> RunningMoments:
     """The moment accumulator a stratum summary stands for."""
-    s = st.per_column[column]
-    return RunningMoments(st.n, s.mean, s.std**2 * (st.n - 1))
+    return RunningMoments(st.n, st.mean[column], st.std[column] ** 2 * (st.n - 1))
 
 
-def pool_entries(entries: Entries, target_attrs: Sequence[str]) -> Entries:
-    """:func:`gbsample.stats.pool_catalog` over dict entries: every key
-    projected with :func:`project_key`, every stratum and column
-    merged into its group in entry order."""
+def pool_summaries(fine: Summaries, target_attrs: Sequence[str]) -> Summaries:
+    """:func:`gbsample.stats.pool_catalog` over dict items: every key
+    projected with :func:`project_key`, every stratum and column merged
+    into its group in dict order."""
     pooled: dict[GroupKey, dict[str, RunningMoments]] = {}
-    for key, st in entries.items():
-        acc = pooled.setdefault(
-            project_key(key, target_attrs), {c: EMPTY_MOMENTS for c in st.per_column}
-        )
-        for col in st.per_column:
+    for key, st in fine.items():
+        acc = pooled.setdefault(project_key(key, target_attrs), {c: EMPTY_MOMENTS for c in st.mean})
+        for col in st.mean:
             acc[col] = merge(acc[col], moments(st, col))
     out = {}
     for coarse, acc in pooled.items():
         n = next(iter(acc.values())).count
-        per_column = {c: ColumnSummary(m.mean, m.std) for c, m in acc.items()}
-        out[coarse] = StratumStats(coarse, n, per_column)
+        mean = {c: m.mean for c, m in acc.items()}
+        out[coarse] = Stratum(n, mean, {c: m.std for c, m in acc.items()})
     return out
 
 
 def cv_costs(
-    entries: Entries,
+    strata: Summaries,
     columns: Sequence[str],
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
@@ -267,18 +308,17 @@ def cv_costs(
     """:func:`gbsample.alloc.cv_costs` stratum by stratum, before the cost
     floor: (kept keys, their sum_j w_j * cv_j**2, excluded keys)."""
     keys, costs, excluded = [], [], []
-    for key, st in entries.items():
+    for key, st in strata.items():
         total = 0.0
         bad = None
         for col in columns:
             w = weights.weight(query, key.values, col)
             if w == 0.0:
                 continue
-            summary = st.per_column[col]
-            if summary.mean == 0.0:
+            if st.mean[col] == 0.0:
                 bad = col
                 break
-            total += w * (summary.std / abs(summary.mean)) ** 2
+            total += w * (st.std[col] / abs(st.mean[col])) ** 2
         if bad is not None:
             if zero_mean == "exclude":
                 excluded.append(key)
@@ -290,18 +330,18 @@ def cv_costs(
 
 
 def individual_sizes(
-    per_query: Sequence[Entries],
+    per_query: Sequence[Summaries],
     queries: Sequence[GroupQuery],
     budget: int,
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
 ) -> dict[tuple[int, GroupKey], float]:
     """:func:`gbsample.alloc.plan_individual`'s sizes from per-query dict
-    entries."""
+    items."""
     pairs, scores, excluded = [], [], []
-    for i, (entries, q) in enumerate(zip(per_query, queries)):
+    for i, (strata, q) in enumerate(zip(per_query, queries)):
         policy = (weights, zero_mean, i, ZeroMeanGroup)
-        keys, costs, out = cv_costs(entries, q.columns, *policy)
+        keys, costs, out = cv_costs(strata, q.columns, *policy)
         pairs += [(i, k) for k in keys]
         scores += costs
         excluded += [(i, k) for k in out]
@@ -312,14 +352,14 @@ def individual_sizes(
 
 
 def multi_grouping_costs(
-    fine: Entries,
+    fine: Summaries,
     queries: Sequence[GroupQuery],
     weights: WeightSpec = UNIT_WEIGHTS,
     zero_mean: str = "error",
 ) -> np.ndarray:
-    """:func:`gbsample.alloc.multi_grouping_costs` over dict entries, one
-    fine stratum (in entry order), query and column at a time."""
-    coarse = [pool_entries(fine, q.attrs) for q in queries]
+    """:func:`gbsample.alloc.multi_grouping_costs` over dict items, one
+    fine stratum (in dict order), query and column at a time."""
+    coarse = [pool_summaries(fine, q.attrs) for q in queries]
     costs = np.zeros(len(fine))
     for idx, key in enumerate(fine):
         fine_st = fine[key]
@@ -332,12 +372,12 @@ def multi_grouping_costs(
                 w = weights.weight(i, coarse_key.values, col)
                 if w == 0.0:
                     continue
-                mu = coarse_st.per_column[col].mean
+                mu = coarse_st.mean[col]
                 if mu == 0.0:
                     if zero_mean == "exclude":
                         continue
                     raise ZeroMeanCoarseGroup(coarse_key, col)
-                sigma = fine_st.per_column[col].std
+                sigma = fine_st.std[col]
                 inner += w * sigma**2 / mu**2
             total += inner / coarse_st.n**2
         costs[idx] = fine_st.n**2 * total
@@ -376,7 +416,7 @@ def two_pass_reference(
     records: Sequence[tuple],
     schema: Sequence[ColumnSchema],
     group_attrs: Sequence[str],
-    objective: ObjectiveSpec,
+    columns: Sequence[str],
     budget: int,
     seed: int,
 ) -> StratifiedSample:
@@ -385,7 +425,7 @@ def two_pass_reference(
     streaming f(i)^2 up to floating point error: the stream folds values in
     one at a time and squares each CV as cv * cv."""
     rel = Relation.from_records(schema, records)
-    plan = offline_plan(rel, group_attrs, objective, budget)
+    plan = offline_plan(rel, group_attrs, columns, budget)
     return draw_stratified(rel, plan, seed)
 
 

@@ -34,7 +34,6 @@ from gbsample.query import AVG, COUNT, QueryRequest, estimate, evaluate
 from gbsample.sampler import draw_poisson, draw_stratified
 from gbsample.stats import compute_catalog
 from gbsample.stream import (
-    ObjectiveSpec,
     batch_keys,
     ingest_batch,
     make_state,
@@ -439,7 +438,7 @@ def test_criterion_7_eviction_optimality():
         # strata s0 .. s{k-1} with sizes[i] rows each: one batch ingested
         # under a budget that keeps every row, then the trial's budget and f^2
         rows = [(f"s{i}", 0.0) for i in range(k) for _ in range(int(sizes[i]))]
-        state = make_state(schema, ("g",), ObjectiveSpec(("v",)), len(rows))
+        state = make_state(schema, ("g",), ("v",), len(rows))
         ingest_batch(state, rows, seed=trial)
         state.budget = budget
         state.scores = lambda f2=f2: f2  # type: ignore
@@ -502,7 +501,7 @@ def _stream_rows(seed, n, groups=8):
 
 def test_criterion_8_streaming_offline_agreement():
     start = time.time()
-    objective = ObjectiveSpec(("v",))
+    objective = ("v",)
     budget = 500
 
     for seed in range(5):

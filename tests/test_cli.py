@@ -416,6 +416,37 @@ def test_stream_sim_overflowing_moments_is_a_user_error(tmp_path, capsys, batch_
     assert "overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batch_size", [1, 2, 6])
+def test_stream_sim_overflowing_squared_cv_is_a_user_error(tmp_path, capsys, batch_size):
+    # a's moments stay finite, but with its third row sigma / |mu| is about
+    # 1e160, whose square is beyond the float range
+    data = tmp_path / "huge.csv"
+    data.write_text("grp,v\na,1e150\na,-1e150\na,3e-10\nb,1\nb,2\nb,4\n", encoding="utf-8")
+    cfg = _write_config(tmp_path, data, budget=4, batch_size=batch_size, seed=1)
+    assert _run("stream-sim", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert "error: (grp=a) column 'v': the squared CV is beyond the float range" in err
+    assert "Warning" not in err
+    lines = (tmp_path / "out" / "stream_metrics.jsonl").read_text().splitlines()
+    assert all(json.loads(line)["objective"] != "inf" for line in lines)
+
+
+@pytest.mark.parametrize("by_flag", [False, True])
+@pytest.mark.parametrize(
+    "command, name, value",
+    [("stream-sim", "batch_size", 0), ("stream-sim", "batch_size", -5),
+     ("compare", "n_seeds", 0), ("compare", "n_seeds", -2)],
+)
+def test_a_count_below_one_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, command, name, value, by_flag
+):
+    flag = ["--" + name.replace("_", "-"), str(value)] if by_flag else []
+    cfg = _write_config(tmp_path, fix_a_csv, **({} if by_flag else {name: value}))
+    assert _run(command, "--config", str(cfg), *flag) == 1
+    assert f"error: {name} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rate_on_large_table_end_to_end(tmp_path):
     import numpy as np
 
@@ -1400,12 +1431,9 @@ NOT_UTF8 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, upstream, spoilt", NOT_UTF8, ids=[f"{c}: {f}" for c, _, f in NOT_UTF8]
-)
-def test_an_input_file_that_is_not_utf8_is_a_user_error(
-    tmp_path, fix_a_csv, capsys, command, upstream, spoilt
-):
+def _input_after(tmp_path, fix_a_csv, command, upstream, name):
+    """The path of the input file ``name`` that ``command`` reads, after a
+    config for it is written and the commands ``upstream`` have run."""
     data = tmp_path / "data.csv"
     data.write_bytes(fix_a_csv.read_bytes())
     query = tmp_path / "query.json"
@@ -1418,9 +1446,17 @@ def test_an_input_file_that_is_not_utf8_is_a_user_error(
     cfg = _write_config(tmp_path, data, query=str(query), **extra)
     for step in upstream:
         assert _run(step, "--config", str(cfg)) == 0, step
-    out = tmp_path / "out"
-    path = {"data": data, "config": cfg, "query": query, "workload": workload,
-            "weights": weights}.get(spoilt, out / spoilt)
+    return cfg, {"data": data, "config": cfg, "query": query, "workload": workload,
+                 "weights": weights}.get(name, tmp_path / "out" / name)
+
+
+@pytest.mark.parametrize(
+    "command, upstream, spoilt", NOT_UTF8, ids=[f"{c}: {f}" for c, _, f in NOT_UTF8]
+)
+def test_an_input_file_that_is_not_utf8_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, command, upstream, spoilt
+):
+    cfg, path = _input_after(tmp_path, fix_a_csv, command, upstream, spoilt)
     _not_utf8(path)
     capsys.readouterr()
     assert _run(command, "--config", str(cfg)) == 1
@@ -1442,3 +1478,37 @@ def test_a_data_path_that_is_no_file_is_a_user_error(tmp_path, fix_a_csv, capsys
     assert _run("stats", "--config", str(cfg)) == 1
     reason = "Is a directory" if where == "directory" else "Not a directory"
     assert f"error: {data}: {reason}" in capsys.readouterr().err
+
+
+#: per case: the command, the commands run before it and the JSON input
+#: file it then reads, cut short
+BROKEN_JSON = [
+    ("stats", (), "config"),
+    ("plan", ("stats",), "weights"),
+    ("plan", ("stats",), "workload"),
+    ("plan", ("stats",), "catalog.json"),
+    ("sample", ("stats", "plan"), "plan.json"),
+    ("query", ("stats", "plan", "sample"), "query"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, upstream, broken", BROKEN_JSON, ids=[f"{c}: {f}" for c, _, f in BROKEN_JSON]
+)
+def test_a_json_syntax_error_names_the_file(
+    tmp_path, fix_a_csv, capsys, command, upstream, broken
+):
+    cfg, path = _input_after(tmp_path, fix_a_csv, command, upstream, broken)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    capsys.readouterr()
+    assert _run(command, "--config", str(cfg)) == 1
+    assert f"error: {path}: not valid JSON: " in capsys.readouterr().err
+
+
+def test_json_nested_beyond_the_recursion_limit_is_a_user_error(tmp_path, fix_a_csv, capsys):
+    cfg, path = _input_after(tmp_path, fix_a_csv, "query", ("stats", "plan", "sample"), "query")
+    path.write_text("[" * 100_000, encoding="utf-8")
+    capsys.readouterr()
+    assert _run("query", "--config", str(cfg)) == 1
+    assert f"error: {path}: JSON nested too deeply to read" in capsys.readouterr().err

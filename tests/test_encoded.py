@@ -50,9 +50,7 @@ from gbsample.errors import (
 from gbsample.query import Atom, Predicate
 from gbsample.sampler import draw_stratified
 from gbsample.stats import (
-    ColumnSummary,
     StatsCatalog,
-    StratumStats,
     catalog_from_json,
     catalog_to_json,
     compute_catalog,
@@ -125,15 +123,12 @@ def _check_kernels(rel):
         ] == list(buckets.values())
 
         catalog = compute_catalog(rel, attrs, ["v"])
-        assert _as_entries(catalog) == list(
-            reference.catalog_entries(rel, attrs, ["v"]).items()
-        )
+        assert _items(catalog) == list(reference.catalog_summaries(rel, attrs, ["v"]).items())
 
         if rel.n_rows:
             plan = alloc_senate(catalog, max(rel.n_rows // 2, 1))
             sample = draw_stratified(rel, plan, seed=3)
-            got = [(s.key, s.n, s.size, s.row_ids, s.rows) for s in sample.strata]
-            assert got == reference.draw(rel, plan, 3)
+            assert reference.stratum_lists(sample) == reference.draw(rel, plan, 3)
 
     workload = [
         QuerySpec(("g",), ("v",), None, 2),
@@ -198,7 +193,6 @@ def test_kernels_on_a_zero_row_relation():
         catalog = compute_catalog(rel, attrs, ["v"])
         assert catalog.keys == [] and catalog.n.tolist() == []
         assert catalog.mean["v"].tolist() == catalog.std["v"].tolist() == []
-        assert list(catalog.entries) == []
 
 
 def test_stratum_ids_compact_past_the_int64_range():
@@ -234,16 +228,15 @@ def test_encoded_columns_are_codes_plus_first_occurrence_levels():
     )
     codes, levels = rel.encoded("g")
     assert codes.tolist() == [0, 1, 0] and levels == ("b", "a")
-    assert rel.codes("g") is codes and not codes.flags.writeable
+    assert rel.encoded("g").codes is codes and not codes.flags.writeable
     assert rel.categorical("g") == ["b", "a", "b"]
-    assert rel.record(2) == ("b", 3.0, "y", "u")
     assert rel.records([2, 0]) == [("b", 3.0, "y", "u"), ("b", 1.0, "x", "u")]
     # an encoded column passes through the constructor unchanged
     columns = {
         "g": encode(["b", "a", "b"]),
         "v": [1.0, 2.0, 3.0],
         "h": ["x", "x", "y"],
-        "k": Encoded(rel.codes("k"), ("u",)),
+        "k": Encoded(rel.encoded("k").codes, ("u",)),
     }
     same = Relation(SCHEMA, columns)
     assert same.records(range(3)) == rel.records(range(3))
@@ -253,11 +246,11 @@ def test_load_csv_keeps_no_string_per_cell(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("g,v,h,k\nCS,1,x,\n CS ,2,,u\nMath,3,x,u\n", encoding="utf-8")
     rel = load_csv(path, SCHEMA)
-    assert rel.codes("g").tolist() == [0, 0, 1]
+    assert rel.encoded("g").codes.tolist() == [0, 0, 1]
     assert rel.encoded("g").levels == ("CS", "Math")
     assert rel.encoded("h").levels == ("x", NULL_TOKEN)
     assert rel.encoded("k").levels == (NULL_TOKEN, "u")
-    assert rel.codes("g").dtype == np.intp
+    assert rel.encoded("g").codes.dtype == np.intp
 
 
 @pytest.mark.parametrize(
@@ -326,18 +319,10 @@ _cost_rows = st.lists(
 )
 
 
-def _as_entries(catalog):
-    """The arrays of ``catalog`` as a ``GroupKey -> StratumStats`` dict,
-    built here rather than by ``StatsCatalog.entries``."""
-    out = {}
-    for k, values in enumerate(catalog.keys):
-        key = GroupKey(catalog.group_attrs, values)
-        per_column = {
-            c: ColumnSummary(float(catalog.mean[c][k]), float(catalog.std[c][k]))
-            for c in catalog.agg_columns
-        }
-        out[key] = StratumStats(key, int(catalog.n[k]), per_column)
-    return list(out.items())
+def _items(catalog):
+    """The arrays of ``catalog`` as (GroupKey, reference.Stratum) pairs, in
+    catalog order."""
+    return list(reference.summaries_of(catalog).items())
 
 
 def _outcome(fn):
@@ -354,9 +339,8 @@ def _outcome(fn):
 def _check_cost_kernels(rel):
     columns = ("v", "u")
     fine = compute_catalog(rel, FINE, columns)
-    ref_fine = reference.catalog_entries(rel, FINE, columns)
-    assert _as_entries(fine) == list(ref_fine.items())
-    assert list(fine.entries.items()) == list(ref_fine.items())
+    ref_fine = reference.catalog_summaries(rel, FINE, columns)
+    assert _items(fine) == list(ref_fine.items())
 
     table = derive_aggregation_groups(rel, WORKLOAD)
     derived_queries, derived_weights = allocation_inputs(table)
@@ -369,10 +353,10 @@ def _check_cost_kernels(rel):
     ]
     for queries, weights in weighted:
         fs = finest_from_catalog(fine, queries)
-        ref_coarse = [reference.pool_entries(ref_fine, q.attrs) for q in queries]
+        ref_coarse = [reference.pool_summaries(ref_fine, q.attrs) for q in queries]
         for q, coarse, ids, ref in zip(queries, fs.coarse, fs.coarse_ids, ref_coarse):
-            assert _as_entries(coarse) == list(ref.items())
-            assert _as_entries(pool_catalog(fine, q.attrs)) == list(ref.items())
+            assert _items(coarse) == list(ref.items())
+            assert _items(pool_catalog(fine, q.attrs)) == list(ref.items())
             assert [coarse.keys[g] for g in ids.tolist()] == [
                 reference.project_key(key, q.attrs).values for key in ref_fine
             ]
@@ -384,7 +368,8 @@ def _check_cost_kernels(rel):
             )
             assert got == want
             for i, (q, coarse, ref) in enumerate(zip(queries, fs.coarse, ref_coarse)):
-                got = _outcome(lambda: _keyed(coarse, cv_costs(coarse, q.columns, *policy, i)))
+                moved = (_seen_by(weights, i), zero_mean)
+                got = _outcome(lambda: _keyed(coarse, cv_costs(coarse, q.columns, *moved)))
                 want = _outcome(
                     lambda: _floored(reference.cv_costs(ref, q.columns, *policy, i))
                 )
@@ -401,6 +386,15 @@ def _shares(alloc):
     """The rows of an individual allocation as ((query, GroupKey), share)."""
     queries, rows = alloc.queries, zip(alloc.query.tolist(), alloc.keys, alloc.sizes.tolist())
     return [((i, GroupKey(queries[i].attrs, values)), s) for i, values, s in rows]
+
+
+def _seen_by(weights, i):
+    """``weights`` with query ``i``'s entries moved to query 0, the query
+    whose weights ``cv_costs`` reads, and every other query's moved out of
+    its reach."""
+    moved = {(q if q is None else 0 if q == i else -1, *rest): w
+             for (q, *rest), w in weights.entries.items()}
+    return WeightSpec(moved, weights.default)
 
 
 def _floored(result):
@@ -463,11 +457,11 @@ def test_pooled_matches_the_reference_and_is_kept(rows):
     computed = compute_catalog(Relation.from_records(COST_SCHEMA, rows), FINE, ("v", "u"))
     for catalog in (computed, _with_zero_count_stratum(computed)):
         loaded = catalog_from_json(catalog_to_json(catalog))
-        ref = dict(_as_entries(catalog))
+        ref = reference.summaries_of(catalog)
         for attrs in ORDERED_SUBSETS:
             found = catalog.pooled(attrs)
             coarse, ids = found
-            assert _as_entries(coarse) == list(reference.pool_entries(ref, attrs).items())
+            assert _items(coarse) == list(reference.pool_summaries(ref, attrs).items())
             positions = [FINE.index(a) for a in attrs]
             assert ids.tolist() == reference.key_ids(catalog.keys, positions)[0].tolist()
             # kept: a second call, and pool_catalog, return the same objects
@@ -544,7 +538,7 @@ def test_costs_square_like_python_floats():
         ("g",), ("v",), [(f"s{i}",) for i in range(n)], [4] * n,
         {"v": [1.0] * n}, {"v": odd}, 4 * n,
     )
-    ref = dict(_as_entries(catalog))
+    ref = reference.summaries_of(catalog)
     for zero_mean in ("error", "exclude"):
         got = _keyed(catalog, cv_costs(catalog, ("v",), zero_mean=zero_mean))
         assert got == _floored(reference.cv_costs(ref, ("v",), zero_mean=zero_mean))
@@ -554,6 +548,6 @@ def test_costs_square_like_python_floats():
     )
     # pooling rebuilds each sum of squared deviations as std**2 * (n - 1)
     for attrs in (("g",), ()):
-        assert _as_entries(pool_catalog(catalog, attrs)) == list(
-            reference.pool_entries(ref, attrs).items()
+        assert _items(pool_catalog(catalog, attrs)) == list(
+            reference.pool_summaries(ref, attrs).items()
         )

@@ -51,7 +51,7 @@ from gbsample.sampler import (
     save_sample,
 )
 from gbsample.stats import compute_catalog
-from gbsample.stream import ObjectiveSpec, ingest_batch, make_state
+from gbsample.stream import ingest_batch, make_state
 
 import reference
 from reference import key_ids, partition, predicted_group_cv, project_key
@@ -152,10 +152,10 @@ def test_same_grouping_estimate_is_stratum_sample_mean():
     plan = plan_l2(catalog, ["v"], 30)
     sample = draw_stratified(rel, plan, seed=7)
     request = QueryRequest(("g",), AVG, "v")
-    by_group = {e.group: e.value for e in estimate(sample, request)}
-    for stratum in sample.strata:
-        vals = [r[2] for r in stratum.rows]
-        assert by_group[stratum.key] == pytest.approx(sum(vals) / len(vals), rel=1e-12)
+    by_group = {e.group.values: e.value for e in estimate(sample, request)}
+    for key, _, _, _, rows in reference.stratum_lists(sample):
+        vals = [r[2] for r in rows]
+        assert by_group[key] == pytest.approx(sum(vals) / len(vals), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_count_expansion_factor():
     rel = Relation.from_records(schema, rows)
     plan = alloc_senate(compute_catalog(rel, ["g"], ["v"]), 10)
     sample = draw_stratified(rel, plan, seed=21)
-    vals = sorted(r[1] for r in sample.strata[0].rows)
+    vals = sorted(sample.columns.numeric("v").tolist())
     threshold = vals[3]  # keep exactly 4 sampled rows
     pred = Predicate((Atom("v", "<=", threshold),))
     (est,) = estimate(sample, QueryRequest(("g",), COUNT, None, pred))
@@ -321,7 +321,7 @@ def test_evaluate_zero_truth_excluded():
     sample = draw_stratified(rel, plan, seed=0)
     report = evaluate(rel, sample, QueryRequest(("g",), AVG, "v"))
     assert any("ZeroTruth" in w for w in report.warnings)
-    assert {s.group.values[0] for s in report.scores} == {"b"}
+    assert [s.key for s in report.scores] == [("b",)]
 
 
 def test_evaluate_percentile_ordering():
@@ -361,7 +361,7 @@ def test_report_csv_quotes_keys_and_writes_plain_numbers():
     assert sorted(row[0] for row in body) == sorted(names)
     for row, score in zip(body, report.scores):
         assert len(row) == len(header)
-        assert row[0] == score.group.values[0]
+        assert (row[0],) == score.key
         assert [float(cell) for cell in row[1:5]] == [
             score.exact,
             score.estimate,
@@ -490,21 +490,20 @@ def _ref_expansions(sample, group_attrs, column, predicate):
         col_pos = [c.name for c in sample.schema].index(column)
     matcher = _ref_row_matcher(predicate, sample.schema) if predicate else None
     groups = {}
-    for stratum in sample.strata:
-        coarse = project_key(stratum.key, group_attrs)
+    for key, n, size, _, rows in reference.stratum_lists(sample):
+        coarse = project_key(GroupKey(sample.group_attrs, key), group_attrs)
         g = groups.setdefault(
             coarse, {"sum": 0.0, "count": 0.0, "support": 0, "sampled": False}
         )
-        if stratum.size == 0:
+        if size == 0:
             continue
         g["sampled"] = True
-        rows = stratum.rows
         if matcher is not None:
             rows = [r for r in rows if matcher(r)]
         m = len(rows)
         if m == 0:
             continue
-        factor = stratum.n / stratum.size
+        factor = n / size
         if col_pos is not None:
             g["sum"] += factor * _ordered_sum(r[col_pos] for r in rows)
         g["count"] += factor * m
@@ -547,7 +546,8 @@ def _ref_estimate_poisson(sample, group_attrs, fn, column=None, predicate=None):
     col_pos = pos[column] if fn != COUNT else None
     matcher = _ref_row_matcher(predicate, sample.schema) if predicate else None
     groups = {}
-    for record, pr in zip(sample.rows, sample.p):
+    _, records, rates = reference.poisson_lists(sample)
+    for record, pr in zip(records, rates):
         if matcher is not None and not matcher(record):
             continue
         key = GroupKey(group_attrs, tuple(record[pos[a]] for a in group_attrs))
@@ -611,15 +611,16 @@ def _ref_view(schema, records, request):
 
 
 def _ref_tuple_estimate(sample, request):
-    """``estimate`` on the samples' tuple views: the touched columns
+    """``estimate`` on the samples' rows as tuples: the touched columns
     re-encoded from the rows (``_ref_view``) and groups numbered by hashing
     value tuples (``key_ids``), one per stratum or per sampled row."""
     attrs = tuple(request.group_attrs)
     if isinstance(sample, PoissonSample):
         pos = {c.name: i for i, c in enumerate(sample.schema)}
-        values, keep = _inputs(_ref_view(sample.schema, sample.rows, request), request)
-        ids, keys = key_ids(sample.rows, [pos[a] for a in attrs])
-        weight = 1.0 / np.asarray(sample.p, dtype=np.float64)
+        _, rows, rates = reference.poisson_lists(sample)
+        values, keep = _inputs(_ref_view(sample.schema, rows, request), request)
+        ids, keys = key_ids(rows, [pos[a] for a in attrs])
+        weight = 1.0 / np.asarray(rates, dtype=np.float64)
         value, _, support = _group_by(
             request.fn, np.arange(len(ids)), values, keep, weight, ids, len(keys)
         )
@@ -629,16 +630,17 @@ def _ref_tuple_estimate(sample, request):
             Estimate(GroupKey(attrs, keys[g]), value[g], support[g], False)
             for g in seen[np.argsort(first)].tolist()
         ]
-    strata = sample.strata
+    strata = reference.stratum_lists(sample)
     group_of_cell, keys = key_ids(
-        [s.key.values for s in strata], [sample.group_attrs.index(a) for a in attrs]
+        [key for key, *_ in strata], [sample.group_attrs.index(a) for a in attrs]
     )
-    n = np.array([s.n for s in strata], dtype=np.float64)
-    size = np.array([s.size for s in strata], dtype=np.float64)
+    n = np.array([n for _, n, _, _, _ in strata], dtype=np.float64)
+    size = np.array([size for _, _, size, _, _ in strata], dtype=np.float64)
     factor = np.divide(n, size, out=np.zeros(len(strata)), where=size > 0)
-    held = np.fromiter((len(s.rows) for s in strata), dtype=np.intp, count=len(strata))
+    rows = [rows for *_, rows in strata]
+    held = np.fromiter(map(len, rows), dtype=np.intp, count=len(strata))
     cells = np.repeat(np.arange(len(strata)), held)
-    view = _ref_view(sample.schema, [r for s in strata for r in s.rows], request)
+    view = _ref_view(sample.schema, [r for part in rows for r in part], request)
     value, count, support = _group_by(
         request.fn, cells, *_inputs(view, request), factor, group_of_cell, len(keys)
     )
@@ -826,7 +828,7 @@ def test_kernel_matches_reference_loops_hypothesis(
 def _snapshot(rel, budget, seed):
     """A stream snapshot of ``rel`` stratified by (g, h), fed in batches of 7
     rows under a budget that may leave strata empty."""
-    state = make_state(rel.schema, ("g", "h"), ObjectiveSpec(("v",)), budget)
+    state = make_state(rel.schema, ("g", "h"), ("v",), budget)
     records = rel.records(range(rel.n_rows))
     for b, start in enumerate(range(0, len(records), 7)):
         ingest_batch(state, records[start : start + 7], seed=seed + b)
@@ -938,7 +940,7 @@ def test_answer_arrays_match_the_oracles(seed, n_rows, g_card, h_card, budget, z
 def test_mask_agrees_with_reference_row_matcher():
     rng = np.random.default_rng(9)
     rel = _random_rel(rng, 200, 6, 3)
-    records = [rel.record(r) for r in range(rel.n_rows)]
+    records = rel.records(range(rel.n_rows))
     for predicate in _random_predicates(rng)[1:]:
         matches = _ref_row_matcher(predicate, rel.schema)
         assert predicate.mask(rel).tolist() == [matches(r) for r in records]
@@ -983,7 +985,8 @@ def test_predicted_cvs_match_the_two_catalog_oracle(seed, n_rows, g_card, h_card
                     got = _predicted_cvs(target, drawn, request)
                     assert list(got.items()) == [(k.values, v) for k, v in want.items()], request
                     report = evaluate(target, drawn, request)
-                    assert all(s.predicted_cv == want.get(s.group) for s in report.scores)
+                    want_cvs = {k.values: cv for k, cv in want.items()}
+                    assert all(s.predicted_cv == want_cvs.get(s.key) for s in report.scores)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference
 from gbsample.alloc import plan_l2
 from gbsample.baselines import alloc_senate
-from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
+from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
 from gbsample.errors import CorruptSampleFile, PlanMismatch, RateOutOfRange, SchemaMismatch
 from gbsample.sampler import draw_poisson, draw_stratified, load_sample, save_sample
 from gbsample.stats import compute_catalog
@@ -32,8 +32,7 @@ def test_exhaustive_sample_is_the_relation(fix_a_rel):
     plan = plan_l2(catalog, ["v"], fix_a_rel.n_rows)
     sample = draw_stratified(fix_a_rel, plan, seed=3)
     assert sample.total_rows == fix_a_rel.n_rows
-    got = sorted(r for s in sample.strata for r in s.row_ids)
-    assert got == list(range(fix_a_rel.n_rows))
+    assert sorted(sample.source_ids.tolist()) == list(range(fix_a_rel.n_rows))
 
 
 def test_zero_size_stratum_flagged_missing():
@@ -42,9 +41,9 @@ def test_zero_size_stratum_flagged_missing():
     plan.sizes[0] = 0
     plan.sizes[1] = 4
     sample = draw_stratified(rel, plan, seed=1)
-    assert sample.strata[0].missing
-    assert sample.strata[0].rows == []
-    assert not sample.strata[1].missing
+    assert sample.size.tolist() == [0, 4]
+    assert sample.held.tolist() == [False, True]
+    assert sample.row_strata.tolist() == [1] * 4
 
 
 def test_plan_mismatch():
@@ -103,7 +102,7 @@ def test_within_stratum_subsets_uniform():
     trials = 12000
     for seed in range(trials):
         sample = draw_stratified(rel, plan, seed=seed)
-        counts[tuple(sample.strata[0].row_ids)] += 1
+        counts[tuple(sample.source_ids.tolist())] += 1
     expected = trials / 6
     chi2 = sum((got - expected) ** 2 / expected for got in counts.values())
     assert chi2 < CHI2_CRIT_5DF
@@ -147,14 +146,7 @@ def test_stratified_round_trip(tmp_path, fix_a_rel):
     assert back.group_attrs == sample.group_attrs
     assert back.method == sample.method
     assert back.seed == sample.seed
-    for a, b in zip(back.strata, sample.strata):
-        assert (a.key, a.n, a.size, a.row_ids, a.rows) == (
-            b.key,
-            b.n,
-            b.size,
-            b.row_ids,
-            b.rows,
-        )
+    assert reference.stratum_lists(back) == reference.stratum_lists(sample)
 
 
 def test_poisson_round_trip(tmp_path):
@@ -163,9 +155,7 @@ def test_poisson_round_trip(tmp_path):
     path = tmp_path / "poisson.txt"
     save_sample(sample, path)
     back = load_sample(path)
-    assert back.row_ids == sample.row_ids
-    assert back.rows == sample.rows
-    assert back.p == sample.p
+    assert reference.poisson_lists(back) == reference.poisson_lists(sample)
     assert back.expected_size == sample.expected_size
 
 
@@ -187,7 +177,7 @@ def test_load_rejects_poisson_rates_outside_unit_interval(tmp_path):
             load_sample(path)
     for good in ("1", "1e-300", "0.5"):
         write_rate(good)
-        assert load_sample(path).p[0] == float(good)
+        assert load_sample(path).rates[0] == float(good)
 
 
 def test_load_schema_mismatch(tmp_path, fix_a_rel):
@@ -228,7 +218,7 @@ def test_per_stratum_substreams_are_independent(fix_a_rel):
     plan_b.sizes[1] = min(int(plan_b.sizes[1]) + 2, int(plan_b.populations[1]))
     s_a = draw_stratified(fix_a_rel, plan_a, seed=77)
     s_b = draw_stratified(fix_a_rel, plan_b, seed=77)
-    assert s_a.strata[0].row_ids == s_b.strata[0].row_ids
+    assert reference.stratum_lists(s_a)[0] == reference.stratum_lists(s_b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +263,10 @@ def test_draws_match_the_reference(seed, n_rows, budget, zero):
     if zero:
         plan.sizes[rng.random(len(plan.sizes)) < 0.3] = 0
     sample = draw_stratified(rel, plan, seed)
-    got = [(s.key, s.n, s.size, s.row_ids, s.rows) for s in sample.strata]
-    assert got == reference.draw(rel, plan, seed)
+    assert reference.stratum_lists(sample) == reference.draw(rel, plan, seed)
     p = rng.choice([0.0, 0.3, 1.0], size=n_rows)
     poisson = draw_poisson(rel, p, seed)
-    assert (poisson.row_ids, poisson.rows, poisson.p) == reference.draw_poisson(rel, p, seed)
-    assert all(type(r) is int for r in poisson.row_ids)
-    assert all(type(pr) is float for pr in poisson.p)
+    assert reference.poisson_lists(poisson) == reference.draw_poisson(rel, p, seed)
     for drawn in (sample, poisson):
         _assert_encoded(drawn.columns)
         assert drawn.total_rows == len(drawn.columns) == len(drawn.source_ids)
@@ -311,8 +298,11 @@ def test_load_groups_rows_by_stratum_in_file_order(tmp_path):
     header, names, rows = _body(path)
     _write_body(path, header, names, rows[::-1])
     back = load_sample(path)
-    want = [(s.key, s.n, s.size, s.row_ids[::-1], s.rows[::-1]) for s in sample.strata]
-    assert [(s.key, s.n, s.size, s.row_ids, s.rows) for s in back.strata] == want
+    want = [
+        (k, n, size, ids[::-1], rows[::-1])
+        for k, n, size, ids, rows in reference.stratum_lists(sample)
+    ]
+    assert reference.stratum_lists(back) == want
     _assert_encoded(back.columns)
 
 
@@ -362,4 +352,42 @@ def test_load_rejects_a_population_below_the_sample_size(tmp_path):
         with pytest.raises(CorruptSampleFile, match="population"):
             load_sample(path)
     _write_body(path, header.replace('"n": 4, "s": 2}', '"n": 2, "s": 2}', 1), names, rows)
-    assert load_sample(path).strata[0].n == 2
+    assert load_sample(path).n.tolist() == [2, 4]
+
+
+# ---------------------------------------------------------------------------
+# the tuple views, read only by the benchmark: one test each against the arrays
+
+
+def _views_rel():
+    rng = np.random.default_rng(4)
+    return _keyed_rel(rng, 40)
+
+
+def test_strata_view_matches_the_arrays():
+    rel = _views_rel()
+    plan = alloc_senate(compute_catalog(rel, ["g", "h"], ["v"]), 12)
+    plan.sizes[0] = 0
+    sample = draw_stratified(rel, plan, seed=3)
+    view = [(s.key, s.n, s.size, s.row_ids, s.rows) for s in sample.strata]
+    want = [(GroupKey(("g", "h"), k), *rest) for k, *rest in reference.stratum_lists(sample)]
+    assert view == want and view[0][2] == 0
+    assert all(type(s.n) is int and type(s.size) is int for s in sample.strata)
+    assert all(type(r) is int for s in sample.strata for r in s.row_ids)
+
+
+def test_poisson_row_ids_view_matches_the_arrays():
+    rel = _views_rel()
+    sample = draw_poisson(rel, np.full(rel.n_rows, 0.4), seed=3)
+    assert 0 < sample.total_rows < rel.n_rows
+    assert sample.row_ids == sample.source_ids.tolist()
+    assert all(type(r) is int for r in sample.row_ids)
+
+
+def test_poisson_p_view_matches_the_arrays():
+    rel = _views_rel()
+    p = np.random.default_rng(5).uniform(0.2, 0.9, rel.n_rows)
+    sample = draw_poisson(rel, p, seed=3)
+    assert 0 < sample.total_rows < rel.n_rows
+    assert sample.p == sample.rates.tolist() == p[sample.source_ids].tolist()
+    assert all(type(pr) is float for pr in sample.p)

@@ -88,9 +88,6 @@ def test_catalog_student_major_age(student_rel):
     assert std / abs(mean) == pytest.approx(0.09027, abs=5e-6)
     assert catalog.total_n == 8
     assert catalog.n.sum() == 8
-    # the derived per-stratum view agrees with the arrays
-    s = catalog.entries[GroupKey(("major",), ("CS",))].per_column["age"]
-    assert (s.mean, s.std) == (mean, std)
     # the package's one CV formula reads the same arrays
     assert cv2_costs(catalog, ["age"])[0][k] == (std / abs(mean)) ** 2
 
@@ -184,9 +181,25 @@ def test_catalog_json_round_trip(student_rel):
     assert back.keys == catalog.keys
     assert back.n.tolist() == catalog.n.tolist()
     for col in catalog.agg_columns:
-        # 17 significant digits keep float64 exact
+        # json writes each float's shortest round-trip text: exact
         assert back.mean[col].tolist() == catalog.mean[col].tolist()
         assert back.std[col].tolist() == catalog.std[col].tolist()
+
+
+def test_entries_view_matches_the_arrays(student_rel):
+    """The ``GroupKey -> StratumStats`` view, read only by the benchmark,
+    holds the arrays' values stratum by stratum, in catalog order."""
+    catalog = compute_catalog(student_rel, ["major", "college"], ["age", "gpa"])
+    view = catalog.entries
+    assert list(view) == [GroupKey(("major", "college"), k) for k in catalog.keys]
+    for k, (key, st) in enumerate(view.items()):
+        assert st.key == key and type(st.n) is int and st.n == catalog.n[k]
+        assert list(st.per_column) == ["age", "gpa"]
+        for col, summary in st.per_column.items():
+            assert (summary.mean, summary.std) == (catalog.mean[col][k], catalog.std[col][k])
+            assert type(summary.mean) is float and type(summary.std) is float
+    with pytest.raises(TypeError):
+        view[key] = st  # read-only
 
 
 def test_column_summary_cv_sign():

@@ -12,7 +12,6 @@ from gbsample.workload import (
     derive_aggregation_groups,
     weights_from_frequencies,
     workload_from_json,
-    workload_to_json,
 )
 
 from reference import build_finest
@@ -139,10 +138,14 @@ def test_uniform_frequencies_match_unweighted_plan(student_rel):
     assert weighted.fractional == pytest.approx(plain.fractional, rel=1e-12)
 
 
-def test_workload_json_round_trip():
-    workload = demo_workload()
-    back = workload_from_json(workload_to_json(workload))
-    assert back == workload
+def test_workload_document_parses_to_its_queries():
+    text = """[
+      {"group_by": ["major"], "aggregates": ["age", "gpa"], "repeats": 20},
+      {"group_by": ["college"], "aggregates": ["age", "sat"], "predicate": null, "repeats": 10},
+      {"group_by": ["major"], "aggregates": ["gpa"], "repeats": 15,
+       "predicate": [{"column": "college", "op": "=", "value": "Science"}]}
+    ]"""
+    assert workload_from_json(text) == demo_workload()
 
 
 def test_allocation_inputs_count_shared_entities_once(student_rel):
