@@ -17,10 +17,13 @@ match, which leaves sampled groups missing.  On the generated tables the
 Poisson sample of cvopt-individual also answers a fine AVG under a
 ``reorder`` predicate that drops the first sampled rows of some groups, so
 its groups, ordered by first kept row, leave the sample's first-occurrence
-order; the script checks that they do.  Prints one line
-``<sha256>  <table>/<method>/<file>`` per output file, plus the exit code
-of every command and the outcome of the order check.  Exits 1 if any
-command failed or the order check found the groups in sample order.
+order; the script checks that they do.  Last, on the student table,
+``plan`` runs for every method at each budget below one row (0, -3 and a
+rate that rounds to 0), and ``stream-sim`` at budget 0; each must exit 1.
+Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
+plus the exit code of every command and the outcome of the order check.
+Exits 1 if any command failed, a budget below one row did not exit 1 or
+the order check found the groups in sample order.
 
 gbsample is imported from the interpreter's path, so the same script run
 against two source trees shows whether they write the same bytes::
@@ -42,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gbsample.cli import main as gbsample
+from gbsample.cli import ALL_METHODS, main as gbsample
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -285,6 +288,12 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-" * 64
 
 
+def _schema(spec: dict) -> list[dict]:
+    return [{"name": c, "kind": "categorical"} for c in spec["categorical"]] + [
+        {"name": c, "kind": "numeric"} for c in spec["numeric"]
+    ]
+
+
 def _cli(args: list[str]) -> int:
     quiet = io.StringIO()
     with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
@@ -296,16 +305,13 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
     number of commands that failed."""
     lines = []
     failed = 0
-    schema = [{"name": c, "kind": "categorical"} for c in spec["categorical"]] + [
-        {"name": c, "kind": "numeric"} for c in spec["numeric"]
-    ]
     queries = _queries(spec, work)
 
     def config(label: str, fields: dict) -> tuple[Path, str]:
         out = work / label
         return out, _write(
             work / f"{label}.config.json",
-            {"data": str(data), "schema": schema, "seed": 1, "out_dir": str(out),
+            {"data": str(data), "schema": _schema(spec), "seed": 1, "out_dir": str(out),
              **spec["size"], **fields},
         )
 
@@ -337,6 +343,33 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
     return lines, failed
 
 
+#: budgets below one row: per label, the config fields that set it
+BUDGET_EDGES = {
+    "budget-0": {"budget": 0}, "budget-minus-3": {"budget": -3}, "rate-0.1": {"rate": 0.1}
+}
+
+
+def budget_edge_lines(work: Path) -> tuple[list[str], int]:
+    """The exit-code lines of ``plan`` for every method and of ``stream-sim``
+    with a budget below one row on the student table, and the number of
+    commands that did not exit 1."""
+    spec = TABLES["student"]
+    data = work / "data.csv"
+    data.write_text(spec["csv"], encoding="utf-8")
+    base = {"data": str(data), "schema": _schema(spec), "group_by": spec["attrs"],
+            "aggregates": spec["numeric"][:1], "seed": 1, "out_dir": str(work / "out")}
+    failed = _cli(["stats", "--config", _write(work / "config.json", base)]) != 0
+    runs = [("plan", f"{method}/{label}", {"method": method, **size})
+            for method in ALL_METHODS for label, size in BUDGET_EDGES.items()]
+    runs.append(("stream-sim", "stream-sim/budget-0", BUDGET_EDGES["budget-0"]))
+    lines = []
+    for i, (command, where, fields) in enumerate(runs):
+        code = _cli([command, "--config", _write(work / f"edge{i}.json", {**base, **fields})])
+        failed += code != 1
+        lines.append(f"exit [{code}]  student/{where}")
+    return lines, failed
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -357,6 +390,11 @@ def main() -> int:
             lines, n_failed = table_digests(name, spec, data, work)
             print("\n".join(lines))
             failed += n_failed
+        work = Path(tmp) / "budget_edges"
+        work.mkdir()
+        lines, n_failed = budget_edge_lines(work)
+        print("\n".join(lines))
+        failed += n_failed
     return 1 if failed else 0
 
 

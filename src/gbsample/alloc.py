@@ -5,8 +5,9 @@ variation of the estimates a stratified sample will produce.  The common
 core is the closed-form minimizer of ``sum(c_i / s_i)`` subject to
 ``sum(s_i) = M`` (:func:`solve_fractional`), with recursive handling of
 strata whose population is smaller than their ideal allocation
-(:func:`resolve_caps`).  Integer sizes come from one routine,
-:func:`shed`: from a warm start that lies above an integer optimum it
+(:func:`resolve_caps`), which also give the streaming sampler's targets
+and, at unit costs, the senate baseline's capped equal split.  Integer
+sizes come from one routine, :func:`shed`: from a warm start that lies above an integer optimum it
 removes the surplus one unit at a time, each from the stratum whose
 removal costs least, which is exact for separable convex objectives.
 
@@ -149,6 +150,12 @@ def solve_fractional(costs: np.ndarray, budget: float) -> np.ndarray:
         raise InvalidArgument(f"budget must be positive, got {budget}")
     root = np.sqrt(costs)
     return budget * root / root.sum()
+
+
+def check_budget(budget: int) -> None:
+    """Raise :class:`InvalidArgument` for a sample budget below one row."""
+    if budget < 1:
+        raise InvalidArgument(f"budget must be >= 1, got {budget}")
 
 
 def floor_zero_costs(costs: np.ndarray) -> np.ndarray:
@@ -399,6 +406,19 @@ def _excludes_zero_mean(zero_mean: str) -> bool:
     return zero_mean == "exclude"
 
 
+def _zero_mean_split(zero_mean: str, first_zero, catalog: StatsCatalog, columns, error):
+    """(kept, excluded), the catalog indices of the strata that the
+    ``first_zero`` of :func:`cv2_costs` flags without and with a zero-mean
+    column, under the validated ``zero_mean`` policy; under "error" the
+    first flagged stratum raises ``error`` naming it and that column."""
+    exclude = _excludes_zero_mean(zero_mean)
+    zero = np.flatnonzero(first_zero >= 0)
+    if zero.size and not exclude:
+        k = int(zero[0])
+        raise error(catalog.group_keys([k])[0], columns[first_zero[k]])
+    return np.flatnonzero(first_zero < 0), zero
+
+
 def cv_costs(
     catalog: StatsCatalog,
     columns: Sequence[str],
@@ -415,13 +435,8 @@ def cv_costs(
     zero-mean column.
     """
     columns = tuple(columns)
-    exclude = _excludes_zero_mean(zero_mean)
     costs, first_zero = cv2_costs(catalog, columns, weights)
-    zero = np.flatnonzero(first_zero >= 0)
-    if zero.size and not exclude:
-        k = int(zero[0])
-        raise ZeroMeanStratum(catalog.group_keys([k])[0], columns[first_zero[k]])
-    kept = np.flatnonzero(first_zero < 0)
+    kept, zero = _zero_mean_split(zero_mean, first_zero, catalog, columns, ZeroMeanStratum)
     return kept, floor_zero_costs(costs[kept]), zero
 
 
@@ -445,8 +460,7 @@ def _assemble_plan(
         )
     if not len(kept) and not n_excluded:
         raise EmptyProblem("catalog has no strata")
-    if budget < 1:
-        raise InvalidArgument(f"budget must be >= 1, got {budget}")
+    check_budget(budget)
     caps = catalog.n[kept]
     sub_budget = budget - n_excluded
     fractional, sizes, frozen = np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, bool)
@@ -551,15 +565,17 @@ def multi_grouping_costs(
     reduces to the plain weighted squared-CV cost.  Under
     ``zero_mean="exclude"`` the terms of zero-mean coarse groups are
     dropped instead of raising.  A cost beyond the float range raises
-    :class:`FloatOverflow` naming the first fine stratum and the column
-    that took it there.
+    :class:`FloatOverflow`, after any zero-mean coarse group has raised,
+    naming the first (query, column) whose term takes a cost there and
+    the first fine stratum whose cost it takes there.
     """
     exclude = _excludes_zero_mean(zero_mean)
     fine = fs.fine
+    fine_n2 = fine.n.astype(np.float64) ** 2
     sigma2 = {col: np.array(squares(fine.std[col])) for col in fine.agg_columns}
     total = np.zeros(len(fine))
     zeros = []  # (fine stratum, query, column) of a query column's first zero-mean term
-    terms = []  # (column, on, term, group_n2) of every query column, to name an overflow
+    overflow = None  # (fine stratum, column) of the first cost beyond the float range
     for i, (q, coarse, ids) in enumerate(zip(fs.queries, fs.coarse, fs.coarse_ids)):
         inner = np.zeros(len(fine))
         group_n2 = (coarse.n.astype(np.float64) ** 2)[ids]
@@ -579,35 +595,19 @@ def multi_grouping_costs(
                     cv = fine.std[col][on][odd] / np.abs(mu[on][odd])
                     term[odd] = w[on][odd] * np.array(squares(cv))
                 inner[on] = inner[on] + term
-            terms.append((col, on, term, group_n2))
-        total = total + inner / group_n2
+                bad = np.flatnonzero(~np.isfinite(fine_n2 * (total + inner / group_n2)))
+            if bad.size and overflow is None:
+                overflow = (int(bad[0]), col)
+        with np.errstate(over="ignore"):
+            total = total + inner / group_n2
     if zeros:  # raise for the first in the order fine stratum, query, column
         f, i, j = min(zeros)
         key = GroupKey(fs.queries[i].attrs, fs.coarse[i].keys[fs.coarse_ids[i][f]])
         raise ZeroMeanCoarseGroup(key, fs.queries[i].columns[j])
-    with np.errstate(over="ignore"):
-        costs = fine.n.astype(np.float64) ** 2 * total
-    bad = np.flatnonzero(~np.isfinite(costs))
-    if bad.size:
-        f = int(bad[0])
-        column = _overflowing_column(f, float(fine.n[f]) ** 2, terms)
+    if overflow is not None:
+        f, column = overflow
         raise FloatOverflow("the squared-CV cost is", fine.group_keys([f])[0], column)
-    return floor_zero_costs(costs)
-
-
-def _overflowing_column(f: int, n2: float, terms: list) -> str:
-    """The column whose term takes fine stratum ``f``'s running cost, with
-    ``n2`` its squared population, beyond the float range, from the
-    ``terms`` of :func:`multi_grouping_costs`.  Every term is non-negative,
-    so the running cost only grows."""
-    running = np.float64(0.0)
-    with np.errstate(all="ignore"):
-        for col, on, term, group_n2 in terms:
-            if on[f]:
-                running = running + term[np.count_nonzero(on[:f])] / group_n2[f]
-                if not np.isfinite(n2 * running):
-                    return col
-    return terms[-1][0]
+    return floor_zero_costs(fine_n2 * total)
 
 
 def plan_multi_groupby(
@@ -654,15 +654,10 @@ def plan_linf(
     Zero-variance strata are excluded from the search and pinned at one
     row each; their predicted CV is zero regardless.
     """
-    exclude = _excludes_zero_mean(zero_mean)
     cv2_all, first_zero = cv2_costs(catalog, [column])
-    zero = first_zero >= 0
-    if zero.any() and not exclude:
-        raise ZeroMeanStratum(catalog.group_keys([int(np.argmax(zero))])[0], column)
-    flat = ~zero & (catalog.std[column] == 0.0)
-    active = np.flatnonzero(~zero & ~flat)
-    constant = np.flatnonzero(flat)
-    excluded = np.flatnonzero(zero)
+    kept, excluded = _zero_mean_split(zero_mean, first_zero, catalog, [column], ZeroMeanStratum)
+    flat = catalog.std[column][kept] == 0.0
+    active, constant = kept[~flat], kept[flat]
     if not active.size:
         raise AllStrataConstant(
             "every stratum has zero variance; the minimax objective is degenerate"
@@ -754,16 +749,13 @@ def plan_individual(
     sqrt(sum_l w(i,g,l) * cv_igl^2).  Rows come by query, then in catalog
     order, the zero-mean pairs that ``zero_mean="exclude"`` pins at 1.0
     last."""
-    exclude = _excludes_zero_mean(zero_mean)
     # per query: the query index, population, cost and zero-mean flag of its
     # groups, after one typed empty entry so that no queries concatenate too
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool))]
     keys: list[tuple] = []
     for i, (catalog, q) in enumerate(zip(catalogs, queries)):
         costs, first_zero = cv2_costs(catalog, q.columns, weights, i)
-        if not exclude and (first_zero >= 0).any():
-            k = int(np.argmax(first_zero >= 0))
-            raise ZeroMeanGroup(catalog.group_keys([k])[0], q.columns[first_zero[k]])
+        _zero_mean_split(zero_mean, first_zero, catalog, q.columns, ZeroMeanGroup)
         parts.append((np.full(len(catalog), i, np.int64), catalog.n, costs, first_zero >= 0))
         keys.extend(catalog.keys)
     query, n, costs, zero = map(np.concatenate, zip(*parts))

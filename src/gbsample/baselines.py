@@ -6,13 +6,17 @@ the CV-driven allocators.  None of them looks at variances, which is
 exactly the weakness the CV-driven allocators address: two groups with
 equal sizes and means but very different spreads receive identical
 budgets here.
+
+The equal split is :func:`~gbsample.alloc.resolve_caps` at unit costs.
+Every allocator rounds by largest remainder (:func:`_round`), and a
+budget below one row raises :class:`~gbsample.errors.InvalidArgument`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .alloc import AllocationPlan
+from .alloc import AllocationPlan, check_budget, resolve_caps
 from .stats import StatsCatalog
 
 UNIFORM = "uniform"
@@ -62,8 +66,12 @@ def _round(fractional, caps, budget):
     return sizes, warnings
 
 
-def _plan(method, catalog, fractional, budget):
+def _plan(method, catalog, budget, shares):
+    """The plan of ``method`` with the fractional sizes ``shares(caps,
+    budget)`` of the catalog's populations, rounded by :func:`_round`."""
+    check_budget(budget)
     caps = np.array(catalog.n)
+    fractional = shares(caps, budget)
     sizes, warnings = _round(fractional, caps, budget)
     return AllocationPlan(
         method=method,
@@ -79,39 +87,29 @@ def _plan(method, catalog, fractional, budget):
     )
 
 
+def _house(caps, budget):
+    return np.minimum(budget * caps / caps.sum(), caps)
+
+
+def _senate(caps, budget):
+    return resolve_caps(np.ones(caps.size), caps, budget)[0]
+
+
+def _congress(caps, budget):
+    total = caps.sum()
+    raw = np.maximum(budget * caps / total, _senate(caps, budget))
+    return raw * (min(budget, int(total)) / raw.sum())
+
+
 def alloc_uniform(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     """Proportional-to-size allocation (what a plain uniform row sample
     yields in expectation).  Small groups may round to zero rows."""
-    caps = catalog.n
-    fractional = np.minimum(budget * caps / caps.sum(), caps)
-    return _plan(UNIFORM, catalog, fractional, budget)
-
-
-def senate_shares(caps: np.ndarray, budget: int) -> np.ndarray:
-    """Equal split with cap overflow redistributed equally among the rest."""
-    caps = np.asarray(caps, dtype=np.int64)
-    r = caps.size
-    shares = np.zeros(r, dtype=np.float64)
-    active = np.ones(r, dtype=bool)
-    remaining = float(min(budget, int(caps.sum())))
-    while True:
-        count = int(active.sum())
-        if count == 0:
-            break
-        each = remaining / count
-        over = active & (caps < each)
-        if not over.any():
-            shares[active] = each
-            break
-        shares[over] = caps[over]
-        remaining -= float(caps[over].sum())
-        active &= ~over
-    return shares
+    return _plan(UNIFORM, catalog, budget, _house)
 
 
 def alloc_senate(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     """Equal budget per stratum regardless of size or spread."""
-    return _plan(SENATE, catalog, senate_shares(catalog.n, budget), budget)
+    return _plan(SENATE, catalog, budget, _senate)
 
 
 def alloc_congress(catalog: StatsCatalog, budget: int) -> AllocationPlan:
@@ -122,13 +120,7 @@ def alloc_congress(catalog: StatsCatalog, budget: int) -> AllocationPlan:
     budget and clipped at the populations with proportional
     redistribution.
     """
-    caps = catalog.n
-    total = caps.sum()
-    house = budget * caps / total
-    senate = senate_shares(caps, budget)
-    raw = np.maximum(house, senate)
-    fractional = raw * (min(budget, int(total)) / raw.sum())
-    return _plan(CONGRESS, catalog, fractional, budget)
+    return _plan(CONGRESS, catalog, budget, _congress)
 
 
 #: the comparison allocators by method name

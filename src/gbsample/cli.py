@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field, fields
@@ -116,14 +117,20 @@ class RunConfig:
         return tuple(out)
 
     def resolve_budget(self, n_rows: int, r: int | None = None) -> tuple[int, list[str]]:
+        """M for ``n_rows`` rows, and a warning if below ``r`` strata; an M
+        below 1 raises :class:`UsageError` naming the budget or the rate."""
         warnings = []
         if (self.budget is None) == (self.rate is None):
             raise UsageError("exactly one of budget or rate must be set")
         if self.budget is not None:
+            if self.budget < 1:
+                raise UsageError(f"budget must be at least 1, got {self.budget}")
             return self.budget, warnings
         if not 0 < self.rate <= 1:
             raise UsageError("rate must lie in (0, 1]")
         m = int(self.rate * n_rows)
+        if m < 1:
+            raise UsageError(f"rate {self.rate} of N={n_rows} rows gives M={m}, below one row")
         if r is not None and m < r:
             warnings.append(
                 f"BudgetBelowStrataCount: rate {self.rate} gives M={m} "
@@ -441,7 +448,7 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
 
 def cmd_stream(cfg: RunConfig) -> int:
     """Replay a CSV in row order through the streaming sampler, emitting
-    one JSON line of metrics per mini-batch."""
+    one JSON line of metrics per mini-batch; a rejected batch writes none."""
     seed = cfg.need("seed")
     rel = _load_relation(cfg)
     if not cfg.group_by or not cfg.aggregates:
@@ -449,22 +456,27 @@ def cmd_stream(cfg: RunConfig) -> int:
     budget, _ = cfg.resolve_budget(rel.n_rows)
     state = stream.make_state(rel.schema, cfg.group_by, cfg.aggregates, budget)
     path = _out(cfg, "stream_metrics.jsonl")
-    with open(path, "w", encoding="utf-8") as fh:
-        records = rel.records(np.arange(rel.n_rows))
-        for b, start in enumerate(range(0, len(records), cfg.batch_size)):
-            batch = records[start : start + cfg.batch_size]
-            stream.ingest_batch(state, batch, batch_seed(seed, b))
-            strata = zip(state.ids, state.sizes().tolist())
-            sizes = [{"key": list(k), "size": size} for k, size in strata]
-            objective_value = state.objective_value()
-            line = {
-                "batch": b,
-                "arrivals": state.arrivals,
-                "retained": state.total_retained,
-                "objective": "inf" if objective_value == float("inf") else objective_value,
-                "sizes": sizes,
-            }
-            fh.write(json.dumps(line) + "\n")
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            records = rel.records(np.arange(rel.n_rows))
+            for b, start in enumerate(range(0, len(records), cfg.batch_size)):
+                batch = records[start : start + cfg.batch_size]
+                stream.ingest_batch(state, batch, batch_seed(seed, b))
+                strata = zip(state.ids, state.sizes().tolist())
+                sizes = [{"key": list(k), "size": size} for k, size in strata]
+                line = {
+                    "batch": b,
+                    "arrivals": state.arrivals,
+                    "retained": state.total_retained,
+                    "objective": alloc.json_float(state.objective_value()),
+                    "sizes": sizes,
+                }
+                fh.write(json.dumps(line) + "\n")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
     print(f"wrote {path} ({state.arrivals} rows, {state.total_retained} retained)")
     return 0
 

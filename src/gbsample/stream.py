@@ -8,12 +8,12 @@ d_i, which keeps every retained set an exact bottom-k by key, hence a
 uniform without-replacement subset of the stratum so far.
 
 After each batch the total may exceed the budget M.  The settle step
-computes fractional per-stratum targets M_i = M * f(i) / sum(f) from the
-current online statistics (f is the square root of the squared CVs
-summed over the configured columns, as in the offline allocators) and
-evicts the excess.  The policy is that only strata above their target
-ever lose rows; among such evictions the counts minimize the increase of
-the objective
+computes fractional per-stratum targets M_i = M * f(i) / sum(f), the
+offline closed form at costs f(i)^2, from the current online statistics
+(f is the square root of the squared CVs summed over the configured
+columns, as in the offline allocators) and evicts the excess.  The
+policy is that only strata above their target ever lose rows; among
+such evictions the counts minimize the increase of the objective
 
     F = sum_i f(i)^2 / s_i
 
@@ -47,11 +47,13 @@ from .alloc import (
     AllocationPlan,
     L2,
     _assemble_plan,
+    check_budget,
     cv2_costs,
     floor_zero_costs,
     l2_loss,
     l2_objective,
     shed,
+    solve_fractional,
 )
 from .dataset import ColumnSchema, GroupKey, Relation
 from .errors import FloatOverflow, SchemaMismatch
@@ -150,6 +152,7 @@ def make_state(
     columns: Sequence[str],
     budget: int,
 ) -> StreamState:
+    check_budget(budget)
     names = {c.name for c in schema}
     columns = tuple(columns)
     for a in tuple(group_attrs) + columns:
@@ -262,8 +265,7 @@ def settle_budget(state: StreamState) -> StreamState:
         state.last_settle = SettleReport(0, evicted, np.zeros(0), np.zeros(0), 0.0)
         return state
     f2 = state.scores()
-    f = np.sqrt(f2)
-    shares = state.budget * f / f.sum()
+    shares = solve_fractional(f2, state.budget)
     before = state.sizes()
     over = np.flatnonzero(before > shares)
     evicted[over] = before[over] - shed(before[over], np.zeros(over.size), beta, l2_loss(f2[over]))

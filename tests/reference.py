@@ -9,6 +9,8 @@ per stratum, so the tests can check the kernels against them with
 ``==``.  :class:`RunningMoments` is the scalar moment accumulator of the
 Welford and Chan-Golub-LeVeque oracles, and :func:`predicted_group_cv` the
 one-group form of :func:`gbsample.alloc.predicted_group_cvs`.
+:func:`senate_shares` computes the senate baseline's equal split by its
+own loop.
 :func:`estimate` and :func:`exact_answer` order and gather the groups of
 an answer the plain way, with ``np.unique`` and one key at a time.
 """
@@ -382,6 +384,30 @@ def multi_grouping_costs(
             total += inner / coarse_st.n**2
         costs[idx] = fine_st.n**2 * total
     return floor_zero_costs(costs)
+
+
+def senate_shares(caps: np.ndarray, budget: int) -> np.ndarray:
+    """The senate baseline's fractional shares by their own water-filling
+    loop: an equal split of min(budget, sum(caps)), each stratum whose cap
+    lies below the equal share taken whole and the rest split again."""
+    caps = np.asarray(caps, dtype=np.int64)
+    r = caps.size
+    shares = np.zeros(r, dtype=np.float64)
+    active = np.ones(r, dtype=bool)
+    remaining = float(min(budget, int(caps.sum())))
+    while True:
+        count = int(active.sum())
+        if count == 0:
+            break
+        each = remaining / count
+        over = active & (caps < each)
+        if not over.any():
+            shares[active] = each
+            break
+        shares[over] = caps[over]
+        remaining -= float(caps[over].sum())
+        active &= ~over
+    return shares
 
 
 def predicted_group_cv(

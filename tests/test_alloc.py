@@ -48,6 +48,7 @@ from gbsample.errors import (
     InvalidSampleSize,
     NonPositiveCost,
     RateOutOfRange,
+    ZeroMeanCoarseGroup,
     ZeroMeanStratum,
 )
 from gbsample.stats import StatsCatalog, compute_catalog, pool_catalog
@@ -582,6 +583,27 @@ def test_multi_grouping_costs_where_a_square_leaves_the_float_range():
     # v's squared CV is 1e308 at d, and u's 1e308 more takes it past the range
     _, fs = finest([1e-170, 1e-170, 1e100, 1.0], [0.0, 2e-170, 1e200, 1e154])
     with pytest.raises(FloatOverflow, match=r"\(g=d\) column 'u': the squared-CV cost"):
+        multi_grouping_costs(fs)
+    # a zero-mean coarse group raises before the overflow at d
+    _, fs = finest([0.0, 1e-170, 1e100, 1.0], [1.0, 2e-170, 1e200, 1e154])
+    with pytest.raises(ZeroMeanCoarseGroup, match=r"\(g=a\) column 'v'"):
+        multi_grouping_costs(fs)
+    # c leaves the range at u, d already at v: the first overflowing
+    # column, v, names d, though c comes first
+    keys, mean = [("c",), ("d",)], {"v": [1.0, 1.0], "u": [1.0, 1.0]}
+    catalog = StatsCatalog(("g",), ("v", "u"), keys, [1, 1], mean,
+                           {"v": [1.0, 1e200], "u": [1e200, 1.0]}, 2)
+    fs = finest_from_catalog(catalog, [GroupQuery(("g",), ("v", "u"))])
+    with pytest.raises(FloatOverflow, match=r"\(g=d\) column 'v': the squared-CV cost"):
+        multi_grouping_costs(fs)
+
+
+def test_multi_grouping_costs_whose_sum_over_queries_leaves_the_float_range():
+    # each query's term is 1e308 at a, finite, but the two sum past the range
+    keys, mean, std = [("a",), ("b",)], {"v": [1.0, 1.0]}, {"v": [1e154, 1.0]}
+    catalog = StatsCatalog(("g",), ("v",), keys, [1, 1], mean, std, 2)
+    fs = finest_from_catalog(catalog, [GroupQuery(("g",), ("v",))] * 2)
+    with pytest.raises(FloatOverflow, match=r"\(g=a\) column 'v': the squared-CV cost"):
         multi_grouping_costs(fs)
 
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gbsample.alloc import cv_costs, l2_objective, plan_l2
-from gbsample.baselines import alloc_congress, alloc_senate, alloc_uniform, senate_shares
+from gbsample.baselines import _round, alloc_congress, alloc_senate, alloc_uniform
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
-from gbsample.stats import compute_catalog
+from gbsample.errors import InvalidArgument
+from gbsample.stats import StatsCatalog, compute_catalog
+
+from reference import senate_shares
 
 
 def _catalog(sizes, cvs=None, mean=100.0):
@@ -67,8 +71,7 @@ def test_senate_cap_redistribution_hand_check():
     # equally between the other two
     plan = alloc_senate(_catalog((2, 50, 50)), 12)
     assert plan.sizes.tolist() == [2, 5, 5]
-    shares = senate_shares(np.array([2, 50, 50]), 12)
-    assert shares.tolist() == [2.0, 5.0, 5.0]
+    assert plan.fractional.tolist() == [2.0, 5.0, 5.0]
 
 
 def test_congress_equal_sizes_matches_senate_and_uniform():
@@ -121,3 +124,52 @@ def test_cv_plan_dominates_baselines_on_l2_objective():
     for allocator in (alloc_uniform, alloc_senate, alloc_congress):
         other = allocator(catalog, budget)
         assert best_obj <= l2_objective(costs, other.sizes) + 1e-12
+
+
+def _counts_catalog(caps):
+    """A catalog with the populations ``caps``, which may hold zeros; the
+    baselines read nothing else."""
+    r = len(caps)
+    return StatsCatalog(
+        ("g",), ("v",), [(f"s{i}",) for i in range(r)], caps,
+        {"v": [1.0] * r}, {"v": [0.0] * r}, int(sum(caps)),
+    )
+
+
+def _oracle_plan(fractional, caps, budget):
+    """The fractional sizes, integer sizes, capped flags and warnings of a
+    baseline plan with the given fractional sizes."""
+    sizes, warnings = _round(fractional, caps, budget)
+    return fractional.tobytes(), sizes.tolist(), (fractional >= caps).tolist(), warnings
+
+
+def _plan_parts(plan):
+    return plan.fractional.tobytes(), plan.sizes.tolist(), plan.capped.tolist(), plan.warnings
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=10).filter(lambda caps: sum(caps) > 0),
+    st.integers(1, 450),
+)
+@example([5, 0, 7], 12)
+@example([5, 0, 7], 100)
+@example([9], 4)
+@example([9], 9)
+def test_senate_and_congress_match_the_water_filling_oracle(caps, budget):
+    # the equal split is resolve_caps at unit costs: byte for byte the
+    # reference loop, with zero caps, one stratum and budgets of every row
+    # or more
+    catalog = _counts_catalog(caps)
+    caps = np.array(caps, dtype=np.int64)
+    senate = senate_shares(caps, budget)
+    assert _plan_parts(alloc_senate(catalog, budget)) == _oracle_plan(senate, caps, budget)
+    raw = np.maximum(budget * caps / caps.sum(), senate)
+    congress = raw * (min(budget, int(caps.sum())) / raw.sum())
+    assert _plan_parts(alloc_congress(catalog, budget)) == _oracle_plan(congress, caps, budget)
+
+
+@pytest.mark.parametrize("allocator", [alloc_uniform, alloc_senate, alloc_congress])
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_budget_below_one_is_invalid(allocator, budget):
+    with pytest.raises(InvalidArgument, match=f"^budget must be >= 1, got {budget}$"):
+        allocator(_catalog((3, 2, 1)), budget)

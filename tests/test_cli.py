@@ -427,8 +427,51 @@ def test_stream_sim_overflowing_squared_cv_is_a_user_error(tmp_path, capsys, bat
     err = capsys.readouterr().err
     assert "error: (grp=a) column 'v': the squared CV is beyond the float range" in err
     assert "Warning" not in err
-    lines = (tmp_path / "out" / "stream_metrics.jsonl").read_text().splitlines()
-    assert all(json.loads(line)["objective"] != "inf" for line in lines)
+    # the batches before the rejected one leave no partial file ...
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+    # ... and a rejected run leaves the previous run's file as it was
+    metrics = tmp_path / "out" / "stream_metrics.jsonl"
+    metrics.write_text("previous run\n", encoding="utf-8")
+    assert _run("stream-sim", "--config", str(cfg)) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["stream_metrics.jsonl"]
+    assert metrics.read_text(encoding="utf-8") == "previous run\n"
+
+
+#: six rows in three groups: a rate of 0.1 gives M = 0
+SIX_ROWS = "grp,v\na,1\na,2\nb,3\nb,5\nc,4\nc,7\n"
+
+#: a budget below one row, set directly or by a rate, and the error it gives
+BELOW_ONE = [
+    pytest.param({"budget": 0}, "budget must be at least 1, got 0", id="budget-0"),
+    pytest.param({"budget": -3}, "budget must be at least 1, got -3", id="budget-minus-3"),
+    pytest.param({"budget": None, "rate": 0.1}, "rate 0.1 of N=6 rows gives M=0, below one row",
+                 id="rate-0.1"),
+]
+
+
+@pytest.mark.parametrize("size, message", BELOW_ONE)
+@pytest.mark.parametrize(
+    "method", ["cvopt-l2", "cvopt-linf", "cvopt-individual", "uniform", "senate", "congress"]
+)
+def test_plan_with_a_budget_below_one_is_a_user_error(tmp_path, capsys, method, size, message):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_ROWS, encoding="utf-8")
+    cfg = _write_config(tmp_path, data, method=method, **size)
+    assert _run("stats", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
+@pytest.mark.parametrize("size, message", BELOW_ONE)
+def test_stream_sim_with_a_budget_below_one_is_a_user_error(tmp_path, capsys, size, message):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_ROWS, encoding="utf-8")
+    cfg = _write_config(tmp_path, data, **size)
+    assert _run("stream-sim", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("by_flag", [False, True])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
-from gbsample.errors import FloatOverflow, SchemaMismatch
+from gbsample.errors import FloatOverflow, InvalidArgument, SchemaMismatch
 from gbsample.stream import (
     batch_keys,
     ingest_batch,
@@ -54,6 +54,12 @@ def test_schema_mismatch():
         ingest_batch(state, [("a", "oops")], seed=0)
     with pytest.raises(SchemaMismatch):
         make_state(SCHEMA, ("nope",), OBJ, 10)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_budget_below_one_is_invalid(budget):
+    with pytest.raises(InvalidArgument, match=f"^budget must be >= 1, got {budget}$"):
+        make_state(SCHEMA, ("g",), OBJ, budget)
 
 
 def test_key_above_threshold_is_rejected():
