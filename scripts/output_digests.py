@@ -20,10 +20,15 @@ its groups, ordered by first kept row, leave the sample's first-occurrence
 order; the script checks that they do.  Last, on the student table,
 ``plan`` runs for every method at each budget below one row (0, -3 and a
 rate that rounds to 0), and ``stream-sim`` at budget 0; each must exit 1.
+Then ``stream-sim`` runs on the tiny build table at a budget equal to its
+stratum count, at batch sizes 1, 7 and 100, where every settle can keep a
+row in every stratum; the script counts the batches whose objective is
+``inf`` (a stratum left empty).
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
-plus the exit code of every command and the outcome of the order check.
-Exits 1 if any command failed, a budget below one row did not exit 1 or
-the order check found the groups in sample order.
+plus the exit code of every command, the outcome of the order check and
+the count of ``inf`` objectives.  Exits 1 if any command failed, a budget
+below one row did not exit 1, the order check found the groups in sample
+order or a stream at the stratum count wrote an ``inf`` objective.
 
 gbsample is imported from the interpreter's path, so the same script run
 against two source trees shows whether they write the same bytes::
@@ -36,6 +41,7 @@ against two source trees shows whether they write the same bytes::
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -370,6 +376,29 @@ def budget_edge_lines(work: Path) -> tuple[list[str], int]:
     return lines, failed
 
 
+def stream_edge_lines(data: Path, work: Path) -> tuple[list[str], int]:
+    """The exit, digest and ``inf``-count lines of ``stream-sim`` on the
+    build table at ``data`` with a budget equal to its stratum count, and
+    the number of runs that failed or wrote an ``inf`` objective."""
+    spec = TABLES["build"]
+    with open(data, newline="", encoding="utf-8") as fh:
+        strata = len({tuple(row[a] for a in spec["attrs"]) for row in csv.DictReader(fh)})
+    lines, failed = [], 0
+    for size in STREAM_BATCH_SIZES:
+        out, where = work / f"stream-sim-{size}", f"build/stream-sim-at-strata-{size}"
+        config = {"data": str(data), "schema": _schema(spec), "seed": 1, "out_dir": str(out),
+                  "group_by": spec["attrs"], "aggregates": spec["numeric"][:2],
+                  "budget": strata, "batch_size": size}
+        code = _cli(["stream-sim", "--config", _write(work / f"stream{size}.json", config)])
+        metrics = out / "stream_metrics.jsonl"
+        text = metrics.read_text(encoding="utf-8") if metrics.exists() else ""
+        empty = sum(json.loads(line)["objective"] == "inf" for line in text.splitlines())
+        failed += (code != 0) + (empty > 0)
+        lines += [f"exit [{code}]  {where}", f"{_digest(metrics)}  {where}/stream_metrics.jsonl",
+                  f"inf {empty}  {where}"]
+    return lines, failed
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -393,6 +422,11 @@ def main() -> int:
         work = Path(tmp) / "budget_edges"
         work.mkdir()
         lines, n_failed = budget_edge_lines(work)
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "stream_edges"
+        work.mkdir()
+        lines, n_failed = stream_edge_lines(Path(tmp) / "build" / "data.csv", work)
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

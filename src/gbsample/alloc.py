@@ -7,9 +7,11 @@ core is the closed-form minimizer of ``sum(c_i / s_i)`` subject to
 strata whose population is smaller than their ideal allocation
 (:func:`resolve_caps`), which also give the streaming sampler's targets
 and, at unit costs, the senate baseline's capped equal split.  Integer
-sizes come from one routine, :func:`shed`: from a warm start that lies above an integer optimum it
-removes the surplus one unit at a time, each from the stratum whose
-removal costs least, which is exact for separable convex objectives.
+sizes come from one routine, :func:`shed`: from a warm start above an
+integer optimum it removes the surplus one unit at a time, each from the
+stratum whose removal costs least, which is exact for separable convex
+objectives.  Its l2 form, :func:`l2_sizes`, sizes every l2 plan and each
+settle of the streaming sampler.
 
 Cost coefficients ``c_i`` are built from per-stratum statistics:
 
@@ -178,15 +180,10 @@ def floor_zero_costs(costs: np.ndarray) -> np.ndarray:
 # the integer core
 
 
-def shed(
-    sizes: np.ndarray,
-    lower: np.ndarray,
-    excess: int,
-    loss: Callable[[int, int], float],
-) -> np.ndarray:
+def shed(sizes: np.ndarray, excess: int, loss: Callable[[int, int], float]) -> np.ndarray:
     """Remove ``excess`` units, one at a time, each from the stratum whose
     next removal costs least; ties go to the lowest index and no stratum
-    drops below ``lower``.
+    drops below one unit.
 
     ``loss(i, s)`` is the cost of taking stratum i from s units to s - 1
     and must not fall as s falls (a separable convex objective, or a
@@ -195,45 +192,44 @@ def shed(
     optimum, it ends at an optimum (the priority-value method; Wright 2012,
     Friedrich, Muennich, de Vries & Wagner 2015).  O((r + excess) log r).
     """
-    s = np.asarray(sizes, dtype=np.int64).tolist()
     if excess <= 0:
-        return np.array(s, dtype=np.int64)
-    low = np.asarray(lower, dtype=np.int64).tolist()
-    heap = [(loss(i, s[i]), i) for i in range(len(s)) if s[i] > low[i]]
+        return np.array(sizes, dtype=np.int64)
+    s = np.asarray(sizes, dtype=np.int64).tolist()
+    heap = [(loss(i, s[i]), i) for i in range(len(s)) if s[i] > 1]
     heapq.heapify(heap)
     for _ in range(excess):
         _, i = heapq.heappop(heap)
         s[i] -= 1
-        if s[i] > low[i]:
+        if s[i] > 1:
             heapq.heappush(heap, (loss(i, s[i]), i))
     return np.array(s, dtype=np.int64)
 
 
-def l2_loss(costs: np.ndarray) -> Callable[[int, int], float]:
-    """Increase of sum(c_i / s_i) when stratum i goes from s to s - 1 rows;
-    infinite at one row, so a stratum empties only when forced to."""
-    c = np.asarray(costs, dtype=np.float64).tolist()
-
-    def loss(i: int, s: int) -> float:
-        return c[i] * (1.0 / (s - 1) - 1.0 / s) if s > 1 else math.inf
-
-    return loss
-
-
-def _largest_above(total: Callable[[float], float], target: float, hi: float) -> float:
+def _largest_above(total: Callable[[float], float], target: float, hi: float,
+                   lo: float | None = None, exact: bool = False) -> float:
     """Largest theta, to float resolution, with total(theta) >= target, for
-    a total that does not rise with theta; brackets by halving from hi."""
-    lo = hi
-    while total(lo) < target:
+    a total that does not rise with theta.  The bracket starts at ``lo``
+    (``hi`` if lo is None or 0), halved while its total falls short, then
+    doubled while positive, below hi / 2 and still covering.  With
+    ``exact`` the search ends at the first theta whose total equals the
+    target: for an integer step total, the largest theta is on that step."""
+    lo = lo or hi
+    while (got := total(lo)) < target:
         lo /= 2.0
-    while True:
+    while 0.0 < lo and 2.0 * lo < hi and not (exact and got == target):
+        if (got := total(2.0 * lo)) >= target:
+            lo *= 2.0
+        else:
+            hi = 2.0 * lo
+    while not (exact and got == target):
         mid = math.sqrt(lo) * math.sqrt(hi)
         if not lo < mid < hi:
-            return lo
-        if total(mid) >= target:
+            break
+        if (got := total(mid)) >= target:
             lo = mid
         else:
             hi = mid
+    return lo
 
 
 def l2_sizes(
@@ -245,11 +241,14 @@ def l2_sizes(
     The warm start keeps every row whose removal would cost at least mu,
     s_i(mu) = clip(floor(1/2 + sqrt(1/4 + c_i / mu)), 1, n_i), at the
     largest mu whose rows still cover the budget; every optimum lies
-    componentwise below it, so :func:`shed` finishes exactly.  (Ceilings
-    of the fractional optimum are not always above an optimum: with shares
-    2.99, twenty at 1.05 and 1.01 at budget 25 the optimum gives the first
-    stratum 4 rows.)  Below one row per stratum the largest ``fractional``
-    shares get one row each and a MissingGroups warning is attached.
+    componentwise below it, so :func:`shed` finishes exactly.  The search
+    starts at the closed form's marginal loss (sum(sqrt(c)) / budget)^2 and
+    stops at the first mu whose rows equal the budget: every mu on that
+    step keeps the same rows.  (Ceilings of the fractional optimum are not
+    always above an optimum: with shares 2.99, twenty at 1.05 and 1.01 at
+    budget 25 the optimum gives the first stratum 4 rows.)  Below one row
+    per stratum the largest ``fractional`` shares get one row each, ties
+    to the lowest index, and a MissingGroups warning is attached.
     """
     caps = np.asarray(caps, dtype=np.int64)
     costs = np.asarray(costs, dtype=np.float64)
@@ -265,12 +264,14 @@ def l2_sizes(
         )
         return sizes, [warning]
 
-    def kept(mu: float) -> np.ndarray:
-        rows = np.floor(0.5 + np.sqrt(0.25 + costs / mu))
-        return np.clip(rows, 1, caps).astype(np.int64)
+    def kept(mu: float) -> np.ndarray:  # as floats; the floor is at least 1
+        return np.minimum(np.floor(0.5 + np.sqrt(0.25 + costs / mu)), caps)
 
-    start = kept(_largest_above(lambda mu: int(kept(mu).sum()), target, float(costs.max())))
-    return shed(start, np.ones(r), int(start.sum()) - target, l2_loss(costs)), []
+    mu = _largest_above(lambda mu: kept(mu).sum(), target, float(costs.max()),
+                        float(np.sqrt(costs).sum() / target) ** 2, exact=True)
+    start = kept(mu).astype(np.int64)
+    c = costs.tolist()
+    return shed(start, int(start.sum()) - target, lambda i, s: c[i] * (1.0 / (s - 1) - 1.0 / s)), []
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +703,7 @@ def plan_linf(
             return cv[i] * math.sqrt((n[i] - s + 1) / (n[i] * (s - 1)))
 
         excess = int(start.sum()) - sub_budget
-        sizes = shed(start, np.ones(active.size), excess, cv_after_removal)
+        sizes = shed(start, excess, cv_after_removal)
     max_cv = float(np.sqrt(cv2 * (pops_arr - sizes) / (pops_arr * sizes)).max())
 
     capped = np.concatenate([sizes >= pops_arr, catalog.n[pinned] <= 1])

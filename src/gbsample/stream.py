@@ -8,23 +8,20 @@ d_i, which keeps every retained set an exact bottom-k by key, hence a
 uniform without-replacement subset of the stratum so far.
 
 After each batch the total may exceed the budget M.  The settle step
-computes fractional per-stratum targets M_i = M * f(i) / sum(f), the
-offline closed form at costs f(i)^2, from the current online statistics
-(f is the square root of the squared CVs summed over the configured
-columns, as in the offline allocators) and evicts the excess.  The
-policy is that only strata above their target ever lose rows; among
-such evictions the counts minimize the increase of the objective
+scores every stratum with f(i)^2 from the current online statistics (f is
+the square root of the squared CVs summed over the configured columns, as
+in the offline allocators) and gives the strata that hold rows the sizes
+of :func:`alloc.l2_sizes`, the planners' exact integer allocator, with
+their held rows as caps: the exact minimum of the objective
 
     F = sum_i f(i)^2 / s_i
 
-exactly, by repeatedly removing a row from the stratum with the smallest
-marginal increase f(i)^2 (1 / (s_i - 1) - 1 / s_i) (:func:`alloc.shed`,
-exact for this separable convex objective).  The policy can cost F: with
-f^2 = (0.10346266, 4.89471939, 0.13759474, 3.88691962), sizes
-(2, 3, 2, 2) and four rows to evict, stratum 3 sits below its target, so
-settle keeps (1, 1, 1, 2) with an F increase of 3.384, where (1, 2, 1, 1)
-would add only 2.880.  Evicted rows are always the largest keys of their
-stratum.
+over 1 <= s_i <= held_i with sum(s_i) = M, so no stratum empties while M
+covers one row each; below that, the M strata with the largest f keep one
+row each (ties to the lowest id).  Each settle is optimal from the state
+it starts in; evicted rows are gone, so a whole stream is not.  The
+targets M_i = M * f(i) / sum(f), the offline closed form, are reported.
+Evicted rows are always the largest keys of their stratum.
 
 The state is arrays by stratum id (ids in first-arrival order) and one
 table of retained rows.  A batch updates the moments in lockstep over each
@@ -50,13 +47,12 @@ from .alloc import (
     check_budget,
     cv2_costs,
     floor_zero_costs,
-    l2_loss,
     l2_objective,
-    shed,
+    l2_sizes,
     solve_fractional,
 )
-from .dataset import ColumnSchema, GroupKey, Relation
-from .errors import FloatOverflow, SchemaMismatch
+from .dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
+from .errors import FloatOverflow, SchemaMismatch, UnknownAttribute, UnknownColumn
 from .sampler import StratifiedSample
 from .stats import compute_catalog, std_of
 
@@ -152,12 +148,17 @@ def make_state(
     columns: Sequence[str],
     budget: int,
 ) -> StreamState:
+    """An empty state over categorical ``group_attrs`` and numeric ``columns``."""
     check_budget(budget)
-    names = {c.name for c in schema}
+    kinds = {c.name: c.kind for c in schema}
     columns = tuple(columns)
-    for a in tuple(group_attrs) + columns:
-        if a not in names:
-            raise SchemaMismatch(f"column {a!r} not in schema")
+    for names, kind, error in ((group_attrs, CATEGORICAL, UnknownAttribute),
+                               (columns, NUMERIC, UnknownColumn)):
+        for a in names:
+            if a not in kinds:
+                raise SchemaMismatch(f"column {a!r} not in schema")
+            if kinds[a] != kind:
+                raise error(a)
     return StreamState(tuple(schema), tuple(group_attrs), columns, int(budget),
                        {c: np.zeros(0) for c in columns}, {c: np.zeros(0) for c in columns})
 
@@ -250,13 +251,11 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
 
 
 def settle_budget(state: StreamState) -> StreamState:
-    """Evict the rows above budget, only from strata above their target.
-
-    Strata at or below their fractional target M_i keep every row; among
-    evictions from the others, the counts are the exact integer minimizer
-    of the F increase (:func:`gbsample.alloc.shed` with the l2 loss).  The
-    table sorted by (stratum, key) loses each stratum's tail, and d becomes
-    the first key cut.
+    """Evict the rows above budget: the strata that hold rows keep the
+    sizes :func:`gbsample.alloc.l2_sizes` gives them, with their held rows
+    as caps, the exact integer minimizer of F when the budget covers one
+    row each.  The table sorted by (stratum, key) loses each stratum's
+    tail, and d becomes the first key cut.
     """
     retained = state.retained
     beta = len(retained) - state.budget
@@ -267,8 +266,8 @@ def settle_budget(state: StreamState) -> StreamState:
     f2 = state.scores()
     shares = solve_fractional(f2, state.budget)
     before = state.sizes()
-    over = np.flatnonzero(before > shares)
-    evicted[over] = before[over] - shed(before[over], np.zeros(over.size), beta, l2_loss(f2[over]))
+    held = np.flatnonzero(before)
+    evicted[held] = before[held] - l2_sizes(shares[held], f2[held], before[held], state.budget)[0]
 
     # the rows of the strata that lose rows, sorted by (stratum, key)
     changed = np.flatnonzero(evicted)

@@ -10,16 +10,19 @@ per stratum, so the tests can check the kernels against them with
 Welford and Chan-Golub-LeVeque oracles, and :func:`predicted_group_cv` the
 one-group form of :func:`gbsample.alloc.predicted_group_cvs`.
 :func:`senate_shares` computes the senate baseline's equal split by its
-own loop.
+own loop, and :func:`l2_sizes` the integer l2 allocation by a search for
+mu that runs to float resolution from the largest cost, with :func:`shed`
+taking a floor per stratum.
 :func:`estimate` and :func:`exact_answer` order and gather the groups of
 an answer the plain way, with ``np.unique`` and one key at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -408,6 +411,82 @@ def senate_shares(caps: np.ndarray, budget: int) -> np.ndarray:
         remaining -= float(caps[over].sum())
         active &= ~over
     return shares
+
+
+def shed(
+    sizes: np.ndarray, lower: np.ndarray, excess: int, loss: Callable[[int, int], float]
+) -> np.ndarray:
+    """Remove ``excess`` units, one at a time, each from the stratum whose
+    next removal costs least; ties go to the lowest index and no stratum
+    drops below ``lower``."""
+    s = np.asarray(sizes, dtype=np.int64).tolist()
+    if excess <= 0:
+        return np.array(s, dtype=np.int64)
+    low = np.asarray(lower, dtype=np.int64).tolist()
+    heap = [(loss(i, s[i]), i) for i in range(len(s)) if s[i] > low[i]]
+    heapq.heapify(heap)
+    for _ in range(excess):
+        _, i = heapq.heappop(heap)
+        s[i] -= 1
+        if s[i] > low[i]:
+            heapq.heappush(heap, (loss(i, s[i]), i))
+    return np.array(s, dtype=np.int64)
+
+
+def l2_loss(costs: np.ndarray) -> Callable[[int, int], float]:
+    """Increase of sum(c_i / s_i) when stratum i goes from s to s - 1 rows;
+    infinite at one row."""
+    c = np.asarray(costs, dtype=np.float64).tolist()
+
+    def loss(i: int, s: int) -> float:
+        return c[i] * (1.0 / (s - 1) - 1.0 / s) if s > 1 else math.inf
+
+    return loss
+
+
+def largest_above(total: Callable[[float], float], target: float, hi: float) -> float:
+    """Largest theta, to float resolution, with total(theta) >= target, for
+    a total that does not rise with theta; brackets by halving from hi."""
+    lo = hi
+    while total(lo) < target:
+        lo /= 2.0
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return lo
+        if total(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def l2_sizes(
+    fractional: np.ndarray, costs: np.ndarray, caps: np.ndarray, budget: int
+) -> tuple[np.ndarray, list[str]]:
+    """:func:`gbsample.alloc.l2_sizes` with the search for mu run to float
+    resolution from the largest cost: the warm start keeps every row whose
+    removal costs at least mu at the largest mu whose rows cover the
+    budget, and :func:`shed` removes the surplus."""
+    caps = np.asarray(caps, dtype=np.int64)
+    costs = np.asarray(costs, dtype=np.float64)
+    r = caps.size
+    target = int(min(budget, int(caps.sum())))
+    if target < r:
+        order = np.lexsort((np.arange(r), -np.asarray(fractional, dtype=np.float64)))
+        sizes = np.zeros(r, dtype=np.int64)
+        sizes[order[:target]] = 1
+        warning = (
+            f"MissingGroups: budget {budget} is below the stratum count {r}; "
+            f"{r - target} strata received no rows"
+        )
+        return sizes, [warning]
+
+    def kept(mu: float) -> np.ndarray:
+        rows = np.floor(0.5 + np.sqrt(0.25 + costs / mu))
+        return np.clip(rows, 1, caps).astype(np.int64)
+
+    start = kept(largest_above(lambda mu: int(kept(mu).sum()), target, float(costs.max())))
+    return shed(start, np.ones(r), int(start.sum()) - target, l2_loss(costs)), []
 
 
 def predicted_group_cv(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gbsample.alloc import (
     GroupQuery,
@@ -54,6 +54,7 @@ from gbsample.errors import (
 from gbsample.stats import StatsCatalog, compute_catalog, pool_catalog
 
 from conftest import STUDENT_ROWS, STUDENT_SCHEMA
+import reference
 from reference import build_finest, partition, predicted_group_cv, project_key
 
 
@@ -213,12 +214,79 @@ def test_shed_removes_the_cheapest_unit_above_the_lower_bound():
     def loss(i, s):
         return (1.0, 1.0, 4.0)[i] / s
 
-    sizes = np.array([3, 3, 3])
-    assert shed(sizes, np.array([1, 3, 0]), 4, loss).tolist() == [1, 3, 1]
-    assert sizes.tolist() == [3, 3, 3]
+    # stratum 0 is cheapest but stops at one row; stratum 1 starts there
+    sizes = np.array([3, 1, 3])
+    assert shed(sizes, 3, loss).tolist() == [1, 1, 2]
+    assert sizes.tolist() == [3, 1, 3]
     # ties go to the lowest index; nothing to remove leaves the sizes alone
-    assert shed(np.array([2, 2]), np.zeros(2), 1, lambda i, s: 1.0).tolist() == [1, 2]
-    assert shed(np.array([2, 2]), np.zeros(2), 0, lambda i, s: 1.0).tolist() == [2, 2]
+    assert shed(np.array([2, 2]), 1, lambda i, s: 1.0).tolist() == [1, 2]
+    assert shed(np.array([2, 2]), 0, lambda i, s: 1.0).tolist() == [2, 2]
+
+
+@st.composite
+def _l2_instances(draw):
+    """Costs (tie-heavy, spread over twelve decades, or floored zeros),
+    caps and a budget at one of the edges: one row per stratum, every row,
+    below the stratum count, or anywhere."""
+    r = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ties", "wide", "zeros"]))
+    if kind == "wide":
+        costs = draw(st.lists(st.floats(1e-6, 1e6), min_size=r, max_size=r))
+    else:
+        levels = [1.0, 2.0, 3.0] if kind == "ties" else [0.0, 0.5, 4.0]
+        costs = draw(st.lists(st.sampled_from(levels), min_size=r, max_size=r))
+    caps = draw(st.lists(st.integers(1, 12), min_size=r, max_size=r))
+    total = sum(caps)
+    budget = draw(st.sampled_from([r, total, max(1, r - 1)]) | st.integers(1, total + 3))
+    return floor_zero_costs(np.array(costs)), np.array(caps), budget
+
+
+def _assert_same_l2_sizes(costs, caps, budget):
+    fractional, _ = resolve_caps(costs, caps, budget)
+    got, got_w = l2_sizes(fractional, costs, caps, budget)
+    want, want_w = reference.l2_sizes(fractional, costs, caps, budget)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_w == want_w
+
+
+@given(_l2_instances())
+@example((np.full(5, 2.0), np.full(5, 9), 5))  # one row each, all tied
+@example((np.array([1.0, 1.0, 2.0, 2.0]), np.array([1, 9, 2, 9]), 14))  # binding caps
+@example((floor_zero_costs(np.array([0.0, 3.0, 0.0])), np.array([5, 5, 5]), 7))
+@example((np.array([1e-6, 1e6, 1.0]), np.array([3, 3, 3]), 2))  # below the stratum count
+def test_l2_sizes_matches_the_full_search(instance):
+    """The search for mu that starts at the closed form and stops on the
+    step that meets the budget gives the bytes of the search that runs to
+    float resolution from the largest cost."""
+    _assert_same_l2_sizes(*instance)
+
+
+def test_l2_sizes_matches_the_full_search_on_seeded_instances():
+    rng = np.random.default_rng(2020)
+    for _ in range(1500):
+        r = int(rng.integers(1, 40))
+        kind = rng.integers(3)
+        if kind == 0:
+            costs = rng.integers(1, 4, r).astype(float)
+        elif kind == 1:
+            costs = 10.0 ** rng.uniform(-6, 6, r)
+        else:
+            costs = floor_zero_costs(rng.choice([0.0, 0.25, 7.0], r))
+        caps = rng.integers(1, 30, r)
+        budget = int(rng.choice([r, int(caps.sum()), int(rng.integers(1, caps.sum() + 5))]))
+        _assert_same_l2_sizes(costs, caps, budget)
+
+
+def test_l2_sizes_ends_where_the_search_reaches_the_float_floor():
+    # sum(sqrt(c)) / budget squared underflows to 0, and the search from
+    # the largest cost halves mu down to 0, where every stratum is capped
+    with np.errstate(divide="ignore"):
+        for costs, caps, budget in (
+            ([5e-324, 5e-324, 1e-323], [5, 5, 5], 8),
+            ([1e-323, 1e-323], [5, 5], 10),
+        ):
+            _assert_same_l2_sizes(np.array(costs), np.array(caps), budget)
 
 
 def test_round_already_integral():

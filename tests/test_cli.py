@@ -474,6 +474,34 @@ def test_stream_sim_with_a_budget_below_one_is_a_user_error(tmp_path, capsys, si
     assert not (tmp_path / "out").exists()
 
 
+#: ``g`` is categorical though its cells look numeric, ``x`` is numeric
+KINDS_CSV = "g,x\n1,2.5\n2,3.5\n1,4.0\n2,1.5\n"
+
+
+@pytest.mark.parametrize(
+    "group_by, aggregates, message",
+    [
+        (["x"], ["x"], "'x' is not a categorical column of the relation"),
+        (["g"], ["g"], "'g' is not a numeric column of the relation"),
+    ],
+    ids=["numeric-group-by", "categorical-aggregate"],
+)
+def test_stream_sim_checks_column_kinds_as_stats_does(
+    tmp_path, capsys, group_by, aggregates, message
+):
+    data = tmp_path / "kinds.csv"
+    data.write_text(KINDS_CSV, encoding="utf-8")
+    cfg = _write_config(
+        tmp_path, data, schema=[{"name": "g", "kind": "categorical"},
+                                {"name": "x", "kind": "numeric"}],
+        group_by=group_by, aggregates=aggregates, budget=2, batch_size=1,
+    )
+    for command in ("stats", "stream-sim"):
+        assert _run(command, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "stream_metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("by_flag", [False, True])
 @pytest.mark.parametrize(
     "command, name, value",

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
-from gbsample.errors import FloatOverflow, InvalidArgument, SchemaMismatch
+from gbsample.errors import (
+    FloatOverflow,
+    InvalidArgument,
+    SchemaMismatch,
+    UnknownAttribute,
+    UnknownColumn,
+)
 from gbsample.stream import (
     batch_keys,
     ingest_batch,
@@ -54,6 +60,13 @@ def test_schema_mismatch():
         ingest_batch(state, [("a", "oops")], seed=0)
     with pytest.raises(SchemaMismatch):
         make_state(SCHEMA, ("nope",), OBJ, 10)
+
+
+def test_make_state_checks_column_kinds():
+    with pytest.raises(UnknownAttribute, match="^'v' is not a categorical column"):
+        make_state(SCHEMA, ("v",), OBJ, 10)
+    with pytest.raises(UnknownColumn, match="^'g' is not a numeric column"):
+        make_state(SCHEMA, ("g",), ("g",), 10)
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -175,6 +188,8 @@ def test_all_oversized_base_case_sets_rounded_targets():
 
 
 def test_eviction_only_touches_oversized():
+    # on these seeded batches every evicting stratum held more than its
+    # fractional target; settle does not require it (see the tests below)
     state = _fresh(budget=30)
     evictions_seen = 0
     for b, start in enumerate(range(0, 900, 90)):
@@ -188,18 +203,65 @@ def test_eviction_only_touches_oversized():
             assert size_before_settle > report.targets[k]
     assert evictions_seen > 0
 
-    # the policy can cost F: stratum 3 sits below its target, so settle keeps
-    # (1, 1, 1, 2) with an increase of 3.384, though (1, 2, 1, 1) adds 2.880
+
+def test_settle_may_evict_from_a_stratum_below_its_target():
+    # stratum 3 holds 2 rows against a target above 2, yet giving up one of
+    # them keeps (1, 2, 1, 1), which adds 2.880 to F; keeping stratum 3
+    # whole would force (1, 1, 1, 2), which adds 3.384
     f2 = np.array([0.10346266, 4.89471939, 0.13759474, 3.88691962])
     state = _holding((2, 3, 2, 2), budget=5)
     state.scores = lambda: f2  # type: ignore
     settle_budget(state)
-    assert state.sizes().tolist() == [1, 1, 1, 2]
+    assert state.sizes().tolist() == [1, 2, 1, 1]
     report = state.last_settle
     assert report.targets[3] > 2
-    assert report.delta_objective == pytest.approx(3.384, abs=5e-4)
-    unrestricted = sum(f2 * (1.0 / np.array([1, 2, 1, 1]) - 1.0 / np.array([2, 3, 2, 2])))
-    assert unrestricted == pytest.approx(2.880, abs=5e-4)
+    assert report.evicted.tolist() == [1, 1, 1, 1]
+    assert report.delta_objective == pytest.approx(2.880, abs=5e-4)
+    kept_whole = sum(f2 * (1.0 / np.array([1, 1, 1, 2]) - 1.0 / np.array([2, 3, 2, 2])))
+    assert kept_whole == pytest.approx(3.384, abs=5e-4)
+
+
+def _exhaustive_minimum(f2, held, budget):
+    """min F = sum f2 / s over 1 <= s_i <= held_i with sum(s) = budget."""
+    best = math.inf
+    for sizes in itertools.product(*[range(1, h + 1) for h in held]):
+        if sum(sizes) == budget:
+            best = min(best, sum(f / s for f, s in zip(f2, sizes)))
+    return best
+
+
+def test_settle_reaches_the_exhaustive_minimum_without_emptying_a_stratum():
+    rng = np.random.default_rng(2024)
+    trials = 0
+    while trials < 300:
+        k = int(rng.integers(1, 6))
+        f2 = rng.lognormal(0.0, 1.5, size=k)
+        held = rng.integers(1, 7, size=k)
+        if int(held.sum()) - 1 < k:
+            continue
+        trials += 1
+        budget = int(rng.integers(k, int(held.sum())))
+        state = _holding(held, budget, seed=trials)
+        state.scores = lambda f2=f2: f2  # type: ignore
+        settle_budget(state)
+        after = state.sizes()
+        assert int(after.sum()) == budget
+        assert (after >= 1).all() and (after <= held).all()
+        ours = sum(f / s for f, s in zip(f2, after.tolist()))
+        assert ours == pytest.approx(_exhaustive_minimum(f2, held.tolist(), budget), rel=1e-12)
+
+
+def test_settle_below_the_stratum_count_keeps_the_largest_scores():
+    f2 = np.array([1.0, 5.0, 0.5, 3.0, 2.0])
+    state = _holding((2, 1, 3, 1, 2), budget=3)
+    state.scores = lambda: f2  # type: ignore
+    settle_budget(state)
+    assert state.sizes().tolist() == [0, 1, 0, 1, 1]
+    # ties go to the lowest id
+    state = _holding((1, 1, 1), budget=2)
+    state.scores = lambda: np.full(3, 2.0)  # type: ignore
+    settle_budget(state)
+    assert state.sizes().tolist() == [1, 1, 0]
 
 
 def test_eviction_matches_brute_force_small():
