@@ -244,7 +244,9 @@ def l2_sizes(
     componentwise below it, so :func:`shed` finishes exactly.  The search
     starts at the closed form's marginal loss (sum(sqrt(c)) / budget)^2 and
     stops at the first mu whose rows equal the budget: every mu on that
-    step keeps the same rows.  (Ceilings of the fractional optimum are not
+    step keeps the same rows.  A search that halves mu to 0 (costs near the
+    float floor, or zero costs, which keep one row at every mu > 0) starts
+    from the caps.  (Ceilings of the fractional optimum are not
     always above an optimum: with shares 2.99, twenty at 1.05 and 1.01 at
     budget 25 the optimum gives the first stratum 4 rows.)  Below one row
     per stratum the largest ``fractional`` shares get one row each, ties
@@ -265,11 +267,14 @@ def l2_sizes(
         return sizes, [warning]
 
     def kept(mu: float) -> np.ndarray:  # as floats; the floor is at least 1
+        if mu == 0.0:  # the search underflowed: start from the caps
+            return caps
         return np.minimum(np.floor(0.5 + np.sqrt(0.25 + costs / mu)), caps)
 
-    mu = _largest_above(lambda mu: kept(mu).sum(), target, float(costs.max()),
-                        float(np.sqrt(costs).sum() / target) ** 2, exact=True)
-    start = kept(mu).astype(np.int64)
+    with np.errstate(over="ignore"):  # a c_i / mu beyond the float range keeps the cap
+        mu = _largest_above(lambda mu: kept(mu).sum(), target, float(costs.max()),
+                            float(np.sqrt(costs).sum() / target) ** 2, exact=True)
+        start = kept(mu).astype(np.int64)
     c = costs.tolist()
     return shed(start, int(start.sum()) - target, lambda i, s: c[i] * (1.0 / (s - 1) - 1.0 / s)), []
 

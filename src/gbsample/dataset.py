@@ -22,7 +22,9 @@ value tuples and the sorted slices) once, on first use of
 :meth:`Relation.strata`, and keeps it: the relation never changes.  Every
 layer that works stratum by stratum (catalog, allocation, draw, estimation,
 evaluation, workload entities) reads it from there, so one grouping of one
-relation is stratified once however many layers use it.
+relation is stratified once however many layers use it.  It keeps each
+``(grouping, columns)`` catalog of :func:`gbsample.stats.compute_catalog`
+the same way, in the same memo (:meth:`Relation.memo`).
 
 Missing categorical cells are mapped to the sentinel :data:`NULL_TOKEN`,
 which forms its own stratum.  Missing numeric cells are a parse error.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,7 +163,7 @@ class Relation:
         if len(sizes) > 1:
             raise ValueError("columns have unequal lengths")
         self.n_rows = sizes.pop() if sizes else 0
-        self._strata: dict[tuple[str, ...], Strata] = {}
+        self._memo: dict[tuple, object] = {}
 
     # -- schema helpers ---------------------------------------------------
 
@@ -187,19 +189,21 @@ class Relation:
             raise UnknownColumn(name)
         return self._columns[name]
 
+    def memo(self, compute: Callable, *args: Hashable):
+        """``compute(self, *args)``, computed on the first such call and kept
+        for every later one, so it must be read-only: the relation never
+        changes.  A call that raises keeps nothing; there is no size limit."""
+        key = (compute, *args)
+        if key not in self._memo:
+            self._memo[key] = compute(self, *args)
+        return self._memo[key]
+
     def strata(self, attrs: Sequence[str]) -> Strata:
         """The stratification of the rows under ``attrs``, computed the
         first time these attributes (in this order) are asked for and kept
         for every later call.  An attribute that is not a categorical
         column raises :class:`UnknownAttribute`."""
-        attrs = tuple(attrs)
-        found = self._strata.get(attrs)
-        if found is None:
-            ids, keys = stratum_ids(self, attrs)
-            order, bounds = segments(ids, len(keys))
-            found = Strata(frozen(ids), tuple(keys), frozen(order), frozen(bounds))
-            self._strata[attrs] = found
-        return found
+        return self.memo(_stratify, tuple(attrs))
 
     def records(self, row_ids) -> list[tuple]:
         """The given rows as tuples of values in schema order, categorical
@@ -327,6 +331,12 @@ def stratum_ids(
         ids, rows = first_occurrence_ids(ids * len(col.levels) + col.codes)
     values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
     return ids, list(zip(*values))
+
+
+def _stratify(rel: Relation, attrs: tuple[str, ...]) -> Strata:
+    ids, keys = stratum_ids(rel, attrs)
+    order, bounds = segments(ids, len(keys))
+    return Strata(frozen(ids), tuple(keys), frozen(order), frozen(bounds))
 
 
 def first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

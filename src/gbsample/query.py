@@ -530,7 +530,7 @@ def _predicted_cvs(rel, sample, request) -> dict[tuple, float | None]:
         return {}
     attrs, col = tuple(request.group_attrs), request.column
     fine = compute_catalog(rel, sample.group_attrs, (col,))
-    groups = fine if attrs == fine.group_attrs else compute_catalog(rel, attrs, (col,))
+    groups = compute_catalog(rel, attrs, (col,))
     # the relation's strata, then the sample's, as the rows of one key
     # relation: numbered by first occurrence, a sample stratum the relation
     # holds gets its number in ``fine`` and its group its number in ``groups``

@@ -6,6 +6,9 @@ moments.  It reads the relation's stratification
 and takes each stratum's count, mean and standard deviation over its
 contiguous slice with the two-pass formula: the mean, then the sum of
 squared deviations from it.  The coefficient of variation is sigma / |mu|.
+A relation keeps each ``(grouping, columns)`` catalog as it keeps each
+grouping's strata (:meth:`gbsample.dataset.Relation.memo`): every call of
+:func:`compute_catalog` hands out that one shared, read-only catalog.
 
 A :class:`StatsCatalog` is arrays indexed by stratum: the strata's value
 tuples in first-occurrence order, an int64 count array ``n`` and, per
@@ -201,9 +204,14 @@ def compute_catalog(
 ) -> StatsCatalog:
     """Summarize every occurring stratum, in first-occurrence order.  A
     moment beyond the float range is kept as inf or NaN, without a warning;
-    :func:`finite_catalog` rejects such a catalog."""
-    group_attrs = tuple(group_attrs)
-    agg_columns = tuple(agg_columns)
+    :func:`finite_catalog` rejects such a catalog.  The relation keeps it
+    for later calls with these attributes and columns, in this order."""
+    return rel.memo(_compute_catalog, tuple(group_attrs), tuple(agg_columns))
+
+
+def _compute_catalog(
+    rel: Relation, group_attrs: tuple[str, ...], agg_columns: tuple[str, ...]
+) -> StatsCatalog:
     strata = rel.strata(group_attrs)
     n = np.diff(strata.bounds)
     slices = list(zip(strata.bounds[:-1].tolist(), strata.bounds[1:].tolist()))

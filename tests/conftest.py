@@ -1,6 +1,7 @@
 import hypothesis
 import pytest
 
+from gbsample import stats
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
 
 hypothesis.settings.register_profile(
@@ -71,3 +72,18 @@ def fix_a_csv(tmp_path):
     lines = ["grp,v"] + [f"{g},{v:g}" for g, v in FIX_A_ROWS]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def computed_catalogs(monkeypatch) -> list[tuple]:
+    """The (group attributes, columns) of every catalog computed, rather
+    than read from a relation's memo, while the test runs."""
+    computed = []
+    compute = stats._compute_catalog
+
+    def counting(rel, attrs, columns):
+        computed.append((attrs, columns))
+        return compute(rel, attrs, columns)
+
+    monkeypatch.setattr(stats, "_compute_catalog", counting)
+    return computed

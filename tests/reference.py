@@ -482,10 +482,13 @@ def l2_sizes(
         return sizes, [warning]
 
     def kept(mu: float) -> np.ndarray:
+        if mu == 0.0:  # the search underflowed: every row
+            return caps
         rows = np.floor(0.5 + np.sqrt(0.25 + costs / mu))
         return np.clip(rows, 1, caps).astype(np.int64)
 
-    start = kept(largest_above(lambda mu: int(kept(mu).sum()), target, float(costs.max())))
+    with np.errstate(over="ignore"):  # a c_i / mu beyond the float range keeps the cap
+        start = kept(largest_above(lambda mu: int(kept(mu).sum()), target, float(costs.max())))
     return shed(start, np.ones(r), int(start.sum()) - target, l2_loss(costs)), []
 
 

@@ -279,14 +279,22 @@ def test_l2_sizes_matches_the_full_search_on_seeded_instances():
 
 
 def test_l2_sizes_ends_where_the_search_reaches_the_float_floor():
-    # sum(sqrt(c)) / budget squared underflows to 0, and the search from
-    # the largest cost halves mu down to 0, where every stratum is capped
-    with np.errstate(divide="ignore"):
-        for costs, caps, budget in (
-            ([5e-324, 5e-324, 1e-323], [5, 5, 5], 8),
-            ([1e-323, 1e-323], [5, 5], 10),
-        ):
-            _assert_same_l2_sizes(np.array(costs), np.array(caps), budget)
+    # sum(sqrt(c)) / budget squared underflows to 0, or a zero cost keeps one
+    # row at every mu > 0, so the search halves mu down to 0; it starts from
+    # the caps there, without dividing by mu, and sheds to an exact optimum
+    for costs, caps, budget in (
+        ([5e-324, 5e-324, 1e-323], [5, 5, 5], 8),
+        ([1e-323, 1e-323], [5, 5], 10),
+        ([0.0, 1.0], [5, 5], 7),
+    ):
+        costs, caps = np.array(costs), np.array(caps)
+        shares = np.ones(len(costs))  # read only below one row per stratum
+        sizes, warnings = l2_sizes(shares, costs, caps, budget)
+        want, _ = reference.l2_sizes(shares, costs, caps, budget)
+        assert sizes.tobytes() == want.tobytes() and not warnings
+        assert sizes.sum() == min(budget, caps.sum())
+        best, _ = exhaustive_integer_optimum(costs, caps, min(budget, int(caps.sum())))
+        assert l2_objective(costs, sizes) == pytest.approx(best, rel=1e-12)
 
 
 def test_round_already_integral():

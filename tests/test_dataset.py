@@ -284,7 +284,7 @@ def test_strata_of_an_unknown_attribute_raise_on_every_call(student_rel):
         for _ in range(2):
             with pytest.raises(UnknownAttribute):
                 student_rel.strata(attrs)
-    assert student_rel._strata == {}
+    assert student_rel._memo == {}
 
 
 def test_a_relation_without_columns_keeps_its_row_count():

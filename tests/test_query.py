@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from gbsample.alloc import plan_l2
 from gbsample.baselines import alloc_senate, alloc_uniform
+from gbsample.cli import main
 from gbsample.dataset import (
     CATEGORICAL,
     NUMERIC,
@@ -1106,3 +1108,26 @@ def test_sample_arrays_are_cached_read_only():
         assert not got.flags.writeable, where
         assert got.tobytes() == want.tobytes(), where
     assert not stratified.held.all()  # the budget leaves strata empty
+
+
+def test_compare_computes_the_fine_catalog_once(tmp_path, fix_a_csv, computed_catalogs):
+    """``compare`` plans every method from the relation's catalog and each
+    seed's evaluation reads its predicted CVs from the same catalog, kept
+    by the relation: one computation for the whole run."""
+    config = {
+        "data": str(fix_a_csv),
+        "schema": [{"name": "grp", "kind": "categorical"}, {"name": "v", "kind": "numeric"}],
+        "group_by": ["grp"],
+        "aggregates": ["v"],
+        "methods": ["cvopt-l2", "uniform", "senate"],
+        "n_seeds": 4,
+        "budget": 8,
+        "seed": 5,
+        "out_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["compare", "--config", str(path)]) == 0
+    assert computed_catalogs == [(("grp",), ("v",))]
+    results = json.loads((tmp_path / "out" / "compare.json").read_text())["results"]
+    assert [r["seeds"] for r in results] == [4, 4, 4]

@@ -112,11 +112,17 @@ def test_catalog_zero_mean_flag():
     assert costs.tolist() == [0.0]
 
 
-def test_catalog_unknown_names(student_rel):
-    with pytest.raises(UnknownAttribute):
-        compute_catalog(student_rel, ["nope"], ["age"])
-    with pytest.raises(UnknownColumn):
-        compute_catalog(student_rel, ["major"], ["major"])
+def test_catalog_unknown_names(student_rel, computed_catalogs):
+    """An unknown name raises on every call: a failed catalog is not kept."""
+    for attrs, columns, error in (
+        (["nope"], ["age"], UnknownAttribute),
+        (["major"], ["major"], UnknownColumn),
+        (["major"], ["age", "nope"], UnknownColumn),
+    ):
+        for _ in range(2):
+            with pytest.raises(error):
+                compute_catalog(student_rel, attrs, columns)
+    assert len(computed_catalogs) == 6
 
 
 def test_rescaling_column_leaves_cv_unchanged(student_rel):
@@ -233,3 +239,44 @@ def test_a_catalog_leaves_its_arguments_as_given():
     assert catalog.mean["w"].tolist() == [3.0, 4.0] and catalog.std["w"].tolist() == [0.0, 1.0]
     for arr in (catalog.n, *catalog.mean.values(), *catalog.std.values()):
         assert not arr.flags.writeable
+
+
+
+def _same_values(a, b):
+    assert (a.group_attrs, a.agg_columns, a.keys, a.total_n) == (
+        b.group_attrs, b.agg_columns, b.keys, b.total_n
+    )
+    assert a.n.tobytes() == b.n.tobytes()
+    for col in a.agg_columns:
+        assert a.mean[col].tobytes() == b.mean[col].tobytes()
+        assert a.std[col].tobytes() == b.std[col].tobytes()
+
+
+def test_a_relation_computes_each_catalog_once(student_rel, computed_catalogs):
+    """The same relation, grouping and columns, given as lists or tuples,
+    return the one read-only catalog, and with it the pooled catalogs it keeps."""
+    catalog = compute_catalog(student_rel, ["major", "college"], ["age", "gpa"])
+    assert compute_catalog(student_rel, ("major", "college"), ("age", "gpa")) is catalog
+    assert compute_catalog(student_rel, ["major", "college"], ["age", "gpa"]) is catalog
+    assert computed_catalogs == [(("major", "college"), ("age", "gpa"))]
+    assert pool_catalog(catalog, ["college"]) is pool_catalog(
+        compute_catalog(student_rel, ["major", "college"], ["age", "gpa"]), ("college",)
+    )
+    assert catalog.pooled(["major"]) is catalog.pooled(("major",))
+    assert not catalog.n.flags.writeable and not catalog.mean["age"].flags.writeable
+
+
+def test_another_grouping_columns_or_relation_gets_its_own_catalog(student_rel):
+    attrs, columns = ("major", "college"), ("age", "gpa")
+    catalog = compute_catalog(student_rel, attrs, columns)
+    copy = student_rel.take(np.arange(student_rel.n_rows))
+    for other in (
+        (attrs, columns),
+        (attrs, columns[::-1]),
+        (attrs[::-1], columns),
+        (("college",), columns),
+        (attrs, ("age",)),
+    ):
+        mine, fresh = compute_catalog(student_rel, *other), compute_catalog(copy, *other)
+        assert (mine is catalog) == (other == (attrs, columns)) and fresh is not mine
+        _same_values(mine, fresh)
