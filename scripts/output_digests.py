@@ -24,6 +24,11 @@ Then ``stream-sim`` runs on the tiny build table at a budget equal to its
 stratum count, at batch sizes 1, 7 and 100, where every settle can keep a
 row in every stratum; the script counts the batches whose objective is
 ``inf`` (a stratum left empty).
+Last, a generated "messy" table of 2100 rows, its categorical column
+``b`` last so that a short row leaves it null, with padded, empty,
+quoted-comma and non-ASCII keys and a level first seen after row 2048
+(past the loader's second chunk), runs ``stats -> plan -> sample ->
+evaluate`` under cvopt-l2, pinning the loader's cleaning rules.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
 plus the exit code of every command, the outcome of the order check and
 the count of ``inf`` objectives.  Exits 1 if any command failed, a budget
@@ -399,6 +404,59 @@ def stream_edge_lines(data: Path, work: Path) -> tuple[list[str], int]:
     return lines, failed
 
 
+#: the messy table: numeric columns first, categorical ``b`` last
+MESSY = {
+    "categorical": ["a", "b"],
+    "numeric": ["x", "y"],
+    "attrs": ["a", "b"],
+    "size": {"budget": 300},
+    "predicate": [{"column": "y", "op": "<", "value": 30.0}],
+    "rare": [{"column": "x", "op": ">", "value": 21.0}],
+}
+MESSY_ROWS = 2100
+#: keys of ``a``: padded, empty and blank ones (one value and the null
+#: token), a comma a reader must keep quoted, and non-ASCII text
+MESSY_KEYS = ("north", " north ", "", "  ", "a,b", "Zürich", "東京", "south ")
+
+
+def _messy_csv(path: Path) -> None:
+    """Write the messy table: every 97th row is short (no ``b`` cell), and
+    the key ``late`` appears only after row 2048."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "a", "b"])
+        for r in range(MESSY_ROWS):
+            key = "late" if r > 2048 and r % 3 == 0 else MESSY_KEYS[r * 5 % len(MESSY_KEYS)]
+            row = [f"{10 + r * 7 % 13 + r % 5 / 4:g}", f"{20 + r * 11 % 17:g}", key, "pqr"[r % 3]]
+            writer.writerow(row[:3] if r % 97 == 0 else row)
+
+
+def messy_lines(work: Path) -> tuple[list[str], int]:
+    """The exit-code and digest lines of ``stats -> plan -> sample ->
+    evaluate`` under cvopt-l2 on the messy table, and the number of
+    commands that failed."""
+    data = work / "data.csv"
+    _messy_csv(data)
+    out = work / "cvopt-l2"
+    config = _write(
+        work / "config.json",
+        {"data": str(data), "schema": _schema(MESSY), "seed": 1, "out_dir": str(out),
+         "group_by": MESSY["attrs"], "aggregates": MESSY["numeric"], **MESSY["size"]},
+    )
+    codes = [_cli([cmd, "--config", config]) for cmd in ("stats", "plan", "sample")]
+    failed = sum(c != 0 for c in codes)
+    lines = [f"exit {codes}  messy/cvopt-l2"]
+    lines += [f"{_digest(out / f)}  messy/cvopt-l2/{f}" for f in OUTPUTS]
+    for label, query in _queries(MESSY, work).items():
+        code = _cli(["evaluate", "--config", config, "--query", query])
+        failed += code != 0
+        lines.append(f"exit [{code}]  messy/cvopt-l2/{label}")
+        for f in ("report.json", "report.csv"):
+            lines.append(f"{_digest(out / f)}  messy/cvopt-l2/{label}/{f}")
+            (out / f).unlink(missing_ok=True)
+    return lines, failed
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -427,6 +485,11 @@ def main() -> int:
         work = Path(tmp) / "stream_edges"
         work.mkdir()
         lines, n_failed = stream_edge_lines(Path(tmp) / "build" / "data.csv", work)
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "messy"
+        work.mkdir()
+        lines, n_failed = messy_lines(work)
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

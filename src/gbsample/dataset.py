@@ -8,7 +8,9 @@ so that downstream artifacts are reproducible.
 Categorical columns are dictionary-encoded: each is an array of int codes,
 one per row, plus its distinct values ("levels") in order of first
 occurrence, so code k stands for ``levels[k]``.  :func:`load_csv` encodes
-while it parses and never keeps one string per cell.
+while it parses, :data:`CHUNK_ROWS` rows at a time and one column of the
+chunk at a time, so it holds at most one chunk of rows as strings; it and
+:func:`encode` share one first-occurrence encoder, :func:`encode_into`.
 :meth:`Relation.encoded` returns the codes and levels;
 :meth:`Relation.categorical` and :meth:`Relation.records` decode them to
 values at the API edge, so every file the package writes is unchanged by
@@ -23,8 +25,9 @@ value tuples and the sorted slices) once, on first use of
 layer that works stratum by stratum (catalog, allocation, draw, estimation,
 evaluation, workload entities) reads it from there, so one grouping of one
 relation is stratified once however many layers use it.  It keeps each
-``(grouping, columns)`` catalog of :func:`gbsample.stats.compute_catalog`
-the same way, in the same memo (:meth:`Relation.memo`).
+``(grouping, columns)`` catalog of :func:`gbsample.stats.compute_catalog`,
+and each column's moments under a grouping, the same way, in the same
+memo (:meth:`Relation.memo`).
 
 Missing categorical cells are mapped to the sentinel :data:`NULL_TOKEN`,
 which forms its own stratum.  Missing numeric cells are a parse error.
@@ -35,6 +38,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -50,6 +55,9 @@ from .errors import (
 )
 
 NULL_TOKEN = "⟨null⟩"
+
+#: rows :func:`load_csv` parses at a time
+CHUNK_ROWS = 1024
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -100,8 +108,30 @@ class Encoded(NamedTuple):
 def encode(values: Iterable) -> Encoded:
     """Dictionary-encode a sequence of categorical values."""
     index: dict = {}
-    codes = [index.setdefault(v, len(index)) for v in values]
-    return Encoded(frozen(np.array(codes, dtype=np.intp)), tuple(index))
+    codes = encode_into(list(values), index, index)
+    return Encoded(frozen(codes), tuple(index))
+
+
+def encode_into(
+    values: list, seen: dict, index: dict, level: Callable | None = None
+) -> np.ndarray:
+    """The code of every value, looked up in ``seen`` (value -> code).
+
+    A value not yet in ``seen`` gets the code of its level, ``level(value)``
+    (the value itself when ``level`` is None), in ``index`` (level -> code),
+    where a new level takes the next code; both dicts are extended.  The new
+    values are walked in order of first occurrence, so the levels stay
+    numbered by first occurrence across every call that shares the dicts.
+    ``seen`` and ``index`` may be one dict when ``level`` is None.
+    """
+    try:
+        return np.fromiter(map(seen.__getitem__, values), np.intp, len(values))
+    except KeyError:
+        for value in dict.fromkeys(values):
+            if value not in seen:
+                key = value if level is None else level(value)
+                seen[value] = index.setdefault(key, len(index))
+    return np.fromiter(map(seen.__getitem__, values), np.intp, len(values))
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -259,11 +289,19 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
 
     The header must contain every schema column (extra columns are ignored).
     Categorical cells are trimmed and encoded as they are read; an empty
-    one becomes :data:`NULL_TOKEN`.  Numeric cells that fail to parse,
-    including empty and non-finite ones, raise :class:`TypeParseError`; a
-    file with a valid header but no data rows raises :class:`EmptyFile`,
-    and one that cannot be read as text :class:`UnreadableFile` (see
-    :func:`errors.open_text`).
+    one, or one missing from a short row, becomes :data:`NULL_TOKEN`.
+    Numeric cells that fail to parse, including empty, missing and
+    non-finite ones, raise :class:`TypeParseError` naming the first such
+    cell in row-major order; a file with a valid header but no data rows
+    raises :class:`EmptyFile`, and one that cannot be read as text
+    :class:`UnreadableFile` (see :func:`errors.open_text`), unless an
+    earlier row holds a bad numeric cell.
+
+    The rows are parsed :data:`CHUNK_ROWS` at a time, one column of the
+    chunk at a time: a categorical column's raw cells are looked up in a
+    dict from raw text to code (:func:`encode_into`), and a numeric
+    column's are parsed by Python's ``float``, so the result is the same as
+    parsing cell by cell.  At most one chunk of rows is held as strings.
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -275,38 +313,82 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
         for col in schema:
             if col.name not in header:
                 raise MissingColumn(col.name)
-        # per column: name, position in the header, then its accumulators
+        # per column: name, position in the header, then its accumulators:
+        # for a categorical one, its codes by raw text and by level, and
+        # for every column its arrays, one per chunk
         cats = [
-            (c.name, header.index(c.name), {}, [])
+            (c.name, header.index(c.name), {}, {}, [])
             for c in schema
             if c.kind == CATEGORICAL
         ]
         nums = [
             (c.name, header.index(c.name), []) for c in schema if c.kind == NUMERIC
         ]
+        width = 1 + max((header.index(c.name) for c in schema), default=-1)
 
         row_id = 0
-        for raw_row in reader:
-            width = len(raw_row)
-            for _, idx, index, codes in cats:
-                value = raw_row[idx].strip() if idx < width else ""
-                codes.append(index.setdefault(value or NULL_TOKEN, len(index)))
-            for name, idx, values in nums:
-                raw = raw_row[idx] if idx < width else ""
+        while True:
+            rows, unread = _read_chunk(reader)
+            if min(map(len, rows), default=width) < width:
+                rows = [r + [""] * (width - len(r)) for r in rows]
+            for _, idx, seen, index, chunks in cats:
+                cells = list(map(itemgetter(idx), rows))
+                chunks.append(encode_into(cells, seen, index, _level))
+            for _, idx, chunks in nums:
                 try:
-                    value = float(raw)
+                    cells = map(float, map(itemgetter(idx), rows))
+                    values = np.fromiter(cells, np.float64, len(rows))
                 except ValueError:
-                    raise TypeParseError(row_id, name, raw) from None
-                if not math.isfinite(value):
-                    raise TypeParseError(row_id, name, raw)
-                values.append(value)
-            row_id += 1
+                    values = None
+                if values is None or not np.isfinite(values).all():
+                    _raise_first_bad_cell(rows, nums, row_id)
+                chunks.append(values)
+            row_id += len(rows)
+            if unread is not None:
+                raise unread
+            if len(rows) < CHUNK_ROWS:
+                break
     if row_id == 0:
         raise EmptyFile(f"{path}: header only, no data rows")
-    columns: dict[str, object] = {name: values for name, _, values in nums}
-    for name, _, index, codes in cats:
-        columns[name] = Encoded(frozen(np.array(codes, dtype=np.intp)), tuple(index))
+    columns: dict[str, object] = {
+        name: np.concatenate(chunks) for name, _, chunks in nums
+    }
+    for name, _, _, index, chunks in cats:
+        columns[name] = Encoded(frozen(np.concatenate(chunks)), tuple(index))
     return Relation(schema, columns)
+
+
+def _read_chunk(reader) -> tuple[list, Exception | None]:
+    """The next :data:`CHUNK_ROWS` rows of ``reader`` (fewer at the end),
+    and the error that stopped the read early, if any: the rows before an
+    unreadable one are parsed first, so a bad numeric cell in them is
+    reported as when the file was read row by row."""
+    rows: list = []
+    try:
+        rows.extend(islice(reader, CHUNK_ROWS))
+    except (UnicodeDecodeError, csv.Error, OSError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _level(raw: str) -> str:
+    """The categorical value a raw cell holds."""
+    return raw.strip() or NULL_TOKEN
+
+
+def _raise_first_bad_cell(rows: list, nums: list, first_row: int) -> None:
+    """Raise :class:`TypeParseError` for the first numeric cell of ``rows``,
+    in row-major order, that does not parse as a finite float; ``rows[0]``
+    is row ``first_row``."""
+    for row_id, row in enumerate(rows, first_row):
+        for name, idx, _ in nums:
+            raw = row[idx]
+            try:
+                value = float(raw)
+            except ValueError:
+                raise TypeParseError(row_id, name, raw) from None
+            if not math.isfinite(value):
+                raise TypeParseError(row_id, name, raw)
 
 
 def stratum_ids(

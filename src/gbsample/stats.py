@@ -8,7 +8,10 @@ contiguous slice with the two-pass formula: the mean, then the sum of
 squared deviations from it.  The coefficient of variation is sigma / |mu|.
 A relation keeps each ``(grouping, columns)`` catalog as it keeps each
 grouping's strata (:meth:`gbsample.dataset.Relation.memo`): every call of
-:func:`compute_catalog` hands out that one shared, read-only catalog.
+:func:`compute_catalog` hands out that one shared, read-only catalog.  It
+keeps each column's moments under a grouping the same way, and a catalog
+is assembled from them, so a catalog over some of the columns of one
+already computed (``(x,)`` after ``(x, y)``) computes no moment again.
 
 A :class:`StatsCatalog` is arrays indexed by stratum: the strata's value
 tuples in first-occurrence order, an int64 count array ``n`` and, per
@@ -213,23 +216,33 @@ def _compute_catalog(
     rel: Relation, group_attrs: tuple[str, ...], agg_columns: tuple[str, ...]
 ) -> StatsCatalog:
     strata = rel.strata(group_attrs)
-    n = np.diff(strata.bounds)
-    slices = list(zip(strata.bounds[:-1].tolist(), strata.bounds[1:].tolist()))
     mean, std = {}, {}
     for col in agg_columns:
-        ordered = rel.numeric(col)[strata.order]
-        mu, m2 = [], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in slices:
-                # the method forms of np.mean and np.sum: the same pairwise sums,
-                # bit for bit, without the dispatch overhead that dominates
-                # small strata
-                x = ordered[lo:hi]
-                mu.append(float(x.sum()) / (hi - lo) if hi > lo else 0.0)
-                d = x - mu[-1]
-                m2.append(float((d * d).sum()))
-        mean[col], std[col] = mu, std_of(n, m2)
+        mean[col], std[col] = rel.memo(_column_moments, group_attrs, col)
+    n = np.diff(strata.bounds)
     return StatsCatalog(group_attrs, agg_columns, list(strata.keys), n, mean, std, rel.n_rows)
+
+
+def _column_moments(
+    rel: Relation, group_attrs: tuple[str, ...], col: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and std of ``col`` in every stratum under ``group_attrs``,
+    read-only; each column's moments depend on that column alone, so a
+    catalog over any columns is assembled from them."""
+    strata = rel.strata(group_attrs)
+    n = np.diff(strata.bounds)
+    ordered = rel.numeric(col)[strata.order]
+    mu, m2 = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(strata.bounds[:-1].tolist(), strata.bounds[1:].tolist()):
+            # the method forms of np.mean and np.sum: the same pairwise sums,
+            # bit for bit, without the dispatch overhead that dominates
+            # small strata
+            x = ordered[lo:hi]
+            mu.append(float(x.sum()) / (hi - lo) if hi > lo else 0.0)
+            d = x - mu[-1]
+            m2.append(float((d * d).sum()))
+    return frozen(np.array(mu, dtype=np.float64)), frozen(std_of(n, m2))
 
 
 def finite_catalog(catalog: StatsCatalog) -> None:

@@ -76,14 +76,15 @@ def fix_a_csv(tmp_path):
 
 @pytest.fixture
 def computed_catalogs(monkeypatch) -> list[tuple]:
-    """The (group attributes, columns) of every catalog computed, rather
-    than read from a relation's memo, while the test runs."""
+    """The (group attributes, column) of every column's moments computed,
+    rather than read from a relation's memo, while the test runs: a catalog
+    computes one such entry per column it does not find kept."""
     computed = []
-    compute = stats._compute_catalog
+    compute = stats._column_moments
 
-    def counting(rel, attrs, columns):
-        computed.append((attrs, columns))
-        return compute(rel, attrs, columns)
+    def counting(rel, attrs, column):
+        computed.append((attrs, column))
+        return compute(rel, attrs, column)
 
-    monkeypatch.setattr(stats, "_compute_catalog", counting)
+    monkeypatch.setattr(stats, "_column_moments", counting)
     return computed

@@ -1,9 +1,13 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gbsample.dataset import (
     CATEGORICAL,
+    CHUNK_ROWS,
     NULL_TOKEN,
     NUMERIC,
     ColumnSchema,
@@ -19,9 +23,11 @@ from gbsample.errors import (
     NotASubset,
     TypeParseError,
     UnknownAttribute,
+    UnreadableFile,
 )
 
 from conftest import STUDENT_SCHEMA
+import reference
 from reference import partition, project_key
 
 
@@ -161,6 +167,176 @@ def test_load_csv_rejects_non_finite(tmp_path):
     schema = (ColumnSchema("id", CATEGORICAL), ColumnSchema("age", NUMERIC))
     with pytest.raises(TypeParseError):
         load_csv(path, schema)
+
+
+# ---------------------------------------------------------------------------
+# the chunked loader
+
+_LOADED = (
+    ColumnSchema("k", CATEGORICAL),
+    ColumnSchema("x", NUMERIC),
+    ColumnSchema("g", CATEGORICAL),
+    ColumnSchema("y", NUMERIC),
+)
+
+
+def _write_rows(path, rows, header=("k", "x", "g", "y")):
+    """``rows`` (lists of cells, or None for a blank line) under ``header``
+    as CSV text, written as UTF-8; a lone surrogate becomes an invalid byte."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        if row is None:
+            out.write("\n")
+        else:
+            writer.writerow(row)
+    path.write_bytes(out.getvalue().encode("utf-8", "surrogateescape"))
+    return path
+
+
+def _outcome(load, path, schema=_LOADED):
+    """What ``load`` makes of the file: the exception's type and text, or
+    the row count, every categorical column's levels and code bytes and
+    every numeric column's float bytes."""
+    try:
+        rel = load(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    columns = []
+    for c in schema:
+        if c.kind == CATEGORICAL:
+            codes, levels = rel.encoded(c.name)
+            columns.append((levels, codes.dtype.str, codes.tobytes()))
+        else:
+            values = rel.numeric(c.name)
+            columns.append((values.dtype.str, values.tobytes()))
+    return rel.n_rows, columns
+
+
+_KEY_CELLS = ["CS", " CS ", "", "  ", "a,b", "p|q", "two\nlines", "Zürich", "東京", 'say "hi"']
+_GOOD_NUMBERS = ["1", "2.5", " 3.5 ", "-0.0", "1_0", "1e-300", "7"]
+_BAD_NUMBERS = ["", "nan", "inf", "-inf", "1e400", "0x10", "abc", " "]
+_CELLS = _KEY_CELLS + _GOOD_NUMBERS + _BAD_NUMBERS + [NULL_TOKEN, "new", "\udcff"]
+_EDITS = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 4), st.sampled_from(_CELLS)),
+    st.tuples(st.just("short"), st.integers(0, 3)),
+    st.tuples(st.just("extra"), st.sampled_from(_CELLS)),
+    st.tuples(st.just("blank")),
+)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
+    """On generated CSV text (quoted cells holding ``,``, ``|`` or a
+    newline, non-ASCII, padded and empty keys, blank lines, short rows,
+    extra columns, and numeric cells that are empty, non-finite, out of
+    range or in Python-only syntax) the chunked loader gives the relation
+    of the row-at-a-time one, bit for bit, or raises the same error."""
+    header = data.draw(st.permutations(["k", "x", "g", "y", "extra"]))
+    header = data.draw(st.sampled_from([header] * 7 + [header[1:]]))
+    n = data.draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
+    palette = data.draw(
+        st.lists(
+            st.fixed_dictionaries({
+                "k": st.sampled_from(_KEY_CELLS),
+                "g": st.sampled_from(_KEY_CELLS),
+                "x": st.sampled_from(_GOOD_NUMBERS),
+                "y": st.sampled_from(_GOOD_NUMBERS),
+                "extra": st.sampled_from(_KEY_CELLS),
+            }),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rows = [[palette[r % len(palette)][h] for h in header] for r in range(n)]
+    edits = data.draw(st.lists(st.tuples(st.integers(0, 2048), _EDITS), max_size=6))
+    blanks = set()
+    for at, edit in edits:
+        if not rows:
+            break
+        row = rows[at % n]
+        if edit[0] == "cell" and row:
+            row[edit[1] % len(row)] = edit[2]
+        elif edit[0] == "short":
+            del row[edit[1]:]
+        elif edit[0] == "extra":
+            row.append(edit[1])
+        else:
+            blanks.add(at % n)
+    rows = [line for r, row in enumerate(rows) for line in ([None, row] if r in blanks else [row])]
+    path = _write_rows(tmp_path_factory.mktemp("load") / "data.csv", rows, header)
+    assert _outcome(load_csv, path) == _outcome(reference.load_csv, path)
+
+
+def _filled(n, keys=("CS",), header=("k", "x", "g", "y")):
+    """``n`` valid rows over ``header``, the key column cycling through ``keys``."""
+    return [[keys[r % len(keys)], "1.5", "G", "2.5"][: len(header)] for r in range(n)]
+
+
+@pytest.mark.parametrize("bad_row", [CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS])
+def test_a_bad_numeric_cell_at_a_chunk_boundary_names_its_row(tmp_path, bad_row):
+    rows = _filled(2 * CHUNK_ROWS + 10)
+    rows[bad_row][1] = "abc"
+    with pytest.raises(TypeParseError) as err:
+        load_csv(_write_rows(tmp_path / "bad.csv", rows), _LOADED)
+    assert (err.value.row, err.value.column, err.value.value) == (bad_row, "x", "abc")
+
+
+def test_the_first_bad_cell_in_row_major_order_is_reported(tmp_path):
+    """A non-finite ``y`` in a row beats a parse error in ``x`` in the next
+    row, though ``x`` comes first in the schema."""
+    rows = _filled(1100)
+    rows[1030][3] = "inf"
+    rows[1031][1] = "abc"
+    with pytest.raises(TypeParseError) as err:
+        load_csv(_write_rows(tmp_path / "bad.csv", rows), _LOADED)
+    assert (err.value.row, err.value.column, err.value.value) == (1030, "y", "inf")
+
+
+def test_levels_are_numbered_by_first_occurrence_across_chunks(tmp_path):
+    """A level seen padded in a later chunk keeps the code it got in the
+    first, and a level first seen in the third chunk takes the next code."""
+    rows = _filled(2 * CHUNK_ROWS + 5, keys=("CS", "EE"))
+    rows[CHUNK_ROWS + 3][0] = " CS "
+    rows[2 * CHUNK_ROWS + 1][0] = "Math"
+    codes, levels = load_csv(_write_rows(tmp_path / "data.csv", rows), _LOADED).encoded("k")
+    assert levels == ("CS", "EE", "Math")
+    assert codes[CHUNK_ROWS + 3] == codes[0] == 0
+    assert codes[2 * CHUNK_ROWS + 1] == 2
+    assert codes.tolist() == [levels.index(row[0].strip()) for row in rows]
+
+
+def test_a_bad_numeric_cell_before_an_unreadable_row_is_reported(tmp_path):
+    """Rows are parsed up to the one the reader cannot read, so a bad cell
+    before it names its row, as when the file is read row by row; without
+    that cell the file is unreadable."""
+    rows = _filled(CHUNK_ROWS)
+    rows[900][0] = "z" * (csv.field_size_limit() + 1)
+    rows[5][3] = "nan"
+    path = _write_rows(tmp_path / "bad.csv", rows)
+    with pytest.raises(TypeParseError) as err:
+        load_csv(path, _LOADED)
+    assert (err.value.row, err.value.column) == (5, "y")
+    rows[5][3] = "2.5"
+    with pytest.raises(UnreadableFile):
+        load_csv(_write_rows(path, rows), _LOADED)
+
+
+def test_short_rows_pad_only_the_cells_they_lack(tmp_path):
+    """A short row's missing categorical cells are null; the cells it has
+    keep their values, whichever chunk the row falls in."""
+    rows = [["1.5", "CS", "G"] for _ in range(CHUNK_ROWS + 2)]
+    rows[3] = ["2"]
+    rows[CHUNK_ROWS + 1] = ["4", "EE"]
+    path = _write_rows(tmp_path / "short.csv", rows, header=("x", "k", "g"))
+    schema = _LOADED[:3]
+    rel = load_csv(path, schema)
+    assert rel.records([2, 3, CHUNK_ROWS + 1]) == [
+        ("CS", 1.5, "G"), (NULL_TOKEN, 2.0, NULL_TOKEN), ("EE", 4.0, NULL_TOKEN)
+    ]
+    assert _outcome(load_csv, path, schema) == _outcome(reference.load_csv, path, schema)
 
 
 # ---------------------------------------------------------------------------

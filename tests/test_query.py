@@ -1128,6 +1128,6 @@ def test_compare_computes_the_fine_catalog_once(tmp_path, fix_a_csv, computed_ca
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["compare", "--config", str(path)]) == 0
-    assert computed_catalogs == [(("grp",), ("v",))]
+    assert computed_catalogs == [(("grp",), "v")]
     results = json.loads((tmp_path / "out" / "compare.json").read_text())["results"]
     assert [r["seeds"] for r in results] == [4, 4, 4]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gbsample import stats
 from gbsample.alloc import cv2_costs
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
 from gbsample.errors import UnknownAttribute, UnknownColumn
@@ -113,7 +114,8 @@ def test_catalog_zero_mean_flag():
 
 
 def test_catalog_unknown_names(student_rel, computed_catalogs):
-    """An unknown name raises on every call: a failed catalog is not kept."""
+    """An unknown name raises on every call: a failed catalog is not kept,
+    nor the moments of an unknown column; those of a known one are."""
     for attrs, columns, error in (
         (["nope"], ["age"], UnknownAttribute),
         (["major"], ["major"], UnknownColumn),
@@ -122,7 +124,11 @@ def test_catalog_unknown_names(student_rel, computed_catalogs):
         for _ in range(2):
             with pytest.raises(error):
                 compute_catalog(student_rel, attrs, columns)
-    assert len(computed_catalogs) == 6
+    major = ("major",)
+    assert computed_catalogs == [
+        (major, "major"), (major, "major"), (major, "age"), (major, "nope"), (major, "nope")
+    ]
+    assert not [key for key in student_rel._memo if key[0] is stats._compute_catalog]
 
 
 def test_rescaling_column_leaves_cv_unchanged(student_rel):
@@ -258,7 +264,7 @@ def test_a_relation_computes_each_catalog_once(student_rel, computed_catalogs):
     catalog = compute_catalog(student_rel, ["major", "college"], ["age", "gpa"])
     assert compute_catalog(student_rel, ("major", "college"), ("age", "gpa")) is catalog
     assert compute_catalog(student_rel, ["major", "college"], ["age", "gpa"]) is catalog
-    assert computed_catalogs == [(("major", "college"), ("age", "gpa"))]
+    assert computed_catalogs == [(("major", "college"), "age"), (("major", "college"), "gpa")]
     assert pool_catalog(catalog, ["college"]) is pool_catalog(
         compute_catalog(student_rel, ["major", "college"], ["age", "gpa"]), ("college",)
     )
@@ -280,3 +286,20 @@ def test_another_grouping_columns_or_relation_gets_its_own_catalog(student_rel):
         mine, fresh = compute_catalog(student_rel, *other), compute_catalog(copy, *other)
         assert (mine is catalog) == (other == (attrs, columns)) and fresh is not mine
         _same_values(mine, fresh)
+
+
+def test_a_catalog_over_fewer_columns_computes_no_moment_again(student_rel, computed_catalogs):
+    """After an ``(age, gpa)`` catalog, the ``(age,)`` and ``(gpa, age)``
+    catalogs of the same grouping are assembled from the kept moments, and
+    every one of them equals a catalog computed afresh."""
+    copy = student_rel.take(np.arange(student_rel.n_rows))
+    attrs = ("major", "college")
+    catalogs = [
+        compute_catalog(student_rel, attrs, columns)
+        for columns in (("age", "gpa"), ("age",), ("gpa", "age"))
+    ]
+    assert computed_catalogs == [(attrs, "age"), (attrs, "gpa")]
+    for catalog in catalogs:
+        _same_values(catalog, compute_catalog(copy, attrs, catalog.agg_columns))
+    compute_catalog(student_rel, ("college",), ("age",))
+    assert computed_catalogs[-1] == (("college",), "age")
