@@ -80,6 +80,8 @@ ZERO_COST_RATIO = 1e-12
 L2 = "l2"
 LINF = "linf"
 INDIVIDUAL = "individual"
+#: the ``zero_mean`` policies: a zero-mean stratum raises, or is excluded
+ZERO_MEAN_POLICIES = ("error", "exclude")
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +405,11 @@ def cv2_costs(
 
 
 def _excludes_zero_mean(zero_mean: str) -> bool:
-    """Whether the ``zero_mean`` policy is "exclude" (the alternative is
-    "error"); any other value raises :class:`InvalidArgument`."""
-    if zero_mean not in ("error", "exclude"):
+    """Whether the ``zero_mean`` policy is "exclude"; a value not in
+    :data:`ZERO_MEAN_POLICIES` raises :class:`InvalidArgument`."""
+    if zero_mean not in ZERO_MEAN_POLICIES:
         raise InvalidArgument(
-            f"unknown zero_mean policy {zero_mean!r}; expected 'error' or 'exclude'"
+            f"unknown zero_mean policy {zero_mean!r}; expected one of {ZERO_MEAN_POLICIES}"
         )
     return zero_mean == "exclude"
 

@@ -8,6 +8,8 @@ equal sizes and means but very different spreads receive identical
 budgets here.
 
 The equal split is :func:`~gbsample.alloc.resolve_caps` at unit costs.
+Proportional shares are computed in float64, as an int64 ``budget * caps``
+wraps near the int64 limit; below 2**53 both agree wherever it does not.
 Every allocator rounds by largest remainder (:func:`_round`), and a
 budget below one row raises :class:`~gbsample.errors.InvalidArgument`.
 """
@@ -88,7 +90,7 @@ def _plan(method, catalog, budget, shares):
 
 
 def _house(caps, budget):
-    return np.minimum(budget * caps / caps.sum(), caps)
+    return np.minimum(float(budget) * caps / caps.sum(), caps)
 
 
 def _senate(caps, budget):
@@ -97,7 +99,7 @@ def _senate(caps, budget):
 
 def _congress(caps, budget):
     total = caps.sum()
-    raw = np.maximum(budget * caps / total, _senate(caps, budget))
+    raw = np.maximum(float(budget) * caps / total, _senate(caps, budget))
     return raw * (min(budget, int(total)) / raw.sum())
 
 

@@ -3,13 +3,13 @@ plus method comparison and a stream simulator.
 
 Every command takes a JSON config file (--config).  Each field of
 :class:`RunConfig` but ``schema`` is also a flag that overrides it
-(``out_dir`` is ``--out-dir``; a list flag is comma-separated).  A config
-value has the JSON type listed below, else it is a string (a float, a
-bool or a numeric string is not an int); it is null only where the
-default is null.  A list, in the file or as a flag, holds distinct
-names.  Randomized commands require an explicit seed; there is no
-wall-clock seeding, so identical config and seed produce byte-identical
-outputs.  Exit codes: 0 ok, 1 user error, 2 internal error.
+(``out_dir`` is ``--out-dir``; a list flag is comma-separated).  A value
+from the file and one from the flag pass the same check, listed below;
+an int is a JSON integer in the int64 range (not a float, a bool or a
+string), a list holds distinct names, and a file value is null only
+where the default is null.  Randomized commands require an explicit
+seed; identical config and seed produce byte-identical outputs.  Exit
+codes: 0 ok, 1 user error, 2 internal error.
 
 Config fields::
 
@@ -19,18 +19,18 @@ Config fields::
     aggregates  aggregation columns, a list
     method      cvopt-l2 | cvopt-linf | cvopt-individual |
                 uniform | senate | congress
-    budget      sample budget M (rows, int), or
-    rate        sampling rate in (0, 1], a number; M = floor(rate * N)
+    budget      sample budget M (rows, int >= 1), or
+    rate        sampling rate in (0, 1], a finite number; M = floor(rate * N)
     workload    optional workload file (JSON array of queries)
     weights     optional explicit weight file
     weight_transform  identity | sqrt   (for workload-derived weights)
     zero_mean   error | exclude
     missing_policy  score_one | exclude   (for `evaluate` and `compare`)
     query       query file for `query` / `evaluate`
-    seed        RNG seed (int)
-    out_dir     output directory
+    seed        RNG seed (any integer >= 0)
+    out_dir     output directory (made if absent)
     batch_size  stream-sim batch size (int >= 1)
-    methods     list of methods for `compare`
+    methods     list of methods for `compare` (not cvopt-individual)
     n_seeds     number of seeds for `compare` (int >= 1; seed, seed+1, ...)
 """
 
@@ -57,6 +57,7 @@ from .errors import (
     NAMES,
     NUMBER,
     OBJECT,
+    POSITIVE,
     SEED,
     STRING,
     STRINGS,
@@ -65,6 +66,7 @@ from .errors import (
     expect,
     member,
     nullable,
+    one_of,
     open_text,
     parse_json,
 )
@@ -76,31 +78,43 @@ class UsageError(GbsampleError):
     pass
 
 
+def _field(default, check: tuple, flag_type=None):
+    """A RunConfig field: its ``default`` (a factory if callable), the check
+    that a value from the config file and one from the flag pass alike (a
+    file value may also be null where the default is) and its flag's type."""
+    kind = "default_factory" if callable(default) else "default"
+    return field(**{kind: default}, metadata={"check": check, "type": flag_type})
+
+
+#: the checks of a method and of a list of distinct methods
+_METHOD = one_of(ALL_METHODS)
+_METHODS = (lambda v: NAMES[0](v) and all(map(_METHOD[0], v)),
+            f"{NAMES[1]}, each {_METHOD[1]}")
+
+
 @dataclass
 class RunConfig:
-    data: str | None = None
-    schema: list[dict] = field(default_factory=list)
-    group_by: list[str] = field(default_factory=list)
-    aggregates: list[str] = field(default_factory=list)
-    method: str = "cvopt-l2"
-    budget: int | None = None
-    rate: float | None = None
-    workload: str | None = None
-    weights: str | None = None
-    weight_transform: str = field(default="identity", metadata={"choices": ["identity", "sqrt"]})
-    zero_mean: str = field(default="error", metadata={"choices": ["error", "exclude"]})
-    query: str | None = None
-    seed: int | None = field(default=None, metadata={"check": nullable(SEED)})
-    out_dir: str = "out"
-    batch_size: int = 1
-    # compare defaults: every method that draws a stratified sample
-    methods: list[str] = field(
-        default_factory=lambda: ["cvopt-l2", "cvopt-linf", "uniform", "senate", "congress"]
+    data: str | None = _field(None, STRING)
+    schema: list[dict] = _field(list, (LIST[0], "a list of objects"))
+    group_by: list[str] = _field(list, NAMES)
+    aggregates: list[str] = _field(list, NAMES)
+    method: str = _field("cvopt-l2", _METHOD)
+    budget: int | None = _field(None, INTEGER, int)
+    rate: float | None = _field(None, NUMBER, float)
+    workload: str | None = _field(None, STRING)
+    weights: str | None = _field(None, STRING)
+    weight_transform: str = _field("identity", one_of(wmod.WEIGHT_TRANSFORMS))
+    zero_mean: str = _field("error", one_of(alloc.ZERO_MEAN_POLICIES))
+    query: str | None = _field(None, STRING)
+    seed: int | None = _field(None, SEED, int)
+    out_dir: str = _field("out", STRING)
+    batch_size: int = _field(1, POSITIVE, int)
+    # compare's default: every method that draws a stratified sample
+    methods: list[str] = _field(
+        lambda: ["cvopt-l2", "cvopt-linf", "uniform", "senate", "congress"], _METHODS
     )
-    n_seeds: int = 5
-    missing_policy: str = field(
-        default="score_one", metadata={"choices": ["score_one", "exclude"]}
-    )
+    n_seeds: int = _field(5, POSITIVE, int)
+    missing_policy: str = _field("score_one", one_of(qmod.MISSING_POLICIES))
     #: the config file the fields were read from, named in errors
     source: ClassVar[str] = "config"
 
@@ -110,33 +124,32 @@ class RunConfig:
         :class:`InvalidDocument` naming the config file and the field."""
         if not self.schema:
             raise UsageError("config must define a schema")
-        out = []
-        for i, entry in enumerate(self.schema):
-            get = partial(member, self.source, entry, f"schema[{i}]")
-            out.append(ColumnSchema(get("name", *STRING), get("kind")))
-        return tuple(out)
+        get = partial(member, self.source)
+        return tuple(
+            ColumnSchema(get(e, f"schema[{i}]", "name", *STRING), get(e, f"schema[{i}]", "kind"))
+            for i, e in enumerate(self.schema)
+        )
 
     def resolve_budget(self, n_rows: int, r: int | None = None) -> tuple[int, list[str]]:
         """M for ``n_rows`` rows, and a warning if below ``r`` strata; an M
         below 1 raises :class:`UsageError` naming the budget or the rate."""
-        warnings = []
         if (self.budget is None) == (self.rate is None):
             raise UsageError("exactly one of budget or rate must be set")
         if self.budget is not None:
             if self.budget < 1:
                 raise UsageError(f"budget must be at least 1, got {self.budget}")
-            return self.budget, warnings
+            return self.budget, []
         if not 0 < self.rate <= 1:
             raise UsageError("rate must lie in (0, 1]")
         m = int(self.rate * n_rows)
         if m < 1:
             raise UsageError(f"rate {self.rate} of N={n_rows} rows gives M={m}, below one row")
         if r is not None and m < r:
-            warnings.append(
+            return m, [
                 f"BudgetBelowStrataCount: rate {self.rate} gives M={m} "
                 f"below the stratum count {r}"
-            )
-        return m, warnings
+            ]
+        return m, []
 
     def need(self, name: str):
         value = getattr(self, name)
@@ -145,22 +158,9 @@ class RunConfig:
         return value
 
 
-#: per RunConfig annotation: the (check, description) of a config-file
-#: value and the argparse type of its flag (a list flag is split at commas)
-_KINDS = {
-    "str": (STRING, None),
-    "str | None": (nullable(STRING), None),
-    "int": (INTEGER, int),
-    "int | None": (nullable(INTEGER), int),
-    "float | None": (nullable(NUMBER), float),
-    "list[str]": (NAMES, None),
-    "list[dict]": ((LIST[0], "a list of objects"), None),
-}
-
-
 def load_config(args) -> RunConfig:
-    """The fields of the ``--config`` file, each checked against its
-    annotation, overridden by the flags given."""
+    """The fields of the ``--config`` file overridden by the flags given,
+    each value checked by its field's check."""
     cfg = RunConfig()
     doc = {}
     if args.config:
@@ -170,20 +170,15 @@ def load_config(args) -> RunConfig:
         for k in sorted(doc.keys() - {f.name for f in fields(RunConfig)}):
             raise UsageError(f"unknown config field {k!r}")
     for f in fields(RunConfig):
+        check = f.metadata["check"]
         if f.name in doc:
-            check = f.metadata.get("check", _KINDS[f.type][0])
-            setattr(cfg, f.name, member(cfg.source, doc, "", f.name, *check))
+            null_ok = nullable(check) if f.default is None else check
+            setattr(cfg, f.name, member(cfg.source, doc, "", f.name, *null_ok))
         value = getattr(args, f.name, None)
-        if f.type == "list[str]":
-            flag = "--" + f.name.replace("_", "-")
-            value = expect("command line", value.split(","), flag, *NAMES) if value else None
         if value is not None:
-            setattr(cfg, f.name, value)
-    if cfg.method not in ALL_METHODS:
-        raise UsageError(f"unknown method {cfg.method!r}; choose from {ALL_METHODS}")
-    for name in ("batch_size", "n_seeds"):
-        if getattr(cfg, name) < 1:
-            raise UsageError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+            value = value.split(",") if f.type == "list[str]" else value
+            flag = "--" + f.name.replace("_", "-")
+            setattr(cfg, f.name, expect("command line", value, flag, *check))
     return cfg
 
 
@@ -208,16 +203,16 @@ def _queries(cfg: RunConfig, queries_from_workload) -> list[alloc.GroupQuery]:
     return [alloc.GroupQuery(tuple(cfg.group_by), tuple(cfg.aggregates))]
 
 
+def _union(queries) -> tuple[list[str], list[str]]:
+    """The grouping attributes and aggregation columns of ``queries``, each once."""
+    attrs = list(dict.fromkeys(a for q in queries for a in q.attrs))
+    return attrs, list(dict.fromkeys(c for q in queries for c in q.columns))
+
+
 def _stats_attrs_columns(cfg: RunConfig) -> tuple[list[str], list[str]]:
     """The catalog's stratification and aggregation columns: the union over
     the workload's queries, or the configured group_by and aggregates."""
-    if not cfg.workload:
-        query = _queries(cfg, None)[0]
-        return list(query.attrs), list(query.columns)
-    queries = _load_workload(cfg)
-    attrs = list(dict.fromkeys(a for q in queries for a in q.group_attrs))
-    cols = list(dict.fromkeys(c for q in queries for c in q.agg_columns))
-    return attrs, cols
+    return _union(_queries(cfg, _load_workload(cfg) if cfg.workload else None))
 
 
 def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
@@ -239,9 +234,16 @@ def _explicit_weights(cfg: RunConfig) -> alloc.WeightSpec | None:
     return alloc.WeightSpec(entries)
 
 
-def _out(cfg: RunConfig, name: str) -> Path:
+def _out(cfg: RunConfig, name: str, text: str | None = None) -> Path:
+    """The path of the output file ``name``, its directory made if need be;
+    ``text``, when given, is written there."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(f"out_dir {cfg.out_dir!r} is not a directory") from None
+    if text is not None:
+        (out / name).write_text(text, encoding="utf-8")
     return out / name
 
 
@@ -263,8 +265,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     attrs, cols = _stats_attrs_columns(cfg)
     catalog = stats.compute_catalog(rel, attrs, cols)
     stats.finite_catalog(catalog)
-    path = _out(cfg, "catalog.json")
-    path.write_text(stats.catalog_to_json(catalog), encoding="utf-8")
+    path = _out(cfg, "catalog.json", stats.catalog_to_json(catalog))
     print(f"wrote {path} ({len(catalog)} strata, N={catalog.total_n})")
     return 0
 
@@ -288,8 +289,7 @@ def _allocate(method: str, cfg: RunConfig, catalog, queries, budget, weights):
 def _check_catalog(cfg: RunConfig, catalog, path: str, queries) -> None:
     """Raise :class:`CatalogMismatch` unless the catalog file at ``path``
     has every grouping attribute and aggregation column of ``queries``."""
-    attrs = list(dict.fromkeys(a for q in queries for a in q.attrs))
-    columns = list(dict.fromkeys(c for q in queries for c in q.columns))
+    attrs, columns = _union(queries)
     if set(attrs) <= set(catalog.group_attrs) and set(columns) <= set(catalog.agg_columns):
         return
     raise CatalogMismatch(
@@ -338,8 +338,7 @@ def _build_plan(cfg: RunConfig):
 
 def cmd_plan(cfg: RunConfig) -> int:
     _, text = _build_plan(cfg)
-    path = _out(cfg, "plan.json")
-    path.write_text(text, encoding="utf-8")
+    path = _out(cfg, "plan.json", text)
     print(f"wrote {path}")
     return 0
 
@@ -367,8 +366,7 @@ def cmd_query(cfg: RunConfig) -> int:
     request = _load_query(cfg)
     sample = sampler.load_sample(Path(cfg.out_dir) / "sample.txt")
     answer = qmod.estimate(sample, request)
-    path = _out(cfg, "estimates.json")
-    path.write_text(qmod.estimates_to_json(answer, request), encoding="utf-8")
+    path = _out(cfg, "estimates.json", qmod.estimates_to_json(answer, request))
     print(f"wrote {path} ({len(answer)} groups)")
     return 0
 
@@ -380,10 +378,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         Path(cfg.out_dir) / "sample.txt", expect_schema=rel.schema
     )
     report = qmod.evaluate(rel, sample, request, cfg.missing_policy)
-    jpath = _out(cfg, "report.json")
-    jpath.write_text(qmod.report_to_json(report), encoding="utf-8")
-    cpath = _out(cfg, "report.csv")
-    cpath.write_text(qmod.report_to_csv(report), encoding="utf-8")
+    jpath = _out(cfg, "report.json", qmod.report_to_json(report))
+    cpath = _out(cfg, "report.csv", qmod.report_to_csv(report))
     print(f"wrote {jpath} and {cpath}")
     return 0
 
@@ -399,6 +395,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     request = _load_query(cfg) if cfg.query else qmod.QueryRequest(tuple(attrs), qmod.AVG, cols[0])
 
     queries = [alloc.GroupQuery(tuple(attrs), tuple(cols))]
+    columns = ("method", "budget", "seeds", "mean_rel_error", "max_rel_error", "missing_groups")
     rows = []
     for method in cfg.methods:
         plan = _allocate(method, cfg, catalog, queries, budget, alloc.UNIT_WEIGHTS)
@@ -416,23 +413,13 @@ def cmd_compare(cfg: RunConfig) -> int:
                 f"NoScoredGroups: {method}: {unscored} of {cfg.n_seeds} "
                 "seeds scored no group and are left out of the means"
             )
-        rows.append(
-            {
-                "method": method,
-                "budget": budget,
-                "seeds": cfg.n_seeds,
-                "mean_rel_error": float(np.mean([s["mean"] for s in scored])) if scored else None,
-                "max_rel_error": float(np.mean([s["max"] for s in scored])) if scored else None,
-                "missing_groups": missing,
-            }
-        )
+        # the mean over the scored seeds of their mean and max relative errors
+        errors = [float(np.mean([s[k] for s in scored])) if scored else None
+                  for k in ("mean", "max")]
+        rows.append(dict(zip(columns, (method, budget, cfg.n_seeds, *errors, missing))))
     doc = {"query": request.to_json(), "warnings": warnings, "results": rows}
-    jpath = _out(cfg, "compare.json")
-    jpath.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    jpath = _out(cfg, "compare.json", json.dumps(doc, indent=2))
     cpath = _out(cfg, "compare.csv")
-    columns = [
-        "method", "budget", "seeds", "mean_rel_error", "max_rel_error", "missing_groups"
-    ]
     with open(cpath, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -512,12 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         for f in fields(RunConfig):
             if f.name != "schema":
-                p.add_argument(
-                    "--" + f.name.replace("_", "-"),
-                    dest=f.name,
-                    type=_KINDS[f.type][1],
-                    choices=f.metadata.get("choices"),
-                )
+                p.add_argument("--" + f.name.replace("_", "-"), type=f.metadata["type"])
     return parser
 
 

@@ -355,7 +355,7 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     }
     for name, _, _, index, chunks in cats:
         columns[name] = Encoded(frozen(np.concatenate(chunks)), tuple(index))
-    return Relation(schema, columns)
+    return Relation(schema, columns, row_id)
 
 
 def _read_chunk(reader) -> tuple[list, Exception | None]:

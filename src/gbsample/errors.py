@@ -75,6 +75,7 @@ INTEGER = (
     "an integer in the int64 range",
 )
 COUNT = (lambda v: INTEGER[0](v) and v >= 0, "a non-negative integer in the int64 range")
+POSITIVE = (lambda v: INTEGER[0](v) and v >= 1, "an integer >= 1 in the int64 range")
 #: a seed is any non-negative integer: numpy's SeedSequence takes every
 #: such int, and no seed is held in int64
 SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
@@ -96,6 +97,12 @@ OBJECT = (lambda v: isinstance(v, dict), "an object")
 STRINGS = (lambda v: LIST[0](v) and all(map(STRING[0], v)), "a list of strings")
 NAMES = (lambda v: STRINGS[0](v) and len(set(v)) == len(v), "a list of distinct strings")
 BOOL = (lambda v: type(v) is bool, "true or false")
+
+
+def one_of(choices) -> tuple:
+    """The check of a string among ``choices``."""
+    names = ", ".join(map(repr, choices))
+    return (lambda v: isinstance(v, str) and v in choices), f"one of {names}"
 
 
 def nullable(check: tuple) -> tuple:

@@ -108,6 +108,8 @@ from .stats import compute_catalog
 AVG = "avg"
 SUM = "sum"
 COUNT = "count"
+#: the ``missing_policy`` values of :func:`evaluate`
+MISSING_POLICIES = ("score_one", "exclude")
 
 _COMPARISONS = {
     "=": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -470,7 +472,7 @@ def evaluate(
     ``missing_policy`` is "score_one" (a truth group absent from the sample
     counts as relative error 1.0) or "exclude".
     """
-    if missing_policy not in ("score_one", "exclude"):
+    if missing_policy not in MISSING_POLICIES:
         raise InvalidArgument(f"unknown missing policy {missing_policy!r}")
     exact = exact_answer(rel, request.group_attrs, request.column, request.fn, request.predicate)
     answer = estimate(sample, request)

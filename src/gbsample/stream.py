@@ -204,10 +204,11 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     Every arriving row updates its stratum's online moments and count; it
     is retained only if its key passes the stratum's discard threshold.
     New strata start with d = 1.0 (accept everything).  A batch with a
-    malformed record, or one that would overflow a stratum's moments,
-    raises :class:`SchemaMismatch`, and one that would take a stratum's
-    squared CV beyond the float range raises :class:`FloatOverflow`; either
-    leaves the state as it was.
+    malformed record (a wrong field count, a non-finite aggregation value,
+    an unhashable group value), or one that would overflow a stratum's
+    moments, raises :class:`SchemaMismatch`, and one that would take a
+    stratum's squared CV beyond the float range raises
+    :class:`FloatOverflow`; either leaves the state as it was.
     """
     n_cols = len(state.schema)
     for record in batch:
@@ -225,9 +226,12 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     group_pos = [at[a] for a in state.group_attrs]
     group_values = zip(*(columns[i] for i in group_pos)) if group_pos else [()] * n
     ids, known = state.ids, len(state.n_seen)  # value tuple -> id, in first-arrival order
-    sid = np.fromiter((ids.setdefault(v, len(ids)) for v in group_values), np.int64, n)
-    n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
     try:
+        try:
+            sid = np.fromiter((ids.setdefault(v, len(ids)) for v in group_values), np.int64, n)
+        except TypeError:
+            raise SchemaMismatch("unhashable value in a grouping column") from None
+        n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
         if not np.isfinite([*mean.values(), *m2.values()]).all():
             raise SchemaMismatch("aggregation values overflow their stratum's moments")
         _squared_cvs(state, n_seen, mean, m2)

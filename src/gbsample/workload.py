@@ -126,11 +126,8 @@ def weights_from_frequencies(
     can look it up.  Absolute scale is irrelevant: the allocation is
     invariant to rescaling all weights.
     """
-    if not table.frequencies:
-        raise EmptyProblem("frequency table is empty")
     entries: dict[tuple, float] = {}
-    for column, freq, inducers in zip(table.columns, table.frequencies, table.inducers):
-        w = _transform(freq, transform)
+    for column, w, inducers in zip(table.columns, _weights(table, transform), table.inducers):
         for qidx, values in inducers:
             entries[(qidx, values, column)] = w
     return WeightSpec(entries)
@@ -151,28 +148,32 @@ def allocation_inputs(
     returned WeightSpec defaults to 0 so group/column combinations the
     workload never asks about carry no accuracy demand.
     """
-    if not table.frequencies:
-        raise EmptyProblem("frequency table is empty")
     queries: list[GroupQuery] = []
     index: dict[tuple, int] = {}
     entries: dict[tuple, float] = {}
-    for attrs, values, column, freq in zip(
-        table.attrs, table.values, table.columns, table.frequencies
+    for attrs, values, column, w in zip(
+        table.attrs, table.values, table.columns, _weights(table, transform)
     ):
         slot = index.setdefault((attrs, column), len(queries))
         if slot == len(queries):
             queries.append(GroupQuery(attrs, (column,)))
         probe = (slot, values, column)
-        entries[probe] = entries.get(probe, 0.0) + _transform(freq, transform)
+        entries[probe] = entries.get(probe, 0.0) + w
     return queries, WeightSpec(entries, default=0.0)
 
 
-def _transform(freq: int, transform: str) -> float:
-    if transform == "identity":
-        return float(freq)
-    if transform == "sqrt":
-        return float(freq) ** 0.5
-    raise InvalidArgument(f"unknown weight transform {transform!r}")
+#: the weight of an entity of each frequency, by weight transform name
+WEIGHT_TRANSFORMS = {"identity": float, "sqrt": lambda freq: float(freq) ** 0.5}
+
+
+def _weights(table: FrequencyTable, transform: str) -> list[float]:
+    """Every entity's weight: its frequency under the ``transform`` of
+    :data:`WEIGHT_TRANSFORMS`."""
+    if not table.frequencies:
+        raise EmptyProblem("frequency table is empty")
+    if transform not in WEIGHT_TRANSFORMS:
+        raise InvalidArgument(f"unknown weight transform {transform!r}")
+    return list(map(WEIGHT_TRANSFORMS[transform], table.frequencies))
 
 
 # ---------------------------------------------------------------------------

@@ -173,3 +173,22 @@ def test_senate_and_congress_match_the_water_filling_oracle(caps, budget):
 def test_a_budget_below_one_is_invalid(allocator, budget):
     with pytest.raises(InvalidArgument, match=f"^budget must be >= 1, got {budget}$"):
         allocator(_catalog((3, 2, 1)), budget)
+
+
+@pytest.mark.parametrize("allocator", [alloc_uniform, alloc_senate, alloc_congress])
+@pytest.mark.parametrize("budget", [2**63 - 1, 2**62, 2**53 + 1])
+def test_a_budget_near_the_int64_limit_takes_every_stratum_whole(allocator, budget):
+    # budget * caps would wrap in int64; the shares are computed in float64
+    plan = allocator(_counts_catalog([1, 2, 5]), budget)
+    assert (plan.fractional >= 0).all() and (plan.fractional <= plan.populations).all()
+    assert plan.capped.tolist() == [True, True, True]
+    assert plan.sizes.tolist() == [1, 2, 5] and plan.warnings == []
+
+
+@pytest.mark.parametrize("budget", [1, 7, 2**31 + 5, 2**40 + 3, 2**45])
+def test_float_shares_keep_the_bits_of_the_integer_product(budget):
+    # below 2**53 a float64 budget times a cap rounds as the exact product does
+    caps = np.array([1, 3, 7, 2**20 + 1, 2**45 + 3], dtype=np.int64)
+    plan = alloc_uniform(_counts_catalog(caps.tolist()), budget)
+    exact = np.array([budget * int(c) for c in caps], dtype=np.float64) / caps.sum()
+    assert plan.fractional.tobytes() == np.minimum(exact, caps).tobytes()

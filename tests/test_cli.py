@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from gbsample.cli import RunConfig, UsageError, batch_seed, build_parser, main
+from gbsample.cli import ALL_METHODS, RunConfig, UsageError, batch_seed, build_parser, main
 
 from conftest import FIX_A_ROWS
 
@@ -514,7 +514,9 @@ def test_a_count_below_one_is_a_user_error(
     flag = ["--" + name.replace("_", "-"), str(value)] if by_flag else []
     cfg = _write_config(tmp_path, fix_a_csv, **({} if by_flag else {name: value}))
     assert _run(command, "--config", str(cfg), *flag) == 1
-    assert f"error: {name} must be at least 1, got {value}" in capsys.readouterr().err
+    where = f"command line: {flag[0]}" if by_flag else f"{cfg}: {name}"
+    expected = f"expected an integer >= 1 in the int64 range, got {value}"
+    assert capsys.readouterr().err == f"error: {where}: {expected}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -949,11 +951,14 @@ def test_unknown_zero_mean_policy_is_a_user_error(
             encoding="utf-8",
         )
         extra = {**extra, "workload": str(workload)}
-    cfg = _write_config(tmp_path, fix_a_csv, method=method, zero_mean="excldue", **extra)
+    cfg = _write_config(tmp_path, fix_a_csv, method=method, **extra)
     assert _run("stats", "--config", str(cfg)) == 0
+    cfg = _write_config(tmp_path, fix_a_csv, method=method, zero_mean="excldue", **extra)
     capsys.readouterr()
-    assert _run("plan", "--config", str(cfg)) == 1
-    assert "excldue" in capsys.readouterr().err
+    for command in ("stats", "plan"):
+        assert _run(command, "--config", str(cfg)) == 1
+        expected = "zero_mean: expected one of 'error', 'exclude', got 'excldue'"
+        assert capsys.readouterr().err == f"error: {cfg}: {expected}\n"
     assert not (tmp_path / "out" / "plan.json").exists()
 
 
@@ -1216,12 +1221,84 @@ def test_a_list_flag_with_a_repeated_name_is_a_user_error(tmp_path, fix_a_csv, c
     for command in COMMANDS:
         assert _run(command, "--config", str(cfg), flag, "grp,v,grp") == 1, command
         err = capsys.readouterr().err
-        assert f"{flag}: expected a list of distinct strings, got ['grp', 'v', 'grp']" in err
+        assert f"command line: {flag}: expected a list of distinct strings" in err
+        assert err.endswith(", got ['grp', 'v', 'grp']\n")
     assert not (tmp_path / "out").exists()
 
 
+#: a file that no command finds, and a file where a directory is expected
+ABSENT, NOT_A_DIRECTORY = "absent.json", "fix_a.csv"
+EVERY_COMMAND = [[command] for command in COMMANDS]
+
+#: per RunConfig field but schema: a config value and a flag text that are
+#: rejected, and the runs (command and further flags) given the flag.  Each
+#: field's check runs at load, so the config value fails every command; a
+#: path that its check admits fails the commands that open it, naming it
+BAD_VALUES = [
+    ("data", 5, ABSENT, [["stats"], ["stream-sim"]]),
+    ("group_by", ["grp", "grp"], "grp,grp", EVERY_COMMAND),
+    ("aggregates", ["v", "v"], "v,v", EVERY_COMMAND),
+    ("method", "bogus", "bogus", EVERY_COMMAND),
+    ("budget", 10**20, str(10**20), [["plan", "--method", m] for m in ALL_METHODS]),
+    ("rate", float("nan"), "nan", EVERY_COMMAND),
+    ("workload", 5, ABSENT, [["stats"], ["plan"]]),
+    ("weights", 5, ABSENT, [["plan"]]),
+    ("weight_transform", "bogus", "bogus", EVERY_COMMAND),
+    ("zero_mean", "bogus", "bogus", EVERY_COMMAND),
+    ("query", 5, ABSENT, [["query"], ["evaluate"]]),
+    ("seed", -1, "-1", EVERY_COMMAND),
+    ("out_dir", 5, NOT_A_DIRECTORY, [["stats"], ["stream-sim"]]),
+    ("batch_size", 0, "0", EVERY_COMMAND),
+    ("methods", ["cvopt-l2", "bogus"], "cvopt-l2,bogus", EVERY_COMMAND),
+    ("n_seeds", 0, str(2**63), EVERY_COMMAND),
+    ("missing_policy", "bogus", "bogus", EVERY_COMMAND),
+]
+
+
+def test_the_bad_values_cover_every_field_but_the_schema():
+    assert [case[0] for case in BAD_VALUES] == [
+        f.name for f in fields(RunConfig) if f.name != "schema"
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, config_value, flag_text, runs", BAD_VALUES, ids=[case[0] for case in BAD_VALUES]
+)
+def test_a_field_has_one_check_for_the_config_file_and_the_flag(
+    tmp_path, fix_a_csv, capsys, monkeypatch, name, config_value, flag_text, runs
+):
+    monkeypatch.chdir(tmp_path)  # the flags' relative paths
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}),
+        encoding="utf-8",
+    )
+    good = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    for command in ("stats", "plan", "sample"):  # the upstream files exist
+        assert _run(command, "--config", str(good)) == 0
+    out = tmp_path / "out"
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = tmp_path / "bad.json"
+    doc = {**json.loads(good.read_text(encoding="utf-8")), name: config_value}
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in COMMANDS:
+        assert _run(command, "--config", str(bad)) == 1, command
+        assert f"error: {bad}: {name}: expected" in capsys.readouterr().err, command
+    flag = "--" + name.replace("_", "-")
+    named = (
+        repr(flag_text) if flag_text in (ABSENT, NOT_A_DIRECTORY)
+        else f"error: command line: {flag}: expected"
+    )
+    for command, *more in runs:
+        assert _run(command, "--config", str(good), *more, flag, flag_text) == 1, command
+        assert named in capsys.readouterr().err, command
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 #: every subcommand's options before the flags were built from RunConfig:
-#: (option string, dest, argparse type, choices)
+#: (option string, dest, argparse type, choices); no option has argparse
+#: choices, as each allowed value is part of its field's check
 PARSER_OPTIONS = [
     ("--aggregates", "aggregates", None, None),
     ("--batch-size", "batch_size", int, None),
@@ -1231,16 +1308,16 @@ PARSER_OPTIONS = [
     ("--group-by", "group_by", None, None),
     ("--method", "method", None, None),
     ("--methods", "methods", None, None),
-    ("--missing-policy", "missing_policy", None, ["score_one", "exclude"]),
+    ("--missing-policy", "missing_policy", None, None),
     ("--n-seeds", "n_seeds", int, None),
     ("--out-dir", "out_dir", None, None),
     ("--query", "query", None, None),
     ("--rate", "rate", float, None),
     ("--seed", "seed", int, None),
-    ("--weight-transform", "weight_transform", None, ["identity", "sqrt"]),
+    ("--weight-transform", "weight_transform", None, None),
     ("--weights", "weights", None, None),
     ("--workload", "workload", None, None),
-    ("--zero-mean", "zero_mean", None, ["error", "exclude"]),
+    ("--zero-mean", "zero_mean", None, None),
 ]
 
 

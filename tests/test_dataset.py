@@ -45,6 +45,16 @@ def test_load_csv_empty_body(tmp_path):
         load_csv(path, (ColumnSchema("id", CATEGORICAL), ColumnSchema("age", NUMERIC)))
 
 
+def test_load_csv_empty_schema_keeps_the_row_count(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("id,age\nx,1\ny,2\n", encoding="utf-8")
+    rel = load_csv(path, ())
+    assert rel.n_rows == 2 and rel.schema == ()
+    path.write_text("id,age\n", encoding="utf-8")
+    with pytest.raises(EmptyFile):
+        load_csv(path, ())
+
+
 def test_load_csv_no_header(tmp_path):
     path = tmp_path / "none.csv"
     path.write_text("", encoding="utf-8")

@@ -99,6 +99,17 @@ def test_non_finite_aggregation_value_is_a_schema_mismatch(bad):
     assert state.mean["v"].tolist() == [1.0, 2.0] and state.total_retained == 2
 
 
+def test_an_unhashable_group_value_rejects_the_batch():
+    state = _fresh(budget=2)
+    ingest_batch(state, [("a", 1.0), ("a", 2.0)], seed=0)
+    before = _state_of(state)
+    with pytest.raises(SchemaMismatch, match="unhashable"):
+        ingest_batch(state, [("b", 1.0), (["x"], 2.0)], seed=1)
+    # the failed batch left the state as it was, without its new stratum b
+    assert _state_of(state) == before
+    assert np.isfinite(state.objective_value())
+
+
 #: (1e308 - -1e308) overflows: the second row would make stratum a's
 #: Welford mean -inf and its m2 -inf
 OVERFLOW_ROWS = [("a", 1e308), ("a", -1e308), ("b", 1.0), ("b", 2.0), ("a", 3.0), ("b", 4.0)]
