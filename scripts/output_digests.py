@@ -29,11 +29,17 @@ Last, a generated "messy" table of 2100 rows, its categorical column
 quoted-comma and non-ASCII keys and a level first seen after row 2048
 (past the loader's second chunk), runs ``stats -> plan -> sample ->
 evaluate`` under cvopt-l2, pinning the loader's cleaning rules.
+Last, a copy of the tiny build table with CRLF line ends, which the
+loader reads by ``csv.reader`` where it splits the plain table's lines
+by ``str.split``, runs the build table's cvopt-l2 plan and queries; every
+line must match the plain table's.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
-plus the exit code of every command, the outcome of the order check and
-the count of ``inf`` objectives.  Exits 1 if any command failed, a budget
-below one row did not exit 1, the order check found the groups in sample
-order or a stream at the stratum count wrote an ``inf`` objective.
+plus the exit code of every command, the outcome of the order check, the
+count of ``inf`` objectives and whether the CRLF copy wrote the plain
+table's bytes.  Exits 1 if any command failed, a budget below one row
+did not exit 1, the order check found the groups in sample order, a
+stream at the stratum count wrote an ``inf`` objective or the CRLF copy
+wrote other bytes.
 
 gbsample is imported from the interpreter's path, so the same script run
 against two source trees shows whether they write the same bytes::
@@ -311,9 +317,12 @@ def _cli(args: list[str]) -> int:
         return gbsample(args)
 
 
-def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[str], int]:
-    """The digest and exit-code lines of every run on one table, and the
-    number of commands that failed."""
+def table_digests(
+    name: str, spec: dict, data: Path, work: Path, methods=None
+) -> tuple[list[str], int]:
+    """The digest and exit-code lines of every run on one table, or of the
+    plans of ``methods`` alone when given, and the number of commands that
+    failed."""
     lines = []
     failed = 0
     queries = _queries(spec, work)
@@ -328,6 +337,8 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
 
     pinned = "zero_mean" in spec
     for method, fields in (_zero_mean_runs if pinned else _runs)(spec, work).items():
+        if methods is not None and method not in methods:
+            continue
         out, config_path = config(method, fields)
         codes = [_cli([cmd, "--config", config_path]) for cmd in ("stats", "plan", "sample")]
         failed += sum(c != 0 for c in codes)
@@ -345,7 +356,8 @@ def table_digests(name: str, spec: dict, data: Path, work: Path) -> tuple[list[s
             reorder, n_failed = _reorder_lines(name, method, spec, out, config_path, queries, work)
             lines += reorder
             failed += n_failed
-    for label, (command, fields, outputs) in ({} if pinned else _side_runs(spec)).items():
+    side_runs = {} if pinned or methods is not None else _side_runs(spec)
+    for label, (command, fields, outputs) in side_runs.items():
         out, config_path = config(label, fields)
         code = _cli([command, "--config", config_path])
         failed += code != 0
@@ -457,9 +469,25 @@ def messy_lines(work: Path) -> tuple[list[str], int]:
     return lines, failed
 
 
+def crlf_lines(data: Path, work: Path, lf_lines: list[str]) -> tuple[list[str], int]:
+    """The exit and digest lines of every cvopt-l2 run of
+    :func:`table_digests` on a copy of the tiny build table at ``data``
+    with CRLF line ends, which the loader reads by ``csv.reader``, then
+    whether each line is the original table's (``lf_lines``) but for the
+    table's name; and the number of commands that failed, plus one if a
+    line differs."""
+    crlf = work / "data.csv"
+    crlf.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
+    lines, failed = table_digests("build-crlf", TABLES["build"], crlf, work, ("cvopt-l2",))
+    lf = set(lf_lines)
+    same = all(line.replace("  build-crlf/", "  build/") in lf for line in lines)
+    return [*lines, f"same-as-lf {same}  build-crlf/cvopt-l2"], failed + (not same)
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
+        table_lines = {}
         for name, spec in TABLES.items():
             work = Path(tmp) / name
             work.mkdir()
@@ -477,6 +505,7 @@ def main() -> int:
             lines, n_failed = table_digests(name, spec, data, work)
             print("\n".join(lines))
             failed += n_failed
+            table_lines[name] = lines
         work = Path(tmp) / "budget_edges"
         work.mkdir()
         lines, n_failed = budget_edge_lines(work)
@@ -490,6 +519,11 @@ def main() -> int:
         work = Path(tmp) / "messy"
         work.mkdir()
         lines, n_failed = messy_lines(work)
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "build_crlf"
+        work.mkdir()
+        lines, n_failed = crlf_lines(Path(tmp) / "build" / "data.csv", work, table_lines["build"])
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

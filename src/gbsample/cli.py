@@ -50,7 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import alloc, baselines, query as qmod, sampler, stats, stream, workload as wmod
-from .dataset import ColumnSchema, Relation, load_csv
+from .dataset import COLUMN_KINDS, ColumnSchema, Relation, load_csv
 from .errors import (
     INTEGER,
     LIST,
@@ -120,13 +120,15 @@ class RunConfig:
 
     def schema_objects(self) -> tuple[ColumnSchema, ...]:
         """The configured schema.  An entry that is not an object, or
-        without a string ``name`` or without a ``kind``, raises
+        without a string ``name`` or without a ``kind`` of
+        :data:`~gbsample.dataset.COLUMN_KINDS`, raises
         :class:`InvalidDocument` naming the config file and the field."""
         if not self.schema:
             raise UsageError("config must define a schema")
         get = partial(member, self.source)
         return tuple(
-            ColumnSchema(get(e, f"schema[{i}]", "name", *STRING), get(e, f"schema[{i}]", "kind"))
+            ColumnSchema(get(e, f"schema[{i}]", "name", *STRING),
+                         get(e, f"schema[{i}]", "kind", *COLUMN_KINDS))
             for i, e in enumerate(self.schema)
         )
 

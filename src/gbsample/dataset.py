@@ -11,20 +11,27 @@ occurrence, so code k stands for ``levels[k]``.  :func:`load_csv` encodes
 while it parses, :data:`CHUNK_ROWS` rows at a time and one column of the
 chunk at a time, so it holds at most one chunk of rows as strings; it and
 :func:`encode` share one first-occurrence encoder, :func:`encode_into`.
+It cuts a chunk into cells by one ``str.split`` of the chunk's text while
+every chunk so far is free of quotes, carriage returns, NULs, over-long
+lines and rows of other widths and no read error stopped one, and by
+``csv.reader`` from the first chunk that is not to the end of the file.
 :meth:`Relation.encoded` returns the codes and levels;
 :meth:`Relation.categorical` and :meth:`Relation.records` decode them to
 values at the API edge, so every file the package writes is unchanged by
 the encoding.
 
 Strata are integer ids: :func:`stratum_ids` numbers the rows' value tuples
-under a list of attributes by first occurrence, and :func:`segments` sorts
-rows by id so that each stratum is a contiguous slice.  A relation computes
-each grouping's stratification (:class:`Strata`: the ids, the strata's
-value tuples and the sorted slices) once, on first use of
-:meth:`Relation.strata`, and keeps it: the relation never changes.  Every
-layer that works stratum by stratum (catalog, allocation, draw, estimation,
-evaluation, workload entities) reads it from there, so one grouping of one
-relation is stratified once however many layers use it.  It keeps each
+under a list of attributes by first occurrence (:func:`first_occurrence_ids`,
+in linear time by an array indexed by value when the values are dense
+enough, by ``np.unique`` otherwise), and :func:`segments` sorts rows by id
+(a radix sort up to 65536 strata) so that each stratum is a contiguous
+slice.  A relation computes each grouping's stratification
+(:class:`Strata`: the ids, the strata's value tuples and the sorted
+slices) once, on first use of :meth:`Relation.strata`, and keeps it: the
+relation never changes.  Every layer that works stratum by stratum
+(catalog, allocation, draw, estimation, evaluation, workload entities)
+reads it from there, so one grouping of one relation is stratified once
+however many layers use it.  It keeps each
 ``(grouping, columns)`` catalog of :func:`gbsample.stats.compute_catalog`,
 and each column's moments under a grouping, the same way, in the same
 memo (:meth:`Relation.memo`).
@@ -38,7 +45,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -61,6 +68,8 @@ CHUNK_ROWS = 1024
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
+#: the check of a column kind, for :func:`errors.member` and :func:`errors.expect`
+COLUMN_KINDS = (lambda v: v in (CATEGORICAL, NUMERIC), f"{CATEGORICAL!r} or {NUMERIC!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,7 @@ class ColumnSchema:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in (CATEGORICAL, NUMERIC):
+        if not COLUMN_KINDS[0](self.kind):
             raise InvalidArgument(f"unknown column kind {self.kind!r}")
 
 
@@ -301,12 +310,18 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     chunk at a time: a categorical column's raw cells are looked up in a
     dict from raw text to code (:func:`encode_into`), and a numeric
     column's are parsed by Python's ``float``, so the result is the same as
-    parsing cell by cell.  At most one chunk of rows is held as strings.
+    parsing cell by cell.  A chunk is cut into cells by one of two routes
+    (see :func:`_chunks`): while its lines hold no quote, carriage return
+    or NUL, none is longer than ``csv.field_size_limit()``, each has one
+    comma fewer than the header has cells and no read error cut it short,
+    by one ``str.split`` of the chunk's text; from the first chunk that
+    fails this test to the end of the file, by ``csv.reader``.  Both
+    routes give the cells ``csv.reader`` gives.  At most one chunk of rows
+    is held as strings.
     """
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise EmptyFile(f"{path}: no header row") from None
         header = [h.strip() for h in header]
@@ -324,38 +339,118 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
         nums = [
             (c.name, header.index(c.name), []) for c in schema if c.kind == NUMERIC
         ]
-        width = 1 + max((header.index(c.name) for c in schema), default=-1)
+        positions = [idx for _, idx, *_ in cats + nums]
 
         row_id = 0
-        while True:
-            rows, unread = _read_chunk(reader)
-            if min(map(len, rows), default=width) < width:
-                rows = [r + [""] * (width - len(r)) for r in rows]
-            for _, idx, seen, index, chunks in cats:
-                cells = list(map(itemgetter(idx), rows))
-                chunks.append(encode_into(cells, seen, index, _level))
-            for _, idx, chunks in nums:
-                try:
-                    cells = map(float, map(itemgetter(idx), rows))
-                    values = np.fromiter(cells, np.float64, len(rows))
-                except ValueError:
-                    values = None
-                if values is None or not np.isfinite(values).all():
-                    _raise_first_bad_cell(rows, nums, row_id)
-                chunks.append(values)
-            row_id += len(rows)
+        for n, columns, unread in _chunks(fh, len(header), positions):
+            _append_chunk(columns, n, row_id, cats, nums)
+            del columns  # free the chunk's strings before the next is read
+            row_id += n
             if unread is not None:
                 raise unread
-            if len(rows) < CHUNK_ROWS:
-                break
     if row_id == 0:
         raise EmptyFile(f"{path}: header only, no data rows")
-    columns: dict[str, object] = {
-        name: np.concatenate(chunks) for name, _, chunks in nums
-    }
+    # each column's chunks are freed once joined, so at most one column is
+    # held twice; holding them all to the end left the heap too fragmented
+    # for the next layer's row-sized arrays, and raised the peak RSS
+    columns: dict[str, object] = {}
+    for name, _, chunks in nums:
+        columns[name] = np.concatenate(chunks)
+        chunks.clear()
     for name, _, _, index, chunks in cats:
         columns[name] = Encoded(frozen(np.concatenate(chunks)), tuple(index))
+        chunks.clear()
     return Relation(schema, columns, row_id)
+
+
+def _append_chunk(columns: list, n: int, first_row: int, cats: list, nums: list) -> None:
+    """Encode or parse the cells of one chunk of ``n`` rows, the first of
+    them row ``first_row``, and append the arrays to the columns'
+    accumulators (see :func:`load_csv`); ``columns`` holds each
+    categorical column's cells, then each numeric column's."""
+    for (_, _, seen, index, chunks), cells in zip(cats, columns):
+        chunks.append(encode_into(cells, seen, index, _level))
+    numeric = columns[len(cats):]
+    for (_, _, chunks), cells in zip(nums, numeric):
+        try:
+            values = np.fromiter(map(float, cells), np.float64, n)
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            _raise_first_bad_cell(numeric, [name for name, *_ in nums], first_row)
+        chunks.append(values)
+
+
+def _chunks(fh, ncols: int, positions: list[int]):
+    """The rows of ``fh`` after a header of ``ncols`` cells,
+    :data:`CHUNK_ROWS` at a time (fewer in the last chunk): per chunk, its
+    row count, the cells of its rows at each of ``positions`` (a list per
+    position; a row too short for one holds ``""`` there) and the error
+    that stopped the read early, if any (see :func:`_read_chunk`).
+
+    A chunk is split by :func:`_split` while every chunk so far has passed
+    its test.  The first that fails it, or that a read error cuts short,
+    switches the rest of the file to ``csv.reader``, from that chunk's
+    first line on, so a quoted field may span the lines of two chunks.
+    """
+    limit = csv.field_size_limit()
+    while True:
+        lines: list = []
+        try:
+            lines.extend(islice(fh, CHUNK_ROWS))
+        except (UnicodeDecodeError, OSError) as exc:
+            reader = csv.reader(_raise_after(lines, exc))
+            break
+        columns = _split(lines, ncols, positions, limit)
+        if columns is None:
+            reader = csv.reader(chain(lines, fh))
+            break
+        n = len(lines)
+        del lines  # free the chunk's strings before the next is read
+        yield n, columns, None
+        del columns
+        if n < CHUNK_ROWS:
+            return
+    del lines
+    width = 1 + max(positions, default=-1)
+    while True:
+        rows, unread = _read_chunk(reader)
+        if min(map(len, rows), default=width) < width:
+            rows = [r + [""] * (width - len(r)) for r in rows]
+        n = len(rows)
+        columns = [list(map(itemgetter(i), rows)) for i in positions]
+        del rows
+        yield n, columns, unread
+        del columns
+        if unread is not None or n < CHUNK_ROWS:
+            return
+
+
+def _raise_after(lines: list[str], exc: Exception):
+    """``lines``, then ``exc`` raised: the file ``lines`` were read from as
+    ``csv.reader`` met it."""
+    yield from lines
+    raise exc
+
+
+def _split(lines: list[str], ncols: int, positions: list[int], limit: int) -> list | None:
+    """The cells at each of ``positions`` of ``lines``, rows of ``ncols``
+    cells, by one ``str.split`` of their text.  None when there are no
+    lines, or where ``csv.reader`` may cut them otherwise: when some line
+    holds a quote, a carriage return or a NUL (which ``csv.reader``
+    rejects on Python 3.10 only), has other than ``ncols - 1`` commas or
+    is longer than ``limit``, the largest field ``csv.reader`` reads."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if set(map(str.count, lines, repeat(","))) != {ncols - 1}:
+        return None
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    cells = text.replace("\n", ",").split(",")
+    del text
+    end = len(lines) * ncols  # a newline after the last line adds one empty cell
+    return [cells[i:end:ncols] for i in positions]
 
 
 def _read_chunk(reader) -> tuple[list, Exception | None]:
@@ -376,13 +471,13 @@ def _level(raw: str) -> str:
     return raw.strip() or NULL_TOKEN
 
 
-def _raise_first_bad_cell(rows: list, nums: list, first_row: int) -> None:
-    """Raise :class:`TypeParseError` for the first numeric cell of ``rows``,
-    in row-major order, that does not parse as a finite float; ``rows[0]``
-    is row ``first_row``."""
-    for row_id, row in enumerate(rows, first_row):
-        for name, idx, _ in nums:
-            raw = row[idx]
+def _raise_first_bad_cell(columns: list, names: list, first_row: int) -> None:
+    """Raise :class:`TypeParseError` for the first cell of the numeric
+    ``columns`` (lists of raw cells, the column ``names[j]`` at
+    ``columns[j]``), in row-major order, that does not parse as a finite
+    float; row 0 of the columns is row ``first_row``."""
+    for row_id, row in enumerate(zip(*columns), first_row):
+        for name, raw in zip(names, row):
             try:
                 value = float(raw)
             except ValueError:
@@ -422,13 +517,29 @@ def _stratify(rel: Relation, attrs: tuple[str, ...]) -> Strata:
 
 
 def first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the distinct ``values``, numbered by first occurrence, one per
-    element, and the position of each id's first occurrence in id order."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    return rank[inverse], first[order]
+    """Ids of the distinct non-negative integer ``values``, numbered by
+    first occurrence, one per element, and the position of each id's first
+    occurrence in id order.
+
+    When the values are below four times their count, each value's first
+    position is found in an array indexed by value (``np.minimum.at``), in
+    linear time; otherwise by ``np.unique``, whose sort needs no array as
+    large as the largest value.
+    """
+    n = values.shape[0]
+    top = int(values.max()) + 1 if n else 0
+    if top > 4 * n:
+        _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        return rank[inverse], first[order]
+    first = np.full(top, n, dtype=np.intp)
+    np.minimum.at(first, values, np.arange(n))
+    starts = np.sort(first[first < n])
+    rank = np.empty(top, dtype=np.intp)
+    rank[values[starts]] = np.arange(starts.shape[0])
+    return rank[values], starts
 
 
 def key_relation(attrs: Sequence[str], keys: Sequence[tuple]) -> Relation:
@@ -441,8 +552,10 @@ def key_relation(attrs: Sequence[str], keys: Sequence[tuple]) -> Relation:
 def segments(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows grouped by stratum: a stable argsort of ``ids`` and bounds such
     that ``order[bounds[k]:bounds[k + 1]]`` are the rows of stratum k in
-    ascending order."""
-    order = np.argsort(ids, kind="stable")
+    ascending order.  Up to 65536 strata the ids are sorted as ``uint16``,
+    which NumPy sorts stably by radix sort; a stable sort's permutation is
+    unique, so ``order`` does not depend on the type."""
+    order = np.argsort(ids.astype(np.uint16) if count <= 65536 else ids, kind="stable")
     bounds = np.zeros(count + 1, dtype=np.intp)
     np.cumsum(np.bincount(ids, minlength=count), out=bounds[1:])
     return order, bounds

@@ -42,7 +42,7 @@ import numpy as np
 from .alloc import AllocationPlan
 from .dataset import (
     CATEGORICAL,
-    NUMERIC,
+    COLUMN_KINDS,
     ColumnSchema,
     GroupKey,
     Relation,
@@ -366,10 +366,9 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
         kind = get(header, "", "kind", *kinds)
         get(header, "", "method", *STRING)  # both kinds carry these two
         get(header, "", "seed", *SEED)
-        column_kind = (lambda v: v in (CATEGORICAL, NUMERIC), f"{CATEGORICAL!r} or {NUMERIC!r}")
         schema = tuple(
             ColumnSchema(get(c, f"schema[{i}]", "name", *STRING),
-                         get(c, f"schema[{i}]", "kind", *column_kind))
+                         get(c, f"schema[{i}]", "kind", *COLUMN_KINDS))
             for i, c in enumerate(get(header, "", "schema", *LIST))
         )
         expect(source, [c.name for c in schema], "schema", NAMES[0], "columns with distinct names")

@@ -15,6 +15,8 @@ mu that runs to float resolution from the largest cost, with :func:`shed`
 taking a floor per stratum.
 :func:`load_csv` is the row-at-a-time loader the package's chunked one
 replaced, kept verbatim as the oracle of its relations and errors.
+:func:`first_occurrence_ids` and :func:`segments` are the stratum kernels
+by ``np.unique`` and by a stable argsort of ``intp`` ids.
 :func:`estimate` and :func:`exact_answer` order and gather the groups of
 an answer the plain way, with ``np.unique`` and one key at a time.
 """
@@ -120,6 +122,25 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     for name, _, index, codes in cats:
         columns[name] = Encoded(frozen(np.array(codes, dtype=np.intp)), tuple(index))
     return Relation(schema, columns)
+
+
+def first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gbsample.dataset.first_occurrence_ids` by ``np.unique``: the
+    sorted distinct values ranked by their first positions."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return rank[inverse], first[order]
+
+
+def segments(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gbsample.dataset.segments` by a stable argsort of the ids as
+    ``intp``."""
+    order = np.argsort(ids.astype(np.intp), kind="stable")
+    bounds = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=count), out=bounds[1:])
+    return order, bounds
 
 
 def partition(rel: Relation, attrs: Sequence[str]) -> dict[GroupKey, list[int]]:

@@ -1102,6 +1102,10 @@ def test_malformed_workload_document_is_a_user_error(tmp_path, fix_a_csv, capsys
     "schema, field",
     [
         ([{"name": "grp"}, {"name": "v", "kind": "numeric"}], "schema[0].kind: missing"),
+        (
+            [{"name": "grp", "kind": "categorical"}, {"name": "v", "kind": "bogus"}],
+            "schema[1].kind: expected 'categorical' or 'numeric', got 'bogus'",
+        ),
         ([{"name": "grp", "kind": "categorical"}, {"kind": "numeric"}], "schema[1].name: missing"),
         ([{"name": 3, "kind": "categorical"}], "schema[0].name: expected a string"),
         ({"grp": "categorical", "v": "numeric"}, "schema: expected a list of objects"),

@@ -13,6 +13,8 @@ from gbsample.dataset import (
     ColumnSchema,
     GroupKey,
     Relation,
+    _split,
+    first_occurrence_ids,
     load_csv,
     segments,
     stratum_ids,
@@ -190,18 +192,25 @@ _LOADED = (
 )
 
 
-def _write_rows(path, rows, header=("k", "x", "g", "y")):
+#: stands for NUL in the cells given to ``csv.writer``, which need not
+#: write a NUL on every Python
+_NUL_MARK = "\ue000"
+
+
+def _write_rows(path, rows, header=("k", "x", "g", "y"), line_end="\n"):
     """``rows`` (lists of cells, or None for a blank line) under ``header``
-    as CSV text, written as UTF-8; a lone surrogate becomes an invalid byte."""
+    as CSV text with ``line_end`` after every line, written as UTF-8; a lone
+    surrogate becomes an invalid byte."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator=line_end)
     writer.writerow(header)
     for row in rows:
         if row is None:
-            out.write("\n")
+            out.write(line_end)
         else:
-            writer.writerow(row)
-    path.write_bytes(out.getvalue().encode("utf-8", "surrogateescape"))
+            writer.writerow([cell.replace("\0", _NUL_MARK) for cell in row])
+    text = out.getvalue().replace(_NUL_MARK, "\0")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -224,10 +233,17 @@ def _outcome(load, path, schema=_LOADED):
     return rel.n_rows, columns
 
 
-_KEY_CELLS = ["CS", " CS ", "", "  ", "a,b", "p|q", "two\nlines", "Zürich", "東京", 'say "hi"']
+_PLAIN_KEYS = ["CS", " CS ", "", "  ", "p|q", "Zürich", "東京"]
+#: keys ``csv.writer`` quotes (a newline only with a ``\n`` line end)
+_QUOTED_KEYS = ["a,b", "two\nlines", 'say "hi"']
+_KEY_CELLS = _PLAIN_KEYS + _QUOTED_KEYS
 _GOOD_NUMBERS = ["1", "2.5", " 3.5 ", "-0.0", "1_0", "1e-300", "7"]
 _BAD_NUMBERS = ["", "nan", "inf", "-inf", "1e400", "0x10", "abc", " "]
-_CELLS = _KEY_CELLS + _GOOD_NUMBERS + _BAD_NUMBERS + [NULL_TOKEN, "new", "\udcff"]
+#: a cell longer than the largest field ``csv.reader`` reads
+_LONG_CELL = "z" * (csv.field_size_limit() + 1)
+_CELLS = _KEY_CELLS + _GOOD_NUMBERS + _BAD_NUMBERS + [
+    NULL_TOKEN, "new", "\udcff", "C\0S", "\0", _LONG_CELL
+]
 _EDITS = st.one_of(
     st.tuples(st.just("cell"), st.integers(0, 4), st.sampled_from(_CELLS)),
     st.tuples(st.just("short"), st.integers(0, 3)),
@@ -241,20 +257,27 @@ _EDITS = st.one_of(
 def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
     """On generated CSV text (quoted cells holding ``,``, ``|`` or a
     newline, non-ASCII, padded and empty keys, blank lines, short rows,
-    extra columns, and numeric cells that are empty, non-finite, out of
-    range or in Python-only syntax) the chunked loader gives the relation
-    of the row-at-a-time one, bit for bit, or raises the same error."""
+    extra columns, numeric cells that are empty, non-finite, out of range
+    or in Python-only syntax, cells holding NUL or longer than
+    ``csv.field_size_limit()``, and ``\n``, ``\r\n`` or ``\r`` line
+    ends) the chunked loader gives the relation of the row-at-a-time one,
+    bit for bit, or raises the same error.  Its keys are often all
+    unquoted, so the chunks are split until an edit (in any chunk) puts in
+    a cell that quotes or ends a line, a NUL, a long line or a row of
+    another width."""
     header = data.draw(st.permutations(["k", "x", "g", "y", "extra"]))
     header = data.draw(st.sampled_from([header] * 7 + [header[1:]]))
     n = data.draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
+    keys = data.draw(st.sampled_from([_PLAIN_KEYS, _KEY_CELLS]))
+    line_end = data.draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
     palette = data.draw(
         st.lists(
             st.fixed_dictionaries({
-                "k": st.sampled_from(_KEY_CELLS),
-                "g": st.sampled_from(_KEY_CELLS),
+                "k": st.sampled_from(keys),
+                "g": st.sampled_from(keys),
                 "x": st.sampled_from(_GOOD_NUMBERS),
                 "y": st.sampled_from(_GOOD_NUMBERS),
-                "extra": st.sampled_from(_KEY_CELLS),
+                "extra": st.sampled_from(keys),
             }),
             min_size=1,
             max_size=4,
@@ -276,7 +299,7 @@ def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
         else:
             blanks.add(at % n)
     rows = [line for r, row in enumerate(rows) for line in ([None, row] if r in blanks else [row])]
-    path = _write_rows(tmp_path_factory.mktemp("load") / "data.csv", rows, header)
+    path = _write_rows(tmp_path_factory.mktemp("load") / "data.csv", rows, header, line_end)
     assert _outcome(load_csv, path) == _outcome(reference.load_csv, path)
 
 
@@ -347,6 +370,162 @@ def test_short_rows_pad_only_the_cells_they_lack(tmp_path):
         ("CS", 1.5, "G"), (NULL_TOKEN, 2.0, NULL_TOKEN), ("EE", 4.0, NULL_TOKEN)
     ]
     assert _outcome(load_csv, path, schema) == _outcome(reference.load_csv, path, schema)
+
+
+#: the header of the split-route files: ``g`` last, so that a short row
+#: leaves only a categorical cell out
+_SPLIT_HEADER = ("x", "y", "k", "g")
+_SPLIT_SCHEMA = [ColumnSchema(h, NUMERIC if h in "xy" else CATEGORICAL) for h in _SPLIT_HEADER]
+#: the line, in the second chunk, that each split-route test changes
+_AT = CHUNK_ROWS + 500
+
+
+def _split_lines(n=2 * CHUNK_ROWS + 5):
+    """``n`` valid unquoted data lines over :data:`_SPLIT_HEADER`."""
+    return [f"{r % 7}.5,{r % 5},k{r % 3},g{r % 2}\n" for r in range(n)]
+
+
+def _write_lines(path, lines):
+    """The header and ``lines`` as the file's text; a lone surrogate
+    becomes an invalid byte."""
+    text = ",".join(_SPLIT_HEADER) + "\n" + "".join(lines)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def _splits(lines):
+    """Whether the split route takes the chunk ``lines``."""
+    return _split(lines, len(_SPLIT_HEADER), [0, 1, 2, 3], csv.field_size_limit()) is not None
+
+
+#: per condition of the split route's test, lines that fail only it
+_SPLIT_FAILURES = {
+    "quote": {_AT: '1.5,2,"k0",g1\n'},
+    "lone carriage return": {_AT: "1.5,2,k0,g1\r"},
+    "carriage return before newline": {_AT: "1.5,2,k0,g1\r\n"},
+    "NUL": {_AT: "1.5,2,k\0,g1\n"},
+    "comma count": {_AT: "1.5,2,k0,g1,extra\n", _AT + 1: "1.5,2,k0\n"},
+    "line length": {_AT: f"1.5,2,{'z' * csv.field_size_limit()},g1\n"},
+}
+
+
+def test_unquoted_chunks_take_the_split_route(tmp_path):
+    """Every chunk of a valid unquoted file is split, a line exactly as long
+    as ``csv.field_size_limit()`` included, and the relation is the
+    row-at-a-time loader's."""
+    lines = _split_lines()
+    limit = csv.field_size_limit()
+    lines[_AT] = "1.5,2,k0," + "g" * (limit - len("1.5,2,k0,\n")) + "\n"
+    assert len(lines[_AT]) == limit
+    assert all(_splits(lines[i:i + CHUNK_ROWS]) for i in range(0, len(lines), CHUNK_ROWS))
+    path = _write_lines(tmp_path / "data.csv", lines)
+    got = _outcome(load_csv, path, _SPLIT_SCHEMA)
+    assert got == _outcome(reference.load_csv, path, _SPLIT_SCHEMA)
+
+
+@pytest.mark.parametrize("condition", list(_SPLIT_FAILURES))
+def test_a_chunk_that_fails_the_split_test_takes_the_csv_route(tmp_path, condition):
+    """A chunk with a quote, a carriage return, a NUL (which ``csv.reader``
+    rejects on Python 3.10 only), a line of another comma count or a line
+    longer than ``csv.field_size_limit()`` is not split: from it on the
+    file is read by ``csv.reader``, so the relation, or the error, is the
+    row-at-a-time loader's on every Python."""
+    lines = _split_lines()
+    for at, line in _SPLIT_FAILURES[condition].items():
+        lines[at] = line
+    assert _splits(lines[:CHUNK_ROWS])
+    assert not _splits(lines[CHUNK_ROWS:2 * CHUNK_ROWS])
+    path = _write_lines(tmp_path / "data.csv", lines)
+    got = _outcome(load_csv, path, _SPLIT_SCHEMA)
+    assert got == _outcome(reference.load_csv, path, _SPLIT_SCHEMA)
+
+
+def test_a_read_error_stops_the_split_route(tmp_path):
+    """The lines read before an invalid UTF-8 byte are parsed as
+    ``csv.reader`` parses them, and then the file is unreadable, as when it
+    is read row by row; a bad numeric cell before the byte is reported
+    first."""
+    lines = _split_lines()
+    lines[_AT] = "1.5,2,k\udcff,g1\n"
+    path = _write_lines(tmp_path / "data.csv", lines)
+    with pytest.raises(UnreadableFile):
+        load_csv(path, _SPLIT_SCHEMA)
+    got = _outcome(load_csv, path, _SPLIT_SCHEMA)
+    assert got == _outcome(reference.load_csv, path, _SPLIT_SCHEMA)
+    lines[CHUNK_ROWS + 2] = "nan,2,k0,g1\n"
+    with pytest.raises(TypeParseError) as err:
+        load_csv(_write_lines(path, lines), _SPLIT_SCHEMA)
+    assert (err.value.row, err.value.column) == (CHUNK_ROWS + 2, "x")
+
+
+@pytest.mark.parametrize("first", [CHUNK_ROWS, CHUNK_ROWS + 300, 2 * CHUNK_ROWS])
+def test_a_quote_first_seen_in_a_later_chunk(tmp_path, first):
+    """A quoted cell first met after the first chunk, and a quoted newline
+    that spans two chunks' lines, parse as ``csv.reader`` parses them."""
+    rows = _filled(2 * CHUNK_ROWS + 10, keys=("CS", "EE"))
+    rows[first][0] = 'say "hi"'
+    rows[first - 1][2] = "two\nlines"
+    path = _write_rows(tmp_path / "data.csv", rows)
+    assert _outcome(load_csv, path) == _outcome(reference.load_csv, path)
+    rel = load_csv(path, _LOADED)
+    assert rel.records([first - 1, first]) == [
+        ("CS" if (first - 1) % 2 == 0 else "EE", 1.5, "two\nlines", 2.5),
+        ('say "hi"', 1.5, "G", 2.5),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the stratum kernels
+
+
+#: ``first_occurrence_ids`` indexes an array by value when ``max + 1`` is at
+#: most this many times the count of values, and calls ``np.unique`` otherwise
+DENSE_RATIO = 4
+
+
+def _values(n, top, seed=0):
+    """``n`` values below ``top``, the largest ``top - 1``."""
+    values = np.random.default_rng(seed).integers(0, top, n) if n else np.zeros(0, np.intp)
+    if n:
+        values[seed % n] = top - 1
+    return values
+
+
+@pytest.mark.parametrize(
+    "n, top",
+    [(0, 0), (1, 1), (1, DENSE_RATIO), (1, DENSE_RATIO + 1), (2, 3),
+     (1000, 10), (1000, DENSE_RATIO * 1000), (1000, DENSE_RATIO * 1000 + 1), (1000, 10**12)],
+)
+def test_first_occurrence_ids_equal_the_unique_form(n, top):
+    """On both sides of the dense bound, ``max + 1 <= DENSE_RATIO * n``."""
+    for seed in range(3):
+        values = _values(n, top, seed)
+        got, want = first_occurrence_ids(values), reference.first_occurrence_ids(values)
+        for have, expect in zip(got, want):
+            assert have.dtype == expect.dtype == np.intp
+            assert have.tolist() == expect.tolist()
+
+
+@given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 10**6))
+def test_first_occurrence_ids_match_the_unique_form_at_any_spread(values, scale):
+    values = np.asarray(values, dtype=np.intp) * scale
+    got, want = first_occurrence_ids(values), reference.first_occurrence_ids(values)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [(0, 0), (0, 65537), (1, 1), (1, 65537), (70000, 7), (70000, 65536), (70000, 65537)],
+)
+def test_segments_equal_the_stable_argsort_of_intp_ids(n, count):
+    """On both sides of 65536 strata, the most whose ids fit ``uint16``."""
+    ids = np.random.default_rng(n + count).integers(0, count, n) if n else np.zeros(0, np.intp)
+    if n > count:
+        ids[:count] = np.arange(count)[::-1]
+    got, want = segments(ids, count), reference.segments(ids, count)
+    for have, expect in zip(got, want):
+        assert have.dtype == expect.dtype == np.intp
+        assert have.tolist() == expect.tolist()
 
 
 # ---------------------------------------------------------------------------
