@@ -33,6 +33,10 @@ Last, a copy of the tiny build table with CRLF line ends, which the
 loader reads by ``csv.reader`` where it splits the plain table's lines
 by ``str.split``, runs the build table's cvopt-l2 plan and queries; every
 line must match the plain table's.
+Last, ``stats -> plan -> sample`` run on the tiny build table under
+cvopt-l2 (a stratified sample) and cvopt-individual (a Poisson sample)
+with seeds of two and seven 32-bit words, beyond the int64 range, so
+their digests pin the per-stratum substreams of a multi-word seed.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
 plus the exit code of every command, the outcome of the order check, the
 count of ``inf`` objectives and whether the CRLF copy wrote the plain
@@ -484,6 +488,38 @@ def crlf_lines(data: Path, work: Path, lf_lines: list[str]) -> tuple[list[str], 
     return [*lines, f"same-as-lf {same}  build-crlf/cvopt-l2"], failed + (not same)
 
 
+#: seeds of two and of seven 32-bit words (more than SeedSequence's pool
+#: of four)
+BIG_SEEDS = (2**64 + 5, 2**200 + 3)
+
+
+def big_seed_lines(data: Path, work: Path) -> tuple[list[str], int]:
+    """The exit and ``sample.txt`` digest lines of ``stats -> plan ->
+    sample`` on the tiny build table at ``data`` under cvopt-l2 and
+    cvopt-individual with each seed of :data:`BIG_SEEDS`, and the number
+    of commands that failed."""
+    spec = TABLES["build"]
+    attrs, (x, y) = spec["attrs"], spec["numeric"][:2]
+    workload = _write(work / "workload.json", [{"group_by": attrs, "aggregates": [x, y]}])
+    methods = {
+        "cvopt-l2": {"group_by": attrs, "aggregates": [x, y]},
+        "cvopt-individual": {"workload": workload, "method": "cvopt-individual"},
+    }
+    lines, failed = [], 0
+    for seed in BIG_SEEDS:
+        for method, fields in methods.items():
+            out, where = work / f"{method}-{seed}", f"build/{method}/seed-{seed}"
+            config = _write(
+                work / f"{method}-{seed}.json",
+                {"data": str(data), "schema": _schema(spec), "seed": seed, "out_dir": str(out),
+                 **spec["size"], **fields},
+            )
+            codes = [_cli([cmd, "--config", config]) for cmd in ("stats", "plan", "sample")]
+            failed += sum(c != 0 for c in codes)
+            lines += [f"exit {codes}  {where}", f"{_digest(out / 'sample.txt')}  {where}/sample.txt"]
+    return lines, failed
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -524,6 +560,11 @@ def main() -> int:
         work = Path(tmp) / "build_crlf"
         work.mkdir()
         lines, n_failed = crlf_lines(Path(tmp) / "build" / "data.csv", work, table_lines["build"])
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "big_seeds"
+        work.mkdir()
+        lines, n_failed = big_seed_lines(Path(tmp) / "build" / "data.csv", work)
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

@@ -69,6 +69,7 @@ from .errors import (
     ZeroMeanGroup,
     ZeroMeanStratum,
     member,
+    members,
     parse_json,
     stratum_keys,
 )
@@ -907,10 +908,7 @@ def plan_from_json(text: str, source: str = "plan.json") -> AllocationPlan | Per
     strata = get(doc, "", "strata", *LIST)
 
     def column(name: str, check: tuple, dtype, **default) -> np.ndarray:
-        values = [
-            get(item, f"strata[{i}]", name, *check, **default) for i, item in enumerate(strata)
-        ]
-        return np.array(values, dtype=dtype)
+        return np.array(members(source, strata, "strata", name, *check, **default), dtype=dtype)
 
     if method == INDIVIDUAL:
         queries = tuple(

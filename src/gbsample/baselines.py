@@ -100,7 +100,8 @@ def _senate(caps, budget):
 def _congress(caps, budget):
     total = caps.sum()
     raw = np.maximum(float(budget) * caps / total, _senate(caps, budget))
-    return raw * (min(budget, int(total)) / raw.sum())
+    # the rescale may round a share at its cap to just above it
+    return np.minimum(raw * (min(budget, int(total)) / raw.sum()), caps)
 
 
 def alloc_uniform(catalog: StatsCatalog, budget: int) -> AllocationPlan:

@@ -13,6 +13,8 @@ import csv
 import json
 import math
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -139,6 +141,33 @@ def member(source: str, obj, path: str, name: str, ok=None, expected="", default
     return obj[name] if ok is None else expect(source, obj[name], where, ok, expected)
 
 
+def _fields(items: list, name: str) -> list | None:
+    """``item[name]`` of every item, or None unless every item is a JSON
+    object that holds ``name``."""
+    if set(map(type, items)) <= {dict}:
+        try:
+            return list(map(itemgetter(name), items))
+        except KeyError:
+            pass
+    return None
+
+
+def members(source: str, items: list, path: str, name: str, ok, expected: str, **default) -> list:
+    """:func:`member` of ``name`` in every object of the list ``items`` at
+    ``path`` in the ``source`` document, checked a field at a time: one
+    pass reads every value and one checks them, and only when either
+    fails are the items rescanned one by one, so the first bad item raises
+    the same :class:`InvalidDocument` that a :func:`member` call per item
+    would."""
+    values = _fields(items, name)
+    if values is not None and all(map(ok, values)):
+        return values
+    return [
+        member(source, item, f"{path}[{i}]", name, ok, expected, **default)
+        for i, item in enumerate(items)
+    ]
+
+
 def stratum_keys(
     source: str, strata: list, widths: Sequence[int], groups: Sequence[int] | None = None
 ) -> list[tuple]:
@@ -146,7 +175,21 @@ def stratum_keys(
     Key i must be a list of ``widths[i]`` strings and must not repeat an
     earlier key of its group ``groups[i]`` (an individual plan's query; all
     strata form one group when ``groups`` is None); otherwise
-    :class:`InvalidDocument` names ``source`` and the field."""
+    :class:`InvalidDocument` names ``source`` and the field.  Every key is
+    read and checked in one pass, as :func:`members` reads a field; only a
+    failed check rescans the strata one by one for the first bad or
+    repeated key."""
+    values = _fields(strata, "key")
+    # exact types: a key they reject but the item check accepts is rescanned
+    if (
+        values is not None
+        and set(map(type, values)) <= {list}
+        and list(map(len, values)) == list(widths)
+        and set(map(type, chain.from_iterable(values))) <= {str}
+    ):
+        keys = list(map(tuple, values))
+        if len(set(keys if groups is None else zip(groups, keys))) == len(keys):
+            return keys
     keys, seen = [], set()
     for i, (item, width) in enumerate(zip(strata, widths)):
         at = f"strata[{i}]"

@@ -3,6 +3,13 @@
 Stratified samples draw, per stratum, a uniform without-replacement subset
 of the stratum's rows, using an independent RNG substream derived from
 (seed, stratum index) so draws are order-independent across strata.
+Substream k is numpy's ``default_rng(SeedSequence([seed, k]))``, which
+sample files depend on (a Poisson sample draws from substream 0).  For a
+stratified draw, :func:`substream_states` computes the PCG64 seed state
+of every stratum's substream in one array pass, by SeedSequence's
+published hash and mix of 32-bit words, and each reaches ``PCG64``
+through numpy's ``ISeedSequence`` interface, so no stratum builds a
+SeedSequence of its own.
 Poisson samples include each row independently with a row-specific
 probability and carry the inverse-inclusion weight needed for unbiased
 estimation.  A sampled row keeps every column of the relation, so the
@@ -34,7 +41,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +71,7 @@ from .errors import (
     SchemaMismatch,
     expect,
     member,
+    members,
     open_text,
     stratum_keys,
 )
@@ -71,9 +79,92 @@ from .errors import (
 _FLOAT = ".17g"
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    # independent, reproducible per-stratum stream
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
+# numpy's SeedSequence constants: its pool of four 32-bit words is mixed
+# with the (INIT_A, MULT_A) hash, and the state is drawn from it with the
+# (INIT_B, MULT_B) hash
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of the non-negative int ``n``, least significant
+    first, as SeedSequence splits an entropy int (0 is one word)."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def substream_states(seed: int, indices) -> np.ndarray:
+    """``SeedSequence([seed, k]).generate_state(4, np.uint64)`` for every
+    index k of ``indices`` (each below 2**32), as the rows of one
+    C-contiguous uint64 array.  The seed's words are the same for every k,
+    so SeedSequence's hash constants are too, and each step of its
+    algorithm runs once over all indices; uint32 array arithmetic wraps
+    as its C code does."""
+    index = np.asarray(indices, dtype=np.int64)
+    if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
+        raise InvalidArgument("substream indices must lie in [0, 2**32)")
+    index = index.astype(np.uint32)
+    entropy = [np.full(index.shape, w, np.uint32) for w in _words(int(seed))] + [index]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(index.shape, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty(index.shape + (2 * _POOL,), dtype="<u4")
+    const = _INIT_B
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[..., i] = value ^ (value >> np.uint32(16))
+    # pairs of words, low word first, as SeedSequence builds a uint64
+    return state.view("<u8").astype(np.uint64)
+
+
+@cache
+def _seeded() -> type:
+    """The class of a seed sequence whose state is one precomputed row of
+    :func:`substream_states`, which PCG64 asks for four uint64 words.
+    Made on first use: numpy loads ``numpy.random`` only when asked, and
+    importing the package should not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.state
+
+    return Seeded
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """The generator ``default_rng`` builds from the seed sequence whose
+    state is ``state``."""
+    return np.random.Generator(np.random.PCG64(_seeded()(state)))
 
 
 def _array(values, dtype) -> np.ndarray:
@@ -233,23 +324,31 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
             "plan strata do not match the relation's partition "
             f"({len(plan.keys)} plan strata, {len(position)} in relation)"
         )
-    order, bounds = strata.order, strata.bounds.tolist()
-    taken: list[int] = []  # the sampled rows, stratum after stratum in plan order
-    n = []
-    for idx, values in enumerate(planned):
-        k = position[values]
-        rows = order[bounds[k] : bounds[k + 1]]
-        s_i = int(plan.sizes[idx])
-        if s_i > len(rows):
-            raise PlanMismatch(
-                f"stratum {plan.keys[idx]} allocates {s_i} rows but holds only {len(rows)}"
-            )
-        n.append(len(rows))
-        if s_i == len(rows):
-            taken.extend(rows.tolist())
-        elif s_i > 0:
-            rng = _substream(seed, idx)
-            taken.extend(sorted(rng.choice(rows, size=s_i, replace=False).tolist()))
+    at = np.array([position[values] for values in planned], dtype=np.intp)
+    start, n = strata.bounds[at], np.diff(strata.bounds)[at]
+    size = np.asarray(plan.sizes, dtype=np.int64)
+    over = np.flatnonzero(size > n)
+    if len(over):
+        idx = over[0]
+        raise PlanMismatch(
+            f"stratum {plan.keys[idx]} allocates {size[idx]} rows but holds only {n[idx]}"
+        )
+    # offset[j] is sampled row j's rank in its stratum's rows: 0, 1, ... in
+    # a stratum taken whole, the picks of its substream in one drawn in
+    # part, then sorted; the sampled rows go stratum after stratum in plan
+    # order
+    taken = np.maximum(size, 0)
+    lead = np.cumsum(taken) - taken  # each stratum's first sampled row
+    stratum = np.repeat(np.arange(len(at)), taken)
+    offset = np.arange(len(stratum)) - lead[stratum]
+    drawn = np.flatnonzero((size > 0) & (size < n))
+    for state, first, n_k, s_k in zip(
+        substream_states(seed, drawn), lead[drawn].tolist(), n[drawn].tolist(),
+        size[drawn].tolist(),
+    ):
+        offset[first : first + s_k] = _generator(state).choice(n_k, s_k, replace=False)
+    offset = offset[np.lexsort((offset, stratum))]
+    rows = strata.order[start[stratum] + offset]
     return StratifiedSample(
         rel.schema,
         plan.group_attrs,
@@ -258,8 +357,8 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
         planned,
         n,
         plan.sizes,
-        rel.take(taken),
-        taken,
+        rel.take(rows),
+        rows,
     )
 
 
@@ -272,7 +371,7 @@ def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
         raise RateOutOfRange("inclusion probabilities must lie in [0, 1]")
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
-    rng = _substream(seed, 0)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     u = rng.random(rel.n_rows)
     taken = np.flatnonzero(u < p)
     return PoissonSample(seed, float(p.sum()), rel.take(taken), taken, p[taken])
@@ -422,8 +521,8 @@ def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
     strata = get(header, "", "strata", *LIST)
     keys = stratum_keys(path, strata, [len(group_attrs)] * len(strata))
     # a negative n is below any sample size: the population check names it
-    n = [get(meta, f"strata[{i}]", "n", *INTEGER) for i, meta in enumerate(strata)]
-    size = [get(meta, f"strata[{i}]", "s", *COUNT) for i, meta in enumerate(strata)]
+    n = members(path, strata, "strata", "n", *INTEGER)
+    size = members(path, strata, "strata", "s", *COUNT)
     ordinals, row_ids, columns = _split_rows(schema, rows, path)
     stratum = np.array([int(c) for c in ordinals], dtype=np.int64)
     outside = np.flatnonzero((stratum < 0) | (stratum >= len(keys)))

@@ -3,9 +3,13 @@
 :func:`compute_catalog` is where the package computes per-stratum
 moments.  It reads the relation's stratification
 (:meth:`gbsample.dataset.Relation.strata`: the rows sorted by stratum id)
-and takes each stratum's count, mean and standard deviation over its
-contiguous slice with the two-pass formula: the mean, then the sum of
-squared deviations from it.  The coefficient of variation is sigma / |mu|.
+and takes each stratum's count, mean and standard deviation with the
+two-pass formula: the mean, then the sum of squared deviations from it.
+Strata are reduced by size, not one by one: the k strata of each size s
+are gathered into one C-contiguous (k, s) matrix, whose row sums run
+numpy's pairwise summation exactly as the sum of each stratum's slice
+would.  The loop runs once per distinct stratum size (at most about
+sqrt(2 N) for N rows).  The coefficient of variation is sigma / |mu|.
 A relation keeps each ``(grouping, columns)`` catalog as it keeps each
 grouping's strata (:meth:`gbsample.dataset.Relation.memo`): every call of
 :func:`compute_catalog` hands out that one shared, read-only catalog.  It
@@ -232,17 +236,20 @@ def _column_moments(
     strata = rel.strata(group_attrs)
     n = np.diff(strata.bounds)
     ordered = rel.numeric(col)[strata.order]
-    mu, m2 = [], []
+    mu, m2 = np.zeros(len(n)), np.zeros(len(n))
+    # the k strata of each size s, gathered as the rows of a C-contiguous
+    # (k, s) matrix: add.reduce along a row runs the same pairwise sum as
+    # x.sum() of the stratum's slice, bit for bit (reduceat would add in
+    # sequence); every stratum holds a row, so no size is 0
+    by_size = np.argsort(n, kind="stable")
+    sizes, first = np.unique(n[by_size], return_index=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in zip(strata.bounds[:-1].tolist(), strata.bounds[1:].tolist()):
-            # the method forms of np.mean and np.sum: the same pairwise sums,
-            # bit for bit, without the dispatch overhead that dominates
-            # small strata
-            x = ordered[lo:hi]
-            mu.append(float(x.sum()) / (hi - lo) if hi > lo else 0.0)
-            d = x - mu[-1]
-            m2.append(float((d * d).sum()))
-    return frozen(np.array(mu, dtype=np.float64)), frozen(std_of(n, m2))
+        for s, group in zip(sizes.tolist(), np.split(by_size, first[1:])):
+            x = ordered[strata.bounds[group, None] + np.arange(s)]
+            mu[group] = mean = x.sum(axis=1) / s
+            d = x - mean[:, None]
+            m2[group] = (d * d).sum(axis=1)
+    return frozen(mu), frozen(std_of(n, m2))
 
 
 def finite_catalog(catalog: StatsCatalog) -> None:

@@ -19,6 +19,9 @@ replaced, kept verbatim as the oracle of its relations and errors.
 by ``np.unique`` and by a stable argsort of ``intp`` ids.
 :func:`estimate` and :func:`exact_answer` order and gather the groups of
 an answer the plain way, with ``np.unique`` and one key at a time.
+:func:`stratum_fields` reads a sample header's strata one at a time with
+:func:`gbsample.errors.member`, the oracle of the errors the package
+raises after checking each field of every stratum in one pass.
 """
 
 from __future__ import annotations
@@ -52,7 +55,11 @@ from gbsample.dataset import (
     frozen,
 )
 from gbsample.errors import (
+    COUNT,
+    INTEGER,
+    STRINGS,
     EmptyFile,
+    InvalidDocument,
     MissingColumn,
     NotASubset,
     TypeParseError,
@@ -60,6 +67,7 @@ from gbsample.errors import (
     ZeroMeanCoarseGroup,
     ZeroMeanGroup,
     ZeroMeanStratum,
+    member,
     open_text,
 )
 from gbsample.query import AVG, Answer, QueryRequest, _group_by, _inputs
@@ -304,6 +312,26 @@ def draw_poisson(rel: Relation, p, seed: int) -> tuple[list, list, list]:
     u = np.random.default_rng(np.random.SeedSequence([seed, 0])).random(rel.n_rows)
     taken = [r for r in range(rel.n_rows) if u[r] < p[r]]
     return taken, rel.records(taken), [float(p[r]) for r in taken]
+
+
+def stratum_fields(source: str, strata: list, width: int) -> tuple[list, list, list]:
+    """The keys, ``n`` and ``s`` of a stratified sample header's
+    ``strata``, read one stratum at a time with :func:`member`: every key
+    (a list of ``width`` strings, then compared with the keys before it),
+    then every ``n``, then every ``s``; the first bad field raises its
+    :class:`InvalidDocument`."""
+    keys, seen = [], set()
+    for i, item in enumerate(strata):
+        at = f"strata[{i}]"
+        ok = lambda v: STRINGS[0](v) and len(v) == width  # noqa: E731
+        key = tuple(member(source, item, at, "key", ok, f"a list of {width} strings"))
+        if key in seen:
+            raise InvalidDocument(f"{source}: {at}.key: repeats stratum {list(key)!r}")
+        seen.add(key)
+        keys.append(key)
+    n = [member(source, item, f"strata[{i}]", "n", *INTEGER) for i, item in enumerate(strata)]
+    s = [member(source, item, f"strata[{i}]", "s", *COUNT) for i, item in enumerate(strata)]
+    return keys, n, s
 
 
 def stratum_lists(sample: StratifiedSample) -> list[tuple]:

@@ -113,6 +113,15 @@ def test_all_baselines_respect_budget_and_caps():
             assert (plan.sizes <= plan.populations).all()
 
 
+@pytest.mark.parametrize("budget", [29, 10**17])
+def test_congress_shares_stay_within_the_populations(budget):
+    # rescaling to the budget rounded the shares of strata 1, 2, 4 and 5
+    # (at 29) and of stratum 5 (at 10**17) to just above their populations
+    plan = alloc_congress(_catalog(range(1, 8)), budget)
+    assert (plan.fractional <= plan.populations).all()
+    assert plan.fractional.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
 def test_cv_plan_dominates_baselines_on_l2_objective():
     catalog = _catalog(
         (20, 60, 120, 40, 200), cvs=(0.9, 0.05, 0.4, 0.02, 0.15)
@@ -155,6 +164,7 @@ def _plan_parts(plan):
 @example([5, 0, 7], 100)
 @example([9], 4)
 @example([9], 9)
+@example([21], 303)  # the rescale rounds the one share above its cap
 def test_senate_and_congress_match_the_water_filling_oracle(caps, budget):
     # the equal split is resolve_caps at unit costs: byte for byte the
     # reference loop, with zero caps, one stratum and budgets of every row
@@ -164,7 +174,7 @@ def test_senate_and_congress_match_the_water_filling_oracle(caps, budget):
     senate = senate_shares(caps, budget)
     assert _plan_parts(alloc_senate(catalog, budget)) == _oracle_plan(senate, caps, budget)
     raw = np.maximum(budget * caps / caps.sum(), senate)
-    congress = raw * (min(budget, int(caps.sum())) / raw.sum())
+    congress = np.minimum(raw * (min(budget, int(caps.sum())) / raw.sum()), caps)
     assert _plan_parts(alloc_congress(catalog, budget)) == _oracle_plan(congress, caps, budget)
 
 

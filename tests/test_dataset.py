@@ -1,10 +1,12 @@
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbsample import dataset
 from gbsample.dataset import (
     CATEGORICAL,
     CHUNK_ROWS,
@@ -192,15 +194,17 @@ _LOADED = (
 )
 
 
-#: stands for NUL in the cells given to ``csv.writer``, which need not
-#: write a NUL on every Python
-_NUL_MARK = "\ue000"
+#: stand for NUL and carriage return in the cells given to ``csv.writer``,
+#: which need not write a NUL, nor leave a carriage return unquoted, on
+#: every Python
+_MARKS = {"\0": "\ue000", "\r": "\ue001"}
 
 
 def _write_rows(path, rows, header=("k", "x", "g", "y"), line_end="\n"):
     """``rows`` (lists of cells, or None for a blank line) under ``header``
-    as CSV text with ``line_end`` after every line, written as UTF-8; a lone
-    surrogate becomes an invalid byte."""
+    as CSV text with ``line_end`` after every line, written as UTF-8; a NUL
+    or a carriage return in a cell is written as it is, unquoted, and a
+    lone surrogate becomes an invalid byte."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=line_end)
     writer.writerow(header)
@@ -208,8 +212,12 @@ def _write_rows(path, rows, header=("k", "x", "g", "y"), line_end="\n"):
         if row is None:
             out.write(line_end)
         else:
-            writer.writerow([cell.replace("\0", _NUL_MARK) for cell in row])
-    text = out.getvalue().replace(_NUL_MARK, "\0")
+            for char, mark in _MARKS.items():
+                row = [cell.replace(char, mark) for cell in row]
+            writer.writerow(row)
+    text = out.getvalue()
+    for char, mark in _MARKS.items():
+        text = text.replace(mark, char)
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
@@ -250,6 +258,31 @@ _EDITS = st.one_of(
     st.tuples(st.just("extra"), st.sampled_from(_CELLS)),
     st.tuples(st.just("blank")),
 )
+#: what makes a chunk fail the split route's test: a quote, a carriage
+#: return inside a line or before its newline, a NUL, a line longer than
+#: ``csv.field_size_limit()``, and a short or a long row
+_SPLIT_BREAKERS = ['say "hi"', "C\rS", "7\r", "C\0S", _LONG_CELL, "short", "extra"]
+
+
+def _checked_split(lines, ncols, positions, limit):
+    """:func:`dataset._split`, checked: the lines of every chunk it splits
+    hold no NUL (which ``csv.reader`` rejects on Python 3.10), and
+    ``csv.reader`` cuts them into the same cells.  A failed check is kept
+    in :data:`_SPLIT_FAULTS`, since an error raised here would reach the
+    loader."""
+    columns = _split(lines, ncols, positions, limit)
+    if columns is not None:
+        try:
+            rows = list(csv.reader(lines))
+            same = [[row[i] for row in rows] for i in positions] == columns
+        except (csv.Error, IndexError):
+            same = False
+        if not same or any("\0" in line for line in lines):
+            _SPLIT_FAULTS.append(lines)
+    return columns
+
+
+_SPLIT_FAULTS: list = []
 
 
 @settings(max_examples=200)
@@ -264,12 +297,19 @@ def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
     bit for bit, or raises the same error.  Its keys are often all
     unquoted, so the chunks are split until an edit (in any chunk) puts in
     a cell that quotes or ends a line, a NUL, a long line or a row of
-    another width."""
+    another width; a file of more than one chunk gets one such edit after
+    its first chunk, so the split route meets it after a chunk it split.
+    Every chunk the split route takes must be one ``csv.reader`` cuts the
+    same way (:func:`_checked_split`)."""
     header = data.draw(st.permutations(["k", "x", "g", "y", "extra"]))
     header = data.draw(st.sampled_from([header] * 7 + [header[1:]]))
-    n = data.draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
-    keys = data.draw(st.sampled_from([_PLAIN_KEYS, _KEY_CELLS]))
-    line_end = data.draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    # a clean lead: plain keys, newlines and no edit but the late one, so
+    # the first chunk is split and the late edit is the only break
+    clean_lead = data.draw(st.booleans())
+    lengths = [1025, 1500, 2049] if clean_lead else [0, 1, 1023, 1024, 1025, 1500, 2049]
+    n = data.draw(st.sampled_from(lengths))
+    keys = _PLAIN_KEYS if clean_lead else data.draw(st.sampled_from([_PLAIN_KEYS, _KEY_CELLS]))
+    line_end = "\n" if clean_lead else data.draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
     palette = data.draw(
         st.lists(
             st.fixed_dictionaries({
@@ -284,7 +324,14 @@ def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
         )
     )
     rows = [[palette[r % len(palette)][h] for h in header] for r in range(n)]
-    edits = data.draw(st.lists(st.tuples(st.integers(0, 2048), _EDITS), max_size=6))
+    edits = [] if clean_lead else data.draw(
+        st.lists(st.tuples(st.integers(0, 2048), _EDITS), max_size=6)
+    )
+    if n > CHUNK_ROWS:
+        late = CHUNK_ROWS + data.draw(st.integers(0, n - CHUNK_ROWS - 1))
+        breaker, column = data.draw(st.sampled_from(_SPLIT_BREAKERS)), data.draw(st.integers(0, 4))
+        edit = {"short": ("short", 1 + column % 3), "extra": ("extra", "CS")}
+        edits.append((late, edit.get(breaker, ("cell", column, breaker))))
     blanks = set()
     for at, edit in edits:
         if not rows:
@@ -300,7 +347,11 @@ def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
             blanks.add(at % n)
     rows = [line for r, row in enumerate(rows) for line in ([None, row] if r in blanks else [row])]
     path = _write_rows(tmp_path_factory.mktemp("load") / "data.csv", rows, header, line_end)
-    assert _outcome(load_csv, path) == _outcome(reference.load_csv, path)
+    _SPLIT_FAULTS.clear()
+    with mock.patch.object(dataset, "_split", _checked_split):
+        got = _outcome(load_csv, path)
+    assert got == _outcome(reference.load_csv, path)
+    assert _SPLIT_FAULTS == []
 
 
 def _filled(n, keys=("CS",), header=("k", "x", "g", "y")):

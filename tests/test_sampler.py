@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -11,8 +12,21 @@ import reference
 from gbsample.alloc import plan_l2
 from gbsample.baselines import alloc_senate
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
-from gbsample.errors import CorruptSampleFile, PlanMismatch, RateOutOfRange, SchemaMismatch
-from gbsample.sampler import draw_poisson, draw_stratified, load_sample, save_sample
+from gbsample.errors import (
+    CorruptSampleFile,
+    InvalidArgument,
+    InvalidDocument,
+    PlanMismatch,
+    RateOutOfRange,
+    SchemaMismatch,
+)
+from gbsample.sampler import (
+    draw_poisson,
+    draw_stratified,
+    load_sample,
+    save_sample,
+    substream_states,
+)
 from gbsample.stats import compute_catalog
 
 # chi-square critical value, p = 0.001, 5 degrees of freedom
@@ -249,9 +263,30 @@ def _assert_encoded(rel):
             assert len(set(levels)) == len(levels)
 
 
+#: one-word seeds, the largest one-word seed, and seeds of two, three and
+#: seven 32-bit words (more words than SeedSequence's pool of four)
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substream_states_are_the_seed_sequences(seed):
+    index = [0, 1, 2999, 2**32 - 1]
+    want = [np.random.SeedSequence([seed, k]).generate_state(4, np.uint64) for k in index]
+    got = substream_states(seed, index)
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert got.tobytes() == np.array(want).tobytes()
+    assert substream_states(seed, []).shape == (0, 4)
+
+
+@pytest.mark.parametrize("index", [[-1], [0, 2**32]])
+def test_substream_indices_lie_below_two_to_the_32(index):
+    with pytest.raises(InvalidArgument):
+        substream_states(1, index)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    seed=st.integers(0, 10_000),
+    seed=st.one_of(st.integers(0, 10_000), st.integers(2**32, 2**200)),
     n_rows=st.integers(1, 60),
     budget=st.integers(1, 60),
     zero=st.booleans(),
@@ -391,3 +426,90 @@ def test_poisson_p_view_matches_the_arrays():
     assert 0 < sample.total_rows < rel.n_rows
     assert sample.p == sample.rates.tolist() == p[sample.source_ids].tolist()
     assert all(type(pr) is float for pr in sample.p)
+
+
+def test_a_stratum_over_ten_thousand_rows_draws_as_the_reference():
+    # choice shuffles the tail of the whole population above 10000 rows
+    rel = _simple_rel([("a", range(12_000)), ("b", range(3)), ("c", range(40))])
+    plan = alloc_senate(compute_catalog(rel, ["g"], ["v"]), 40)
+    plan.sizes[:] = [1000, 2, 39]
+    for seed in (5, 2**64 + 5):
+        sample = draw_stratified(rel, plan, seed)
+        assert reference.stratum_lists(sample) == reference.draw(rel, plan, seed)
+
+
+def _five_strata_header(tmp_path):
+    rel = _simple_rel([(g, range(1, 5)) for g in "abcde"])
+    path = tmp_path / "sample.txt"
+    save_sample(draw_stratified(rel, alloc_senate(compute_catalog(rel, ["g"], ["v"]), 10), 1), path)
+    header, body = path.read_text(encoding="utf-8").split("\n", 1)
+    return path, json.loads(header), body
+
+
+#: edits of one stratum of a sample header: (field, value), None for the
+#: value drops the field and None for the field replaces the whole stratum
+STRATUM_EDITS = [
+    ("key", "a"),
+    ("key", ["a", "b"]),
+    ("key", None),
+    ("n", 2.5),
+    ("n", None),
+    ("s", -1),
+    ("s", "2"),
+    (None, ["x"]),
+]
+
+
+def _edit(strata, at, field, value):
+    if field is None:
+        strata[at] = value
+    elif value is None:
+        del strata[at][field]
+    else:
+        strata[at][field] = value
+
+
+def _header_errors(path, header, body):
+    """The text of the InvalidDocument that loading the header raises, and
+    that of reading its strata one at a time (:func:`reference.stratum_fields`)."""
+    path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+    with pytest.raises(InvalidDocument) as got:
+        load_sample(path)
+    with pytest.raises(InvalidDocument) as want:
+        reference.stratum_fields(str(path), header["strata"], 1)
+    return str(got.value), str(want.value)
+
+
+@pytest.mark.parametrize("field, value", STRATUM_EDITS)
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_a_bad_stratum_field_raises_as_one_read_at_a_time(tmp_path, at, field, value):
+    path, header, body = _five_strata_header(tmp_path)
+    _edit(header["strata"], at, field, value)
+    got, want = _header_errors(path, header, body)
+    assert got == want
+    assert f": strata[{at}]" in got
+
+
+@pytest.mark.parametrize("at, other", [(0, 2), (2, 0), (4, 3), (1, 4)])
+def test_a_repeated_stratum_key_is_named_where_it_repeats(tmp_path, at, other):
+    path, header, body = _five_strata_header(tmp_path)
+    strata = header["strata"]
+    strata[at]["key"] = strata[other]["key"]
+    got, want = _header_errors(path, header, body)
+    assert got == want
+    assert f": strata[{max(at, other)}].key: repeats stratum" in got
+
+
+def test_every_key_is_checked_before_any_count(tmp_path):
+    # a bad s in the first stratum, a bad n in the middle one and a bad key
+    # in the last: the key is named, as reading the keys first would
+    path, header, body = _five_strata_header(tmp_path)
+    strata = header["strata"]
+    strata[0]["s"], strata[2]["n"], strata[4]["key"] = -1, "3", [1]
+    got, want = _header_errors(path, header, body)
+    assert got == want
+    assert ": strata[4].key: expected a list of 1 strings" in got
+    strata[4]["key"] = ["e"]
+    got, want = _header_errors(path, header, body)
+    assert got == want
+    assert ": strata[2].n: expected an integer" in got

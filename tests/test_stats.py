@@ -17,6 +17,7 @@ from gbsample.stats import (
     std_of,
 )
 
+import reference
 from reference import EMPTY_MOMENTS, RunningMoments, accumulate, from_values, merge
 
 
@@ -91,6 +92,33 @@ def test_catalog_student_major_age(student_rel):
     assert catalog.n.sum() == 8
     # the package's one CV formula reads the same arrays
     assert cv2_costs(catalog, ["age"])[0][k] == (std / abs(mean)) ** 2
+
+
+def test_moments_equal_the_reference_bit_for_bit():
+    """Strata of every size from 1 to 300 (twice, across the 8- and
+    128-element blocks of numpy's pairwise sum) and above 10000, rows
+    interleaved, values over twelve orders of magnitude; strata holding
+    values near +-1.7e308 overflow to an infinite or NaN mean or std, with
+    no RuntimeWarning (which fails the suite)."""
+    rng = np.random.default_rng(25)
+    sizes = [*range(1, 301), *range(1, 301), 10_001, 10_001, 12_345]
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    values = rng.normal(size=len(groups)) * 10.0 ** rng.uniform(-6, 6, size=len(groups))
+    huge = np.isin(groups, rng.choice(len(sizes), size=60, replace=False))
+    values[huge] = rng.choice([1.7e308, -1.7e308, 1.0], size=int(huge.sum()))
+    order = rng.permutation(len(groups))
+    schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
+    rel = Relation(schema, {"g": [f"s{g}" for g in groups[order].tolist()], "v": values[order]})
+    catalog = compute_catalog(rel, ["g"], ["v"])
+    with np.errstate(all="ignore"):
+        want = reference.catalog_summaries(rel, ["g"], ["v"])
+    assert list(want) == catalog.group_keys()
+    for field, got in (("mean", catalog.mean["v"]), ("std", catalog.std["v"])):
+        expected = np.array([getattr(stratum, field)["v"] for stratum in want.values()])
+        assert got.tobytes() == expected.tobytes(), field
+    # the data reach both overflow outcomes
+    for moment in (catalog.mean["v"], catalog.std["v"]):
+        assert np.isinf(moment).any() and np.isnan(moment).any()
 
 
 def test_catalog_single_row_stratum():
