@@ -37,6 +37,10 @@ Last, ``stats -> plan -> sample`` run on the tiny build table under
 cvopt-l2 (a stratified sample) and cvopt-individual (a Poisson sample)
 with seeds of two and seven 32-bit words, beyond the int64 range, so
 their digests pin the per-stratum substreams of a multi-word seed.
+Last, a 10-row table whose keys hold a carriage return, a newline, both
+and a quote runs ``stats -> plan -> sample -> query -> evaluate`` under
+cvopt-l2 and cvopt-individual: the sample file and ``report.csv`` must
+quote every such key, on every Python, and the sample must read back.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
 plus the exit code of every command, the outcome of the order check, the
 count of ``inf`` objectives and whether the CRLF copy wrote the plain
@@ -520,6 +524,50 @@ def big_seed_lines(data: Path, work: Path) -> tuple[list[str], int]:
     return lines, failed
 
 
+#: a tiny table whose keys hold a carriage return, a newline, both, and a
+#: quote; written with ``\n`` line ends, each key quoted
+LINE_ENDS = {
+    "categorical": ["g"],
+    "numeric": ["v"],
+    "csv": 'g,v\n"a\r\nb",1\n"a\r\nb",2\n"a\rb",3\n"a\rb",5\n"a\nb",4\n"a\nb",7\n'
+           '"say ""hi""",6\n"say ""hi""",9\n"plain",8\n"plain",3\n',
+}
+
+
+def line_end_lines(work: Path) -> tuple[list[str], int]:
+    """The exit-code and digest lines of ``stats -> plan -> sample -> query
+    -> evaluate`` under cvopt-l2 (a stratified sample) and cvopt-individual
+    (a Poisson sample) on the :data:`LINE_ENDS` table, and the number of
+    commands that failed."""
+    data = work / "data.csv"
+    data.write_bytes(LINE_ENDS["csv"].encode("utf-8"))
+    plain = {"group_by": ["g"], "aggregates": ["v"]}
+    workload = _write(work / "workload.json", [plain])
+    query = _write(
+        work / "query.json", {"group_by": ["g"], "aggregate": {"fn": "avg", "column": "v"}}
+    )
+    runs = {
+        "cvopt-l2": plain,
+        "cvopt-individual": {"workload": workload, "method": "cvopt-individual"},
+    }
+    lines, failed = [], 0
+    for method, fields in runs.items():
+        out, where = work / method, f"line-ends/{method}"
+        config = _write(
+            work / f"{method}.json",
+            {"data": str(data), "schema": _schema(LINE_ENDS), "seed": 1, "out_dir": str(out),
+             "budget": 6, **fields},
+        )
+        codes = [_cli([cmd, "--config", config]) for cmd in ("stats", "plan", "sample")]
+        codes += [_cli([cmd, "--config", config, "--query", query])
+                  for cmd in ("query", "evaluate")]
+        failed += sum(c != 0 for c in codes)
+        lines.append(f"exit {codes}  {where}")
+        files = ("sample.txt", "estimates.json", "report.json", "report.csv")
+        lines += [f"{_digest(out / f)}  {where}/{f}" for f in files]
+    return lines, failed
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -565,6 +613,11 @@ def main() -> int:
         work = Path(tmp) / "big_seeds"
         work.mkdir()
         lines, n_failed = big_seed_lines(Path(tmp) / "build" / "data.csv", work)
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "line_ends"
+        work.mkdir()
+        lines, n_failed = line_end_lines(work)
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

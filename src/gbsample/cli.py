@@ -37,7 +37,6 @@ Config fields::
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -50,7 +49,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import alloc, baselines, query as qmod, sampler, stats, stream, workload as wmod
-from .dataset import COLUMN_KINDS, ColumnSchema, Relation, load_csv
+from .dataset import COLUMN_KINDS, ColumnSchema, Relation, csv_writer, load_csv
 from .errors import (
     INTEGER,
     LIST,
@@ -423,7 +422,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     jpath = _out(cfg, "compare.json", json.dumps(doc, indent=2))
     cpath = _out(cfg, "compare.csv")
     with open(cpath, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(columns)
         writer.writerows([r[c] for c in columns] for r in rows)
     print(f"wrote {jpath} and {cpath}")

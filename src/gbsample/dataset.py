@@ -7,14 +7,17 @@ so that downstream artifacts are reproducible.
 
 Categorical columns are dictionary-encoded: each is an array of int codes,
 one per row, plus its distinct values ("levels") in order of first
-occurrence, so code k stands for ``levels[k]``.  :func:`load_csv` encodes
-while it parses, :data:`CHUNK_ROWS` rows at a time and one column of the
-chunk at a time, so it holds at most one chunk of rows as strings; it and
+occurrence, so code k stands for ``levels[k]``.  :func:`read_columns`
+reads the CSV rows of both the data files of :func:`load_csv` and the
+sample files of :func:`gbsample.sampler.load_sample`, and encodes while
+it parses, :data:`CHUNK_ROWS` rows at a time and one column of the chunk
+at a time, so it holds at most one chunk of rows as strings; it and
 :func:`encode` share one first-occurrence encoder, :func:`encode_into`.
 It cuts a chunk into cells by one ``str.split`` of the chunk's text while
 every chunk so far is free of quotes, carriage returns, NULs, over-long
 lines and rows of other widths and no read error stopped one, and by
 ``csv.reader`` from the first chunk that is not to the end of the file.
+:func:`csv_writer` writes every CSV file the package writes.
 :meth:`Relation.encoded` returns the codes and levels;
 :meth:`Relation.categorical` and :meth:`Relation.records` decode them to
 values at the API edge, so every file the package writes is unchanged by
@@ -43,10 +46,10 @@ which forms its own stratum.  Missing numeric cells are a parse error.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -304,20 +307,8 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     cell in row-major order; a file with a valid header but no data rows
     raises :class:`EmptyFile`, and one that cannot be read as text
     :class:`UnreadableFile` (see :func:`errors.open_text`), unless an
-    earlier row holds a bad numeric cell.
-
-    The rows are parsed :data:`CHUNK_ROWS` at a time, one column of the
-    chunk at a time: a categorical column's raw cells are looked up in a
-    dict from raw text to code (:func:`encode_into`), and a numeric
-    column's are parsed by Python's ``float``, so the result is the same as
-    parsing cell by cell.  A chunk is cut into cells by one of two routes
-    (see :func:`_chunks`): while its lines hold no quote, carriage return
-    or NUL, none is longer than ``csv.field_size_limit()``, each has one
-    comma fewer than the header has cells and no read error cut it short,
-    by one ``str.split`` of the chunk's text; from the first chunk that
-    fails this test to the end of the file, by ``csv.reader``.  Both
-    routes give the cells ``csv.reader`` gives.  At most one chunk of rows
-    is held as strings.
+    earlier row holds a bad numeric cell.  The rows are read by
+    :func:`read_columns`.
     """
     with open_text(path, newline="") as fh:
         try:
@@ -328,65 +319,74 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
         for col in schema:
             if col.name not in header:
                 raise MissingColumn(col.name)
-        # per column: name, position in the header, then its accumulators:
-        # for a categorical one, its codes by raw text and by level, and
-        # for every column its arrays, one per chunk
-        cats = [
-            (c.name, header.index(c.name), {}, {}, [])
-            for c in schema
-            if c.kind == CATEGORICAL
-        ]
-        nums = [
-            (c.name, header.index(c.name), []) for c in schema if c.kind == NUMERIC
-        ]
-        positions = [idx for _, idx, *_ in cats + nums]
-
-        row_id = 0
-        for n, columns, unread in _chunks(fh, len(header), positions):
-            _append_chunk(columns, n, row_id, cats, nums)
-            del columns  # free the chunk's strings before the next is read
-            row_id += n
-            if unread is not None:
-                raise unread
-    if row_id == 0:
+        fields = [(c.name, header.index(c.name), c.kind) for c in schema]
+        n_rows, columns = read_columns(fh, len(header), fields, _level)
+    if n_rows == 0:
         raise EmptyFile(f"{path}: header only, no data rows")
+    return Relation(schema, {c.name: col for c, col in zip(schema, columns)}, n_rows)
+
+
+#: per numeric kind of :func:`read_columns`: the type that parses a cell,
+#: the column's dtype and what a cell must hold; only NUMERIC must be finite
+_PARSE = {
+    NUMERIC: (float, np.float64, "a finite number"),
+    float: (float, np.float64, "a number"),
+    int: (int, np.int64, "a 64-bit integer"),
+}
+
+
+def read_columns(
+    fh, ncols: int, fields: Sequence[tuple], level: Callable | None, ragged: Callable | None = None
+) -> tuple[int, list]:
+    """The row count of ``fh`` after a header of ``ncols`` cells, and per
+    field ``(name, position, kind)`` the column of its rows' cells at
+    ``position``: :class:`Encoded` for a CATEGORICAL one, leveled by
+    ``level`` (see :func:`encode_into`), else parsed as :data:`_PARSE`
+    says, the first cell that fails, in row-major order, raising
+    :class:`TypeParseError`.  With ``ragged`` None a short row holds
+    ``""`` where it has no cell; otherwise a row of other than ``ncols``
+    cells raises ``ragged(row, cells)`` before its chunk is parsed.  The
+    rows are parsed :data:`CHUNK_ROWS` at a time (cut into cells by
+    :func:`_chunks`), one column at a time, as cell by cell, and a read
+    error is raised once the rows before it are parsed.
+    """
+    # per field: codes by raw text and by level (if categorical), arrays by chunk
+    seen = [({}, {}, []) for _ in fields]
+    n_rows = 0
+    for n, columns, unread in _chunks(fh, ncols, [p for _, p, _ in fields], ragged):
+        for (_, _, kind), (by_raw, by_level, chunks), cells in zip(fields, seen, columns):
+            if kind == CATEGORICAL:
+                chunks.append(encode_into(cells, by_raw, by_level, level))
+                continue
+            parse, dtype, _ = _PARSE[kind]
+            try:
+                values = np.fromiter(map(parse, cells), dtype, n)
+            except (ValueError, OverflowError):
+                values = None
+            if values is None or kind == NUMERIC and not np.isfinite(values).all():
+                _raise_first_bad_cell(fields, columns, n_rows)
+            chunks.append(values)
+        del columns  # free the chunk's strings before the next is read
+        n_rows += n
+        if unread is not None:
+            raise unread
     # each column's chunks are freed once joined, so at most one column is
     # held twice; holding them all to the end left the heap too fragmented
     # for the next layer's row-sized arrays, and raised the peak RSS
-    columns: dict[str, object] = {}
-    for name, _, chunks in nums:
-        columns[name] = np.concatenate(chunks)
+    joined = []
+    for (_, _, kind), (_, by_level, chunks) in zip(fields, seen):
+        values = np.concatenate(chunks)
         chunks.clear()
-    for name, _, _, index, chunks in cats:
-        columns[name] = Encoded(frozen(np.concatenate(chunks)), tuple(index))
-        chunks.clear()
-    return Relation(schema, columns, row_id)
+        joined.append(values if kind != CATEGORICAL else Encoded(frozen(values), tuple(by_level)))
+    return n_rows, joined
 
 
-def _append_chunk(columns: list, n: int, first_row: int, cats: list, nums: list) -> None:
-    """Encode or parse the cells of one chunk of ``n`` rows, the first of
-    them row ``first_row``, and append the arrays to the columns'
-    accumulators (see :func:`load_csv`); ``columns`` holds each
-    categorical column's cells, then each numeric column's."""
-    for (_, _, seen, index, chunks), cells in zip(cats, columns):
-        chunks.append(encode_into(cells, seen, index, _level))
-    numeric = columns[len(cats):]
-    for (_, _, chunks), cells in zip(nums, numeric):
-        try:
-            values = np.fromiter(map(float, cells), np.float64, n)
-        except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all():
-            _raise_first_bad_cell(numeric, [name for name, *_ in nums], first_row)
-        chunks.append(values)
-
-
-def _chunks(fh, ncols: int, positions: list[int]):
+def _chunks(fh, ncols: int, positions: list[int], ragged: Callable | None):
     """The rows of ``fh`` after a header of ``ncols`` cells,
     :data:`CHUNK_ROWS` at a time (fewer in the last chunk): per chunk, its
     row count, the cells of its rows at each of ``positions`` (a list per
-    position; a row too short for one holds ``""`` there) and the error
-    that stopped the read early, if any (see :func:`_read_chunk`).
+    position; see :func:`read_columns` for a row of another width) and
+    the error that stopped the read early, if any (see :func:`_read_chunk`).
 
     A chunk is split by :func:`_split` while every chunk so far has passed
     its test.  The first that fails it, or that a read error cuts short,
@@ -394,6 +394,7 @@ def _chunks(fh, ncols: int, positions: list[int]):
     first line on, so a quoted field may span the lines of two chunks.
     """
     limit = csv.field_size_limit()
+    first = 0
     while True:
         lines: list = []
         try:
@@ -411,11 +412,16 @@ def _chunks(fh, ncols: int, positions: list[int]):
         del columns
         if n < CHUNK_ROWS:
             return
+        first += n
     del lines
     width = 1 + max(positions, default=-1)
     while True:
         rows, unread = _read_chunk(reader)
-        if min(map(len, rows), default=width) < width:
+        if ragged is not None:
+            for row, cells in enumerate(rows, first):
+                if len(cells) != ncols:
+                    raise ragged(row, len(cells))
+        elif min(map(len, rows), default=width) < width:
             rows = [r + [""] * (width - len(r)) for r in rows]
         n = len(rows)
         columns = [list(map(itemgetter(i), rows)) for i in positions]
@@ -424,6 +430,15 @@ def _chunks(fh, ncols: int, positions: list[int]):
         del columns
         if unread is not None or n < CHUNK_ROWS:
             return
+        first += n
+
+
+def csv_writer(fh):
+    """A ``csv.writer`` of ``\\n``-ended rows to ``fh`` that quotes a cell
+    holding ``\\r`` on every Python: before 3.13 a writer quotes only its
+    terminator's characters, so rows end in ``\\r\\n``, cut as written."""
+    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                      lineterminator="\r\n")
 
 
 def _raise_after(lines: list[str], exc: Exception):
@@ -457,7 +472,7 @@ def _read_chunk(reader) -> tuple[list, Exception | None]:
     """The next :data:`CHUNK_ROWS` rows of ``reader`` (fewer at the end),
     and the error that stopped the read early, if any: the rows before an
     unreadable one are parsed first, so a bad numeric cell in them is
-    reported as when the file was read row by row."""
+    reported before the read error."""
     rows: list = []
     try:
         rows.extend(islice(reader, CHUNK_ROWS))
@@ -471,19 +486,22 @@ def _level(raw: str) -> str:
     return raw.strip() or NULL_TOKEN
 
 
-def _raise_first_bad_cell(columns: list, names: list, first_row: int) -> None:
-    """Raise :class:`TypeParseError` for the first cell of the numeric
-    ``columns`` (lists of raw cells, the column ``names[j]`` at
-    ``columns[j]``), in row-major order, that does not parse as a finite
-    float; row 0 of the columns is row ``first_row``."""
+def _raise_first_bad_cell(fields: list, columns: list, first_row: int) -> None:
+    """Raise :class:`TypeParseError` for the first cell of the ``columns``
+    (lists of raw cells, the field ``fields[j]`` at ``columns[j]``), in
+    row-major order, that a numeric field does not parse as its kind asks
+    (see :func:`read_columns`); row 0 of the columns is row ``first_row``."""
     for row_id, row in enumerate(zip(*columns), first_row):
-        for name, raw in zip(names, row):
+        for (name, _, kind), raw in zip(fields, row):
+            if kind == CATEGORICAL:
+                continue
+            parse, dtype, expected = _PARSE[kind]
             try:
-                value = float(raw)
-            except ValueError:
-                raise TypeParseError(row_id, name, raw) from None
-            if not math.isfinite(value):
-                raise TypeParseError(row_id, name, raw)
+                value = dtype(parse(raw))
+            except (ValueError, OverflowError):
+                raise TypeParseError(row_id, name, raw, expected) from None
+            if kind == NUMERIC and not np.isfinite(value):
+                raise TypeParseError(row_id, name, raw, expected)
 
 
 def stratum_ids(

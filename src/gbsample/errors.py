@@ -214,13 +214,14 @@ class MissingColumn(GbsampleError):
 
 
 class TypeParseError(GbsampleError):
-    def __init__(self, row: int, column: str, value: str):
+    def __init__(self, row: int, column: str, value: str, expected: str = "a finite number"):
         super().__init__(
             f"row {row}: cannot parse {value!r} as a number for column {column!r}"
         )
         self.row = row
         self.column = column
         self.value = value
+        self.expected = expected
 
 
 class EmptyFile(GbsampleError):

@@ -69,7 +69,6 @@ catalog on the query's grouping (one catalog when the two are equal), and
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -86,6 +85,7 @@ from .dataset import (
     CATEGORICAL,
     GroupKey,
     Relation,
+    csv_writer,
     first_occurrence_ids,
     key_relation,
     stratum_ids,
@@ -578,7 +578,7 @@ def report_to_csv(report: EvaluationReport) -> str:
     """One row per group: key values, then exact, estimate, rel_error,
     predicted_cv (empty when absent or infinite) and missing (0/1)."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv_writer(out)
     writer.writerow(
         list(report.request.group_attrs)
         + ["exact", "estimate", "rel_error", "predicted_cv", "missing"]

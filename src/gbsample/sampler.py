@@ -27,11 +27,14 @@ access; the benchmark is their only reader.
 
 Sample file format (documented here; see also README): the first line is a
 JSON header with the schema, method tag, seed and per-stratum metadata;
-the remaining lines are CSV.  For stratified samples the CSV columns are
-``stratum,row_id,<schema columns>`` (stratum is the ordinal into the
-header's strata list); for Poisson samples they are
-``row_id,p,<schema columns>``.  Floats are written with 17 significant
-digits so round-trips are exact.
+the remaining lines are CSV, written by :func:`dataset.csv_writer` and
+read by :func:`dataset.read_columns`, the reader of :func:`dataset.load_csv`.
+For stratified samples the CSV columns are ``stratum,row_id,<schema
+columns>`` (stratum is the ordinal into the header's strata list); for
+Poisson samples they are ``row_id,p,<schema columns>``; the CSV header
+line must name exactly these.  Floats are written with 17 significant
+digits and a cell holding a carriage return is quoted, so round-trips are
+exact.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ from .dataset import (
     ColumnSchema,
     GroupKey,
     Relation,
-    encode,
+    csv_writer,
     frozen,
     key_relation,
+    read_columns,
 )
 from .errors import (
     COUNT,
@@ -69,6 +73,7 @@ from .errors import (
     PlanMismatch,
     RateOutOfRange,
     SchemaMismatch,
+    TypeParseError,
     expect,
     member,
     members,
@@ -396,6 +401,13 @@ def _cells(rel: Relation) -> list[list[str]]:
     ]
 
 
+#: per kind of sample file, the :func:`read_columns` fields of its leading columns
+_LEAD = {
+    "stratified": (("stratum", 0, int), ("row_id", 1, int)),
+    "poisson": (("row_id", 0, int), ("p", 1, float)),
+}
+
+
 def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
     if isinstance(sample, StratifiedSample):
         header = {
@@ -411,7 +423,6 @@ def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
                 )
             ],
         }
-        names = ["stratum", "row_id"]
         lead = [sample.row_strata.tolist(), sample.source_ids.tolist()]
     else:
         header = {
@@ -422,12 +433,11 @@ def save_sample(sample: StratifiedSample | PoissonSample, path) -> None:
             "expected_size": format(sample.expected_size, _FLOAT),
             "rows": sample.total_rows,
         }
-        names = ["row_id", "p"]
         rates = [format(pr, _FLOAT) for pr in sample.rates.tolist()]
         lead = [sample.source_ids.tolist(), rates]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names + [c.name for c in sample.schema])
+    writer = csv_writer(buf)
+    writer.writerow([name for name, *_ in _LEAD[header["kind"]]] + [c.name for c in sample.schema])
     writer.writerows(zip(*lead, *_cells(sample.columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(header) + "\n")
@@ -446,17 +456,19 @@ def _is_size(value) -> bool:
 def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
     """Load a sample file; returns a StratifiedSample or PoissonSample.
 
-    Raises CorruptSampleFile on a header that is not JSON, on malformed
-    or truncated rows and on a row whose group values differ from its
-    stratum's key, InvalidDocument naming the file and the field on a
-    header field of the wrong type (or a repeated column name or stratum
-    key), SchemaMismatch when ``expect_schema`` is given and differs
-    from the stored schema, and UnreadableFile on a file that cannot be
-    read as text (see :func:`errors.open_text`).
+    Raises CorruptSampleFile on a header that is not JSON, on a CSV header
+    line other than the columns of :data:`_LEAD` and the schema's, on
+    malformed or truncated rows and on a row whose group values differ
+    from its stratum's key, InvalidDocument naming the file and the field
+    on a header field of the wrong type (or a repeated column name or
+    stratum key), SchemaMismatch when ``expect_schema`` is given and
+    differs from the stored schema, and UnreadableFile on a file that
+    cannot be read as text (see :func:`errors.open_text`).  Categorical
+    cells are kept as written.
     """
     source = str(path)
     get = partial(member, source)
-    with open_text(path) as fh:
+    with open_text(path, newline="") as fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
@@ -473,47 +485,28 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
         expect(source, [c.name for c in schema], "schema", NAMES[0], "columns with distinct names")
         if expect_schema is not None and tuple(expect_schema) != schema:
             raise SchemaMismatch(f"{path}: stored schema differs from expected schema")
-        reader = csv.reader(fh)
+        fields = [*_LEAD[kind], *((c.name, j, c.kind) for j, c in enumerate(schema, 2))]
+        names = [name for name, *_ in fields]
+        found = next(csv.reader(fh), [])  # [] when the file ends at the JSON line
+        if found != names:
+            raise CorruptSampleFile(f"{path}: CSV header line is {found}, expected {names}")
+
+        def ragged(row: int, cells: int) -> CorruptSampleFile:
+            width = len(names)
+            return CorruptSampleFile(f"{path}: data row {row} has {cells} cells, expected {width}")
+
         try:
-            next(reader)  # CSV column header
-        except StopIteration:
-            raise CorruptSampleFile(f"{path}: missing CSV body") from None
-        rows = list(reader)
+            n_rows, (first, second, *columns) = read_columns(fh, len(names), fields, None, ragged)
+        except TypeParseError as exc:
+            raise CorruptSampleFile(
+                f"{path}: data row {exc.row}: {exc.column} is {exc.value!r}, not {exc.expected}"
+            ) from None
+    rows = Relation(schema, dict(zip(names[2:], columns)), n_rows)
     load = _load_stratified if kind == "stratified" else _load_poisson
-    try:
-        return load(header, schema, rows, source)
-    except ValueError as exc:
-        raise CorruptSampleFile(f"{path}: malformed row ({exc})") from None
+    return load(header, schema, first, second, rows, source)
 
 
-def _split_rows(schema, rows: list[list[str]], path) -> tuple[tuple, tuple, Relation]:
-    """The two leading CSV columns of ``rows`` as tuples of cells, and the
-    schema columns after them as a relation.  Every row must have one cell
-    per column and every numeric cell must parse as a finite number."""
-    width = 2 + len(schema)
-    for i, cells in enumerate(rows):
-        if len(cells) != width:
-            raise CorruptSampleFile(
-                f"{path}: data row {i} has {len(cells)} cells, expected {width}"
-            )
-    first, second, *cells = list(zip(*rows)) or [()] * width
-    columns: dict[str, object] = {}
-    for col, col_cells in zip(schema, cells):
-        if col.kind == CATEGORICAL:
-            columns[col.name] = encode(col_cells)
-            continue
-        values = np.array([float(c) for c in col_cells], dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise CorruptSampleFile(
-                f"{path}: data row {bad[0]}: {col.name} is {col_cells[bad[0]]!r}, "
-                "not a finite number"
-            )
-        columns[col.name] = values
-    return first, second, Relation(schema, columns, len(rows))
-
-
-def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
+def _load_stratified(header, schema, stratum, ids, columns, path: str) -> StratifiedSample:
     get = partial(member, path)
     categorical = {c.name for c in schema if c.kind == CATEGORICAL}
     attrs = (lambda v: NAMES[0](v) and set(v) <= categorical, "distinct categorical columns")
@@ -523,13 +516,11 @@ def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
     # a negative n is below any sample size: the population check names it
     n = members(path, strata, "strata", "n", *INTEGER)
     size = members(path, strata, "strata", "s", *COUNT)
-    ordinals, row_ids, columns = _split_rows(schema, rows, path)
-    stratum = np.array([int(c) for c in ordinals], dtype=np.int64)
     outside = np.flatnonzero((stratum < 0) | (stratum >= len(keys)))
     if len(outside):
         i = outside[0]
         raise CorruptSampleFile(
-            f"{path}: data row {i} names stratum {ordinals[i]}, "
+            f"{path}: data row {i} names stratum {stratum[i]}, "
             f"outside [0, {len(keys)})"
         )
     held = np.bincount(stratum, minlength=len(keys)).tolist()
@@ -547,7 +538,6 @@ def _load_stratified(header, schema, rows, path: str) -> StratifiedSample:
     _check_row_keys(group_attrs, keys, stratum, columns, path)
     # stratum after stratum, file order within each
     order = np.argsort(stratum, kind="stable")
-    ids = np.array([int(c) for c in row_ids], dtype=np.int64)
     return StratifiedSample(
         schema,
         group_attrs,
@@ -578,27 +568,19 @@ def _check_row_keys(group_attrs, keys, stratum, columns: Relation, path: str) ->
             )
 
 
-def _load_poisson(header, schema, rows, path: str) -> PoissonSample:
+def _load_poisson(header, schema, row_ids, p, columns, path: str) -> PoissonSample:
     get = partial(member, path, header, "")
     expected_size = float(get("expected_size", _is_size, "a non-negative number as a string"))
-    declared = get("rows", *COUNT, default=len(rows))
-    row_ids, rates, columns = _split_rows(schema, rows, path)
-    p = np.array([float(c) for c in rates], dtype=np.float64)
+    declared = get("rows", *COUNT, default=None)
     outside = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))  # NaN is outside too
     if len(outside):
         i = outside[0]
         raise CorruptSampleFile(
-            f"{path}: row {row_ids[i]} has inclusion probability {rates[i]}, "
+            f"{path}: row {row_ids[i]} has inclusion probability {p[i]}, "
             "outside (0, 1]"
         )
-    if len(rows) != declared:
+    if declared is not None and len(columns) != declared:
         raise CorruptSampleFile(
-            f"{path}: {len(rows)} rows read, header declares {declared}"
+            f"{path}: {len(columns)} rows read, header declares {declared}"
         )
-    return PoissonSample(
-        header["seed"],
-        expected_size,
-        columns,
-        [int(c) for c in row_ids],
-        p,
-    )
+    return PoissonSample(header["seed"], expected_size, columns, row_ids, p)

@@ -14,7 +14,9 @@ own loop, and :func:`l2_sizes` the integer l2 allocation by a search for
 mu that runs to float resolution from the largest cost, with :func:`shed`
 taking a floor per stratum.
 :func:`load_csv` is the row-at-a-time loader the package's chunked one
-replaced, kept verbatim as the oracle of its relations and errors.
+replaced, kept verbatim as the oracle of its relations and errors, and
+:func:`load_sample` the row-at-a-time sample reader, the oracle of the
+samples' round trip.
 :func:`first_occurrence_ids` and :func:`segments` are the stratum kernels
 by ``np.unique`` and by a stable argsort of ``intp`` ids.
 :func:`estimate` and :func:`exact_answer` order and gather the groups of
@@ -28,8 +30,10 @@ from __future__ import annotations
 
 import csv
 import heapq
+import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,18 +50,25 @@ from gbsample.alloc import (
 )
 from gbsample.dataset import (
     CATEGORICAL,
+    COLUMN_KINDS,
     NULL_TOKEN,
     NUMERIC,
     ColumnSchema,
     Encoded,
     GroupKey,
     Relation,
+    encode,
     frozen,
 )
 from gbsample.errors import (
     COUNT,
     INTEGER,
+    LIST,
+    NAMES,
+    SEED,
+    STRING,
     STRINGS,
+    CorruptSampleFile,
     EmptyFile,
     InvalidDocument,
     MissingColumn,
@@ -67,11 +78,20 @@ from gbsample.errors import (
     ZeroMeanCoarseGroup,
     ZeroMeanGroup,
     ZeroMeanStratum,
+    expect,
     member,
+    members,
     open_text,
+    stratum_keys,
 )
 from gbsample.query import AVG, Answer, QueryRequest, _group_by, _inputs
-from gbsample.sampler import PoissonSample, StratifiedSample, draw_stratified
+from gbsample.sampler import (
+    PoissonSample,
+    StratifiedSample,
+    _check_row_keys,
+    _is_size,
+    draw_stratified,
+)
 from gbsample.stats import StatsCatalog, compute_catalog
 from gbsample.stream import StreamState, offline_plan
 from gbsample.workload import QuerySpec
@@ -354,6 +374,146 @@ def poisson_lists(sample: PoissonSample) -> tuple[list, list, list]:
     lists, from its arrays ``source_ids``, ``columns`` and ``rates``."""
     rows = sample.columns.records(np.arange(sample.total_rows))
     return sample.source_ids.tolist(), rows, sample.rates.tolist()
+
+
+def load_sample(path):
+    """:func:`gbsample.sampler.load_sample` as it was before it read its
+    body by :func:`gbsample.dataset.read_columns`: every row of the CSV
+    body as one list of cells (``list(csv.reader)``), checked for width
+    row by row, then every cell parsed by its own ``float`` or ``int``
+    call.  It opens the file with ``newline=""``, so that a quoted
+    carriage return stays in its cell, and skips the CSV header line
+    unread.  The oracle of the sample files' round trip and of the class
+    of the error a corrupted file raises."""
+    source = str(path)
+    get = partial(member, source)
+    with open_text(path, newline="") as fh:
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise CorruptSampleFile(f"{path}: bad header ({exc})") from None
+        kinds = (lambda v: v in ("stratified", "poisson"), "'stratified' or 'poisson'")
+        kind = get(header, "", "kind", *kinds)
+        get(header, "", "method", *STRING)  # both kinds carry these two
+        get(header, "", "seed", *SEED)
+        schema = tuple(
+            ColumnSchema(get(c, f"schema[{i}]", "name", *STRING),
+                         get(c, f"schema[{i}]", "kind", *COLUMN_KINDS))
+            for i, c in enumerate(get(header, "", "schema", *LIST))
+        )
+        expect(source, [c.name for c in schema], "schema", NAMES[0], "columns with distinct names")
+        reader = csv.reader(fh)
+        try:
+            next(reader)  # CSV column header
+        except StopIteration:
+            raise CorruptSampleFile(f"{path}: missing CSV body") from None
+        rows = list(reader)
+    load = _stratified_sample if kind == "stratified" else _poisson_sample
+    try:
+        return load(header, schema, rows, source)
+    except ValueError as exc:
+        raise CorruptSampleFile(f"{path}: malformed row ({exc})") from None
+
+
+def _sample_rows(schema, rows: list[list[str]], path) -> tuple[tuple, tuple, Relation]:
+    """The two leading CSV columns of ``rows`` as tuples of cells, and the
+    schema columns after them as a relation.  Every row must have one cell
+    per column and every numeric cell must parse as a finite number."""
+    width = 2 + len(schema)
+    for i, cells in enumerate(rows):
+        if len(cells) != width:
+            raise CorruptSampleFile(
+                f"{path}: data row {i} has {len(cells)} cells, expected {width}"
+            )
+    first, second, *cells = list(zip(*rows)) or [()] * width
+    columns: dict[str, object] = {}
+    for col, col_cells in zip(schema, cells):
+        if col.kind == CATEGORICAL:
+            columns[col.name] = encode(col_cells)
+            continue
+        values = np.array([float(c) for c in col_cells], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise CorruptSampleFile(
+                f"{path}: data row {bad[0]}: {col.name} is {col_cells[bad[0]]!r}, "
+                "not a finite number"
+            )
+        columns[col.name] = values
+    return first, second, Relation(schema, columns, len(rows))
+
+
+def _stratified_sample(header, schema, rows, path: str) -> StratifiedSample:
+    get = partial(member, path)
+    categorical = {c.name for c in schema if c.kind == CATEGORICAL}
+    attrs = (lambda v: NAMES[0](v) and set(v) <= categorical, "distinct categorical columns")
+    group_attrs = tuple(get(header, "", "group_attrs", *attrs))
+    strata = get(header, "", "strata", *LIST)
+    keys = stratum_keys(path, strata, [len(group_attrs)] * len(strata))
+    # a negative n is below any sample size: the population check names it
+    n = members(path, strata, "strata", "n", *INTEGER)
+    size = members(path, strata, "strata", "s", *COUNT)
+    ordinals, row_ids, columns = _sample_rows(schema, rows, path)
+    stratum = np.array([int(c) for c in ordinals], dtype=np.int64)
+    outside = np.flatnonzero((stratum < 0) | (stratum >= len(keys)))
+    if len(outside):
+        i = outside[0]
+        raise CorruptSampleFile(
+            f"{path}: data row {i} names stratum {ordinals[i]}, "
+            f"outside [0, {len(keys)})"
+        )
+    held = np.bincount(stratum, minlength=len(keys)).tolist()
+    for values, h, pop, s in zip(keys, held, n, size):
+        if h != s:
+            raise CorruptSampleFile(
+                f"{path}: stratum {GroupKey(group_attrs, values)} has {h} rows, "
+                f"header declares {s}"
+            )
+        if pop < s:
+            raise CorruptSampleFile(
+                f"{path}: stratum {GroupKey(group_attrs, values)} samples {s} rows "
+                f"of a population of {pop}"
+            )
+    _check_row_keys(group_attrs, keys, stratum, columns, path)
+    # stratum after stratum, file order within each
+    order = np.argsort(stratum, kind="stable")
+    ids = np.array([int(c) for c in row_ids], dtype=np.int64)
+    return StratifiedSample(
+        schema,
+        group_attrs,
+        header["method"],
+        header["seed"],
+        keys,
+        n,
+        size,
+        columns.take(order),
+        ids[order],
+    )
+
+
+def _poisson_sample(header, schema, rows, path: str) -> PoissonSample:
+    get = partial(member, path, header, "")
+    expected_size = float(get("expected_size", _is_size, "a non-negative number as a string"))
+    declared = get("rows", *COUNT, default=len(rows))
+    row_ids, rates, columns = _sample_rows(schema, rows, path)
+    p = np.array([float(c) for c in rates], dtype=np.float64)
+    outside = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))  # NaN is outside too
+    if len(outside):
+        i = outside[0]
+        raise CorruptSampleFile(
+            f"{path}: row {row_ids[i]} has inclusion probability {rates[i]}, "
+            "outside (0, 1]"
+        )
+    if len(rows) != declared:
+        raise CorruptSampleFile(
+            f"{path}: {len(rows)} rows read, header declares {declared}"
+        )
+    return PoissonSample(
+        header["seed"],
+        expected_size,
+        columns,
+        [int(c) for c in row_ids],
+        p,
+    )
 
 
 def aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> list[tuple]:

@@ -79,6 +79,37 @@ def test_full_pipeline_composes(tmp_path, fix_a_csv):
     assert (out / "report.csv").exists()
 
 
+#: keys with a line end or a quote in them, which every file of the
+#: pipeline must keep whole
+LINE_END_KEYS = ("a\r\nb", "a\rb", "a\nb", 'say "hi"')
+
+
+@pytest.mark.parametrize("method", ["cvopt-l2", "cvopt-individual"])
+def test_keys_with_line_ends_run_the_whole_pipeline(tmp_path, method):
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(["grp", "v"])
+        for i, key in enumerate(LINE_END_KEYS):
+            writer.writerows((key, 1.0 + i + r) for r in range(3))
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}))
+    fields = {"method": method, "query": str(query)}
+    if method == "cvopt-individual":
+        fields["workload"] = str(tmp_path / "workload.json")
+        (tmp_path / "workload.json").write_text(
+            json.dumps([{"group_by": ["grp"], "aggregates": ["v"]}])
+        )
+    cfg = _write_config(tmp_path, data, **fields)
+    for command in ("stats", "plan", "sample", "query", "evaluate"):
+        assert _run(command, "--config", str(cfg)) == 0, command
+    out = tmp_path / "out"
+    estimates = json.loads((out / "estimates.json").read_text(encoding="utf-8"))["estimates"]
+    assert [tuple(e["key"]) for e in estimates] == [(key,) for key in LINE_END_KEYS]
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == list(LINE_END_KEYS)
+
+
 def test_end_to_end_determinism(tmp_path, fix_a_csv):
     query_path = tmp_path / "query.json"
     query_path.write_text(

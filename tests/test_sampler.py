@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 import reference
 from gbsample.alloc import plan_l2
 from gbsample.baselines import alloc_senate
-from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
+from gbsample.dataset import (
+    CATEGORICAL,
+    CHUNK_ROWS,
+    NULL_TOKEN,
+    NUMERIC,
+    ColumnSchema,
+    GroupKey,
+    Relation,
+)
 from gbsample.errors import (
     CorruptSampleFile,
     InvalidArgument,
@@ -388,6 +396,120 @@ def test_load_rejects_a_population_below_the_sample_size(tmp_path):
             load_sample(path)
     _write_body(path, header.replace('"n": 4, "s": 2}', '"n": 2, "s": 2}', 1), names, rows)
     assert load_sample(path).n.tolist() == [2, 4]
+
+
+def test_load_rejects_a_csv_header_line_other_than_the_columns(tmp_path):
+    _, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    assert names == "stratum,row_id,g,v"
+    for bad in ("stratum,row_id,g,w", "row_id,stratum,g,v", "stratum,row_id,g", "row_id,p,g,v"):
+        _write_body(path, header, bad, rows)
+        with pytest.raises(CorruptSampleFile, match="CSV header") as err:
+            load_sample(path)
+        assert str(path) in str(err.value)
+
+
+def test_load_rejects_a_poisson_file_without_its_csv_header_line(tmp_path):
+    """Without the line, and without a ``rows`` field to count against, the
+    first data row must not be taken for the header and skipped."""
+    rel = _simple_rel([("a", [1.5, 2.5]), ("b", [4.5])])
+    path = tmp_path / "poisson.txt"
+    save_sample(draw_poisson(rel, np.ones(3), seed=2), path)
+    header, names, rows = _body(path)
+    doc = json.loads(header)
+    del doc["rows"]
+    _write_body(path, json.dumps(doc), names, rows)
+    assert load_sample(path).total_rows == 3
+    first, *rest = rows
+    _write_body(path, json.dumps(doc), ",".join(first), rest)
+    with pytest.raises(CorruptSampleFile, match="CSV header") as err:
+        load_sample(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_ordinals_and_row_ids_that_are_not_int64(tmp_path):
+    _, path = _two_strata_file(tmp_path)
+    header, names, rows = _body(path)
+    for at, cell in ((0, "1e3"), (0, "99999999999999999999"), (1, "2.0"), (1, "")):
+        cells = ",".join(rows[2]).split(",")
+        cells[at] = cell
+        _write_body(path, header, names, rows[:2] + [cells] + rows[3:])
+        with pytest.raises(CorruptSampleFile, match="data row 2: .* not a 64-bit integer"):
+            load_sample(path)
+
+
+#: a key's characters in the round trip: the CSV delimiter and quote, the
+#: separator of stream keys, non-ASCII text, both line-end characters
+#: (so every line end, CR, LF and CRLF, in and between cells) and padding
+_ODD_CHARS = [",", '"', "|", "é", "東", "\r", "\n", " ", "a"]
+_ODD_KEY = st.one_of(st.text(st.sampled_from(_ODD_CHARS), max_size=4), st.just(NULL_TOKEN))
+#: rows of the plain key the round trip's files start with: more than a
+#: chunk, so the first chunk is split and the next, which holds the odd
+#: keys, is read by ``csv.reader``
+_PLAIN_ROWS = CHUNK_ROWS + 76
+
+
+def _error(load, path):
+    """The class of the error ``load(path)`` raises, None if it loads."""
+    try:
+        load(path)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+def _corrupt(path, at, edit, rng):
+    """Edit data row ``at`` of the sample file at ``path``, one of the plain
+    rows the file starts with: drop or add a cell, write ``nan`` in the
+    numeric cell, or write a number that is not an integer in the first
+    column."""
+    head, names, *lines = path.read_bytes().split(b"\n", _PLAIN_ROWS + 2)
+    cells = lines[at].split(b",")
+    if edit == "ragged":
+        cells = cells[:-1] if rng.random() < 0.5 else cells + [b"x"]
+    elif edit == "nan":
+        cells[-1] = b"nan"
+    else:
+        cells[0] = rng.choice([b"1e3", b"0.5", b"x", b""])
+    lines[at] = b",".join(cells)
+    path.write_bytes(b"\n".join([head, names, *lines]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    odd=st.lists(st.tuples(_ODD_KEY, _ODD_KEY), min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+    at=st.integers(0, _PLAIN_ROWS - 1),
+    edit=st.sampled_from(["ragged", "nan", "ordinal"]),
+)
+def test_samples_round_trip_keys_with_quotes_and_line_ends(tmp_path_factory, odd, seed, at, edit):
+    """Stratified and Poisson samples whose keys hold any of
+    :data:`_ODD_CHARS` or the null token read back as written, and as the
+    row-at-a-time reader reads them, across the split and the
+    ``csv.reader`` routes; a corrupted row raises the reader's error
+    class."""
+    rng = np.random.default_rng(seed)
+    odd = [('a\rb', 'say "hi"'), *odd]
+    g = ["plain"] * _PLAIN_ROWS + [key for key, _ in odd]
+    h = ["h"] * _PLAIN_ROWS + [key for _, key in odd]
+    rel = Relation(KEYED_SCHEMA, {"g": g, "h": h, "v": rng.normal(size=len(g))})
+    plan = alloc_senate(compute_catalog(rel, ["g"], ["v"]), len(g))
+    counts = np.bincount(rel.strata(["g"]).ids)
+    plan.sizes[:] = [_PLAIN_ROWS, *(rng.integers(0, n + 1) for n in counts[1:])]
+    p = np.concatenate([np.ones(_PLAIN_ROWS), rng.choice([0.3, 1.0], size=len(odd))])
+    path = tmp_path_factory.mktemp("round_trip") / "sample.txt"
+    for sample, lists in (
+        (draw_stratified(rel, plan, seed), reference.stratum_lists),
+        (draw_poisson(rel, p, seed), reference.poisson_lists),
+    ):
+        save_sample(sample, path)
+        chunk = path.read_bytes().split(b"\n")[2 : CHUNK_ROWS + 2]  # the body's first chunk
+        assert not any(b'"' in line or b"\r" in line for line in chunk)
+        back = load_sample(path)
+        assert lists(back) == lists(sample) == lists(reference.load_sample(path))
+        assert back.schema == sample.schema and back.seed == sample.seed
+        _corrupt(path, at, edit, rng)
+        assert _error(load_sample, path) is _error(reference.load_sample, path) is not None
 
 
 # ---------------------------------------------------------------------------
