@@ -15,6 +15,7 @@ pass/fail condition, it just makes the gap visible.
 import argparse
 import sys
 
+from gbsample.alloc import cv2_costs, l2_objective
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
 from gbsample.stats import compute_catalog
 from gbsample.stream import ingest_batch, make_state, offline_plan
@@ -25,17 +26,8 @@ SCHEMA = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
 def objective_of_sizes(rel, group_attrs, column, sizes) -> float:
     """F = sum cv_i^2 / s_i from the exact statistics of the data so far."""
     catalog = compute_catalog(rel, group_attrs, [column])
-    total = 0.0
-    strata = zip(catalog.keys, catalog.mean[column].tolist(), catalog.std[column].tolist())
-    for values, mean, std in strata:
-        s = sizes.get(values[0], 0)
-        cv = std / abs(mean) if mean else 0.0
-        if cv == 0.0:
-            continue
-        if s == 0:
-            return float("inf")
-        total += cv * cv / s
-    return total
+    costs, _ = cv2_costs(catalog, [column])
+    return l2_objective(costs, [sizes.get(values[0], 0) for values in catalog.keys])
 
 
 def main(argv=None) -> int:

@@ -315,18 +315,22 @@ class AllocationPlan:
         return l2_objective(self.costs, self.sizes)
 
 
+def ordered_sum(terms) -> float:
+    """The terms added strictly left to right to 0.0, as a loop adds them on
+    every Python (builtin sum compensates from 3.12, numpy's sum is pairwise)."""
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        return float(np.add.accumulate(np.append(0.0, terms))[-1])
+
+
 def l2_objective(costs: np.ndarray | None, sizes: np.ndarray) -> float:
-    """sum(c_i / s_i); infinite if any stratum with positive cost has no rows."""
+    """sum(c_i / s_i) in stratum order; infinite if a stratum with positive cost has no rows."""
     if costs is None:
         return math.nan
-    total = 0.0
-    for c, s in zip(np.asarray(costs, dtype=float), np.asarray(sizes, dtype=float)):
-        if s <= 0:
-            if c > 0:
-                return math.inf
-            continue
-        total += c / s
-    return total
+    costs, sizes = np.asarray(costs, dtype=float), np.asarray(sizes, dtype=float)
+    empty = sizes <= 0
+    if (costs[empty] > 0).any():
+        return math.inf
+    return ordered_sum(np.divide(costs, sizes, out=np.zeros(len(costs)), where=~empty))
 
 
 def resolve_caps(

@@ -85,10 +85,11 @@ def _field(default, check: tuple, flag_type=None):
     return field(**{kind: default}, metadata={"check": check, "type": flag_type})
 
 
-#: the checks of a method and of a list of distinct methods
+#: the checks of a method and of a list of distinct methods but cvopt-individual
 _METHOD = one_of(ALL_METHODS)
-_METHODS = (lambda v: NAMES[0](v) and all(map(_METHOD[0], v)),
-            f"{NAMES[1]}, each {_METHOD[1]}")
+_STRATIFIED = one_of(tuple(m for m in ALL_METHODS if m != "cvopt-individual"))
+_METHODS = (lambda v: NAMES[0](v) and all(map(_STRATIFIED[0], v)),
+            f"{NAMES[1]}, each {_STRATIFIED[1]}")
 
 
 @dataclass
@@ -282,9 +283,7 @@ def _allocate(method: str, cfg: RunConfig, catalog, queries, budget, weights):
             return alloc.plan_l2(catalog, queries[0].columns, budget, weights, cfg.zero_mean)
         fs = alloc.finest_from_catalog(catalog, queries)
         return alloc.plan_multi_groupby(fs, budget, weights, cfg.zero_mean)
-    if method in baselines.ALLOCATORS:
-        return baselines.ALLOCATORS[method](catalog, budget)
-    raise UsageError(f"no stratified plan for method {method!r}")
+    return baselines.ALLOCATORS[method](catalog, budget)
 
 
 def _check_catalog(cfg: RunConfig, catalog, path: str, queries) -> None:
@@ -435,8 +434,8 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
 
 
 def cmd_stream(cfg: RunConfig) -> int:
-    """Replay a CSV in row order through the streaming sampler, emitting
-    one JSON line of metrics per mini-batch; a rejected batch writes none."""
+    """Replay a CSV in row order, decoding one mini-batch at a time, through the
+    streaming sampler; one JSON line of metrics per batch, none for a rejected one."""
     seed = cfg.need("seed")
     rel = _load_relation(cfg)
     if not cfg.group_by or not cfg.aggregates:
@@ -447,9 +446,8 @@ def cmd_stream(cfg: RunConfig) -> int:
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            records = rel.records(np.arange(rel.n_rows))
-            for b, start in enumerate(range(0, len(records), cfg.batch_size)):
-                batch = records[start : start + cfg.batch_size]
+            for b, start in enumerate(range(0, rel.n_rows, cfg.batch_size)):
+                batch = rel.records(np.arange(start, min(start + cfg.batch_size, rel.n_rows)))
                 stream.ingest_batch(state, batch, batch_seed(seed, b))
                 strata = zip(state.ids, state.sizes().tolist())
                 sizes = [{"key": list(k), "size": size} for k, size in strata]

@@ -80,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloc import json_float, predicted_group_cvs
+from .alloc import json_float, ordered_sum, predicted_group_cvs
 from .dataset import (
     CATEGORICAL,
     GroupKey,
@@ -517,7 +517,7 @@ def evaluate(
         warnings.append("NoScoredGroups: nothing to evaluate")
 
     cvs = [c for c in predicted.values() if c is not None and math.isfinite(c)]
-    cv_l2 = math.sqrt(sum(c * c for c in cvs)) if cvs else None
+    cv_l2 = math.sqrt(ordered_sum([c * c for c in cvs])) if cvs else None
     cv_linf = max(cvs) if cvs else None
     return EvaluationReport(
         request, scores, summary, cv_l2, cv_linf, missing_count, warnings

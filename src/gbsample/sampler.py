@@ -110,6 +110,8 @@ def substream_states(seed: int, indices) -> np.ndarray:
     so SeedSequence's hash constants are too, and each step of its
     algorithm runs once over all indices; uint32 array arithmetic wraps
     as its C code does."""
+    if seed < 0:  # its words would never end
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
     index = np.asarray(indices, dtype=np.int64)
     if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
         raise InvalidArgument("substream indices must lie in [0, 2**32)")

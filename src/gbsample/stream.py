@@ -7,12 +7,12 @@ eviction).  A new row enters its stratum's sample iff its key is at most
 d_i, which keeps every retained set an exact bottom-k by key, hence a
 uniform without-replacement subset of the stratum so far.
 
-After each batch the total may exceed the budget M.  The settle step
-scores every stratum with f(i)^2 from the current online statistics (f is
-the square root of the squared CVs summed over the configured columns, as
-in the offline allocators) and gives the strata that hold rows the sizes
-of :func:`alloc.l2_sizes`, the planners' exact integer allocator, with
-their held rows as caps: the exact minimum of the objective
+Each batch scores every stratum with f(i)^2, kept as ``f2``: the squared
+CVs of its online statistics summed over the configured columns, floored
+as the offline costs are.  The total may then exceed the budget M; the
+settle step gives the strata that hold rows the sizes of
+:func:`alloc.l2_sizes`, the planners' exact integer allocator, with their
+held rows as caps: the exact minimum of the objective
 
     F = sum_i f(i)^2 / s_i
 
@@ -51,7 +51,7 @@ from .alloc import (
     l2_sizes,
     solve_fractional,
 )
-from .dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation
+from .dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation, encode_into
 from .errors import FloatOverflow, SchemaMismatch, UnknownAttribute, UnknownColumn
 from .sampler import StratifiedSample
 from .stats import compute_catalog, std_of
@@ -75,8 +75,9 @@ class SettleReport:
 @dataclass
 class StreamState:
     """Stratum k has the group values that ``ids`` maps to k, ``n_seen[k]``
-    arrivals, threshold ``d[k]`` and, per column c of ``columns``, moments
-    ``mean[c][k]`` and ``m2[c][k]``; ``retained`` holds the kept rows."""
+    arrivals, threshold ``d[k]``, per column c of ``columns`` moments
+    ``mean[c][k]`` and ``m2[c][k]``, and the score ``f2[k]`` those moments
+    give; ``retained`` holds the kept rows."""
 
     schema: tuple[ColumnSchema, ...]
     group_attrs: tuple[str, ...]
@@ -87,6 +88,7 @@ class StreamState:
     ids: dict[tuple, int] = field(default_factory=dict)
     n_seen: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     d: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    f2: np.ndarray = field(default_factory=lambda: np.zeros(0))
     retained: np.ndarray = field(default_factory=lambda: np.zeros(0, RETAINED))
     arrivals: int = 0
     last_settle: SettleReport | None = None
@@ -99,17 +101,9 @@ class StreamState:
         """Retained rows per stratum."""
         return np.bincount(self.retained["stratum"], minlength=len(self.ids))
 
-    def scores(self) -> np.ndarray:
-        """Per-stratum f(i)^2 from the current online moments.
-
-        Zero-variance or zero-mean strata score 0 and are floored to a
-        vanishing positive value, mirroring the offline cost floor.
-        """
-        return floor_zero_costs(_squared_cvs(self, self.n_seen, self.mean, self.m2))
-
     def objective_value(self) -> float:
         """F = sum f(i)^2 / s_i over retained strata (inf on an empty one)."""
-        return l2_objective(self.scores(), self.sizes())
+        return l2_objective(self.f2, self.sizes())
 
     def snapshot(self) -> StratifiedSample:
         """Read-only view of the current sample for querying."""
@@ -224,22 +218,22 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
         raise SchemaMismatch("non-finite value in an aggregation column")
     n = len(batch)
     group_pos = [at[a] for a in state.group_attrs]
-    group_values = zip(*(columns[i] for i in group_pos)) if group_pos else [()] * n
+    group_values = list(zip(*(columns[i] for i in group_pos))) if group_pos else [()] * n
     ids, known = state.ids, len(state.n_seen)  # value tuple -> id, in first-arrival order
     try:
         try:
-            sid = np.fromiter((ids.setdefault(v, len(ids)) for v in group_values), np.int64, n)
+            sid = encode_into(group_values, ids, ids)
         except TypeError:
             raise SchemaMismatch("unhashable value in a grouping column") from None
         n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
         if not np.isfinite([*mean.values(), *m2.values()]).all():
             raise SchemaMismatch("aggregation values overflow their stratum's moments")
-        _squared_cvs(state, n_seen, mean, m2)
+        f2 = floor_zero_costs(_squared_cvs(state, n_seen, mean, m2))
     except (SchemaMismatch, FloatOverflow):
         state.ids = dict(list(ids.items())[:known])  # forget the batch's new strata
         raise
     state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
-    state.n_seen, state.mean, state.m2 = n_seen, mean, m2
+    state.n_seen, state.mean, state.m2, state.f2 = n_seen, mean, m2, f2
 
     keys = batch_keys(seed, n)
     offered = np.flatnonzero(keys <= state.d[sid])
@@ -267,7 +261,7 @@ def settle_budget(state: StreamState) -> StreamState:
     if beta <= 0:
         state.last_settle = SettleReport(0, evicted, np.zeros(0), np.zeros(0), 0.0)
         return state
-    f2 = state.scores()
+    f2 = state.f2
     shares = solve_fractional(f2, state.budget)
     before = state.sizes()
     held = np.flatnonzero(before)
@@ -296,7 +290,7 @@ def offline_plan(
     budget: int,
 ) -> AllocationPlan:
     """The offline allocation the streaming sampler converges to; as in
-    :meth:`StreamState.scores`, a zero-mean column adds nothing."""
+    :attr:`StreamState.f2`, a zero-mean column adds nothing."""
     catalog = compute_catalog(rel, group_attrs, columns)
     costs, _ = cv2_costs(catalog, columns)
     strata = np.arange(len(catalog))

@@ -12,7 +12,8 @@ one-group form of :func:`gbsample.alloc.predicted_group_cvs`.
 :func:`senate_shares` computes the senate baseline's equal split by its
 own loop, and :func:`l2_sizes` the integer l2 allocation by a search for
 mu that runs to float resolution from the largest cost, with :func:`shed`
-taking a floor per stratum.
+taking a floor per stratum.  :func:`l2_objective` adds the l2 objective's
+terms by a loop, the oracle of the package's in-order fold.
 :func:`load_csv` is the row-at-a-time loader the package's chunked one
 replaced, kept verbatim as the oracle of its relations and errors, and
 :func:`load_sample` the row-at-a-time sample reader, the oracle of the
@@ -722,6 +723,21 @@ def l2_loss(costs: np.ndarray) -> Callable[[int, int], float]:
         return c[i] * (1.0 / (s - 1) - 1.0 / s) if s > 1 else math.inf
 
     return loss
+
+
+def l2_objective(costs: np.ndarray | None, sizes: np.ndarray) -> float:
+    """sum(c_i / s_i) by a loop over the strata; infinite if any stratum
+    with positive cost has no rows."""
+    if costs is None:
+        return math.nan
+    total = 0.0
+    for c, s in zip(np.asarray(costs, dtype=float), np.asarray(sizes, dtype=float)):
+        if s <= 0:
+            if c > 0:
+                return math.inf
+            continue
+        total += c / s
+    return total
 
 
 def largest_above(total: Callable[[float], float], target: float, hi: float) -> float:

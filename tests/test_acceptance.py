@@ -441,7 +441,7 @@ def test_criterion_7_eviction_optimality():
         state = make_state(schema, ("g",), ("v",), len(rows))
         ingest_batch(state, rows, seed=trial)
         state.budget = budget
-        state.scores = lambda f2=f2: f2  # type: ignore
+        state.f2 = f2
         keys = range(k)
 
         before = state.sizes().tolist()

@@ -297,6 +297,31 @@ def test_l2_sizes_ends_where_the_search_reaches_the_float_floor():
         assert l2_objective(costs, sizes) == pytest.approx(best, rel=1e-12)
 
 
+#: (cost, size) pairs of an l2 objective: zero and infinite costs, empty,
+#: negative and fractional sizes
+OBJECTIVE_TERMS = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 1e300)),
+        st.one_of(st.integers(-2, 50), st.floats(0.25, 1e3)),
+    ),
+    max_size=40,
+)
+
+
+@given(OBJECTIVE_TERMS)
+@example([])
+@example([(0.0, 0), (2.0, 3)])  # no cost and no rows: adds nothing
+@example([(2.0, 3), (1.0, 0)])  # a cost and no rows: inf
+@example([(math.inf, 2), (1.0, 4)])
+@example([(1.0, 1)] + [(1e-16, 1)] * 10)  # in order 1.0; compensated, more
+def test_l2_objective_equals_the_loop_bit_for_bit(terms):
+    costs = np.array([c for c, _ in terms], dtype=float)
+    sizes = np.array([s for _, s in terms], dtype=float)
+    ours, loop = l2_objective(costs, sizes), reference.l2_objective(costs, sizes)
+    assert np.float64(ours).tobytes() == np.float64(loop).tobytes()
+    assert math.isnan(l2_objective(None, sizes))
+
+
 def test_round_already_integral():
     sizes, w = _l2_sizes([6.0, 2.0], [1000, 1000], 8)
     assert sizes.tolist() == [6, 2]

@@ -259,6 +259,19 @@ def test_compare_table(tmp_path, fix_a_csv):
         ]
 
 
+def test_compare_refuses_cvopt_individual_in_either_place(tmp_path, fix_a_csv, capsys):
+    methods = ["cvopt-l2", "cvopt-individual"]
+    cfg = _write_config(tmp_path, fix_a_csv, methods=methods)
+    assert _run("compare", "--config", str(cfg)) == 1
+    assert f"error: {cfg}: methods: expected" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, fix_a_csv)
+    assert _run("compare", "--config", str(cfg), "--methods", ",".join(methods)) == 1
+    err = capsys.readouterr().err
+    assert "error: command line: --methods: expected" in err
+    assert err.endswith(f", got {methods}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_stream_sim_emits_jsonl(tmp_path, fix_a_csv):
     cfg = _write_config(tmp_path, fix_a_csv, budget=6, batch_size=4)
     assert _run("stream-sim", "--config", str(cfg)) == 0

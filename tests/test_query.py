@@ -297,6 +297,23 @@ def test_evaluate_cv_norms_relative_spread_pair():
     assert report.cv_l2 == pytest.approx(math.hypot(0.01, 0.1), rel=1e-12)
 
 
+def test_evaluate_cv_l2_adds_the_squares_in_order(monkeypatch):
+    # 1.0 and then ten squares of 1e-16, each below half an ulp of 1.0: in
+    # order they vanish, while a compensated sum (Python 3.12's builtin sum,
+    # or fsum) keeps them
+    rel = Relation.from_records(
+        (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC)),
+        [(f"g{i}", float(i + 1)) for i in range(11)],
+    )
+    cvs = [1.0] + [1e-8] * 10
+    monkeypatch.setattr(
+        "gbsample.query._predicted_cvs", lambda *_: {(f"g{i}",): c for i, c in enumerate(cvs)}
+    )
+    report = evaluate(rel, _full_sample(rel, ["g"]), QueryRequest(("g",), AVG, "v"))
+    assert report.cv_l2 == math.sqrt(_ordered_sum(c * c for c in cvs)) == 1.0
+    assert math.sqrt(math.fsum(c * c for c in cvs)) > 1.0
+
+
 def test_evaluate_missing_group_scores_one():
     rel = _two_group_rel()
     catalog = compute_catalog(rel, ["g"], ["v"])

@@ -292,6 +292,18 @@ def test_substream_indices_lie_below_two_to_the_32(index):
         substream_states(1, index)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_a_negative_seed_is_invalid_before_the_indices_and_the_plan(seed):
+    for index in ([0, 1], [-1]):
+        with pytest.raises(InvalidArgument, match="seed must be a non-negative"):
+            substream_states(seed, index)
+    rel = _simple_rel([("a", [1, 2]), ("b", [3, 4])])
+    other = _simple_rel([("a", [1, 2]), ("c", [3, 4])])
+    plan = alloc_senate(compute_catalog(rel, ["g"], ["v"]), 4)
+    with pytest.raises(InvalidArgument, match="seed must be a non-negative"):
+        draw_stratified(other, plan, seed=seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.one_of(st.integers(0, 10_000), st.integers(2**32, 2**200)),

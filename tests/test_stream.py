@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gbsample.alloc import floor_zero_costs
 from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
 from gbsample.errors import (
     FloatOverflow,
@@ -14,6 +15,7 @@ from gbsample.errors import (
     UnknownColumn,
 )
 from gbsample.stream import (
+    _squared_cvs,
     batch_keys,
     ingest_batch,
     make_state,
@@ -118,8 +120,8 @@ OVERFLOW_ROWS = [("a", 1e308), ("a", -1e308), ("b", 1.0), ("b", 2.0), ("a", 3.0)
 def _state_of(state):
     return (
         list(state.ids), state.n_seen.tolist(), state.d.tolist(), state.arrivals,
-        state.mean["v"].tolist(), state.m2["v"].tolist(), state.retained.tolist(),
-        id(state.last_settle),
+        state.mean["v"].tolist(), state.m2["v"].tolist(), state.f2.tolist(),
+        state.retained.tolist(), id(state.last_settle),
     )
 
 
@@ -221,7 +223,7 @@ def test_settle_may_evict_from_a_stratum_below_its_target():
     # whole would force (1, 1, 1, 2), which adds 3.384
     f2 = np.array([0.10346266, 4.89471939, 0.13759474, 3.88691962])
     state = _holding((2, 3, 2, 2), budget=5)
-    state.scores = lambda: f2  # type: ignore
+    state.f2 = f2
     settle_budget(state)
     assert state.sizes().tolist() == [1, 2, 1, 1]
     report = state.last_settle
@@ -253,7 +255,7 @@ def test_settle_reaches_the_exhaustive_minimum_without_emptying_a_stratum():
         trials += 1
         budget = int(rng.integers(k, int(held.sum())))
         state = _holding(held, budget, seed=trials)
-        state.scores = lambda f2=f2: f2  # type: ignore
+        state.f2 = f2
         settle_budget(state)
         after = state.sizes()
         assert int(after.sum()) == budget
@@ -265,12 +267,12 @@ def test_settle_reaches_the_exhaustive_minimum_without_emptying_a_stratum():
 def test_settle_below_the_stratum_count_keeps_the_largest_scores():
     f2 = np.array([1.0, 5.0, 0.5, 3.0, 2.0])
     state = _holding((2, 1, 3, 1, 2), budget=3)
-    state.scores = lambda: f2  # type: ignore
+    state.f2 = f2
     settle_budget(state)
     assert state.sizes().tolist() == [0, 1, 0, 1, 1]
     # ties go to the lowest id
     state = _holding((1, 1, 1), budget=2)
-    state.scores = lambda: np.full(3, 2.0)  # type: ignore
+    state.f2 = np.full(3, 2.0)
     settle_budget(state)
     assert state.sizes().tolist() == [1, 1, 0]
 
@@ -286,10 +288,9 @@ def test_eviction_matches_brute_force_small():
         budget = int(sizes.sum()) - beta
 
         state = _holding(sizes, budget, seed=trial)
-        # freeze the scores by monkeypatching: feed only constant columns,
-        # then override with synthetic f^2
+        # feed only constant columns, then set synthetic f^2 on the state
         keys = range(k)
-        state.scores = lambda f2=f2: f2  # type: ignore
+        state.f2 = f2
 
         before = state.sizes().tolist()
         settle_budget(state)
@@ -446,6 +447,43 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
     for k, values in enumerate(state.ids):
         expect = sorted(seen[values[0]])[: sizes[k]]
         assert retained_keys(state, k) == expect
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(-40, 40).map(lambda k: k / 4)),
+        min_size=1,
+        max_size=60,
+    ),
+    st.lists(st.integers(1, 15), min_size=1, max_size=10),
+    st.integers(0, 6),
+    st.sampled_from([OVERFLOW_ROWS[:2], SCORE_OVERFLOW_ROWS[:3]]),
+    st.integers(1, 12),
+)
+@example(rows=[(0, 1.0), (0, 1.0), (1, -1.0), (1, 1.0)], batch_sizes=[2], bad_at=1,
+         bad_rows=SCORE_OVERFLOW_ROWS[:3], budget=1)
+def test_f2_is_the_floored_score_of_the_committed_moments(
+    rows, batch_sizes, bad_at, bad_rows, budget
+):
+    """After every accepted batch, strata first seen mid-stream and
+    zero-score ones included, ``f2`` is the floored squared-CV sum of the
+    committed moments, bit for bit; batch ``bad_at`` first arrives with the
+    rows of a new stratum a that overflow, and its rejection leaves ``f2``
+    as it was.  Batch sizes cycle through ``batch_sizes``."""
+    rows = [(f"g{g}", x) for g, x in rows]
+    state = _fresh(budget=budget)
+    start, b = 0, 0
+    while start < len(rows):
+        batch = rows[start : start + batch_sizes[b % len(batch_sizes)]]
+        if b == bad_at:
+            before = state.f2
+            with pytest.raises((SchemaMismatch, FloatOverflow)):
+                ingest_batch(state, batch + bad_rows, seed=b)
+            assert state.f2 is before and len(before) == len(state.ids)
+        ingest_batch(state, batch, seed=b)
+        want = floor_zero_costs(_squared_cvs(state, state.n_seen, state.mean, state.m2))
+        assert state.f2.tobytes() == want.tobytes() and len(want) == len(state.ids)
+        start, b = start + len(batch), b + 1
 
 
 def test_snapshot_usable_for_estimation():
