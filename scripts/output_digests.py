@@ -55,6 +55,10 @@ against two source trees shows whether they write the same bytes::
     PYTHONPATH=src python scripts/output_digests.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/output_digests.py > old.txt
     diff old.txt new.txt
+
+``scripts/output_digests.txt`` holds this tree's listing; CI writes a
+fresh one to a file and diffs it against that, so a change that moves an
+output byte must update the committed listing with it.
 """
 
 from __future__ import annotations

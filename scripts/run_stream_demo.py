@@ -45,9 +45,10 @@ def main(argv=None) -> int:
         rows.extend((f"g{i}", 1.0) for _ in range(args.copies - 1))
         rows.append((f"g{i}", 1.0 + eps))
     spike = ("g0", 2.0 - eps)
+    stream = Relation.from_records(SCHEMA, rows + [spike])
 
     state = make_state(SCHEMA, ("g",), ("v",), args.budget)
-    ingest_batch(state, rows, seed=args.seed)
+    ingest_batch(state, stream, range(len(rows)), seed=args.seed)
 
     def streaming_sizes():
         return {k[0]: size for k, size in zip(state.ids, state.sizes().tolist())}
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
         )
     )
 
-    ingest_batch(state, [spike], seed=args.seed + 1)
+    ingest_batch(state, stream, [len(rows)], seed=args.seed + 1)
     all_rows = rows + [spike]
     rel_post, off_post = offline_sizes(all_rows)
     one_pass = objective_of_sizes(rel_post, ["g"], "v", streaming_sizes())

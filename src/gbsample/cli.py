@@ -434,8 +434,8 @@ def batch_seed(base_seed: int, batch_index: int) -> int:
 
 
 def cmd_stream(cfg: RunConfig) -> int:
-    """Replay a CSV in row order, decoding one mini-batch at a time, through the
-    streaming sampler; one JSON line of metrics per batch, none for a rejected one."""
+    """Replay a CSV through the streaming sampler, each mini-batch a row range
+    of the loaded relation; one JSON line of metrics per batch, none for a rejected one."""
     seed = cfg.need("seed")
     rel = _load_relation(cfg)
     if not cfg.group_by or not cfg.aggregates:
@@ -447,8 +447,8 @@ def cmd_stream(cfg: RunConfig) -> int:
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             for b, start in enumerate(range(0, rel.n_rows, cfg.batch_size)):
-                batch = rel.records(np.arange(start, min(start + cfg.batch_size, rel.n_rows)))
-                stream.ingest_batch(state, batch, batch_seed(seed, b))
+                rows = np.arange(start, min(start + cfg.batch_size, rel.n_rows))
+                stream.ingest_batch(state, rel, rows, batch_seed(seed, b))
                 strata = zip(state.ids, state.sizes().tolist())
                 sizes = [{"key": list(k), "size": size} for k, size in strata]
                 line = {

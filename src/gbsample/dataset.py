@@ -58,6 +58,7 @@ from .errors import (
     EmptyFile,
     InvalidArgument,
     MissingColumn,
+    SchemaMismatch,
     TypeParseError,
     UnknownAttribute,
     UnknownColumn,
@@ -247,18 +248,18 @@ class Relation:
         column raises :class:`UnknownAttribute`."""
         return self.memo(_stratify, tuple(attrs))
 
-    def records(self, row_ids) -> list[tuple]:
-        """The given rows as tuples of values in schema order, categorical
-        cells decoded and numeric cells as Python floats."""
+    def records(self, row_ids, names: Sequence[str] | None = None) -> list[tuple]:
+        """The given rows as tuples of the values of the columns ``names``
+        (every column, in schema order, by default), categorical cells
+        decoded and numeric cells as Python floats."""
         idx = np.asarray(row_ids, dtype=np.intp)
         columns = []
-        for c in self.schema:
-            data = self._columns[c.name]
-            if c.kind == NUMERIC:
-                columns.append(data[idx].tolist())
+        for name in [c.name for c in self.schema] if names is None else names:
+            data = self._columns[name]
+            if isinstance(data, Encoded):
+                columns.append([data.levels[k] for k in data.codes[idx].tolist()])
             else:
-                levels = data.levels
-                columns.append([levels[k] for k in data.codes[idx].tolist()])
+                columns.append(data[idx].tolist())
         return list(zip(*columns)) if columns else [()] * idx.shape[0]
 
     def take(self, rows) -> "Relation":
@@ -288,12 +289,22 @@ class Relation:
     def from_records(
         cls, schema: Sequence[ColumnSchema], records: Iterable[Sequence]
     ) -> "Relation":
-        cols: dict[str, list] = {c.name: [] for c in schema}
-        count = 0
-        for count, rec in enumerate(records, 1):
-            for c, v in zip(schema, rec):
-                cols[c.name].append(v)
-        return cls(schema, cols, count)
+        """The relation of ``records``, tuples of values in schema order.  A
+        record of another width, or with a numeric value that ``float``
+        rejects or an unhashable categorical one, raises
+        :class:`SchemaMismatch` naming it."""
+        rows = list(records)
+        for rec in rows:
+            if len(rec) != len(schema):
+                raise SchemaMismatch(f"record {rec!r} is {len(rec)} wide, the schema {len(schema)}")
+            for c, value in zip(schema, rec):
+                try:
+                    float(value) if c.kind == NUMERIC else hash(value)
+                except (TypeError, ValueError):
+                    bad = f"column {c.name!r} cannot hold {value!r}"
+                    raise SchemaMismatch(f"record {rec!r}: {bad}") from None
+        columns = list(zip(*rows)) or [()] * len(schema)
+        return cls(schema, {c.name: col for c, col in zip(schema, columns)}, len(rows))
 
 
 def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
@@ -524,8 +535,7 @@ def stratum_ids(
     ids = columns[0].codes
     for col in columns[1:]:
         ids, rows = first_occurrence_ids(ids * len(col.levels) + col.codes)
-    values = [[col.levels[k] for k in col.codes[rows].tolist()] for col in columns]
-    return ids, list(zip(*values))
+    return ids, rel.records(rows, attrs)
 
 
 def _stratify(rel: Relation, attrs: tuple[str, ...]) -> Strata:

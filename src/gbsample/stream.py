@@ -1,11 +1,13 @@
 """Budgeted stratified sampling over an append-only stream.
 
-Rows arrive in mini-batches.  Each row receives a fresh uniform (0, 1)
-key; a stratum retains the rows with the smallest keys it has ever seen,
-tracking d_i, the smallest key it ever discarded (1.0 until the first
-eviction).  A new row enters its stratum's sample iff its key is at most
-d_i, which keeps every retained set an exact bottom-k by key, hence a
-uniform without-replacement subset of the stratum so far.
+Rows arrive in mini-batches, each some rows of a :class:`Relation`; a
+batch decodes only its grouping values and the rows it offers a place.
+Each row receives a fresh uniform (0, 1) key; a stratum retains the rows
+with the smallest keys it has ever seen, tracking d_i, the smallest key
+it ever discarded (1.0 until the first eviction).  A new row enters its
+stratum's sample iff its key is at most d_i, which keeps every retained
+set an exact bottom-k by key, hence a uniform without-replacement subset
+of the stratum so far.
 
 Each batch scores every stratum with f(i)^2, kept as ``f2``: the squared
 CVs of its online statistics summed over the configured columns, floored
@@ -24,9 +26,9 @@ targets M_i = M * f(i) / sum(f), the offline closed form, are reported.
 Evicted rows are always the largest keys of their stratum.
 
 The state is arrays by stratum id (ids in first-arrival order) and one
-table of retained rows.  A batch updates the moments in lockstep over each
-stratum's k-th arrival, one vectorized Welford step per rank k, so each
-stratum folds its values in arrival order, as a row-at-a-time fold would.
+table of retained records.  A batch updates the moments in lockstep over
+each stratum's k-th arrival, one vectorized Welford step per rank k and
+distinct column, so each stratum folds its values in arrival order.
 
 With batch size one this is a pure streaming sampler; with the entire
 stream as one batch it reduces to the offline pipeline (same statistics,
@@ -169,7 +171,8 @@ def batch_keys(seed: int, count: int) -> np.ndarray:
 def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new: int):
     """The counts and moments with the batch folded in, as new arrays (the
     state is not changed): Welford's update, one vectorized step per rank k
-    over every stratum's k-th arrival.  ``new`` strata start at zero."""
+    per distinct column of ``state.columns``, with which ``values`` is
+    aligned, over every stratum's k-th arrival.  New strata start at zero."""
     n_seen = np.concatenate((state.n_seen, np.zeros(new, np.int64)))
     mean = {c: np.concatenate((x, np.zeros(new))) for c, x in state.mean.items()}
     m2 = {c: np.concatenate((x, np.zeros(new))) for c, x in state.m2.items()}
@@ -183,7 +186,7 @@ def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new:
             rows = by_rank[lo:hi]
             s = sid[rows]
             count = n_seen[s] + (k + 1)
-            for col, x in zip(state.columns, values):
+            for col, x in dict(zip(state.columns, values)).items():
                 x = x[rows]
                 before = mean[col][s]
                 delta = x - before
@@ -192,39 +195,26 @@ def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new:
     return n_seen + counts, mean, m2
 
 
-def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> StreamState:
-    """Feed one mini-batch, then settle back to the budget.
+def ingest_batch(state: StreamState, rel: Relation, rows, seed: int) -> StreamState:
+    """Feed the rows ``rows`` of ``rel`` in order as one batch, then settle to the budget.
 
     Every arriving row updates its stratum's online moments and count; it
     is retained only if its key passes the stratum's discard threshold.
-    New strata start with d = 1.0 (accept everything).  A batch with a
-    malformed record (a wrong field count, a non-finite aggregation value,
-    an unhashable group value), or one that would overflow a stratum's
-    moments, raises :class:`SchemaMismatch`, and one that would take a
-    stratum's squared CV beyond the float range raises
+    New strata start with d = 1.0 (accept everything).  A relation of
+    another schema, a non-finite aggregation value or a batch that would
+    overflow a stratum's moments raises :class:`SchemaMismatch`, and one
+    that would take a stratum's squared CV beyond the float range raises
     :class:`FloatOverflow`; either leaves the state as it was.
     """
-    n_cols = len(state.schema)
-    for record in batch:
-        if len(record) != n_cols:
-            raise SchemaMismatch(f"record has {len(record)} fields, schema has {n_cols}")
-    columns = list(zip(*batch)) or [()] * n_cols
-    at = {c.name: i for i, c in enumerate(state.schema)}
-    try:
-        values = [np.array(list(map(float, columns[at[c]]))) for c in state.columns]
-    except (TypeError, ValueError):
-        raise SchemaMismatch("non-numeric value in an aggregation column") from None
+    if rel.schema != state.schema:
+        raise SchemaMismatch("the relation's schema is not the stream's")
+    rows = np.asarray(rows, dtype=np.intp)
+    values = [rel.numeric(c)[rows] for c in state.columns]
     if not all(np.isfinite(x).all() for x in values):
         raise SchemaMismatch("non-finite value in an aggregation column")
-    n = len(batch)
-    group_pos = [at[a] for a in state.group_attrs]
-    group_values = list(zip(*(columns[i] for i in group_pos))) if group_pos else [()] * n
     ids, known = state.ids, len(state.n_seen)  # value tuple -> id, in first-arrival order
+    sid = encode_into(rel.records(rows, state.group_attrs), ids, ids)
     try:
-        try:
-            sid = encode_into(group_values, ids, ids)
-        except TypeError:
-            raise SchemaMismatch("unhashable value in a grouping column") from None
         n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
         if not np.isfinite([*mean.values(), *m2.values()]).all():
             raise SchemaMismatch("aggregation values overflow their stratum's moments")
@@ -235,15 +225,15 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
     state.n_seen, state.mean, state.m2, state.f2 = n_seen, mean, m2, f2
 
-    keys = batch_keys(seed, n)
+    keys = batch_keys(seed, len(rows))
     offered = np.flatnonzero(keys <= state.d[sid])
     if offered.size:
-        rows = np.empty(offered.size, RETAINED)
-        rows["stratum"], rows["key"] = sid[offered], keys[offered]
-        rows["ordinal"] = state.arrivals + offered
-        rows["record"] = np.fromiter(map(tuple, batch), object, n)[offered]
-        state.retained = np.concatenate([state.retained, rows])
-    state.arrivals += n
+        new = np.empty(offered.size, RETAINED)
+        new["stratum"], new["key"] = sid[offered], keys[offered]
+        new["ordinal"] = state.arrivals + offered
+        new["record"] = np.fromiter(rel.records(rows[offered]), object, offered.size)
+        state.retained = np.concatenate([state.retained, new])
+    state.arrivals += len(rows)
     settle_budget(state)
     return state
 

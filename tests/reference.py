@@ -25,6 +25,8 @@ an answer the plain way, with ``np.unique`` and one key at a time.
 :func:`stratum_fields` reads a sample header's strata one at a time with
 :func:`gbsample.errors.member`, the oracle of the errors the package
 raises after checking each field of every stratum in one pass.
+:func:`ingest_batch` is the stream's record-fed ingest, which the one that
+reads row ranges of a relation replaced, kept verbatim as its oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from gbsample.dataset import (
     GroupKey,
     Relation,
     encode,
+    encode_into,
     frozen,
 )
 from gbsample.errors import (
@@ -71,9 +74,11 @@ from gbsample.errors import (
     STRINGS,
     CorruptSampleFile,
     EmptyFile,
+    FloatOverflow,
     InvalidDocument,
     MissingColumn,
     NotASubset,
+    SchemaMismatch,
     TypeParseError,
     UnknownAttribute,
     ZeroMeanCoarseGroup,
@@ -94,7 +99,15 @@ from gbsample.sampler import (
     draw_stratified,
 )
 from gbsample.stats import StatsCatalog, compute_catalog
-from gbsample.stream import StreamState, offline_plan
+from gbsample.stream import (
+    RETAINED,
+    StreamState,
+    _observe,
+    _squared_cvs,
+    batch_keys,
+    offline_plan,
+    settle_budget,
+)
 from gbsample.workload import QuerySpec
 
 
@@ -831,6 +844,62 @@ def two_pass_reference(
     rel = Relation.from_records(schema, records)
     plan = offline_plan(rel, group_attrs, columns, budget)
     return draw_stratified(rel, plan, seed)
+
+
+def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> StreamState:
+    """Feed one mini-batch, then settle back to the budget.
+
+    Every arriving row updates its stratum's online moments and count; it
+    is retained only if its key passes the stratum's discard threshold.
+    New strata start with d = 1.0 (accept everything).  A batch with a
+    malformed record (a wrong field count, a non-finite aggregation value,
+    an unhashable group value), or one that would overflow a stratum's
+    moments, raises :class:`SchemaMismatch`, and one that would take a
+    stratum's squared CV beyond the float range raises
+    :class:`FloatOverflow`; either leaves the state as it was.
+    """
+    n_cols = len(state.schema)
+    for record in batch:
+        if len(record) != n_cols:
+            raise SchemaMismatch(f"record has {len(record)} fields, schema has {n_cols}")
+    columns = list(zip(*batch)) or [()] * n_cols
+    at = {c.name: i for i, c in enumerate(state.schema)}
+    try:
+        values = [np.array(list(map(float, columns[at[c]]))) for c in state.columns]
+    except (TypeError, ValueError):
+        raise SchemaMismatch("non-numeric value in an aggregation column") from None
+    if not all(np.isfinite(x).all() for x in values):
+        raise SchemaMismatch("non-finite value in an aggregation column")
+    n = len(batch)
+    group_pos = [at[a] for a in state.group_attrs]
+    group_values = list(zip(*(columns[i] for i in group_pos))) if group_pos else [()] * n
+    ids, known = state.ids, len(state.n_seen)  # value tuple -> id, in first-arrival order
+    try:
+        try:
+            sid = encode_into(group_values, ids, ids)
+        except TypeError:
+            raise SchemaMismatch("unhashable value in a grouping column") from None
+        n_seen, mean, m2 = _observe(state, sid, values, len(ids) - known)
+        if not np.isfinite([*mean.values(), *m2.values()]).all():
+            raise SchemaMismatch("aggregation values overflow their stratum's moments")
+        f2 = floor_zero_costs(_squared_cvs(state, n_seen, mean, m2))
+    except (SchemaMismatch, FloatOverflow):
+        state.ids = dict(list(ids.items())[:known])  # forget the batch's new strata
+        raise
+    state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
+    state.n_seen, state.mean, state.m2, state.f2 = n_seen, mean, m2, f2
+
+    keys = batch_keys(seed, n)
+    offered = np.flatnonzero(keys <= state.d[sid])
+    if offered.size:
+        rows = np.empty(offered.size, RETAINED)
+        rows["stratum"], rows["key"] = sid[offered], keys[offered]
+        rows["ordinal"] = state.arrivals + offered
+        rows["record"] = np.fromiter(map(tuple, batch), object, n)[offered]
+        state.retained = np.concatenate([state.retained, rows])
+    state.arrivals += n
+    settle_budget(state)
+    return state
 
 
 def retained_keys(state: StreamState, k: int) -> list[float]:

@@ -439,7 +439,7 @@ def test_criterion_7_eviction_optimality():
         # under a budget that keeps every row, then the trial's budget and f^2
         rows = [(f"s{i}", 0.0) for i in range(k) for _ in range(int(sizes[i]))]
         state = make_state(schema, ("g",), ("v",), len(rows))
-        ingest_batch(state, rows, seed=trial)
+        ingest_batch(state, Relation.from_records(schema, rows), np.arange(len(rows)), seed=trial)
         state.budget = budget
         state.f2 = f2
         keys = range(k)
@@ -505,10 +505,9 @@ def test_criterion_8_streaming_offline_agreement():
     budget = 500
 
     for seed in range(5):
-        rows = _stream_rows(800 + seed, 50_000)
+        rel = Relation.from_records(SCHEMA_STREAM, _stream_rows(800 + seed, 50_000))
         state = make_state(SCHEMA_STREAM, ("g",), objective, budget)
-        ingest_batch(state, rows, seed=9000 + seed)
-        rel = Relation.from_records(SCHEMA_STREAM, rows)
+        ingest_batch(state, rel, np.arange(len(rel)), seed=9000 + seed)
         plan = offline_plan(rel, ("g",), objective, budget)
         assert state.total_retained == budget
         sizes = state.sizes()
@@ -520,13 +519,14 @@ def test_criterion_8_streaming_offline_agreement():
     replay_n = 50_000
     for seed in range(5):
         rows = _stream_rows(900 + seed, replay_n)
+        rel = Relation.from_records(SCHEMA_STREAM, rows)
         state = make_state(SCHEMA_STREAM, ("g",), objective, 120)
         seen: dict[tuple, list[float]] = {}
         for i, record in enumerate(rows):
             key_seed = 100_000 * seed + i
             (key_value,) = batch_keys(key_seed, 1)
             seen.setdefault((record[0],), []).append(float(key_value))
-            ingest_batch(state, [record], seed=key_seed)
+            ingest_batch(state, rel, [i], seed=key_seed)
             assert state.total_retained <= 120
         assert state.total_retained == 120
         sizes = state.sizes()

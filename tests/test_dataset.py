@@ -23,8 +23,10 @@ from gbsample.dataset import (
 )
 from gbsample.errors import (
     EmptyFile,
+    InvalidArgument,
     MissingColumn,
     NotASubset,
+    SchemaMismatch,
     TypeParseError,
     UnknownAttribute,
     UnreadableFile,
@@ -710,3 +712,29 @@ def test_a_relation_without_columns_keeps_its_row_count():
     assert len(_rel_from([("a", "x", 1.0)] * 4).take([0, 2])) == 2
     with pytest.raises(ValueError):
         Relation((ColumnSchema("v", NUMERIC),), {"v": [1.0]}, 2)
+
+
+_RECORD_SCHEMA = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("a", 1.0, 9.9), r"^record \('a', 1.0, 9.9\) is 3 wide, the schema 2$"),
+        (("a",), r"^record \('a',\) is 1 wide, the schema 2$"),
+        (("a", "oops"), r"^record \('a', 'oops'\): column 'v' cannot hold 'oops'$"),
+        ((["x"], 1.0), r"^record \(\['x'\], 1.0\): column 'g' cannot hold \['x'\]$"),
+    ],
+    ids=["long", "short", "non-numeric", "unhashable"],
+)
+def test_from_records_rejects_a_record_that_does_not_fit_the_schema(bad, message):
+    good = ("b", 2.0)
+    for records in ([bad], [good, bad, good]):
+        with pytest.raises(SchemaMismatch, match=message):
+            Relation.from_records(_RECORD_SCHEMA, records)
+
+
+def test_from_records_keeps_duplicate_names_an_invalid_argument():
+    schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("g", NUMERIC))
+    with pytest.raises(InvalidArgument, match="^duplicate column names in schema$"):
+        Relation.from_records(schema, [("a", 1.0)])

@@ -848,9 +848,8 @@ def _snapshot(rel, budget, seed):
     """A stream snapshot of ``rel`` stratified by (g, h), fed in batches of 7
     rows under a budget that may leave strata empty."""
     state = make_state(rel.schema, ("g", "h"), ("v",), budget)
-    records = rel.records(range(rel.n_rows))
-    for b, start in enumerate(range(0, len(records), 7)):
-        ingest_batch(state, records[start : start + 7], seed=seed + b)
+    for b, start in enumerate(range(0, rel.n_rows, 7)):
+        ingest_batch(state, rel, np.arange(start, min(start + 7, rel.n_rows)), seed=seed + b)
     return state.snapshot()
 
 

@@ -23,6 +23,7 @@ from gbsample.stream import (
     settle_budget,
 )
 
+import reference
 from reference import from_values, retained_keys, two_pass_reference
 
 SCHEMA = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
@@ -49,17 +50,21 @@ def _holding(sizes, budget, seed=0):
     ingested under a budget that keeps every row, then ``budget`` set."""
     rows = [(f"s{i}", 0.0) for i, size in enumerate(sizes) for _ in range(int(size))]
     state = make_state(SCHEMA, ("g",), OBJ, len(rows))
-    ingest_batch(state, rows, seed=seed)
+    ingest_batch(state, Relation.from_records(SCHEMA, rows), np.arange(len(rows)), seed=seed)
     state.budget = budget
     return state
 
 
 def test_schema_mismatch():
+    with pytest.raises(SchemaMismatch):
+        Relation.from_records(SCHEMA, [("a", 1.0, 9.9)])
+    with pytest.raises(SchemaMismatch):
+        Relation.from_records(SCHEMA, [("a", "oops")])
+    wider = Relation.from_records(SCHEMA + (ColumnSchema("w", NUMERIC),), [("a", 1.0, 2.0)])
     state = _fresh()
-    with pytest.raises(SchemaMismatch):
-        ingest_batch(state, [("a", 1.0, 9.9)], seed=0)
-    with pytest.raises(SchemaMismatch):
-        ingest_batch(state, [("a", "oops")], seed=0)
+    with pytest.raises(SchemaMismatch, match="schema is not the stream's"):
+        ingest_batch(state, wider, [0], seed=0)
+    assert not state.ids and state.arrivals == 0 and state.total_retained == 0
     with pytest.raises(SchemaMismatch):
         make_state(SCHEMA, ("nope",), OBJ, 10)
 
@@ -79,22 +84,25 @@ def test_a_budget_below_one_is_invalid(budget):
 
 def test_key_above_threshold_is_rejected():
     state = _fresh(budget=100)
-    ingest_batch(state, [("a", 1.0)], seed=0)
+    rel = Relation.from_records(SCHEMA, [("a", 1.0)] * 3)
+    ingest_batch(state, rel, [0], seed=0)
     (key,) = batch_keys(1, 1)
     state.d[0] = key / 2
-    ingest_batch(state, [("a", 1.0)], seed=1)
+    ingest_batch(state, rel, [1], seed=1)
     assert state.total_retained == 1 and state.n_seen[0] == 2
     state.d[0] = key
-    ingest_batch(state, [("a", 1.0)], seed=1)
+    ingest_batch(state, rel, [2], seed=1)
     assert state.total_retained == 2 and key in retained_keys(state, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "inf"])
 def test_non_finite_aggregation_value_is_a_schema_mismatch(bad):
     state = _fresh(budget=2)
-    ingest_batch(state, [("a", 1.0), ("b", 2.0)], seed=0)
+    rows = [("a", 1.0), ("b", 2.0), ("a", 3.0), ("c", bad), ("b", 4.0)]
+    rel = Relation.from_records(SCHEMA, rows)
+    ingest_batch(state, rel, np.arange(2), seed=0)
     with pytest.raises(SchemaMismatch, match="non-finite"):
-        ingest_batch(state, [("a", 3.0), ("c", bad), ("b", 4.0)], seed=1)
+        ingest_batch(state, rel, np.arange(2, 5), seed=1)
     # the failed batch left the state as it was
     assert list(state.ids) == [("a",), ("b",)]
     assert state.n_seen.tolist() == [1, 1] and state.arrivals == 2
@@ -102,14 +110,9 @@ def test_non_finite_aggregation_value_is_a_schema_mismatch(bad):
 
 
 def test_an_unhashable_group_value_rejects_the_batch():
-    state = _fresh(budget=2)
-    ingest_batch(state, [("a", 1.0), ("a", 2.0)], seed=0)
-    before = _state_of(state)
-    with pytest.raises(SchemaMismatch, match="unhashable"):
-        ingest_batch(state, [("b", 1.0), (["x"], 2.0)], seed=1)
-    # the failed batch left the state as it was, without its new stratum b
-    assert _state_of(state) == before
-    assert np.isfinite(state.objective_value())
+    # a batch is rows of a relation, which cannot hold the unhashable value
+    with pytest.raises(SchemaMismatch, match=r"^record \(\['x'\], 2.0\): column 'g'"):
+        Relation.from_records(SCHEMA, [("b", 1.0), (["x"], 2.0)])
 
 
 #: (1e308 - -1e308) overflows: the second row would make stratum a's
@@ -129,16 +132,17 @@ def _state_of(state):
 def test_overflowing_moments_reject_the_batch(batch_size):
     state = _fresh(budget=2)
     rows = OVERFLOW_ROWS
-    batches = [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
+    rel = Relation.from_records(SCHEMA, rows + [("b", 5.0), ("b", 6.0)])
+    batches = np.array_split(np.arange(len(rows)), range(batch_size, len(rows), batch_size))
     bad = 1 // batch_size  # the batch holding the second row
     for b, batch in enumerate(batches[:bad]):
-        ingest_batch(state, batch, seed=b)
+        ingest_batch(state, rel, batch, seed=b)
     before = _state_of(state)
     with pytest.raises(SchemaMismatch, match="overflow"):
-        ingest_batch(state, batches[bad], seed=bad)
+        ingest_batch(state, rel, batches[bad], seed=bad)
     # the failed batch left the state as it was, its new strata included
     assert _state_of(state) == before
-    ingest_batch(state, [("b", 5.0), ("b", 6.0)], seed=9)
+    ingest_batch(state, rel, np.arange(len(rows), len(rel)), seed=9)
     assert list(state.ids) == ([("a",), ("b",)] if bad else [("b",)])
     assert state.total_retained == 2 and np.isfinite(state.objective_value())
 
@@ -154,22 +158,24 @@ SCORE_OVERFLOW_ROWS = [
 def test_overflowing_squared_cv_rejects_the_batch(batch_size):
     state = _fresh(budget=4)
     rows = SCORE_OVERFLOW_ROWS
-    batches = [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
+    rel = Relation.from_records(SCHEMA, rows + [("b", 5.0), ("c", 6.0)])
+    batches = np.array_split(np.arange(len(rows)), range(batch_size, len(rows), batch_size))
     bad = 2 // batch_size  # the batch holding the third row
     for b, batch in enumerate(batches[:bad]):
-        ingest_batch(state, batch, seed=b)
+        ingest_batch(state, rel, batch, seed=b)
     before = _state_of(state)
     with pytest.raises(FloatOverflow, match=r"\(g=a\) column 'v': the squared CV"):
-        ingest_batch(state, batches[bad], seed=bad)
+        ingest_batch(state, rel, batches[bad], seed=bad)
     # the failed batch left the state as it was, its new strata included
     assert _state_of(state) == before
-    ingest_batch(state, [("b", 5.0), ("c", 6.0)], seed=9)
+    ingest_batch(state, rel, np.arange(len(rows), len(rel)), seed=9)
     assert np.isfinite(state.objective_value())
 
 
 def test_settle_noop_below_budget():
     state = _fresh(budget=1000)
-    ingest_batch(state, synthetic_stream(1, 200), seed=3)
+    rel = Relation.from_records(SCHEMA, synthetic_stream(1, 200))
+    ingest_batch(state, rel, np.arange(200), seed=3)
     assert state.total_retained == 200  # everything retained, d still 1.0
     report = state.last_settle
     assert report.beta == 0 and not report.evicted.any()
@@ -178,8 +184,8 @@ def test_settle_noop_below_budget():
 def test_single_batch_matches_offline_plan():
     rows = synthetic_stream(7, 3000)
     state = _fresh(budget=60)
-    ingest_batch(state, rows, seed=11)
     rel = Relation.from_records(SCHEMA, rows)
+    ingest_batch(state, rel, np.arange(len(rel)), seed=11)
     plan = offline_plan(rel, ("g",), OBJ, 60)
     assert state.total_retained == 60
     sizes = state.sizes()
@@ -193,7 +199,7 @@ def test_all_oversized_base_case_sets_rounded_targets():
     rows = [("a", float(v)) for v in (12, 18) * 20] + [
         ("b", float(v)) for v in (14, 16) * 20
     ]
-    ingest_batch(state, rows, seed=5)
+    ingest_batch(state, Relation.from_records(SCHEMA, rows), np.arange(len(rows)), seed=5)
     targets = state.last_settle.targets
     sizes = {k[0]: size for k, size in zip(state.ids, state.sizes().tolist())}
     assert sizes == {"a": 6, "b": 2}
@@ -205,9 +211,10 @@ def test_eviction_only_touches_oversized():
     # fractional target; settle does not require it (see the tests below)
     state = _fresh(budget=30)
     evictions_seen = 0
+    rows = [r for b in range(10) for r in synthetic_stream(100 + b, 90)]
+    rel = Relation.from_records(SCHEMA, rows)
     for b, start in enumerate(range(0, 900, 90)):
-        rows = synthetic_stream(100 + b, 90)
-        ingest_batch(state, rows, seed=1000 + b)
+        ingest_batch(state, rel, np.arange(start, start + 90), seed=1000 + b)
         report = state.last_settle
         sizes = state.sizes()
         for k in np.flatnonzero(report.evicted):
@@ -317,12 +324,11 @@ def test_eviction_matches_brute_force_small():
 
 def test_objective_accounting():
     state = _fresh(budget=25)
-    rows = synthetic_stream(3, 600)
+    rel = Relation.from_records(SCHEMA, synthetic_stream(3, 600))
     for start in range(0, 600, 60):
-        batch = rows[start : start + 60]
         # objective before settle but after moments update is not observable
         # from outside; check the settle report's own accounting instead
-        ingest_batch(state, batch, seed=start)
+        ingest_batch(state, rel, np.arange(start, start + 60), seed=start)
         report = state.last_settle
         if not report.evicted.any():
             continue
@@ -342,6 +348,7 @@ def test_bottom_k_by_key_structure():
     state = _fresh(budget)
     all_keys: dict[tuple, list[float]] = {}
     rows = synthetic_stream(17, 1200)
+    rel = Relation.from_records(SCHEMA, rows)
     batch_size = 30
     for b, start in enumerate(range(0, len(rows), batch_size)):
         batch = rows[start : start + batch_size]
@@ -349,7 +356,7 @@ def test_bottom_k_by_key_structure():
         keys = batch_keys(seed, len(batch))
         for record, key_value in zip(batch, keys):
             all_keys.setdefault((record[0],), []).append(float(key_value))
-        ingest_batch(state, batch, seed=seed)
+        ingest_batch(state, rel, np.arange(start, start + batch_size), seed=seed)
         assert state.total_retained <= budget
 
     assert state.total_retained == budget
@@ -362,10 +369,10 @@ def test_bottom_k_by_key_structure():
 
 def test_threshold_never_increases():
     state = _fresh(budget=20)
-    rows = synthetic_stream(23, 900)
+    rel = Relation.from_records(SCHEMA, synthetic_stream(23, 900))
     last_d = np.zeros(0)
     for b, start in enumerate(range(0, 900, 45)):
-        ingest_batch(state, rows[start : start + 45], seed=b)
+        ingest_batch(state, rel, np.arange(start, start + 45), seed=b)
         assert (state.d[: len(last_d)] <= last_d + 1e-15).all()
         last_d = state.d.copy()
 
@@ -396,9 +403,9 @@ def test_budget_below_strata_count_degenerates_gracefully():
     # budget 2 against 5 one-row-per-arrival strata: settles must empty
     # some strata without going negative or crashing
     state = make_state(SCHEMA, ("g",), OBJ, 2)
-    rows = [(f"g{i}", float(10 + i)) for i in range(5)] * 3
-    for b, start in enumerate(range(0, len(rows), 5)):
-        ingest_batch(state, rows[start : start + 5], seed=b)
+    rel = Relation.from_records(SCHEMA, [(f"g{i}", float(10 + i)) for i in range(5)] * 3)
+    for b, start in enumerate(range(0, len(rel), 5)):
+        ingest_batch(state, rel, np.arange(start, start + 5), seed=b)
         assert state.total_retained <= 2
     assert (state.sizes() >= 0).all()
     assert state.total_retained == 2
@@ -407,11 +414,10 @@ def test_budget_below_strata_count_degenerates_gracefully():
 def test_online_moments_match_offline_catalog():
     from gbsample.stats import compute_catalog
 
-    rows = synthetic_stream(41, 700)
+    rel = Relation.from_records(SCHEMA, synthetic_stream(41, 700))
     state = _fresh(budget=30)
     for start in range(0, 700, 70):
-        ingest_batch(state, rows[start : start + 70], seed=start)
-    rel = Relation.from_records(SCHEMA, rows)
+        ingest_batch(state, rel, np.arange(start, start + 70), seed=start)
     catalog = compute_catalog(rel, ["g"], ["v"])
     assert list(state.ids) == catalog.keys
     assert state.n_seen.tolist() == catalog.n.tolist()
@@ -429,6 +435,7 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
     """Under any batch-size sequence: the budget holds after every settle,
     thresholds never rise, and retained sets stay bottom-k by key."""
     rows = synthetic_stream(5, sum(batch_sizes), groups=3)
+    rel = Relation.from_records(SCHEMA, rows)
     state = _fresh(budget=budget)
     seen: dict = {}
     start = 0
@@ -439,7 +446,7 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
         seed = seed0 + b
         for record, key_value in zip(batch, batch_keys(seed, len(batch))):
             seen.setdefault(record[0], []).append(float(key_value))
-        ingest_batch(state, batch, seed=seed)
+        ingest_batch(state, rel, np.arange(start - size, start), seed=seed)
         assert state.total_retained <= budget
         assert (state.d[: len(last_d)] <= last_d).all()
         last_d = state.d.copy()
@@ -471,31 +478,32 @@ def test_f2_is_the_floored_score_of_the_committed_moments(
     rows of a new stratum a that overflow, and its rejection leaves ``f2``
     as it was.  Batch sizes cycle through ``batch_sizes``."""
     rows = [(f"g{g}", x) for g, x in rows]
+    rel = Relation.from_records(SCHEMA, rows + bad_rows)
+    bad = np.arange(len(rows), len(rel))
     state = _fresh(budget=budget)
     start, b = 0, 0
     while start < len(rows):
-        batch = rows[start : start + batch_sizes[b % len(batch_sizes)]]
+        batch = np.arange(start, min(start + batch_sizes[b % len(batch_sizes)], len(rows)))
         if b == bad_at:
             before = state.f2
             with pytest.raises((SchemaMismatch, FloatOverflow)):
-                ingest_batch(state, batch + bad_rows, seed=b)
+                ingest_batch(state, rel, np.concatenate((batch, bad)), seed=b)
             assert state.f2 is before and len(before) == len(state.ids)
-        ingest_batch(state, batch, seed=b)
+        ingest_batch(state, rel, batch, seed=b)
         want = floor_zero_costs(_squared_cvs(state, state.n_seen, state.mean, state.m2))
         assert state.f2.tobytes() == want.tobytes() and len(want) == len(state.ids)
         start, b = start + len(batch), b + 1
 
 
 def test_snapshot_usable_for_estimation():
-    rows = synthetic_stream(31, 1000)
+    rel = Relation.from_records(SCHEMA, synthetic_stream(31, 1000))
     state = _fresh(budget=80)
     for b, start in enumerate(range(0, 1000, 100)):
-        ingest_batch(state, rows[start : start + 100], seed=b)
+        ingest_batch(state, rel, np.arange(start, start + 100), seed=b)
     snap = state.snapshot()
     from gbsample.query import AVG, QueryRequest, estimate
 
     ests = estimate(snap, QueryRequest(("g",), AVG, "v"))
-    rel = Relation.from_records(SCHEMA, rows)
     from gbsample.query import exact_answer
 
     exact = {e.group: e.value for e in exact_answer(rel, ["g"], "v", AVG)}
@@ -505,9 +513,10 @@ def test_snapshot_usable_for_estimation():
 
 def test_snapshot_holds_each_stratum_in_arrival_order():
     rows = synthetic_stream(5, 300)
+    rel = Relation.from_records(SCHEMA, rows)
     state = _fresh(budget=30)
     for b, start in enumerate(range(0, 300, 50)):
-        ingest_batch(state, rows[start : start + 50], seed=b)
+        ingest_batch(state, rel, np.arange(start, start + 50), seed=b)
     snap = state.snapshot()
     assert snap.keys == list(state.ids)
     assert snap.n.tolist() == state.n_seen.tolist()
@@ -537,14 +546,80 @@ def test_lockstep_moments_equal_a_row_by_row_fold(rows, batch_sizes):
     time in arrival order; batch sizes cycle through ``batch_sizes``."""
     schema = SCHEMA + (ColumnSchema("w", NUMERIC),)
     rows = [(f"g{g}", x, x * x - 3.0) for g, x in rows]
+    rel = Relation.from_records(schema, rows)
     state = make_state(schema, ("g",), ("v", "w"), 10)
     start, b = 0, 0
     while start < len(rows):
         size = batch_sizes[b % len(batch_sizes)]
-        ingest_batch(state, rows[start : start + size], seed=b)
+        ingest_batch(state, rel, np.arange(start, min(start + size, len(rows))), seed=b)
         start, b = start + size, b + 1
     for k, (name,) in enumerate(state.ids):
         for col, pos in (("v", 1), ("w", 2)):
             m = from_values([r[pos] for r in rows if r[0] == name])
             assert state.n_seen[k] == m.count
             assert (state.mean[col][k], state.m2[col][k]) == (m.mean, m.m2)
+
+
+def test_a_repeated_aggregation_column_is_folded_once():
+    rows = [("a", 1.0), ("b", 2.0), ("a", 3.0), ("b", 9.0), ("a", 8.0)]
+    rel = Relation.from_records(SCHEMA, rows)
+    once = make_state(SCHEMA, ("g",), ("v",), 3)
+    twice = make_state(SCHEMA, ("g",), ("v", "v"), 3)
+    for state in (once, twice):
+        ingest_batch(state, rel, np.arange(len(rel)), seed=4)
+    assert twice.mean["v"].tobytes() == once.mean["v"].tobytes()
+    assert twice.m2["v"].tobytes() == once.m2["v"].tobytes()
+    # each column's cv^2 is added as listed, as cv2_costs adds it
+    assert twice.f2.tobytes() == (2 * once.f2).tobytes()
+    assert twice.f2 == pytest.approx([1.625, 1.6198], abs=5e-5)
+    plan = offline_plan(rel, ("g",), ("v", "v"), 3)
+    assert twice.sizes().tolist() == [int(size) for size in plan.sizes] == [2, 1]
+
+
+def _bits(state):
+    """Every array and count of a stream state and its last settle, as
+    bytes where they are floats."""
+    report = state.last_settle
+    return (
+        list(state.ids.items()), state.n_seen.tobytes(), state.d.tobytes(), state.f2.tobytes(),
+        {c: (state.mean[c].tobytes(), state.m2[c].tobytes()) for c in state.mean},
+        [state.retained[f].tobytes() for f in ("stratum", "key", "ordinal")],
+        repr(state.retained["record"].tolist()), state.arrivals,
+        (report.beta, report.evicted.tobytes(), report.targets.tobytes(),
+         report.f_squared.tobytes(), np.float64(report.delta_objective).tobytes()),
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(-40, 40).map(lambda k: k / 4)),
+        min_size=1,
+        max_size=60,
+    ),
+    st.lists(st.integers(0, 15), min_size=1, max_size=10).filter(any),
+    st.sampled_from([("g",), ("g", "h")]),
+    st.sampled_from([("v",), ("v", "w"), ("v", "v")]),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_ingest_matches_the_record_fed_oracle(rows, batch_sizes, attrs, columns, budget, seed):
+    """Rows of a relation fed by row number, in shuffled batches of any size
+    (empty ones included), give the state the record-fed ingest gives the
+    same records, bit for bit, after every batch.  The stratum "late" is
+    first seen once every other row has arrived."""
+    schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("h", CATEGORICAL),
+              ColumnSchema("v", NUMERIC), ColumnSchema("w", NUMERIC))
+    records = [(f"g{g}", f"h{h}", x, x * x - 3.0) for g, h, x in rows]
+    records += [("late", "h0", 2.0, 1.0), ("late", "h1", 5.5, 27.25)]
+    rel = Relation.from_records(schema, records)
+    rng = np.random.default_rng(seed)
+    order = np.concatenate((rng.permutation(len(rows)), len(rows) + rng.permutation(2)))
+    state = make_state(schema, attrs, columns, budget)
+    oracle = make_state(schema, attrs, columns, budget)
+    start, b = 0, 0
+    while start < len(order):
+        batch = order[start : start + batch_sizes[b % len(batch_sizes)]]
+        ingest_batch(state, rel, batch, seed=b)
+        reference.ingest_batch(oracle, [records[i] for i in batch], seed=b)
+        assert _bits(state) == _bits(oracle)
+        start, b = start + len(batch), b + 1
