@@ -47,8 +47,8 @@ def main(argv=None) -> int:
     spike = ("g0", 2.0 - eps)
     stream = Relation.from_records(SCHEMA, rows + [spike])
 
-    state = make_state(SCHEMA, ("g",), ("v",), args.budget)
-    ingest_batch(state, stream, range(len(rows)), seed=args.seed)
+    state = make_state(SCHEMA, ("g",), ("v",), args.budget, args.seed)
+    ingest_batch(state, stream, range(len(rows)))
 
     def streaming_sizes():
         return {k[0]: size for k, size in zip(state.ids, state.sizes().tolist())}
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
         )
     )
 
-    ingest_batch(state, stream, [len(rows)], seed=args.seed + 1)
+    ingest_batch(state, stream, [len(rows)])
     all_rows = rows + [spike]
     rel_post, off_post = offline_sizes(all_rows)
     one_pass = objective_of_sizes(rel_post, ["g"], "v", streaming_sizes())

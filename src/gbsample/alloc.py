@@ -775,6 +775,10 @@ def plan_individual(
     if zero.all():
         raise EmptyProblem("no (query, group) pairs to allocate over")
     excluded = int(zero.sum())
+    check_budget(budget)
+    if budget - excluded < 1:
+        raise InvalidArgument(f"budget {budget} leaves no rows after pinning {excluded} "
+                              "zero-mean (query, group) pairs at one row each")
     note = f"ZeroMeanExcluded: {excluded} (query, group) pairs pinned at one row"
     order = np.concatenate([np.flatnonzero(~zero), np.flatnonzero(zero)])
     shares = np.ones(len(order))

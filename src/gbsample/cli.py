@@ -240,21 +240,23 @@ def _out(cfg: RunConfig, name: str, text: str | None = None) -> Path:
     """The path of the output file ``name``, its directory made if need be;
     ``text``, when given, is written there."""
     out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise UsageError(f"out_dir {cfg.out_dir!r} is not a directory") from None
+    out.mkdir(parents=True, exist_ok=True)
     if text is not None:
         (out / name).write_text(text, encoding="utf-8")
     return out / name
 
 
-def _read_output(cfg: RunConfig, name: str, command: str) -> tuple[str, str]:
-    """The text and the path of the file ``name`` that ``command`` wrote."""
+def _stage_file(cfg: RunConfig, name: str, command: str) -> Path:
+    """The path of the file ``name`` that ``command`` wrote, which must exist."""
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise UsageError(f"{path} not found; run the {command} command first")
-    with open_text(path) as fh:
+    return path
+
+
+def _read_output(cfg: RunConfig, name: str, command: str) -> tuple[str, str]:
+    """The text and the path of the file ``name`` that ``command`` wrote."""
+    with open_text(path := _stage_file(cfg, name, command)) as fh:
         return fh.read(), str(path)
 
 
@@ -364,7 +366,7 @@ def _load_query(cfg: RunConfig) -> qmod.QueryRequest:
 
 def cmd_query(cfg: RunConfig) -> int:
     request = _load_query(cfg)
-    sample = sampler.load_sample(Path(cfg.out_dir) / "sample.txt")
+    sample = sampler.load_sample(_stage_file(cfg, "sample.txt", "sample"))
     answer = qmod.estimate(sample, request)
     path = _out(cfg, "estimates.json", qmod.estimates_to_json(answer, request))
     print(f"wrote {path} ({len(answer)} groups)")
@@ -374,9 +376,7 @@ def cmd_query(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     request = _load_query(cfg)
     rel = _load_relation(cfg)
-    sample = sampler.load_sample(
-        Path(cfg.out_dir) / "sample.txt", expect_schema=rel.schema
-    )
+    sample = sampler.load_sample(_stage_file(cfg, "sample.txt", "sample"), rel.schema)
     report = qmod.evaluate(rel, sample, request, cfg.missing_policy)
     jpath = _out(cfg, "report.json", qmod.report_to_json(report))
     cpath = _out(cfg, "report.csv", qmod.report_to_csv(report))
@@ -428,11 +428,6 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
-def batch_seed(base_seed: int, batch_index: int) -> int:
-    """Deterministic per-batch seed for the stream simulator."""
-    return int(np.random.SeedSequence([int(base_seed), int(batch_index)]).generate_state(1)[0])
-
-
 def cmd_stream(cfg: RunConfig) -> int:
     """Replay a CSV through the streaming sampler, each mini-batch a row range
     of the loaded relation; one JSON line of metrics per batch, none for a rejected one."""
@@ -441,28 +436,23 @@ def cmd_stream(cfg: RunConfig) -> int:
     if not cfg.group_by or not cfg.aggregates:
         raise UsageError("group_by and aggregates are required for stream-sim")
     budget, _ = cfg.resolve_budget(rel.n_rows)
-    state = stream.make_state(rel.schema, cfg.group_by, cfg.aggregates, budget)
+    state = stream.make_state(rel.schema, cfg.group_by, cfg.aggregates, budget, seed)
     path = _out(cfg, "stream_metrics.jsonl")
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             for b, start in enumerate(range(0, rel.n_rows, cfg.batch_size)):
                 rows = np.arange(start, min(start + cfg.batch_size, rel.n_rows))
-                stream.ingest_batch(state, rel, rows, batch_seed(seed, b))
+                stream.ingest_batch(state, rel, rows)
                 strata = zip(state.ids, state.sizes().tolist())
-                sizes = [{"key": list(k), "size": size} for k, size in strata]
-                line = {
-                    "batch": b,
-                    "arrivals": state.arrivals,
-                    "retained": state.total_retained,
-                    "objective": alloc.json_float(state.objective_value()),
-                    "sizes": sizes,
-                }
+                line = {"batch": b, "arrivals": state.arrivals, "retained": state.total_retained,
+                        "objective": alloc.json_float(state.objective_value()),
+                        "sizes": [{"key": list(k), "size": size} for k, size in strata]}
                 fh.write(json.dumps(line) + "\n")
+        os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    os.replace(partial, path)
     print(f"wrote {path} ({state.arrivals} rows, {state.total_retained} retained)")
     return 0
 
@@ -508,7 +498,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args)
         return args.fn(cfg)
-    except (UsageError, GbsampleError, FileNotFoundError) as exc:
+    except (UsageError, GbsampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

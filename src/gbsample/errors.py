@@ -83,6 +83,12 @@ POSITIVE = (lambda v: INTEGER[0](v) and v >= 1, "an integer >= 1 in the int64 ra
 SEED = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 
 
+def check_seed(seed: int) -> None:
+    """Raise :class:`InvalidArgument` for a negative seed."""
+    if seed < 0:
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
+
+
 def finite(v) -> bool:
     """Whether the int or float ``v`` is a finite float: an int beyond the
     float range is not."""

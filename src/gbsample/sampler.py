@@ -74,6 +74,7 @@ from .errors import (
     RateOutOfRange,
     SchemaMismatch,
     TypeParseError,
+    check_seed,
     expect,
     member,
     members,
@@ -110,8 +111,7 @@ def substream_states(seed: int, indices) -> np.ndarray:
     so SeedSequence's hash constants are too, and each step of its
     algorithm runs once over all indices; uint32 array arithmetic wraps
     as its C code does."""
-    if seed < 0:  # its words would never end
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)  # a negative seed's words would never end
     index = np.asarray(indices, dtype=np.int64)
     if index.size and not 0 <= index.min() <= index.max() <= _MASK32:
         raise InvalidArgument("substream indices must lie in [0, 2**32)")
@@ -321,8 +321,7 @@ def draw_stratified(rel: Relation, plan: AllocationPlan, seed: int) -> Stratifie
     Deterministic given (relation, plan, seed); raises PlanMismatch when
     the plan's strata do not cover the relation's partition exactly once.
     """
-    if seed < 0:
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     strata = rel.strata(plan.group_attrs)
     position = {values: k for k, values in enumerate(strata.keys)}
     planned = [key.values for key in plan.keys]
@@ -376,8 +375,7 @@ def draw_poisson(rel: Relation, p: np.ndarray, seed: int) -> PoissonSample:
         raise RateOutOfRange("one inclusion probability per row is required")
     if np.any(p < 0) or np.any(p > 1):
         raise RateOutOfRange("inclusion probabilities must lie in [0, 1]")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     u = rng.random(rel.n_rows)
     taken = np.flatnonzero(u < p)

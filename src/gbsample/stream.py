@@ -2,12 +2,13 @@
 
 Rows arrive in mini-batches, each some rows of a :class:`Relation`; a
 batch decodes only its grouping values and the rows it offers a place.
-Each row receives a fresh uniform (0, 1) key; a stratum retains the rows
-with the smallest keys it has ever seen, tracking d_i, the smallest key
-it ever discarded (1.0 until the first eviction).  A new row enters its
-stratum's sample iff its key is at most d_i, which keeps every retained
-set an exact bottom-k by key, hence a uniform without-replacement subset
-of the stratum so far.
+Under the stream's seed the i-th row accepted has the uniform key
+``default_rng(seed).random(N)[i]``, whatever the batches.  A stratum
+retains the rows with the smallest keys it has ever seen, tracking d_i,
+the smallest key it ever discarded (1.0 until the first eviction).  A new
+row enters its stratum's sample iff its key is at most d_i, which keeps
+every retained set an exact bottom-k by key, hence a uniform
+without-replacement subset of the stratum so far.
 
 Each batch scores every stratum with f(i)^2, kept as ``f2``: the squared
 CVs of its online statistics summed over the configured columns, floored
@@ -54,7 +55,7 @@ from .alloc import (
     solve_fractional,
 )
 from .dataset import CATEGORICAL, NUMERIC, ColumnSchema, GroupKey, Relation, encode_into
-from .errors import FloatOverflow, SchemaMismatch, UnknownAttribute, UnknownColumn
+from .errors import FloatOverflow, SchemaMismatch, UnknownAttribute, UnknownColumn, check_seed
 from .sampler import StratifiedSample
 from .stats import compute_catalog, std_of
 
@@ -79,7 +80,7 @@ class StreamState:
     """Stratum k has the group values that ``ids`` maps to k, ``n_seen[k]``
     arrivals, threshold ``d[k]``, per column c of ``columns`` moments
     ``mean[c][k]`` and ``m2[c][k]``, and the score ``f2[k]`` those moments
-    give; ``retained`` holds the kept rows."""
+    give; ``retained`` holds the kept rows and ``rng`` draws their keys."""
 
     schema: tuple[ColumnSchema, ...]
     group_attrs: tuple[str, ...]
@@ -87,6 +88,7 @@ class StreamState:
     budget: int
     mean: dict[str, np.ndarray]
     m2: dict[str, np.ndarray]
+    rng: np.random.Generator
     ids: dict[tuple, int] = field(default_factory=dict)
     n_seen: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     d: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -110,10 +112,12 @@ class StreamState:
     def snapshot(self) -> StratifiedSample:
         """Read-only view of the current sample for querying."""
         rows = self.retained[np.lexsort((self.retained["ordinal"], self.retained["stratum"]))]
-        columns = Relation.from_records(self.schema, rows["record"].tolist())
+        records = rows["record"].tolist()  # decoded from this schema: no cell to check
+        columns = zip(self.schema, list(zip(*records)) or [()] * len(self.schema))
+        relation = Relation(self.schema, {c.name: col for c, col in columns}, len(records))
         return StratifiedSample(
             self.schema, self.group_attrs, "stream", 0, list(self.ids), self.n_seen,
-            self.sizes(), columns, rows["ordinal"],
+            self.sizes(), relation, rows["ordinal"],
         )
 
 
@@ -143,9 +147,11 @@ def make_state(
     group_attrs: Sequence[str],
     columns: Sequence[str],
     budget: int,
+    seed: int,
 ) -> StreamState:
     """An empty state over categorical ``group_attrs`` and numeric ``columns``."""
     check_budget(budget)
+    check_seed(seed)
     kinds = {c.name: c.kind for c in schema}
     columns = tuple(columns)
     for names, kind, error in ((group_attrs, CATEGORICAL, UnknownAttribute),
@@ -156,16 +162,8 @@ def make_state(
             if kinds[a] != kind:
                 raise error(a)
     return StreamState(tuple(schema), tuple(group_attrs), columns, int(budget),
-                       {c: np.zeros(0) for c in columns}, {c: np.zeros(0) for c in columns})
-
-
-def batch_keys(seed: int, count: int) -> np.ndarray:
-    """Uniform keys assigned to a batch, in row order.
-
-    Exposed so replay checks can regenerate the exact keys a batch used.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    return rng.random(count)
+                       {c: np.zeros(0) for c in columns}, {c: np.zeros(0) for c in columns},
+                       np.random.default_rng(seed))
 
 
 def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new: int):
@@ -195,16 +193,17 @@ def _observe(state: StreamState, sid: np.ndarray, values: list[np.ndarray], new:
     return n_seen + counts, mean, m2
 
 
-def ingest_batch(state: StreamState, rel: Relation, rows, seed: int) -> StreamState:
+def ingest_batch(state: StreamState, rel: Relation, rows) -> StreamState:
     """Feed the rows ``rows`` of ``rel`` in order as one batch, then settle to the budget.
 
-    Every arriving row updates its stratum's online moments and count; it
-    is retained only if its key passes the stratum's discard threshold.
-    New strata start with d = 1.0 (accept everything).  A relation of
-    another schema, a non-finite aggregation value or a batch that would
-    overflow a stratum's moments raises :class:`SchemaMismatch`, and one
-    that would take a stratum's squared CV beyond the float range raises
-    :class:`FloatOverflow`; either leaves the state as it was.
+    Every arriving row updates its stratum's online moments and count,
+    takes the next key of ``state.rng`` and is retained only if the key
+    passes the stratum's discard threshold; new strata start with d = 1.0
+    (accept everything).  A relation of another schema, a non-finite
+    aggregation value or a batch that would overflow a stratum's moments
+    raises :class:`SchemaMismatch`, and one that would take a stratum's
+    squared CV beyond the float range raises :class:`FloatOverflow`; either
+    leaves the state, ``rng`` included, as it was.
     """
     if rel.schema != state.schema:
         raise SchemaMismatch("the relation's schema is not the stream's")
@@ -225,7 +224,7 @@ def ingest_batch(state: StreamState, rel: Relation, rows, seed: int) -> StreamSt
     state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
     state.n_seen, state.mean, state.m2, state.f2 = n_seen, mean, m2, f2
 
-    keys = batch_keys(seed, len(rows))
+    keys = state.rng.random(len(rows))
     offered = np.flatnonzero(keys <= state.d[sid])
     if offered.size:
         new = np.empty(offered.size, RETAINED)

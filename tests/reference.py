@@ -26,7 +26,8 @@ an answer the plain way, with ``np.unique`` and one key at a time.
 :func:`gbsample.errors.member`, the oracle of the errors the package
 raises after checking each field of every stratum in one pass.
 :func:`ingest_batch` is the stream's record-fed ingest, which the one that
-reads row ranges of a relation replaced, kept verbatim as its oracle.
+reads row ranges of a relation replaced, kept as its oracle; it draws its
+keys from the state's generator, as the package does.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ from gbsample.stream import (
     StreamState,
     _observe,
     _squared_cvs,
-    batch_keys,
     offline_plan,
     settle_budget,
 )
@@ -846,11 +846,12 @@ def two_pass_reference(
     return draw_stratified(rel, plan, seed)
 
 
-def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> StreamState:
+def ingest_batch(state: StreamState, batch: Sequence[tuple]) -> StreamState:
     """Feed one mini-batch, then settle back to the budget.
 
-    Every arriving row updates its stratum's online moments and count; it
-    is retained only if its key passes the stratum's discard threshold.
+    Every arriving row updates its stratum's online moments and count and
+    takes the next key of ``state.rng``; it is retained only if its key
+    passes the stratum's discard threshold.
     New strata start with d = 1.0 (accept everything).  A batch with a
     malformed record (a wrong field count, a non-finite aggregation value,
     an unhashable group value), or one that would overflow a stratum's
@@ -889,7 +890,7 @@ def ingest_batch(state: StreamState, batch: Sequence[tuple], seed: int) -> Strea
     state.d = np.concatenate((state.d, np.ones(len(ids) - known)))
     state.n_seen, state.mean, state.m2, state.f2 = n_seen, mean, m2, f2
 
-    keys = batch_keys(seed, n)
+    keys = state.rng.random(n)
     offered = np.flatnonzero(keys <= state.d[sid])
     if offered.size:
         rows = np.empty(offered.size, RETAINED)

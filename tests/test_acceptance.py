@@ -34,7 +34,6 @@ from gbsample.query import AVG, COUNT, QueryRequest, estimate, evaluate
 from gbsample.sampler import draw_poisson, draw_stratified
 from gbsample.stats import compute_catalog
 from gbsample.stream import (
-    batch_keys,
     ingest_batch,
     make_state,
     offline_plan,
@@ -438,8 +437,8 @@ def test_criterion_7_eviction_optimality():
         # strata s0 .. s{k-1} with sizes[i] rows each: one batch ingested
         # under a budget that keeps every row, then the trial's budget and f^2
         rows = [(f"s{i}", 0.0) for i in range(k) for _ in range(int(sizes[i]))]
-        state = make_state(schema, ("g",), ("v",), len(rows))
-        ingest_batch(state, Relation.from_records(schema, rows), np.arange(len(rows)), seed=trial)
+        state = make_state(schema, ("g",), ("v",), len(rows), trial)
+        ingest_batch(state, Relation.from_records(schema, rows), np.arange(len(rows)))
         state.budget = budget
         state.f2 = f2
         keys = range(k)
@@ -506,8 +505,8 @@ def test_criterion_8_streaming_offline_agreement():
 
     for seed in range(5):
         rel = Relation.from_records(SCHEMA_STREAM, _stream_rows(800 + seed, 50_000))
-        state = make_state(SCHEMA_STREAM, ("g",), objective, budget)
-        ingest_batch(state, rel, np.arange(len(rel)), seed=9000 + seed)
+        state = make_state(SCHEMA_STREAM, ("g",), objective, budget, 9000 + seed)
+        ingest_batch(state, rel, np.arange(len(rel)))
         plan = offline_plan(rel, ("g",), objective, budget)
         assert state.total_retained == budget
         sizes = state.sizes()
@@ -520,13 +519,12 @@ def test_criterion_8_streaming_offline_agreement():
     for seed in range(5):
         rows = _stream_rows(900 + seed, replay_n)
         rel = Relation.from_records(SCHEMA_STREAM, rows)
-        state = make_state(SCHEMA_STREAM, ("g",), objective, 120)
+        state = make_state(SCHEMA_STREAM, ("g",), objective, 120, seed)
         seen: dict[tuple, list[float]] = {}
-        for i, record in enumerate(rows):
-            key_seed = 100_000 * seed + i
-            (key_value,) = batch_keys(key_seed, 1)
+        for record, key_value in zip(rows, np.random.default_rng(seed).random(replay_n)):
             seen.setdefault((record[0],), []).append(float(key_value))
-            ingest_batch(state, rel, [i], seed=key_seed)
+        for i in range(replay_n):
+            ingest_batch(state, rel, [i])
             assert state.total_retained <= 120
         assert state.total_retained == 120
         sizes = state.sizes()

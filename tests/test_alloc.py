@@ -464,6 +464,29 @@ def test_cv_costs_zero_mean_error_and_exclude():
     assert _sizes(plan) == {"b": 2, "a": 1}
 
 
+def _one_zero_mean_pair_catalog():
+    schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
+    rel = Relation.from_records(schema, [("a", 5.0), ("a", -5.0), ("b", 3.0), ("b", 5.0)])
+    return compute_catalog(rel, ["g"], ["v"])
+
+
+def test_plan_individual_a_budget_below_one_is_invalid():
+    catalog = _one_zero_mean_pair_catalog()
+    with pytest.raises(InvalidArgument, match="^budget must be >= 1, got 0$"):
+        plan_individual([catalog], [GroupQuery(("g",), ("v",))], 0, zero_mean="exclude")
+
+
+def test_plan_individual_a_budget_the_pinned_pairs_use_up_is_invalid():
+    catalog = _one_zero_mean_pair_catalog()
+    with pytest.raises(InvalidArgument) as raised:
+        plan_individual([catalog], [GroupQuery(("g",), ("v",))], 1, zero_mean="exclude")
+    assert str(raised.value) == (
+        "budget 1 leaves no rows after pinning 1 zero-mean (query, group) pairs at one row each"
+    )
+    plan = plan_individual([catalog], [GroupQuery(("g",), ("v",))], 2, zero_mean="exclude")
+    assert plan.sizes.tolist() == [1.0, 1.0]
+
+
 def test_zero_variance_stratum_gets_exactly_one_row():
     schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
     rows = [("a", 5.0)] * 30 + [("b", float(v)) for v in (1, 9) * 15]

@@ -4,9 +4,10 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from gbsample.cli import ALL_METHODS, RunConfig, UsageError, batch_seed, build_parser, main
+from gbsample.cli import ALL_METHODS, RunConfig, UsageError, build_parser, main
 
 from conftest import FIX_A_ROWS
 
@@ -373,10 +374,22 @@ def test_flag_overrides(tmp_path, fix_a_csv):
     assert (out2 / "catalog.json").exists()
 
 
-def test_batch_seed_deterministic():
-    assert batch_seed(5, 0) == batch_seed(5, 0)
-    assert batch_seed(5, 0) != batch_seed(5, 1)
-    assert batch_seed(5, 1) != batch_seed(6, 1)
+@pytest.mark.parametrize("batch_size", [1, 7, 100])
+def test_stream_sim_output_is_a_function_of_config_and_seed(tmp_path, batch_size):
+    rng = np.random.default_rng(3)
+    groups = rng.integers(0, 8, size=400)
+    values = rng.normal(10.0 * (groups + 1), 3.0 * (groups + 1)).tolist()
+    data = tmp_path / "data.csv"
+    rows = "".join(f"g{g},{v!r}\n" for g, v in zip(groups, values))
+    data.write_text("grp,v\n" + rows, encoding="utf-8")
+    cfg = _write_config(tmp_path, data, budget=24, batch_size=batch_size)
+    metrics = tmp_path / "out" / "stream_metrics.jsonl"
+    runs = []
+    for seed in ("5", "5", "6"):
+        assert _run("stream-sim", "--config", str(cfg), "--seed", seed) == 0
+        runs.append(metrics.read_bytes())
+    assert runs[0] == runs[1]
+    assert runs[2] != runs[0]
 
 
 def test_zero_mean_exclude_flag(tmp_path):
@@ -1708,3 +1721,54 @@ def test_json_nested_beyond_the_recursion_limit_is_a_user_error(tmp_path, fix_a_
     capsys.readouterr()
     assert _run("query", "--config", str(cfg)) == 1
     assert f"error: {path}: JSON nested too deeply to read" in capsys.readouterr().err
+
+
+#: per command, the output file it writes that is made a directory
+BLOCKED_OUTPUTS = {
+    "stats": "catalog.json",
+    "plan": "plan.json",
+    "sample": "sample.txt",
+    "query": "estimates.json",
+    "evaluate": "report.csv",
+    "compare": "compare.json",
+    "stream-sim": "stream_metrics.jsonl",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_output_name_taken_by_a_directory_is_a_user_error(
+    tmp_path, fix_a_csv, capsys, command
+):
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    for upstream in ("stats", "plan", "sample"):
+        if upstream == command:
+            break
+        assert _run(upstream, "--config", str(cfg)) == 0
+    blocked = tmp_path / "out" / BLOCKED_OUTPUTS[command]
+    if blocked.exists():
+        blocked.unlink()
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert _run(command, "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocked) in err
+    assert "Traceback" not in err
+    assert not [p.name for p in blocked.parent.iterdir() if p.name.endswith(".partial")]
+
+
+@pytest.mark.parametrize("command", ["query", "evaluate"])
+def test_a_missing_sample_names_the_command_to_run(tmp_path, fix_a_csv, capsys, command):
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    assert _run(command, "--config", str(cfg)) == 1
+    sample = tmp_path / "out" / "sample.txt"
+    assert capsys.readouterr().err == f"error: {sample} not found; run the sample command first\n"

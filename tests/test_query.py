@@ -847,9 +847,9 @@ def test_kernel_matches_reference_loops_hypothesis(
 def _snapshot(rel, budget, seed):
     """A stream snapshot of ``rel`` stratified by (g, h), fed in batches of 7
     rows under a budget that may leave strata empty."""
-    state = make_state(rel.schema, ("g", "h"), ("v",), budget)
-    for b, start in enumerate(range(0, rel.n_rows, 7)):
-        ingest_batch(state, rel, np.arange(start, min(start + 7, rel.n_rows)), seed=seed + b)
+    state = make_state(rel.schema, ("g", "h"), ("v",), budget, seed)
+    for start in range(0, rel.n_rows, 7):
+        ingest_batch(state, rel, np.arange(start, min(start + 7, rel.n_rows)))
     return state.snapshot()
 
 

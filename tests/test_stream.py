@@ -16,7 +16,6 @@ from gbsample.errors import (
 )
 from gbsample.stream import (
     _squared_cvs,
-    batch_keys,
     ingest_batch,
     make_state,
     offline_plan,
@@ -41,16 +40,16 @@ def synthetic_stream(seed, n, groups=4, sigma_scale=2.0):
     return rows
 
 
-def _fresh(budget=40):
-    return make_state(SCHEMA, ("g",), OBJ, budget)
+def _fresh(budget=40, seed=0):
+    return make_state(SCHEMA, ("g",), OBJ, budget, seed)
 
 
 def _holding(sizes, budget, seed=0):
     """A state whose strata s0, s1, ... hold ``sizes`` rows: one batch
     ingested under a budget that keeps every row, then ``budget`` set."""
     rows = [(f"s{i}", 0.0) for i, size in enumerate(sizes) for _ in range(int(size))]
-    state = make_state(SCHEMA, ("g",), OBJ, len(rows))
-    ingest_batch(state, Relation.from_records(SCHEMA, rows), np.arange(len(rows)), seed=seed)
+    state = make_state(SCHEMA, ("g",), OBJ, len(rows), seed)
+    ingest_batch(state, Relation.from_records(SCHEMA, rows), np.arange(len(rows)))
     state.budget = budget
     return state
 
@@ -63,36 +62,41 @@ def test_schema_mismatch():
     wider = Relation.from_records(SCHEMA + (ColumnSchema("w", NUMERIC),), [("a", 1.0, 2.0)])
     state = _fresh()
     with pytest.raises(SchemaMismatch, match="schema is not the stream's"):
-        ingest_batch(state, wider, [0], seed=0)
+        ingest_batch(state, wider, [0])
     assert not state.ids and state.arrivals == 0 and state.total_retained == 0
     with pytest.raises(SchemaMismatch):
-        make_state(SCHEMA, ("nope",), OBJ, 10)
+        make_state(SCHEMA, ("nope",), OBJ, 10, 0)
 
 
 def test_make_state_checks_column_kinds():
     with pytest.raises(UnknownAttribute, match="^'v' is not a categorical column"):
-        make_state(SCHEMA, ("v",), OBJ, 10)
+        make_state(SCHEMA, ("v",), OBJ, 10, 0)
     with pytest.raises(UnknownColumn, match="^'g' is not a numeric column"):
-        make_state(SCHEMA, ("g",), ("g",), 10)
+        make_state(SCHEMA, ("g",), ("g",), 10, 0)
 
 
 @pytest.mark.parametrize("budget", [0, -3])
 def test_a_budget_below_one_is_invalid(budget):
     with pytest.raises(InvalidArgument, match=f"^budget must be >= 1, got {budget}$"):
-        make_state(SCHEMA, ("g",), OBJ, budget)
+        make_state(SCHEMA, ("g",), OBJ, budget, 0)
+
+
+def test_a_negative_seed_is_invalid():
+    with pytest.raises(InvalidArgument, match="^seed must be a non-negative integer, got -1$"):
+        make_state(SCHEMA, ("g",), OBJ, 10, seed=-1)
 
 
 def test_key_above_threshold_is_rejected():
-    state = _fresh(budget=100)
+    state = _fresh(budget=100, seed=1)
     rel = Relation.from_records(SCHEMA, [("a", 1.0)] * 3)
-    ingest_batch(state, rel, [0], seed=0)
-    (key,) = batch_keys(1, 1)
-    state.d[0] = key / 2
-    ingest_batch(state, rel, [1], seed=1)
+    _, second, third = np.random.default_rng(1).random(3)
+    ingest_batch(state, rel, [0])
+    state.d[0] = second / 2
+    ingest_batch(state, rel, [1])
     assert state.total_retained == 1 and state.n_seen[0] == 2
-    state.d[0] = key
-    ingest_batch(state, rel, [2], seed=1)
-    assert state.total_retained == 2 and key in retained_keys(state, 0)
+    state.d[0] = third
+    ingest_batch(state, rel, [2])
+    assert state.total_retained == 2 and third in retained_keys(state, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "inf"])
@@ -100,9 +104,9 @@ def test_non_finite_aggregation_value_is_a_schema_mismatch(bad):
     state = _fresh(budget=2)
     rows = [("a", 1.0), ("b", 2.0), ("a", 3.0), ("c", bad), ("b", 4.0)]
     rel = Relation.from_records(SCHEMA, rows)
-    ingest_batch(state, rel, np.arange(2), seed=0)
+    ingest_batch(state, rel, np.arange(2))
     with pytest.raises(SchemaMismatch, match="non-finite"):
-        ingest_batch(state, rel, np.arange(2, 5), seed=1)
+        ingest_batch(state, rel, np.arange(2, 5))
     # the failed batch left the state as it was
     assert list(state.ids) == [("a",), ("b",)]
     assert state.n_seen.tolist() == [1, 1] and state.arrivals == 2
@@ -135,14 +139,14 @@ def test_overflowing_moments_reject_the_batch(batch_size):
     rel = Relation.from_records(SCHEMA, rows + [("b", 5.0), ("b", 6.0)])
     batches = np.array_split(np.arange(len(rows)), range(batch_size, len(rows), batch_size))
     bad = 1 // batch_size  # the batch holding the second row
-    for b, batch in enumerate(batches[:bad]):
-        ingest_batch(state, rel, batch, seed=b)
+    for batch in batches[:bad]:
+        ingest_batch(state, rel, batch)
     before = _state_of(state)
     with pytest.raises(SchemaMismatch, match="overflow"):
-        ingest_batch(state, rel, batches[bad], seed=bad)
+        ingest_batch(state, rel, batches[bad])
     # the failed batch left the state as it was, its new strata included
     assert _state_of(state) == before
-    ingest_batch(state, rel, np.arange(len(rows), len(rel)), seed=9)
+    ingest_batch(state, rel, np.arange(len(rows), len(rel)))
     assert list(state.ids) == ([("a",), ("b",)] if bad else [("b",)])
     assert state.total_retained == 2 and np.isfinite(state.objective_value())
 
@@ -161,21 +165,21 @@ def test_overflowing_squared_cv_rejects_the_batch(batch_size):
     rel = Relation.from_records(SCHEMA, rows + [("b", 5.0), ("c", 6.0)])
     batches = np.array_split(np.arange(len(rows)), range(batch_size, len(rows), batch_size))
     bad = 2 // batch_size  # the batch holding the third row
-    for b, batch in enumerate(batches[:bad]):
-        ingest_batch(state, rel, batch, seed=b)
+    for batch in batches[:bad]:
+        ingest_batch(state, rel, batch)
     before = _state_of(state)
     with pytest.raises(FloatOverflow, match=r"\(g=a\) column 'v': the squared CV"):
-        ingest_batch(state, rel, batches[bad], seed=bad)
+        ingest_batch(state, rel, batches[bad])
     # the failed batch left the state as it was, its new strata included
     assert _state_of(state) == before
-    ingest_batch(state, rel, np.arange(len(rows), len(rel)), seed=9)
+    ingest_batch(state, rel, np.arange(len(rows), len(rel)))
     assert np.isfinite(state.objective_value())
 
 
 def test_settle_noop_below_budget():
     state = _fresh(budget=1000)
     rel = Relation.from_records(SCHEMA, synthetic_stream(1, 200))
-    ingest_batch(state, rel, np.arange(200), seed=3)
+    ingest_batch(state, rel, np.arange(200))
     assert state.total_retained == 200  # everything retained, d still 1.0
     report = state.last_settle
     assert report.beta == 0 and not report.evicted.any()
@@ -185,7 +189,7 @@ def test_single_batch_matches_offline_plan():
     rows = synthetic_stream(7, 3000)
     state = _fresh(budget=60)
     rel = Relation.from_records(SCHEMA, rows)
-    ingest_batch(state, rel, np.arange(len(rel)), seed=11)
+    ingest_batch(state, rel, np.arange(len(rel)))
     plan = offline_plan(rel, ("g",), OBJ, 60)
     assert state.total_retained == 60
     sizes = state.sizes()
@@ -199,7 +203,7 @@ def test_all_oversized_base_case_sets_rounded_targets():
     rows = [("a", float(v)) for v in (12, 18) * 20] + [
         ("b", float(v)) for v in (14, 16) * 20
     ]
-    ingest_batch(state, Relation.from_records(SCHEMA, rows), np.arange(len(rows)), seed=5)
+    ingest_batch(state, Relation.from_records(SCHEMA, rows), np.arange(len(rows)))
     targets = state.last_settle.targets
     sizes = {k[0]: size for k, size in zip(state.ids, state.sizes().tolist())}
     assert sizes == {"a": 6, "b": 2}
@@ -207,14 +211,14 @@ def test_all_oversized_base_case_sets_rounded_targets():
 
 
 def test_eviction_only_touches_oversized():
-    # on these seeded batches every evicting stratum held more than its
+    # on this seeded stream every evicting stratum held more than its
     # fractional target; settle does not require it (see the tests below)
-    state = _fresh(budget=30)
+    state = _fresh(budget=30, seed=1000)
     evictions_seen = 0
     rows = [r for b in range(10) for r in synthetic_stream(100 + b, 90)]
     rel = Relation.from_records(SCHEMA, rows)
-    for b, start in enumerate(range(0, 900, 90)):
-        ingest_batch(state, rel, np.arange(start, start + 90), seed=1000 + b)
+    for start in range(0, 900, 90):
+        ingest_batch(state, rel, np.arange(start, start + 90))
         report = state.last_settle
         sizes = state.sizes()
         for k in np.flatnonzero(report.evicted):
@@ -328,7 +332,7 @@ def test_objective_accounting():
     for start in range(0, 600, 60):
         # objective before settle but after moments update is not observable
         # from outside; check the settle report's own accounting instead
-        ingest_batch(state, rel, np.arange(start, start + 60), seed=start)
+        ingest_batch(state, rel, np.arange(start, start + 60))
         report = state.last_settle
         if not report.evicted.any():
             continue
@@ -345,18 +349,14 @@ def test_bottom_k_by_key_structure():
     """After any ingest and settle sequence, every stratum retains exactly
     the smallest keys it has seen."""
     budget = 35
-    state = _fresh(budget)
+    state = _fresh(budget, seed=7000)
     all_keys: dict[tuple, list[float]] = {}
     rows = synthetic_stream(17, 1200)
     rel = Relation.from_records(SCHEMA, rows)
-    batch_size = 30
-    for b, start in enumerate(range(0, len(rows), batch_size)):
-        batch = rows[start : start + batch_size]
-        seed = 7000 + b
-        keys = batch_keys(seed, len(batch))
-        for record, key_value in zip(batch, keys):
-            all_keys.setdefault((record[0],), []).append(float(key_value))
-        ingest_batch(state, rel, np.arange(start, start + batch_size), seed=seed)
+    for record, key_value in zip(rows, np.random.default_rng(7000).random(len(rows))):
+        all_keys.setdefault((record[0],), []).append(float(key_value))
+    for start in range(0, len(rows), 30):
+        ingest_batch(state, rel, np.arange(start, start + 30))
         assert state.total_retained <= budget
 
     assert state.total_retained == budget
@@ -371,8 +371,8 @@ def test_threshold_never_increases():
     state = _fresh(budget=20)
     rel = Relation.from_records(SCHEMA, synthetic_stream(23, 900))
     last_d = np.zeros(0)
-    for b, start in enumerate(range(0, 900, 45)):
-        ingest_batch(state, rel, np.arange(start, start + 45), seed=b)
+    for start in range(0, 900, 45):
+        ingest_batch(state, rel, np.arange(start, start + 45))
         assert (state.d[: len(last_d)] <= last_d + 1e-15).all()
         last_d = state.d.copy()
 
@@ -402,10 +402,10 @@ def test_two_pass_single_stratum_budget_cap():
 def test_budget_below_strata_count_degenerates_gracefully():
     # budget 2 against 5 one-row-per-arrival strata: settles must empty
     # some strata without going negative or crashing
-    state = make_state(SCHEMA, ("g",), OBJ, 2)
+    state = make_state(SCHEMA, ("g",), OBJ, 2, 0)
     rel = Relation.from_records(SCHEMA, [(f"g{i}", float(10 + i)) for i in range(5)] * 3)
-    for b, start in enumerate(range(0, len(rel), 5)):
-        ingest_batch(state, rel, np.arange(start, start + 5), seed=b)
+    for start in range(0, len(rel), 5):
+        ingest_batch(state, rel, np.arange(start, start + 5))
         assert state.total_retained <= 2
     assert (state.sizes() >= 0).all()
     assert state.total_retained == 2
@@ -417,7 +417,7 @@ def test_online_moments_match_offline_catalog():
     rel = Relation.from_records(SCHEMA, synthetic_stream(41, 700))
     state = _fresh(budget=30)
     for start in range(0, 700, 70):
-        ingest_batch(state, rel, np.arange(start, start + 70), seed=start)
+        ingest_batch(state, rel, np.arange(start, start + 70))
     catalog = compute_catalog(rel, ["g"], ["v"])
     assert list(state.ids) == catalog.keys
     assert state.n_seen.tolist() == catalog.n.tolist()
@@ -436,17 +436,15 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
     thresholds never rise, and retained sets stay bottom-k by key."""
     rows = synthetic_stream(5, sum(batch_sizes), groups=3)
     rel = Relation.from_records(SCHEMA, rows)
-    state = _fresh(budget=budget)
+    state = _fresh(budget=budget, seed=seed0)
     seen: dict = {}
+    for record, key_value in zip(rows, np.random.default_rng(seed0).random(len(rows))):
+        seen.setdefault(record[0], []).append(float(key_value))
     start = 0
     last_d = np.zeros(0)
-    for b, size in enumerate(batch_sizes):
-        batch = rows[start : start + size]
+    for size in batch_sizes:
         start += size
-        seed = seed0 + b
-        for record, key_value in zip(batch, batch_keys(seed, len(batch))):
-            seen.setdefault(record[0], []).append(float(key_value))
-        ingest_batch(state, rel, np.arange(start - size, start), seed=seed)
+        ingest_batch(state, rel, np.arange(start - size, start))
         assert state.total_retained <= budget
         assert (state.d[: len(last_d)] <= last_d).all()
         last_d = state.d.copy()
@@ -454,6 +452,37 @@ def test_stream_invariants_random_batch_sizes(batch_sizes, budget, seed0):
     for k, values in enumerate(state.ids):
         expect = sorted(seen[values[0]])[: sizes[k]]
         assert retained_keys(state, k) == expect
+
+
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=12),
+    st.integers(0, 11),
+    st.integers(0, 2**32 - 1),
+)
+@example(batch_sizes=[3, 0, 4], bad_at=1, seed=0)
+def test_the_ith_row_accepted_holds_the_ith_key_of_the_seed(batch_sizes, bad_at, seed):
+    """However the stream is cut into batches, empty ones included, the row
+    of arrival ordinal i holds key ``default_rng(seed).random(N)[i]`` under a
+    budget of at least N; a batch rejected before batch ``bad_at`` (that
+    batch's rows with a new stratum's, one of them infinite) draws no key."""
+    rows = synthetic_stream(5, sum(batch_sizes), groups=3)
+    rel = Relation.from_records(SCHEMA, rows + [("late", 1.0), ("late", math.inf)])
+    bad = np.arange(len(rows), len(rel))
+    state = _fresh(budget=len(rows) + 1, seed=seed)
+    start = 0
+    for b, size in enumerate(batch_sizes):
+        batch = np.arange(start, start + size)
+        if b == bad_at % len(batch_sizes):
+            drawn = state.rng.bit_generator.state
+            with pytest.raises(SchemaMismatch, match="non-finite"):
+                ingest_batch(state, rel, np.concatenate((batch, bad)))
+            assert state.rng.bit_generator.state == drawn
+        ingest_batch(state, rel, batch)
+        start += size
+    table = state.retained[np.argsort(state.retained["ordinal"])]
+    assert table["ordinal"].tolist() == list(range(len(rows)))
+    assert table["key"].tobytes() == np.random.default_rng(seed).random(len(rows)).tobytes()
+    assert ("late",) not in state.ids
 
 
 @given(
@@ -487,9 +516,9 @@ def test_f2_is_the_floored_score_of_the_committed_moments(
         if b == bad_at:
             before = state.f2
             with pytest.raises((SchemaMismatch, FloatOverflow)):
-                ingest_batch(state, rel, np.concatenate((batch, bad)), seed=b)
+                ingest_batch(state, rel, np.concatenate((batch, bad)))
             assert state.f2 is before and len(before) == len(state.ids)
-        ingest_batch(state, rel, batch, seed=b)
+        ingest_batch(state, rel, batch)
         want = floor_zero_costs(_squared_cvs(state, state.n_seen, state.mean, state.m2))
         assert state.f2.tobytes() == want.tobytes() and len(want) == len(state.ids)
         start, b = start + len(batch), b + 1
@@ -498,8 +527,8 @@ def test_f2_is_the_floored_score_of_the_committed_moments(
 def test_snapshot_usable_for_estimation():
     rel = Relation.from_records(SCHEMA, synthetic_stream(31, 1000))
     state = _fresh(budget=80)
-    for b, start in enumerate(range(0, 1000, 100)):
-        ingest_batch(state, rel, np.arange(start, start + 100), seed=b)
+    for start in range(0, 1000, 100):
+        ingest_batch(state, rel, np.arange(start, start + 100))
     snap = state.snapshot()
     from gbsample.query import AVG, QueryRequest, estimate
 
@@ -511,12 +540,38 @@ def test_snapshot_usable_for_estimation():
         assert abs(est.value - exact[est.group]) / abs(exact[est.group]) < 0.25
 
 
+def _relation_bits(rel):
+    """The row count and every column of ``rel``: numeric bytes, or codes
+    and levels."""
+    columns = []
+    for c in rel.schema:
+        if c.kind == NUMERIC:
+            x = rel.numeric(c.name)
+            columns.append((x.dtype.str, x.tobytes()))
+        else:
+            codes, levels = rel.encoded(c.name)
+            columns.append((codes.dtype.str, codes.tobytes(), levels))
+    return rel.n_rows, columns
+
+
+@pytest.mark.parametrize("n_rows", [300, 0])
+def test_the_snapshot_holds_the_relation_of_its_records(n_rows):
+    rel = Relation.from_records(SCHEMA, synthetic_stream(5, n_rows))
+    state = _fresh(budget=30)
+    for start in range(0, n_rows, 50):
+        ingest_batch(state, rel, np.arange(start, start + 50))
+    table = state.retained[np.lexsort((state.retained["ordinal"], state.retained["stratum"]))]
+    want = Relation.from_records(SCHEMA, table["record"].tolist())
+    assert _relation_bits(state.snapshot().columns) == _relation_bits(want)
+    assert state.snapshot().total_rows == min(n_rows, 30)
+
+
 def test_snapshot_holds_each_stratum_in_arrival_order():
     rows = synthetic_stream(5, 300)
     rel = Relation.from_records(SCHEMA, rows)
     state = _fresh(budget=30)
-    for b, start in enumerate(range(0, 300, 50)):
-        ingest_batch(state, rel, np.arange(start, start + 50), seed=b)
+    for start in range(0, 300, 50):
+        ingest_batch(state, rel, np.arange(start, start + 50))
     snap = state.snapshot()
     assert snap.keys == list(state.ids)
     assert snap.n.tolist() == state.n_seen.tolist()
@@ -547,11 +602,11 @@ def test_lockstep_moments_equal_a_row_by_row_fold(rows, batch_sizes):
     schema = SCHEMA + (ColumnSchema("w", NUMERIC),)
     rows = [(f"g{g}", x, x * x - 3.0) for g, x in rows]
     rel = Relation.from_records(schema, rows)
-    state = make_state(schema, ("g",), ("v", "w"), 10)
+    state = make_state(schema, ("g",), ("v", "w"), 10, 0)
     start, b = 0, 0
     while start < len(rows):
         size = batch_sizes[b % len(batch_sizes)]
-        ingest_batch(state, rel, np.arange(start, min(start + size, len(rows))), seed=b)
+        ingest_batch(state, rel, np.arange(start, min(start + size, len(rows))))
         start, b = start + size, b + 1
     for k, (name,) in enumerate(state.ids):
         for col, pos in (("v", 1), ("w", 2)):
@@ -563,10 +618,10 @@ def test_lockstep_moments_equal_a_row_by_row_fold(rows, batch_sizes):
 def test_a_repeated_aggregation_column_is_folded_once():
     rows = [("a", 1.0), ("b", 2.0), ("a", 3.0), ("b", 9.0), ("a", 8.0)]
     rel = Relation.from_records(SCHEMA, rows)
-    once = make_state(SCHEMA, ("g",), ("v",), 3)
-    twice = make_state(SCHEMA, ("g",), ("v", "v"), 3)
+    once = make_state(SCHEMA, ("g",), ("v",), 3, 4)
+    twice = make_state(SCHEMA, ("g",), ("v", "v"), 3, 4)
     for state in (once, twice):
-        ingest_batch(state, rel, np.arange(len(rel)), seed=4)
+        ingest_batch(state, rel, np.arange(len(rel)))
     assert twice.mean["v"].tobytes() == once.mean["v"].tobytes()
     assert twice.m2["v"].tobytes() == once.m2["v"].tobytes()
     # each column's cv^2 is added as listed, as cv2_costs adds it
@@ -614,12 +669,12 @@ def test_ingest_matches_the_record_fed_oracle(rows, batch_sizes, attrs, columns,
     rel = Relation.from_records(schema, records)
     rng = np.random.default_rng(seed)
     order = np.concatenate((rng.permutation(len(rows)), len(rows) + rng.permutation(2)))
-    state = make_state(schema, attrs, columns, budget)
-    oracle = make_state(schema, attrs, columns, budget)
+    state = make_state(schema, attrs, columns, budget, seed)
+    oracle = make_state(schema, attrs, columns, budget, seed)
     start, b = 0, 0
     while start < len(order):
         batch = order[start : start + batch_sizes[b % len(batch_sizes)]]
-        ingest_batch(state, rel, batch, seed=b)
-        reference.ingest_batch(oracle, [records[i] for i in batch], seed=b)
+        ingest_batch(state, rel, batch)
+        reference.ingest_batch(oracle, [records[i] for i in batch])
         assert _bits(state) == _bits(oracle)
         start, b = start + len(batch), b + 1
