@@ -667,6 +667,7 @@ def plan_linf(
     Zero-variance strata are excluded from the search and pinned at one
     row each; their predicted CV is zero regardless.
     """
+    check_budget(budget)
     cv2_all, first_zero = cv2_costs(catalog, [column])
     kept, excluded = _zero_mean_split(zero_mean, first_zero, catalog, [column], ZeroMeanStratum)
     flat = catalog.std[column][kept] == 0.0

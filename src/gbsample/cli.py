@@ -37,6 +37,7 @@ Config fields::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -246,6 +247,18 @@ def _out(cfg: RunConfig, name: str, text: str | None = None) -> Path:
     return out / name
 
 
+def _out_both(cfg: RunConfig, first: tuple[str, str], second: tuple[str, str]):
+    """Write two output files, each a ``(name, text)`` pair, and return
+    their paths; when the second cannot be written the first is removed, so
+    a failed command leaves neither file new."""
+    path = _out(cfg, *first)
+    try:
+        return path, _out(cfg, *second)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def _stage_file(cfg: RunConfig, name: str, command: str) -> Path:
     """The path of the file ``name`` that ``command`` wrote, which must exist."""
     path = Path(cfg.out_dir) / name
@@ -378,8 +391,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     rel = _load_relation(cfg)
     sample = sampler.load_sample(_stage_file(cfg, "sample.txt", "sample"), rel.schema)
     report = qmod.evaluate(rel, sample, request, cfg.missing_policy)
-    jpath = _out(cfg, "report.json", qmod.report_to_json(report))
-    cpath = _out(cfg, "report.csv", qmod.report_to_csv(report))
+    jpath, cpath = _out_both(
+        cfg, ("report.json", qmod.report_to_json(report)), ("report.csv", qmod.report_to_csv(report))
+    )
     print(f"wrote {jpath} and {cpath}")
     return 0
 
@@ -418,12 +432,13 @@ def cmd_compare(cfg: RunConfig) -> int:
                   for k in ("mean", "max")]
         rows.append(dict(zip(columns, (method, budget, cfg.n_seeds, *errors, missing))))
     doc = {"query": request.to_json(), "warnings": warnings, "results": rows}
-    jpath = _out(cfg, "compare.json", json.dumps(doc, indent=2))
-    cpath = _out(cfg, "compare.csv")
-    with open(cpath, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_writer(fh)
-        writer.writerow(columns)
-        writer.writerows([r[c] for c in columns] for r in rows)
+    table = io.StringIO()
+    writer = csv_writer(table)
+    writer.writerow(columns)
+    writer.writerows([r[c] for c in columns] for r in rows)
+    jpath, cpath = _out_both(
+        cfg, ("compare.json", json.dumps(doc, indent=2)), ("compare.csv", table.getvalue())
+    )
     print(f"wrote {jpath} and {cpath}")
     return 0
 

@@ -26,12 +26,11 @@ per stratum (:attr:`StratifiedSample.expansion`) or 1 / p_r per row
 (:attr:`StratifiedSample.row_strata`) and which strata hold a row
 (:attr:`StratifiedSample.held`) are computed once per sample and kept.
 
-Each path has its own group order, found without sorting sample rows: a
-stratified estimate answers every group, in first-occurrence order of the
-strata; a Poisson estimate answers the groups with a kept row, ordered by
-their first kept row (with a predicate, the cached strata's sorted row
-order yields each group's first kept row, and only those are sorted); an
-exact answer holds the groups with a matching row, in the relation's
+Each path has its own group order: a stratified estimate answers every
+group, in first-occurrence order of the strata; a Poisson estimate answers
+the groups with a kept row, ordered by their first kept row (with a
+predicate, :func:`dataset.first_occurrence_ids` of the kept rows' groups);
+an exact answer holds the groups with a matching row, in the relation's
 first-occurrence order.
 
 Both estimation and the exact answer return an :class:`Answer`: the
@@ -295,24 +294,36 @@ class QueryRequest:
 
 def _group_by(fn, cells, values, keep, factor, group_of_cell, n_groups):
     """AVG, SUM or COUNT per group, with the expanded row count and the
-    support, over the rows ``keep`` selects.
+    support, over the rows the bool mask ``keep`` selects (all when None).
 
     Row r lies in cell ``cells[r]`` and cell c in group ``group_of_cell[c]``;
-    cell c expands each of its rows by ``factor[c]``.  With m_c the kept rows
-    of cell c, SUM_g = sum_c f_c * (sum of x over them), COUNT_g =
-    sum_c f_c * m_c and AVG_g = SUM_g / COUNT_g (NaN where COUNT_g is 0).
-    ``np.bincount`` adds in index order, rows in row order within a cell and
-    then cells in cell order within a group, so a full sample of one
-    stratum per group reproduces the exact answer bit for bit.
+    when ``cells`` is None each row is its own cell, as in an exact answer
+    or a Poisson estimate.  Cell c expands each of its rows by ``factor[c]``
+    (by 1 when ``factor`` is None).  With m_c the kept rows of cell c,
+    SUM_g = sum_c f_c * (sum of x over them), COUNT_g = sum_c f_c * m_c and
+    AVG_g = SUM_g / COUNT_g (NaN where COUNT_g is 0).
+
+    ``keep`` weighs rows instead of gathering them: a dropped row adds 0 to
+    its cell's count and +0.0 to its cell's sum.  ``np.bincount`` adds in
+    index order starting from +0.0, and in round-to-nearest such a sum is
+    never -0.0, so an added +0.0 changes nothing.  Values are masked before
+    they are expanded, so a dropped inf or NaN enters no sum and a dropped
+    row's product cannot overflow.  Rows add in row order within a cell and
+    then cells in cell order within a group, so a full sample of one stratum
+    per group reproduces the exact answer bit for bit.
     """
-    cells = cells[keep]
-    rows = np.bincount(cells, minlength=len(factor))
-    count = np.bincount(group_of_cell, factor * rows, n_groups)
-    support = np.bincount(group_of_cell[cells], minlength=n_groups)
+    rows = keep if cells is None else np.bincount(cells, keep, len(group_of_cell))
+    support = np.bincount(group_of_cell, rows, n_groups).astype(np.int64)
+    if factor is None:
+        count = support
+    else:
+        count = np.bincount(group_of_cell, factor if rows is None else factor * rows, n_groups)
     if fn == COUNT:
         return count, count, support
-    cell_sums = np.bincount(cells, values[keep], len(factor))
-    total = np.bincount(group_of_cell, factor * cell_sums, n_groups)
+    sums = values if keep is None else np.where(keep, values, 0.0)
+    if cells is not None:
+        sums = np.bincount(cells, sums, len(group_of_cell))
+    total = np.bincount(group_of_cell, sums if factor is None else factor * sums, n_groups)
     if fn == SUM:
         return total, count, support
     avg = np.divide(total, count, out=np.full(n_groups, np.nan), where=count > 0)
@@ -321,11 +332,11 @@ def _group_by(fn, cells, values, keep, factor, group_of_cell, n_groups):
 
 def _inputs(rel: Relation, request: QueryRequest):
     """The aggregated column (None for COUNT) and the predicate's row mask
-    (a full slice when there is none)."""
+    (None when there is none)."""
     values = rel.numeric(request.column) if request.fn != COUNT else None
     predicate = request.predicate
     if predicate is None or not predicate.atoms:
-        return values, slice(None)
+        return values, None
     return values, predicate.mask(rel)
 
 
@@ -374,19 +385,13 @@ def _estimate_poisson(sample: PoissonSample, request: QueryRequest) -> Answer:
                 f"{a!r} is not a categorical column of the sample"
             )
     values, keep = _inputs(sample.columns, request)
-    ids, keys, order, bounds = sample.columns.strata(attrs)
-    value, _, support = _group_by(
-        request.fn, np.arange(len(ids)), values, keep, sample.expansion, ids, len(keys)
-    )
-    groups = np.flatnonzero(support)
-    if isinstance(keep, np.ndarray):
-        # groups come in order of their first kept row.  ``order`` lists
-        # each group's rows ascending, so the first kept position at or
-        # after a group's bound is its first kept row
-        kept = np.flatnonzero(keep[order])
-        first = order[kept[np.searchsorted(kept, bounds[groups])]]
-        groups = groups[np.argsort(first)]
-    # without a predicate every group is kept, in first-occurrence order
+    ids, keys, _, _ = sample.columns.strata(attrs)
+    value, _, support = _group_by(request.fn, None, values, keep, sample.expansion, ids, len(keys))
+    if keep is None:  # every group is kept, in first-occurrence order
+        groups = np.flatnonzero(support)
+    else:  # the groups of the kept rows, in order of their first kept row
+        kept = ids[keep]
+        groups = kept[first_occurrence_ids(kept)[1]]
     return _matched(attrs, keys, value, support, groups)
 
 
@@ -427,9 +432,7 @@ def exact_answer(
     request = QueryRequest(tuple(group_attrs), fn, column, predicate)
     values, keep = _inputs(rel, request)
     ids, keys, _, _ = rel.strata(request.group_attrs)
-    value, _, support = _group_by(
-        fn, np.arange(rel.n_rows), values, keep, np.ones(rel.n_rows), ids, len(keys)
-    )
+    value, _, support = _group_by(fn, None, values, keep, None, ids, len(keys))
     return _matched(request.group_attrs, keys, value, support, np.flatnonzero(support))
 
 

@@ -20,8 +20,12 @@ replaced, kept verbatim as the oracle of its relations and errors, and
 samples' round trip.
 :func:`first_occurrence_ids` and :func:`segments` are the stratum kernels
 by ``np.unique`` and by a stable argsort of ``intp`` ids.
-:func:`estimate` and :func:`exact_answer` order and gather the groups of
-an answer the plain way, with ``np.unique`` and one key at a time.
+:func:`_group_by` and :func:`_inputs` are the group-by kernel that
+gathered the kept rows (a full slice when there is no predicate) and
+expanded an identity cell per row, which the row-weighted kernel
+replaced, kept verbatim as its oracle.  :func:`estimate` and
+:func:`exact_answer` run on them and order and gather the groups of an
+answer the plain way, with ``np.unique`` and one key at a time.
 :func:`stratum_fields` reads a sample header's strata one at a time with
 :func:`gbsample.errors.member`, the oracle of the errors the package
 raises after checking each field of every stratum in one pass.
@@ -66,7 +70,7 @@ from gbsample.dataset import (
     frozen,
 )
 from gbsample.errors import (
-    COUNT,
+    COUNT as COUNT_CHECK,
     INTEGER,
     LIST,
     NAMES,
@@ -91,7 +95,7 @@ from gbsample.errors import (
     open_text,
     stratum_keys,
 )
-from gbsample.query import AVG, Answer, QueryRequest, _group_by, _inputs
+from gbsample.query import AVG, COUNT, SUM, Answer, QueryRequest
 from gbsample.sampler import (
     PoissonSample,
     StratifiedSample,
@@ -364,7 +368,7 @@ def stratum_fields(source: str, strata: list, width: int) -> tuple[list, list, l
         seen.add(key)
         keys.append(key)
     n = [member(source, item, f"strata[{i}]", "n", *INTEGER) for i, item in enumerate(strata)]
-    s = [member(source, item, f"strata[{i}]", "s", *COUNT) for i, item in enumerate(strata)]
+    s = [member(source, item, f"strata[{i}]", "s", *COUNT_CHECK) for i, item in enumerate(strata)]
     return keys, n, s
 
 
@@ -465,7 +469,7 @@ def _stratified_sample(header, schema, rows, path: str) -> StratifiedSample:
     keys = stratum_keys(path, strata, [len(group_attrs)] * len(strata))
     # a negative n is below any sample size: the population check names it
     n = members(path, strata, "strata", "n", *INTEGER)
-    size = members(path, strata, "strata", "s", *COUNT)
+    size = members(path, strata, "strata", "s", *COUNT_CHECK)
     ordinals, row_ids, columns = _sample_rows(schema, rows, path)
     stratum = np.array([int(c) for c in ordinals], dtype=np.int64)
     outside = np.flatnonzero((stratum < 0) | (stratum >= len(keys)))
@@ -507,7 +511,7 @@ def _stratified_sample(header, schema, rows, path: str) -> StratifiedSample:
 def _poisson_sample(header, schema, rows, path: str) -> PoissonSample:
     get = partial(member, path, header, "")
     expected_size = float(get("expected_size", _is_size, "a non-negative number as a string"))
-    declared = get("rows", *COUNT, default=len(rows))
+    declared = get("rows", *COUNT_CHECK, default=len(rows))
     row_ids, rates, columns = _sample_rows(schema, rows, path)
     p = np.array([float(c) for c in rates], dtype=np.float64)
     outside = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))  # NaN is outside too
@@ -910,7 +914,44 @@ def retained_keys(state: StreamState, k: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# query answers, ordered by np.unique and gathered one key at a time
+# query answers by the gathering kernel, ordered by np.unique and gathered
+# one key at a time
+
+
+def _group_by(fn, cells, values, keep, factor, group_of_cell, n_groups):
+    """AVG, SUM or COUNT per group, with the expanded row count and the
+    support, over the rows ``keep`` selects.
+
+    Row r lies in cell ``cells[r]`` and cell c in group ``group_of_cell[c]``;
+    cell c expands each of its rows by ``factor[c]``.  With m_c the kept rows
+    of cell c, SUM_g = sum_c f_c * (sum of x over them), COUNT_g =
+    sum_c f_c * m_c and AVG_g = SUM_g / COUNT_g (NaN where COUNT_g is 0).
+    ``np.bincount`` adds in index order, rows in row order within a cell and
+    then cells in cell order within a group, so a full sample of one
+    stratum per group reproduces the exact answer bit for bit.
+    """
+    cells = cells[keep]
+    rows = np.bincount(cells, minlength=len(factor))
+    count = np.bincount(group_of_cell, factor * rows, n_groups)
+    support = np.bincount(group_of_cell[cells], minlength=n_groups)
+    if fn == COUNT:
+        return count, count, support
+    cell_sums = np.bincount(cells, values[keep], len(factor))
+    total = np.bincount(group_of_cell, factor * cell_sums, n_groups)
+    if fn == SUM:
+        return total, count, support
+    avg = np.divide(total, count, out=np.full(n_groups, np.nan), where=count > 0)
+    return avg, count, support
+
+
+def _inputs(rel: Relation, request: QueryRequest):
+    """The aggregated column (None for COUNT) and the predicate's row mask
+    (a full slice when there is none)."""
+    values = rel.numeric(request.column) if request.fn != COUNT else None
+    predicate = request.predicate
+    if predicate is None or not predicate.atoms:
+        return values, slice(None)
+    return values, predicate.mask(rel)
 
 
 def matched(attrs, keys, value, support, groups: np.ndarray) -> Answer:

@@ -872,6 +872,13 @@ def test_linf_max_cv_not_worse_than_l2():
     assert max_cv(plan_inf) <= max_cv(plan_sq) + 1e-12
 
 
+@pytest.mark.parametrize("budget", [0, -2])
+def test_linf_a_budget_below_one_is_invalid(budget):
+    catalog, _ = _catalog_from_groups([("a", 50, 10.0, 0.2), ("b", 50, 20.0, 0.3)])
+    with pytest.raises(InvalidArgument, match=f"^budget must be >= 1, got {budget}$"):
+        plan_linf(catalog, "v", budget)
+
+
 def test_linf_all_constant_raises():
     schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("v", NUMERIC))
     rel = Relation.from_records(schema, [("a", 3.0), ("a", 3.0), ("b", 7.0)])

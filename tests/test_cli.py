@@ -1761,6 +1761,28 @@ def test_an_output_name_taken_by_a_directory_is_a_user_error(
     assert not [p.name for p in blocked.parent.iterdir() if p.name.endswith(".partial")]
 
 
+@pytest.mark.parametrize("command, name", [("evaluate", "report"), ("compare", "compare")])
+def test_a_blocked_csv_name_leaves_no_fresh_json(tmp_path, fix_a_csv, capsys, command, name):
+    """``evaluate`` and ``compare`` write a JSON and a CSV file; when the CSV
+    name is taken by a directory the command fails and the JSON file it
+    wrote first is gone again."""
+    query_path = tmp_path / "query.json"
+    query_path.write_text(
+        json.dumps({"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}),
+        encoding="utf-8",
+    )
+    cfg = _write_config(tmp_path, fix_a_csv, query=str(query_path))
+    if command == "evaluate":
+        for upstream in ("stats", "plan", "sample"):
+            assert _run(upstream, "--config", str(cfg)) == 0
+    out = tmp_path / "out"
+    (out / f"{name}.csv").mkdir(parents=True)
+    capsys.readouterr()
+    assert _run(command, "--config", str(cfg)) == 1
+    assert str(out / f"{name}.csv") in capsys.readouterr().err
+    assert not (out / f"{name}.json").exists()
+
+
 @pytest.mark.parametrize("command", ["query", "evaluate"])
 def test_a_missing_sample_names_the_command_to_run(tmp_path, fix_a_csv, capsys, command):
     query_path = tmp_path / "query.json"

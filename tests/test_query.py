@@ -3,6 +3,8 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +40,6 @@ from gbsample.query import (
     estimate,
     evaluate,
     exact_answer,
-    _group_by,
-    _inputs,
     _predicted_cvs,
     report_to_csv,
     report_to_json,
@@ -637,10 +637,10 @@ def _ref_tuple_estimate(sample, request):
     if isinstance(sample, PoissonSample):
         pos = {c.name: i for i, c in enumerate(sample.schema)}
         _, rows, rates = reference.poisson_lists(sample)
-        values, keep = _inputs(_ref_view(sample.schema, rows, request), request)
+        values, keep = reference._inputs(_ref_view(sample.schema, rows, request), request)
         ids, keys = key_ids(rows, [pos[a] for a in attrs])
         weight = 1.0 / np.asarray(rates, dtype=np.float64)
-        value, _, support = _group_by(
+        value, _, support = reference._group_by(
             request.fn, np.arange(len(ids)), values, keep, weight, ids, len(keys)
         )
         seen, first = np.unique(ids[keep], return_index=True)
@@ -660,8 +660,8 @@ def _ref_tuple_estimate(sample, request):
     held = np.fromiter(map(len, rows), dtype=np.intp, count=len(strata))
     cells = np.repeat(np.arange(len(strata)), held)
     view = _ref_view(sample.schema, [r for part in rows for r in part], request)
-    value, count, support = _group_by(
-        request.fn, cells, *_inputs(view, request), factor, group_of_cell, len(keys)
+    value, count, support = reference._group_by(
+        request.fn, cells, *reference._inputs(view, request), factor, group_of_cell, len(keys)
     )
     if request.fn == AVG:
         present = count > 0
@@ -1024,8 +1024,8 @@ def _same_answer(got, want):
     assert got.attrs == want.attrs
     assert got.keys == want.keys
     assert got.value.tobytes() == want.value.tobytes()
-    assert got.support.tolist() == want.support.tolist()
-    assert got.missing.tolist() == want.missing.tolist()
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.missing.tobytes() == want.missing.tobytes()
 
 
 def _predicates(cut):
@@ -1068,6 +1068,106 @@ def test_answers_match_the_reference_order_and_bytes(rows, rates, budget, cut, s
                     exact_answer(rel, attrs, column, fn, predicate),
                     reference.exact_answer(rel, request),
                 )
+
+
+_GHUV_SCHEMA = (*_GH_SCHEMA, ColumnSchema("u", NUMERIC))
+
+#: aggregated values that a sum or an expansion treats specially: signed
+#: zeros, infinities, NaN and values whose expansion overflows
+_EXTREME_VALUES = [-0.0, 0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 1e308, -1e308]
+
+
+def _outcome(call):
+    """The answer ``call`` returns, or the type of the exception it raises
+    (a RuntimeWarning is an error in this suite)."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+    else:
+        _same_answer(got, want)
+
+
+@settings(max_examples=40)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from("abc"),
+            st.sampled_from("xy"),
+            st.sampled_from(_EXTREME_VALUES),
+            st.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    rates=st.lists(st.sampled_from([0.3, 0.6, 1.0]), min_size=30, max_size=30),
+    sizes=st.lists(st.integers(0, 6), min_size=6, max_size=6),
+    bounds=st.tuples(st.integers(0, 9), st.integers(0, 9)).map(sorted),
+    seed=st.integers(0, 3),
+)
+def test_the_row_weighted_kernel_matches_the_gathering_one(rows, rates, sizes, bounds, seed):
+    """``estimate`` and ``exact_answer`` give the bytes of the gathering
+    kernel kept in ``reference``, or raise what it raises, on extreme
+    values under every kind of predicate, on stratified samples with empty
+    and whole strata and on Poisson samples with rates of 1."""
+    rel = Relation.from_records(_GHUV_SCHEMA, [(g, h, v, float(u)) for g, h, v, u in rows])
+    poisson = draw_poisson(rel, np.array(rates[: len(rows)]), seed)
+    plan = alloc_uniform(compute_catalog(rel, ["g", "h"], []), 1)
+    sizes = np.minimum(sizes[: len(plan.keys)], plan.populations)
+    stratified = draw_stratified(rel, replace(plan, sizes=sizes), seed)
+    lo, hi = bounds
+    predicates = [
+        None,
+        Predicate(()),
+        Predicate((Atom("u", ">", 100.0),)),
+        Predicate((Atom("u", "between", lo=-1e9, hi=1e9),)),
+        Predicate((Atom("g", "=", "a"),)),
+        Predicate((Atom("h", "!=", "x"),)),
+        Predicate((Atom("u", "between", lo=float(lo), hi=float(hi)),)),
+        Predicate((Atom("v", "between", lo=-1e300, hi=1e300), Atom("h", "=", "y"))),
+    ]
+    for attrs in _GROUPINGS:
+        for fn, column in ((AVG, "v"), (SUM, "v"), (COUNT, None)):
+            for predicate in predicates:
+                request = QueryRequest(attrs, fn, column, predicate)
+                for sample in (poisson, stratified):
+                    _same_outcome(
+                        _outcome(lambda: estimate(sample, request)),
+                        _outcome(lambda: reference.estimate(sample, request)),
+                    )
+                _same_outcome(
+                    _outcome(lambda: exact_answer(rel, attrs, column, fn, predicate)),
+                    _outcome(lambda: reference.exact_answer(rel, request)),
+                )
+
+
+@pytest.mark.parametrize("fn, column, arrays", [(AVG, "x", 3), (COUNT, None, 2)])
+def test_an_exact_answer_allocates_no_row_sized_identity_arrays(fn, column, arrays):
+    """On 200k rows in 2500 (a, b) groups, the exact answer's traced peak
+    stays under ``arrays`` float64 arrays of one value per row: the kernel
+    weighs rows by the mask, with no identity cell ids, unit factors or
+    gathered rows (``reference._group_by``, which has them, peaks at 6
+    for AVG and 5 for COUNT)."""
+    n = 200_000
+    rng = np.random.default_rng(0)
+    schema = (
+        ColumnSchema("a", CATEGORICAL), ColumnSchema("b", CATEGORICAL), ColumnSchema("x", NUMERIC),
+    )
+    columns = {name: [f"{name}{k}" for k in rng.integers(0, 50, n).tolist()] for name in "ab"}
+    rel = Relation(schema, {**columns, "x": rng.normal(size=n)})
+    rel.strata(("a", "b"))  # the cached grouping is not the kernel's to pay for
+    tracemalloc.start()
+    try:
+        exact_answer(rel, ("a", "b"), column, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays * 8 * n, peak / (8 * n)
 
 
 def test_a_predicate_orders_poisson_groups_by_their_first_kept_row():
