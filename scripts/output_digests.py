@@ -41,6 +41,9 @@ Last, a 10-row table whose keys hold a carriage return, a newline, both
 and a quote runs ``stats -> plan -> sample -> query -> evaluate`` under
 cvopt-l2 and cvopt-individual: the sample file and ``report.csv`` must
 quote every such key, on every Python, and the sample must read back.
+Last, a generated 120-row table whose 12 strata tie in n, mean and std
+(or in n and CV) runs ``stats -> plan -> sample`` under cvopt-linf and a
+cube plan, so their digests pin which tied strata lose the surplus rows.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
 plus the exit code of every command, the outcome of the order check, the
 count of ``inf`` objectives and whether the CRLF copy wrote the plain
@@ -572,6 +575,56 @@ def line_end_lines(work: Path) -> tuple[list[str], int]:
     return lines, failed
 
 
+#: the tied table: 12 strata (g, h), 10 rows each, rows dealt to the
+#: strata in turn; every stratum holds VALUES, or VALUES doubled (the same
+#: CV at another mean and std), so strata tie in n, mean and std
+TIES = {
+    "categorical": ["g", "h"],
+    "numeric": ["v"],
+    "attrs": ["g", "h"],
+    "size": {"budget": 40},
+}
+TIES_VALUES = (3, 5, 7, 9, 11, 4, 6, 8, 10, 12)
+
+
+def _ties_csv(path: Path) -> None:
+    """Write the tied table; the strata of ``g`` = g2 hold the doubled values."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["g", "h", "v"])
+        for r in range(120):
+            g, h = f"g{r % 4}", f"h{r % 3}"
+            writer.writerow([g, h, TIES_VALUES[r // 12] * (2 if g == "g2" else 1)])
+
+
+def tie_lines(work: Path) -> tuple[list[str], int]:
+    """The exit-code and digest lines of ``stats -> plan -> sample`` under
+    cvopt-linf and a cube plan (cvopt-l2 over every subset of (g, h)) on
+    the tied table, where the strata that lose a row are chosen among ties
+    by index; and the number of commands that failed."""
+    data = work / "data.csv"
+    _ties_csv(data)
+    attrs = TIES["attrs"]
+    runs = {
+        "cvopt-linf": {"group_by": attrs, "aggregates": ["v"], "method": "cvopt-linf"},
+        "cube": {"workload": _write(work / "cube.json", _cube(attrs, "v")),
+                 "weights": _write(work / "unit_weights.json", [])},
+    }
+    lines, failed = [], 0
+    for method, fields in runs.items():
+        out, where = work / method, f"ties/{method}"
+        config = _write(
+            work / f"{method}.config.json",
+            {"data": str(data), "schema": _schema(TIES), "seed": 1, "out_dir": str(out),
+             **TIES["size"], **fields},
+        )
+        codes = [_cli([cmd, "--config", config]) for cmd in ("stats", "plan", "sample")]
+        failed += sum(c != 0 for c in codes)
+        lines.append(f"exit {codes}  {where}")
+        lines += [f"{_digest(out / f)}  {where}/{f}" for f in OUTPUTS]
+    return lines, failed
+
+
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -622,6 +675,11 @@ def main() -> int:
         work = Path(tmp) / "line_ends"
         work.mkdir()
         lines, n_failed = line_end_lines(work)
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "ties"
+        work.mkdir()
+        lines, n_failed = tie_lines(work)
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

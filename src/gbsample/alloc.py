@@ -7,11 +7,9 @@ core is the closed-form minimizer of ``sum(c_i / s_i)`` subject to
 strata whose population is smaller than their ideal allocation
 (:func:`resolve_caps`), which also give the streaming sampler's targets
 and, at unit costs, the senate baseline's capped equal split.  Integer
-sizes come from one routine, :func:`shed`: from a warm start above an
-integer optimum it removes the surplus one unit at a time, each from the
-stratum whose removal costs least, which is exact for separable convex
-objectives.  Its l2 form, :func:`l2_sizes`, sizes every l2 plan and each
-settle of the streaming sampler.
+sizes come from greedy removal from a warm start above an optimum, exact
+for separable convex objectives: :func:`shed` does it for
+:func:`l2_sizes`, which sizes every l2 plan and each stream settle.
 
 Cost coefficients ``c_i`` are built from per-stratum statistics:
 
@@ -23,7 +21,8 @@ Cost coefficients ``c_i`` are built from per-stratum statistics:
 
 The minimax allocator (:func:`plan_linf`) instead equalizes the predicted
 CVs and minimizes their maximum: a bisection on the common CV gives the
-continuous optimum and a warm start for :func:`shed`.
+continuous optimum and a warm start, whose greedy removals
+:func:`_minimax_sizes` selects as one array.
 
 Strata with zero variance receive a vanishing cost floor so that the
 integer allocation gives them exactly one row (one row determines a
@@ -46,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import GroupKey, Relation, key_relation
+from .dataset import GroupKey, Relation, stratum_ids
 from .errors import (
     BOOL,
     COUNT,
@@ -73,7 +72,7 @@ from .errors import (
     parse_json,
     stratum_keys,
 )
-from .stats import StatsCatalog, squares
+from .stats import StatsCatalog
 
 #: zero-variance strata get this fraction of the smallest positive cost
 ZERO_COST_RATIO = 1e-12
@@ -194,6 +193,7 @@ def shed(sizes: np.ndarray, excess: int, loss: Callable[[int, int], float]) -> n
     then exact: started from any vector that lies componentwise above an
     optimum, it ends at an optimum (the priority-value method; Wright 2012,
     Friedrich, Muennich, de Vries & Wagner 2015).  O((r + excess) log r).
+    :func:`l2_sizes` is its only caller.
     """
     if excess <= 0:
         return np.array(sizes, dtype=np.int64)
@@ -402,7 +402,7 @@ def cv2_costs(
         on = (w != 0.0) & ~zero
         with np.errstate(over="ignore"):
             cv = catalog.std[col][on] / np.abs(mu[on])
-            costs[on] = costs[on] + w[on] * np.array(squares(cv))
+            costs[on] = costs[on] + w[on] * (cv * cv)
         bad = np.flatnonzero(~np.isfinite(costs))
         if bad.size:
             raise FloatOverflow("the squared-CV cost is", catalog.group_keys([int(bad[0])])[0], col)
@@ -585,7 +585,6 @@ def multi_grouping_costs(
     exclude = _excludes_zero_mean(zero_mean)
     fine = fs.fine
     fine_n2 = fine.n.astype(np.float64) ** 2
-    sigma2 = {col: np.array(squares(fine.std[col])) for col in fine.agg_columns}
     total = np.zeros(len(fine))
     zeros = []  # (fine stratum, query, column) of a query column's first zero-mean term
     overflow = None  # (fine stratum, column) of the first cost beyond the float range
@@ -599,14 +598,14 @@ def multi_grouping_costs(
             if zero.size and not exclude:
                 zeros.append((int(zero[0]), i, j))
             on = (w != 0.0) & (mu != 0.0)
-            mean2 = np.array(squares(coarse.mean[col]))[ids[on]]
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                term = w[on] * sigma2[col][on] / mean2
+                sigma = fine.std[col][on]
+                term = w[on] * (sigma * sigma) / (mu[on] * mu[on])
                 # where a square left the float range, square the CV instead
                 odd = ~np.isfinite(term)
                 if odd.any():
-                    cv = fine.std[col][on][odd] / np.abs(mu[on][odd])
-                    term[odd] = w[on][odd] * np.array(squares(cv))
+                    cv = sigma[odd] / np.abs(mu[on][odd])
+                    term[odd] = w[on][odd] * (cv * cv)
                 inner[on] = inner[on] + term
                 bad = np.flatnonzero(~np.isfinite(fine_n2 * (total + inner / group_n2)))
             if bad.size and overflow is None:
@@ -660,9 +659,9 @@ def plan_linf(
     where every positive-variance stratum has the same CV and sum(x) equals
     the budget; ``fractional`` holds x there.  Integer sizes start from
     clip(ceil(x), 1, n_i) at the last t whose loads exceed the budget, which
-    lies above an integer optimum, and :func:`shed` removes the surplus by
-    the predicted CV each removal leaves; the result is the exact integer
-    minimax, reported as ``extra["max_cv"]``.
+    lies above an integer optimum, and :func:`_minimax_sizes` removes the
+    surplus by the predicted CV each removal leaves, all at once; the result
+    is the exact integer minimax, reported as ``extra["max_cv"]``.
 
     Zero-variance strata are excluded from the search and pinned at one
     row each; their predicted CV is zero regardless.
@@ -679,13 +678,9 @@ def plan_linf(
     pinned = np.concatenate([constant, excluded])
     warnings: list[str] = []
     if constant.size:
-        warnings.append(
-            f"ConstantStrata: {constant.size} zero-variance strata pinned at one row"
-        )
+        warnings.append(f"ConstantStrata: {constant.size} zero-variance strata pinned at one row")
     if excluded.size:
-        warnings.append(
-            f"ZeroMeanExcluded: {excluded.size} strata with zero mean pinned at one row"
-        )
+        warnings.append(f"ZeroMeanExcluded: {excluded.size} strata with zero mean pinned at one row")
 
     cv2 = cv2_all[active]
     pops_arr = catalog.n[active]
@@ -709,14 +704,7 @@ def plan_linf(
         )
         fractional = loads(t)
         start = np.clip(np.ceil(fractional), 1, pops_arr).astype(np.int64)
-        cv = np.sqrt(cv2).tolist()
-        n = pops_arr.tolist()
-
-        def cv_after_removal(i: int, s: int) -> float:
-            return cv[i] * math.sqrt((n[i] - s + 1) / (n[i] * (s - 1)))
-
-        excess = int(start.sum()) - sub_budget
-        sizes = shed(start, excess, cv_after_removal)
+        sizes = _minimax_sizes(start, pops_arr, np.sqrt(cv2), int(start.sum()) - sub_budget)
     max_cv = float(np.sqrt(cv2 * (pops_arr - sizes) / (pops_arr * sizes)).max())
 
     capped = np.concatenate([sizes >= pops_arr, catalog.n[pinned] <= 1])
@@ -724,6 +712,29 @@ def plan_linf(
         LINF, catalog, active, fractional, sizes, cv2, pinned, budget, capped, warnings,
         {"max_cv": max_cv},
     )
+
+
+def _minimax_sizes(start: np.ndarray, n: np.ndarray, cv: np.ndarray, excess: int) -> np.ndarray:
+    """``start`` less its ``excess`` cheapest removals, ties to the lowest
+    index.  A row taken from stratum i at s rows costs the CV it leaves,
+    cv_i * sqrt((n_i - s + 1) / (n_i * (s - 1))) with the integers divided
+    as Python divides them; that never falls as s falls, even rounded, so
+    these are exactly the greedy removals."""
+    if not excess:
+        return start
+    take = np.minimum(start - 1, excess)
+    unit = np.repeat(np.arange(start.size), take)  # in index order
+    s = start[unit] - (np.arange(unit.size) - np.repeat(np.cumsum(take) - take, take))
+    m = n[unit]
+    big = s - 1 >= -(-(2**53) // m)  # m * (s - 1) >= 2**53: floats would round it
+    q = np.divide(m - s + 1, m * (s - 1), out=np.empty(unit.size), where=~big)
+    q[big] = [(a - b + 1) / (a * (b - 1)) for a, b in zip(m[big].tolist(), s[big].tolist())]
+    loss = cv[unit] * np.sqrt(q)
+    # every unit below the excess-th least loss goes, then the first at it
+    cut = np.partition(loss, excess - 1)[excess - 1]
+    below = loss < cut
+    removed = np.concatenate([unit[below], unit[loss == cut][: excess - int(below.sum())]])
+    return start - np.bincount(removed, minlength=start.size)
 
 
 # ---------------------------------------------------------------------------
@@ -811,23 +822,23 @@ def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
     clamped to 1 when the share exceeds the group size (0 for n = 0).
 
     The rows are partitioned once, by the union of the queries' grouping
-    attributes.  A query's rate per fine stratum is that of the table row
-    with the values of the group the stratum falls in (0 if the table has
-    none); the per-query rates combine per fine stratum, and each row takes
-    the rate of its fine stratum.
+    attributes; a query numbers its groups over each fine stratum's first
+    row, by the relation's codes, and its rate per fine stratum is that of
+    the table row with its group's values (0 if the table has none).  The
+    rates combine per fine stratum, which each row takes.
     """
     union = list(dict.fromkeys(a for q in alloc.queries for a in q.attrs))
-    fine_ids, fine_values, _, _ = rel.strata(union)
-    fine_keys = key_relation(union, fine_values)
+    fine = rel.strata(union)
+    firsts = rel.take(fine.order[fine.bounds[:-1]])
     n = alloc.populations
     rate = np.minimum(1.0, np.divide(alloc.sizes, n, out=np.zeros(len(n)), where=n > 0))
     per_query = []
     for i, q in enumerate(alloc.queries):
-        group, keys, _, _ = fine_keys.strata(q.attrs)
+        group, keys = stratum_ids(firsts, q.attrs)
         rows = np.flatnonzero(alloc.query == i).tolist()
         table = dict(zip([alloc.keys[r] for r in rows], rate[rows].tolist()))
         per_query.append(np.array([table.get(k, 0.0) for k in keys])[group])
-    return unified_inclusion(per_query)[fine_ids]
+    return unified_inclusion(per_query)[fine.ids]
 
 
 # ---------------------------------------------------------------------------

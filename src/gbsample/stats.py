@@ -31,7 +31,7 @@ attribute tuple and keeps the result.  A fine stratum's group is its
 stratum id under those attributes in the catalog's key relation (one row
 per stratum), and the fine moments fold into their group in catalog order
 with Chan, Golub and LeVeque's pairwise update, the sum of squared
-deviations rebuilt as std**2 * (n - 1).
+deviations rebuilt as std * std * (n - 1).
 
 The standard deviation uses the (n - 1) divisor, which makes the finite
 population correction formula in :func:`gbsample.alloc.predicted_cv` exact
@@ -43,7 +43,6 @@ the streaming sampler's online moments alike.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -64,21 +63,6 @@ from .errors import (
     parse_json,
     stratum_keys,
 )
-
-
-def squares(x) -> list[float]:
-    """The square of every value of ``x`` by Python's float power, which
-    calls the C library's pow; numpy's square is the correctly rounded
-    product x * x and differs from pow in the last bit for a small share of
-    values, which would move the last digits of plans.  A square beyond the
-    float range is inf."""
-    out = []
-    for v in np.asarray(x, dtype=np.float64).tolist():
-        try:
-            out.append(v**2)
-        except OverflowError:
-            out.append(math.inf)
-    return out
 
 
 def std_of(n: np.ndarray, m2: np.ndarray | Sequence[float]) -> np.ndarray:
@@ -166,9 +150,11 @@ class StatsCatalog:
         n = np.bincount(ids, self.n, size).astype(np.int64)
         groups, fine_n = ids.tolist(), self.n.tolist()
         mean, std = {}, {}
-        for col, fine_mean, fine_std in _column_lists(self):
+        for col in self.agg_columns:
             count, mu, m2 = [0] * size, [0.0] * size, [0.0] * size
-            for g, n_f, mean_f, var_f in zip(groups, fine_n, fine_mean, squares(fine_std)):
+            with np.errstate(over="ignore"):  # a square beyond the float range is inf
+                fine_var = (self.std[col] * self.std[col]).tolist()
+            for g, n_f, mean_f, var_f in zip(groups, fine_n, self.mean[col].tolist(), fine_var):
                 # Chan, Golub and LeVeque's update of (count, mu, m2)[g] by
                 # the fine stratum's moments, in catalog order
                 m2_f = var_f * (n_f - 1)

@@ -132,9 +132,7 @@ def _squared_cvs(state: StreamState, n_seen, mean, m2) -> np.ndarray:
         std = std_of(n_seen, m2[col])
         with np.errstate(over="ignore"):
             cv = np.divide(std, np.abs(mu), out=np.zeros(len(mu)), where=mu != 0.0)
-            # cv * cv, not cv2_costs's pow: the two differ in the last bit
-            # for some values, which would move F and the recorded sizes
-            total = total + cv * cv
+            total = total + cv * cv  # the correctly rounded square, as in cv2_costs
         bad = np.flatnonzero(~np.isfinite(total))
         if bad.size:
             key = GroupKey(state.group_attrs, list(state.ids)[bad[0]])

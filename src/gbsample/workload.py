@@ -83,28 +83,32 @@ def derive_aggregation_groups(rel: Relation, workload: Sequence[QuerySpec]) -> F
     if not workload:
         raise EmptyProblem("workload is empty")
     table = FrequencyTable()
-    # (column, member row ids as bytes) -> entity; the ids of a group are
-    # ascending intp, so equal bytes mean equal member sets
-    entity_of: dict[tuple[str, bytes], int] = {}
+    # (column, member count, first and last member row) -> the entities of
+    # that fingerprint; a group is the one whose members are its rows
+    entity_of: dict[tuple, list[int]] = {}
     for qidx, query in enumerate(workload):
         for col in query.agg_columns:
             if rel.kind_of(col) != "numeric":
                 raise UnknownColumn(col)
         _, values, order, bounds = rel.strata(query.group_attrs)
         if query.predicate is not None:
-            # keep the matching rows; each bound moves to the count kept before it
+            # keep the matching rows; each bound moves down by the rows dropped before it
             keep = query.predicate.mask(rel)[order]
             order = order[keep]
             order.flags.writeable = False
-            bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
-        for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            if lo == hi:
-                continue
-            members = order[lo:hi]
-            ident = members.tobytes()
+            bounds = bounds - np.searchsorted(np.flatnonzero(~keep), bounds)
+        held = np.flatnonzero(bounds[1:] > bounds[:-1])
+        lo, hi = bounds[held], bounds[held + 1]
+        for k, a, b, first, last in zip(
+            held.tolist(), lo.tolist(), hi.tolist(), order[lo].tolist(), order[hi - 1].tolist()
+        ):
+            members = order[a:b]
             for col in query.agg_columns:
-                e = entity_of.setdefault((col, ident), len(table))
-                if e == len(table):
+                same = entity_of.setdefault((col, b - a, first, last), [])
+                e = next((e for e in same if np.array_equal(table.members[e], members)), None)
+                if e is None:
+                    e = len(table.frequencies)
+                    same.append(e)
                     table.columns.append(col)
                     table.attrs.append(query.group_attrs)
                     table.values.append(values[k])

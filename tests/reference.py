@@ -14,6 +14,12 @@ own loop, and :func:`l2_sizes` the integer l2 allocation by a search for
 mu that runs to float resolution from the largest cost, with :func:`shed`
 taking a floor per stratum.  :func:`l2_objective` adds the l2 objective's
 terms by a loop, the oracle of the package's in-order fold.
+:func:`plan_linf` is the minimax plan with the heap finish (:func:`shed`)
+that the array selection of its removals replaced, kept as its oracle,
+and :func:`inclusion_rates` the Poisson rates with the join over the
+fine strata's value tuples re-encoded as a key relation, which the join
+on the relation's own codes replaced.  The cost loops square every value
+as ``v * v``, the correctly rounded square the package's kernels take.
 :func:`load_csv` is the row-at-a-time loader the package's chunked one
 replaced, kept verbatim as the oracle of its relations and errors, and
 :func:`load_sample` the row-at-a-time sample reader, the oracle of the
@@ -47,14 +53,22 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from gbsample.alloc import (
+    LINF,
     UNIT_WEIGHTS,
     AllocationPlan,
     FinestStratification,
     GroupQuery,
+    PerQueryAllocation,
     WeightSpec,
+    _largest_above,
+    _pinned_plan,
+    _zero_mean_split,
+    check_budget,
+    cv2_costs,
     finest_from_catalog,
     floor_zero_costs,
     solve_fractional,
+    unified_inclusion,
 )
 from gbsample.dataset import (
     CATEGORICAL,
@@ -68,6 +82,7 @@ from gbsample.dataset import (
     encode,
     encode_into,
     frozen,
+    key_relation,
 )
 from gbsample.errors import (
     COUNT as COUNT_CHECK,
@@ -77,9 +92,11 @@ from gbsample.errors import (
     SEED,
     STRING,
     STRINGS,
+    AllStrataConstant,
     CorruptSampleFile,
     EmptyFile,
     FloatOverflow,
+    InvalidArgument,
     InvalidDocument,
     MissingColumn,
     NotASubset,
@@ -580,7 +597,7 @@ def merge(a: RunningMoments, b: RunningMoments) -> RunningMoments:
 
 def moments(st: Stratum, column: str) -> RunningMoments:
     """The moment accumulator a stratum summary stands for."""
-    return RunningMoments(st.n, st.mean[column], st.std[column] ** 2 * (st.n - 1))
+    return RunningMoments(st.n, st.mean[column], st.std[column] * st.std[column] * (st.n - 1))
 
 
 def pool_summaries(fine: Summaries, target_attrs: Sequence[str]) -> Summaries:
@@ -621,7 +638,8 @@ def cv_costs(
             if st.mean[col] == 0.0:
                 bad = col
                 break
-            total += w * (st.std[col] / abs(st.mean[col])) ** 2
+            cv = st.std[col] / abs(st.mean[col])
+            total += w * (cv * cv)
         if bad is not None:
             if zero_mean == "exclude":
                 excluded.append(key)
@@ -681,7 +699,7 @@ def multi_grouping_costs(
                         continue
                     raise ZeroMeanCoarseGroup(coarse_key, col)
                 sigma = fine_st.std[col]
-                inner += w * sigma**2 / mu**2
+                inner += w * (sigma * sigma) / (mu * mu)
             total += inner / coarse_st.n**2
         costs[idx] = fine_st.n**2 * total
     return floor_zero_costs(costs)
@@ -805,6 +823,91 @@ def l2_sizes(
     return shed(start, np.ones(r), int(start.sum()) - target, l2_loss(costs)), []
 
 
+def plan_linf(
+    catalog: StatsCatalog, column: str, budget: int, zero_mean: str = "error"
+) -> AllocationPlan:
+    """:func:`gbsample.alloc.plan_linf` with the heap finish it replaced:
+    :func:`shed` removes the surplus above the warm start one unit at a
+    time, each from the stratum whose removal leaves the least predicted
+    CV, ties to the lowest index."""
+    check_budget(budget)
+    cv2_all, first_zero = cv2_costs(catalog, [column])
+    kept, excluded = _zero_mean_split(zero_mean, first_zero, catalog, [column], ZeroMeanStratum)
+    flat = catalog.std[column][kept] == 0.0
+    active, constant = kept[~flat], kept[flat]
+    if not active.size:
+        raise AllStrataConstant(
+            "every stratum has zero variance; the minimax objective is degenerate"
+        )
+    pinned = np.concatenate([constant, excluded])
+    warnings: list[str] = []
+    if constant.size:
+        warnings.append(
+            f"ConstantStrata: {constant.size} zero-variance strata pinned at one row"
+        )
+    if excluded.size:
+        warnings.append(
+            f"ZeroMeanExcluded: {excluded.size} strata with zero mean pinned at one row"
+        )
+
+    cv2 = cv2_all[active]
+    pops_arr = catalog.n[active]
+    sub_budget = budget - len(pinned)
+    if sub_budget < active.size:
+        raise InvalidArgument(
+            f"minimax allocation needs at least one row per positive-variance "
+            f"stratum: budget {budget} leaves {sub_budget} rows for {active.size} strata"
+        )
+
+    if sub_budget >= int(pops_arr.sum()):
+        sizes = pops_arr.copy()
+        fractional = pops_arr.astype(float)
+    else:
+
+        def loads(t: float) -> np.ndarray:
+            return pops_arr * cv2 / (t * t * pops_arr + cv2)
+
+        t = _largest_above(
+            lambda t: float(loads(t).sum()), sub_budget, math.sqrt(cv2.sum() / sub_budget)
+        )
+        fractional = loads(t)
+        start = np.clip(np.ceil(fractional), 1, pops_arr).astype(np.int64)
+        cv = np.sqrt(cv2).tolist()
+        n = pops_arr.tolist()
+
+        def cv_after_removal(i: int, s: int) -> float:
+            return cv[i] * math.sqrt((n[i] - s + 1) / (n[i] * (s - 1)))
+
+        excess = int(start.sum()) - sub_budget
+        sizes = shed(start, np.ones(len(n)), excess, cv_after_removal)
+    max_cv = float(np.sqrt(cv2 * (pops_arr - sizes) / (pops_arr * sizes)).max())
+
+    capped = np.concatenate([sizes >= pops_arr, catalog.n[pinned] <= 1])
+    return _pinned_plan(
+        LINF, catalog, active, fractional, sizes, cv2, pinned, budget, capped, warnings,
+        {"max_cv": max_cv},
+    )
+
+
+def inclusion_rates(rel: Relation, alloc: PerQueryAllocation) -> np.ndarray:
+    """:func:`gbsample.alloc.inclusion_rates` with the join it replaced:
+    the fine strata's value tuples re-encoded as a key relation
+    (:func:`gbsample.dataset.key_relation`), each query's groups numbered
+    by its strata."""
+    union = list(dict.fromkeys(a for q in alloc.queries for a in q.attrs))
+    fine_ids, fine_values, _, _ = rel.strata(union)
+    fine_keys = key_relation(union, fine_values)
+    n = alloc.populations
+    rate = np.minimum(1.0, np.divide(alloc.sizes, n, out=np.zeros(len(n)), where=n > 0))
+    per_query = []
+    for i, q in enumerate(alloc.queries):
+        group, keys, _, _ = fine_keys.strata(q.attrs)
+        rows = np.flatnonzero(alloc.query == i).tolist()
+        table = dict(zip([alloc.keys[r] for r in rows], rate[rows].tolist()))
+        per_query.append(np.array([table.get(k, 0.0) for k in keys])[group])
+    return unified_inclusion(per_query)[fine_ids]
+
+
 def predicted_group_cv(
     parts: Sequence[tuple[int, float, float]], group_mean: float
 ) -> float | None:
@@ -844,7 +947,7 @@ def two_pass_reference(
     """Offline oracle for the streaming sampler: the first pass computes the
     catalog, the second draws the planned sample.  Its scores are the
     streaming f(i)^2 up to floating point error: the stream folds values in
-    one at a time and squares each CV as cv * cv."""
+    one at a time."""
     rel = Relation.from_records(schema, records)
     plan = offline_plan(rel, group_attrs, columns, budget)
     return draw_stratified(rel, plan, seed)

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from gbsample.alloc import (
     GroupQuery,
+    _minimax_sizes,
     PerQueryAllocation,
     WeightSpec,
     cube_queries,
@@ -887,6 +888,87 @@ def test_linf_all_constant_raises():
         plan_linf(catalog, "v", 3)
 
 
+def _plan_fields(plan):
+    """Every field of an allocation plan, its arrays as bytes."""
+    arrays = (plan.populations, plan.fractional, plan.sizes, plan.capped, plan.costs)
+    return (plan.method, plan.keys, plan.warnings, plan.extra, *(a.tobytes() for a in arrays))
+
+
+def _fields_or_error(fn):
+    try:
+        return _plan_fields(fn())
+    except Exception as exc:  # the same error, with the same message
+        return type(exc), str(exc)
+
+
+#: a stratum's population: small, so strata reach their cap, or near
+#: 2**27, where n * (s - 1) passes 2**53 for a large s
+_linf_n = st.one_of(st.integers(1, 30), st.integers(2**27 - 3, 2**27 + 3))
+#: a few fixed means and stds, so that drawn strata often tie in all three
+_linf_stratum = st.tuples(
+    _linf_n,
+    st.one_of(st.sampled_from([0.0, 1.0, -2.5, 10.0]), st.floats(0.01, 100.0)),
+    st.one_of(st.sampled_from([0.0, 0.5, 3.0]), st.floats(0.01, 50.0)),
+)
+
+
+@given(
+    st.lists(st.sampled_from([(7, 10.0, 3.0), (12, 1.0, 0.5)]) | _linf_stratum,
+             min_size=1, max_size=12),
+    st.integers(1, 80) | st.integers(1, 2**31),
+    st.sampled_from(["error", "exclude"]),
+)
+@example([(5, 10.0, 3.0)] * 4, 9, "error")  # tied strata: the lowest index keeps its rows
+@example([(2**27 + 1, 1.0, 0.5), (2**27, 1.0, 0.4)], 2**27 + 5, "error")
+@example([(6, 1.0, 0.0), (4, 0.0, 1.0), (9, 2.0, 5.0), (3, 2.0, 5.0)], 7, "exclude")
+def test_linf_matches_the_heap_finish(strata, budget, zero_mean):
+    # the array finish of plan_linf against the heap of greedy removals it
+    # replaced, bit for bit: sizes, fractional shares, max_cv and the rest
+    n = [k for k, _, _ in strata]
+    catalog = StatsCatalog(
+        ("g",), ("v",), [(f"s{i}",) for i in range(len(strata))], n,
+        {"v": [mu for _, mu, _ in strata]},
+        {"v": [sd if k > 1 else 0.0 for k, _, sd in strata]}, sum(n),
+    )
+    assert _fields_or_error(lambda: plan_linf(catalog, "v", budget, zero_mean)) == (
+        _fields_or_error(lambda: reference.plan_linf(catalog, "v", budget, zero_mean))
+    )
+
+
+@given(
+    st.lists(st.sampled_from([(9, 1.0), (2**27 + 1, 0.25)])
+             | st.tuples(_linf_n, st.sampled_from([0.25, 1.0]) | st.floats(0.01, 10.0)),
+             min_size=1, max_size=10),
+    st.data(),
+)
+def test_minimax_removals_match_the_heap(strata, data):
+    # any warm start and any excess up to every removable unit (or 40), so
+    # the excess often passes the stratum count and a stratum may give up
+    # all but one of its rows; tied strata lose rows lowest index first
+    n = np.array([k for k, _ in strata])
+    cv = np.array([c for _, c in strata])
+    start = np.array([data.draw(st.integers(1, 12) | st.integers(max(k - 5, 1), k))
+                      if k > 12 else data.draw(st.integers(1, k)) for k in n.tolist()])
+    excess = data.draw(st.integers(0, min(int((start - 1).sum()), 40)))
+    c, m = cv.tolist(), n.tolist()
+    want = reference.shed(start, np.ones(len(m)), excess,
+                          lambda i, s: c[i] * math.sqrt((m[i] - s + 1) / (m[i] * (s - 1))))
+    assert _minimax_sizes(start, n, cv, excess).tobytes() == want.tobytes()
+
+
+def test_minimax_removals_divide_exactly_beyond_2_53():
+    # stratum 1 has n * (s - 1) above 2**53, where dividing the integers as
+    # floats gives a loss one ulp below the exactly rounded one; exactly
+    # rounded, it ties stratum 0's loss, and the lower index loses the row
+    n, start = np.array([10, 2**27 + 1]), np.array([10, 2**27 - 12])
+    cv = np.array([2.644693872735953e-07, 1.0])
+    m = (n[1] - start[1] + 1) / (n[1] * (start[1] - 1))  # as numpy divides
+    assert cv[1] * math.sqrt(m) < cv[0] * math.sqrt(1 / 90) == (
+        math.sqrt(int(n[1] - start[1] + 1) / int(n[1] * (start[1] - 1)))
+    )
+    assert _minimax_sizes(start, n, cv, 1).tolist() == [9, 2**27 - 12]
+
+
 # ---------------------------------------------------------------------------
 # individual stratification
 
@@ -1399,6 +1481,37 @@ def test_inclusion_rates_match_reference_with_missing_entries():
     assert inclusion_rates(empty, alloc).tobytes() == (
         reference_inclusion_rates(empty, alloc).tobytes()
     )
+
+
+#: keys with a comma, a bar, empty text and non-ASCII text
+_RATE_KEYS = ("a", "b,c", "x|y", "", "Zürich", "東京")
+
+
+@given(
+    st.lists(st.tuples(*[st.sampled_from(_RATE_KEYS)] * 2, st.sampled_from(("p", "q"))),
+             min_size=1, max_size=40),
+    st.permutations(("a", "b", "c")),
+    st.data(),
+)
+def test_inclusion_rates_match_the_key_relation_join(rows, attrs, data):
+    # the rates joined on the relation's codes against the join over the
+    # fine strata's value tuples re-encoded as a key relation, byte for
+    # byte: a cube with the empty grouping, its plan's rows reordered,
+    # some dropped (their groups take rate 0) and shares scaled past n
+    schema = (*(ColumnSchema(a, CATEGORICAL) for a in "abc"), ColumnSchema("x", NUMERIC))
+    rel = Relation.from_records(schema, [(*r, float(i % 7 + 1)) for i, r in enumerate(rows)])
+    queries = cube_queries(attrs[: data.draw(st.integers(1, 3))], ("x",))
+    catalogs = [compute_catalog(rel, q.attrs, ["x"]) for q in queries]
+    full = plan_individual(catalogs, queries, data.draw(st.integers(1, 60)))
+    order = data.draw(st.permutations(range(len(full.keys))))
+    order = [r for r in order if data.draw(st.booleans())] if data.draw(st.booleans()) else order
+    alloc = PerQueryAllocation(
+        queries, full.query[order], tuple(full.keys[r] for r in order), full.populations[order],
+        data.draw(st.sampled_from([1.0, 4.0])) * full.sizes[order], full.budget,
+    )
+    got = inclusion_rates(rel, alloc)
+    assert got.tobytes() == reference.inclusion_rates(rel, alloc).tobytes()
+    assert got.tobytes() == reference_inclusion_rates(rel, alloc).tobytes()
 
 
 def test_unknown_zero_mean_policy_raises_invalid_argument(student_rel):

@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -523,31 +524,55 @@ def test_zero_mean_errors_name_the_first_key_and_column_in_catalog_order():
     assert plan.sizes.tolist() == [3, 1, 1]
 
 
+#: values whose square by this C library's pow (Python's x**2) is not
+#: the correctly rounded x * x; the test checks them on every platform
+ODD_SQUARES = (0.8467763420071795, 0.6475377083485385, 0.8408835429094627,
+               0.22577417556513596, 0.4270731443843285, 1.9754482163144704)
+
+
 def test_costs_square_like_python_floats():
-    # the C library's pow, behind Python's x**2, is not always the
-    # correctly rounded x * x that numpy's square gives; the cost kernels
-    # must square like the per-stratum loops they replace
-    rng = np.random.default_rng(5)
-    x = rng.lognormal(0.0, 1.0, size=20_000)
-    odd = [v for v in x.tolist() if v**2 != v * v][:20]
-    if not odd:
-        pytest.skip("this platform's pow squares every sample like x * x")
-    # mean 1 and std v give cv = v
-    n = len(odd)
-    catalog = StatsCatalog(
-        ("g",), ("v",), [(f"s{i}",) for i in range(n)], [4] * n,
-        {"v": [1.0] * n}, {"v": odd}, 4 * n,
-    )
-    ref = reference.summaries_of(catalog)
-    for zero_mean in ("error", "exclude"):
-        got = _keyed(catalog, cv_costs(catalog, ("v",), zero_mean=zero_mean))
-        assert got == _floored(reference.cv_costs(ref, ("v",), zero_mean=zero_mean))
-    fs = finest_from_catalog(catalog, [GroupQuery(("g",), ("v",)), GroupQuery((), ("v",))])
+    # every cost kernel squares as the correctly rounded x * x, whatever
+    # the platform's pow gives: checked against squares rounded from the
+    # exact Fraction, on values whose pow square differs where this
+    # platform has any, else on the fixed ones
+    x = np.random.default_rng(5).lognormal(0.0, 1.0, size=20_000).tolist()
+    values = [v for v in x if v**2 != v * v][:20] or list(ODD_SQUARES)
+    square = [float(Fraction(v) ** 2) for v in values]
+    n = len(values)
+    keys = [(f"s{i}",) for i in range(n)]
+    tiny = 2.0**-600  # its square, and std * std below, underflow to 0
+
+    def catalog(mean, std):
+        return StatsCatalog(("g",), ("v",), keys, [4] * n, {"v": mean}, {"v": std}, 4 * n)
+
+    # mean 1 and std v give cv = v; mean v and std 1 give cv = 1 / v, and
+    # sigma^2 / mu^2 = 1 / v^2.  The cost under one query grouped by g is
+    # 16 * (sigma^2 / mu^2 / 16), so the quotient of the squares exactly
+    inverse = [1.0 / v for v in values]
+    for cat, want, want_multi in (
+        (catalog([1.0] * n, values), square, square),
+        (catalog([tiny] * n, [v * tiny for v in values]), square, square),  # the cv * cv fallback
+        (catalog(values, [1.0] * n), [float(Fraction(c) ** 2) for c in inverse],
+         [1.0 / q for q in square]),
+    ):
+        for zero_mean in ("error", "exclude"):
+            assert cv_costs(cat, ("v",), zero_mean=zero_mean)[1].tolist() == want
+        fs = finest_from_catalog(cat, [GroupQuery(("g",), ("v",))])
+        assert multi_grouping_costs(fs).tolist() == want_multi
+    # pooling rebuilds each sum of squared deviations as std * std * (n - 1)
+    cat = catalog([1.0] * n, values)
+    assert pool_catalog(cat, ("g",)).std["v"].tolist() == [math.sqrt(q * 3 / 3) for q in square]
+    m2 = 0.0
+    for q in square:  # every mean is 1, so each update adds 0 for the means
+        m2 = m2 + q * 3 + 0.0
+    assert pool_catalog(cat, ()).std["v"].tolist() == [math.sqrt(m2 / (4 * n - 1))]
+    # and the kernels agree with the reference loops, which square as v * v
+    ref = reference.summaries_of(cat)
+    fs = finest_from_catalog(cat, [GroupQuery(("g",), ("v",)), GroupQuery((), ("v",))])
     assert multi_grouping_costs(fs).tolist() == (
         reference.multi_grouping_costs(ref, fs.queries).tolist()
     )
-    # pooling rebuilds each sum of squared deviations as std**2 * (n - 1)
     for attrs in (("g",), ()):
-        assert _items(pool_catalog(catalog, attrs)) == list(
+        assert _items(pool_catalog(cat, attrs)) == list(
             reference.pool_summaries(ref, attrs).items()
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gbsample.alloc import plan_l2
+from gbsample.dataset import CATEGORICAL, NUMERIC, ColumnSchema, Relation
 from gbsample.errors import EmptyProblem, InvalidDocument
 from gbsample.query import Atom, Predicate
 from gbsample.stats import compute_catalog
@@ -14,6 +15,7 @@ from gbsample.workload import (
     workload_from_json,
 )
 
+import reference
 from reference import build_finest
 
 
@@ -204,3 +206,24 @@ def test_workload_file_rejects_a_string_for_a_list():
             workload_from_json(text, "w.json")
     with pytest.raises(InvalidDocument):
         workload_from_json(json.dumps([{"group_by": [1], "aggregates": ["age"]}]))
+
+
+def test_groups_alike_in_size_and_ends_stay_apart():
+    # g = p holds rows {0, 1, 3} and h = u rows {0, 2, 3}: the same count,
+    # first and last row, but other members, so two entities; h = u under
+    # v > 0 keeps all its rows, the same entity as h = u
+    schema = (ColumnSchema("g", CATEGORICAL), ColumnSchema("h", CATEGORICAL),
+              ColumnSchema("v", NUMERIC))
+    rel = Relation.from_records(schema, [("p", "u", 1.0), ("p", "w", 2.0),
+                                         ("q", "u", 3.0), ("p", "u", 4.0)])
+    workload = [
+        QuerySpec(("g",), ("v",), None, 2),
+        QuerySpec(("h",), ("v",), None, 3),
+        QuerySpec(("h",), ("v",), Predicate((Atom("v", ">", 0.0),)), 5),
+    ]
+    table = derive_aggregation_groups(rel, workload)
+    assert [m.tolist() for m in table.members] == [[0, 1, 3], [2], [0, 2, 3], [1]]
+    assert table.frequencies == [2, 2, 8, 8]
+    got = list(zip(table.columns, table.attrs, table.values, [m.tolist() for m in table.members],
+                   table.frequencies, table.inducers))
+    assert got == reference.aggregation_groups(rel, workload)
