@@ -44,13 +44,16 @@ quote every such key, on every Python, and the sample must read back.
 Last, a generated 120-row table whose 12 strata tie in n, mean and std
 (or in n and CV) runs ``stats -> plan -> sample`` under cvopt-linf and a
 cube plan, so their digests pin which tied strata lose the surplus rows.
+Last, a copy of the tiny build table saved with a UTF-8 byte-order mark
+(as Excel's "CSV UTF-8" saves it) runs the same plan and queries; every
+line must match the plain table's, as the mark is not part of the text.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
 plus the exit code of every command, the outcome of the order check, the
-count of ``inf`` objectives and whether the CRLF copy wrote the plain
-table's bytes.  Exits 1 if any command failed, a budget below one row
-did not exit 1, the order check found the groups in sample order, a
-stream at the stratum count wrote an ``inf`` objective or the CRLF copy
-wrote other bytes.
+count of ``inf`` objectives and whether the CRLF and byte-order-mark
+copies wrote the plain table's bytes.  Exits 1 if any command failed, a
+budget below one row did not exit 1, the order check found the groups in
+sample order, a stream at the stratum count wrote an ``inf`` objective or
+either copy wrote other bytes.
 
 gbsample is imported from the interpreter's path, so the same script run
 against two source trees shows whether they write the same bytes::
@@ -484,19 +487,19 @@ def messy_lines(work: Path) -> tuple[list[str], int]:
     return lines, failed
 
 
-def crlf_lines(data: Path, work: Path, lf_lines: list[str]) -> tuple[list[str], int]:
+def copy_lines(label: str, raw: bytes, work: Path, lf_lines: list[str]) -> tuple[list[str], int]:
     """The exit and digest lines of every cvopt-l2 run of
-    :func:`table_digests` on a copy of the tiny build table at ``data``
-    with CRLF line ends, which the loader reads by ``csv.reader``, then
-    whether each line is the original table's (``lf_lines``) but for the
-    table's name; and the number of commands that failed, plus one if a
-    line differs."""
-    crlf = work / "data.csv"
-    crlf.write_bytes(data.read_bytes().replace(b"\n", b"\r\n"))
-    lines, failed = table_digests("build-crlf", TABLES["build"], crlf, work, ("cvopt-l2",))
+    :func:`table_digests` on ``raw``, a copy of the tiny build table's
+    bytes named ``label`` (with CRLF line ends, or a byte-order mark),
+    then whether each line is the original table's (``lf_lines``) but for
+    the table's name; and the number of commands that failed, plus one if
+    a line differs."""
+    copy = work / "data.csv"
+    copy.write_bytes(raw)
+    lines, failed = table_digests(label, TABLES["build"], copy, work, ("cvopt-l2",))
     lf = set(lf_lines)
-    same = all(line.replace("  build-crlf/", "  build/") in lf for line in lines)
-    return [*lines, f"same-as-lf {same}  build-crlf/cvopt-l2"], failed + (not same)
+    same = all(line.replace(f"  {label}/", "  build/") in lf for line in lines)
+    return [*lines, f"same-as-lf {same}  {label}/cvopt-l2"], failed + (not same)
 
 
 #: seeds of two and of seven 32-bit words (more than SeedSequence's pool
@@ -664,7 +667,9 @@ def main() -> int:
         failed += n_failed
         work = Path(tmp) / "build_crlf"
         work.mkdir()
-        lines, n_failed = crlf_lines(Path(tmp) / "build" / "data.csv", work, table_lines["build"])
+        build = (Path(tmp) / "build" / "data.csv").read_bytes()
+        crlf = build.replace(b"\n", b"\r\n")
+        lines, n_failed = copy_lines("build-crlf", crlf, work, table_lines["build"])
         print("\n".join(lines))
         failed += n_failed
         work = Path(tmp) / "big_seeds"
@@ -680,6 +685,12 @@ def main() -> int:
         work = Path(tmp) / "ties"
         work.mkdir()
         lines, n_failed = tie_lines(work)
+        print("\n".join(lines))
+        failed += n_failed
+        work = Path(tmp) / "build_bom"
+        work.mkdir()
+        bom = b"\xef\xbb\xbf" + build
+        lines, n_failed = copy_lines("build-bom", bom, work, table_lines["build"])
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

@@ -11,13 +11,18 @@ occurrence, so code k stands for ``levels[k]``.  :func:`read_columns`
 reads the CSV rows of both the data files of :func:`load_csv` and the
 sample files of :func:`gbsample.sampler.load_sample`, and encodes while
 it parses, :data:`CHUNK_ROWS` rows at a time and one column of the chunk
-at a time, so it holds at most one chunk of rows as strings; it and
+at a time, so it holds at most one chunk of rows as strings, writing
+each chunk into one preallocated array per column; it and
 :func:`encode` share one first-occurrence encoder, :func:`encode_into`.
-It cuts a chunk into cells by one ``str.split`` of the chunk's text while
-every chunk so far is free of quotes, carriage returns, NULs, over-long
-lines and rows of other widths and no read error stopped one, and by
-``csv.reader`` from the first chunk that is not to the end of the file.
-:func:`csv_writer` writes every CSV file the package writes.
+It reads the text in blocks of :data:`BLOCK` characters, encodes each to
+UTF-8 once and finds its newlines and commas as byte offsets with NumPy;
+a chunk whose lines all hold one comma fewer than the header has cells,
+and no quote, carriage return, NUL or over-long line, is cut into cells
+by one ``str.split`` of its text.  The first chunk that fails that test,
+or a block that cannot be decoded, sends the rest of the file to
+``csv.reader``, which reads the file again from its start past the lines
+already split, so a read error stops the rows where a line-by-line read
+stops.  :func:`csv_writer` writes every CSV file the package writes.
 :meth:`Relation.encoded` returns the codes and levels;
 :meth:`Relation.categorical` and :meth:`Relation.records` decode them to
 values at the API edge, so every file the package writes is unchanged by
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -323,7 +328,7 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
     """
     with open_text(path, newline="") as fh:
         try:
-            header = next(csv.reader(fh))
+            header = _header(fh)
         except StopIteration:
             raise EmptyFile(f"{path}: no header row") from None
         header = [h.strip() for h in header]
@@ -331,7 +336,7 @@ def load_csv(path, schema: Sequence[ColumnSchema]) -> Relation:
             if col.name not in header:
                 raise MissingColumn(col.name)
         fields = [(c.name, header.index(c.name), c.kind) for c in schema]
-        n_rows, columns = read_columns(fh, len(header), fields, _level)
+        n_rows, columns = read_columns(fh, _header, len(header), fields, _level)
     if n_rows == 0:
         raise EmptyFile(f"{path}: header only, no data rows")
     return Relation(schema, {c.name: col for c, col in zip(schema, columns)}, n_rows)
@@ -345,9 +350,20 @@ _PARSE = {
     int: (int, np.int64, "a 64-bit integer"),
 }
 
+#: characters :func:`_cut` reads from a file at a time
+BLOCK = 1 << 16
+#: bytes a text file decodes at a time when it is read line by line
+#: (``TextIOWrapper._CHUNK_SIZE``); see :func:`_cut`
+_DECODED = 8192
+
 
 def read_columns(
-    fh, ncols: int, fields: Sequence[tuple], level: Callable | None, ragged: Callable | None = None
+    fh,
+    header: Callable,
+    ncols: int,
+    fields: Sequence[tuple],
+    level: Callable | None,
+    ragged: Callable | None = None,
 ) -> tuple[int, list]:
     """The row count of ``fh`` after a header of ``ncols`` cells, and per
     field ``(name, position, kind)`` the column of its rows' cells at
@@ -356,75 +372,111 @@ def read_columns(
     says, the first cell that fails, in row-major order, raising
     :class:`TypeParseError`.  With ``ragged`` None a short row holds
     ``""`` where it has no cell; otherwise a row of other than ``ncols``
-    cells raises ``ragged(row, cells)`` before its chunk is parsed.  The
-    rows are parsed :data:`CHUNK_ROWS` at a time (cut into cells by
-    :func:`_chunks`), one column at a time, as cell by cell, and a read
-    error is raised once the rows before it are parsed.
+    cells raises ``ragged(row, cells)`` before its chunk is parsed.
+    ``fh`` is a text file opened with ``newline=""`` whose header
+    ``header(fh)`` has read from its start (:func:`_chunks` may read it
+    again).  The rows are parsed :data:`CHUNK_ROWS` at a time (cut into
+    cells by :func:`_chunks`), one column at a time, as cell by cell, and
+    a read error is raised once the rows before it are parsed.
+
+    Each chunk's codes and values are written into one array per field,
+    allocated at the first chunk for the rows the file's size holds at
+    that chunk's bytes per row (:func:`_capacity`), doubled when full and
+    cut to the row count once at the end, so no column is held twice.
     """
-    # per field: codes by raw text and by level (if categorical), arrays by chunk
-    seen = [({}, {}, []) for _ in fields]
-    n_rows = 0
-    for n, columns, unread in _chunks(fh, ncols, [p for _, p, _ in fields], ragged):
-        for (_, _, kind), (by_raw, by_level, chunks), cells in zip(fields, seen, columns):
+    # per field: codes by raw text and by level (if categorical)
+    seen = [({}, {}) for _ in fields]
+    dtypes = [np.intp if kind == CATEGORICAL else _PARSE[kind][1] for _, _, kind in fields]
+    columns = [np.empty(0, dtype) for dtype in dtypes]
+    n_rows = room = 0
+    for n, cells, unread, size in _chunks(fh, header, ncols, [p for _, p, _ in fields], ragged):
+        if n_rows + n > room:
+            if room:
+                room = max(n_rows + n, 2 * room)
+                for out in columns:
+                    out.resize(room, refcheck=False)
+            else:  # np.empty leaves the pages past the rows untouched
+                room = _capacity(fh, n, size)
+                columns = [np.empty(room, dtype) for dtype in dtypes]
+        rows = slice(n_rows, n_rows + n)
+        for (_, _, kind), (by_raw, by_level), out, raw in zip(fields, seen, columns, cells):
             if kind == CATEGORICAL:
-                chunks.append(encode_into(cells, by_raw, by_level, level))
+                out[rows] = encode_into(raw, by_raw, by_level, level)
                 continue
             parse, dtype, _ = _PARSE[kind]
             try:
-                values = np.fromiter(map(parse, cells), dtype, n)
+                values = np.fromiter(map(parse, raw), dtype, n)
             except (ValueError, OverflowError):
                 values = None
             if values is None or kind == NUMERIC and not np.isfinite(values).all():
-                _raise_first_bad_cell(fields, columns, n_rows)
-            chunks.append(values)
-        del columns  # free the chunk's strings before the next is read
+                _raise_first_bad_cell(fields, cells, n_rows)
+            out[rows] = values
+        del cells  # free the chunk's strings before the next is read
         n_rows += n
         if unread is not None:
             raise unread
-    # each column's chunks are freed once joined, so at most one column is
-    # held twice; holding them all to the end left the heap too fragmented
-    # for the next layer's row-sized arrays, and raised the peak RSS
-    joined = []
-    for (_, _, kind), (_, by_level, chunks) in zip(fields, seen):
-        values = np.concatenate(chunks)
-        chunks.clear()
-        joined.append(values if kind != CATEGORICAL else Encoded(frozen(values), tuple(by_level)))
-    return n_rows, joined
+    for out in columns:
+        out.resize(n_rows, refcheck=False)
+    return n_rows, [
+        Encoded(frozen(out), tuple(by_level)) if kind == CATEGORICAL else out
+        for (_, _, kind), (_, by_level), out in zip(fields, seen, columns)
+    ]
 
 
-def _chunks(fh, ncols: int, positions: list[int], ragged: Callable | None):
-    """The rows of ``fh`` after a header of ``ncols`` cells,
+def _capacity(fh, rows: int, size: int | None) -> int:
+    """The rows to allocate columns for after a first chunk of ``rows``
+    rows in ``size`` bytes: as many as the size of the file ``fh`` holds
+    at that many bytes per row, and 1/16 more, or ``rows`` when either
+    size is unknown."""
+    if not size:
+        return rows
+    import os  # kept local: the module's imports are part of every command's start-up
+
+    try:
+        total = os.fstat(fh.fileno()).st_size
+    except OSError:
+        return rows
+    return max(rows, total * rows // size * 17 // 16)
+
+
+def _chunks(fh, header: Callable, ncols: int, positions: list[int], ragged: Callable | None):
+    """The rows of ``fh`` after its header of ``ncols`` cells,
     :data:`CHUNK_ROWS` at a time (fewer in the last chunk): per chunk, its
     row count, the cells of its rows at each of ``positions`` (a list per
-    position; see :func:`read_columns` for a row of another width) and
-    the error that stopped the read early, if any (see :func:`_read_chunk`).
+    position; see :func:`read_columns` for a row of another width), the
+    error that stopped the read early, if any (see :func:`_read_chunk`),
+    and its size in bytes if it was split (None otherwise).
 
-    A chunk is split by :func:`_split` while every chunk so far has passed
-    its test.  The first that fails it, or that a read error cuts short,
-    switches the rest of the file to ``csv.reader``, from that chunk's
-    first line on, so a quoted field may span the lines of two chunks.
+    A chunk is cut from text read in blocks (:func:`_cut`) and split by
+    :func:`_split` while every chunk so far has passed its test.  The
+    first that fails it, or a read error in a block (which loses the text
+    it was decoding), switches the rest of the file to ``csv.reader``,
+    from that chunk's first line on, so a quoted field may span the lines
+    of two chunks: the file is read again from its start, line by line,
+    past ``header(fh)`` and the lines already split (:func:`_rewound`),
+    so a read error stops the rows where a line-by-line read stops.  A
+    file that cannot seek is read by ``csv.reader`` from its first row.
     """
-    limit = csv.field_size_limit()
     first = 0
-    while True:
-        lines: list = []
+    if fh.seekable():
+        limit = csv.field_size_limit()
         try:
-            lines.extend(islice(fh, CHUNK_ROWS))
-        except (UnicodeDecodeError, OSError) as exc:
-            reader = csv.reader(_raise_after(lines, exc))
-            break
-        columns = _split(lines, ncols, positions, limit)
-        if columns is None:
-            reader = csv.reader(chain(lines, fh))
-            break
-        n = len(lines)
-        del lines  # free the chunk's strings before the next is read
-        yield n, columns, None
-        del columns
-        if n < CHUNK_ROWS:
-            return
-        first += n
-    del lines
+            for data, ends, commas in _cut(fh):
+                columns = _split(data, ends, commas, ncols, positions, limit)
+                if columns is None:
+                    break
+                n = len(ends)
+                yield n, columns, None, len(data)
+                del columns  # free the chunk's strings before the next is read
+                first += n
+            else:
+                return
+        except (UnicodeDecodeError, OSError):
+            pass
+        lines = _rewound(fh, header, first)
+    else:
+        lines = fh
+    reader = csv.reader(lines)
     width = 1 + max(positions, default=-1)
     while True:
         rows, unread = _read_chunk(reader)
@@ -437,11 +489,68 @@ def _chunks(fh, ncols: int, positions: list[int], ragged: Callable | None):
         n = len(rows)
         columns = [list(map(itemgetter(i), rows)) for i in positions]
         del rows
-        yield n, columns, unread
+        yield n, columns, unread, None
         del columns
         if unread is not None or n < CHUNK_ROWS:
             return
         first += n
+
+
+def _cut(fh):
+    """The text of ``fh`` from where it stands, read :data:`BLOCK`
+    characters at a time and encoded to UTF-8 once, in chunks of
+    :data:`CHUNK_ROWS` lines (fewer in the last): per chunk, its bytes,
+    the offset in them of each line's end (its newline, or the end of the
+    bytes for a last line without one) and of each comma, ascending.  The
+    bytes after a block's last full chunk wait for the next block.
+
+    A chunk is handed out only once the text read reaches
+    :data:`_DECODED` bytes past its end, or the file's end: a read error
+    met later lies past the step of a line-by-line read that holds the
+    chunk's last newline, so that read would have read every line of the
+    chunk too.  A read error is raised.
+    """
+    buf = b""
+    ends = commas = np.empty(0, np.intp)
+    while True:
+        text = fh.read(BLOCK)
+        eof = not text
+        new = text.encode()
+        found = np.frombuffer(new, np.uint8)
+        ends = np.concatenate((ends, np.flatnonzero(found == 10) + len(buf)))  # "\n"
+        commas = np.concatenate((commas, np.flatnonzero(found == 44) + len(buf)))  # ","
+        buf += new
+        del text, new, found  # keep one copy of the block
+        ready = len(ends) if eof else int(np.searchsorted(ends, len(buf) - _DECODED))
+        start = line = comma = 0
+        while ready - line >= CHUNK_ROWS:
+            stop = int(ends[line + CHUNK_ROWS - 1]) + 1
+            after = int(np.searchsorted(commas, stop))
+            chunk_ends = ends[line:line + CHUNK_ROWS] - start
+            yield buf[start:stop], chunk_ends, commas[comma:after] - start
+            start, line, comma = stop, line + CHUNK_ROWS, after
+        if eof:
+            if start < len(buf):
+                last = ends[line:] - start
+                if buf[-1] != 10:  # a last line without a newline ends with the file
+                    last = np.append(last, len(buf) - start)
+                yield buf[start:], last, commas[comma:] - start
+            return
+        buf, ends, commas = buf[start:], ends[line:] - start, commas[comma:] - start
+
+
+def _rewound(fh, header: Callable, skip: int):
+    """The lines of ``fh`` after ``header(fh)`` and ``skip`` more lines,
+    read again from its start."""
+    fh.seek(0)
+    header(fh)
+    next(islice(fh, skip, skip), None)
+    yield from fh
+
+
+def _header(fh) -> list[str]:
+    """The cells of the CSV row at which ``fh`` stands."""
+    return next(csv.reader(fh))
 
 
 def csv_writer(fh):
@@ -452,30 +561,36 @@ def csv_writer(fh):
                       lineterminator="\r\n")
 
 
-def _raise_after(lines: list[str], exc: Exception):
-    """``lines``, then ``exc`` raised: the file ``lines`` were read from as
-    ``csv.reader`` met it."""
-    yield from lines
-    raise exc
-
-
-def _split(lines: list[str], ncols: int, positions: list[int], limit: int) -> list | None:
-    """The cells at each of ``positions`` of ``lines``, rows of ``ncols``
-    cells, by one ``str.split`` of their text.  None when there are no
-    lines, or where ``csv.reader`` may cut them otherwise: when some line
-    holds a quote, a carriage return or a NUL (which ``csv.reader``
-    rejects on Python 3.10 only), has other than ``ncols - 1`` commas or
-    is longer than ``limit``, the largest field ``csv.reader`` reads."""
-    text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
+def _split(
+    data: bytes,
+    ends: np.ndarray,
+    commas: np.ndarray,
+    ncols: int,
+    positions: list[int],
+    limit: int,
+) -> list | None:
+    """The cells at each of ``positions`` of the lines of ``data``, rows of
+    ``ncols`` cells, by one ``str.split`` of its text; ``ends`` holds the
+    offset of each line's end (its newline, or ``len(data)`` for a last
+    line without one) and ``commas`` that of each comma, ascending.  None
+    where ``csv.reader`` may cut the lines otherwise: when ``data`` holds
+    a quote, a carriage return or a NUL (which ``csv.reader`` rejects on
+    Python 3.10 only), or some line has other than ``ncols - 1`` commas
+    or is longer than ``limit`` bytes, the largest field ``csv.reader``
+    reads in characters (a character is at least one byte)."""
+    if b'"' in data or b"\r" in data or b"\0" in data:
         return None
-    if set(map(str.count, lines, repeat(","))) != {ncols - 1}:
+    k, lines = ncols - 1, len(ends)
+    # with lines * k commas in all, every line has k when each line's k-th
+    # comma comes before its end and the next line's first after it
+    if len(commas) != lines * k or k and (
+        (commas[k - 1::k] > ends).any() or (commas[k::k] < ends[:-1]).any()
+    ):
         return None
-    if len(text) > limit and max(map(len, lines)) > limit:
+    if len(data) > limit and np.diff(ends, prepend=-1).max() > limit:
         return None
-    cells = text.replace("\n", ",").split(",")
-    del text
-    end = len(lines) * ncols  # a newline after the last line adds one empty cell
+    cells = data.decode().replace("\n", ",").split(",")
+    end = lines * ncols  # a newline after the last line adds one empty cell
     return [cells[i:end:ncols] for i in positions]
 
 

@@ -41,12 +41,13 @@ class UnreadableFile(GbsampleError):
 
 @contextmanager
 def open_text(path, newline: str | None = None):
-    """The file at ``path`` opened for reading as UTF-8 text.  Each way
+    """The file at ``path`` opened for reading as UTF-8 text, a byte-order
+    mark at its start dropped (one later on stays text).  Each way
     the file may be unreadable, met on opening it or in the ``with`` body
     while reading it, raises :class:`UnreadableFile` naming the file; a
     missing file still raises :class:`FileNotFoundError`."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except (IsADirectoryError, NotADirectoryError) as exc:
         raise UnreadableFile(f"{path}: {exc.strerror}") from None

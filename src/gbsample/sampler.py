@@ -496,7 +496,9 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
             return CorruptSampleFile(f"{path}: data row {row} has {cells} cells, expected {width}")
 
         try:
-            n_rows, (first, second, *columns) = read_columns(fh, len(names), fields, None, ragged)
+            n_rows, (first, second, *columns) = read_columns(
+                fh, _past_header, len(names), fields, None, ragged
+            )
         except TypeParseError as exc:
             raise CorruptSampleFile(
                 f"{path}: data row {exc.row}: {exc.column} is {exc.value!r}, not {exc.expected}"
@@ -504,6 +506,12 @@ def load_sample(path, expect_schema: Sequence[ColumnSchema] | None = None):
     rows = Relation(schema, dict(zip(names[2:], columns)), n_rows)
     load = _load_stratified if kind == "stratified" else _load_poisson
     return load(header, schema, first, second, rows, source)
+
+
+def _past_header(fh) -> None:
+    """Read a sample file's two header lines, the JSON line and the CSV one."""
+    fh.readline()
+    next(csv.reader(fh), None)
 
 
 def _load_stratified(header, schema, stratum, ids, columns, path: str) -> StratifiedSample:

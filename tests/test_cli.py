@@ -80,6 +80,29 @@ def test_full_pipeline_composes(tmp_path, fix_a_csv):
     assert (out / "report.csv").exists()
 
 
+def test_inputs_saved_with_a_byte_order_mark_read_as_without_it(tmp_path, fix_a_csv):
+    """A data file, config and query saved with a UTF-8 byte-order mark (as
+    Excel's "CSV UTF-8" and some editors save them) run the pipeline to the
+    outputs of the same files without it."""
+    query = {"group_by": ["grp"], "aggregate": {"fn": "avg", "column": "v"}}
+    outputs = []
+    for mark in ("", "\ufeff"):
+        work = tmp_path / ("marked" if mark else "plain")
+        work.mkdir()
+        data = work / "data.csv"
+        data.write_text(mark + fix_a_csv.read_text(encoding="utf-8"), encoding="utf-8")
+        query_path = work / "query.json"
+        query_path.write_text(mark + json.dumps(query), encoding="utf-8")
+        cfg = _write_config(work, data, query=str(query_path))
+        cfg.write_text(mark + cfg.read_text(encoding="utf-8"), encoding="utf-8")
+        for command in ("stats", "plan", "sample", "query"):
+            assert _run(command, "--config", str(cfg)) == 0, command
+        out = work / "out"
+        files = ("plan.json", "sample.txt", "estimates.json")
+        outputs.append([(out / f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+
 #: keys with a line end or a quote in them, which every file of the
 #: pipeline must keep whole
 LINE_END_KEYS = ("a\r\nb", "a\rb", "a\nb", 'say "hi"')

@@ -1,5 +1,8 @@
 import csv
 import io
+import os
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -266,30 +269,33 @@ _EDITS = st.one_of(
 _SPLIT_BREAKERS = ['say "hi"', "C\rS", "7\r", "C\0S", _LONG_CELL, "short", "extra"]
 
 
-def _checked_split(lines, ncols, positions, limit):
-    """:func:`dataset._split`, checked: the lines of every chunk it splits
+def _checked_split(data, ends, commas, ncols, positions, limit):
+    """:func:`dataset._split`, checked: the bytes of every chunk it splits
     hold no NUL (which ``csv.reader`` rejects on Python 3.10), and
-    ``csv.reader`` cuts them into the same cells.  A failed check is kept
-    in :data:`_SPLIT_FAULTS`, since an error raised here would reach the
-    loader."""
-    columns = _split(lines, ncols, positions, limit)
+    ``csv.reader``, reading their text line by line as a file opened with
+    ``newline=""`` gives it, cuts them into as many rows and the same
+    cells.  A failed check is kept in :data:`_SPLIT_FAULTS`, since an
+    error raised here would reach the loader."""
+    columns = _split(data, ends, commas, ncols, positions, limit)
     if columns is not None:
         try:
-            rows = list(csv.reader(lines))
-            same = [[row[i] for row in rows] for i in positions] == columns
+            rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+            cut = [[row[i] for row in rows] for i in positions]
+            same = len(rows) == len(ends) and cut == columns
         except (csv.Error, IndexError):
             same = False
-        if not same or any("\0" in line for line in lines):
-            _SPLIT_FAULTS.append(lines)
+        if not same or b"\0" in data:
+            _SPLIT_FAULTS.append(data)
     return columns
 
 
 _SPLIT_FAULTS: list = []
 
 
+@pytest.mark.parametrize("block", [dataset.BLOCK, 64])
 @settings(max_examples=200)
 @given(st.data())
-def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
+def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, block, data):
     """On generated CSV text (quoted cells holding ``,``, ``|`` or a
     newline, non-ASCII, padded and empty keys, blank lines, short rows,
     extra columns, numeric cells that are empty, non-finite, out of range
@@ -302,7 +308,9 @@ def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
     another width; a file of more than one chunk gets one such edit after
     its first chunk, so the split route meets it after a chunk it split.
     Every chunk the split route takes must be one ``csv.reader`` cuts the
-    same way (:func:`_checked_split`)."""
+    same way (:func:`_checked_split`).  The file is read in blocks of
+    :data:`dataset.BLOCK` characters and again in blocks of 64, so lines,
+    multibyte characters and CRLF pairs also fall across blocks."""
     header = data.draw(st.permutations(["k", "x", "g", "y", "extra"]))
     header = data.draw(st.sampled_from([header] * 7 + [header[1:]]))
     # a clean lead: plain keys, newlines and no edit but the late one, so
@@ -350,7 +358,8 @@ def test_load_csv_equals_the_row_at_a_time_loader(tmp_path_factory, data):
     rows = [line for r, row in enumerate(rows) for line in ([None, row] if r in blanks else [row])]
     path = _write_rows(tmp_path_factory.mktemp("load") / "data.csv", rows, header, line_end)
     _SPLIT_FAULTS.clear()
-    with mock.patch.object(dataset, "_split", _checked_split):
+    with mock.patch.object(dataset, "_split", _checked_split), \
+            mock.patch.object(dataset, "BLOCK", block):
         got = _outcome(load_csv, path)
     assert got == _outcome(reference.load_csv, path)
     assert _SPLIT_FAULTS == []
@@ -446,9 +455,22 @@ def _write_lines(path, lines):
     return path
 
 
+def _offsets(data):
+    """The line ends and the commas of the bytes ``data`` as the split
+    route finds them: each newline's offset, and ``len(data)`` for a last
+    line without one; each comma's offset."""
+    found = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(found == ord("\n"))
+    if data and not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    return ends, np.flatnonzero(found == ord(","))
+
+
 def _splits(lines):
     """Whether the split route takes the chunk ``lines``."""
-    return _split(lines, len(_SPLIT_HEADER), [0, 1, 2, 3], csv.field_size_limit()) is not None
+    data = "".join(lines).encode()
+    limit = csv.field_size_limit()
+    return _split(data, *_offsets(data), len(_SPLIT_HEADER), [0, 1, 2, 3], limit) is not None
 
 
 #: per condition of the split route's test, lines that fail only it
@@ -458,6 +480,7 @@ _SPLIT_FAILURES = {
     "carriage return before newline": {_AT: "1.5,2,k0,g1\r\n"},
     "NUL": {_AT: "1.5,2,k\0,g1\n"},
     "comma count": {_AT: "1.5,2,k0,g1,extra\n", _AT + 1: "1.5,2,k0\n"},
+    "comma count, the short line first": {_AT: "1.5,2,k0\n", _AT + 1: "1.5,2,k0,g1,extra\n"},
     "line length": {_AT: f"1.5,2,{'z' * csv.field_size_limit()},g1\n"},
 }
 
@@ -525,6 +548,224 @@ def test_a_quote_first_seen_in_a_later_chunk(tmp_path, first):
         ("CS" if (first - 1) % 2 == 0 else "EE", 1.5, "two\nlines", 2.5),
         ('say "hi"', 1.5, "G", 2.5),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the blocks the split route reads
+
+#: the block size of the block-edge tests, in characters
+_SMALL_BLOCK = 64
+
+
+def _aligned(lines, at, within, to=_SMALL_BLOCK - 1):
+    """``lines`` with the key of the first padded so that character
+    ``within`` of line ``at`` is character ``to`` of a block of
+    :data:`_SMALL_BLOCK` characters; the blocks start after the header."""
+    offset = sum(map(len, lines[:at])) + within
+    lines = list(lines)
+    lines[0] = lines[0].replace(",k", ",k" + "p" * ((to - offset) % _SMALL_BLOCK), 1)
+    assert (sum(map(len, lines[:at])) + within) % _SMALL_BLOCK == to
+    return lines
+
+
+def _read_in_small_blocks(path, schema=_SPLIT_SCHEMA):
+    """What :func:`load_csv` makes of the file read in blocks of
+    :data:`_SMALL_BLOCK` characters (see :func:`_outcome`), and per chunk
+    the split route tested, whether it split it; every chunk it split is
+    checked by :func:`_checked_split`."""
+    split = []
+
+    def spy(*args):
+        columns = _checked_split(*args)
+        split.append(columns is not None)
+        return columns
+
+    _SPLIT_FAULTS.clear()
+    with mock.patch.object(dataset, "_split", spy), \
+            mock.patch.object(dataset, "BLOCK", _SMALL_BLOCK):
+        got = _outcome(load_csv, path, schema)
+    assert _SPLIT_FAULTS == []
+    return got, split
+
+
+def _edge_case(case):
+    """The data lines of a block-edge case and, per chunk, whether the
+    split route splits it."""
+    lines = _split_lines(CHUNK_ROWS + 40)
+    late = CHUNK_ROWS + 10
+    if case == "a line across two blocks":
+        return _aligned(lines, 300, 4), [True, True]
+    if case == "a multibyte character ending a block":
+        lines[300] = "1.5,2,東京,g1\n"
+        return _aligned(lines, 300, 7), [True, True]
+    if case == "no final newline":
+        lines[-1] = lines[-1].rstrip("\n")
+        return _aligned(lines, len(lines) - 1, 3, 20), [True, True]
+    if case == "a line longer than a block":
+        lines[300] = f"1.5,2,k{'w' * (3 * _SMALL_BLOCK)},g1\n"
+        return lines, [True, True]
+    if case == "a CRLF across two blocks":
+        lines[late] = "1.5,2,k0,g1\r\n"
+        return _aligned(lines, late, 11), [True, False]
+    assert case == "a quote in the middle of a block"
+    lines[late] = '1.5,2,"k,0",g1\n'
+    return _aligned(lines, late, 6, _SMALL_BLOCK // 2), [True, False]
+
+
+@pytest.mark.parametrize("case", [
+    "a line across two blocks",
+    "a multibyte character ending a block",
+    "no final newline",
+    "a line longer than a block",
+    "a CRLF across two blocks",
+    "a quote in the middle of a block",
+])
+def test_a_block_edge_reads_as_row_by_row(tmp_path, case):
+    """Read in blocks of 64 characters, a line cut by a block's end, a
+    block ending in a multibyte character, a file without a final
+    newline and a line longer than a block are split as ``csv.reader``
+    cuts them; a CRLF whose two characters fall in two blocks, and a quote
+    in the middle of a block, send their chunk to ``csv.reader``.  Each
+    time the relation is the row-at-a-time loader's."""
+    lines, split = _edge_case(case)
+    path = _write_lines(tmp_path / "data.csv", lines)
+    got, tested = _read_in_small_blocks(path)
+    assert got == _outcome(reference.load_csv, path, _SPLIT_SCHEMA)
+    assert got[0] == len(lines)
+    assert tested == split
+
+
+def _step_lines(header_bytes, bad_at):
+    """Data lines after a header of ``header_bytes`` bytes, and the line
+    index whose first byte is the first at or past byte ``bad_at`` of the
+    file."""
+    lines = _split_lines(12 * CHUNK_ROWS)
+    offset = header_bytes
+    for i, line in enumerate(lines):
+        if offset >= bad_at:
+            return lines, i
+        offset += len(line)
+    raise AssertionError("the file ends before the byte")
+
+
+def _padded_header(size):
+    """:data:`_SPLIT_HEADER` with a last column whose name pads the header
+    line to ``size`` bytes, newline included."""
+    header = ",".join(_SPLIT_HEADER) + ","
+    return header + "p" * (size - len(header) - 1)
+
+
+def test_a_read_error_in_a_later_block_keeps_the_row_by_row_precedence(tmp_path):
+    """An invalid byte in the second block loses the text that block was
+    decoding, so the file is read again by ``csv.reader``: a bad numeric
+    cell earlier in that block, in an earlier step of a line-by-line read,
+    is reported as the row-at-a-time loader reports it; without the bad
+    cell the file is unreadable."""
+    header = ",".join(_SPLIT_HEADER) + "\n"
+    lines, bad = _step_lines(len(header), len(header) + dataset.BLOCK + 20_000)
+    _, cell = _step_lines(len(header), len(header) + dataset.BLOCK + 4_000)
+    lines[bad] = "1.5,2,k\udcff,g1\n"
+    lines[cell] = "1.5,nan,k0,g1\n"
+    path = _write_lines(tmp_path / "data.csv", lines)
+    got = _outcome(load_csv, path, _SPLIT_SCHEMA)
+    assert got == _outcome(reference.load_csv, path, _SPLIT_SCHEMA)
+    assert got[0] is TypeParseError and f"row {cell}" in got[1]
+    lines[cell] = _split_lines(cell + 1)[cell]
+    with pytest.raises(UnreadableFile):
+        load_csv(_write_lines(path, lines), _SPLIT_SCHEMA)
+
+
+def test_a_chunk_waits_for_the_text_a_line_by_line_read_decodes_with_it(tmp_path):
+    """A chunk whose last line ends in the step of a line-by-line read
+    (8 KiB of bytes) that holds the next block's invalid byte is not
+    parsed before that block is read: a row-at-a-time read never parses
+    the bad numeric cell on that line, and the file is unreadable both
+    ways.  The header is padded so that the first block, four chunks of
+    16-byte lines, ends in the middle of such a step."""
+    size = 4000
+    lines = [line[:-1] + ",abc\n" for line in _split_lines(8 * CHUNK_ROWS)]
+    last = dataset.BLOCK // len(lines[0]) - 1  # the first block's last line
+    first_end = size + sum(map(len, lines[:last + 1]))
+    assert (last + 1) % CHUNK_ROWS == 0 and first_end == size + dataset.BLOCK
+    lines[last] = "nan" + lines[last][3:]
+    lines[last + 1] = lines[last + 1].replace(",k", ",\udcff", 1)
+    step = dataset._DECODED
+    assert (first_end - 1) // step == (first_end + 8) // step
+    path = tmp_path / "data.csv"
+    text = _padded_header(size) + "\n" + "".join(lines)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    got = _outcome(load_csv, path, _SPLIT_SCHEMA)
+    assert got == _outcome(reference.load_csv, path, _SPLIT_SCHEMA)
+    assert got[0] is UnreadableFile
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_file_that_cannot_seek_loads_as_a_regular_file(tmp_path):
+    """Through a named pipe, which cannot seek, the file is read by
+    ``csv.reader`` from its first row, to the relation of the regular
+    file."""
+    lines = _split_lines()
+    lines[_AT] = '1.5,2,"k,0",g1\n'
+    path = _write_lines(tmp_path / "data.csv", lines)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        got = _outcome(load_csv, fifo, _SPLIT_SCHEMA)
+    finally:
+        writer.join()
+    assert got == _outcome(load_csv, path, _SPLIT_SCHEMA)
+    assert got[0] == len(lines)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_byte_order_mark_is_dropped_only_at_the_start(tmp_path, quoted):
+    """A file saved with a UTF-8 byte-order mark (as Excel's "CSV UTF-8"
+    saves it) loads as the file without it, also when a quote in its
+    second chunk has it read again from its start; U+FEFF later on is
+    data."""
+    lines = _split_lines()
+    lines[3] = "1.5,2,\ufeffk0,g1\n"
+    if quoted:
+        lines[_AT] = '1.5,2,"k,0",g1\n'
+    plain = _write_lines(tmp_path / "plain.csv", lines)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got = _outcome(load_csv, marked, _SPLIT_SCHEMA)
+    assert got == _outcome(load_csv, plain, _SPLIT_SCHEMA)
+    assert "\ufeffk0" in load_csv(marked, _SPLIT_SCHEMA).encoded("k").levels
+
+
+def test_load_csv_holds_no_column_twice(tmp_path):
+    """On a 400k-row table of two categorical and two numeric columns,
+    the traced peak of :func:`load_csv` stays under the relation's bytes
+    (four arrays of 8 bytes a row) plus a quarter of a column plus
+    1.5 MB.  The quarter column is the 1/16 by which each of the four
+    columns is allocated beyond the rows the first chunk's bytes per row
+    foresee; the 1.5 MB covers one chunk's text, cells and parsed arrays
+    and one block's text, bytes and offsets, about 0.9 MB in all.
+    Keeping each chunk's arrays and joining them at the end holds at
+    least one column twice, a whole column (3.2 MB) more; the table is
+    large enough that a column outweighs the chunk and the block."""
+    n = 400_000
+    rng = np.random.default_rng(0)
+    text = "".join(
+        f"{x:.4f},{y:.4f},k{a},g{b}\n"
+        for x, y, a, b in zip(rng.random(n) * 100, rng.random(n), rng.integers(0, 99, n),
+                              rng.integers(0, 25, n))
+    )
+    path = tmp_path / "data.csv"
+    path.write_text(",".join(_SPLIT_HEADER) + "\n" + text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        rel = load_csv(path, _SPLIT_SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rel.n_rows == n
+    column = 8 * n
+    assert peak < 4 * column + column // 4 + 1_500_000, peak / column
 
 
 # ---------------------------------------------------------------------------
