@@ -47,6 +47,9 @@ cube plan, so their digests pin which tied strata lose the surplus rows.
 Last, a copy of the tiny build table saved with a UTF-8 byte-order mark
 (as Excel's "CSV UTF-8" saves it) runs the same plan and queries; every
 line must match the plain table's, as the mark is not part of the text.
+Last, the tied table runs ``stats -> plan -> sample`` under cvopt-l2 and
+``stream-sim`` at batch sizes 1 and 7, so their digests pin which tied
+strata lose rows in an l2 plan and in a stream's settles.
 Prints one line ``<sha256>  <table>/<method>/<file>`` per output file,
 plus the exit code of every command, the outcome of the order check, the
 count of ``inf`` objectives and whether the CRLF and byte-order-mark
@@ -600,32 +603,55 @@ def _ties_csv(path: Path) -> None:
             writer.writerow([g, h, TIES_VALUES[r // 12] * (2 if g == "g2" else 1)])
 
 
-def tie_lines(work: Path) -> tuple[list[str], int]:
-    """The exit-code and digest lines of ``stats -> plan -> sample`` under
-    cvopt-linf and a cube plan (cvopt-l2 over every subset of (g, h)) on
-    the tied table, where the strata that lose a row are chosen among ties
-    by index; and the number of commands that failed."""
-    data = work / "data.csv"
-    _ties_csv(data)
-    attrs = TIES["attrs"]
-    runs = {
-        "cvopt-linf": {"group_by": attrs, "aggregates": ["v"], "method": "cvopt-linf"},
-        "cube": {"workload": _write(work / "cube.json", _cube(attrs, "v")),
-                 "weights": _write(work / "unit_weights.json", [])},
-    }
+def _tie_runs(work: Path, runs: dict[str, tuple[dict, tuple[str, ...], tuple[str, ...]]]
+              ) -> tuple[list[str], int]:
+    """The exit-code and digest lines of each run on the tied table in
+    ``work``, per label its config fields, commands and the files it
+    writes; and the number of commands that failed."""
     lines, failed = [], 0
-    for method, fields in runs.items():
+    for method, (fields, commands, files) in runs.items():
         out, where = work / method, f"ties/{method}"
         config = _write(
             work / f"{method}.config.json",
-            {"data": str(data), "schema": _schema(TIES), "seed": 1, "out_dir": str(out),
-             **TIES["size"], **fields},
+            {"data": str(work / "data.csv"), "schema": _schema(TIES), "seed": 1,
+             "out_dir": str(out), **TIES["size"], **fields},
         )
-        codes = [_cli([cmd, "--config", config]) for cmd in ("stats", "plan", "sample")]
+        codes = [_cli([cmd, "--config", config]) for cmd in commands]
         failed += sum(c != 0 for c in codes)
         lines.append(f"exit {codes}  {where}")
-        lines += [f"{_digest(out / f)}  {where}/{f}" for f in OUTPUTS]
+        lines += [f"{_digest(out / f)}  {where}/{f}" for f in files]
     return lines, failed
+
+
+def tie_lines(work: Path) -> tuple[list[str], int]:
+    """The exit-code and digest lines of ``stats -> plan -> sample`` under
+    cvopt-linf and a cube plan (cvopt-l2 over every subset of (g, h)) on
+    the tied table, written to ``work``, where the strata that lose a row
+    are chosen among ties by index; and the number of commands that failed."""
+    _ties_csv(work / "data.csv")
+    attrs = TIES["attrs"]
+    build = ("stats", "plan", "sample")
+    return _tie_runs(work, {
+        "cvopt-linf": ({"group_by": attrs, "aggregates": ["v"], "method": "cvopt-linf"},
+                       build, OUTPUTS),
+        "cube": ({"workload": _write(work / "cube.json", _cube(attrs, "v")),
+                  "weights": _write(work / "unit_weights.json", [])}, build, OUTPUTS),
+    })
+
+
+def tie_l2_lines(work: Path) -> tuple[list[str], int]:
+    """The lines of :func:`tie_lines` for ``stats -> plan -> sample`` under
+    cvopt-l2, whose warm start holds 8 rows over the budget, and for
+    ``stream-sim`` at batch sizes 1 and 7, whose settles remove 1 to 7
+    rows, on the tied table :func:`tie_lines` wrote to ``work``; every l2
+    finish chooses among tied strata by index."""
+    plain = {"group_by": TIES["attrs"], "aggregates": ["v"]}
+    runs = {"cvopt-l2": (plain, ("stats", "plan", "sample"), OUTPUTS)}
+    for size in (1, 7):
+        runs[f"stream-sim-{size}"] = (
+            {**plain, "batch_size": size}, ("stream-sim",), ("stream_metrics.jsonl",),
+        )
+    return _tie_runs(work, runs)
 
 
 def main() -> int:
@@ -691,6 +717,9 @@ def main() -> int:
         work.mkdir()
         bom = b"\xef\xbb\xbf" + build
         lines, n_failed = copy_lines("build-bom", bom, work, table_lines["build"])
+        print("\n".join(lines))
+        failed += n_failed
+        lines, n_failed = tie_l2_lines(Path(tmp) / "ties")
         print("\n".join(lines))
         failed += n_failed
     return 1 if failed else 0

@@ -8,8 +8,9 @@ strata whose population is smaller than their ideal allocation
 (:func:`resolve_caps`), which also give the streaming sampler's targets
 and, at unit costs, the senate baseline's capped equal split.  Integer
 sizes come from greedy removal from a warm start above an optimum, exact
-for separable convex objectives: :func:`shed` does it for
-:func:`l2_sizes`, which sizes every l2 plan and each stream settle.
+for separable convex objectives and for minimax: :func:`_finish` selects
+the cheapest removals as one array for :func:`l2_sizes`, which sizes
+every l2 plan and each stream settle, and for :func:`plan_linf`.
 
 Cost coefficients ``c_i`` are built from per-stratum statistics:
 
@@ -21,8 +22,7 @@ Cost coefficients ``c_i`` are built from per-stratum statistics:
 
 The minimax allocator (:func:`plan_linf`) instead equalizes the predicted
 CVs and minimizes their maximum: a bisection on the common CV gives the
-continuous optimum and a warm start, whose greedy removals
-:func:`_minimax_sizes` selects as one array.
+continuous optimum and a warm start, which the same finish takes down.
 
 Strata with zero variance receive a vanishing cost floor so that the
 integer allocation gives them exactly one row (one row determines a
@@ -34,7 +34,6 @@ pinned at one row.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -182,30 +181,51 @@ def floor_zero_costs(costs: np.ndarray) -> np.ndarray:
 # the integer core
 
 
-def shed(sizes: np.ndarray, excess: int, loss: Callable[[int, int], float]) -> np.ndarray:
-    """Remove ``excess`` units, one at a time, each from the stratum whose
-    next removal costs least; ties go to the lowest index and no stratum
-    drops below one unit.
+def _finish(start: np.ndarray, excess: int,
+            loss: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """``start`` less its ``excess`` cheapest removals, as greedy removal
+    one unit at a time takes them, ties to the lowest index; no stratum
+    drops below one unit.  ``loss(i, s)`` is the array of costs of taking
+    stratum i[j] from s[j] units to s[j] - 1.  Where that never falls as s
+    falls (a separable convex objective, or a minimax of terms that rise as
+    units go), greedy removal from above an optimum ends at an optimum (the
+    priority-value method; Wright 2012, Friedrich, Muennich, de Vries &
+    Wagner 2015).  Each stratum's top min(start_i - 1, excess) units are
+    listed in index order; all below the excess-th least loss go, then the
+    first at it.  Where a rounded loss falls (the l2 loss from s =
+    106,711,305 on), greedy removal takes the next unit at once, so a unit
+    ranks at the running maximum of its stratum's losses."""
+    if not excess:
+        return start
+    take = np.minimum(start - 1, excess)
+    first = np.cumsum(take) - take
+    unit = np.repeat(np.arange(start.size), take)  # in index order
+    s = start[unit] - (np.arange(unit.size) - first[unit])
+    cost = loss(unit, s)
+    falls = (cost[1:] < cost[:-1]) & (unit[1:] == unit[:-1])
+    for i in np.unique(unit[1:][falls]).tolist():
+        run = slice(first[i], first[i] + take[i])
+        cost[run] = np.maximum.accumulate(cost[run])
+    cut = np.partition(cost, excess - 1)[excess - 1]
+    below = cost < cut
+    removed = np.concatenate([unit[below], unit[cost == cut][: excess - int(below.sum())]])
+    return start - np.bincount(removed, minlength=start.size)
 
-    ``loss(i, s)`` is the cost of taking stratum i from s units to s - 1
-    and must not fall as s falls (a separable convex objective, or a
-    minimax of per-stratum terms that rise as units go).  Greedy removal is
-    then exact: started from any vector that lies componentwise above an
-    optimum, it ends at an optimum (the priority-value method; Wright 2012,
-    Friedrich, Muennich, de Vries & Wagner 2015).  O((r + excess) log r).
-    :func:`l2_sizes` is its only caller.
-    """
-    if excess <= 0:
-        return np.array(sizes, dtype=np.int64)
-    s = np.asarray(sizes, dtype=np.int64).tolist()
-    heap = [(loss(i, s[i]), i) for i in range(len(s)) if s[i] > 1]
-    heapq.heapify(heap)
-    for _ in range(excess):
-        _, i = heapq.heappop(heap)
-        s[i] -= 1
-        if s[i] > 1:
-            heapq.heappush(heap, (loss(i, s[i]), i))
-    return np.array(s, dtype=np.int64)
+
+def _l2_loss(costs: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """c_i * (1 / (s - 1) - 1 / s): what taking stratum i to s - 1 rows adds to sum(c / s)."""
+    return costs[i] * (1.0 / (s - 1) - 1.0 / s)
+
+
+def _cv_loss(n: np.ndarray, cv: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The predicted CV that taking stratum i from s rows to s - 1 leaves,
+    cv_i * sqrt((n_i - s + 1) / (n_i * (s - 1))) with the integers divided
+    as Python divides them; that never falls as s falls, even rounded."""
+    m = n[i]
+    big = s - 1 >= -(-(2**53) // m)  # m * (s - 1) >= 2**53: floats would round it
+    q = np.divide(m - s + 1, m * (s - 1), out=np.empty(i.size), where=~big)
+    q[big] = [(a - b + 1) / (a * (b - 1)) for a, b in zip(m[big].tolist(), s[big].tolist())]
+    return cv[i] * np.sqrt(q)
 
 
 def _largest_above(total: Callable[[float], float], target: float, hi: float,
@@ -244,16 +264,17 @@ def l2_sizes(
     The warm start keeps every row whose removal would cost at least mu,
     s_i(mu) = clip(floor(1/2 + sqrt(1/4 + c_i / mu)), 1, n_i), at the
     largest mu whose rows still cover the budget; every optimum lies
-    componentwise below it, so :func:`shed` finishes exactly.  The search
-    starts at the closed form's marginal loss (sum(sqrt(c)) / budget)^2 and
-    stops at the first mu whose rows equal the budget: every mu on that
-    step keeps the same rows.  A search that halves mu to 0 (costs near the
-    float floor, or zero costs, which keep one row at every mu > 0) starts
-    from the caps.  (Ceilings of the fractional optimum are not
-    always above an optimum: with shares 2.99, twenty at 1.05 and 1.01 at
-    budget 25 the optimum gives the first stratum 4 rows.)  Below one row
-    per stratum the largest ``fractional`` shares get one row each, ties
-    to the lowest index, and a MissingGroups warning is attached.
+    componentwise below it, so :func:`_finish` by :func:`_l2_loss` ends at
+    one exactly.  The search starts at the closed form's marginal loss
+    (sum(sqrt(c)) / budget)^2 and stops at the first mu whose rows equal
+    the budget: every mu on that step keeps the same rows.  A search that
+    halves mu to 0 (costs near the float floor, or zero costs, which keep
+    one row at every mu > 0) starts from the caps.  (Ceilings of the
+    fractional optimum are not always above an optimum: with shares 2.99,
+    twenty at 1.05 and 1.01 at budget 25 the optimum gives the first
+    stratum 4 rows.)  Below one row per stratum the largest ``fractional``
+    shares get one row each, ties to the lowest index, and a MissingGroups
+    warning is attached.
     """
     caps = np.asarray(caps, dtype=np.int64)
     costs = np.asarray(costs, dtype=np.float64)
@@ -278,8 +299,7 @@ def l2_sizes(
         mu = _largest_above(lambda mu: kept(mu).sum(), target, float(costs.max()),
                             float(np.sqrt(costs).sum() / target) ** 2, exact=True)
         start = kept(mu).astype(np.int64)
-    c = costs.tolist()
-    return shed(start, int(start.sum()) - target, lambda i, s: c[i] * (1.0 / (s - 1) - 1.0 / s)), []
+    return _finish(start, int(start.sum()) - target, partial(_l2_loss, costs)), []
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +679,8 @@ def plan_linf(
     where every positive-variance stratum has the same CV and sum(x) equals
     the budget; ``fractional`` holds x there.  Integer sizes start from
     clip(ceil(x), 1, n_i) at the last t whose loads exceed the budget, which
-    lies above an integer optimum, and :func:`_minimax_sizes` removes the
-    surplus by the predicted CV each removal leaves, all at once; the result
+    lies above an integer optimum, and :func:`_finish` removes the surplus
+    by the predicted CV each removal leaves (:func:`_cv_loss`); the result
     is the exact integer minimax, reported as ``extra["max_cv"]``.
 
     Zero-variance strata are excluded from the search and pinned at one
@@ -704,7 +724,8 @@ def plan_linf(
         )
         fractional = loads(t)
         start = np.clip(np.ceil(fractional), 1, pops_arr).astype(np.int64)
-        sizes = _minimax_sizes(start, pops_arr, np.sqrt(cv2), int(start.sum()) - sub_budget)
+        excess = int(start.sum()) - sub_budget
+        sizes = _finish(start, excess, partial(_cv_loss, pops_arr, np.sqrt(cv2)))
     max_cv = float(np.sqrt(cv2 * (pops_arr - sizes) / (pops_arr * sizes)).max())
 
     capped = np.concatenate([sizes >= pops_arr, catalog.n[pinned] <= 1])
@@ -712,29 +733,6 @@ def plan_linf(
         LINF, catalog, active, fractional, sizes, cv2, pinned, budget, capped, warnings,
         {"max_cv": max_cv},
     )
-
-
-def _minimax_sizes(start: np.ndarray, n: np.ndarray, cv: np.ndarray, excess: int) -> np.ndarray:
-    """``start`` less its ``excess`` cheapest removals, ties to the lowest
-    index.  A row taken from stratum i at s rows costs the CV it leaves,
-    cv_i * sqrt((n_i - s + 1) / (n_i * (s - 1))) with the integers divided
-    as Python divides them; that never falls as s falls, even rounded, so
-    these are exactly the greedy removals."""
-    if not excess:
-        return start
-    take = np.minimum(start - 1, excess)
-    unit = np.repeat(np.arange(start.size), take)  # in index order
-    s = start[unit] - (np.arange(unit.size) - np.repeat(np.cumsum(take) - take, take))
-    m = n[unit]
-    big = s - 1 >= -(-(2**53) // m)  # m * (s - 1) >= 2**53: floats would round it
-    q = np.divide(m - s + 1, m * (s - 1), out=np.empty(unit.size), where=~big)
-    q[big] = [(a - b + 1) / (a * (b - 1)) for a, b in zip(m[big].tolist(), s[big].tolist())]
-    loss = cv[unit] * np.sqrt(q)
-    # every unit below the excess-th least loss goes, then the first at it
-    cut = np.partition(loss, excess - 1)[excess - 1]
-    below = loss < cut
-    removed = np.concatenate([unit[below], unit[loss == cut][: excess - int(below.sum())]])
-    return start - np.bincount(removed, minlength=start.size)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .errors import (
     LIST,
     NAMES,
     NUMBER,
+    POSITIVE,
     FloatOverflow,
     InvalidDocument,
     NotASubset,
@@ -282,7 +283,7 @@ def catalog_to_json(catalog: StatsCatalog) -> str:
 def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
     """Parse a catalog file.  A document of the wrong shape, a repeated
     group attribute or aggregation column, a key of the wrong length or a
-    repeated key, a negative count, a ``total_n`` other than the strata's
+    repeated key, a count below one, a ``total_n`` other than the strata's
     total count, or a mean or std that is not a finite number (or a
     negative std) raises :class:`InvalidDocument` naming ``source`` and the
     field."""
@@ -300,7 +301,7 @@ def catalog_from_json(text: str, source: str = "catalog.json") -> StatsCatalog:
     std: dict[str, list[float]] = {c: [] for c in agg_columns}
     for i, item in enumerate(strata):
         at = f"strata[{i}]"
-        n.append(get(item, at, "n", *COUNT))
+        n.append(get(item, at, "n", *POSITIVE))
         for col in agg_columns:
             summary = get(get(item, at, "columns"), f"{at}.columns", col)
             mean[col].append(float(get(summary, f"{at}.columns.{col}", "mean", *NUMBER)))

@@ -14,11 +14,13 @@ own loop, and :func:`l2_sizes` the integer l2 allocation by a search for
 mu that runs to float resolution from the largest cost, with :func:`shed`
 taking a floor per stratum.  :func:`l2_objective` adds the l2 objective's
 terms by a loop, the oracle of the package's in-order fold.
-:func:`plan_linf` is the minimax plan with the heap finish (:func:`shed`)
-that the array selection of its removals replaced, kept as its oracle,
-and :func:`inclusion_rates` the Poisson rates with the join over the
-fine strata's value tuples re-encoded as a key relation, which the join
-on the relation's own codes replaced.  The cost loops square every value
+:func:`shed` is the heap of greedy removals, one unit at a time, that
+the package's array selection of the cheapest removals replaced in every
+l2 plan, stream settle and minimax plan, kept as its oracle;
+:func:`plan_linf` is the minimax plan with that heap finish, and
+:func:`inclusion_rates` the Poisson rates with the join over the fine
+strata's value tuples re-encoded as a key relation, which the join on
+the relation's own codes replaced.  The cost loops square every value
 as ``v * v``, the correctly rounded square the package's kernels take.
 :func:`load_csv` is the row-at-a-time loader the package's chunked one
 replaced, kept verbatim as the oracle of its relations and errors, and

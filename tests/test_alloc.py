@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from gbsample.alloc import (
     GroupQuery,
-    _minimax_sizes,
     PerQueryAllocation,
+    _cv_loss,
+    _finish,
+    _l2_loss,
     WeightSpec,
     cube_queries,
     cv_costs,
@@ -29,7 +32,6 @@ from gbsample.alloc import (
     predicted_cv,
     predicted_group_cvs,
     resolve_caps,
-    shed,
     solve_fractional,
     unified_inclusion,
 )
@@ -213,15 +215,29 @@ def _l2_sizes(shares, caps, budget, costs=None):
 
 def test_shed_removes_the_cheapest_unit_above_the_lower_bound():
     def loss(i, s):
-        return (1.0, 1.0, 4.0)[i] / s
+        return np.array([1.0, 1.0, 4.0])[i] / s
+
+    def flat(i, s):
+        return np.ones(i.size)
 
     # stratum 0 is cheapest but stops at one row; stratum 1 starts there
     sizes = np.array([3, 1, 3])
-    assert shed(sizes, 3, loss).tolist() == [1, 1, 2]
+    assert _finish(sizes, 3, loss).tolist() == [1, 1, 2]
     assert sizes.tolist() == [3, 1, 3]
     # ties go to the lowest index; nothing to remove leaves the sizes alone
-    assert shed(np.array([2, 2]), 1, lambda i, s: 1.0).tolist() == [1, 2]
-    assert shed(np.array([2, 2]), 0, lambda i, s: 1.0).tolist() == [2, 2]
+    assert _finish(np.array([2, 2]), 1, flat).tolist() == [1, 2]
+    assert _finish(np.array([2, 2]), 0, flat).tolist() == [2, 2]
+
+
+def test_l2_removals_follow_the_heap_where_the_rounded_loss_falls():
+    # from 106,711,305 rows on, c * (1 / (s - 1) - 1 / s) rounds so that a
+    # removal can cost more than the next one; the heap then takes the next
+    # one at once, where a cut on the losses alone would take another stratum
+    start = np.array([106711302, 106711307, 106711307, 106711305, 106711307])
+    costs = np.array([3.0, 1.0, 1.0, 3.0, 1.0])
+    want = reference.shed(start, np.ones(5), 10, reference.l2_loss(costs))
+    assert want.tolist() == [106711302, 106711303, 106711303, 106711305, 106711305]
+    assert _finish(start, 10, partial(_l2_loss, costs)).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -287,6 +303,7 @@ def test_l2_sizes_ends_where_the_search_reaches_the_float_floor():
         ([5e-324, 5e-324, 1e-323], [5, 5, 5], 8),
         ([1e-323, 1e-323], [5, 5], 10),
         ([0.0, 1.0], [5, 5], 7),
+        ([5e-324, 5e-324, 1e-323], [100_000] * 3, 8),  # 299,992 removals
     ):
         costs, caps = np.array(costs), np.array(caps)
         shares = np.ones(len(costs))  # read only below one row per stratum
@@ -296,6 +313,7 @@ def test_l2_sizes_ends_where_the_search_reaches_the_float_floor():
         assert sizes.sum() == min(budget, caps.sum())
         best, _ = exhaustive_integer_optimum(costs, caps, min(budget, int(caps.sum())))
         assert l2_objective(costs, sizes) == pytest.approx(best, rel=1e-12)
+    assert sizes.tolist() == [1, 1, 6]  # the last case: ties go lowest index first
 
 
 #: (cost, size) pairs of an l2 objective: zero and infinite costs, empty,
@@ -953,7 +971,12 @@ def test_minimax_removals_match_the_heap(strata, data):
     c, m = cv.tolist(), n.tolist()
     want = reference.shed(start, np.ones(len(m)), excess,
                           lambda i, s: c[i] * math.sqrt((m[i] - s + 1) / (m[i] * (s - 1))))
-    assert _minimax_sizes(start, n, cv, excess).tobytes() == want.tobytes()
+    assert _finish(start, excess, partial(_cv_loss, n, cv)).tobytes() == want.tobytes()
+    # the l2 loss with the cvs as costs, from the same start or one raised
+    # past 106,711,305 rows, where its rounded value can fall as s falls
+    start = start + data.draw(st.sampled_from([0, 106_711_295]))
+    want = reference.shed(start, np.ones(len(m)), excess, reference.l2_loss(cv))
+    assert _finish(start, excess, partial(_l2_loss, cv)).tobytes() == want.tobytes()
 
 
 def test_minimax_removals_divide_exactly_beyond_2_53():
@@ -966,7 +989,7 @@ def test_minimax_removals_divide_exactly_beyond_2_53():
     assert cv[1] * math.sqrt(m) < cv[0] * math.sqrt(1 / 90) == (
         math.sqrt(int(n[1] - start[1] + 1) / int(n[1] * (start[1] - 1)))
     )
-    assert _minimax_sizes(start, n, cv, 1).tolist() == [9, 2**27 - 12]
+    assert _finish(start, 1, partial(_cv_loss, n, cv)).tolist() == [9, 2**27 - 12]
 
 
 # ---------------------------------------------------------------------------

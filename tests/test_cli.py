@@ -791,8 +791,10 @@ def test_catalog_errors_name_the_field(tmp_path):
         "total_n": 3,
         "strata": [{"key": ["a"], "n": -3, "columns": {"v": {"mean": 1.0, "std": 0.0}}}],
     }
-    with pytest.raises(InvalidDocument, match=r"^cat\.json: strata\[0\]\.n: expected"):
-        catalog_from_json(json.dumps(doc), "cat.json")
+    for n in (-3, 0):  # a computed catalog never holds an empty stratum
+        doc["strata"][0]["n"] = n
+        with pytest.raises(InvalidDocument, match=r"^cat\.json: strata\[0\]\.n: expected"):
+            catalog_from_json(json.dumps(doc), "cat.json")
     doc["strata"][0]["n"] = 3
     doc["strata"].append(dict(doc["strata"][0]))
     with pytest.raises(InvalidDocument, match=r"strata\[1\]\.key: repeats stratum \['a'\]"):
@@ -814,6 +816,22 @@ def test_catalog_errors_name_the_field(tmp_path):
     doc["group_attrs"], doc["agg_columns"] = ["g", "h"], ["v", "v"]
     with pytest.raises(InvalidDocument, match=rf"^cat\.json: agg_columns: {distinct}"):
         catalog_from_json(json.dumps(doc), "cat.json")
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_catalog_with_an_empty_stratum_is_a_user_error(tmp_path, fix_a_csv, capsys, method):
+    # an empty stratum used to plan a NaN max_cv, inf objectives or a share
+    cfg = _write_config(tmp_path, fix_a_csv, method=method, budget=5)
+    assert _run("stats", "--config", str(cfg)) == 0
+    catalog = tmp_path / "out" / "catalog.json"
+    doc = json.loads(catalog.read_text(encoding="utf-8"))
+    doc["total_n"] -= doc["strata"][0]["n"]
+    doc["strata"][0]["n"] = 0
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert _run("plan", "--config", str(cfg)) == 1
+    assert not (tmp_path / "out" / "plan.json").exists()
+    assert f"{catalog}: strata[0].n: expected an integer >= 1" in capsys.readouterr().err
 
 
 def test_catalog_total_n_must_be_the_strata_total(tmp_path, student_csv, capsys):
